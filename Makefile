@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test chaos chaos-multiproc scenarios bench-smoke bench-reports lint analysis ruff mypy baseline graph
+.PHONY: check test chaos chaos-multiproc scenarios bench-smoke bench-reports ledger-smoke lint analysis ruff mypy baseline graph
 
 ## Tier-1 gate: the full test suite plus a seconds-scale bench smoke.
 check: test bench-smoke
@@ -68,6 +68,18 @@ bench-smoke:
 	report = run_micro_suite(batch=200, repeats=1); \
 	assert report['codec']['Record']['binary']['encode_ops_per_sec'] > 0; \
 	print('bench smoke ok:', sorted(report))"
+
+## The perf ledger's correctness gate at 1/20 size: every BENCHMARK.json
+## workload once (a failed gate, a failed op or a wedged trial exits
+## non-zero), then the ledger's self-test.  Run before a benchmark run so a
+## src/ change that breaks the gate is caught in a minute, not after twenty.
+LEDGER_WORKLOADS := geo-local geo-mp geo-mp-supervised flstore-tcp-mixed
+ledger-smoke:
+	@for workload in $(LEDGER_WORKLOADS); do \
+		echo "== ledger smoke: $$workload"; \
+		timeout 170 $(PYTHON) ledger/run.py --workload $$workload --seed 1 --smoke > /dev/null || exit 1; \
+	done
+	timeout 600 $(PYTHON) -m pytest ledger/ -q
 
 ## Regenerate the committed perf reports (full-size measurement).
 bench-reports:

@@ -33,6 +33,8 @@ class Batcher(Actor):
         self.filter_map = filter_map
         self.config = config or PipelineConfig()
         self._buffers: Dict[str, FilterBatch] = {}
+        #: Records currently buffered across every filter.
+        self._pending_records = 0
         self.records_batched = 0
 
     def on_start(self) -> None:
@@ -47,6 +49,7 @@ class Batcher(Actor):
             filter_for_record = self.filter_map.filter_for_record
             for record in message.externals:
                 self._buffer_for(filter_for_record(record)).externals.append(record)
+            self._pending_records += len(message.externals)
             self.records_batched += len(message.externals)
             self._buffer_drafts(message.drafts)
             self._flush_full()
@@ -55,12 +58,8 @@ class Batcher(Actor):
         # High-water mark across all per-filter buffers: a stream of small
         # batches for many filters can stay under every per-filter flush
         # threshold while the total grows; force a full flush at the cap.
-        if self._pending_records() >= self.config.batcher_buffer_limit:
+        if self._pending_records >= self.config.batcher_buffer_limit:
             self._flush_all()
-
-    def _pending_records(self) -> int:
-        """Total records currently buffered across every filter."""
-        return sum(b.record_count() for b in self._buffers.values())
 
     def _buffer_drafts(self, drafts: List[DraftRecord]) -> None:
         # Client champions are sticky, so a run of drafts from one client
@@ -73,6 +72,7 @@ class Batcher(Actor):
                 last_client = draft.client
                 target = self._buffer_for(filter_for_draft(draft)).drafts
             target.append(draft)
+        self._pending_records += len(drafts)
         self.records_batched += len(drafts)
 
     def _buffer_for(self, filter_name: str) -> FilterBatch:
@@ -95,4 +95,5 @@ class Batcher(Actor):
 
     def _flush(self, filter_name: str) -> None:
         batch = self._buffers.pop(filter_name)
+        self._pending_records -= batch.record_count()
         self.send(filter_name, batch)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
+from ..core.errors import ConfigurationError
 from ..core.record import AppendResult, DatacenterId, freeze_tags
 from ..flstore.client import BlockingFLStoreClient, FLStoreClient
 from ..runtime.local import BaseRuntime
@@ -20,7 +21,13 @@ Callback = Callable[[Any], None]
 
 
 class ChariotsClient(FLStoreClient):
-    """Client of one datacenter's Chariots instance."""
+    """Client of one datacenter's Chariots instance.
+
+    Appends are burst-native: :meth:`append` only buffers the draft, and all
+    drafts issued in one turn of the caller leave together — one
+    :class:`DraftBatch` per batcher — from a zero-delay timer that fires as
+    soon as the caller yields to the runtime.
+    """
 
     def __init__(
         self,
@@ -32,11 +39,12 @@ class ChariotsClient(FLStoreClient):
         super().__init__(name, controller, seed=seed)
         self.batchers = list(batchers)
         # Stagger the starting batcher per client so load spreads (§6.2).
-        offset = seed % len(self.batchers) if self.batchers else 0
-        self._batcher_cycle = itertools.cycle(
-            self.batchers[offset:] + self.batchers[:offset]
-        )
+        self._next_batcher = seed % len(self.batchers) if self.batchers else 0
         self._draft_seq = itertools.count(1)
+        #: Drafts of the current burst, in call order, until the flush timer
+        #: armed by the burst's first append fires (so never more than the
+        #: caller appends in one turn).
+        self._burst: List[DraftRecord] = []
         self._pending_commits: Dict[int, Callback] = {}
 
     # ------------------------------------------------------------------ #
@@ -53,10 +61,16 @@ class ChariotsClient(FLStoreClient):
     ) -> int:
         """Append one record; ``on_done`` receives an :class:`AppendResult`.
 
-        ``deps`` declares explicit causal dependencies on records from other
-        datacenters (their host → TOId), e.g. after reading them.  Returns
-        the draft sequence number (mostly useful for tests).
+        Returns at once with the draft sequence number; the draft leaves at
+        the end of the caller's turn, batched with every other append of
+        that turn.  ``deps`` declares explicit causal dependencies on
+        records from other datacenters (their host → TOId), e.g. after
+        reading them.
         """
+        if not self._burst:
+            if not self.batchers:
+                raise ConfigurationError(f"client {self.name!r} has no batchers to append through")
+            self.set_timer(0.0, self._flush_burst)
         seq = next(self._draft_seq)
         draft = DraftRecord(
             client=self.name,
@@ -67,8 +81,19 @@ class ChariotsClient(FLStoreClient):
         )
         if on_done is not None:
             self._pending_commits[seq] = on_done
-        self.send(next(self._batcher_cycle), DraftBatch([draft]))
+        self._burst.append(draft)
         return seq
+
+    def _flush_burst(self) -> None:
+        """Send the buffered burst: draft ``i`` goes to the ``i``-th batcher
+        of the round-robin, so each batcher gets one message per burst."""
+        drafts, self._burst = self._burst, []
+        batchers = self.batchers
+        fanout = len(batchers)
+        start = self._next_batcher
+        for k in range(min(fanout, len(drafts))):
+            self.send(batchers[(start + k) % fanout], DraftBatch(drafts[k::fanout]))
+        self._next_batcher = (start + len(drafts)) % fanout
 
     def on_message(self, sender: str, message: Any) -> None:
         if isinstance(message, DraftCommitBatch):

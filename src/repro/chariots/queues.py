@@ -21,7 +21,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.causality import CausalFrontier, DeferredQueue
 from ..core.config import PipelineConfig
-from ..core.errors import DuplicateRecordError
 from ..core.record import DatacenterId, Record, RecordId, freeze_tags
 from ..flstore.messages import PlaceRecords
 from ..flstore.range_map import OwnershipPlan
@@ -113,19 +112,15 @@ class QueueStage(Actor):
         assert token is not None
         frontier = CausalFrontier(token.frontier)
 
-        # 1. Externals: admit in causal order, defer the rest.  Pure-draft
-        #    batches (the common local hot path) skip the priority queue.
+        # 1. Externals: admit in causal order, defer the rest.  Only records
+        #    that must wait reach the priority queue; an in-order shipment
+        #    (the common case) and pure-draft batches never touch it.
         if self._local_deferred or self._buffered_externals:
             deferred = DeferredQueue()
-            for record in self._local_deferred + self._buffered_externals:
-                if frontier.is_duplicate(record):
-                    continue
-                try:
-                    deferred.push(record)
-                except DuplicateRecordError:
-                    continue  # duplicate arrival of a still-deferred record
+            ordered = deferred.admit(
+                self._local_deferred + self._buffered_externals, frontier
+            )
             self._buffered_externals = []
-            ordered = deferred.drain(frontier)
             still_deferred = deferred.peek_all()
         else:
             ordered = []

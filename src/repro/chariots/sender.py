@@ -52,6 +52,17 @@ class _PeerStream:
     timed_out: bool = False
 
 
+@dataclass(slots=True)
+class _Fetch:
+    """The one ``ReadNewRequest`` outstanding toward a maintainer."""
+
+    request_id: int
+    sent_at: float
+    #: Consecutive issues of this fetch that went unanswered (request or
+    #: reply dropped); sets how long this one may wait before the next.
+    attempts: int = 0
+
+
 class Sender(Actor):
     """Ships local log records to remote datacenters."""
 
@@ -107,7 +118,9 @@ class Sender(Actor):
             dc: itertools.cycle(receivers) for dc, receivers in self.peer_receivers.items()
         }
         self._request_ids = itertools.count(1)
-        self._fetch_outstanding: Dict[int, str] = {}
+        #: At most one fetch in flight per maintainer: overlapping fetches of
+        #: one cursor would be read, shipped and dropped remotely several times.
+        self._fetches: Dict[str, _Fetch] = {}
         self._last_vector_sent: Dict[DatacenterId, KnowledgeVector] = {}
         self.records_shipped = 0
 
@@ -148,24 +161,61 @@ class Sender(Actor):
         if not self.peer_receivers:
             return  # single-datacenter deployment: nothing to replicate
         for maintainer in self.maintainers:
-            if len(self._buffer[maintainer]) >= self.config.sender_buffer_limit:
-                # High-water mark: stop pulling from the durable log until
-                # acks drain the retransmission window.  Records stay in the
-                # maintainer's log and the cursor doesn't move, so fetching
-                # resumes exactly where it paused once peers catch up.
-                continue
-            request_id = next(self._request_ids)
-            self._fetch_outstanding[request_id] = maintainer
-            self.send(
-                maintainer,
-                ReadNewRequest(
-                    request_id,
-                    after_lid=self._fetch_cursor[maintainer],
-                    limit=self.config.replication_batch_limit,
-                ),
-            )
+            self._fetch(maintainer)
         self._ship_all()
         self._heartbeat_vectors()
+
+    def _fetch(self, maintainer: str) -> None:
+        """Pull entries past the fetch cursor, unless a pull is in flight."""
+        if len(self._buffer[maintainer]) >= self.config.sender_buffer_limit:
+            # High-water mark: stop pulling from the durable log until
+            # acks drain the retransmission window.  Records stay in the
+            # maintainer's log and the cursor doesn't move, so fetching
+            # resumes exactly where it paused once peers catch up.
+            return
+        attempts = 0
+        inflight = self._fetches.get(maintainer)
+        if inflight is not None:
+            # A negative wait means the clock restarted under us (a respawned
+            # worker process): the reply is not coming either.
+            waited = self.now - inflight.sent_at
+            if 0.0 <= waited < self.retry_policy.delay(inflight.attempts):
+                return
+            attempts = inflight.attempts + 1  # request or reply was lost
+        request_id = next(self._request_ids)
+        self._fetches[maintainer] = _Fetch(request_id, self.now, attempts)
+        self.send(
+            maintainer,
+            ReadNewRequest(
+                request_id,
+                after_lid=self._fetch_cursor[maintainer],
+                limit=self.config.replication_batch_limit,
+            ),
+        )
+
+    def _on_fetched(self, maintainer: str, reply: ReadNewReply) -> None:
+        inflight = self._fetches.get(maintainer)
+        if inflight is not None and inflight.request_id == reply.request_id:
+            del self._fetches[maintainer]
+        # A reply to a fetch that was given up on and re-issued overlaps the
+        # re-issue's: entries at or below the cursor are buffered already.
+        cursor = self._fetch_cursor[maintainer]
+        buffer = self._buffer[maintainer]
+        for entry in reply.entries:
+            if entry.lid <= cursor or entry.record.internal:
+                continue
+            # Direct mode ships only locally-generated records (external
+            # ones reach the peers from their own hosts over the full
+            # mesh); transitive mode forwards everything.
+            if self.transitive or entry.record.host == self.dc_id:
+                buffer.append((entry.lid, entry.record))
+        if reply.upto > cursor:
+            self._fetch_cursor[maintainer] = reply.upto
+        self._ship_all()
+        if reply.entries:
+            # The log is moving: ask for what arrived meanwhile now rather
+            # than at the next tick.
+            self._fetch(maintainer)
 
     def _heartbeat_vectors(self) -> None:
         """Ship a records-free vector update to peers whose view is stale.
@@ -196,20 +246,7 @@ class Sender(Actor):
 
     def on_message(self, sender: str, message: Any) -> None:
         if isinstance(message, ReadNewReply):
-            maintainer = self._fetch_outstanding.pop(message.request_id, None)
-            if maintainer is None:
-                return
-            for entry in message.entries:
-                # Direct mode ships only locally-generated records (external
-                # ones reach the peers from their own hosts over the full
-                # mesh); transitive mode forwards everything.
-                if entry.record.internal:
-                    continue
-                if self.transitive or entry.record.host == self.dc_id:
-                    self._buffer[maintainer].append((entry.lid, entry.record))
-            if message.upto > self._fetch_cursor[maintainer]:
-                self._fetch_cursor[maintainer] = message.upto
-            self._ship_all()
+            self._on_fetched(sender, message)
         elif isinstance(message, FrontierUpdate):
             for host, toid in message.vector.items():
                 if toid > self._vector.get(host, 0):

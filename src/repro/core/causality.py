@@ -48,22 +48,26 @@ class CausalFrontier:
         its host — preserving the per-host total order — and (b) every causal
         dependency is already incorporated.
         """
-        if self._max_toid.get(record.host, 0) != record.toid - 1:
+        rid = record.rid
+        known = self._max_toid
+        if known.get(rid.host, 0) != rid.toid - 1:
             return False
-        for host, toid in record.dep_vector().items():
-            if host == record.host:
-                continue  # covered by the next-record test above
-            if self._max_toid.get(host, 0) < toid:
+        for host, toid in record.deps:
+            # A dependency on the record's own host is covered by the
+            # next-record test above.
+            if host != rid.host and known.get(host, 0) < toid:
                 return False
         return True
 
     def is_duplicate(self, record: Record) -> bool:
         """Whether the record has already been incorporated."""
-        return self._max_toid.get(record.host, 0) >= record.toid
+        rid = record.rid
+        return self._max_toid.get(rid.host, 0) >= rid.toid
 
     def advance(self, record: Record) -> None:
         """Mark ``record`` incorporated.  Caller must check admissibility."""
-        self._max_toid[record.host] = record.toid
+        rid = record.rid
+        self._max_toid[rid.host] = rid.toid
 
     def advance_host(self, host: DatacenterId, toid: int) -> None:
         """Bulk advance: every record from ``host`` up to ``toid`` is now
@@ -96,6 +100,11 @@ class CausalFrontier:
         return f"CausalFrontier({self._max_toid!r})"
 
 
+def _host_order(record: Record) -> Tuple[DatacenterId, int]:
+    rid = record.rid
+    return rid.host, rid.toid
+
+
 class DeferredQueue:
     """Priority queue of records awaiting their causal dependencies.
 
@@ -121,6 +130,29 @@ class DeferredQueue:
 
     def __contains__(self, rid: RecordId) -> bool:
         return rid in self._pending
+
+    def admit(self, arrivals: Iterable[Record], frontier: CausalFrontier) -> List[Record]:
+        """Release what ``frontier`` admits of a batch of arrivals; park the rest.
+
+        Yields exactly what pushing every arrival (skipping incorporated and
+        repeated ones) and then :meth:`drain`-ing would — same release order,
+        same frontier, same parked set — but walks the arrivals once in
+        ``(host, toid)`` order and parks only the records that cannot be
+        admitted on that walk, so an in-order batch never touches the heap.
+        """
+        released: List[Record] = []
+        for record in sorted(arrivals, key=_host_order):
+            if frontier.is_duplicate(record):
+                continue
+            if frontier.admissible(record):
+                frontier.advance(record)
+                released.append(record)
+            elif record.rid not in self._pending:  # else: repeated arrival
+                self.push(record)
+        if self._heap and released:
+            # A release above may have unlocked a record parked before it.
+            released.extend(self.drain(frontier))
+        return released
 
     def drain(self, frontier: CausalFrontier) -> List[Record]:
         """Release every deferred record the frontier can now admit.

@@ -122,7 +122,13 @@ class Record:
 
     def depends_on(self, other: RecordId) -> bool:
         """Whether ``other`` is in this record's (direct) dependency set."""
-        return self.dep_vector().get(other.host, 0) >= other.toid
+        rid = self.rid
+        if other.host == rid.host and rid.toid - 1 >= other.toid:
+            return True  # the implicit dependency on the host predecessor
+        for host, toid in self.deps:
+            if host == other.host and toid >= other.toid:
+                return True
+        return False
 
     def size_bytes(self, default_body_size: int = 512) -> int:
         """Approximate wire size of the record.

@@ -233,19 +233,22 @@ class MaintainerCore:
         return lid
 
     def _advance_cursor(self) -> None:
+        """Move the cursor to the next owned LId after it that is not filled,
+        skipping placed records that arrived ahead of the frontier."""
         assert self._next_unassigned is not None
-        nxt = self._next_unassigned + 1
-        # Fast path: staying inside the current owned round (no plan lookup).
-        if nxt < self._round_end and nxt not in self._storage:
-            self._next_unassigned = nxt
-            self._hl_vector[self.name] = float(nxt)
-            return
-        cursor = self.plan.next_owned_lid(self.name, self._next_unassigned)
-        # Skip over placed records that arrived ahead of the frontier.
-        while cursor is not None and cursor in self._storage:
-            cursor = self.plan.next_owned_lid(self.name, cursor)
+        storage = self._storage
+        cursor: Optional[int] = self._next_unassigned + 1
+        # Owned LIds are consecutive inside a round: pay the plan lookup only
+        # when the walk leaves the cached round.
+        while cursor is not None:
+            if cursor >= self._round_end:
+                cursor = self._next_unassigned = self.plan.next_owned_lid(self.name, cursor - 1)
+                self._refresh_round_end()
+            elif cursor in storage:
+                cursor += 1
+            else:
+                break
         self._next_unassigned = cursor
-        self._refresh_round_end()
         self._sync_self_vector()
 
     def _refresh_round_end(self) -> None:
@@ -321,6 +324,48 @@ class MaintainerCore:
         if lid == self._next_unassigned:
             self._advance_cursor()
         return True
+
+    def place_run(self, placements: List[Tuple[int, Record]]) -> None:
+        """Store a batch of queue-assigned placements.
+
+        Same outcome as :meth:`place` on each pair in turn (stored records,
+        postings, journal writes, cursor, and the error raised — with the
+        pairs before it stored), but ownership is checked once per run of
+        LIds with one owner and the cursor moves once per call.  Duplicates
+        and garbage-collected positions take the per-record path.
+        """
+        plan = self.plan
+        storage = self._storage
+        by_rid = self._by_rid
+        postings = self._pending_postings
+        journal = self._journal
+        floor = self._gc_floor or 0
+        run_start = run_end = -1  # LIds in [run_start, run_end) are owned
+        newest = self._max_stored_lid
+        placed = 0
+        try:
+            for lid, record in placements:
+                if not run_start <= lid < run_end:
+                    if plan.owner(lid) != self.name:
+                        raise NotOwnerError(lid, self.name)
+                    run_start, run_end = lid, plan.owned_run_end(lid)
+                if lid in storage or lid < floor:
+                    self.place(lid, record)  # no-op, or ImmutabilityError
+                    continue
+                storage[lid] = record
+                by_rid[record.rid] = lid
+                if lid > newest:
+                    newest = lid
+                for key, value in record.tags:
+                    postings.append((key, value, lid))
+                if journal is not None:
+                    journal(lid, record)
+                placed += 1
+        finally:
+            self._max_stored_lid = newest
+            self.records_placed += placed
+            if self._next_unassigned in storage:
+                self._advance_cursor()
 
     def _store(self, lid: int, record: Record) -> None:
         self._storage[lid] = record
@@ -576,8 +621,7 @@ class LogMaintainer(Actor):
         if isinstance(message, AppendRequest):
             self._handle_append(sender, message)
         elif isinstance(message, PlaceRecords):
-            for lid, record in message.placements:
-                self.core.place(lid, record)
+            self.core.place_run(message.placements)
             self._complete_deferred()
         elif isinstance(message, ReadRequest):
             self._handle_read(sender, message)

@@ -1,10 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test chaos chaos-multiproc scenarios bench-smoke bench-reports ledger-smoke lint analysis ruff mypy baseline graph
+.PHONY: check test chaos chaos-multiproc scenarios ledger-smoke lint analysis ruff mypy baseline graph
 
-## Tier-1 gate: the full test suite plus a seconds-scale bench smoke.
-check: test bench-smoke
+## Tier-1 gate: the full test suite.
+check: test
 
 ## Static gates: project linter (always) + ruff/mypy (when installed; CI
 ## installs both via `pip install ruff mypy`, see .github/workflows/ci.yml).
@@ -27,7 +27,7 @@ graph:
 
 ruff:
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
-		$(PYTHON) -m ruff check src tests benchmarks; \
+		$(PYTHON) -m ruff check src tests; \
 	else \
 		echo "ruff not installed; skipping (pip install ruff)"; \
 	fi
@@ -56,18 +56,9 @@ chaos-multiproc:
 	timeout 600 $(PYTHON) -m pytest tests/test_multiproc_chaos.py -q -m "slow or not slow"
 
 ## Run the full deterministic scenario catalog (paper figures, soaks,
-## chaos, overload), persist artifacts under runs/, and diff the perf
-## entries against the committed BENCH_*.json baselines (docs/SCENARIOS.md).
+## chaos, overload) and persist artifacts under runs/ (docs/SCENARIOS.md).
 scenarios:
-	$(PYTHON) -m repro.scenarios run --deterministic --compare
-
-## Quick sanity pass over the perf harness: tiny batches, one repeat —
-## catches import/shape breakage in ~5 s without measuring anything real.
-bench-smoke:
-	$(PYTHON) -c "from repro.bench.micro import run_micro_suite; \
-	report = run_micro_suite(batch=200, repeats=1); \
-	assert report['codec']['Record']['binary']['encode_ops_per_sec'] > 0; \
-	print('bench smoke ok:', sorted(report))"
+	$(PYTHON) -m repro.scenarios run --deterministic
 
 ## The perf ledger's correctness gate at 1/20 size: every BENCHMARK.json
 ## workload once (a failed gate, a failed op or a wedged trial exits
@@ -80,8 +71,3 @@ ledger-smoke:
 		timeout 170 $(PYTHON) ledger/run.py --workload $$workload --seed 1 --smoke > /dev/null || exit 1; \
 	done
 	timeout 600 $(PYTHON) -m pytest ledger/ -q
-
-## Regenerate the committed perf reports (full-size measurement).
-bench-reports:
-	$(PYTHON) benchmarks/bench_micro_ops.py --json-out BENCH_micro.json
-	$(PYTHON) benchmarks/bench_micro_ops.py --suite pipeline --json-out BENCH_pipeline.json

@@ -23,8 +23,9 @@ Package layout
     Hyksos KV store, stream processing, Message Futures, Helios (§4).
 ``repro.net``
     asyncio TCP deployment of FLStore.
-``repro.bench``
-    Benchmark harness for every table and figure of §7.
+``repro.scenarios``
+    Declarative scenario catalog: every table and figure of §7, plus the
+    soak/chaos/overload workloads (``python -m repro.scenarios``).
 
 Quickstart
 ----------

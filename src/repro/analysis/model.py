@@ -140,6 +140,8 @@ class ProjectModel:
     message_classes: Dict[str, MessageClass] = field(default_factory=dict)
     registry: List[RegistryEntry] = field(default_factory=list)
     all_class_names: Set[str] = field(default_factory=set)
+    #: class name -> its first base class (``LazyRecordBatch`` -> ``RecordBatch``).
+    first_base: Dict[str, str] = field(default_factory=dict)
     #: message name -> ``isinstance`` dispatch sites inside ``on_message``.
     dispatched: Dict[str, List[Site]] = field(default_factory=dict)
     #: class name -> call sites constructing it (message/registered names only).
@@ -342,7 +344,8 @@ def _collect_dispatch(model: ProjectModel, project: ProjectInfo) -> None:
 
 
 def _collect_constructions(model: ProjectModel, project: ProjectInfo) -> None:
-    """Call sites whose callee is a message class or registered name."""
+    """Call sites whose callee is a message class or registered name, or a
+    subclass of one: ``LazyRecordBatch(...)`` constructs a ``RecordBatch``."""
     tracked = set(model.message_classes) | model.registered_names
     if not tracked:
         return
@@ -351,6 +354,10 @@ def _collect_constructions(model: ProjectModel, project: ProjectInfo) -> None:
             if not isinstance(node, ast.Call):
                 continue
             name = terminal_name(node.func)
+            climbed: Set[str] = set()
+            while name is not None and name not in tracked and name not in climbed:
+                climbed.add(name)
+                name = model.first_base.get(name)
             if name in tracked:
                 model.constructions.setdefault(name, []).append(
                     Site(module, node.lineno, node.col_offset)
@@ -754,6 +761,9 @@ def build_model(project: ProjectInfo) -> ProjectModel:
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ClassDef):
                 model.all_class_names.add(node.name)
+                base = terminal_name(node.bases[0]) if node.bases else None
+                if base is not None:
+                    model.first_base[node.name] = base
                 if (
                     is_messages
                     and not node.name.startswith("_")

@@ -29,7 +29,7 @@ from ..project import ModuleInfo, qualified_name
 from .base import ModuleRule
 
 #: Packages reachable from the deterministic runtimes.  ``net`` (wall-clock
-#: asyncio deployment), ``bench`` (measures real time), ``apps``/``baseline``
+#: asyncio deployment), ``scenarios`` (times its runs), ``apps``/``baseline``
 #: and the CLI are intentionally out of scope.
 SIM_SCOPED_PACKAGES: Tuple[str, ...] = (
     "sim",

@@ -2,12 +2,12 @@
 
 The batch fast paths allocate one message/record object per wire item; a
 dict-backed dataclass costs an extra allocation and ~3x the memory per
-instance, which shows directly in the micro benchmarks (BENCH_micro.json).
-Every public dataclass in the ``*/messages.py`` modules and the core record
-model (``core/record.py``) must therefore be declared ``@dataclass(...,
-slots=True)`` — or, for field-less base classes like ``Payload``, carry an
-explicit ``__slots__ = ()`` so subclasses' slots actually bite (a dict-ful
-base silently re-adds ``__dict__`` to every subclass instance).
+instance.  Every public dataclass in the ``*/messages.py`` modules and the
+core record model (``core/record.py``) must therefore be declared
+``@dataclass(..., slots=True)`` — or, for field-less base classes like
+``Payload``, carry an explicit ``__slots__ = ()`` so subclasses' slots
+actually bite (a dict-ful base silently re-adds ``__dict__`` to every
+subclass instance).
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ TYPED_PACKAGES: Tuple[str, ...] = (
     "chariots",
     "runtime",
     "net",
-    "bench",
     "sim",
     "chaos",
     "apps",

@@ -1,13 +1,13 @@
-"""Command-line interface: demos, experiment runs, and log inspection.
+"""Command-line interface: demos and log inspection.
 
 Usage (also available as ``chariots-repro`` when installed with pip):
 
     python -m repro.cli demo                     # two-datacenter walkthrough
     python -m repro.cli table1                   # the systems comparison
-    python -m repro.cli bench fig7               # one evaluation experiment
-    python -m repro.cli bench table3
     python -m repro.cli inspect-journal m0.journal
     python -m repro.cli inspect-archive archive.jsonl
+
+Experiments live in the scenario catalog: ``python -m repro.scenarios``.
 """
 
 from __future__ import annotations
@@ -43,58 +43,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    from .bench.comparison import render
+    from .scenarios.comparison import render
 
     print(render())
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import run_corfu_sim, run_flstore_sim, run_pipeline_sim
-    from .core import PRIVATE_CLOUD
-
-    name = args.experiment
-    duration, warmup = args.duration, min(0.4, args.duration / 3)
-    if name == "fig7":
-        print("Figure 7: one public-cloud maintainer, achieved vs target")
-        for target in (50_000, 100_000, 150_000, 200_000, 250_000):
-            result = run_flstore_sim(1, target, duration=duration, warmup=warmup)
-            print(f"  target {target/1000:6.0f}K -> achieved {result.achieved_total/1000:6.1f}K")
-    elif name == "fig8":
-        print("Figure 8: FLStore scaling (private cloud, 131K/maintainer)")
-        for n in (1, 2, 4, 8):
-            result = run_flstore_sim(
-                n, 131_000, maintainer_profile=PRIVATE_CLOUD,
-                duration=duration, warmup=warmup,
-            )
-            print(f"  {n:2d} maintainers -> {result.achieved_total/1000:7.1f}K "
-                  f"({result.perfect_scaling_fraction:.1%} of perfect)")
-    elif name in ("table2", "table3", "table4", "table5"):
-        spec = {
-            "table2": dict(clients=1),
-            "table3": dict(clients=2),
-            "table4": dict(clients=2, batchers=2),
-            "table5": dict(clients=2, batchers=2, filters=2, queues=2,
-                           maintainers=2, senders=2, receivers=2),
-        }[name]
-        result = run_pipeline_sim(duration=duration, warmup=warmup, **spec)
-        print(f"{name.capitalize()}: per-machine throughput (K records/s)")
-        for stage, machine, rate in result.rows():
-            print(f"  {stage:<8} {machine:<18} {rate/1000:7.1f}K")
-        print(f"  bottleneck: {result.bottleneck()}")
-    elif name == "corfu":
-        print("Ablation: FLStore vs CORFU-style sequencer")
-        for n in (1, 2, 4, 8):
-            flstore = run_flstore_sim(n, 125_000, duration=duration, warmup=warmup)
-            corfu = run_corfu_sim(
-                n, 125_000, sequencer_capacity=30_000.0, grant_batch=16,
-                duration=duration, warmup=warmup,
-            )
-            print(f"  {n:2d} units: FLStore {flstore.achieved_total/1000:7.1f}K"
-                  f"   CORFU {corfu.achieved_total/1000:7.1f}K")
-    else:  # pragma: no cover - argparse choices prevent this
-        print(f"unknown experiment {name!r}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -137,7 +88,7 @@ def _cmd_inspect_archive(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chariots-repro",
-        description="Chariots shared-log reproduction: demos, experiments, inspection.",
+        description="Chariots shared-log reproduction: demos and log inspection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -148,15 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     table1 = sub.add_parser("table1", help="print the systems comparison (Table 1)")
     table1.set_defaults(func=_cmd_table1)
-
-    bench = sub.add_parser("bench", help="run one evaluation experiment")
-    bench.add_argument(
-        "experiment",
-        choices=["fig7", "fig8", "table2", "table3", "table4", "table5", "corfu"],
-    )
-    bench.add_argument("--duration", type=float, default=1.0,
-                       help="simulated seconds per data point")
-    bench.set_defaults(func=_cmd_bench)
 
     journal = sub.add_parser("inspect-journal", help="summarise a maintainer journal")
     journal.add_argument("path")

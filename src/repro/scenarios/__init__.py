@@ -8,23 +8,16 @@ standup → experiment → teardown lifecycle and persists artifacts under
 tagged entries covering the paper's Figures 7–9 and Tables 2–5 plus the
 repo's own soak/overload/chaos scenarios.
 
-Command line: ``python -m repro.scenarios {list,show,run,compare}``.
+Command line: ``python -m repro.scenarios {list,show,run}``.
 """
 
-from .catalog import CATALOG, by_tag, get, names, select, tags_in_use
-from .compare import (
-    CheckOutcome,
-    ComparisonResult,
-    compare_documents,
-    compare_run_dir,
-)
+from .catalog import CATALOG, get, names, select, tags_in_use
 from .executors import EXECUTORS, ExecutionContext, Executor, executor_for
 from .runner import (
     PhaseStatus,
     RunResult,
     ScenarioError,
     ScenarioRunner,
-    latest_run_dir,
     next_run_id,
     run_scenario,
 )
@@ -33,13 +26,11 @@ from .spec import (
     KNOWN_TAGS,
     PROFILES,
     RUNTIMES,
-    BaselineCheck,
     Invariant,
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
     check_invariants,
-    filter_specs,
     resolve_path,
     resolve_profile,
 )
@@ -51,9 +42,6 @@ __all__ = [
     "KNOWN_TAGS",
     "PROFILES",
     "RUNTIMES",
-    "BaselineCheck",
-    "CheckOutcome",
-    "ComparisonResult",
     "ExecutionContext",
     "Executor",
     "Invariant",
@@ -64,14 +52,9 @@ __all__ = [
     "ScenarioSpec",
     "TopologySpec",
     "WorkloadSpec",
-    "by_tag",
     "check_invariants",
-    "compare_documents",
-    "compare_run_dir",
     "executor_for",
-    "filter_specs",
     "get",
-    "latest_run_dir",
     "names",
     "next_run_id",
     "resolve_path",

@@ -6,16 +6,10 @@
     python -m repro.scenarios show NAME
     python -m repro.scenarios run [NAME]... [--tag TAG]... [--deterministic]
                                   [--run-root DIR | --no-persist]
-                                  [--compare] [--baseline-root DIR]
-    python -m repro.scenarios compare NAME [--run-id ID]
-                                  [--run-root DIR] [--baseline-root DIR]
 
 ``run`` executes the selected entries through the phased runner,
 persisting artifacts under ``<run-root>/<scenario>/<run-id>/`` and exits
-non-zero if any scenario errors, breaks an invariant, or (with
-``--compare``) drifts outside a baseline tolerance band.  ``compare``
-re-checks an already-persisted run against the committed ``BENCH_*.json``
-baselines without re-running anything.
+non-zero if any scenario errors or breaks an invariant.
 """
 
 from __future__ import annotations
@@ -26,8 +20,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import catalog
-from .compare import compare_run_dir
-from .runner import ScenarioRunner, latest_run_dir
+from .runner import ScenarioRunner
 from .spec import RUNTIMES, ScenarioSpec
 
 
@@ -71,7 +64,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 1
     run_root: Optional[Path] = None if args.no_persist else Path(args.run_root)
     runner = ScenarioRunner(run_root=run_root)
-    baseline_root = Path(args.baseline_root)
     failures = 0
     for spec in specs:
         result = runner.run(spec)
@@ -83,36 +75,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  invariant: {message}")
         if not result.passed:
             failures += 1
-            continue
-        if args.compare and spec.baselines:
-            comparison = compare_run_dir(
-                spec, result.artifacts_dir, baseline_root
-            ) if result.artifacts_dir else None
-            if comparison is None:
-                print("  compare skipped: no persisted artifacts")
-                continue
-            print("  " + comparison.render().replace("\n", "\n  "))
-            if not comparison.passed:
-                failures += 1
     print(f"{len(specs) - failures}/{len(specs)} scenarios passed")
     return 1 if failures else 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    spec = catalog.get(args.name)
-    if not spec.baselines:
-        print(f"{spec.name} declares no baseline checks")
-        return 1
-    scenario_dir = Path(args.run_root) / spec.name
-    run_dir = (
-        scenario_dir / args.run_id if args.run_id else latest_run_dir(scenario_dir)
-    )
-    if run_dir is None or not run_dir.is_dir():
-        print(f"no persisted runs under {scenario_dir} (run it first)")
-        return 1
-    comparison = compare_run_dir(spec, run_dir, Path(args.baseline_root))
-    print(comparison.render())
-    return 0 if comparison.passed else 1
 
 
 def _add_filters(parser: argparse.ArgumentParser, with_names: bool = True) -> None:
@@ -147,19 +111,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="artifact directory (default: runs/)")
     p_run.add_argument("--no-persist", action="store_true",
                        help="run in-memory, write no artifacts")
-    p_run.add_argument("--compare", action="store_true",
-                       help="also diff persisted runs against BENCH_*.json")
-    p_run.add_argument("--baseline-root", default=".",
-                       help="directory holding the BENCH_*.json baselines")
     p_run.set_defaults(func=_cmd_run)
-
-    p_cmp = sub.add_parser("compare", help="diff a persisted run vs baselines")
-    p_cmp.add_argument("name")
-    p_cmp.add_argument("--run-id", default=None,
-                       help="run id (default: the latest run)")
-    p_cmp.add_argument("--run-root", default="runs")
-    p_cmp.add_argument("--baseline-root", default=".")
-    p_cmp.set_defaults(func=_cmd_compare)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -4,10 +4,9 @@ the repo's own soak/overload/chaos workloads — as declarative entries.
 Figures 7–9 and Tables 2–5 are ``paper-figure`` entries whose invariants
 encode the paper's qualitative claims (peak at 150 K, the batcher then the
 filter becoming the bottleneck, near-linear FLStore scaling, the Figure 9
-drain surge).  The bench scripts under ``benchmarks/`` are thin wrappers
-over these entries, and the deterministic subset runs as a pytest
-regression suite (``tests/test_scenarios_catalog.py``) — a paper claim
-breaking fails ``make check``, not just a bench report.
+drain surge).  The deterministic subset runs as a pytest regression suite
+(``tests/test_scenarios_catalog.py``) — a paper claim breaking fails
+``make check``.
 
 Tags:
 
@@ -16,8 +15,6 @@ Tags:
 * ``overload`` — offered load far past capacity, exercising the pipeline's
   high-water-mark backpressure limits.
 * ``geo`` — multi-datacenter deployments over simulated WAN links.
-* ``perf`` — host-performance runs compared against the committed
-  ``BENCH_*.json`` trajectory with tolerance bands.
 * ``ablation`` — parameter sweeps beyond the paper's own figures.
 """
 
@@ -26,9 +23,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ConfigurationError
-from .spec import BaselineCheck, Invariant, ScenarioSpec, TopologySpec, WorkloadSpec
+from .spec import Invariant, ScenarioSpec, TopologySpec, WorkloadSpec
 
-__all__ = ["CATALOG", "get", "names", "by_tag", "select", "tags_in_use"]
+__all__ = ["CATALOG", "get", "names", "select", "tags_in_use"]
 
 
 def _fig7() -> ScenarioSpec:
@@ -61,7 +58,6 @@ def _fig7() -> ScenarioSpec:
             for t in targets
         ),
         invariants=tuple(invariants),
-        source="benchmarks/bench_fig7_single_maintainer.py",
     )
 
 
@@ -84,7 +80,6 @@ def _fig8(slug: str, profile: str, target: float) -> ScenarioSpec:
                       other="points.0.achieved", scale=10, rel=0.05,
                       note="ten maintainers achieve ten times one"),
         ),
-        source="benchmarks/bench_fig8_flstore_scaling.py",
     )
 
 
@@ -116,7 +111,6 @@ def _fig9() -> ScenarioSpec:
             Invariant(metric="points.0.drain.surge_ratio", op="gt", value=1.25,
                       note="abrupt queue surge once the filter NIC frees up"),
         ),
-        source="benchmarks/bench_fig9_timeseries.py",
     )
 
 
@@ -128,7 +122,7 @@ _BASIC = {"clients": 1, "batchers": 1, "filters": 1, "queues": 1,
           "maintainers": 1, "senders": 1, "receivers": 1}
 
 
-def _table(name: str, title: str, source: str,
+def _table(name: str, title: str,
            sweep: Sequence[Dict[str, Dict[str, int]]],
            invariants: Sequence[Invariant]) -> ScenarioSpec:
     return ScenarioSpec(
@@ -139,7 +133,6 @@ def _table(name: str, title: str, source: str,
         workload=WorkloadSpec(target_rate=130_000, duration=1.5, warmup=0.4),
         sweep=tuple(sweep),
         invariants=tuple(invariants),
-        source=source,
     )
 
 
@@ -159,7 +152,6 @@ def _table2() -> ScenarioSpec:
     return _table(
         "table2-basic-pipeline",
         "Table 2: basic Chariots deployment, one machine per stage",
-        "benchmarks/bench_table2_basic_pipeline.py",
         [{"label": "basic", "topology": dict(_BASIC)}],
         invariants,
     )
@@ -169,7 +161,6 @@ def _table3() -> ScenarioSpec:
     return _table(
         "table3-two-clients",
         "Table 3: two clients overload the single batcher",
-        "benchmarks/bench_table3_two_clients.py",
         [
             {"label": "basic", "topology": dict(_BASIC)},
             {"label": "two-clients", "topology": {**_BASIC, "clients": 2}},
@@ -191,7 +182,6 @@ def _table4() -> ScenarioSpec:
     return _table(
         "table4-two-batchers",
         "Table 4: two clients + two batchers push the bottleneck to the filter",
-        "benchmarks/bench_table4_two_batchers.py",
         [
             {"label": "one-batcher", "topology": {**_BASIC, "clients": 2}},
             {"label": "two-batchers", "topology": {**_BASIC, "clients": 2, "batchers": 2}},
@@ -230,7 +220,6 @@ def _table5() -> ScenarioSpec:
     return _table(
         "table5-two-per-stage",
         "Table 5: two machines at every stage — all stages scale",
-        "benchmarks/bench_table5_two_per_stage.py",
         [
             {"label": "basic", "topology": dict(_BASIC)},
             {"label": "doubled", "topology": doubled},
@@ -297,7 +286,6 @@ def _geo_replication_lag() -> ScenarioSpec:
             Invariant(metric="points.0.converged", op="eq", value=True),
             Invariant(metric="points.2.converged", op="eq", value=True),
         ),
-        source="benchmarks/bench_ablation_replication.py",
     )
 
 
@@ -390,7 +378,6 @@ def _corfu_ceiling() -> ScenarioSpec:
                       other="points.2.target", scale=8,
                       note="the shared sequencer prevents linear scaling"),
         ),
-        source="benchmarks/bench_ablation_corfu_vs_flstore.py",
     )
 
 
@@ -535,8 +522,9 @@ def _multiproc_crash_recovery() -> ScenarioSpec:
             Invariant(metric="points.0.recovery_seconds_max", op="between",
                       band=(0.0, 30.0),
                       note="detection + respawn + replay stays bounded"),
+            Invariant(metric="points.0.loss_accounting", op="eq", value={},
+                      note="a clean recovery gives up on no frame"),
         ),
-        source="src/repro/bench/multiproc.py",
         notes="Spawns real worker processes (excluded from the deterministic "
               "subset); the CI chaos smoke job runs this entry under a hard "
               "wall-clock timeout.",
@@ -564,7 +552,6 @@ def _ablation_lid_batch() -> ScenarioSpec:
                       other="points.0.head_lag",
                       note="larger rounds hold the head of the log further back"),
         ),
-        source="benchmarks/bench_ablation_batch_size.py",
     )
 
 
@@ -590,7 +577,6 @@ def _ablation_gossip_interval() -> ScenarioSpec:
                       other="points.0.head_lag",
                       note="HL staleness grows with the gossip interval"),
         ),
-        source="benchmarks/bench_ablation_gossip_interval.py",
     )
 
 
@@ -614,7 +600,6 @@ def _ablation_token_queues() -> ScenarioSpec:
             Invariant(metric="points.2.stage_rates.Queue.A/queue/3", op="gt",
                       value=0, note="every queue sees a share of the work"),
         ),
-        source="benchmarks/bench_ablation_token_queues.py",
     )
 
 
@@ -644,101 +629,9 @@ def _ablation_elasticity() -> ScenarioSpec:
                       other="points.0.offered", scale=0.9,
                       note="the expanded deployment absorbs the offered load"),
         ),
-        source="benchmarks/bench_ablation_elasticity.py",
         notes="workload.target_rate is the total offered load here, spread "
               "over topology.clients generators; no restart, live §6.3 "
               "future reassignment.",
-    )
-
-
-def _pipeline_multiproc() -> ScenarioSpec:
-    return ScenarioSpec(
-        name="pipeline-multiproc",
-        title="Perf: zero-copy RecordBatch wire path across worker processes",
-        kind="pipeline",
-        runtime="multiproc",
-        tags=("perf", "net"),
-        topology=TopologySpec(workers=4),
-        workload=WorkloadSpec(total_records=50_000),
-        invariants=(
-            Invariant(metric="points.0.records_stored", op="eq", value=50_000,
-                      note="every routed batch lands via the bulk-append path"),
-            Invariant(metric="points.0.workers", op="eq", value=4),
-        ),
-        baselines=(
-            # Host wall-clock rates vary by machine and core count: a wide
-            # ratio band that still catches a hot-path collapse.
-            BaselineCheck(file="BENCH_multiproc.json",
-                          baseline_path="current.peak_records_per_host_sec",
-                          metric="base.records_per_host_sec", source="perf",
-                          ratio_band=(0.1, 10.0)),
-        ),
-        source="src/repro/bench/multiproc.py",
-        notes="Spawns real worker processes; excluded from the deterministic "
-              "subset. The committed sweep lives in BENCH_multiproc.json "
-              "(python -m repro.bench.multiproc).",
-    )
-
-
-def _pipeline_baseline() -> ScenarioSpec:
-    return ScenarioSpec(
-        name="pipeline-baseline",
-        title="Perf: the BENCH_pipeline.json configuration, compared to trajectory",
-        kind="pipeline",
-        tags=("perf",),
-        topology=TopologySpec(),
-        workload=WorkloadSpec(target_rate=130_000, duration=0.8, warmup=0.3),
-        invariants=(
-            Invariant(metric="points.0.bottleneck", op="eq", value="Client"),
-        ),
-        baselines=(
-            # The simulated record count is deterministic: exact match.
-            BaselineCheck(file="BENCH_pipeline.json",
-                          baseline_path="current.records_stored",
-                          metric="points.0.records_stored", rel_tol=0.0),
-            # Host wall-clock numbers vary by machine: wide ratio bands that
-            # still catch an order-of-magnitude hot-path regression.
-            BaselineCheck(file="BENCH_pipeline.json",
-                          baseline_path="current.records_per_host_sec",
-                          metric="base.records_per_host_sec", source="perf",
-                          ratio_band=(0.15, 6.0)),
-            BaselineCheck(file="BENCH_pipeline.json",
-                          baseline_path="current.wall_clock_seconds",
-                          metric="base.wall_clock_seconds", source="perf",
-                          ratio_band=(0.15, 6.0)),
-        ),
-        source="benchmarks/bench_micro_ops.py",
-    )
-
-
-def _micro_hotpaths() -> ScenarioSpec:
-    bands = [
-        ("base.codec.Record.combined_speedup",
-         "codec.Record.combined_speedup", (0.25, 3.0)),
-        ("base.codec.LogEntry.combined_speedup",
-         "codec.LogEntry.combined_speedup", (0.25, 3.0)),
-        ("base.codec.Record.binary.encode_ops_per_sec",
-         "codec.Record.binary.encode_ops_per_sec", (0.1, 10.0)),
-        ("base.maintainer_append_ops_per_sec",
-         "maintainer_append_ops_per_sec", (0.1, 10.0)),
-        ("base.filter_admission_ops_per_sec",
-         "filter_admission_ops_per_sec", (0.1, 10.0)),
-    ]
-    return ScenarioSpec(
-        name="micro-hotpaths",
-        title="Perf: codec/maintainer/filter hot paths vs BENCH_micro.json",
-        kind="micro",
-        tags=("perf",),
-        workload=WorkloadSpec(micro_batch=500, micro_repeats=2),
-        invariants=(
-            Invariant(metric="points.0.batch", op="eq", value=500),
-        ),
-        baselines=tuple(
-            BaselineCheck(file="BENCH_micro.json", baseline_path=base,
-                          metric=metric, source="perf", ratio_band=band)
-            for metric, base, band in bands
-        ),
-        source="benchmarks/bench_micro_ops.py",
     )
 
 
@@ -766,9 +659,6 @@ CATALOG: Tuple[ScenarioSpec, ...] = (
     _ablation_elasticity(),
     _functional("local"),
     _functional("aio"),
-    _pipeline_baseline(),
-    _pipeline_multiproc(),
-    _micro_hotpaths(),
 )
 
 _BY_NAME: Dict[str, ScenarioSpec] = {spec.name: spec for spec in CATALOG}
@@ -787,10 +677,6 @@ def get(name: str) -> ScenarioSpec:
         raise ConfigurationError(
             f"unknown scenario {name!r} (see `python -m repro.scenarios list`)"
         ) from None
-
-
-def by_tag(tag: str) -> List[ScenarioSpec]:
-    return [spec for spec in CATALOG if spec.has_tag(tag)]
 
 
 def select(

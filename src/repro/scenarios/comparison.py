@@ -2,8 +2,8 @@
 
 The paper positions Chariots as the only shared log offering causal
 consistency together with both per-replica partitioning and replication.
-This module encodes the table as data so the claim is testable and the
-benchmark harness can reprint it.
+This module encodes the table as data so the claim is testable and
+``python -m repro.cli table1`` can reprint it.
 """
 
 from __future__ import annotations

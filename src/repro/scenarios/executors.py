@@ -8,35 +8,38 @@ Every executor implements the same three-phase protocol the runner calls:
 * :meth:`Executor.experiment` — execute every point and produce the
   **aggregates** document (deterministic, simulated metrics only — two
   seeded runs yield byte-identical JSON) plus the **perf** document
-  (host-measured wall-clock numbers, compared only with wide bands).
+  (host-measured wall-clock numbers, informational only).
 * :meth:`Executor.teardown` — release any live resources.  The runner
   guarantees this runs even when the experiment raises.
 
-The sim-backed kinds (``flstore``/``pipeline``/``corfu``/``geo``/``micro``)
-delegate the actual capacity modelling to :mod:`repro.bench.harness`; the
+The sim-backed kinds (``flstore``/``pipeline``/``corfu``/``geo``) delegate
+the actual capacity modelling to :mod:`repro.scenarios.harness`; the
 ``functional`` kind drives the real deployment on the deterministic
-LocalRuntime or over TCP sockets (AioRuntime).
+LocalRuntime, over TCP sockets (AioRuntime), or across worker processes
+(MultiprocRuntime).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..bench.harness import (
-    PIPELINE_STAGES,
-    run_corfu_sim,
-    run_flstore_sim,
-    run_pipeline_sim,
-)
 from ..chaos.plan import FaultPlan
 from ..chariots.messages import DraftBatch, DraftRecord
 from ..chariots.pipeline import ChariotsDeployment
+from ..core.causality import causal_order_respected
 from ..core.config import DeploymentSpec, NetworkProfile
 from ..core.errors import ConfigurationError
 from ..sim.kernel import SimRuntime
 from ..sim.workload import LoadClient
+from .harness import (
+    PIPELINE_STAGES,
+    _template_record,
+    run_corfu_sim,
+    run_flstore_sim,
+    run_pipeline_sim,
+)
 from .spec import PROFILES, ScenarioSpec, resolve_profile
 
 #: Rate threshold (records/s) below which a timeseries source counts as
@@ -189,7 +192,6 @@ class FLStoreExecutor(Executor):
         as the settle margin after the expansion, so the ``after`` window
         excludes the reassignment handshake and the drained backlog surge.
         """
-        from ..bench.harness import _template_record
         from ..chariots.elasticity import expand_maintainers
         from ..flstore.messages import AppendRequest
         from ..flstore.store import FLStore
@@ -263,13 +265,7 @@ class FLStoreExecutor(Executor):
 
 
 class PipelineExecutor(Executor):
-    """Tables 2–5 and Figure 9: the single-datacenter Chariots pipeline.
-
-    On the ``multiproc`` runtime the point instead measures the zero-copy
-    RecordBatch wire path across worker OS processes
-    (:func:`repro.bench.multiproc.run_pipeline_multiproc`) — the record
-    count is deterministic, the rates land in the ``perf`` document.
-    """
+    """Tables 2–5 and Figure 9: the single-datacenter Chariots pipeline."""
 
     kind = "pipeline"
     primary_metric = ""
@@ -281,8 +277,6 @@ class PipelineExecutor(Executor):
         point: ScenarioSpec,
         plan: Optional[FaultPlan],
     ) -> Dict[str, Any]:
-        if point.runtime == "multiproc":
-            return self._run_multiproc(point, plan)
         topo, work = point.topology, point.workload
         result = run_pipeline_sim(
             clients=topo.clients,
@@ -336,39 +330,6 @@ class PipelineExecutor(Executor):
                 "records_stored": result.records_stored,
             }
         return metrics
-
-    @staticmethod
-    def _run_multiproc(
-        point: ScenarioSpec, plan: Optional[FaultPlan]
-    ) -> Dict[str, Any]:
-        from ..bench.multiproc import run_pipeline_multiproc
-
-        if plan is not None:
-            raise ConfigurationError(
-                "fault plans apply to simulated networks, not the multiproc "
-                "runtime"
-            )
-        topo, work = point.topology, point.workload
-        if work.total_records is None:
-            raise ConfigurationError(
-                "multiproc scenarios need workload.total_records"
-            )
-        result = run_pipeline_multiproc(
-            workers=topo.workers,
-            total_records=work.total_records,
-            batch_size=work.lid_batch,
-            record_size=work.record_size,
-        )
-        return {
-            "workers": result.workers,
-            "records_stored": result.records_stored,
-            "_perf": {
-                "bytes_routed": result.bytes_routed,
-                "records_per_host_sec": round(result.records_per_host_sec),
-                "records_stored": result.records_stored,
-                "wall_clock_seconds": round(result.wall_clock, 3),
-            },
-        }
 
     @staticmethod
     def _drain_summary(
@@ -550,6 +511,40 @@ class GeoExecutor(Executor):
         }
 
 
+def functional_metrics(
+    deployment: ChariotsDeployment,
+    datacenters: Sequence[str],
+    appended: int,
+    converged: bool,
+    acked: int,
+) -> Dict[str, Any]:
+    """The functional outcome every runtime reports: per-datacenter record
+    counts, acks against appends, and the log checks (gap-free,
+    duplicate-free, causally ordered) over each datacenter's stored log."""
+    causal_ok = True
+    gap_free = True
+    duplicate_free = True
+    for dc in datacenters:
+        entries = deployment[dc].all_entries()
+        causal_ok = causal_ok and causal_order_respected(
+            [entry.record for entry in entries]
+        )
+        lids = [entry.lid for entry in entries]
+        duplicate_free = duplicate_free and len(lids) == len(set(lids))
+        gap_free = gap_free and (
+            not lids or lids == list(range(lids[0], lids[0] + len(lids)))
+        )
+    return {
+        "records": {dc: deployment[dc].total_records() for dc in datacenters},
+        "appended": appended,
+        "acked": acked,
+        "converged": converged,
+        "causal_order_ok": causal_ok,
+        "gap_free": gap_free,
+        "duplicate_free": duplicate_free,
+    }
+
+
 class FunctionalExecutor(Executor):
     """The real protocol stack, functionally: append, settle, converge.
 
@@ -612,7 +607,10 @@ class FunctionalExecutor(Executor):
             for i in range(work.append_records):
                 client.append(f"{dc}-{i}", on_done=acks.append)
         converged = deployment.settle(max_seconds=work.settle_seconds)
-        metrics = self._functional_metrics(deployment, point, converged, len(acks))
+        dcs = point.topology.datacenters
+        metrics = functional_metrics(
+            deployment, dcs, work.append_records * len(dcs), converged, len(acks)
+        )
         if supervisor is not None:
             metrics["restarts"] = int(sum(supervisor.restarts.values()))
         return metrics
@@ -620,11 +618,11 @@ class FunctionalExecutor(Executor):
     def _run_multiproc(
         self, point: ScenarioSpec, plan: Optional[FaultPlan]
     ) -> Dict[str, Any]:
-        from ..bench.multiproc import run_deployment_multiproc_chaos
+        from .multiproc_chaos import run_deployment_multiproc_chaos
 
         work = point.workload
-        dcs = list(point.topology.datacenters)
-        out = run_deployment_multiproc_chaos(
+        dcs = point.topology.datacenters
+        return run_deployment_multiproc_chaos(
             datacenters=dcs,
             workers=point.topology.workers,
             appends=work.append_records * len(dcs),
@@ -632,12 +630,6 @@ class FunctionalExecutor(Executor):
             plan=plan,
             timeout=work.settle_seconds,
         )
-        # Reshape to the functional-metrics surface so the shared invariant
-        # paths (records.X / appended / acked / converged) work unchanged;
-        # keep the recovery metrics alongside.
-        out["records"] = out.pop("records_per_dc")
-        out["appended"] = out.pop("appends")
-        return out
 
     def _run_aio(self, point: ScenarioSpec) -> Dict[str, Any]:
         import asyncio
@@ -668,73 +660,14 @@ class FunctionalExecutor(Executor):
                     lambda: len(acks) == expected and deployment.converged(),
                     max_seconds=work.settle_seconds,
                 )
-                return self._functional_metrics(
-                    deployment, point, converged, len(acks)
+                return functional_metrics(
+                    deployment, point.topology.datacenters, expected,
+                    converged, len(acks),
                 )
             finally:
                 await runtime.stop()
 
         return asyncio.run(scenario())
-
-    @staticmethod
-    def _functional_metrics(
-        deployment: ChariotsDeployment,
-        point: ScenarioSpec,
-        converged: bool,
-        acked: int,
-    ) -> Dict[str, Any]:
-        from ..core import causal_order_respected
-
-        causal_ok = True
-        gap_free = True
-        duplicate_free = True
-        for dc in point.topology.datacenters:
-            entries = deployment[dc].all_entries()
-            causal_ok = causal_ok and causal_order_respected(
-                [entry.record for entry in entries]
-            )
-            lids = [entry.lid for entry in entries]
-            duplicate_free = duplicate_free and len(lids) == len(set(lids))
-            gap_free = gap_free and (
-                not lids or lids == list(range(lids[0], lids[0] + len(lids)))
-            )
-        return {
-            "records": {
-                dc: deployment[dc].total_records()
-                for dc in point.topology.datacenters
-            },
-            "appended": point.workload.append_records
-            * len(point.topology.datacenters),
-            "acked": acked,
-            "converged": converged,
-            "causal_order_ok": causal_ok,
-            "gap_free": gap_free,
-            "duplicate_free": duplicate_free,
-        }
-
-
-class MicroExecutor(Executor):
-    """Host-performance micro suite (the BENCH_micro.json trajectory)."""
-
-    kind = "micro"
-    primary_metric = ""
-
-    def run_point(
-        self,
-        context: ExecutionContext,
-        label: str,
-        point: ScenarioSpec,
-        plan: Optional[FaultPlan],
-    ) -> Dict[str, Any]:
-        from ..bench.micro import run_micro_suite
-
-        work = point.workload
-        report = run_micro_suite(batch=work.micro_batch, repeats=work.micro_repeats)
-        return {
-            "batch": work.micro_batch,
-            "repeats": work.micro_repeats,
-            "_perf": report,
-        }
 
 
 EXECUTORS: Dict[str, Executor] = {
@@ -745,7 +678,6 @@ EXECUTORS: Dict[str, Executor] = {
         CorfuExecutor(),
         GeoExecutor(),
         FunctionalExecutor(),
-        MicroExecutor(),
     )
 }
 

@@ -1,4 +1,4 @@
-"""Benchmark harness: builds simulated deployments matching §7's setups.
+"""Capacity-model harness: builds simulated deployments matching §7's setups.
 
 Every experiment in the paper's evaluation maps to one function here:
 
@@ -11,8 +11,8 @@ Every experiment in the paper's evaluation maps to one function here:
   load (the scaling ablation).
 
 All functions return plain result objects with the measured rates; the
-``benchmarks/`` scripts print them in the shape of the paper's tables and
-figures and assert the qualitative claims.
+executors (:mod:`.executors`) turn them into the aggregates documents the
+catalog's invariants assert the paper's qualitative claims over.
 """
 
 from __future__ import annotations

@@ -1,0 +1,133 @@
+"""Process-chaos driver: a supervised Chariots deployment under SIGKILLs.
+
+:func:`run_deployment_multiproc_chaos` runs a full deployment on the
+:class:`~repro.runtime.multiproc.MultiprocRuntime` (real worker OS
+processes) while a :class:`~repro.chaos.plan.FaultPlan`'s ``kill()`` events
+take workers down mid-run, and reports the functional outcome plus the
+recovery metrics.  :func:`pipeline_placement` pins each datacenter's stages
+and maintainers to known workers so a kill can name its victim by actor.
+"""
+
+from __future__ import annotations
+
+import tempfile
+from time import perf_counter
+from typing import Any, Callable, Dict, List, Optional, Sequence
+
+from ..chaos.plan import FaultPlan
+from ..chaos.procchaos import ProcChaos
+from ..chariots.pipeline import ChariotsDeployment
+from ..runtime.multiproc import MultiprocRuntime
+from ..runtime.supervisor import ProcessSupervisor
+from .executors import functional_metrics
+
+
+def pipeline_placement(
+    datacenters: Sequence[str], workers: int
+) -> Callable[[str, int], Optional[int]]:
+    """Deterministic per-datacenter placement for chaos runs.
+
+    Datacenter ``i``'s pipeline *stages* (batchers, filters, queues,
+    senders, receivers) land on worker ``2i`` and its *maintainers +
+    indexers* on worker ``2i + 1`` (mod ``workers``), so a single
+    ``FaultPlan.kill()`` can target exactly "one stage worker" or "one
+    maintainer worker" of a datacenter by actor name.  Control-plane actors
+    stay in the parent.
+    """
+    order = {dc: i for i, dc in enumerate(sorted(datacenters))}
+    stage_markers = ("batcher", "filter", "queue", "sender", "receiver")
+    store_markers = ("store", "maintainer", "indexer")
+
+    def placement(name: str, w: int) -> Optional[int]:
+        if w <= 0:
+            return None
+        dc = name.split("/", 1)[0]
+        if dc not in order:
+            return None
+        lowered = name.lower()
+        if any(marker in lowered for marker in store_markers):
+            return (2 * order[dc] + 1) % w
+        if any(marker in lowered for marker in stage_markers):
+            return (2 * order[dc]) % w
+        return None
+
+    return placement
+
+
+def run_deployment_multiproc_chaos(
+    datacenters: Sequence[str] = ("A", "B"),
+    workers: int = 4,
+    appends: int = 24,
+    batch_size: int = 8,
+    plan: Optional[FaultPlan] = None,
+    journal_dir: Optional[str] = None,
+    timeout: float = 120.0,
+) -> Dict[str, Any]:
+    """One full Chariots deployment on real processes, under process chaos.
+
+    Runs ``appends`` client appends (round-robin over ``datacenters``)
+    through a supervised :class:`MultiprocRuntime` while ``plan``'s
+    ``kill()`` events SIGKILL workers mid-run, waits for every recovery to
+    complete and the log to converge, and returns the outcome + recovery
+    metrics.  Shared by the ``multiproc-crash-recovery`` scenario entry,
+    the ``-m slow`` acceptance test, and the CI chaos smoke job.
+    """
+    chaos = ProcChaos.from_plan(plan) if plan is not None else None
+    kills_expected = len(plan.kills) if plan is not None else 0
+    dcs = list(datacenters)
+    owned_dir: Optional[tempfile.TemporaryDirectory] = None
+    if journal_dir is None:
+        owned_dir = tempfile.TemporaryDirectory(prefix="repro-mp-journals-")
+        journal_dir = owned_dir.name
+    runtime = MultiprocRuntime(
+        workers=workers,
+        placement=pipeline_placement(dcs, workers),
+        chaos=chaos,
+    )
+    try:
+        deployment = ChariotsDeployment(runtime, dcs, batch_size=batch_size)
+        supervisor = ProcessSupervisor()
+        deployment.supervise(supervisor, journal_dir=journal_dir)
+        runtime.start()
+        clients = {dc: deployment.client(dc) for dc in dcs}
+        acks: List[Any] = []
+        started = perf_counter()
+        for i in range(appends):
+            clients[dcs[i % len(dcs)]].append(f"p{i}", on_done=acks.append)
+        runtime.run_until(lambda: len(acks) == appends, timeout=timeout)
+        if chaos is not None and kills_expected:
+            runtime.run_until(
+                lambda: chaos.stats["workers_killed"] >= kills_expected,
+                timeout=timeout,
+            )
+            runtime.run_until(
+                lambda: len(supervisor.recoveries) >= kills_expected,
+                timeout=timeout,
+            )
+        converged = runtime.settle(
+            lambda: deployment.converged() and deployment._pipelines_drained(),
+            max_seconds=timeout,
+        )
+        wall = perf_counter() - started
+        recovery_seconds = [r["seconds"] for r in supervisor.recoveries]
+        return {
+            **functional_metrics(deployment, dcs, appends, converged, len(acks)),
+            "workers_killed": int(chaos.stats["workers_killed"]) if chaos else 0,
+            "frames_dropped": int(chaos.stats["frames_dropped"]) if chaos else 0,
+            "recoveries": len(supervisor.recoveries),
+            "frames_replayed": sum(r["replayed"] for r in supervisor.recoveries),
+            "recovery_seconds_max": round(max(recovery_seconds), 3)
+            if recovery_seconds
+            else 0.0,
+            "recovery_seconds_mean": round(
+                sum(recovery_seconds) / len(recovery_seconds), 3
+            )
+            if recovery_seconds
+            else 0.0,
+            "loss_accounting": dict(runtime.loss_accounting),
+            "wall_clock_seconds": round(wall, 3),
+        }
+    finally:
+        runtime.stop()
+        if owned_dir is not None:
+            owned_dir.cleanup()

@@ -12,7 +12,7 @@ Every run of a scenario persists a self-describing artifact directory::
 ``aggregates.json`` is the regression surface: it contains only simulated,
 seeded metrics, so running the same deterministic spec twice produces
 byte-identical files.  Host wall-clock measurements are quarantined in
-``perf.json`` and only ever compared with wide tolerance bands.
+``perf.json``; host performance is the perf ledger's job (``ledger/``).
 
 Run ids are sequential (``run-0001``, ``run-0002``, …) rather than
 timestamps — artifact trees stay reproducible and diffable.
@@ -117,23 +117,11 @@ def next_run_id(scenario_dir: Path) -> str:
     return f"run-{highest + 1:04d}"
 
 
-def latest_run_dir(scenario_dir: Path) -> Optional[Path]:
-    """The highest-numbered run directory, or None when none exist."""
-    best: Optional[Path] = None
-    best_index = -1
-    if scenario_dir.is_dir():
-        for entry in scenario_dir.iterdir():
-            match = _RUN_ID.match(entry.name)
-            if match and int(match.group(1)) > best_index:
-                best, best_index = entry, int(match.group(1))
-    return best
-
-
 class ScenarioRunner:
     """Runs specs through the phase lifecycle and persists artifacts.
 
-    ``run_root=None`` disables persistence entirely (the bench wrappers
-    and unit tests run in-memory).
+    ``run_root=None`` disables persistence entirely (unit tests run
+    in-memory).
     """
 
     def __init__(self, run_root: Optional[Path] = Path("runs")) -> None:
@@ -221,8 +209,8 @@ def run_scenario(
     run_root: Optional[Path] = None,
     raise_on_failure: bool = True,
 ) -> RunResult:
-    """One-shot convenience for tests and the bench wrappers (in-memory
-    unless ``run_root`` is given)."""
+    """One-shot convenience for tests (in-memory unless ``run_root`` is
+    given)."""
     return ScenarioRunner(run_root=run_root).run(
         spec, raise_on_failure=raise_on_failure
     )

@@ -10,9 +10,7 @@ A :class:`ScenarioSpec` is everything one experiment needs, as data:
 * a **sweep**: a list of per-point overrides (Figure 7 sweeps the target
   rate, Figure 8 the maintainer count, Table 5 the whole deployment),
 * declarative **invariants** over the run's aggregate metrics (the paper's
-  qualitative claims — "peaks at 150K", "the filter is the bottleneck"),
-* **baseline checks** diffing aggregates against the committed
-  ``BENCH_*.json`` trajectory with tolerance bands.
+  qualitative claims — "peaks at 150K", "the filter is the bottleneck").
 
 Specs round-trip losslessly through :meth:`ScenarioSpec.to_dict` /
 :meth:`ScenarioSpec.from_dict` (and the JSON convenience wrappers), so a
@@ -25,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
 
 from ..core.config import (
     PRIVATE_CLOUD,
@@ -37,14 +35,13 @@ from ..core.config import (
 from ..core.errors import ConfigurationError
 
 #: Scenario kinds and the executor each maps to (see ``executors.py``).
-KINDS: Tuple[str, ...] = ("flstore", "pipeline", "corfu", "geo", "functional", "micro")
+KINDS: Tuple[str, ...] = ("flstore", "pipeline", "corfu", "geo", "functional")
 
 #: Runtimes a scenario may request.  ``sim`` is the deterministic
 #: capacity-model substrate every paper figure uses; ``local`` runs the
 #: functional deployment on the deterministic LocalRuntime; ``aio`` runs it
-#: over real TCP sockets; ``multiproc`` runs the zero-copy RecordBatch wire
-#: path across worker OS processes (both wall-clock, excluded from the
-#: deterministic set).
+#: over real TCP sockets; ``multiproc`` runs it across supervised worker OS
+#: processes (both wall-clock, excluded from the deterministic set).
 RUNTIMES: Tuple[str, ...] = ("sim", "local", "aio", "multiproc")
 
 #: Tags the catalog uses.  Free-form tags are allowed; these are the
@@ -55,12 +52,11 @@ KNOWN_TAGS: Tuple[str, ...] = (
     "overload",
     "geo",
     "chaos",
-    "perf",
     "ablation",
 )
 
 #: Machine profiles addressable by name from a spec.  ``load-generator``
-#: mirrors ``repro.bench.harness.GENERATOR``; ``fig9-shared-nic`` is the
+#: mirrors ``repro.scenarios.harness.GENERATOR``; ``fig9-shared-nic`` is the
 #: constrained 1 GbE shared-NIC profile Figure 9's discussion describes.
 PROFILES: Dict[str, MachineProfile] = {
     "private-cloud": PRIVATE_CLOUD,
@@ -228,9 +224,6 @@ class WorkloadSpec:
     settle_seconds: float = 30.0
     #: Elasticity: sim time at which ``topology.expand_maintainers`` join.
     expand_at: float = 0.0
-    #: Micro kind: measurement batch size and interleaved repeats.
-    micro_batch: int = 500
-    micro_repeats: int = 2
 
     def __post_init__(self) -> None:
         if self.target_rate <= 0:
@@ -262,7 +255,7 @@ class WorkloadSpec:
 
 
 # ===================================================================== #
-# Invariants and baseline checks
+# Invariants
 # ===================================================================== #
 
 _OPS: Tuple[str, ...] = ("eq", "lt", "gt", "le", "ge", "approx", "between", "ratio_between")
@@ -358,47 +351,6 @@ class Invariant:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
-class BaselineCheck:
-    """Diff one run metric against one committed-baseline metric.
-
-    ``source`` picks the run document: ``aggregates`` (deterministic,
-    simulated metrics) or ``perf`` (host-measured, compared with wide
-    ``ratio_band`` because hosts differ).  Exactly one of ``rel_tol``,
-    ``abs_tol``, ``ratio_band`` defines the tolerance.
-    """
-
-    file: str
-    baseline_path: str
-    metric: str
-    source: str = "aggregates"
-    rel_tol: Optional[float] = None
-    abs_tol: Optional[float] = None
-    ratio_band: Optional[Tuple[float, float]] = None
-
-    def __post_init__(self) -> None:
-        if self.source not in ("aggregates", "perf"):
-            raise ConfigurationError(f"unknown baseline source {self.source!r}")
-        given = [t for t in (self.rel_tol, self.abs_tol, self.ratio_band) if t is not None]
-        if len(given) != 1:
-            raise ConfigurationError(
-                "exactly one of rel_tol/abs_tol/ratio_band must be set"
-            )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = dataclasses.asdict(self)
-        if self.ratio_band is not None:
-            data["ratio_band"] = list(self.ratio_band)
-        return _prune(data, _defaults_of(type(self)))
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BaselineCheck":
-        kwargs = dict(data)
-        if kwargs.get("ratio_band") is not None:
-            kwargs["ratio_band"] = tuple(kwargs["ratio_band"])
-        return cls(**kwargs)
-
-
 # ===================================================================== #
 # The scenario spec
 # ===================================================================== #
@@ -424,10 +376,7 @@ class ScenarioSpec:
     #: ``topology`` / ``workload`` / ``pipeline`` / ``flstore`` sections.
     sweep: Tuple[Dict[str, Any], ...] = ()
     invariants: Tuple[Invariant, ...] = ()
-    baselines: Tuple[BaselineCheck, ...] = ()
     seed: int = 0
-    #: The bench script this entry subsumes (catalog-completeness test).
-    source: str = ""
     notes: str = ""
 
     def __post_init__(self) -> None:
@@ -437,13 +386,9 @@ class ScenarioSpec:
             raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
         if self.runtime not in RUNTIMES:
             raise ConfigurationError(f"unknown runtime {self.runtime!r}")
-        if self.kind in ("flstore", "corfu", "micro") and self.runtime != "sim":
+        if self.kind in ("flstore", "pipeline", "corfu") and self.runtime != "sim":
             raise ConfigurationError(
                 f"kind {self.kind!r} only runs on the sim runtime"
-            )
-        if self.kind == "pipeline" and self.runtime not in ("sim", "multiproc"):
-            raise ConfigurationError(
-                "pipeline scenarios run on the sim or multiproc runtime"
             )
         # Constructing the configs validates the override dicts eagerly.
         self.pipeline_config()
@@ -466,9 +411,6 @@ class ScenarioSpec:
         }
         base.update(self.flstore)
         return FLStoreConfig(**base)
-
-    def has_tag(self, tag: str) -> bool:
-        return tag in self.tags
 
     def points(self) -> List[Tuple[str, "ScenarioSpec"]]:
         """The resolved sweep: (label, effective spec) per point.
@@ -528,12 +470,8 @@ class ScenarioSpec:
             data["sweep"] = [dict(point) for point in self.sweep]
         if self.invariants:
             data["invariants"] = [inv.to_dict() for inv in self.invariants]
-        if self.baselines:
-            data["baselines"] = [check.to_dict() for check in self.baselines]
         if self.seed:
             data["seed"] = self.seed
-        if self.source:
-            data["source"] = self.source
         if self.notes:
             data["notes"] = self.notes
         return data
@@ -555,11 +493,7 @@ class ScenarioSpec:
             invariants=tuple(
                 Invariant.from_dict(inv) for inv in data.get("invariants", ())
             ),
-            baselines=tuple(
-                BaselineCheck.from_dict(chk) for chk in data.get("baselines", ())
-            ),
             seed=data.get("seed", 0),
-            source=data.get("source", ""),
             notes=data.get("notes", ""),
         )
 
@@ -579,19 +513,3 @@ def check_invariants(spec: ScenarioSpec, aggregates: Any) -> List[str]:
         if message is not None:
             failures.append(message)
     return failures
-
-
-def filter_specs(
-    specs: Sequence[ScenarioSpec],
-    tags: Sequence[str] = (),
-    names: Sequence[str] = (),
-) -> List[ScenarioSpec]:
-    """Specs matching every given tag and (if given) one of the names."""
-    out = []
-    for spec in specs:
-        if names and spec.name not in names:
-            continue
-        if any(tag not in spec.tags for tag in tags):
-            continue
-        out.append(spec)
-    return out

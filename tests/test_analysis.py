@@ -910,6 +910,23 @@ class TestDeadMessageRule:
         assert "Pong" in findings[0].message
         assert findings[0].path.endswith("codec.py")
 
+    def test_constructing_a_subclass_counts_as_constructing_the_type(self, tmp_path):
+        """The real tree's case: only ``LazyRecordBatch(...)`` in the binary
+        decoder constructs a ``RecordBatch`` inside ``src/``."""
+        driver = _PROTO_DRIVER.replace(
+            "Pong(2), ", "LazyPong(2), "
+        ) + "\nclass LazyPong(Pong):\n    pass\n"
+        findings = lint(
+            tmp_path,
+            {
+                "proto/messages.py": _PROTO_MESSAGES,
+                "proto/codec.py": _PROTO_CODEC,
+                "proto/driver.py": driver,
+            },
+            select=["CHR012"],
+        )
+        assert findings == []
+
     def test_noqa_at_registration_site_suppresses(self, tmp_path):
         driver = _PROTO_DRIVER.replace("Pong(2), ", "")
         codec = _PROTO_CODEC.replace(

@@ -1,24 +1,16 @@
-"""Smoke tests for the benchmark harness: shapes, not absolute numbers.
+"""Smoke tests for the capacity-model harness: shapes, not absolute numbers.
 
-The full-size runs live in ``benchmarks/``; these short runs assert the
-qualitative claims the paper's evaluation makes so regressions in the
-capacity model are caught by ``pytest tests/``.
+The full-size runs are the scenario catalog's ``paper-figure`` entries;
+these short runs assert the qualitative claims the paper's evaluation makes
+so regressions in the capacity model are caught by ``pytest tests/``.
 """
-
-import json
 
 import pytest
 
-from repro.bench import (
+from repro.scenarios.harness import (
     run_corfu_sim,
     run_flstore_sim,
     run_pipeline_sim,
-)
-from repro.bench.micro import (
-    bench_codecs,
-    interleaved_best_of,
-    run_micro_suite,
-    write_json_report,
 )
 from repro.core import PRIVATE_CLOUD, PUBLIC_CLOUD
 
@@ -106,45 +98,10 @@ class TestFigure9Shape:
         assert queue_end > client_end
 
 
-class TestMicroHarness:
-    def test_binary_codec_beats_json_on_hot_types(self):
-        """Perf-regression guard: the binary codec must stay clearly ahead
-        of tagged JSON on the hot wire types.  The committed reports show
-        >3x; 1.5x here leaves generous headroom for noisy CI hosts."""
-        results = bench_codecs(batch=500, repeats=3)
-        for label in ("Record", "LogEntry"):
-            assert results[label]["combined_speedup"] >= 1.5, results[label]
-
+class TestPipelineSimPerf:
     def test_pipeline_sim_reports_wall_clock(self):
         result = run_pipeline_sim(clients=1, duration=0.2, warmup=0.05)
         assert result.wall_clock > 0.0
-
-    def test_interleaved_best_of_keeps_best_round(self):
-        calls = {"n": 0}
-
-        def op():
-            calls["n"] += 1
-
-        rates = interleaved_best_of({"op": op}, ops=100, repeats=4)
-        assert calls["n"] == 4
-        assert rates["op"] > 0
-
-    def test_micro_suite_json_report_is_deterministic(self, tmp_path):
-        """Shape + determinism of the committed BENCH_micro.json artefact:
-        sorted keys, no timestamps, reruns differ only in measured rates."""
-        report = run_micro_suite(batch=200, repeats=1)
-        assert set(report) == {
-            "codec",
-            "filter_admission_ops_per_sec",
-            "maintainer_append_ops_per_sec",
-            "method",
-        }
-        path = tmp_path / "BENCH_micro.json"
-        write_json_report(str(path), report)
-        text = path.read_text()
-        assert json.loads(text) == report
-        assert list(json.loads(text)) == sorted(report)  # sorted keys
-        assert text == text.rstrip() + "\n"
 
 
 class TestCorfuBaseline:

@@ -33,22 +33,6 @@ class TestTable1:
         assert "Megastore" in out
 
 
-class TestBench:
-    def test_fig7(self, capsys):
-        assert main(["bench", "fig7", "--duration", "0.6"]) == 0
-        out = capsys.readouterr().out
-        assert "achieved" in out
-
-    def test_table2(self, capsys):
-        assert main(["bench", "table2", "--duration", "0.6"]) == 0
-        out = capsys.readouterr().out
-        assert "bottleneck: Client" in out
-
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "nonsense"])
-
-
 class TestInspection:
     def test_inspect_journal(self, tmp_path, capsys):
         path = os.path.join(tmp_path, "m.journal")
@@ -88,7 +72,6 @@ class TestParser:
         for argv in (
             ["demo"],
             ["table1"],
-            ["bench", "fig8"],
             ["inspect-journal", "x"],
             ["inspect-archive", "x"],
         ):

@@ -1,7 +1,12 @@
 """Table 1's positioning claims, encoded and asserted (§2.3)."""
 
-from repro.bench import TABLE1, chariots_fills_the_void
-from repro.bench.comparison import groups, render, systems_with
+from repro.scenarios.comparison import (
+    TABLE1,
+    chariots_fills_the_void,
+    groups,
+    render,
+    systems_with,
+)
 
 
 def test_chariots_is_the_only_causal_partitioned_replicated_system():

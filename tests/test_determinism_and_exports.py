@@ -45,17 +45,17 @@ class TestPublicApi:
     def test_subpackage_exports_resolve(self):
         import repro.apps
         import repro.baseline
-        import repro.bench
         import repro.chariots
         import repro.core
         import repro.flstore
         import repro.net
         import repro.runtime
+        import repro.scenarios
         import repro.sim
 
         for module in (
-            repro.apps, repro.baseline, repro.bench, repro.chariots,
-            repro.core, repro.flstore, repro.net, repro.runtime, repro.sim,
+            repro.apps, repro.baseline, repro.chariots, repro.core,
+            repro.flstore, repro.net, repro.runtime, repro.scenarios, repro.sim,
         ):
             for name in module.__all__:
                 assert getattr(module, name, None) is not None, (module.__name__, name)

@@ -16,16 +16,16 @@ from repro.chariots import ChariotsDeployment
 from repro.chaos import FaultPlan, KillEvent, ProcChaos
 from repro.chaos.procchaos import DELAY, DROP, PASS
 from repro.core.errors import ConfigurationError
-from repro.bench.multiproc import (
-    pipeline_placement,
-    run_deployment_multiproc_chaos,
-)
 from repro.runtime.multiproc import (
     _envelope,
     _parse_envelope,
     MultiprocRuntime,
 )
 from repro.runtime.supervisor import ProcessSupervisor
+from repro.scenarios.multiproc_chaos import (
+    pipeline_placement,
+    run_deployment_multiproc_chaos,
+)
 
 from test_multiproc import DCS, WORKLOAD, _extract, run_workload_on_sim
 
@@ -211,16 +211,16 @@ class TestCrashRecoveryEquivalence:
             assert recovery["seconds"] < 30.0
         assert loss == {}
 
-    def test_bench_harness_reports_recovery_metrics(self):
+    def test_chaos_driver_reports_recovery_metrics(self):
         plan = FaultPlan(seed=3).kill("A/batcher/0", 0.15).kill("A/store/0", 0.3)
         out = run_deployment_multiproc_chaos(
             datacenters=DCS, workers=4, appends=24, batch_size=8, plan=plan
         )
         assert out["converged"]
-        assert out["acked"] == out["appends"] == 24
+        assert out["acked"] == out["appended"] == 24
         assert out["gap_free"] and out["duplicate_free"]
         assert out["causal_order_ok"]
-        assert out["records_per_dc"]["A"] == out["records_per_dc"]["B"] == 24
+        assert out["records"]["A"] == out["records"]["B"] == 24
         assert out["workers_killed"] == 2
         assert out["recoveries"] >= 2
         assert 0.0 < out["recovery_seconds_max"] < 30.0

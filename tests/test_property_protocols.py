@@ -121,7 +121,7 @@ def test_message_futures_agreement(txns):
 @settings(max_examples=10, deadline=None)
 @given(st.integers(1, 3), st.integers(50_000, 150_000))
 def test_simulation_results_are_deterministic(n_maintainers, target):
-    from repro.bench import run_flstore_sim
+    from repro.scenarios.harness import run_flstore_sim
 
     first = run_flstore_sim(n_maintainers, float(target), duration=0.5, warmup=0.2)
     second = run_flstore_sim(n_maintainers, float(target), duration=0.5, warmup=0.2)

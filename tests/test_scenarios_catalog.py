@@ -1,14 +1,12 @@
 """The catalog itself: completeness, the deterministic regression subset,
-the baseline compare step, and the CLI."""
+and the CLI."""
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.scenarios import (
     CATALOG,
-    compare_documents,
     get,
     run_scenario,
     select,
@@ -16,9 +14,6 @@ from repro.scenarios import (
 )
 from repro.scenarios.__main__ import main as cli_main
 from repro.core.errors import ConfigurationError
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_DIR = REPO_ROOT / "benchmarks"
 
 #: Catalog entries cheap enough for tier-1 (seconds-scale); the rest of the
 #: deterministic subset runs under ``-m slow`` (make chaos / scenarios CI).
@@ -33,8 +28,6 @@ _QUICK = {
     "crash-during-partition",
     "rolling-maintainer-restart",
     "functional-convergence-local",
-    "pipeline-baseline",
-    "micro-hotpaths",
 }
 
 
@@ -48,46 +41,41 @@ def test_catalog_names_are_unique():
     assert len(names) == len(set(names))
 
 
-def test_every_figure_and_table_bench_script_has_a_catalog_entry():
-    """Each bench_fig*/bench_table*/bench_ablation* script is subsumed by an
-    entry whose ``source`` field names it — deleting the entry breaks this
-    test."""
-    scripts = (
-        sorted(p.name for p in BENCH_DIR.glob("bench_fig*.py"))
-        + sorted(p.name for p in BENCH_DIR.glob("bench_table*.py"))
-        + sorted(p.name for p in BENCH_DIR.glob("bench_ablation*.py"))
-    )
-    assert scripts, "bench scripts vanished?"
-    covered = {Path(spec.source).name for spec in CATALOG if spec.source}
-    missing = [script for script in scripts if script not in covered]
-    assert not missing, f"bench scripts without a catalog entry: {missing}"
+#: §7's Figures 7–9 and Tables 2–5: the ``paper-figure`` entries.
+_PAPER_FIGURES = {
+    "fig7-single-maintainer",
+    "fig8-scaling-private-131k",
+    "fig8-scaling-public-125k",
+    "fig8-scaling-public-250k",
+    "fig9-stage-timeseries",
+    "table2-basic-pipeline",
+    "table3-two-clients",
+    "table4-two-batchers",
+    "table5-two-per-stage",
+}
+
+#: The repo's own parameter sweeps beyond the paper's figures.
+_ABLATIONS = {
+    "corfu-sequencer-ceiling",
+    "geo-replication-lag",
+    "ablation-lid-batch-size",
+    "ablation-gossip-interval",
+    "ablation-token-queues",
+    "ablation-elasticity",
+}
 
 
-def test_sources_point_at_real_files():
-    for spec in CATALOG:
-        if spec.source:
-            assert (REPO_ROOT / spec.source).is_file(), spec.source
-
-
-def test_paper_figure_tag_covers_fig7_to_table5():
-    tagged = {spec.name for spec in select(tags=["paper-figure"])}
-    assert {
-        "fig7-single-maintainer",
-        "fig8-scaling-private-131k",
-        "fig8-scaling-public-125k",
-        "fig8-scaling-public-250k",
-        "fig9-stage-timeseries",
-        "table2-basic-pipeline",
-        "table3-two-clients",
-        "table4-two-batchers",
-        "table5-two-per-stage",
-    } <= tagged
+def test_every_paper_figure_and_ablation_has_a_tagged_catalog_entry():
+    """The evaluation's experiments are pinned by name — deleting an entry
+    (or its tag) breaks this test."""
+    assert {spec.name for spec in select(tags=["paper-figure"])} == _PAPER_FIGURES
+    assert _ABLATIONS <= {spec.name for spec in select(tags=["ablation"])}
 
 
 def test_every_entry_is_tagged_and_checked():
     for spec in CATALOG:
         assert spec.tags, spec.name
-        assert spec.invariants or spec.baselines, spec.name
+        assert spec.invariants, spec.name
 
 
 def test_required_tags_present():
@@ -97,13 +85,13 @@ def test_required_tags_present():
 def test_deterministic_selection_excludes_aio():
     names = {spec.name for spec in select(deterministic=True)}
     assert "functional-convergence-aio" not in names
-    assert "pipeline-multiproc" not in names
+    assert "multiproc-crash-recovery" not in names
     assert "functional-convergence-local" in names
 
 
 def test_runtime_selection():
     multiproc = {spec.name for spec in select(runtime="multiproc")}
-    assert multiproc == {"pipeline-multiproc", "multiproc-crash-recovery"}
+    assert multiproc == {"multiproc-crash-recovery"}
     assert all(spec.runtime == "sim" for spec in select(runtime="sim"))
 
 
@@ -136,55 +124,6 @@ def test_catalog_entry_passes_its_invariants(name):
 
 
 # --------------------------------------------------------------------- #
-# The compare step
-# --------------------------------------------------------------------- #
-
-
-def _baseline_run():
-    spec = get("pipeline-baseline")
-    result = run_scenario(spec, run_root=None)
-    return spec, result
-
-
-def test_compare_within_band_passes():
-    spec, result = _baseline_run()
-    comparison = compare_documents(spec, result.aggregates, result.perf, REPO_ROOT)
-    assert comparison.passed, comparison.render()
-    assert "PASS (3/3 checks ok)" in comparison.render()
-
-
-def test_compare_doctored_aggregate_fails_with_readable_diff():
-    spec, result = _baseline_run()
-    doctored = json.loads(json.dumps(result.aggregates))
-    doctored["points"][0]["records_stored"] += 5_000
-    comparison = compare_documents(spec, doctored, result.perf, REPO_ROOT)
-    assert not comparison.passed
-    (failure,) = comparison.failures
-    assert failure.check.metric == "points.0.records_stored"
-    rendered = comparison.render()
-    assert "FAIL" in rendered
-    assert "points.0.records_stored" in rendered
-    assert "rel<=0.0" in rendered  # the violated band is named
-    assert str(doctored["points"][0]["records_stored"]) in rendered
-
-
-def test_compare_out_of_ratio_band_fails():
-    spec, result = _baseline_run()
-    doctored = json.loads(json.dumps(result.perf))
-    doctored["base"]["records_per_host_sec"] = 1  # 5 orders of magnitude off
-    comparison = compare_documents(spec, result.aggregates, doctored, REPO_ROOT)
-    assert not comparison.passed
-    assert any("ratio=" in f.detail for f in comparison.failures)
-
-
-def test_compare_missing_baseline_file_is_a_failure(tmp_path):
-    spec, result = _baseline_run()
-    comparison = compare_documents(spec, result.aggregates, result.perf, tmp_path)
-    assert not comparison.passed
-    assert all("missing" in f.detail for f in comparison.failures)
-
-
-# --------------------------------------------------------------------- #
 # CLI
 # --------------------------------------------------------------------- #
 
@@ -198,29 +137,13 @@ def test_cli_list_and_show(capsys):
     assert shown["name"] == "geo-partition-soak"
 
 
-def test_cli_run_persists_and_compares(tmp_path, capsys):
-    code = cli_main([
-        "run", "pipeline-baseline",
-        "--run-root", str(tmp_path),
-        "--compare", "--baseline-root", str(REPO_ROOT),
-    ])
+def test_cli_run_persists_artifacts(tmp_path, capsys):
+    code = cli_main(["run", "table2-basic-pipeline", "--run-root", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert (tmp_path / "pipeline-baseline" / "run-0001" / "aggregates.json").is_file()
-    assert "PASS" in out
-    # And the standalone compare subcommand against the persisted run.
-    assert cli_main([
-        "compare", "pipeline-baseline",
-        "--run-root", str(tmp_path),
-        "--baseline-root", str(REPO_ROOT),
-    ]) == 0
-
-
-def test_cli_compare_without_runs_errors(tmp_path, capsys):
-    assert cli_main([
-        "compare", "pipeline-baseline", "--run-root", str(tmp_path),
-    ]) == 1
-    assert "no persisted runs" in capsys.readouterr().out
+    run_dir = tmp_path / "table2-basic-pipeline" / "run-0001"
+    assert (run_dir / "aggregates.json").is_file()
+    assert "1/1 scenarios passed" in out
 
 
 def test_cli_rejects_unknown_scenario_name():

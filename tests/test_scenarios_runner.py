@@ -12,7 +12,6 @@ from repro.scenarios import (
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
-    latest_run_dir,
     next_run_id,
     run_scenario,
 )
@@ -29,30 +28,6 @@ def _quick_spec(**overrides):
     )
     defaults.update(overrides)
     return ScenarioSpec(**defaults)
-
-
-def test_multiproc_pipeline_point_runs_inline_with_zero_workers(tmp_path):
-    """The multiproc executor path, sans process spawn: workers=0 routes the
-    pre-encoded batch frames through the in-process fast path, so the wiring
-    (spec -> executor -> perf document) is covered at tier-1 speed."""
-    spec = ScenarioSpec(
-        name="quick-multiproc",
-        title="quick multiproc",
-        kind="pipeline",
-        runtime="multiproc",
-        topology=TopologySpec(workers=0),
-        workload=WorkloadSpec(total_records=5_000, lid_batch=500),
-        invariants=(
-            Invariant(metric="points.0.records_stored", op="eq", value=5_000),
-            Invariant(metric="points.0.workers", op="eq", value=0),
-        ),
-    )
-    result = ScenarioRunner(run_root=tmp_path).run(spec)
-    assert result.status == "passed", result.error
-    perf = json.loads((result.artifacts_dir / "perf.json").read_text())
-    assert perf["base"]["records_stored"] == 5_000
-    assert perf["base"]["records_per_host_sec"] > 0
-    assert perf["base"]["bytes_routed"] == 0  # inline: nothing crossed a socket
 
 
 def test_lifecycle_phases_and_artifacts(tmp_path):
@@ -81,7 +56,6 @@ def test_run_ids_are_sequential(tmp_path):
     assert second.run_id == "run-0002"
     scenario_dir = tmp_path / "quick-flstore"
     assert next_run_id(scenario_dir) == "run-0003"
-    assert latest_run_dir(scenario_dir) == second.artifacts_dir
 
 
 def test_seeded_runs_produce_byte_identical_aggregates(tmp_path):

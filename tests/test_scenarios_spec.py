@@ -5,14 +5,13 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.scenarios import (
     CATALOG,
-    BaselineCheck,
     Invariant,
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
     check_invariants,
-    filter_specs,
     resolve_path,
+    select,
     resolve_profile,
 )
 
@@ -36,8 +35,6 @@ def test_roundtrip_preserves_faults_and_sweep():
                 "crashes": [], "partitions": []},
         sweep=({"label": "a", "workload": {"target_rate": 1000.0}},),
         invariants=(Invariant(metric="points.0.achieved", op="gt", value=0),),
-        baselines=(BaselineCheck(file="BENCH_micro.json", baseline_path="x",
-                                 metric="y", rel_tol=0.1),),
     )
     again = ScenarioSpec.from_dict(spec.to_dict())
     assert again == spec
@@ -63,18 +60,14 @@ def test_unknown_kind_rejected():
         ScenarioSpec(name="bad", title="t", kind="nope")
 
 
-def test_sim_only_kind_rejects_other_runtimes():
+@pytest.mark.parametrize(
+    "kind,runtime",
+    [("flstore", "local"), ("corfu", "aio"), ("pipeline", "local"),
+     ("pipeline", "multiproc")],
+)
+def test_sim_only_kind_rejects_other_runtimes(kind, runtime):
     with pytest.raises(ConfigurationError, match="only runs on the sim"):
-        ScenarioSpec(name="bad", title="t", kind="flstore", runtime="local")
-
-
-def test_pipeline_kind_allows_sim_and_multiproc_only():
-    spec = ScenarioSpec(name="mp", title="t", kind="pipeline",
-                        runtime="multiproc",
-                        topology=TopologySpec(workers=2))
-    assert not spec.deterministic
-    with pytest.raises(ConfigurationError, match="sim or multiproc"):
-        ScenarioSpec(name="bad", title="t", kind="pipeline", runtime="local")
+        ScenarioSpec(name="bad", title="t", kind=kind, runtime=runtime)
 
 
 def test_topology_rejects_negative_workers_and_expansion():
@@ -99,14 +92,6 @@ def test_workload_rejects_warmup_past_duration():
         WorkloadSpec(duration=0.5, warmup=0.5)
 
 
-def test_baseline_check_needs_exactly_one_tolerance():
-    with pytest.raises(ConfigurationError, match="exactly one"):
-        BaselineCheck(file="f", baseline_path="a", metric="b")
-    with pytest.raises(ConfigurationError, match="exactly one"):
-        BaselineCheck(file="f", baseline_path="a", metric="b",
-                      rel_tol=0.1, abs_tol=1.0)
-
-
 def test_unknown_sweep_override_key_rejected():
     spec = ScenarioSpec(name="s", title="t",
                         sweep=({"label": "x", "bogus": {}},))
@@ -119,17 +104,17 @@ def test_unknown_sweep_override_key_rejected():
 # --------------------------------------------------------------------- #
 
 
-def test_filter_specs_requires_every_tag():
-    geo_soak = filter_specs(CATALOG, tags=["geo", "soak"])
+def test_select_requires_every_tag():
+    geo_soak = select(tags=["geo", "soak"])
     assert [s.name for s in geo_soak] == ["geo-partition-soak"]
     assert all("geo" in s.tags and "soak" in s.tags for s in geo_soak)
 
 
-def test_filter_specs_by_name():
-    assert [s.name for s in filter_specs(CATALOG, names=["fig7-single-maintainer"])] == [
+def test_select_by_name():
+    assert [s.name for s in select(names_filter=["fig7-single-maintainer"])] == [
         "fig7-single-maintainer"
     ]
-    assert filter_specs(CATALOG, names=["missing"]) == []
+    assert select(names_filter=["missing"]) == []
 
 
 def test_points_default_label_is_base():

@@ -48,12 +48,13 @@ chaos:
 	$(PYTHON) -m pytest tests/test_chaos.py tests/test_resilience.py -q -m "slow or not slow"
 
 ## Real-process fault tolerance: SIGKILL one stage worker and one
-## maintainer worker mid-run and require fault-free output (docs/FAULTS.md).
+## maintainer worker mid-run, and the stage worker at seeded instants inside
+## a 256-in-flight burst, and require fault-free output (docs/FAULTS.md).
 ## `timeout` hard-caps the wall clock — a wedged worker must fail the run,
 ## not hang it.
 chaos-multiproc:
 	timeout 300 $(PYTHON) -m repro.scenarios run multiproc-crash-recovery --no-persist
-	timeout 600 $(PYTHON) -m pytest tests/test_multiproc_chaos.py -q -m "slow or not slow"
+	timeout 600 $(PYTHON) -m pytest tests/test_multiproc_chaos.py tests/test_supervision_commit.py -q -m "slow or not slow"
 
 ## Run the full deterministic scenario catalog (paper figures, soaks,
 ## chaos, overload) and persist artifacts under runs/ (docs/SCENARIOS.md).

@@ -4,9 +4,9 @@ The package has four layers, each usable on its own:
 
 * :mod:`.checker` — a generic bounded breadth-first model checker over any
   hashable-state machine, returning shortest counterexample traces;
-* :mod:`.machine` — the faithful model of the PR 7 seq/ack/output-commit/
+* :mod:`.machine` — the faithful model of the seq/ack/group-commit/
   respawn protocol (one parent, one supervised worker, FIFO channels, a
-  bounded dup/reorder/crash adversary) with its four invariants;
+  bounded dup/reorder/crash adversary) with its six invariants;
 * :mod:`.spec` — the declarative transition table, pinned to the real
   source by coarse AST :class:`~.spec.CodeAnchor` patterns;
 * :mod:`.extract` — the anchor cross-check that turns "the model is

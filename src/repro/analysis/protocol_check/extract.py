@@ -38,12 +38,14 @@ class Drift:
 
 
 def _base_name(node: ast.expr) -> Optional[str]:
-    """Terminal name of an expression, unwrapping subscripts/calls.
+    """Terminal name of an expression, unwrapping subscripts/calls and the
+    left side of arithmetic.
 
-    ``slot.unacked[0][0]`` -> ``unacked``; ``len(x)`` -> ``len``.
+    ``slot.unacked[0][0]`` -> ``unacked``; ``len(x)`` -> ``len``;
+    ``slot.emission_high + 1`` -> ``emission_high``.
     """
-    while isinstance(node, ast.Subscript):
-        node = node.value
+    while isinstance(node, (ast.Subscript, ast.BinOp)):
+        node = node.value if isinstance(node, ast.Subscript) else node.left
     return terminal_name(node)
 
 

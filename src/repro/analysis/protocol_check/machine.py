@@ -1,6 +1,6 @@
-"""The multiproc seq/ack/output-commit protocol as an explicit-state machine.
+"""The multiproc seq/ack/group-commit protocol as an explicit-state machine.
 
-This is a faithful, bounded abstraction of the PR 7 exactly-once path in
+This is a faithful, bounded abstraction of the exactly-once path in
 ``runtime/multiproc.py`` — one parent, one supervised worker, and the two
 directions of their TCP connection as FIFO channels:
 
@@ -9,40 +9,49 @@ directions of their TCP connection as FIFO channels:
   buffer, and queue it to the worker unless the slot is buffering.
 * **deliver** — the worker pops the head input frame (``_on_frame``):
   duplicates (``seq <= delivered_seq``) are dropped; fresh frames advance
-  ``delivered_seq`` and produce one held output with the next emission id
-  (``_WorkerNode.send`` under supervision: output commit holds it).
-* **snapshot** — the worker captures ``(ack, emission, held)`` and queues
-  the snapshot *then* the held frames (``_snapshot``), so per TCP FIFO no
-  output overtakes the snapshot that covers it.  Skipped when nothing
-  changed, exactly like the ``_last_snap`` marker in the code.
+  ``delivered_seq`` and produce one output with the next emission id,
+  queued to the parent at once (``_WorkerNode.send`` under supervision).
+* **snapshot** — the worker queues a commit marker ``(ack, emission)``
+  behind everything it has emitted (``_commit``/``_snapshot``).  Skipped
+  when nothing changed, exactly like the ``_last_snap`` marker in the code.
+  (The one-in-flight and duty-cycle rules only *delay* this event; the
+  machine lets it fire whenever something changed, a superset.)
 * **recv** — the parent pops the head of the worker channel
-  (``_route_frame``/``_on_snapshot``): a snapshot trims the unacked buffer
-  up to its ack; an output is deduplicated by ``emission_high``.
-* **crash** — SIGKILL: worker state and both channels vanish; the slot
-  starts buffering (``_mark_worker_down``).
+  (``_route_frame``/``_on_snapshot``): an output is *parked* in
+  ``uncommitted``; a snapshot trims the unacked buffer up to its ack and
+  commits — accepts, in order — every parked output up to its emission.
+* **crash** — SIGKILL: worker state, both channels and the parked outputs
+  vanish; the slot starts buffering (``_mark_worker_down``).
 * **respawn** — ``_respawn_once``: restore from the last received snapshot
-  (delivered/emission counters reset to it — regenerated emissions reuse
-  the same ids, which is what makes the dedup sound), re-route the
-  snapshot's held outputs through the dedup, take the forced baseline
-  snapshot, retransmit every unacked input, stop buffering.  A retransmit
-  window that no longer starts at ``ack + 1`` is a replay gap.
+  (delivered/emission counters reset to it, and the parent's
+  ``emission_high`` with them — regenerated emissions reuse the ids of the
+  dropped ones), take the forced baseline snapshot, retransmit every
+  unacked input, stop buffering.  A retransmit window that no longer
+  starts at ``ack + 1`` is a replay gap.
 * **dup / reorder** — adversarial transport events: duplicate the head
   input frame at the tail, or swap the first two input frames.  The
-  worker→parent direction stays FIFO by default because the output-commit
-  argument *depends* on it (the snapshot must precede the frames it
-  covers); ``reorder_wp=True`` lets a test demonstrate that assumption is
+  worker→parent direction stays FIFO by default because the commit
+  argument *depends* on it (the marker must arrive behind the frames it
+  covers: one that overtakes a frame leaves it parked with no marker to
+  release it, and a crash then loses it — the restored worker is already
+  past it); ``reorder_wp=True`` lets a test demonstrate that assumption is
   load-bearing.
 
 Invariants checked in every reachable state:
 
 * ``exactly_once`` — the parent-accepted emission-id sequence is strictly
-  increasing (no duplicate output is ever delivered twice);
+  increasing (no output is ever delivered twice);
 * ``bounded_retransmit`` — ``len(unacked) == delivery_seq - acked`` (the
   buffer holds exactly the unacknowledged window, nothing leaks);
 * ``no_replay_gap`` — a respawn always retransmits from ``ack + 1``;
 * ``quiescent_complete`` — whenever the system is quiet (worker alive,
-  channels empty, nothing held) every emission the worker ever produced
-  has been accepted exactly once, in order.
+  channels empty, nothing left to snapshot) every emission the worker ever
+  produced has been accepted exactly once, in order;
+* ``no_uncommitted_escape`` — nothing is accepted above the ``emission``
+  of the last snapshot the parent *received* (the commit point);
+* ``dense_emissions`` — accepted then parked ids always read ``1..n``,
+  and while a worker is up ``emission_high == n``: the parent's
+  ``seq == emission_high + 1`` check never fires, across a respawn too.
 
 All counters are bounded by the config, so the reachable space is finite
 and :func:`~repro.analysis.protocol_check.checker.explore` terminates with
@@ -54,8 +63,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, NamedTuple, Tuple
 
-Snapshot = Tuple[int, int, Tuple[int, ...]]  #: (ack, emission, held ids)
-WpItem = Tuple[object, ...]  #: ("S", ack, emission, held) | ("O", emission id)
+Snapshot = Tuple[int, int]  #: (ack, emission)
+WpItem = Tuple[object, ...]  #: ("S", ack, emission) | ("O", emission id)
 
 
 class MPState(NamedTuple):
@@ -66,6 +75,7 @@ class MPState(NamedTuple):
     unacked: Tuple[int, ...]
     snap: Snapshot  #: last snapshot the parent *received*
     emission_high: int
+    uncommitted: Tuple[int, ...]  #: emission ids parked at the parent
     buffering: bool
     accepted: Tuple[int, ...]  #: emission ids delivered to destinations
     ch_pw: Tuple[int, ...]  #: parent -> worker input seqs in flight
@@ -73,7 +83,6 @@ class MPState(NamedTuple):
     w_alive: bool
     w_delivered: int
     w_emission: int
-    w_held: Tuple[int, ...]
     w_last_snap: Tuple[int, int]
     injected: int
     dups: int
@@ -100,7 +109,6 @@ def _quiescent(s: MPState) -> bool:
         s.w_alive
         and not s.ch_pw
         and not s.ch_wp
-        and not s.w_held
         and s.w_last_snap == (s.w_delivered, s.w_emission)
     )
 
@@ -116,8 +124,9 @@ class MultiprocModel:
             delivery_seq=0,
             acked=0,
             unacked=(),
-            snap=(0, 0, ()),
+            snap=(0, 0),
             emission_high=0,
+            uncommitted=(),
             buffering=False,
             accepted=(),
             ch_pw=(),
@@ -125,7 +134,6 @@ class MultiprocModel:
             w_alive=True,
             w_delivered=0,
             w_emission=0,
-            w_held=(),
             w_last_snap=(0, 0),
             injected=0,
             dups=0,
@@ -164,64 +172,59 @@ class MultiprocModel:
                             ch_pw=rest,
                             w_delivered=seq,
                             w_emission=emission,
-                            w_held=s.w_held + (emission,),
+                            ch_wp=s.ch_wp + (("O", emission),),
                         ),
                     )
                 )
-        if s.w_alive and (
-            s.w_held or s.w_last_snap != (s.w_delivered, s.w_emission)
-        ):
-            snap: Snapshot = (s.w_delivered, s.w_emission, s.w_held)
-            items: Tuple[WpItem, ...] = (("S",) + snap,) + tuple(
-                ("O", e) for e in s.w_held
-            )
+        if s.w_alive and s.w_last_snap != (s.w_delivered, s.w_emission):
+            marker: Snapshot = (s.w_delivered, s.w_emission)
             out.append(
                 (
                     f"snapshot(ack={s.w_delivered})",
                     s._replace(
-                        ch_wp=s.ch_wp + items,
-                        w_held=(),
-                        w_last_snap=(s.w_delivered, s.w_emission),
+                        ch_wp=s.ch_wp + (("S",) + marker,),
+                        w_last_snap=marker,
                     ),
                 )
             )
         if s.ch_wp:
             item, rest_wp = s.ch_wp[0], s.ch_wp[1:]
             if item[0] == "S":
-                ack = item[1]
-                assert isinstance(ack, int)
+                ack, emission = item[1], item[2]
+                assert isinstance(ack, int) and isinstance(emission, int)
                 unacked = s.unacked
                 while unacked and unacked[0] <= ack:
                     unacked = unacked[1:]
+                parked = s.uncommitted
+                accepted = s.accepted
+                while parked and parked[0] <= emission:
+                    accepted, parked = accepted + (parked[0],), parked[1:]
                 out.append(
                     (
                         f"recv-snap(ack={ack})",
                         s._replace(
                             ch_wp=rest_wp,
-                            snap=(item[1], item[2], item[3]),  # type: ignore[arg-type]
+                            snap=(ack, emission),
                             unacked=unacked,
                             acked=ack,
+                            uncommitted=parked,
+                            accepted=accepted,
                         ),
                     )
                 )
             else:
                 eid = item[1]
                 assert isinstance(eid, int)
-                if eid <= s.emission_high:
-                    out.append(
-                        (f"recv-out({eid})=dup-dropped", s._replace(ch_wp=rest_wp))
+                out.append(
+                    (
+                        f"recv-out({eid})",
+                        s._replace(
+                            ch_wp=rest_wp,
+                            emission_high=eid,
+                            uncommitted=s.uncommitted + (eid,),
+                        ),
                     )
-                else:
-                    out.append(
-                        (
-                            f"recv-out({eid})",
-                            s._replace(
-                                ch_wp=rest_wp,
-                                emission_high=eid,
-                                accepted=s.accepted + (eid,),
-                            ),
-                        )
-                    )
+                )
         if s.w_alive and s.ch_pw and s.dups < cfg.max_dups:
             out.append(
                 (
@@ -245,28 +248,20 @@ class MultiprocModel:
                     "crash",
                     s._replace(
                         w_alive=False,
-                        w_held=(),
                         ch_pw=(),
                         ch_wp=(),
+                        uncommitted=(),
                         buffering=True,
                         crashes=s.crashes + 1,
                     ),
                 )
             )
         if not s.w_alive:
-            ack, emission, held = s.snap
-            accepted = s.accepted
-            high = s.emission_high
-            # Re-route the snapshot's held outputs through the dedup: the
-            # ones that escaped before the crash are dropped here.
-            for eid in held:
-                if eid > high:
-                    high = eid
-                    accepted = accepted + (eid,)
+            ack, emission = s.snap
             gap = 0
             if s.unacked and s.unacked[0] > ack + 1:
                 gap = s.unacked[0] - ack - 1
-            baseline: WpItem = ("S", ack, emission, ())
+            baseline: WpItem = ("S", ack, emission)
             out.append(
                 (
                     "respawn",
@@ -274,12 +269,10 @@ class MultiprocModel:
                         w_alive=True,
                         w_delivered=ack,
                         w_emission=emission,
-                        w_held=(),
                         w_last_snap=(ack, emission),
                         ch_pw=s.unacked,
                         ch_wp=(baseline,),
-                        emission_high=high,
-                        accepted=accepted,
+                        emission_high=emission,
                         buffering=False,
                         replay_gap=s.replay_gap + gap,
                     ),
@@ -306,6 +299,19 @@ class MultiprocModel:
                 "quiescent_complete",
                 lambda s: not _quiescent(s)
                 or s.accepted == tuple(range(1, s.w_emission + 1)),
+            ),
+            (
+                "no_uncommitted_escape",
+                lambda s: not s.accepted or max(s.accepted) <= s.snap[1],
+            ),
+            (
+                "dense_emissions",
+                lambda s: s.accepted + s.uncommitted
+                == tuple(range(1, len(s.accepted) + len(s.uncommitted) + 1))
+                and (
+                    not s.w_alive
+                    or s.emission_high == len(s.accepted) + len(s.uncommitted)
+                ),
             ),
         ]
 

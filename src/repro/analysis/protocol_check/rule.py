@@ -11,7 +11,8 @@ Two failure modes, both surfaced as findings:
 * **Invariant violation** — the bounded exploration of
   :class:`~.machine.MultiprocModel` found a reachable state breaking
   exactly-once emission, the retransmit-window bound, replay-gap freedom,
-  or quiescent completeness.  The finding carries the shortest
+  quiescent completeness, the commit point (nothing accepted above the
+  last received snapshot) or emission-id density.  The finding carries the shortest
   counterexample trace (event labels from the initial state) so the bug
   reproduces by hand.
 
@@ -39,7 +40,7 @@ LINT_CONFIG = MPConfig(max_injects=3, max_dups=1, max_crashes=1, allow_reorder=T
 
 
 class ProtocolInvariantRule(Rule):
-    """CHR020: model-check the multiproc seq/ack/output-commit machine."""
+    """CHR020: model-check the multiproc seq/ack/group-commit machine."""
 
     code = "CHR020"
     name = "protocol-invariant"
@@ -48,8 +49,8 @@ class ProtocolInvariantRule(Rule):
         "still anchor to runtime/multiproc.py (spec drift is a finding), "
         "and its bounded exploration under deliver/dup/reorder/crash/"
         "respawn must uphold exactly-once emissions, the retransmit-window "
-        "bound, and replay-gap freedom — violations carry a counterexample "
-        "trace."
+        "bound, replay-gap freedom and the parent-side commit point — "
+        "violations carry a counterexample trace."
     )
 
     def check(self, project: ProjectInfo) -> Iterator[Finding]:

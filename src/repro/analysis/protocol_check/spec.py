@@ -19,8 +19,9 @@ augassign   ``<x>.<attr> += …`` (an AugAssign targeting the attribute)
 assign      ``<x>.<attr> = …`` (plain or tuple-unpacked assignment)
 append      ``<x>.<attr>.append/appendleft(…)``
 method_call ``<x>.<attr>.<detail>(…)`` (e.g. ``unacked.popleft``)
-compare     a comparison with ``<x>.<attr>`` (or a subscript of it) on
-            either side (e.g. ``seq <= slot.emission_high``)
+compare     a comparison with ``<x>.<attr>`` (or a subscript of it, or
+            arithmetic on it) on either side (e.g.
+            ``seq != slot.emission_high + 1``)
 call        any call of a function/method named ``<detail>``
 ========== ==========================================================
 """
@@ -77,7 +78,7 @@ class ProtocolSpec:
 
 
 def multiproc_spec() -> ProtocolSpec:
-    """The seq/ack/output-commit/respawn machine of ``runtime/multiproc.py``.
+    """The seq/ack/group-commit/respawn machine of ``runtime/multiproc.py``.
 
     Transition names match the event labels of
     :class:`~repro.analysis.protocol_check.machine.MultiprocModel`, so a
@@ -102,57 +103,68 @@ def multiproc_spec() -> ProtocolSpec:
             Transition(
                 name="deliver",
                 description=(
-                    "worker dedups by delivered_seq, then dispatches; "
-                    "supervised sends get the next emission id and are held"
+                    "worker dedups by delivered_seq, then dispatches; a "
+                    "supervised send gets the next emission id and is queued "
+                    "to the parent at once"
                 ),
                 anchors=(
                     CodeAnchor("_WorkerNode", "_on_frame", "compare", "_delivered_seq"),
                     CodeAnchor("_WorkerNode", "_on_frame", "assign", "_delivered_seq"),
                     CodeAnchor("_WorkerNode", "send", "augassign", "_emission"),
-                    CodeAnchor("_WorkerNode", "send", "append", "_held"),
+                    CodeAnchor("_WorkerNode", "send", "method_call", "conn", "queue"),
                 ),
             ),
             Transition(
                 name="snapshot",
                 description=(
-                    "worker captures (ack, emission, state, held), queues the "
-                    "snapshot, then releases the held outputs (output commit)"
+                    "once per turn that changed (ack, emission) the worker "
+                    "queues a commit marker + state behind its emissions"
                 ),
                 anchors=(
-                    CodeAnchor("_WorkerNode", "_snapshot", "assign", "_held"),
+                    CodeAnchor("_WorkerNode", "_commit", "compare", "_last_snap"),
+                    CodeAnchor("_WorkerNode", "_commit", "call", detail="_snapshot"),
+                    CodeAnchor("_WorkerNode", "_snapshot", "assign", "_last_snap"),
                     CodeAnchor("_WorkerNode", "_snapshot", "call", detail="_reply"),
                 ),
             ),
             Transition(
                 name="recv",
                 description=(
-                    "parent trims the retransmission buffer up to the "
-                    "snapshot ack and dedups outputs by emission_high"
+                    "parent parks a sequenced output after the dense-id "
+                    "check; a snapshot trims the retransmission buffer up to "
+                    "its ack and forwards the parked outputs it covers"
                 ),
                 anchors=(
-                    CodeAnchor("MultiprocRuntime", "_on_snapshot", "method_call", "unacked", "popleft"),
-                    CodeAnchor("MultiprocRuntime", "_on_snapshot", "assign", "acked"),
                     CodeAnchor("MultiprocRuntime", "_route_frame", "compare", "emission_high"),
                     CodeAnchor("MultiprocRuntime", "_route_frame", "assign", "emission_high"),
+                    CodeAnchor("MultiprocRuntime", "_route_frame", "append", "uncommitted"),
+                    CodeAnchor("MultiprocRuntime", "_on_snapshot", "method_call", "unacked", "popleft"),
+                    CodeAnchor("MultiprocRuntime", "_on_snapshot", "assign", "acked"),
+                    CodeAnchor("MultiprocRuntime", "_on_snapshot", "method_call", "uncommitted", "popleft"),
+                    CodeAnchor("MultiprocRuntime", "_on_snapshot", "call", detail="_forward"),
                 ),
             ),
             Transition(
                 name="crash",
-                description="a detected death closes the conn and buffers the slot",
+                description=(
+                    "a detected death closes the conn, buffers the slot and "
+                    "drops the parked outputs"
+                ),
                 anchors=(
                     CodeAnchor("MultiprocRuntime", "_mark_worker_down", "assign", "buffering"),
                     CodeAnchor("MultiprocRuntime", "_mark_worker_down", "assign", "failed"),
+                    CodeAnchor("MultiprocRuntime", "_mark_worker_down", "method_call", "uncommitted", "clear"),
                 ),
             ),
             Transition(
                 name="respawn",
                 description=(
-                    "restore from the last snapshot, re-route its held "
-                    "outputs through the dedup, account any replay gap, "
-                    "retransmit the unacked window"
+                    "restore from the last snapshot, resume emission ids at "
+                    "its emission, account any replay gap, retransmit the "
+                    "unacked window"
                 ),
                 anchors=(
-                    CodeAnchor("MultiprocRuntime", "_respawn_once", "call", detail="_route_frame"),
+                    CodeAnchor("MultiprocRuntime", "_respawn_once", "assign", "emission_high"),
                     CodeAnchor("MultiprocRuntime", "_respawn_once", "method_call", "conn", "queue"),
                     CodeAnchor("MultiprocRuntime", "_respawn_once", "assign", "buffering"),
                 ),

@@ -1,16 +1,20 @@
 """CHR016 — supervisor-protocol safety in the multi-process runtime.
 
-PR 7's output-commit protocol has two invariants the type system cannot
-see, mined from ``runtime/multiproc.py``:
+The supervised seq/ack/group-commit protocol has two invariants the type
+system cannot see, mined from ``runtime/multiproc.py``:
 
-* **Sequenced emissions must be ackable.**  A method that bumps a sequence
-  counter (``slot.delivery_seq += 1``, ``self._emission += 1``) and appends
-  the frame to a retransmission buffer (an attribute named ``*unacked*``,
-  ``*retransmit*`` or ``*held*``) is the 0xC6 sequenced-emission path.  The
-  class must also trim that buffer somewhere — a ``popleft``/``pop``/
-  ``remove``/``clear`` call or a reset assignment outside ``__init__``
-  (``held, self._held = self._held, []``) — or every acked frame is retained
-  forever and replay-after-respawn re-delivers the whole history.
+* **Sequenced emissions must be ackable.**  A method that advances a
+  sequence counter (``slot.delivery_seq += 1``, ``slot.emission_high =
+  seq``) and appends the frame to a buffer that outlives the call (an
+  attribute named ``*unacked*``, ``*retransmit*`` or ``*uncommitted*``) is
+  the 0xC6 sequenced-emission path: ``_admit_frame`` keeping inputs for
+  retransmission, ``_route_frame`` parking outputs until their commit
+  marker.  The class must also trim that buffer somewhere — a
+  ``popleft``/``pop``/``remove``/``clear`` call or a reset assignment
+  outside ``__init__`` (``parked, self.uncommitted = self.uncommitted, []``)
+  — or every acked frame is retained forever and replay-after-respawn
+  re-delivers the whole history.  (For ``uncommitted`` the two trim paths
+  are the commit in ``_on_snapshot`` and the drop in ``_mark_worker_down``.)
 * **Detected deaths must reach a respawn-or-park terminal.**  A method that
   reads ``proc.exitcode`` is a SIGKILL-detection branch.  Within
   :data:`~repro.analysis.dataflow.EXPAND_DEPTH` hops of the intra-class
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..dataflow import EXPAND_DEPTH, AnyFunc, class_methods, reachable_within, self_call_graph
 from ..findings import Finding
@@ -40,7 +44,7 @@ from .base import ModuleRule
 
 SUPERVISED_PACKAGES: Tuple[str, ...] = ("runtime",)
 
-_BUFFER_RE = re.compile(r"unacked|retransmit|held")
+_BUFFER_RE = re.compile(r"unacked|retransmit|uncommitted")
 _SEQ_RE = re.compile(r"seq|emission")
 _TERMINAL_CALL_RE = re.compile(r"respawn|restart|replace|spawn|park|mark\w*down")
 _TERMINAL_FLAG_RE = re.compile(r"failed|parked")
@@ -75,15 +79,27 @@ def _assign_target_names(stmt: ast.stmt) -> List[str]:
     return names
 
 
+def _advances_sequence(func: AnyFunc) -> bool:
+    """``x.seq += 1`` or ``x.emission_high = seq`` anywhere in the method."""
+    for node in ast.walk(func):
+        targets: Sequence[ast.expr]
+        if isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        elif isinstance(node, ast.Assign):
+            targets = node.targets
+        else:
+            continue
+        if any(
+            isinstance(target, ast.Attribute) and _SEQ_RE.search(target.attr)
+            for target in targets
+        ):
+            return True
+    return False
+
+
 def _sequenced_buffers(func: AnyFunc) -> Dict[str, Tuple[int, int]]:
-    """Buffer attrs this method appends to alongside a sequence bump."""
-    bumps_seq = any(
-        isinstance(node, ast.AugAssign)
-        and isinstance(node.target, ast.Attribute)
-        and _SEQ_RE.search(node.target.attr)
-        for node in ast.walk(func)
-    )
-    if not bumps_seq:
+    """Buffer attrs this method appends to alongside a sequence advance."""
+    if not _advances_sequence(func):
         return {}
     buffers: Dict[str, Tuple[int, int]] = {}
     for node in ast.walk(func):
@@ -154,9 +170,9 @@ class SupervisorProtocolRule(ModuleRule):
     code = "CHR016"
     name = "supervisor-protocol"
     description = (
-        "In runtime/, a method that bumps a sequence counter and appends to "
-        "a retransmission buffer (*unacked*/*retransmit*/*held*) requires an "
-        "ack/trim path in the same class (pop/clear or a reset outside "
+        "In runtime/, a method that advances a sequence counter and appends "
+        "to a sequenced-frame buffer (*unacked*/*retransmit*/*uncommitted*) "
+        "requires an ack/trim path in the same class (pop/clear or a reset outside "
         "__init__), and a method that reads proc.exitcode (SIGKILL "
         "detection) must reach a respawn-or-park terminal within the "
         "bounded intra-class call graph — otherwise dead workers are "

@@ -37,18 +37,30 @@ Process-level fault tolerance
 Registering a :class:`~repro.runtime.supervisor.ProcessSupervisor` switches
 the runtime into **supervised** mode, which makes every worker individually
 recoverable after a real SIGKILL (or hang), at the cost of one frame copy
-per routed frame and a periodic state snapshot per worker:
+per routed frame and one state snapshot per worker turn that did work:
 
 * the envelope ``seq`` field carries a parent-assigned per-worker delivery
   sequence number (parent→worker) and a worker-assigned emission id
   (worker→parent); unsupervised traffic leaves it zero and keeps the
   zero-copy forwarding path byte-identical to before;
-* workers follow an **output-commit** discipline: outbound frames are held
-  until the next snapshot (actor state + held outputs + input ack) has been
-  queued to the parent, so any frame that escaped a worker is provably
-  captured by some snapshot — after a crash the parent restores the latest
-  snapshot, re-injects its held outputs through an emission-id dedup, and
-  retransmits every unacknowledged input frame from its per-worker buffer;
+* outputs are **group-committed at the parent**: a worker streams every
+  emission to the socket as it is produced, and the parent *parks* it
+  (``uncommitted``) instead of routing it.  At the end of each loop turn
+  that delivered an input or emitted a frame the worker sends a snapshot —
+  a commit marker (input ack + last emission id) with the pickled actor
+  state — and only when that marker is *at* the parent are the parked
+  frames it covers routed.  TCP FIFO puts the marker behind the frames it
+  covers, so nothing leaves the parent that a received snapshot does not
+  capture; each frame crosses the socket once and a snapshot's size never
+  depends on what was emitted.  After a crash the parent drops the parked
+  frames, restores the latest snapshot and retransmits every
+  unacknowledged input frame from its per-worker buffer — the replay
+  regenerates the dropped emissions under the same (dense) ids;
+* commit cadence is self-limiting, not set: a worker commits when there is
+  something to commit, its previous snapshot frame has left its outbound
+  queue, and the previous capture's own cost has elapsed again — so
+  capturing state never takes more than half a worker's wall time,
+  however large the state;
 * journal-backed actors (log maintainers) are excluded from snapshots and
   rebuilt parent-side from their :class:`~repro.flstore.journal.FileJournal`
   via the supervisor's recovery factories — their writes are durable the
@@ -90,6 +102,7 @@ from typing import (
     Set,
     Tuple,
     TYPE_CHECKING,
+    Union,
 )
 from zlib import crc32
 
@@ -137,6 +150,11 @@ _SEQ_OFF = 6
 
 #: Hard sanity cap per routed frame (matches net/protocol.py).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: A complete wire frame.  Frames read off a socket or built by
+#: :func:`_envelope` are immutable ``bytes``; the supervised parent queues
+#: the ``bytearray`` it patched the delivery ``seq`` into, uncopied.
+Frame = Union[bytes, bytearray]
 
 #: Name fragments that mark data-plane actors: these are spread across the
 #: worker processes by the default placement policy.  Everything else
@@ -256,11 +274,14 @@ class _FrameConn:
         #: router attribute inbound frames to their source worker.
         self.wid = wid
         self.rbuf = bytearray()
-        self.outbound: "deque[bytes]" = deque()
+        self.outbound: "deque[Frame]" = deque()
         self._out_off = 0
+        #: Frames written out in full — with ``len(outbound)`` this places a
+        #: queued frame, so its owner can tell when it has left the queue.
+        self.frames_sent = 0
         self.closed = False
 
-    def queue(self, frame: bytes) -> None:
+    def queue(self, frame: Frame) -> None:
         self.outbound.append(frame)
 
     @property
@@ -288,6 +309,7 @@ class _FrameConn:
             if self._out_off >= len(head):
                 self.outbound.popleft()
                 self._out_off = 0
+                self.frames_sent += 1
 
     #: Per-pass read budget.  Leaving the rest in the kernel buffer closes
     #: the TCP window once it fills, so a sender blasting bulk frames is
@@ -351,6 +373,8 @@ class _WorkerSlot:
         "unacked_bytes",
         "acked",
         "emission_high",
+        "uncommitted",
+        "uncommitted_bytes",
         "snapshot",
         "last_heartbeat",
         "failed",
@@ -364,13 +388,19 @@ class _WorkerSlot:
         #: Last delivery sequence number assigned to a frame for this worker.
         self.delivery_seq = 0
         #: (seq, frame) pairs newer than the last snapshot-acked input.
-        self.unacked: "deque[Tuple[int, bytes]]" = deque()
+        self.unacked: "deque[Tuple[int, Frame]]" = deque()
         self.unacked_bytes = 0
         #: Highest input seq covered by a received snapshot.
         self.acked = 0
-        #: Highest emission id seen from this worker (duplicate filter).
+        #: Highest emission id received from this worker; ids are dense, so
+        #: the next sequenced frame must carry exactly ``emission_high + 1``.
         self.emission_high = 0
-        #: Latest snapshot: {"ack", "emission", "state", "held"} or None.
+        #: Parked emissions no received snapshot covers yet, in id order:
+        #: (emission id, src, dst, payload view, frame).  The next snapshot
+        #: commits (routes) them; a crash drops them.
+        self.uncommitted: "deque[Tuple[int, str, str, memoryview, bytes]]" = deque()
+        self.uncommitted_bytes = 0
+        #: Latest snapshot: {"ack", "emission", "state"} or None.
         self.snapshot: Optional[Dict[str, Any]] = None
         self.last_heartbeat = 0.0
         #: True between failure detection and the start of respawn controls.
@@ -438,6 +468,12 @@ class MultiprocRuntime:
         self._worker_error: Optional[str] = None
         self.messages_routed = 0
         self.bytes_routed = 0
+        #: Supervision counters (stay zero unsupervised): snapshot frames
+        #: received and their total bytes, and the most bytes ever parked
+        #: awaiting a commit marker on one worker.
+        self.snapshots_received = 0
+        self.snapshot_bytes = 0
+        self.uncommitted_peak_bytes = 0
         # -- supervision state (populated when a ProcessSupervisor is
         #    registered; otherwise zero-cost) -------------------------------
         self._supervisor: Optional[ProcessSupervisor] = None
@@ -538,7 +574,6 @@ class MultiprocRuntime:
         return {
             "op": "configure",
             "heartbeat_interval": sup.heartbeat_interval,
-            "snapshot_interval": sup.snapshot_interval,
             "journaled": journaled,
             "delivered": delivered,
             "emission": emission,
@@ -757,7 +792,7 @@ class MultiprocRuntime:
             return
         self._queue_to_worker(wid, frame)
 
-    def _queue_to_worker(self, wid: int, frame: bytes) -> None:
+    def _queue_to_worker(self, wid: int, frame: Frame) -> None:
         """Forwarding layer: chaos interception happens here, *before* a
         delivery sequence number is assigned, so a delayed frame re-enters
         the normal path and per-worker delivery stays in order."""
@@ -773,13 +808,15 @@ class MultiprocRuntime:
                 return
         self._admit_frame(wid, frame)
 
-    def _admit_frame(self, wid: int, frame: bytes) -> None:
+    def _admit_frame(self, wid: int, frame: Frame) -> None:
         if self._supervised:
             slot = self._slots[wid]
             slot.delivery_seq += 1
-            patched = bytearray(frame)
-            _U32.pack_into(patched, _SEQ_OFF, slot.delivery_seq)
-            frame = bytes(patched)
+            # The one copy of the supervised path: the caller's frame may be
+            # shared (``send_prepared``) or immutable, the patched buffer is
+            # queued and kept for retransmission as it is.
+            frame = bytearray(frame)
+            _U32.pack_into(frame, _SEQ_OFF, slot.delivery_seq)
             slot.unacked.append((slot.delivery_seq, frame))
             slot.unacked_bytes += len(frame)
             while slot.unacked_bytes > self.retransmit_limit_bytes and slot.unacked:
@@ -933,6 +970,10 @@ class MultiprocRuntime:
             return
         slot.failed = True
         slot.buffering = True
+        # No snapshot at the parent covers the parked emissions, so they
+        # never happened: the replay from ``ack + 1`` regenerates them.
+        slot.uncommitted.clear()
+        slot.uncommitted_bytes = 0
         slot.down_reason = reason
         if slot.down_since is None:
             slot.down_since = _wall_clock()
@@ -946,8 +987,7 @@ class MultiprocRuntime:
 
     def _respawn_worker(self, wid: int) -> None:
         """Kill/reap the old process, spawn a fresh one, restore the latest
-        snapshot (journal-backed actors rebuilt from disk), re-inject the
-        snapshot's held outputs through the emission dedup, and retransmit
+        snapshot (journal-backed actors rebuilt from disk), and retransmit
         every unacknowledged input frame."""
         sup = self._supervisor
         assert sup is not None
@@ -1050,14 +1090,11 @@ class MultiprocRuntime:
             self._actors[name] = replacement
         ack = snap["ack"] if snap is not None else 0
         emission = snap["emission"] if snap is not None else 0
+        # Exactly the emissions up to the snapshot's were routed; the
+        # replacement numbers its own from there.
+        slot.emission_high = emission
         self._control(wid, self._configure_payload(wid, ack, emission))
         self._control(wid, {"op": "start"})
-        # Outputs captured by the snapshot may or may not have escaped the
-        # dead worker — re-route them through the emission dedup, which
-        # drops exactly the ones that did.
-        if snap is not None:
-            for held in snap["held"]:
-                self._route_frame(wid, held)
         # Bounded loss: if overflow trimmed frames the snapshot never
         # covered, the replay has a gap — count it instead of hiding it.
         if slot.unacked:
@@ -1236,10 +1273,12 @@ class MultiprocRuntime:
         if self._supervised and 0 <= wid < len(self._slots):
             self._slots[wid].last_heartbeat = _wall_clock()
         if kind == _K_REPLY:
-            reply = pickle.loads(bytes(payload))
+            reply = pickle.loads(payload)
             if "worker_error" in reply:
                 self._worker_error = reply["worker_error"]
             elif "snapshot" in reply:
+                self.snapshots_received += 1
+                self.snapshot_bytes += len(frame)
                 self._on_snapshot(wid, reply["snapshot"])
             elif "heartbeat" in reply:
                 pass  # liveness already noted above
@@ -1249,10 +1288,24 @@ class MultiprocRuntime:
         if kind != _K_MSG:
             raise SessionError(f"unexpected frame kind {kind} at the router")
         if seq and self._supervised and 0 <= wid < len(self._slots):
+            # A sequenced emission is parked until a snapshot covering it
+            # is here (_on_snapshot).  Ids are dense: a live worker counts
+            # up by one and a respawned one resumes at its snapshot's id.
             slot = self._slots[wid]
-            if seq <= slot.emission_high:
-                return  # duplicate emission from a restarted worker
+            if seq != slot.emission_high + 1:
+                raise SessionError(
+                    f"worker {wid} emission {seq} after {slot.emission_high}: "
+                    "ids must be dense"
+                )
             slot.emission_high = seq
+            slot.uncommitted.append((seq, src, dst, payload, frame))
+            slot.uncommitted_bytes += len(frame)
+            if slot.uncommitted_bytes > self.uncommitted_peak_bytes:
+                self.uncommitted_peak_bytes = slot.uncommitted_bytes
+            return
+        self._forward(src, dst, payload, frame)
+
+    def _forward(self, src: str, dst: str, payload: memoryview, frame: bytes) -> None:
         target = self._location.get(dst)
         if target is None:
             if dst not in self._actors:
@@ -1266,9 +1319,10 @@ class MultiprocRuntime:
         self._queue_to_worker(target, frame)
 
     def _on_snapshot(self, wid: int, snap: Dict[str, Any]) -> None:
-        """Record a worker snapshot and trim its retransmit buffer: every
+        """Record a worker snapshot, trim its retransmit buffer — every
         input frame the snapshot acknowledges is now recoverable from the
-        snapshot itself and never needs retransmission."""
+        snapshot itself and never needs retransmission — and commit its
+        outputs: the parked emissions it covers are routed, in id order."""
         slot = self._slots[wid]
         slot.snapshot = snap
         ack = int(snap["ack"])
@@ -1277,6 +1331,12 @@ class MultiprocRuntime:
             _d, old = unacked.popleft()
             slot.unacked_bytes -= len(old)
         slot.acked = ack
+        emission = int(snap["emission"])
+        uncommitted = slot.uncommitted
+        while uncommitted and uncommitted[0][0] <= emission:
+            _e, src, dst, payload, frame = uncommitted.popleft()
+            slot.uncommitted_bytes -= len(frame)
+            self._forward(src, dst, payload, frame)
 
     # -- context manager ----------------------------------------------------- #
 
@@ -1316,14 +1376,18 @@ class _WorkerNode:
     Local destinations deliver in-process (same semantics as the parent's
     pending queue); everything else is encoded once and sent to the router.
 
-    Under supervision the node follows the output-commit discipline from
-    the module docstring: remote sends are assigned an emission id and
-    *held*; a periodic snapshot pickles actor state (journal-backed actors
-    excluded), records the held frames and the input ack, queues the
-    snapshot to the parent, and only then releases the held frames — per
-    TCP FIFO, no frame can reach the parent before the snapshot that
-    captured it.
+    Under supervision the node is the worker half of the group commit from
+    the module docstring: a remote send is stamped with the next emission
+    id and queued to the socket at once (the parent parks it), and at the
+    end of a loop turn that delivered an input or emitted a frame
+    :meth:`_commit` sends a snapshot — input ack, last emission id, pickled
+    actor state (journal-backed actors excluded) — behind them.  Per TCP
+    FIFO the snapshot reaches the parent after every frame it covers, and
+    the parent routes nothing a snapshot it holds does not cover.
     """
+
+    #: Longest idle wait of the loop (seconds).
+    _IDLE_WAIT = 0.05
 
     def __init__(self, worker_id: int, sock: socket.socket) -> None:
         self.worker_id = worker_id
@@ -1336,15 +1400,18 @@ class _WorkerNode:
         # -- supervision state (set by the "configure" control op) ---------
         self._supervised = False
         self._heartbeat_interval = 0.5
-        self._snapshot_interval = 0.05
         self._journaled: Set[str] = set()
         #: Highest input delivery seq dispatched (strict: lower = duplicate).
         self._delivered_seq = 0
         #: Last emission id assigned to an outbound frame.
         self._emission = 0
-        #: Outbound frames awaiting capture by the next snapshot.
-        self._held: List[bytes] = []
-        self._last_snap = (-1, -1)
+        #: (ack, emission) of the last snapshot, and what :meth:`_commit`
+        #: paces the next one by: the ``frames_sent`` count at which that
+        #: snapshot's frame has left the outbound queue, and the time its
+        #: capture finished plus what the capture took.
+        self._last_snap = (0, 0)
+        self._snap_sent_at = 0
+        self._next_capture_at = 0.0
 
     @property
     def now(self) -> float:
@@ -1370,7 +1437,7 @@ class _WorkerNode:
         payload = encode_value_binary(message)
         if self._supervised:
             self._emission += 1
-            self._held.append(_envelope(_K_MSG, src, dst, payload, seq=self._emission))
+            self.conn.queue(_envelope(_K_MSG, src, dst, payload, seq=self._emission))
         else:
             self.conn.queue(_envelope(_K_MSG, src, dst, payload))
 
@@ -1409,12 +1476,10 @@ class _WorkerNode:
             elif op == "configure":
                 self._supervised = True
                 self._heartbeat_interval = float(ctrl["heartbeat_interval"])
-                self._snapshot_interval = float(ctrl["snapshot_interval"])
                 self._journaled = set(ctrl.get("journaled", ()))
                 self._delivered_seq = int(ctrl.get("delivered", 0))
                 self._emission = int(ctrl.get("emission", 0))
-                self._held = []
-                self._last_snap = (-1, -1)
+                self._last_snap = (self._delivered_seq, self._emission)
                 self._reply({"seq": seq, "value": None})
             elif op == "start":
                 if not self._started:
@@ -1435,14 +1500,14 @@ class _WorkerNode:
                 value = ctrl["fn"](self._actors[ctrl["name"]])
                 self._reply({"seq": seq, "value": value})
             elif op == "drain":
-                # Force a snapshot (which first drains local pending work and
-                # releases held outputs); the reply rides behind it in FIFO
-                # order, so the parent's ack is current when it arrives.
-                self._snapshot(force=True)
+                # Force a snapshot (which first drains local pending work);
+                # the reply rides behind it in FIFO order, so the parent's
+                # ack is current when it arrives.
+                self._snapshot()
                 self._reply({"seq": seq, "value": {"ack": self._delivered_seq}})
             elif op == "stop":
                 if self._supervised:
-                    self._snapshot(force=True)
+                    self._snapshot()
                 self._stopping = True
                 self._reply({"seq": seq, "value": None})
             else:
@@ -1455,40 +1520,48 @@ class _WorkerNode:
             self._reply({"heartbeat": self.worker_id, "ack": self._delivered_seq})
             self.loop.schedule(self._heartbeat_interval, heartbeat)
 
-        def snapshot() -> None:
-            self._snapshot()
-            self.loop.schedule(self._snapshot_interval, snapshot)
-
         # Baseline snapshot straight away: a worker that dies before any
         # traffic is restorable to its exact post-start state.
-        self._snapshot(force=True)
+        self._snapshot()
         self.loop.schedule(self._heartbeat_interval, heartbeat)
-        self.loop.schedule(self._snapshot_interval, snapshot)
 
-    def _snapshot(self, force: bool = False) -> None:
-        """Capture (actor state, held outputs, input ack), queue it to the
-        parent, then release the held outputs.  Skips when nothing changed
-        since the last capture."""
+    def _commit(self) -> float:
+        """Group commit, once per loop turn: snapshot when the turn delivered
+        an input or emitted a frame, unless the previous snapshot's frame is
+        still queued here or its capture cost has not elapsed again (a duty
+        cycle of at most one half).  Returns how long the loop may idle: up
+        to the moment a commit put off by the duty cycle falls due (one put
+        off by a queued frame wakes the loop through socket writability)."""
+        if (
+            (self._delivered_seq, self._emission) != self._last_snap
+            and self.conn.frames_sent >= self._snap_sent_at
+        ):
+            due = self._next_capture_at - _wall_clock()
+            if due > 0.0:
+                return min(due, self._IDLE_WAIT)
+            self._snapshot()
+        return self._IDLE_WAIT
+
+    def _snapshot(self) -> None:
+        """Capture (input ack, last emission id, actor state) and queue it
+        to the parent behind every frame emitted so far."""
         # In-flight local messages are part of the state; settle them first
         # so the pickled actors are not mid-conversation.
         while self._pending:
             src, dst, message = self._pending.popleft()
             self._dispatch_safely(src, dst, message)
-        marker = (self._delivered_seq, self._emission)
-        if not force and marker == self._last_snap and not self._held:
-            return
+        started = _wall_clock()
         names = [name for name in self._actors if name not in self._journaled]
         snap = {
             "ack": self._delivered_seq,
             "emission": self._emission,
             "state": self._pickle_detached(names),
-            "held": list(self._held),
         }
         self._reply({"snapshot": snap})
-        self._last_snap = marker
-        held, self._held = self._held, []
-        for frame in held:
-            self.conn.queue(frame)
+        self._last_snap = (self._delivered_seq, self._emission)
+        self._snap_sent_at = self.conn.frames_sent + len(self.conn.outbound)
+        done = _wall_clock()
+        self._next_capture_at = done + (done - started)
 
     def _pickle_detached(self, names: List[str]) -> bytes:
         """Pickle ``{name: actor}`` with runtimes stripped (one blob, so
@@ -1519,12 +1592,13 @@ class _WorkerNode:
                     src, dst, message = self._pending.popleft()
                     self._dispatch_safely(src, dst, message)
                 self.loop.fire_due()
+                idle = self._commit() if self._supervised else self._IDLE_WAIT
                 if self.conn.wants_write:
                     self.conn.flush()
                 wait = (
                     0.0
                     if self._pending
-                    else min(0.05, self.loop.seconds_to_next(0.05))
+                    else min(idle, self.loop.seconds_to_next(idle))
                 )
                 selector.modify(
                     self.conn.sock,

@@ -90,11 +90,12 @@ class ProcessSupervisor(Supervisor):
     * ``heartbeat_interval`` / ``heartbeat_timeout`` — worker liveness
       (timeout defaults to 10x the interval; EOF and exit codes catch hard
       crashes much sooner, heartbeats exist for *hangs*);
-    * ``snapshot_interval`` — worker state capture cadence, which is also
-      the output-commit release latency per cross-worker hop;
     * ``spawn_timeout`` — respawn handshake deadline;
     * ``retry`` / ``breaker_threshold`` / ``breaker_cooldown`` — respawn
       backoff via the shared :mod:`repro.core.retry` mechanisms.
+
+    Snapshot cadence is not among them: a worker commits once per loop turn
+    that did work, paced by its own capture cost (``_WorkerNode._commit``).
     """
 
     def __init__(
@@ -103,7 +104,6 @@ class ProcessSupervisor(Supervisor):
         check_interval: float = 0.05,
         heartbeat_interval: float = 0.5,
         heartbeat_timeout: Optional[float] = None,
-        snapshot_interval: float = 0.05,
         spawn_timeout: float = 10.0,
         retry: Optional[RetryPolicy] = None,
         breaker_threshold: int = 5,
@@ -114,7 +114,6 @@ class ProcessSupervisor(Supervisor):
         self.heartbeat_timeout = (
             heartbeat_timeout if heartbeat_timeout is not None else 10.0 * heartbeat_interval
         )
-        self.snapshot_interval = snapshot_interval
         self.spawn_timeout = spawn_timeout
         self.retry = retry if retry is not None else RetryPolicy(max_attempts=4)
         self.breaker_threshold = breaker_threshold

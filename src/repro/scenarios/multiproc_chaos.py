@@ -125,6 +125,9 @@ def run_deployment_multiproc_chaos(
             if recovery_seconds
             else 0.0,
             "loss_accounting": dict(runtime.loss_accounting),
+            "snapshots_received": runtime.snapshots_received,
+            "snapshot_bytes": runtime.snapshot_bytes,
+            "uncommitted_peak_bytes": runtime.uncommitted_peak_bytes,
             "wall_clock_seconds": round(wall, 3),
         }
     finally:

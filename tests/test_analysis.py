@@ -1358,6 +1358,19 @@ class Slot:
         self.unacked.append(frame)
 """
 
+_PARK_NO_COMMIT = """\
+class Router:
+    def __init__(self):
+        self.emission_high = 0
+        self.uncommitted = []
+
+    def route(self, seq, frame):
+        if self.emission_high != seq - 1:
+            raise ValueError(seq)
+        self.emission_high = seq
+        self.uncommitted.append(frame)
+"""
+
 _EXIT_NO_TERMINAL = """\
 class Supervisor:
     def __init__(self, procs):
@@ -1414,6 +1427,48 @@ class TestSupervisorProtocolRule:
             tmp_path, {"runtime/slot.py": _SEQ_NO_TRIM}, select=["CHR016"]
         )
         assert codes(findings) == ["CHR016"]
+
+    def test_parked_emissions_need_a_commit_or_drop_path(self, tmp_path):
+        # The parent half of the group commit: the dense check advances
+        # ``emission_high`` by plain assignment and parks the frame.
+        findings = lint(
+            tmp_path, {"runtime/router.py": _PARK_NO_COMMIT}, select=["CHR016"]
+        )
+        assert codes(findings) == ["CHR016"]
+        assert "'uncommitted'" in findings[0].message
+
+    def test_commit_and_crash_both_count_as_trims(self, tmp_path):
+        for trim in ("self.uncommitted.popleft()", "self.uncommitted.clear()"):
+            source = _PARK_NO_COMMIT + (
+                "\n    def release(self):\n" f"        {trim}\n"
+            )
+            findings = lint(
+                tmp_path, {"runtime/router.py": source}, select=["CHR016"]
+            )
+            assert findings == [], trim
+
+    def test_real_runtime_parks_and_trims_uncommitted(self):
+        """The fixtures above describe the real thing: ``_route_frame`` is
+        seen as a sequenced-emission path, and both trim paths exist."""
+        from repro.analysis.rules.supervision import (
+            _sequenced_buffers,
+            _trimmed_buffers,
+        )
+
+        module = next(
+            m
+            for m in scan([REPO_ROOT / "src"])
+            if m.relpath.endswith("runtime/multiproc.py")
+        )
+        cls = next(
+            node
+            for node in ast.walk(module.tree)
+            if isinstance(node, ast.ClassDef) and node.name == "MultiprocRuntime"
+        )
+        methods = class_methods(cls)
+        assert set(_sequenced_buffers(methods["_route_frame"])) == {"uncommitted"}
+        assert set(_sequenced_buffers(methods["_admit_frame"])) == {"unacked"}
+        assert {"uncommitted", "unacked"} <= _trimmed_buffers(cls)
 
     def test_exitcode_without_terminal_fires(self, tmp_path):
         findings = lint(

@@ -134,22 +134,105 @@ class TestMultiprocModel:
         result = explore(MultiprocModel(config), max_states=200_000)
         assert result.complete and result.ok
 
+    def test_all_six_invariants_are_checked(self):
+        names = [name for name, _p in MultiprocModel().invariants()]
+        assert names == [
+            "exactly_once",
+            "bounded_retransmit",
+            "no_replay_gap",
+            "quiescent_complete",
+            "no_uncommitted_escape",
+            "dense_emissions",
+        ]
+
     def test_wp_reorder_breaks_output_commit(self):
-        """The TCP-FIFO assumption is load-bearing: reordering the
-        worker->parent channel lets an output overtake a later one and be
-        dropped as a duplicate — the machine must catch that."""
+        """The TCP-FIFO assumption is load-bearing, in the other direction
+        now: a commit marker that overtakes a frame it covers leaves that
+        frame parked with nothing to release it, and a crash then loses it
+        — the restored worker is already past its emission id.  The
+        machine must catch that, shortest trace first."""
         config = MPConfig(
-            max_injects=2,
+            max_injects=1,
             max_dups=0,
             max_crashes=1,
             allow_reorder=False,
             reorder_wp=True,
         )
         result = explore(
-            MultiprocModel(config), max_states=200_000, max_violations=5
+            MultiprocModel(config), max_states=200_000, max_violations=50
         )
         assert not result.ok
-        assert any("reorder-wp" in v.render() for v in result.violations)
+        assert all("reorder-wp" in v.trace for v in result.violations)
+        stuck = result.violations[0]
+        assert stuck.invariant == "quiescent_complete"
+        assert stuck.trace == (
+            "inject(1)",
+            "deliver(1)",
+            "snapshot(ack=1)",
+            "reorder-wp",
+            "recv-snap(ack=1)",
+            "recv-out(1)",
+        )
+        assert stuck.state.uncommitted == (1,) and stuck.state.accepted == ()
+        lost = next(
+            v
+            for v in result.violations
+            if "crash" in v.trace and v.invariant == "quiescent_complete"
+        )
+        assert lost.trace[-2:] == ("respawn", "recv-snap(ack=1)")
+        assert lost.state.w_emission == 1 and lost.state.accepted == ()
+
+    def test_wp_reorder_of_two_outputs_trips_the_dense_check(self):
+        config = MPConfig(
+            max_injects=2, max_dups=0, max_crashes=0, allow_reorder=False,
+            reorder_wp=True,
+        )
+        result = explore(MultiprocModel(config), max_states=200_000)
+        assert result.violations[0].invariant == "dense_emissions"
+        assert result.violations[0].trace[-2:] == ("reorder-wp", "recv-out(2)")
+
+    def test_respawn_must_resume_the_dense_cursor_at_the_snapshot(self):
+        """A respawn that keeps the dead worker's ``emission_high`` (past
+        the parked frames it dropped) would refuse the regenerated ones."""
+
+        class StaleCursor(MultiprocModel):
+            def events(self, s):
+                for label, nxt in super().events(s):
+                    if label == "respawn":
+                        nxt = nxt._replace(emission_high=s.emission_high)
+                    yield label, nxt
+
+        config = MPConfig(max_injects=1, max_dups=0, max_crashes=1)
+        violation = explore(StaleCursor(config), max_states=200_000).violations[0]
+        assert violation.invariant == "dense_emissions"
+        assert violation.trace == (
+            "inject(1)", "deliver(1)", "recv-out(1)", "crash", "respawn",
+        )
+
+    def test_commit_before_the_marker_is_rejected(self):
+        """A deliberately broken parent that routes an output the moment it
+        arrives (no parking) is caught by ``no_uncommitted_escape`` at once,
+        and — given a crash — goes on to deliver an emission twice."""
+
+        class RouteOnArrival(MultiprocModel):
+            def events(self, s):
+                for label, nxt in super().events(s):
+                    if label.startswith("recv-out"):
+                        nxt = nxt._replace(
+                            accepted=nxt.accepted + nxt.uncommitted, uncommitted=()
+                        )
+                    yield label, nxt
+
+        config = MPConfig(max_injects=2, max_dups=0, max_crashes=1)
+        first = explore(RouteOnArrival(config), max_states=200_000)
+        assert [v.invariant for v in first.violations] == ["no_uncommitted_escape"]
+        assert first.violations[0].trace == ("inject(1)", "deliver(1)", "recv-out(1)")
+        every = explore(
+            RouteOnArrival(config), max_states=200_000, max_violations=10_000
+        )
+        twice = next(v for v in every.violations if v.invariant == "exactly_once")
+        assert "crash" in twice.trace and "respawn" in twice.trace
+        assert twice.state.accepted == (1, 1)
 
 
 # --------------------------------------------------------------------- #

@@ -43,9 +43,11 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 ## Seeded chaos + resilience suites, including the slow soak variants that
-## tier-1 skips (the command-line -m overrides the addopts marker filter).
+## tier-1 skips (the command-line -m overrides the addopts marker filter),
+## then the long sweep of the binary decoder's hostile-frame fuzzer.
 chaos:
 	$(PYTHON) -m pytest tests/test_chaos.py tests/test_resilience.py -q -m "slow or not slow"
+	$(PYTHON) -m pytest tests/test_codec_runs.py -q -m slow
 
 ## Real-process fault tolerance: SIGKILL one stage worker and one
 ## maintainer worker mid-run, and the stage worker at seeded instants inside

@@ -190,6 +190,8 @@ class Sender(Actor):
                 request_id,
                 after_lid=self._fetch_cursor[maintainer],
                 limit=self.config.replication_batch_limit,
+                # Direct mode ships local records only: don't be sent the rest.
+                host=None if self.transitive else self.dc_id,
             ),
         )
 
@@ -209,12 +211,14 @@ class Sender(Actor):
             # mesh); transitive mode forwards everything.
             if self.transitive or entry.record.host == self.dc_id:
                 buffer.append((entry.lid, entry.record))
-        if reply.upto > cursor:
+        moved = reply.upto > cursor
+        if moved:
             self._fetch_cursor[maintainer] = reply.upto
         self._ship_all()
-        if reply.entries:
-            # The log is moving: ask for what arrived meanwhile now rather
-            # than at the next tick.
+        if moved or reply.entries:
+            # The log is moving (if only with other datacenters' records,
+            # which a filtered reply leaves out): ask for what arrived
+            # meanwhile now rather than at the next tick.
             self._fetch(maintainer)
 
     def _heartbeat_vectors(self) -> None:

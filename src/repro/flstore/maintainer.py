@@ -28,7 +28,7 @@ from ..core.errors import (
     LidOutOfRangeError,
     NotOwnerError,
 )
-from ..core.record import AppendResult, LogEntry, ReadRules, Record, RecordId
+from ..core.record import AppendResult, DatacenterId, LogEntry, ReadRules, Record, RecordId
 from ..runtime.actor import Actor
 from ..runtime.messages import RecordBatch
 from .messages import (
@@ -411,11 +411,15 @@ class MaintainerCore:
                     break
         return matches
 
-    def entries_after(self, after_lid: int, limit: int = 4096) -> Tuple[List[LogEntry], int]:
+    def entries_after(
+        self, after_lid: int, limit: int = 4096, host: Optional[DatacenterId] = None
+    ) -> Tuple[List[LogEntry], int]:
         """Owned entries with LId > ``after_lid``, below the placed frontier.
 
         Only the gap-free owned prefix is returned so replication senders
         never ship around holes.  Returns (entries, highest safe LId).
+        With ``host``, entries of records created elsewhere are walked over
+        (the safe LId advances past them) but not returned.
         """
         entries: List[LogEntry] = []
         upto = after_lid
@@ -439,7 +443,8 @@ class MaintainerCore:
                         lid += 1
                         continue
                     return entries, upto  # hole: stop at the frontier
-                entries.append(LogEntry(lid, record))
+                if host is None or record.rid.host == host:
+                    entries.append(LogEntry(lid, record))
                 upto = lid
                 lid += 1
             if lid >= run_end:
@@ -626,7 +631,9 @@ class LogMaintainer(Actor):
         elif isinstance(message, ReadRequest):
             self._handle_read(sender, message)
         elif isinstance(message, ReadNewRequest):
-            entries, upto = self.core.entries_after(message.after_lid, message.limit)
+            entries, upto = self.core.entries_after(
+                message.after_lid, message.limit, message.host
+            )
             self.send(sender, ReadNewReply(message.request_id, entries, upto))
         elif isinstance(message, HeadRequest):
             self.send(sender, HeadReply(message.request_id, self.core.head_of_log()))

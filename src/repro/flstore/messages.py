@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.record import AppendResult, LogEntry, ReadRules, Record
+from ..core.record import AppendResult, DatacenterId, LogEntry, ReadRules, Record
 from ..runtime.messages import Payload
 
 # --------------------------------------------------------------------- #
@@ -87,11 +87,18 @@ class ReadReply(Payload):
 @dataclass(slots=True)
 class ReadNewRequest(Payload):
     """Sender → maintainer: entries with LId > ``after_lid`` that are safe
-    to ship (assigned, in owner order).  Used by replication senders (§6.2)."""
+    to ship (assigned, in owner order).  Used by replication senders (§6.2).
+
+    ``host`` narrows the reply to records created at that datacenter — a
+    sender ships only its datacenter's *local* records (§6.2), so it need
+    not be sent the external ones; ``None`` asks for every record
+    (transitive shipping).
+    """
 
     request_id: int
     after_lid: int = -1
     limit: int = 4096
+    host: Optional[DatacenterId] = None
 
 
 @dataclass(slots=True)

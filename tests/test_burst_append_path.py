@@ -7,8 +7,9 @@ Four equivalences, one per hop that went from per-record to per-run:
 * queue admission — ``DeferredQueue.admit`` against the heap-for-everything
   loop it replaced (kept here as the reference implementation);
 * maintainer — ``MaintainerCore.place_run`` against a loop of ``place``;
-* sender — one ``ReadNewRequest`` in flight per maintainer, and no reply
-  entry buffered twice.
+* sender — one ``ReadNewRequest`` in flight per maintainer, no reply
+  entry buffered twice, and (direct mode) only its own datacenter's records
+  asked for.
 
 Plus the message-count guard: the counts are exact and host-independent, so
 a slide back to per-record messaging fails here rather than in a benchmark.
@@ -17,6 +18,7 @@ a slide back to per-record messaging fails here rather than in a benchmark.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -40,6 +42,7 @@ from repro.flstore import MaintainerCore, OwnershipPlan
 from repro.flstore.journal import FileJournal, MemoryJournal
 from repro.flstore.messages import ReadNewReply, ReadNewRequest
 from repro.net.aio_runtime import AioRuntime
+from repro.net.binary_codec import encode_value_binary
 from repro.runtime import LocalRuntime
 from repro.sim.workload import SinkActor
 
@@ -513,6 +516,73 @@ class TestSenderFetch:
         sender._fetches["A/store"].sent_at = runtime.now + 3600.0
         runtime.run_for(0.01)
         assert len([m for m in store.messages if isinstance(m, ReadNewRequest)]) == 2
+
+    def test_direct_sender_asks_for_its_own_records_only(self):
+        runtime, sender, store = make_sender()
+        runtime.run_for(0.011)
+        assert store.messages[0].host == "A"
+        sender.transitive = True  # forwards every host: nothing to leave out
+        sender.on_message("A/store", reply(store.messages[0].request_id, [0]))
+        runtime.run_for(0.0)
+        assert store.messages[1].host is None
+
+    def test_all_external_tail_moves_the_cursor_and_fetches_again_at_once(self):
+        # The store holds only other datacenters' records past the cursor:
+        # a filtered reply is empty, but the log moved, so the sender must
+        # not fall back to the tick.
+        runtime, sender, store = make_sender()
+        runtime.run_for(0.011)
+        first = store.messages[0]
+        sender.on_message("A/store", ReadNewReply(first.request_id, [], upto=7))
+        runtime.run_for(0.0)  # no tick in between
+        second = store.messages[1]
+        assert isinstance(second, ReadNewRequest) and second.after_lid == 7
+        assert buffered_lids(sender) == []
+
+    def test_unfiltered_or_stale_reply_stays_harmless(self):
+        # A maintainer that ignores ``host`` (or a reply from before the
+        # filter) still only contributes local, non-internal, new entries.
+        runtime, sender, store = make_sender()
+        runtime.run_for(0.011)
+        first = store.messages[0]
+        noop = Record.make("__noop__/A/store", 1, None, internal=True)
+        entries = [
+            LogEntry(0, rec("A", 1)),
+            LogEntry(1, rec("B", 1)),
+            LogEntry(2, noop),
+            LogEntry(3, rec("A", 2)),
+        ]
+        sender.on_message("A/store", ReadNewReply(first.request_id, entries, upto=3))
+        assert buffered_lids(sender) == [0, 3]
+        sender.on_message("A/store", ReadNewReply(first.request_id, entries, upto=3))
+        assert buffered_lids(sender) == [0, 3]
+
+    def test_three_dc_transitive_deployment_is_unchanged(self):
+        # Transitive senders ask unfiltered, so a transitive deployment must
+        # behave exactly as before the host filter: same logs (hashed in the
+        # per-element wire form), same shipments, same message count.  The
+        # expected values were recorded on the commit before the filter.
+        runtime = LocalRuntime()
+        deployment = ChariotsDeployment(runtime, ["A", "B", "C"], batch_size=4, transitive=True)
+        runtime.start()
+        clients = {dc: deployment.client(dc) for dc in "ABC"}
+        for chunk in range(6):
+            for i in range(9):
+                dc = "ABC"[i % 3]
+                clients[dc].append(
+                    b"%s-%d-%d" % (dc.encode(), chunk, i), tags={"k": i} if i % 4 == 0 else None
+                )
+            runtime.run_for(0.03)
+        assert deployment.settle(max_seconds=60)
+        digest = hashlib.sha256()
+        for dc in "ABC":
+            digest.update(encode_value_binary(deployment[dc].all_entries()))
+        assert digest.hexdigest() == (
+            "7aba778a597d428dd125f3825735832f5cfcdd2191e64fa6d4edf5445cc73c43"
+        )
+        for dc in "ABC":
+            assert sum(s.records_shipped for s in deployment[dc].senders) == 72
+        assert runtime.messages_sent == 792
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_replication_converges_when_fetch_traffic_is_dropped_and_duplicated(self, seed):

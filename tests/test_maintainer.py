@@ -1,5 +1,7 @@
 """Tests for the log maintainer (repro.flstore.maintainer)."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -11,8 +13,10 @@ from repro.core import (
     NotOwnerError,
     ReadRules,
 )
-from repro.flstore import MaintainerCore, OwnershipPlan
-from repro.flstore.messages import GossipHL
+from repro.flstore import LogMaintainer, MaintainerCore, OwnershipPlan
+from repro.flstore.messages import GossipHL, ReadNewReply, ReadNewRequest
+from repro.runtime import LocalRuntime
+from repro.sim.workload import SinkActor
 
 from conftest import chain, rec
 
@@ -132,6 +136,87 @@ class TestReads:
         entries, upto = m0.entries_after(-1, limit=2)
         assert [e.lid for e in entries] == [0, 1]
         assert upto == 1
+
+
+def drain(core, limit, host, sender_host):
+    """A sender's fetch loop against ``core``: what it buffers, where its
+    cursor ends, and every reply it was sent."""
+    cursor, buffered, replies = -1, [], []
+    while True:
+        entries, upto = core.entries_after(cursor, limit, host)
+        replies.append(entries)
+        buffered += [(e.lid, e.rid) for e in entries if e.record.host == sender_host]
+        if upto <= cursor:
+            return buffered, cursor, replies
+        cursor = upto
+
+
+class TestHostFilteredEntriesAfter:
+    """``entries_after(host=...)`` ≡ the unfiltered walk with the sender
+    throwing away what it does not ship."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_filtered_equals_unfiltered_then_filtered_by_the_sender(self, seed):
+        rng = random.Random(seed)
+        plan = OwnershipPlan(["m0", "m1"], batch_size=rng.choice([3, 5, 8]))
+        core = MaintainerCore("m0", plan)
+        owned = [lid for lid in range(120) if plan.owner(lid) == "m0"]
+        toids = {"A": 0, "B": 0, "C": 0}
+        weights = rng.choice([(6, 3, 1), (1, 1, 1), (1, 8, 1)])
+        hole = rng.choice([None, rng.choice(owned[5:])])
+        for lid in owned:
+            if lid == hole:
+                continue  # never placed: the frontier stops here
+            host = rng.choices("ABC", weights)[0]
+            toids[host] += 1
+            core.place(lid, rec(host, toids[host]))
+        if rng.random() < 0.5:  # a garbage-collected prefix
+            core.truncate({h: rng.randrange(0, 8) for h in "ABC"})
+        limit = rng.choice([1, 2, 7, 4096])
+
+        want, want_cursor, _ = drain(core, limit, None, "A")
+        got, got_cursor, replies = drain(core, limit, "A", "A")
+        assert got == want
+        assert got_cursor == want_cursor
+        assert all(e.record.host == "A" for reply in replies for e in reply)
+        assert all(len(reply) <= limit for reply in replies)
+
+    def test_all_external_tail_is_walked_over(self):
+        _, (m0, *_) = make_cluster(batch=5)
+        m0.append(chain("A", 2) + chain("B", 3))
+        entries, upto = m0.entries_after(-1, host="A")
+        assert [e.lid for e in entries] == [0, 1] and upto == 4
+        assert m0.entries_after(1, host="A") == ([], 4)
+        assert m0.entries_after(4, host="A") == ([], 4)
+
+    def test_limit_counts_returned_entries(self):
+        _, (m0, *_) = make_cluster(batch=5)
+        m0.append([rec("B", 1), rec("A", 1), rec("B", 2), rec("A", 2), rec("A", 3)])
+        entries, upto = m0.entries_after(-1, limit=2, host="A")
+        assert [e.lid for e in entries] == [1, 3] and upto == 3
+
+    def test_filter_stops_at_a_hole_and_skips_a_collected_prefix(self):
+        _, (m0, *_) = make_cluster(batch=5)
+        m0.append([rec("A", 1), rec("B", 1), rec("A", 2)])
+        m0.place(4, rec("A", 3))  # LId 3 is a hole
+        m0.truncate({"A": 1})
+        entries, upto = m0.entries_after(-1, host="A")
+        assert [e.lid for e in entries] == [2] and upto == 2
+
+    def test_actor_passes_the_requested_host(self):
+        runtime = LocalRuntime()
+        plan = OwnershipPlan(["m0"], batch_size=5)
+        store = LogMaintainer("m0", plan, peers=["m0"])
+        sink = SinkActor("sender")
+        runtime.register_all([store, sink])
+        runtime.start()
+        store.core.append([rec("A", 1), rec("B", 1), rec("A", 2)])
+        store.on_message("sender", ReadNewRequest(1, after_lid=-1, host="B"))
+        store.on_message("sender", ReadNewRequest(2, after_lid=-1))
+        runtime.run_for(0.01)
+        first, second = [m for m in sink.messages if isinstance(m, ReadNewReply)]
+        assert [e.lid for e in first.entries] == [1] and first.upto == 2
+        assert [e.lid for e in second.entries] == [0, 1, 2] and second.upto == 2
 
 
 class TestHeadOfLogGossip:

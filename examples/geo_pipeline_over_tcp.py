@@ -3,7 +3,7 @@
 Unlike ``examples/tcp_deployment.py`` (which serves FLStore components over
 TCP), this runs the *whole geo-replicated pipeline* — batchers, filters, the
 queue token, log maintainers, replication senders/receivers, head-of-log
-gossip — with every single message serialised through the tagged-JSON codec
+gossip — with every single message serialised through the binary codec
 and routed across a localhost TCP connection, in real time.
 
 Run:  python examples/geo_pipeline_over_tcp.py

@@ -3,7 +3,7 @@
 Boots maintainer, indexer, and controller servers on localhost, wires the
 head-of-log gossip mesh between the maintainer servers, and drives the log
 through the networked client — the same protocol cores as the in-process
-runtimes, behind a length-prefixed JSON wire protocol.
+runtimes, behind length-prefixed binary frames.
 
 Run:  python examples/tcp_deployment.py
 """

@@ -7,8 +7,7 @@ concurrency/flow rules (CHR009–CHR013) and the ``--graph`` dump all read the
 same facts:
 
 * **message classes** — public dataclasses in ``*/messages.py`` modules;
-* **codec registry** — the ``_MESSAGE_TYPES`` / ``_BY_NAME`` / ``_register``
-  entries in the codec module;
+* **codec registry** — the ``_MESSAGE_TYPES`` tuple in the codec module;
 * **dispatch sites** — ``isinstance`` checks inside ``on_message`` handlers;
 * **construction sites** — every ``SomeMessage(...)`` call in the tree;
 * **dict-request flow** — the ``{"type": ...}`` request surface of the
@@ -45,11 +44,6 @@ SEND_FUNCS = frozenset({"request", "_request", "write_frame", "_send_oneway"})
 
 #: Method names whose bodies dispatch incoming request dicts.
 HANDLER_METHODS = frozenset({"handle", "_serve"})
-
-#: Callees that read one reply frame off a connection; an assignment from
-#: one of these inside a function that sends exactly one request type is
-#: that type's reply (the manual send-then-read pattern hello uses).
-READ_FUNCS = frozenset({"read_frame", "read_frame_fmt"})
 
 
 def terminal_name(node: ast.AST) -> Optional[str]:
@@ -125,7 +119,7 @@ class MessageClass:
 
 @dataclass(slots=True)
 class RegistryEntry:
-    """One codec registration (``_MESSAGE_TYPES`` / ``_BY_NAME`` / ``_register``)."""
+    """One codec registration: an element of the ``_MESSAGE_TYPES`` tuple."""
 
     module: ModuleInfo
     name: str
@@ -280,39 +274,23 @@ class ProjectModel:
 
 
 def _registry_entries(module: ModuleInfo) -> List[Tuple[str, int, int]]:
-    """(name, line, col) for every type registered in a codec module.
-
-    Recognises the three registration shapes used by the tagged-JSON codec:
-    the ``_MESSAGE_TYPES`` tuple, ``_BY_NAME[...] = Cls`` additions, and
-    ``_register("Name", Cls, ...)`` calls for bespoke value types.
-    """
+    """(name, line, col) for every type registered in a codec module: the
+    elements of its ``_MESSAGE_TYPES`` tuple."""
     entries: List[Tuple[str, int, int]] = []
     for node in ast.walk(module.tree):
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == "_MESSAGE_TYPES"
-                    and isinstance(node.value, (ast.Tuple, ast.List))
-                ):
-                    for element in node.value.elts:
-                        name = terminal_name(element)
-                        if name:
-                            entries.append((name, element.lineno, element.col_offset))
-                elif (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "_BY_NAME"
-                ):
-                    name = terminal_name(node.value)
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            if (
+                isinstance(target, ast.Name)
+                and target.id == "_MESSAGE_TYPES"
+                and isinstance(node.value, (ast.Tuple, ast.List))
+            ):
+                for element in node.value.elts:
+                    name = terminal_name(element)
                     if name:
-                        entries.append((name, node.lineno, node.col_offset))
-        elif isinstance(node, ast.Call):
-            if terminal_name(node.func) == "_register" and len(node.args) >= 2:
-                name = terminal_name(node.args[1])
-                if name:
-                    entries.append((name, node.lineno, node.col_offset))
+                        entries.append((name, element.lineno, element.col_offset))
     return entries
 
 
@@ -614,11 +592,8 @@ def _reply_read_sites(
 
     A variable assigned from a send call whose request dict carries a
     literal ``"type"`` is that type's reply (``response = await
-    self._request(conn, {"type": "head"})``).  When a function sends exactly
-    one literal type and reads replies manually (``resp = await
-    read_frame(reader)``), those variables are that type's reply too.
-    Subscript reads are *hard* (a dropped key is a ``KeyError``);
-    ``.get(...)`` reads are tolerant.
+    self._request(conn, {"type": "head"})``).  Subscript reads are *hard*
+    (a dropped key is a ``KeyError``); ``.get(...)`` reads are tolerant.
     """
     var_types = _send_var_types(func, local_consts, global_consts)
 
@@ -636,15 +611,6 @@ def _reply_read_sites(
                     return kind
         return None
 
-    def is_read_call(value: ast.expr) -> bool:
-        return any(
-            isinstance(node, ast.Call) and terminal_name(node.func) in READ_FUNCS
-            for node in ast.walk(value)
-        )
-
-    sent_types = {kind for kind, _l, _c in _send_sites(func, local_consts, global_consts)}
-    sole_type = next(iter(sent_types)) if len(sent_types) == 1 else None
-
     reply_vars: Dict[str, str] = {}
     for node in ast.walk(func):
         if not isinstance(node, ast.Assign) or len(node.targets) != 1:
@@ -653,8 +619,6 @@ def _reply_read_sites(
         if not isinstance(target, ast.Name):
             continue
         kind = call_send_type(node.value)
-        if kind is None and sole_type is not None and is_read_call(node.value):
-            kind = sole_type
         if kind is not None:
             reply_vars[target.id] = kind
 

@@ -5,7 +5,7 @@ drift the model's construction sites expose:
 
 * a message dataclass that is **constructed but unregistered and
   undispatched** — it works in-process (objects pass by reference, duck
-  typing finds a handler) and is invisible to both codecs and every
+  typing finds a handler) and is invisible to the codec and every
   ``isinstance`` dispatch, so it dies at the first TCP hop;
 * a **registered type nothing constructs** — dead codec surface that still
   occupies a binary type index (and silently shadows any future type that

@@ -7,7 +7,7 @@ named: using the project model's request-flow graph it cross-checks the
 type strings clients **send** (``conn.request({...})``, ``write_frame``,
 ``_send_oneway``) against the ones server ``handle()``/``_serve()`` methods
 **dispatch** (``request["type"] == ...`` comparisons, through module-level
-string constants such as ``HELLO_TYPE``), in both directions:
+string constants), in both directions:
 
 * a request type sent but never dispatched is dropped on the server floor
   (the client hangs until timeout);

@@ -8,9 +8,8 @@ These rules keep three artefacts in lockstep, reading the shared
 
 * the **message modules** (``*/messages.py``): every public dataclass with
   at least one field is a protocol message;
-* the **codec registry** (the module assigning ``_MESSAGE_TYPES``; the
-  binary codec derives its type index from the same registry, so one check
-  covers both codecs);
+* the **codec registry** (the ``_MESSAGE_TYPES`` tuple of
+  ``net/binary_codec.py``, from which the codec derives its type index);
 * the **handlers**: ``isinstance`` dispatch inside ``on_message`` methods.
 
 CHR001 fires for a message dataclass missing from the registry.  CHR002
@@ -36,9 +35,8 @@ class ProtocolRegistrationRule(Rule):
     name = "protocol-unregistered"
     description = (
         "Every public dataclass with fields defined in a */messages.py module "
-        "must appear in the codec message-type registry (_MESSAGE_TYPES / "
-        "_BY_NAME / _register), so both the tagged-JSON and binary codecs can "
-        "ship it.  Zero-field classes are treated as abstract bases."
+        "must appear in the codec's _MESSAGE_TYPES tuple, or no socket can "
+        "carry it.  Zero-field classes are treated as abstract bases."
     )
 
     def check(self, project: ProjectInfo) -> Iterator[Finding]:
@@ -56,8 +54,8 @@ class ProtocolRegistrationRule(Rule):
                     cls.module,
                     cls.line,
                     cls.col,
-                    f"message dataclass {cls.name} is not registered in the "
-                    "codec message-type registry",
+                    f"message dataclass {cls.name} is not in the codec's "
+                    "_MESSAGE_TYPES tuple",
                 )
 
 

@@ -20,6 +20,7 @@ from ..core.errors import ConfigurationError
 from ..core.record import DatacenterId, KnowledgeVector, LogEntry, RecordId
 from ..flstore.controller import Controller
 from ..flstore.indexer import Indexer
+from ..flstore.journal import FileJournal, MemoryJournal, recover_maintainer_core
 from ..flstore.maintainer import LogMaintainer
 from ..flstore.range_map import OwnershipPlan
 from ..runtime.actor import Actor
@@ -231,10 +232,6 @@ class DatacenterPipeline:
         file after a crash (a ``MemoryJournal`` would be pickle-copied
         into the worker, leaving the parent's copy empty).
         """
-        # Imported lazily: journal serialisation pulls in the wire codecs,
-        # which import this package's message types back.
-        from ..flstore.journal import FileJournal, MemoryJournal
-
         if self.journals is None:
             self.journals = {}
             for maintainer in self.maintainers:
@@ -256,8 +253,6 @@ class DatacenterPipeline:
         journal ends — same storage, same assignment cursor, same postings —
         so no LId is lost or handed out twice.
         """
-        from ..flstore.journal import recover_maintainer_core
-
         if self.journals is None or name not in self.journals:
             raise ConfigurationError(f"no journal attached for maintainer {name!r}")
         journal = self.journals[name]

@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.errors import LidOutOfRangeError
 from ..core.record import LogEntry, ReadRules, Record
-from ..net.protocol import record_from_dict, record_to_dict
+from .journal import record_from_dict, record_to_dict
 
 
 class ArchiveStore:

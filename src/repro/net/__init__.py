@@ -9,25 +9,19 @@ from .binary_codec import (
     encode_value_binary,
 )
 from .client import AsyncFLStoreClient
-from .codec import decode_message, encode_message
 from .deploy import FLStoreNetDeployment
-from .protocol import CODEC_BINARY, CODEC_JSON
 from .server import ControllerServer, IndexerServer, MaintainerServer
 
 __all__ = [
     "AioRuntime",
     "AsyncFLStoreClient",
     "BINARY_MAGIC",
-    "CODEC_BINARY",
-    "CODEC_JSON",
     "ControllerServer",
     "FLStoreNetDeployment",
     "IndexerServer",
     "MaintainerServer",
-    "decode_message",
     "decode_message_binary",
     "decode_value_binary",
-    "encode_message",
     "encode_message_binary",
     "encode_value_binary",
 ]

@@ -2,7 +2,7 @@
 
 :class:`AioRuntime` hosts the protocol actors on the asyncio event loop and
 routes **every** message through a localhost TCP connection: each ``send``
-serialises the message with the tagged-JSON codec, frames it, writes it to
+serialises the message with the binary codec, frames it, writes it to
 the router socket, and the router's server side decodes and dispatches it to
 the destination actor.  Timers run on real (wall-clock) time.
 
@@ -24,8 +24,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, TYPE_CHECKING
 
 from ..core.errors import ConfigurationError, NetworkProtocolError
 from ..runtime.actor import Actor
-from .codec import decode_message, encode_message
-from .protocol import CODEC_BINARY, CODEC_JSON, encode_frame, encode_frame_binary, read_frame
+from .protocol import encode_frame_binary, read_frame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chaos.plan import FaultPlan
@@ -68,23 +67,13 @@ class _AioLoopShim:
 
 
 class AioRuntime:
-    """Actor runtime whose transport is a real localhost TCP connection.
-
-    ``codec`` picks the route-frame format: "binary" (default) sends each
-    actor message through the packed binary codec; "json" keeps the
-    tagged-JSON encoding.  Both ends of the router are this process, so no
-    negotiation is needed — the choice only affects serialisation cost.
-    """
+    """Actor runtime whose transport is a real localhost TCP connection."""
 
     def __init__(
         self,
         host: str = "127.0.0.1",
-        codec: str = CODEC_BINARY,
         chaos: Optional["FaultPlan"] = None,
     ) -> None:
-        if codec not in (CODEC_BINARY, CODEC_JSON):
-            raise ConfigurationError(f"unknown codec {codec!r}")
-        self.codec = codec
         self.loop = _AioLoopShim()
         self._host = host
         self._actors: Dict[str, Actor] = {}
@@ -161,13 +150,8 @@ class AioRuntime:
         target = self._actors.get(dst)
         if target is None:
             return  # destination retired while the frame was in flight
-        message = envelope["m"]
-        if isinstance(message, dict):
-            # JSON route frames carry the tagged encoding; binary frames
-            # deliver the decoded message object directly.
-            message = decode_message(message)
         self.messages_routed += 1
-        target.on_message(envelope["s"], message)
+        target.on_message(envelope["s"], envelope["m"])
 
     # -- transport ----------------------------------------------------------- #
 
@@ -177,14 +161,7 @@ class AioRuntime:
             raise ConfigurationError("AioRuntime not started; call await start()")
         if dst not in self._actors:
             raise ConfigurationError(f"message from {src!r} to unknown actor {dst!r}")
-        if self.codec == CODEC_BINARY:
-            frame = encode_frame_binary(
-                {"type": "route", "s": src, "d": dst, "m": message}
-            )
-        else:
-            frame = encode_frame(
-                {"type": "route", "s": src, "d": dst, "m": encode_message(message)}
-            )
+        frame = encode_frame_binary({"type": "route", "s": src, "d": dst, "m": message})
         if self.chaos is not None:
             copies = self.chaos.intercept(src, dst, message, self.loop.now)
             if copies is None:

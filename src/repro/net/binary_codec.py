@@ -1,25 +1,22 @@
-"""Binary fast-path codec: length-prefixed, struct-packed message encoding.
+"""The wire codec: length-prefixed, struct-packed message encoding.
 
-The tagged-JSON codec (:mod:`repro.net.codec`) is safe and fully general,
-but it pays for that generality twice on every message: a recursive Python
-pass that builds tagged dictionaries, then a JSON serialisation pass (with
-base64 for byte bodies).  On the hot path — ``Record``/``LogEntry`` batches
-flowing through appends, placements, and replication shipments — that codec
-dominates the per-record cost of the TCP deployment.
-
-This module encodes the same value domain in a single recursive pass that
-appends struct-packed bytes directly:
+Every message that crosses a socket in this repository — in a TCP FLStore
+frame, through the actor-routed :class:`~repro.net.aio_runtime.AioRuntime`,
+inside a multiproc envelope — is encoded here.  The hot path is
+``Record``/``LogEntry`` batches flowing through appends, placements, and
+replication shipments, so the encoding is built around them: a single
+recursive pass that appends struct-packed bytes directly.
 
 * scalars: ``None``/bools as one tag byte; ints as 8-byte big-endian
   (arbitrary-precision fallback for the rare overflow); floats as IEEE
-  doubles; strings/bytes as length-prefixed payloads (no base64) — the
+  doubles; strings/bytes as length-prefixed payloads — the
   length is one byte for payloads under 255 bytes, else ``0xFF`` + u32;
 * containers: lists, tuples, and dicts with 4-byte counts — dict keys are
   arbitrary encoded values, not just strings;
 * hot value types: ``Record``, ``RecordId``, ``LogEntry``,
   ``AppendResult``, and ``DraftRecord`` get bespoke packed layouts;
-* every registered protocol message: a generic ``(type index, fields...)``
-  layout over the deterministic registry shared with the JSON codec;
+* every registered protocol message (:data:`_MESSAGE_TYPES`): a generic
+  ``(type index, fields...)`` layout over the name-sorted registry;
 * record runs: the five message fields that carry the pipeline's records
   between processes (:data:`_RUN_FIELDS`) are packed **a column per batch**
   (tag ``0x16``) once they hold :data:`_RUN_MIN` elements — ids as one
@@ -30,12 +27,13 @@ appends struct-packed bytes directly:
   per record.  Shorter lists, heterogeneous lists and every other list
   (so every TCP FLStore frame) keep the per-element layouts byte for byte.
 
-Symmetry holds exactly as for the JSON codec: ``decode(encode(x)) == x``
-for every registered message type and every JSON-free application body.
+Encoding is symmetric: ``decode(encode(x)) == x`` for every registered
+message type and every application body built from the scalars and
+containers above, with exact Python types.
 For *any* byte string :func:`decode_value_binary` returns a value or raises
 :class:`~repro.core.errors.NetworkProtocolError`, allocating no more than
 a small multiple of the input's length.
-Framing and per-connection negotiation live in :mod:`repro.net.protocol`.
+Framing lives in :mod:`repro.net.protocol`.
 """
 
 from __future__ import annotations
@@ -46,6 +44,8 @@ from itertools import accumulate, repeat
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
+from ..baseline.sequencer import ReservedRange, SequencerRequest
+from ..chariots import messages as cmsg
 from ..chariots.messages import (
     DraftBatch,
     DraftCommitBatch,
@@ -54,10 +54,10 @@ from ..chariots.messages import (
     ReplicationShipment,
 )
 from ..core.errors import NetworkProtocolError
-from ..core.record import AppendResult, LogEntry, Record, RecordId
+from ..core.record import AppendResult, LogEntry, ReadRules, Record, RecordId
+from ..flstore import messages as fmsg
 from ..flstore.messages import PlaceRecords, ReadNewReply
 from ..runtime.messages import RecordBatch
-from .codec import registered_message_types
 
 # Decoded objects are built without running the frozen-dataclass __init__
 # (object.__new__ + object.__setattr__): the ctor's per-field immutability
@@ -84,8 +84,7 @@ def _make_entry(lid: int, record: Record) -> LogEntry:
     _set(entry, "record", record)
     return entry
 
-#: First byte of every binary frame body.  Tagged-JSON frames always start
-#: with ``{`` (0x7B), so one byte suffices to tell the formats apart.
+#: First byte of every frame body; anything else is not a frame of ours.
 BINARY_MAGIC = 0xC5
 
 # Value tags (one byte each).
@@ -124,18 +123,65 @@ _unpack_f64 = _F64.unpack_from
 _unpack_i64u8 = _I64U8.unpack_from
 
 # --------------------------------------------------------------------- #
-# Deterministic message-type table (shared derivation with the JSON codec)
+# Message-type registry and the deterministic type table derived from it
 # --------------------------------------------------------------------- #
+
+#: Every message type that may cross a socket.  Field values are encoded
+#: with :func:`_encode_value`, so nested records/entries/containers work.
+_MESSAGE_TYPES: Tuple[Type[Any], ...] = (
+    # FLStore
+    fmsg.AppendRequest,
+    fmsg.AppendReply,
+    fmsg.PlaceRecords,
+    fmsg.ReadRequest,
+    fmsg.ReadReply,
+    fmsg.ReadNewRequest,
+    fmsg.ReadNewReply,
+    fmsg.GossipHL,
+    fmsg.HeadRequest,
+    fmsg.HeadReply,
+    fmsg.IndexUpdate,
+    fmsg.LookupRequest,
+    fmsg.LookupReply,
+    fmsg.SessionRequest,
+    fmsg.SessionInfo,
+    fmsg.LoadReport,
+    fmsg.TruncateBelow,
+    fmsg.PruneIndexBelow,
+    fmsg.GcReport,
+    # Chariots
+    cmsg.DraftRecord,
+    cmsg.DraftBatch,
+    cmsg.FilterBatch,
+    cmsg.AdmittedBatch,
+    cmsg.Token,
+    cmsg.TokenPass,
+    cmsg.DraftCommitted,
+    cmsg.DraftCommitBatch,
+    cmsg.FrontierUpdate,
+    cmsg.ReplicationShipment,
+    cmsg.ShipmentAck,
+    cmsg.PeerVector,
+    cmsg.AtableSnapshot,
+    # Runtime.  Built only by drivers outside src/ (the ledger's codec
+    # calibration, tests) and, lazily, by this module's own decoder.
+    RecordBatch,  # chariots: noqa=CHR012 - driver-constructed
+    # Baseline
+    SequencerRequest,
+    ReservedRange,
+    # A plain dataclass used inside ReadRequest/LookupRequest.
+    ReadRules,
+)
 
 #: Types with bespoke binary layouts; they never take the generic path.
 _SPECIAL_CLASSES = (Record, RecordId, LogEntry, AppendResult, DraftRecord, RecordBatch)
 
-_MSG_NAMES: List[str] = sorted(
-    name
-    for name, cls in registered_message_types().items()
-    if cls not in _SPECIAL_CLASSES
+#: Everything else gets a type index: its position in name order, so the
+#: table does not depend on the order of the registry above.
+_MSG_CLASSES: List[Type[Any]] = sorted(
+    (cls for cls in _MESSAGE_TYPES if cls not in _SPECIAL_CLASSES),
+    key=attrgetter("__name__"),
 )
-_MSG_CLASSES: List[Type[Any]] = [registered_message_types()[n] for n in _MSG_NAMES]
 
 # Shapes of a columnar record run (the ``u8`` after the 0x16 tag): what one
 # element of the list is.
@@ -452,7 +498,8 @@ def _encode_value(value: Any, out: bytearray) -> None:
             for field_value in getter(value):
                 _encode_value(field_value, out)
         return
-    # Subclass tolerance mirrors the JSON codec's isinstance container path.
+    # Subclasses of the containers (a namedtuple, an OrderedDict) encode as
+    # their base type.
     if isinstance(value, tuple):
         out.append(_T_TUPLE)
         out += _pack_u32(len(value))

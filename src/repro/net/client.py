@@ -32,16 +32,7 @@ from ..core.errors import (
 from ..core.record import AppendResult, LogEntry, ReadRules, Record
 from ..core.retry import CircuitBreaker, RetryPolicy
 from ..flstore.range_map import OwnershipPlan
-from .protocol import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    HELLO_ACK_TYPE,
-    HELLO_TYPE,
-    WIRES,
-    _JsonWire,
-    read_frame,
-    write_frame,
-)
+from .protocol import read_frame, write_frame
 
 
 def _parse_address(address: str) -> Tuple[str, int]:
@@ -50,61 +41,25 @@ def _parse_address(address: str) -> Tuple[str, int]:
 
 
 class _Connection:
-    """One request/response TCP connection with lazy connect.
+    """One request/response TCP connection with lazy connect."""
 
-    ``codec`` is the *preferred* wire format.  On first connect the client
-    sends a ``hello`` frame offering it; servers that understand binary ack
-    it, older servers answer ``error`` and the connection silently stays on
-    tagged JSON — so either side may be upgraded first.
-    """
-
-    def __init__(self, address: str, codec: str = CODEC_BINARY) -> None:
+    def __init__(self, address: str) -> None:
         self.address = address
-        self._preferred = codec
-        self._codec = CODEC_JSON  # active codec; set by negotiation
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._lock = asyncio.Lock()
-
-    @property
-    def codec(self) -> str:
-        """The negotiated wire format (meaningful once connected)."""
-        return self._codec
 
     async def _ensure_locked(self) -> None:
         if self._writer is not None:
             return
         host, port = _parse_address(self.address)
         self._reader, self._writer = await asyncio.open_connection(host, port)
-        self._codec = CODEC_JSON
-        if self._preferred != CODEC_JSON:
-            await write_frame(
-                self._writer,
-                {"type": HELLO_TYPE, "codecs": [self._preferred, CODEC_JSON]},
-            )
-            response = await read_frame(self._reader)
-            if response is None:
-                raise NetworkProtocolError(
-                    f"server {self.address} closed the connection"
-                )
-            if response.get("type") == HELLO_ACK_TYPE:
-                chosen = response.get("codec", CODEC_JSON)
-                if chosen in WIRES:
-                    self._codec = chosen
-            # Any other reply (e.g. a pre-binary server's "error") means
-            # the server doesn't negotiate; stay on JSON.
-
-    async def wire(self) -> "_JsonWire":
-        """Connect (and negotiate) if needed; return the active wire format."""
-        async with self._lock:
-            await self._ensure_locked()
-        return WIRES[self._codec]
 
     async def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
         async with self._lock:
             await self._ensure_locked()
             assert self._reader is not None and self._writer is not None
-            await write_frame(self._writer, message, codec=self._codec)
+            await write_frame(self._writer, message)
             response = await read_frame(self._reader)
         if response is None:
             raise NetworkProtocolError(f"server {self.address} closed the connection")
@@ -133,24 +88,17 @@ class _Connection:
 
 
 class AsyncFLStoreClient:
-    """Networked application client for FLStore over TCP.
-
-    ``codec`` selects the preferred wire format ("binary" by default —
-    negotiated per connection, falling back to "json" against servers that
-    don't speak it; pass "json" to force the legacy format).
-    """
+    """Networked application client for FLStore over TCP."""
 
     def __init__(
         self,
         controller_address: str,
         client_id: str = "net-client",
-        codec: str = CODEC_BINARY,
         retry_policy: Optional[RetryPolicy] = None,
         breaker_failure_threshold: int = 5,
         breaker_reset_timeout: float = 1.0,
     ) -> None:
-        self.codec = codec
-        self.controller = _Connection(controller_address, codec=codec)
+        self.controller = _Connection(controller_address)
         self.client_id = client_id
         self.retry_policy = retry_policy or RetryPolicy(
             base_delay=0.05, max_delay=1.0, max_attempts=5, op_timeout=5.0
@@ -238,12 +186,10 @@ class AsyncFLStoreClient:
     async def connect(self) -> None:
         info = await self._request(self.controller, {"type": "session", "request_id": 1})
         self._maintainers = {
-            name: _Connection(address, codec=self.codec)
-            for name, address in info["maintainers"].items()
+            name: _Connection(address) for name, address in info["maintainers"].items()
         }
         self._indexers = {
-            name: _Connection(address, codec=self.codec)
-            for name, address in info["indexers"].items()
+            name: _Connection(address) for name, address in info["indexers"].items()
         }
         self._indexer_names = sorted(self._indexers)
         epochs = info["epochs"]
@@ -285,29 +231,22 @@ class AsyncFLStoreClient:
         self._require_session()
         assert self._maintainer_cycle is not None
         target = next(self._maintainer_cycle)
-        conn = self._maintainers[target]
-        wire = await conn.wire()
         # Not idempotent: a lost reply could mean the records landed, so
         # transport failures surface to the caller.  Deferred appends
         # (nothing stored) are still retried by the policy.
         response = await self._request(
-            conn,
-            {
-                "type": "append",
-                "records": [wire.pack_record(r) for r in records],
-                "min_lid": min_lid,
-            },
+            self._maintainers[target],
+            {"type": "append", "records": records, "min_lid": min_lid},
             idempotent=False,
         )
-        return [wire.unpack_result(r) for r in response["results"]]
+        return response["results"]
 
     async def read_lid(self, lid: int) -> LogEntry:
         plan = self._require_session()
-        owner = plan.owner(lid)
-        conn = self._maintainers[owner]
-        wire = await conn.wire()
-        response = await self._request(conn, {"type": "read_lid", "lid": lid})
-        return wire.unpack_entry(response["entries"][0])
+        response = await self._request(
+            self._maintainers[plan.owner(lid)], {"type": "read_lid", "lid": lid}
+        )
+        return response["entries"][0]
 
     async def read(self, rules: ReadRules) -> List[LogEntry]:
         self._require_session()
@@ -315,11 +254,8 @@ class AsyncFLStoreClient:
             return await self._read_via_index(rules)
         entries: List[LogEntry] = []
         for conn in self._maintainers.values():
-            wire = await conn.wire()
-            response = await self._request(
-                conn, {"type": "read_rules", "rules": wire.pack_rules(rules)}
-            )
-            entries.extend(wire.unpack_entry(e) for e in response["entries"])
+            response = await self._request(conn, {"type": "read_rules", "rules": rules})
+            entries.extend(response["entries"])
         entries.sort(key=lambda e: e.lid, reverse=rules.most_recent)
         if rules.limit is not None:
             entries = entries[: rules.limit]
@@ -343,11 +279,10 @@ class AsyncFLStoreClient:
         )
         entries = []
         for lid in response["lids"]:
-            owner = plan.owner(lid)
-            conn = self._maintainers[owner]
-            wire = await conn.wire()
-            reply = await self._request(conn, {"type": "read_lid", "lid": lid})
-            entries.append(wire.unpack_entry(reply["entries"][0]))
+            reply = await self._request(
+                self._maintainers[plan.owner(lid)], {"type": "read_lid", "lid": lid}
+            )
+            entries.append(reply["entries"][0])
         return [e for e in entries if rules.matches(e)]
 
     async def head(self) -> int:

@@ -12,8 +12,10 @@ import asyncio
 from typing import Any, Dict, List, Optional
 
 from ..core.config import FLStoreConfig
+from ..core.errors import ConfigurationError
 from ..flstore.range_map import OwnershipPlan
 from .client import AsyncFLStoreClient, _Connection
+from .protocol import CODEC_BINARY, write_frame
 from .server import ControllerServer, IndexerServer, MaintainerServer
 
 
@@ -107,20 +109,24 @@ class FLStoreNetDeployment:
 
     @staticmethod
     async def _send_oneway(conn: _Connection, message: Dict[str, Any]) -> None:
-        from .protocol import write_frame  # local import avoids a cycle
-
         async with conn._lock:
             await conn._ensure_locked()
-            await write_frame(conn._writer, message, codec=conn.codec)
+            await write_frame(conn._writer, message)
 
     async def client(
-        self, client_id: str = "net-client", codec: str = "binary"
+        self, client_id: str = "net-client", codec: str = CODEC_BINARY
     ) -> AsyncFLStoreClient:
-        """Create a connected client (``codec`` as in AsyncFLStoreClient)."""
+        """Create a connected client.
+
+        ``codec`` is a vestige of the negotiated-codec era that the perf
+        ledger still passes: the only accepted value is ``"binary"``.
+        """
+        if codec != CODEC_BINARY:
+            raise ConfigurationError(
+                f"the only wire codec is {CODEC_BINARY!r}, got {codec!r}"
+            )
         assert self.controller is not None, "deployment not started"
-        client = AsyncFLStoreClient(
-            self.controller.address, client_id=client_id, codec=codec
-        )
+        client = AsyncFLStoreClient(self.controller.address, client_id=client_id)
         await client.connect()
         return client
 

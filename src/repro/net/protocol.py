@@ -1,188 +1,31 @@
 """Wire protocol for the asyncio FLStore deployment.
 
-Frames are ``4-byte big-endian length || body``.  Two body formats share
-the framing and are distinguished by the first body byte:
-
-* **Tagged JSON** (the default): a UTF-8 JSON object with a ``"type"``
-  discriminator.  JSON objects always start with ``{`` (0x7B).  Records
-  must have JSON-serialisable bodies/tags in this format.
-* **Binary**: ``0xC5`` (:data:`~repro.net.binary_codec.BINARY_MAGIC`)
-  followed by a :mod:`~repro.net.binary_codec` value that decodes to the
-  same typed message dict — except hot payloads (records, entries,
-  results, rules) travel as native objects instead of JSON dicts.
-
-Servers always reply in the format the request arrived in, so each frame
-is self-describing and no connection state is needed on the server side.
-Clients discover whether a server speaks binary with a ``hello``
-handshake (see :data:`HELLO_TYPE`); servers that predate the binary
-codec answer ``error``, and the client silently stays on JSON.
+Frames are ``4-byte big-endian length || body``.  A body is ``0xC5``
+(:data:`~repro.net.binary_codec.BINARY_MAGIC`) followed by a
+:mod:`~repro.net.binary_codec` value that decodes to a typed message dict
+(``{"type": ..., ...}``); records, entries, append results and read rules
+travel inside it as native objects.  That is the only format: a body that
+starts with any other byte is rejected, and the connection it arrived on is
+dropped.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from asyncio import IncompleteReadError, StreamReader, StreamWriter
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..core.errors import NetworkProtocolError
-from ..core.record import AppendResult, LogEntry, ReadRules, Record, RecordId
 from .binary_codec import BINARY_MAGIC, decode_value_binary, encode_value_binary
-from .codec import decode_value, encode_value
 
 _LENGTH = struct.Struct(">I")
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Codec names used in frames, negotiation, and client/server options.
-CODEC_JSON = "json"
+#: The one wire codec's name.  Kept for callers that still pass
+#: ``FLStoreNetDeployment.client(codec=CODEC_BINARY)``.
 CODEC_BINARY = "binary"
 
-#: The negotiation request/reply types (always sent as JSON frames).
-HELLO_TYPE = "hello"
-HELLO_ACK_TYPE = "hello_ack"
-
 _MAGIC_BYTE = bytes([BINARY_MAGIC])
-
-
-# --------------------------------------------------------------------- #
-# Record (de)serialisation
-# --------------------------------------------------------------------- #
-
-
-def record_to_dict(record: Record) -> Dict[str, Any]:
-    # Bodies and tag values go through the tagged-JSON value codec: scalars
-    # stay verbatim (identical frames to pre-binary peers), while values only
-    # a binary peer can write into the log (bytes, tuples, non-string dict
-    # keys) get tagged forms instead of crashing ``json.dumps``.
-    return {
-        "host": record.host,
-        "toid": record.toid,
-        "body": encode_value(record.body),
-        "tags": [[k, encode_value(v)] for k, v in record.tags],
-        "deps": [[dc, t] for dc, t in record.deps],
-        "internal": record.internal,
-    }
-
-
-def record_from_dict(data: Dict[str, Any]) -> Record:
-    return Record(
-        rid=RecordId(data["host"], data["toid"]),
-        body=decode_value(data["body"]),
-        tags=tuple((k, decode_value(v)) for k, v in data.get("tags", [])),
-        deps=tuple((dc, t) for dc, t in data.get("deps", [])),
-        internal=bool(data.get("internal", False)),
-    )
-
-
-def entry_to_dict(entry: LogEntry) -> Dict[str, Any]:
-    return {"lid": entry.lid, "record": record_to_dict(entry.record)}
-
-
-def entry_from_dict(data: Dict[str, Any]) -> LogEntry:
-    return LogEntry(data["lid"], record_from_dict(data["record"]))
-
-
-def result_to_dict(result: AppendResult) -> Dict[str, Any]:
-    return {"host": result.rid.host, "toid": result.rid.toid, "lid": result.lid}
-
-
-def result_from_dict(data: Dict[str, Any]) -> AppendResult:
-    return AppendResult(RecordId(data["host"], data["toid"]), data["lid"])
-
-
-def rules_to_dict(rules: ReadRules) -> Dict[str, Any]:
-    return {
-        "min_lid": rules.min_lid,
-        "max_lid": rules.max_lid,
-        "host": rules.host,
-        "min_toid": rules.min_toid,
-        "max_toid": rules.max_toid,
-        "tag_key": rules.tag_key,
-        "tag_value": rules.tag_value,
-        "tag_min_value": rules.tag_min_value,
-        "limit": rules.limit,
-        "most_recent": rules.most_recent,
-        "include_internal": rules.include_internal,
-    }
-
-
-def rules_from_dict(data: Dict[str, Any]) -> ReadRules:
-    return ReadRules(
-        min_lid=data.get("min_lid"),
-        max_lid=data.get("max_lid"),
-        host=data.get("host"),
-        min_toid=data.get("min_toid"),
-        max_toid=data.get("max_toid"),
-        tag_key=data.get("tag_key"),
-        tag_value=data.get("tag_value"),
-        tag_min_value=data.get("tag_min_value"),
-        limit=data.get("limit"),
-        most_recent=data.get("most_recent", True),
-        include_internal=data.get("include_internal", False),
-    )
-
-
-# --------------------------------------------------------------------- #
-# Wire formats
-# --------------------------------------------------------------------- #
-
-
-class _JsonWire:
-    """Pack/unpack hot payloads as plain JSON dicts (the legacy format)."""
-
-    name = CODEC_JSON
-    pack_record = staticmethod(record_to_dict)
-    pack_entry = staticmethod(entry_to_dict)
-    pack_result = staticmethod(result_to_dict)
-    pack_rules = staticmethod(rules_to_dict)
-
-    @staticmethod
-    def unpack_record(data: Any) -> Record:
-        return data if type(data) is Record else record_from_dict(data)
-
-    @staticmethod
-    def unpack_entry(data: Any) -> LogEntry:
-        return data if type(data) is LogEntry else entry_from_dict(data)
-
-    @staticmethod
-    def unpack_result(data: Any) -> AppendResult:
-        return data if type(data) is AppendResult else result_from_dict(data)
-
-    @staticmethod
-    def unpack_rules(data: Any) -> ReadRules:
-        return data if type(data) is ReadRules else rules_from_dict(data)
-
-
-class _BinaryWire(_JsonWire):
-    """Hot payloads travel as native objects; the codec packs them itself."""
-
-    name = CODEC_BINARY
-
-    @staticmethod
-    def _identity(value: Any) -> Any:
-        return value
-
-    pack_record = _identity
-    pack_entry = _identity
-    pack_result = _identity
-    pack_rules = _identity
-
-
-WIRE_JSON = _JsonWire()
-WIRE_BINARY = _BinaryWire()
-WIRES: Dict[str, _JsonWire] = {CODEC_JSON: WIRE_JSON, CODEC_BINARY: WIRE_BINARY}
-
-
-# --------------------------------------------------------------------- #
-# Framing
-# --------------------------------------------------------------------- #
-
-
-def encode_frame(message: Dict[str, Any]) -> bytes:
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise NetworkProtocolError(f"frame too large: {len(body)} bytes")
-    return _LENGTH.pack(len(body)) + body
 
 
 def encode_frame_binary(message: Dict[str, Any]) -> bytes:
@@ -192,28 +35,19 @@ def encode_frame_binary(message: Dict[str, Any]) -> bytes:
     return _LENGTH.pack(len(body) + 1) + _MAGIC_BYTE + body
 
 
-def encode_frame_as(message: Dict[str, Any], codec: str) -> bytes:
-    if codec == CODEC_BINARY:
-        return encode_frame_binary(message)
-    return encode_frame(message)
-
-
 def decode_body(body: bytes) -> Dict[str, Any]:
-    if body[:1] == _MAGIC_BYTE:
-        message = decode_value_binary(body, 1)
-        if not isinstance(message, dict) or "type" not in message:
-            raise NetworkProtocolError("frame is not a typed message object")
-        return message
-    try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise NetworkProtocolError(f"malformed frame: {exc}") from exc
+    if body[:1] != _MAGIC_BYTE:
+        raise NetworkProtocolError(
+            f"frame body starts {body[:1]!r}, not the binary magic {_MAGIC_BYTE!r}"
+        )
+    message = decode_value_binary(body, 1)
     if not isinstance(message, dict) or "type" not in message:
         raise NetworkProtocolError("frame is not a typed message object")
     return message
 
 
-async def _read_body(reader: StreamReader) -> Optional[bytes]:
+async def read_frame(reader: StreamReader) -> Optional[Dict[str, Any]]:
+    """Read one frame; returns ``None`` on clean EOF."""
     try:
         header = await reader.readexactly(_LENGTH.size)
     except IncompleteReadError as exc:
@@ -224,36 +58,12 @@ async def _read_body(reader: StreamReader) -> Optional[bytes]:
     if length > MAX_FRAME_BYTES:
         raise NetworkProtocolError(f"declared frame length {length} too large")
     try:
-        return await reader.readexactly(length)
+        body = await reader.readexactly(length)
     except IncompleteReadError as exc:
         raise NetworkProtocolError("truncated frame body") from exc
-
-
-async def read_frame(reader: StreamReader) -> Optional[Dict[str, Any]]:
-    """Read one frame (either format); returns ``None`` on clean EOF."""
-    body = await _read_body(reader)
-    if body is None:
-        return None
     return decode_body(body)
 
 
-async def read_frame_fmt(
-    reader: StreamReader,
-) -> Optional[Tuple[Dict[str, Any], str]]:
-    """Like :func:`read_frame` but also reports the arrival format.
-
-    Servers use the reported codec name to mirror the request's format in
-    their reply.
-    """
-    body = await _read_body(reader)
-    if body is None:
-        return None
-    codec = CODEC_BINARY if body[:1] == _MAGIC_BYTE else CODEC_JSON
-    return decode_body(body), codec
-
-
-async def write_frame(
-    writer: StreamWriter, message: Dict[str, Any], codec: str = CODEC_JSON
-) -> None:
-    writer.write(encode_frame_as(message, codec))
+async def write_frame(writer: StreamWriter, message: Dict[str, Any]) -> None:
+    writer.write(encode_frame_binary(message))
     await writer.drain()

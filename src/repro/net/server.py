@@ -3,9 +3,9 @@
 The same pure-logic cores that power the in-process runtimes
 (:class:`~repro.flstore.maintainer.MaintainerCore`,
 :class:`~repro.flstore.indexer.IndexerCore`,
-:class:`~repro.flstore.controller.ControllerCore`) are served here over a
-length-prefixed JSON protocol, demonstrating a real-network deployment of
-the sequencer-free log.  Head-of-log gossip between maintainer servers runs
+:class:`~repro.flstore.controller.ControllerCore`) are served here over
+length-prefixed binary frames (:mod:`repro.net.protocol`), demonstrating a
+real-network deployment of the sequencer-free log.  Head-of-log gossip between maintainer servers runs
 over the same connections.
 """
 
@@ -21,17 +21,7 @@ from ..flstore.indexer import IndexerCore
 from ..flstore.maintainer import MaintainerCore
 from ..flstore.messages import GossipHL
 from ..flstore.range_map import OwnershipPlan
-from .protocol import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    HELLO_ACK_TYPE,
-    HELLO_TYPE,
-    WIRE_JSON,
-    WIRES,
-    _JsonWire,
-    read_frame_fmt,
-    write_frame,
-)
+from .protocol import read_frame, write_frame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chaos.netchaos import NetChaos
@@ -83,18 +73,9 @@ class _BaseServer:
     async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                arrived = await read_frame_fmt(reader)
-                if arrived is None:
+                request = await read_frame(reader)
+                if request is None:
                     break
-                request, codec = arrived
-                if request["type"] == HELLO_TYPE:
-                    # Codec negotiation: advertise binary when the client
-                    # offers it.  The ack itself always travels as JSON so
-                    # pre-binary clients could parse it.
-                    offered = request.get("codecs") or []
-                    chosen = CODEC_BINARY if CODEC_BINARY in offered else CODEC_JSON
-                    await write_frame(writer, {"type": HELLO_ACK_TYPE, "codec": chosen})
-                    continue
                 if self.chaos is not None:
                     action, stall = self.chaos.decide(request["type"])
                     if action == "drop":
@@ -103,21 +84,19 @@ class _BaseServer:
                         break
                     if action == "delay":
                         await asyncio.sleep(stall)
-                wire = WIRES.get(codec, WIRE_JSON)
                 try:
-                    response = await self.handle(request, wire)
+                    response = await self.handle(request)
                 except ChariotsError as exc:
                     response = {"type": "error", "error": str(exc)}
                 if response is not None:
                     try:
-                        await write_frame(writer, response, codec=codec)
+                        await write_frame(writer, response)
                     except (TypeError, ValueError, ChariotsError) as exc:
-                        # A reply this codec cannot represent must not kill
+                        # A reply the codec cannot represent must not kill
                         # the connection: answer with an error frame instead.
                         await write_frame(
                             writer,
                             {"type": "error", "error": f"unencodable reply: {exc}"},
-                            codec=codec,
                         )
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
@@ -132,9 +111,7 @@ class _BaseServer:
             except ConnectionError:  # pragma: no cover - platform dependent
                 pass
 
-    async def handle(
-        self, request: Dict[str, Any], wire: _JsonWire = WIRE_JSON
-    ) -> Optional[Dict[str, Any]]:
+    async def handle(self, request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         raise NotImplementedError
 
 
@@ -185,32 +162,29 @@ class MaintainerServer(_BaseServer):
             }
             for host, port in self._peer_addresses:
                 try:
-                    reader, writer = await asyncio.open_connection(host, port)
-                    await write_frame(writer, message)
-                    writer.close()
-                    await writer.wait_closed()
-                except ConnectionError:
-                    continue  # peer down; gossip is best-effort
+                    _reader, writer = await asyncio.open_connection(host, port)
+                    try:
+                        await write_frame(writer, message)
+                    finally:
+                        writer.close()
+                        await writer.wait_closed()
+                except OSError:
+                    # Best-effort: a peer that is down (ConnectionError) or a
+                    # host out of ports or descriptors (EADDRNOTAVAIL /
+                    # EMFILE) costs this round, never the loop.
+                    continue
 
-    async def handle(
-        self, request: Dict[str, Any], wire: _JsonWire = WIRE_JSON
-    ) -> Optional[Dict[str, Any]]:
+    async def handle(self, request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         kind = request["type"]
         if kind == "append":
-            records = [wire.unpack_record(r) for r in request["records"]]
-            results = self.core.append(records, min_lid=request.get("min_lid"))
+            results = self.core.append(request["records"], min_lid=request.get("min_lid"))
             if results is None:
                 return {"type": "append_deferred"}
-            return {
-                "type": "append_reply",
-                "results": [wire.pack_result(r) for r in results],
-            }
+            return {"type": "append_reply", "results": results}
         if kind == "read_lid":
-            entry = self.core.get(request["lid"])
-            return {"type": "read_reply", "entries": [wire.pack_entry(entry)]}
+            return {"type": "read_reply", "entries": [self.core.get(request["lid"])]}
         if kind == "read_rules":
-            entries = self.core.read(wire.unpack_rules(request["rules"]))
-            return {"type": "read_reply", "entries": [wire.pack_entry(e) for e in entries]}
+            return {"type": "read_reply", "entries": self.core.read(request["rules"])}
         if kind == "head":
             return {"type": "head_reply", "head_lid": self.core.head_of_log()}
         if kind == "gossip":
@@ -228,9 +202,7 @@ class IndexerServer(_BaseServer):
         super().__init__(host, port)
         self.core = IndexerCore(name)
 
-    async def handle(
-        self, request: Dict[str, Any], wire: _JsonWire = WIRE_JSON
-    ) -> Optional[Dict[str, Any]]:
+    async def handle(self, request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         kind = request["type"]
         if kind == "index_update":
             self.core.add_many([(k, v, lid) for k, v, lid in request["postings"]])
@@ -265,9 +237,7 @@ class ControllerServer(_BaseServer):
         self.maintainer_addresses = dict(maintainer_addresses)
         self.indexer_addresses = dict(indexer_addresses or {})
 
-    async def handle(
-        self, request: Dict[str, Any], wire: _JsonWire = WIRE_JSON
-    ) -> Optional[Dict[str, Any]]:
+    async def handle(self, request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         if request["type"] == "session":
             info = self.core.session_info(request.get("request_id", 0))
             return {

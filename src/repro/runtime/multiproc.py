@@ -111,14 +111,14 @@ from ..core.retry import CircuitBreaker
 from .actor import Actor
 from .supervisor import ProcessSupervisor
 
-# The codecs live in net/, which never imports this module back.
+# The codec lives in net/, which never imports this module back.
 from ..net.binary_codec import decode_value_binary, encode_value_binary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chaos.procchaos import ProcChaos
 
 #: First byte of every multiproc envelope body (binary codec frames start
-#: with 0xC5, tagged JSON with ``{`` — the router speaks neither directly).
+#: with 0xC5 — the router does not speak those directly).
 ENVELOPE_MAGIC = 0xC6
 
 _K_MSG = 0  # routed actor message

@@ -8,7 +8,6 @@ from repro.chariots import ChariotsDeployment
 from repro.core import ReadRules, causal_order_respected
 from repro.core.errors import ConfigurationError
 from repro.net.aio_runtime import AioRuntime
-from repro.net.codec import decode_message, encode_message
 
 
 def run(coro):
@@ -18,7 +17,7 @@ def run(coro):
 def _codec_samples():
     """One (or more) instances of every registered protocol message type.
 
-    Bodies exercise the awkward value shapes both codecs must preserve:
+    Bodies exercise the awkward value shapes the codec must preserve:
     nested tuples-in-lists, bytes, non-string dict keys, large ints.
     """
     from repro.baseline.sequencer import ReservedRange, SequencerRequest
@@ -102,19 +101,11 @@ class TestCodecCoverage:
     def test_samples_cover_the_whole_registry(self):
         """Every registered message type (and special value type) has a
         sample — adding a protocol message without one fails here."""
-        from repro.net.codec import registered_message_types, special_value_types
+        from repro.net import binary_codec
 
-        sampled = {type(m).__name__ for m in _codec_samples()}
-        registry = set(registered_message_types()) | set(special_value_types())
-        assert registry <= sampled, sorted(registry - sampled)
-
-    def test_every_message_round_trips_as_json(self):
-        """Full wire trip: tagged JSON must survive json.dumps/loads."""
-        import json as jsonlib
-
-        for message in _codec_samples():
-            wire = jsonlib.dumps(encode_message(message))
-            assert decode_message(jsonlib.loads(wire)) == message, message
+        sampled = {type(m) for m in _codec_samples()}
+        registry = {*binary_codec._MESSAGE_TYPES, *binary_codec._SPECIAL_CLASSES}
+        assert registry <= sampled, sorted(c.__name__ for c in registry - sampled)
 
     def test_every_message_round_trips_as_binary(self):
         from repro.net.binary_codec import (
@@ -232,39 +223,41 @@ class TestPipelineOverSockets:
 class TestCodecErrors:
     def test_unencodable_value_rejected(self):
         from repro.core.errors import NetworkProtocolError
-        from repro.net.codec import encode_value
+        from repro.net.binary_codec import encode_value_binary
 
         class Opaque:
             pass
 
         with pytest.raises(NetworkProtocolError):
-            encode_value(Opaque())
+            encode_value_binary(Opaque())
 
     def test_unknown_tag_rejected(self):
         from repro.core.errors import NetworkProtocolError
-        from repro.net.codec import decode_value
+        from repro.net.binary_codec import decode_value_binary
 
         with pytest.raises(NetworkProtocolError):
-            decode_value({"$": "NoSuchType", "v": {}})
+            decode_value_binary(b"\x1e")  # between the last value tag and 0x1F
+        with pytest.raises(NetworkProtocolError):
+            decode_value_binary(b"\x1f\xff\xff")  # no such message type index
 
     def test_unregistered_top_level_message_rejected(self):
         from repro.core.errors import NetworkProtocolError
-        from repro.net.codec import encode_message
+        from repro.net.binary_codec import encode_message_binary
 
         with pytest.raises(NetworkProtocolError):
-            encode_message("a bare string is not a protocol message")
+            encode_message_binary("a bare string is not a protocol message")
 
     def test_bytes_round_trip(self):
-        from repro.net.codec import decode_value, encode_value
+        from repro.net.binary_codec import decode_value_binary, encode_value_binary
 
         blob = bytes(range(256))
-        assert decode_value(encode_value(blob)) == blob
+        assert decode_value_binary(encode_value_binary(blob)) == blob
 
     def test_nested_container_types_preserved(self):
-        from repro.net.codec import decode_value, encode_value
+        from repro.net.binary_codec import decode_value_binary, encode_value_binary
 
         value = {"a": (1, [2, {"b": b"\x00"}]), 3: "int-key"}
-        restored = decode_value(encode_value(value))
+        restored = decode_value_binary(encode_value_binary(value))
         assert restored == value
         assert isinstance(restored["a"], tuple)
         assert isinstance(restored["a"][1], list)

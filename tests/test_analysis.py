@@ -1112,7 +1112,6 @@ class TestFlowGraph:
         assert model.has_request_handlers
         assert set(model.request_sent) == set(model.request_handled)
         for kind in (
-            "hello",
             "session",
             "append",
             "read_lid",

@@ -4,23 +4,20 @@ The binary codec encodes a whole batch as one contiguous ``0x15`` frame
 (``u32 count`` then ``u32 span_len || record-fields`` per record) and
 decodes it into a :class:`~repro.net.binary_codec.LazyRecordBatch` that
 holds a memoryview over the frame — no per-record objects until a consumer
-touches ``records``.  The JSON codec pays the type tag once per batch.
+touches ``records``.
 """
 
 import gc
-import json
-from time import perf_counter
 
 import pytest
 
 from repro.core.errors import NetworkProtocolError
-from repro.core.record import LogEntry, Record, RecordId
+from repro.core.record import Record, RecordId
 from repro.net.binary_codec import (
     LazyRecordBatch,
     decode_value_binary,
     encode_value_binary,
 )
-from repro.net.codec import decode_message, encode_message
 from repro.runtime.messages import RecordBatch
 
 
@@ -141,60 +138,3 @@ class TestBounds:
         lazy = decode_value_binary(bytes(wire))
         with pytest.raises(NetworkProtocolError):
             _ = lazy.records
-
-
-class TestJsonSingleFrame:
-    def test_batch_encodes_as_one_tagged_frame(self, batch):
-        enc = encode_message(batch)
-        assert enc["$"] == "RecordBatch"
-        records = enc["v"]["records"]
-        assert len(records) == 3
-        # Bare record dicts — the per-record {"$": "Record"} tag is gone.
-        assert records[0]["host"] == "A"
-        assert "$" not in records[0]
-
-    def test_json_round_trip(self, batch):
-        wire = json.dumps(encode_message(batch))
-        assert decode_message(json.loads(wire)) == batch
-
-    def test_lazy_batch_crosses_the_json_codec(self, batch):
-        lazy = decode_value_binary(encode_value_binary(batch))
-        wire = json.dumps(encode_message(lazy))
-        assert decode_message(json.loads(wire)) == batch
-
-
-class TestBinaryBeatsJson:
-    def test_binary_codec_beats_json_on_hot_types(self):
-        """Perf-regression guard: the binary codec must stay clearly ahead
-        of tagged JSON on the hot wire types.  It measures about 3x; 1.5x
-        here leaves generous headroom for noisy CI hosts."""
-        body = bytes(range(256)) * 2  # the paper's 512-byte records (§7)
-        records = [
-            Record.make("dc-east", t, body, tags={"k": "v", "src": "dc-east"},
-                        deps={"dc-west": t // 2})
-            for t in range(1, 501)
-        ]
-        entries = [LogEntry(lid, record) for lid, record in enumerate(records)]
-
-        def binary(values):
-            for blob in [encode_value_binary(v) for v in values]:
-                decode_value_binary(blob)
-
-        def tagged_json(values):
-            blobs = [
-                json.dumps(encode_message(v), separators=(",", ":")).encode()
-                for v in values
-            ]
-            for blob in blobs:
-                decode_message(json.loads(blob))
-
-        for values in (records, entries):
-            best = {binary: float("inf"), tagged_json: float("inf")}
-            # Interleaved rounds: frequency drift and scheduler noise hit
-            # both codecs alike instead of whichever ran first.
-            for _ in range(3):
-                for round_trip in best:
-                    start = perf_counter()
-                    round_trip(values)
-                    best[round_trip] = min(best[round_trip], perf_counter() - start)
-            assert best[tagged_json] / best[binary] >= 1.5, type(values[0])

@@ -17,7 +17,6 @@ once they hold ``_RUN_MIN`` elements.  Four things are pinned here:
 from __future__ import annotations
 
 import hashlib
-import json
 import pickle
 import random
 import struct
@@ -51,7 +50,6 @@ from repro.net.binary_codec import (
     decode_value_binary,
     encode_value_binary,
 )
-from repro.net.codec import decode_message, encode_message
 from repro.net.protocol import encode_frame_binary
 from repro.runtime.messages import RecordBatch
 
@@ -279,14 +277,6 @@ class TestRoundTrip:
         records[3] = Record(RecordId("dc-0", 99), object())
         with pytest.raises(NetworkProtocolError, match="cannot encode"):
             encode_value_binary(ReplicationShipment("A", "s", "m", 1, records))
-
-    def test_json_codec_is_untouched(self):
-        for message in five_messages(make_records(CROSSOVER + 3, hosts=2, tagged=0.5)):
-            wire = json.dumps(encode_message(message))
-            assert decode_message(json.loads(wire)) == message
-            assert decode_value_binary(encode_value_binary(message)) == decode_message(
-                json.loads(wire)
-            )
 
 
 # --------------------------------------------------------------------------- #

@@ -1,5 +1,7 @@
 """Whole-deployment determinism and public-API sanity."""
 
+import ast
+from pathlib import Path
 
 import repro
 from repro.chariots import ChariotsDeployment
@@ -59,6 +61,28 @@ class TestPublicApi:
         ):
             for name in module.__all__:
                 assert getattr(module, name, None) is not None, (module.__name__, name)
+
+    def test_storage_and_pipeline_layers_do_not_import_the_network_layer(self):
+        """``core``, ``flstore`` and ``chariots`` sit below ``net``: the wire
+        codec imports their message types, so an import the other way is a
+        cycle waiting for a lazy-import workaround."""
+        root = Path(repro.__file__).parent
+        offenders = []
+        for package in ("core", "flstore", "chariots"):
+            for path in sorted((root / package).rglob("*.py")):
+                here = ("repro", *path.relative_to(root).parts[:-1])
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                    if isinstance(node, ast.Import):
+                        targets = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        base = ".".join(here[: len(here) - node.level + 1]) if node.level else ""
+                        module = ".".join(part for part in (base, node.module) if part)
+                        targets = [module] + [f"{module}.{alias.name}" for alias in node.names]
+                    else:
+                        continue
+                    if any(t == "repro.net" or t.startswith("repro.net.") for t in targets):
+                        offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert offenders == []
 
     def test_docstrings_on_public_classes(self):
         for name in repro.__all__:

@@ -3,8 +3,12 @@
 import os
 import pickle
 
+import pytest
 
+from repro.core import Record
+from repro.core.errors import LogError
 from repro.flstore import (
+    ArchiveStore,
     FileJournal,
     MaintainerCore,
     MemoryJournal,
@@ -215,3 +219,170 @@ class TestFileJournal:
         recovered = recover_maintainer_core("m0", plan, restored.replay())
         restored.close()
         assert recovered.get(0).record.tag_dict() == {"key": "value"}
+
+
+def _reopen_fresh(path, _blob):
+    return FileJournal(path)
+
+
+def _reopen_unpickled(_path, blob):
+    return pickle.loads(blob)  # what a respawned worker does
+
+
+@pytest.mark.parametrize("reopen", [_reopen_fresh, _reopen_unpickled])
+class TestTornTail:
+    """Crash at every write point of an entry: the torn entry (never
+    acknowledged) is dropped, and nothing written afterwards is lost."""
+
+    def test_crash_at_every_byte_of_the_last_line(self, tmp_path, reopen):
+        path = os.path.join(tmp_path, "sweep.journal")
+        journal = FileJournal(path)
+        for lid, record in enumerate(chain("c", 3)):
+            journal(lid, record)
+        blob = pickle.dumps(journal)
+        journal.close()
+        with open(path, "rb") as handle:
+            whole = handle.read()
+        last_line = whole.rindex(b"\n", 0, -1) + 1
+        later = chain("d", 2)
+
+        # Every prefix of the last line, from nothing to all but its newline.
+        for size in range(last_line, len(whole)):
+            with open(path, "wb") as handle:
+                handle.write(whole[:size])
+            reopened = reopen(path, blob)
+            reopened(3, later[0])
+            reopened(4, later[1])
+            replayed = list(reopened.replay())
+            reopened.close()
+            assert [lid for lid, _ in replayed] == [0, 1, 3, 4], size
+            assert [record for _, record in replayed[2:]] == later, size
+
+    def test_torn_line_longer_than_a_scan_block(self, tmp_path, reopen):
+        path = os.path.join(tmp_path, "long.journal")
+        journal = FileJournal(path)
+        journal(0, rec("c", 1))
+        journal(1, rec("c", 2, body="x" * 10_000))
+        blob = pickle.dumps(journal)
+        journal.close()
+        os.truncate(path, os.path.getsize(path) - 5)
+
+        reopened = reopen(path, blob)
+        reopened(1, rec("c", 2, body="retried"))
+        replayed = list(reopened.replay())
+        reopened.close()
+        assert [(lid, r.body) for lid, r in replayed] == [(0, "c:1"), (1, "retried")]
+
+    def test_file_that_is_one_torn_line_becomes_empty(self, tmp_path, reopen):
+        path = os.path.join(tmp_path, "only.journal")
+        journal = FileJournal(path)
+        journal(0, rec("c", 1, body="x" * 10_000))
+        blob = pickle.dumps(journal)
+        journal.close()
+        os.truncate(path, os.path.getsize(path) - 1)
+
+        reopened = reopen(path, blob)
+        assert list(reopened.replay()) == []
+        reopened(0, rec("c", 1))
+        assert [lid for lid, _ in reopened.replay()] == [0]
+        reopened.close()
+
+    def test_intact_file_is_left_alone(self, tmp_path, reopen):
+        path = os.path.join(tmp_path, "intact.journal")
+        journal = FileJournal(path)
+        for lid, record in enumerate(chain("c", 3)):
+            journal(lid, record)
+        blob = pickle.dumps(journal)
+        journal.close()
+        with open(path, "rb") as handle:
+            before = handle.read()
+        reopen(path, blob).close()
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+
+
+#: Three lines exactly as the commit before the disk format moved into
+#: ``flstore/journal.py`` wrote them (scalar, ``bytes`` and container bodies).
+GOLDEN_LINES = (
+    '{"lid": 10, "record": {"host": "A", "toid": 1, "body": "scalar", '
+    '"tags": [["k", 1]], "deps": [["B", 2]], "internal": false}}\n'
+    '{"lid": 11, "record": {"host": "dc-b", "toid": 2, "body": '
+    '{"$": "bytes", "v": "AP9ieXRlcw=="}, "tags": [], "deps": [], "internal": false}}\n'
+    '{"lid": 12, "record": {"host": "A", "toid": 3, "body": {"$": "d", "v": '
+    '[["t", {"$": "t", "v": [1, {"$": "l", "v": [2.5, null]}]}], [3, "int-key"], '
+    '["blob", {"$": "bytes", "v": "AQ=="}]]}, "tags": [["when", {"$": "t", "v": [1, 2]}]], '
+    '"deps": [["A", 2], ["B", 7]], "internal": true}}\n'
+)
+GOLDEN_RECORDS = [
+    Record.make("A", 1, "scalar", tags={"k": 1}, deps={"B": 2}),
+    Record.make("dc-b", 2, b"\x00\xffbytes"),
+    Record.make(
+        "A",
+        3,
+        {"t": (1, [2.5, None]), 3: "int-key", "blob": b"\x01"},
+        tags={"when": (1, 2)},
+        deps={"A": 2, "B": 7},
+        internal=True,
+    ),
+]
+
+
+class TestDiskFormat:
+    def test_golden_lines_replay_and_rewrite_byte_identically(self, tmp_path):
+        old = os.path.join(tmp_path, "old.journal")
+        with open(old, "w", encoding="utf-8") as handle:
+            handle.write(GOLDEN_LINES)
+        journal = FileJournal(old)
+        replayed = list(journal.replay())
+        journal.close()
+        assert replayed == [(10, GOLDEN_RECORDS[0]), (11, GOLDEN_RECORDS[1]), (12, GOLDEN_RECORDS[2])]
+
+        new = os.path.join(tmp_path, "new.journal")
+        rewritten = FileJournal(new)
+        for lid, record in replayed:
+            rewritten(lid, record)
+        rewritten.close()
+        dump = os.path.join(tmp_path, "archive.jsonl")
+        assert ArchiveStore.load(old).dump(dump) == 3
+        for path in (new, dump):
+            with open(path, encoding="utf-8") as handle:
+                assert handle.read() == GOLDEN_LINES, path
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            bytes(range(256)),
+            {"a": (1, [2, {"b": b"\x00"}]), 3: "int-key"},
+            [(), [], {}, None, True, 2**72, -1.5, "é"],
+        ],
+        ids=["bytes", "nested-containers", "scalars-and-empties"],
+    )
+    def test_body_round_trips_with_exact_types(self, tmp_path, body):
+        path = os.path.join(tmp_path, "types.journal")
+        journal = FileJournal(path)
+        journal(0, rec("c", 1, body=body, tags={"t": (1, b"\x00")}))
+        [(lid, restored)] = list(journal.replay())
+        journal.close()
+        assert (lid, restored.body, restored.tag_dict()) == (0, body, {"t": (1, b"\x00")})
+        assert repr(restored.body) == repr(body)  # tuple/list/bytes, not lookalikes
+
+    def test_unpersistable_body_is_rejected_before_anything_is_written(self, tmp_path):
+        path = os.path.join(tmp_path, "opaque.journal")
+        journal = FileJournal(path)
+        journal(0, rec("c", 1))
+        with pytest.raises(LogError):
+            journal(1, rec("c", 2, body=object()))
+        assert [lid for lid, _ in journal.replay()] == [0]
+        journal.close()
+
+    def test_unknown_value_tag_is_rejected(self, tmp_path):
+        path = os.path.join(tmp_path, "future.journal")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(
+                '{"lid": 0, "record": {"host": "c", "toid": 1, '
+                '"body": {"$": "NoSuchType", "v": {}}}}\n'
+            )
+        journal = FileJournal(path)
+        with pytest.raises(LogError):
+            list(journal.replay())
+        journal.close()

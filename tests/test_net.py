@@ -1,26 +1,19 @@
 """Tests for the asyncio TCP deployment of FLStore (repro.net)."""
 
 import asyncio
+import struct
 
 import pytest
 
 from repro.core import ChariotsError, ReadRules
+from repro.core.errors import ConfigurationError, NetworkProtocolError
+from repro.core.record import AppendResult, LogEntry
 from repro.net.deploy import FLStoreNetDeployment
 from repro.net.protocol import (
-    CODEC_BINARY,
-    CODEC_JSON,
     decode_body,
-    encode_frame,
     encode_frame_binary,
-    entry_from_dict,
-    entry_to_dict,
-    record_from_dict,
-    record_to_dict,
-    rules_from_dict,
-    rules_to_dict,
+    read_frame,
 )
-from repro.core.errors import NetworkProtocolError
-from repro.core.record import LogEntry
 
 from conftest import rec
 
@@ -29,47 +22,76 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def frame_trip(message):
+    return decode_body(encode_frame_binary(message)[4:])
+
+
 class TestProtocol:
+    """Hot payloads travel inside a frame as native objects."""
+
     def test_record_round_trip(self):
         record = rec("A", 3, body="hello", deps={"B": 2}, tags={"k": 1})
-        assert record_from_dict(record_to_dict(record)) == record
+        request = {"type": "append", "records": [record], "min_lid": None}
+        assert frame_trip(request) == request
 
     def test_entry_round_trip(self):
         entry = LogEntry(9, rec("A", 1))
-        assert entry_from_dict(entry_to_dict(entry)) == entry
+        result = AppendResult(entry.record.rid, 9)
+        assert frame_trip({"type": "read_reply", "entries": [entry]})["entries"] == [entry]
+        assert frame_trip({"type": "append_reply", "results": [result]})["results"] == [result]
 
     def test_rules_round_trip(self):
         rules = ReadRules(tag_key="k", tag_value=5, limit=3, max_lid=10, most_recent=False)
-        restored = rules_from_dict(rules_to_dict(rules))
-        assert restored.tag_key == "k"
-        assert restored.limit == 3
+        restored = frame_trip({"type": "read_rules", "rules": rules})["rules"]
+        assert restored == rules
         assert restored.most_recent is False
 
     def test_frame_round_trip(self):
-        frame = encode_frame({"type": "x", "n": 1})
-        assert decode_body(frame[4:]) == {"type": "x", "n": 1}
+        """Through a stream: length prefix, body, then clean EOF."""
+
+        async def scenario():
+            reader = asyncio.StreamReader()
+            reader.feed_data(encode_frame_binary({"type": "x", "n": 1}))
+            reader.feed_eof()
+            assert await read_frame(reader) == {"type": "x", "n": 1}
+            assert await read_frame(reader) is None
+
+        run(scenario())
+
+    def test_truncated_and_oversized_frames_rejected(self):
+        async def read(data):
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            reader.feed_eof()
+            return await read_frame(reader)
+
+        frame = encode_frame_binary({"type": "x", "n": 1})
+        for data in (frame[:2], frame[:-1], struct.pack(">I", 2**31)):
+            with pytest.raises(NetworkProtocolError):
+                run(read(data))
 
     def test_binary_frame_round_trip(self):
-        frame = encode_frame_binary({"type": "x", "n": 1})
-        assert decode_body(frame[4:]) == {"type": "x", "n": 1}
+        assert frame_trip({"type": "x", "n": 1}) == {"type": "x", "n": 1}
 
     def test_body_format_detected_per_frame(self):
-        """Servers mirror the arrival format, so both encodings of the same
-        message must decode identically."""
+        """One format: a body is checked by its first byte, and tagged JSON
+        (``{``-led) — the wire this repository used to carry — is refused."""
         message = {"type": "read", "request_id": 7, "lid": 3}
-        assert decode_body(encode_frame(message)[4:]) == decode_body(
-            encode_frame_binary(message)[4:]
-        )
+        assert frame_trip(message) == message
+        with pytest.raises(NetworkProtocolError):
+            decode_body(b'{"type":"read","request_id":7,"lid":3}')
+        with pytest.raises(NetworkProtocolError):
+            decode_body(b"")
 
     def test_malformed_frame_rejected(self):
         with pytest.raises(NetworkProtocolError):
             decode_body(b"\xff\xfe not json")
 
     def test_untyped_message_rejected(self):
-        import json
-
         with pytest.raises(NetworkProtocolError):
-            decode_body(json.dumps({"no": "type"}).encode())
+            frame_trip({"no": "type"})
+        with pytest.raises(NetworkProtocolError):
+            frame_trip(["type"])
 
 
 class TestNetDeployment:
@@ -158,50 +180,118 @@ class TestNetDeployment:
         run(scenario())
 
 
-class TestCodecInterop:
-    """Old (JSON-only) and new (binary-preferring) peers share one log."""
+class TestSingleFormat:
+    """The input contract of a server that speaks exactly one format."""
 
-    def test_mixed_codec_clients_share_the_log(self):
-        async def scenario():
-            deployment = FLStoreNetDeployment(n_maintainers=2, batch_size=4)
-            await deployment.start()
-            try:
-                modern = await deployment.client("modern", codec=CODEC_BINARY)
-                legacy = await deployment.client("legacy", codec=CODEC_JSON)
-                r1 = await modern.append("from-binary", tags={"k": 1})
-                r2 = await legacy.append("from-json", tags={"k": 2})
-                # Each client reads the other's record through the same flow.
-                assert (await legacy.read_lid(r1.lid)).record.body == "from-binary"
-                assert (await modern.read_lid(r2.lid)).record.body == "from-json"
-                await modern.close()
-                await legacy.close()
-            finally:
-                await deployment.stop()
+    @staticmethod
+    async def _exchange(server, payload, replies=1):
+        """Send raw bytes on a fresh connection; return the reply frames
+        (``None`` where the server closed the connection instead)."""
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        try:
+            writer.write(payload)
+            await writer.drain()
+            return [await asyncio.wait_for(read_frame(reader), 5.0) for _ in range(replies)]
+        finally:
+            writer.close()
+            await writer.wait_closed()
 
-        run(scenario())
-
-    def test_binary_client_negotiates_binary(self):
+    def test_json_frame_drops_that_connection_only(self):
         async def scenario():
             deployment = FLStoreNetDeployment(n_maintainers=1, batch_size=4)
             await deployment.start()
             try:
-                client = await deployment.client("c", codec=CODEC_BINARY)
-                await client.append("v")
-                assert next(iter(client._maintainers.values())).codec == CODEC_BINARY
+                server = deployment.maintainers[0]
+                body = b'{"type":"head"}'
+                replies = await self._exchange(server, struct.pack(">I", len(body)) + body)
+                assert replies == [None]  # dropped without an answer
+                # The server is unharmed: a fresh connection, and a client, are served.
+                replies = await self._exchange(server, encode_frame_binary({"type": "head"}))
+                assert replies == [{"type": "head_reply", "head_lid": -1}]
+                client = await deployment.client()
+                result = await client.append("v")
+                assert (await client.read_lid(result.lid)).record.body == "v"
                 await client.close()
             finally:
                 await deployment.stop()
 
         run(scenario())
 
-    def test_json_client_skips_negotiation(self):
+    def test_hello_is_an_unknown_request_not_a_crash(self):
         async def scenario():
             deployment = FLStoreNetDeployment(n_maintainers=1, batch_size=4)
             await deployment.start()
             try:
-                client = await deployment.client("c", codec=CODEC_JSON)
-                await client.append("v")
-                assert next(iter(client._maintainers.values())).codec == CODEC_JSON
+                hello = encode_frame_binary({"type": "hello", "codecs": ["binary", "json"]})
+                head = encode_frame_binary({"type": "head"})
+                for server in (
+                    deployment.maintainers[0],
+                    deployment.indexers[0],
+                    deployment.controller,
+                ):
+                    [reply] = await self._exchange(server, hello)
+                    assert reply["type"] == "error" and "hello" in reply["error"]
+                # ... and the same connection keeps serving afterwards.
+                replies = await self._exchange(deployment.maintainers[0], hello + head, replies=2)
+                assert [reply["type"] for reply in replies] == ["error", "head_reply"]
+            finally:
+                await deployment.stop()
+
+        run(scenario())
+
+    def test_client_codec_argument_accepts_only_binary(self):
+        async def scenario():
+            deployment = FLStoreNetDeployment(n_maintainers=1, batch_size=4)
+            await deployment.start()
+            try:
+                client = await deployment.client("c", codec="binary")
+                await client.close()
+                with pytest.raises(ConfigurationError):
+                    await deployment.client("legacy", codec="json")
+            finally:
+                await deployment.stop()
+
+        run(scenario())
+
+
+class TestGossipSurvival:
+    def test_gossip_outlives_a_failed_connect(self, monkeypatch):
+        """Port or descriptor exhaustion (``EADDRNOTAVAIL`` / ``EMFILE``) is an
+        ``OSError`` that is not a ``ConnectionError``; it must cost a gossip
+        round, not the gossip task."""
+        import errno
+
+        async def scenario():
+            deployment = FLStoreNetDeployment(n_maintainers=2, batch_size=4)
+            await deployment.start()
+            real_open = asyncio.open_connection
+            failures = []
+
+            async def flaky_open(host, port, **kwargs):
+                # Fail the first gossip connect only; clients connect to the
+                # same ports, so key on the caller being a gossip task.
+                if not failures and asyncio.current_task() in gossip_tasks:
+                    failures.append((host, port))
+                    raise OSError(errno.EADDRNOTAVAIL, "Cannot assign requested address")
+                return await real_open(host, port, **kwargs)
+
+            gossip_tasks = {server._gossip_task for server in deployment.maintainers}
+            monkeypatch.setattr(asyncio, "open_connection", flaky_open)
+
+            def heads():
+                return [server.core.head_of_log() for server in deployment.maintainers]
+
+            try:
+                client = await deployment.client()
+                for i in range(8):
+                    await client.append(f"v{i}")
+                for _ in range(200):
+                    if failures and heads() == [7, 7]:
+                        break
+                    await asyncio.sleep(0.01)
+                assert failures, "the injected failure never fired"
+                assert not any(task.done() for task in gossip_tasks)
+                assert heads() == [7, 7]  # each maintainer kept hearing from the other
                 await client.close()
             finally:
                 await deployment.stop()

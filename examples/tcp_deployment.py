@@ -42,7 +42,7 @@ async def main() -> None:
         entry = await client.read_lid(results[0].lid)
         print(f"read back LId {entry.lid}: {entry.record.body!r}")
 
-        # The index pump moved tag postings to the indexer servers.
+        # The maintainers pushed their tag postings to the indexer servers.
         await asyncio.sleep(0.05)
         tagged = await client.read(ReadRules(tag_key="sensor", tag_value="s1", limit=3))
         print(f"three most recent s1 readings: {[e.record.body for e in tagged]}")

@@ -14,7 +14,7 @@ same facts:
   ``net/`` layer: which type strings clients send and which ones server
   ``handle()``/``_serve()`` methods dispatch on;
 * **reply shapes** — per request-type branch in a handler, the keys of every
-  reply dict literal it returns (or ships via ``write_frame``), and per
+  reply dict literal it returns (or ships via ``self.write``), and per
   client call site, the reply keys the caller actually reads — subscripts
   (``response["results"]``, a ``KeyError`` if the server drops the key) kept
   separate from tolerant ``response.get(...)`` reads.  CHR015 checks the two
@@ -38,12 +38,16 @@ _IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ01234567
 
 #: Terminal callee names treated as "this call ships a request dict".
 #: ``conn.request({...})`` / ``self._request(conn, {...})`` are the client
-#: RPC entry points; ``write_frame`` / ``_send_oneway`` are the fire-and-
-#: forget paths (gossip, index pump).
-SEND_FUNCS = frozenset({"request", "_request", "write_frame", "_send_oneway"})
+#: RPC entry points; ``link.post({...})`` / ``self._post(link, {...})`` are
+#: the fire-and-forget paths (gossip, pushed postings).
+SEND_FUNCS = frozenset({"request", "_request", "post", "_post"})
 
-#: Method names whose bodies dispatch incoming request dicts.
+#: Method names whose bodies dispatch incoming request dicts (``handle``)
+#: or answer them generically (``_serve``, the connection's error replies).
 HANDLER_METHODS = frozenset({"handle", "_serve"})
+
+#: Terminal callee name that ships a reply dict other than by ``return``.
+REPLY_FUNC = "write"
 
 
 def terminal_name(node: ast.AST) -> Optional[str]:
@@ -548,7 +552,7 @@ def _reply_shapes(
 
     def scan_calls(stmt: ast.stmt, types: Optional[Tuple[str, ...]]) -> None:
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Call) and terminal_name(node.func) == "write_frame":
+            if isinstance(node, ast.Call) and terminal_name(node.func) == REPLY_FUNC:
                 for arg in node.args:
                     if isinstance(arg, ast.Dict):
                         emit(arg, types, node)
@@ -556,7 +560,7 @@ def _reply_shapes(
     def visit(body: List[ast.stmt], types: Optional[Tuple[str, ...]]) -> None:
         for stmt in body:
             if isinstance(stmt, ast.If):
-                scan_calls(stmt.test, types)  # write_frame in a test: unlikely
+                scan_calls(stmt.test, types)  # a reply written in a test: unlikely
                 branch = test_types(stmt.test)
                 visit(stmt.body, tuple(branch) if branch else types)
                 visit(stmt.orelse, types)

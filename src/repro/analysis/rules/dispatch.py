@@ -4,9 +4,9 @@ CHR002 keeps the *object* protocol (codec registry vs ``on_message``)
 honest; the TCP layer speaks a second, stringly-typed protocol of
 ``{"type": ...}`` request dicts.  This rule closes the gap the ROADMAP
 named: using the project model's request-flow graph it cross-checks the
-type strings clients **send** (``conn.request({...})``, ``write_frame``,
-``_send_oneway``) against the ones server ``handle()``/``_serve()`` methods
-**dispatch** (``request["type"] == ...`` comparisons, through module-level
+type strings clients **send** (``conn.request({...})``, ``link.post({...})``,
+``self._post(link, {...})``) against the ones server ``handle()``/``_serve()``
+methods **dispatch** (``request["type"] == ...`` comparisons, through module-level
 string constants), in both directions:
 
 * a request type sent but never dispatched is dropped on the server floor

@@ -1,7 +1,7 @@
 """Request-level fault injection for the asyncio TCP path.
 
-:class:`NetChaos` sits inside the component servers' accept loops (and the
-``AioRuntime`` router) and decides, per request, whether to serve it
+:class:`NetChaos` sits where the component servers take a request off a
+connection and decides, per request, whether to serve it
 normally, swallow it (the client sees a hung request and times out), stall it,
 or drop the whole connection.  Like :class:`~repro.chaos.plan.FaultPlan` it is
 seeded and deterministic, and a ``None`` default keeps the hot path free of

@@ -25,17 +25,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import PipelineConfig
 from ..core.errors import ConfigurationError
+from ..core.hashing import stable_hash
 from ..core.record import DatacenterId, Record
 from ..runtime.actor import Actor
 from .messages import AdmittedBatch, DraftRecord, FilterBatch
-
-
-def _stable_hash(text: str) -> int:
-    """Deterministic FNV-1a hash (``hash()`` is salted per process)."""
-    value = 2166136261
-    for ch in text.encode("utf-8"):
-        value = ((value ^ ch) * 16777619) & 0xFFFFFFFF
-    return value
 
 
 class FilterMap:
@@ -151,7 +144,7 @@ class FilterMap:
     def filter_for_draft(self, draft: DraftRecord) -> str:
         champion = self._client_champion.get(draft.client)
         if champion is None:
-            champion = self._filters[_stable_hash(draft.client) % len(self._filters)]
+            champion = self._filters[stable_hash(draft.client) % len(self._filters)]
             self._client_champion[draft.client] = champion
         return champion
 

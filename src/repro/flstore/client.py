@@ -15,6 +15,7 @@ import itertools
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.errors import SessionError
+from ..core.hashing import stable_hash
 from ..core.record import AppendResult, LogEntry, ReadRules, Record
 from ..runtime.actor import Actor
 from ..runtime.local import BaseRuntime
@@ -160,7 +161,7 @@ class FLStoreClient(Actor):
         def op() -> None:
             assert self._session is not None
             indexers = self._session.indexers
-            indexer = indexers[hash(rules.tag_key) % len(indexers)]
+            indexer = indexers[stable_hash(rules.tag_key) % len(indexers)]
             request_id = next(self._request_ids)
 
             def on_lookup(reply: LookupReply) -> None:

@@ -28,6 +28,7 @@ from ..core.errors import (
     LidOutOfRangeError,
     NotOwnerError,
 )
+from ..core.hashing import stable_hash
 from ..core.record import AppendResult, DatacenterId, LogEntry, ReadRules, Record, RecordId
 from ..runtime.actor import Actor
 from ..runtime.messages import RecordBatch
@@ -615,7 +616,7 @@ class LogMaintainer(Actor):
             return
         buckets: Dict[str, List[Tuple[str, object, int]]] = {}
         for key, value, lid in postings:
-            indexer = self.indexers[hash(key) % len(self.indexers)]
+            indexer = self.indexers[stable_hash(key) % len(self.indexers)]
             buckets.setdefault(indexer, []).append((key, value, lid))
         for indexer, bucket in buckets.items():
             self.send(indexer, IndexUpdate(postings=bucket))

@@ -22,9 +22,9 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Dict, Iterable, List, Optional, TYPE_CHECKING
 
-from ..core.errors import ConfigurationError, NetworkProtocolError
+from ..core.errors import ConfigurationError
 from ..runtime.actor import Actor
-from .protocol import encode_frame_binary, read_frame
+from .protocol import FrameProtocol, encode_frame_binary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chaos.plan import FaultPlan
@@ -66,6 +66,18 @@ class _AioLoopShim:
         return _AioTimerHandle(self._aio.call_later(max(0.0, delay), callback))
 
 
+class _HubConnection(FrameProtocol):
+    """Either end of the router's socket pair.  The accepting end dispatches
+    each routed envelope to its actor; the sending end never gets a frame."""
+
+    def __init__(self, runtime: "AioRuntime") -> None:
+        super().__init__()
+        self._runtime = runtime
+
+    def frame_received(self, envelope: Dict[str, Any]) -> None:
+        self._runtime._dispatch(envelope)
+
+
 class AioRuntime:
     """Actor runtime whose transport is a real localhost TCP connection."""
 
@@ -79,8 +91,9 @@ class AioRuntime:
         self._actors: Dict[str, Actor] = {}
         self._started = False
         self._server: Optional[asyncio.AbstractServer] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
+        #: Sending end of the router pair, then the accepted end(s).
+        self._writer: Optional[asyncio.Transport] = None
+        self._hub: List[_HubConnection] = []
         #: Optional FaultPlan applied to every routed frame (drop / delay /
         #: duplicate / reorder); crashes and partitions also apply, keyed by
         #: actor-name prefixes, making TCP-backed chaos runs possible.
@@ -124,26 +137,22 @@ class AioRuntime:
         # and orphan one of them.
         self._started = True
         self.loop.bind(asyncio.get_running_loop())
-        server = await asyncio.start_server(self._serve, self._host, 0)
+        loop = asyncio.get_running_loop()
+        server = await loop.create_server(self._hub_connection, self._host, 0)
         self._server = server
         port = server.sockets[0].getsockname()[1]
-        reader, self._writer = await asyncio.open_connection(self._host, port)
-        # The client side of the router never receives frames; the server
+        # The sending side of the router never receives frames; the accepted
         # side dispatches directly to the actors.
+        self._writer, _sender = await loop.create_connection(
+            self._hub_connection, self._host, port
+        )
         for actor in list(self._actors.values()):
             actor.on_start()
 
-    async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                envelope = await read_frame(reader)
-                if envelope is None:
-                    break
-                self._dispatch(envelope)
-        except (ConnectionError, NetworkProtocolError):
-            pass
-        finally:
-            writer.close()
+    def _hub_connection(self) -> _HubConnection:
+        connection = _HubConnection(self)
+        self._hub.append(connection)
+        return connection
 
     def _dispatch(self, envelope: Dict[str, Any]) -> None:
         dst = envelope["d"]
@@ -208,14 +217,12 @@ class AioRuntime:
         # _write_later() check ``self._writer`` from other coroutines, and a
         # concurrent stop() must never double-close either endpoint.
         self._started = False
-        writer, self._writer = self._writer, None
+        self._writer = None
         server, self._server = self._server, None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover - platform dependent
-                pass
+        hub, self._hub = self._hub, []
         if server is not None:
             server.close()
+        for connection in hub:
+            await connection.aclose()
+        if server is not None:
             await server.wait_closed()

@@ -20,7 +20,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import random
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..core.errors import (
     AppendDeferred,
@@ -29,62 +29,11 @@ from ..core.errors import (
     NetworkProtocolError,
     SessionError,
 )
+from ..core.hashing import stable_hash
 from ..core.record import AppendResult, LogEntry, ReadRules, Record
 from ..core.retry import CircuitBreaker, RetryPolicy
 from ..flstore.range_map import OwnershipPlan
-from .protocol import read_frame, write_frame
-
-
-def _parse_address(address: str) -> Tuple[str, int]:
-    host, _, port = address.rpartition(":")
-    return host, int(port)
-
-
-class _Connection:
-    """One request/response TCP connection with lazy connect."""
-
-    def __init__(self, address: str) -> None:
-        self.address = address
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._lock = asyncio.Lock()
-
-    async def _ensure_locked(self) -> None:
-        if self._writer is not None:
-            return
-        host, port = _parse_address(self.address)
-        self._reader, self._writer = await asyncio.open_connection(host, port)
-
-    async def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        async with self._lock:
-            await self._ensure_locked()
-            assert self._reader is not None and self._writer is not None
-            await write_frame(self._writer, message)
-            response = await read_frame(self._reader)
-        if response is None:
-            raise NetworkProtocolError(f"server {self.address} closed the connection")
-        if response.get("type") == "error":
-            raise ChariotsError(response.get("error", "remote error"))
-        return response
-
-    async def close(self) -> None:
-        # Detach before the await so a concurrent request() reconnects
-        # cleanly instead of racing the teardown of the old streams.
-        writer, self._writer, self._reader = self._writer, None, None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover - platform dependent
-                pass
-
-    async def reset(self) -> None:
-        """Tear the connection down so the next request reconnects.
-
-        Called after a transport failure or timeout: the request/response
-        framing on the old connection can no longer be trusted.
-        """
-        await self.close()
+from .protocol import Connection
 
 
 class AsyncFLStoreClient:
@@ -98,7 +47,7 @@ class AsyncFLStoreClient:
         breaker_failure_threshold: int = 5,
         breaker_reset_timeout: float = 1.0,
     ) -> None:
-        self.controller = _Connection(controller_address)
+        self.controller = Connection(controller_address)
         self.client_id = client_id
         self.retry_policy = retry_policy or RetryPolicy(
             base_delay=0.05, max_delay=1.0, max_attempts=5, op_timeout=5.0
@@ -107,8 +56,8 @@ class AsyncFLStoreClient:
         self._breaker_reset_timeout = breaker_reset_timeout
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._rng = random.Random(client_id)
-        self._maintainers: Dict[str, _Connection] = {}
-        self._indexers: Dict[str, _Connection] = {}
+        self._maintainers: Dict[str, Connection] = {}
+        self._indexers: Dict[str, Connection] = {}
         self._plan: Optional[OwnershipPlan] = None
         self._maintainer_cycle = None
         self._indexer_names: List[str] = []
@@ -131,7 +80,7 @@ class AsyncFLStoreClient:
 
     async def _request(
         self,
-        conn: _Connection,
+        conn: Connection,
         message: Dict[str, Any],
         idempotent: bool = True,
     ) -> Dict[str, Any]:
@@ -151,12 +100,7 @@ class AsyncFLStoreClient:
             if not breaker.allow(loop.time()):
                 raise CircuitOpenError(conn.address)
             try:
-                if policy.op_timeout is not None:
-                    response = await asyncio.wait_for(
-                        conn.request(message), policy.op_timeout
-                    )
-                else:
-                    response = await conn.request(message)
+                response = await conn.request(message, policy.op_timeout)
                 if response.get("type") == "append_deferred":
                     raise AppendDeferred(message.get("min_lid"))
             except AppendDeferred as exc:
@@ -166,8 +110,9 @@ class AsyncFLStoreClient:
                 last_error = exc
             except (ConnectionError, OSError, asyncio.TimeoutError,
                     NetworkProtocolError) as exc:
+                # conn.request() dropped its own link before it raised, so
+                # the next attempt (or the next caller) reconnects.
                 breaker.record_failure(loop.time())
-                await conn.reset()
                 if not idempotent:
                     raise
                 last_error = exc
@@ -186,10 +131,10 @@ class AsyncFLStoreClient:
     async def connect(self) -> None:
         info = await self._request(self.controller, {"type": "session", "request_id": 1})
         self._maintainers = {
-            name: _Connection(address) for name, address in info["maintainers"].items()
+            name: Connection(address) for name, address in info["maintainers"].items()
         }
         self._indexers = {
-            name: _Connection(address) for name, address in info["indexers"].items()
+            name: Connection(address) for name, address in info["indexers"].items()
         }
         self._indexer_names = sorted(self._indexers)
         epochs = info["epochs"]
@@ -244,8 +189,10 @@ class AsyncFLStoreClient:
     async def read_lid(self, lid: int) -> LogEntry:
         plan = self._require_session()
         response = await self._request(
-            self._maintainers[plan.owner(lid)], {"type": "read_lid", "lid": lid}
+            self._maintainers[plan.owner(lid)], {"type": "read_lid", "lids": [lid]}
         )
+        if not response["entries"]:
+            raise ChariotsError(response["error"])
         return response["entries"][0]
 
     async def read(self, rules: ReadRules) -> List[LogEntry]:
@@ -264,7 +211,7 @@ class AsyncFLStoreClient:
     async def _read_via_index(self, rules: ReadRules) -> List[LogEntry]:
         plan = self._require_session()
         assert rules.tag_key is not None
-        indexer = self._indexer_names[hash(rules.tag_key) % len(self._indexer_names)]
+        indexer = self._indexer_names[stable_hash(rules.tag_key) % len(self._indexer_names)]
         response = await self._request(
             self._indexers[indexer],
             {
@@ -277,13 +224,21 @@ class AsyncFLStoreClient:
                 "max_lid": rules.max_lid,
             }
         )
-        entries = []
-        for lid in response["lids"]:
-            reply = await self._request(
-                self._maintainers[plan.owner(lid)], {"type": "read_lid", "lid": lid}
+        # One fetch per owning maintainer, all in flight together; an LId
+        # that became unreadable since the lookup (garbage-collected) is
+        # skipped, as the in-process client does.
+        lids = response["lids"]
+        by_owner: Dict[str, List[int]] = {}
+        for lid in lids:
+            by_owner.setdefault(plan.owner(lid), []).append(lid)
+        replies = await asyncio.gather(
+            *(
+                self._request(self._maintainers[owner], {"type": "read_lid", "lids": owned})
+                for owner, owned in by_owner.items()
             )
-            entries.append(reply["entries"][0])
-        return [e for e in entries if rules.matches(e)]
+        )
+        found = {entry.lid: entry for reply in replies for entry in reply["entries"]}
+        return [found[lid] for lid in lids if lid in found and rules.matches(found[lid])]
 
     async def head(self) -> int:
         self._require_session()

@@ -1,26 +1,25 @@
 """One-call asyncio deployment of a whole FLStore on localhost.
 
-Starts maintainer, indexer, and controller servers, wires the gossip mesh,
-and runs the index pump (the background task that moves tag postings from
-maintainers to their champion indexers — the role the maintainer actor's
-flush timer plays in the in-process runtimes).
+Starts maintainer, indexer, and controller servers and tells every
+maintainer where its peers (head-of-log gossip) and the indexers (the tag
+postings it pushes to their champions on its gossip tick, as the maintainer
+actor's flush timer does in the in-process runtimes) listen.
 """
 
 from __future__ import annotations
 
-import asyncio
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..core.config import FLStoreConfig
 from ..core.errors import ConfigurationError
 from ..flstore.range_map import OwnershipPlan
-from .client import AsyncFLStoreClient, _Connection
-from .protocol import CODEC_BINARY, write_frame
+from .client import AsyncFLStoreClient
+from .protocol import CODEC_BINARY
 from .server import ControllerServer, IndexerServer, MaintainerServer
 
 
 class FLStoreNetDeployment:
-    """A running localhost FLStore: servers, gossip, and the index pump."""
+    """A running localhost FLStore: servers, gossip and postings links."""
 
     def __init__(
         self,
@@ -42,9 +41,6 @@ class FLStoreNetDeployment:
         ]
         self.controller: Optional[ControllerServer] = None
         self._host = host
-        self._pump_task: Optional[asyncio.Task] = None
-        self._indexer_conns: List[_Connection] = []
-        self._maintainer_conns: List[_Connection] = []
 
     async def start(self) -> str:
         """Start everything; returns the controller's address."""
@@ -62,6 +58,7 @@ class FLStoreNetDeployment:
         ]
         for i, server in enumerate(self.maintainers):
             server.set_peers([a for j, a in enumerate(peer_addrs) if j != i])
+            server.set_indexers(indexer_addresses)
 
         self.controller = ControllerServer(
             self.plan,
@@ -71,47 +68,7 @@ class FLStoreNetDeployment:
             host=self._host,
         )
         await self.controller.start()
-
-        self._maintainer_conns = [
-            _Connection(addr) for addr in maintainer_addresses.values()
-        ]
-        self._indexer_conns = [_Connection(addr) for addr in indexer_addresses.values()]
-        self._pump_task = asyncio.create_task(self._index_pump())
         return self.controller.address
-
-    async def _index_pump(self) -> None:
-        """Move tag postings maintainer → champion indexer, continuously."""
-        names = sorted(ix.core.name for ix in self.indexers)
-        while True:
-            await asyncio.sleep(self.config.gossip_interval)
-            for conn in self._maintainer_conns:
-                try:
-                    response = await conn.request({"type": "drain_postings"})
-                except ConnectionError:
-                    continue
-                postings = response.get("postings", [])
-                if not postings:
-                    continue
-                buckets: Dict[str, List[List[Any]]] = {}
-                for key, value, lid in postings:
-                    target = names[hash(key) % len(names)]
-                    buckets.setdefault(target, []).append([key, value, lid])
-                for target, bucket in buckets.items():
-                    index = names.index(target)
-                    try:
-                        # index_update has no response frame; fire directly.
-                        await self._send_oneway(
-                            self._indexer_conns[index],
-                            {"type": "index_update", "postings": bucket},
-                        )
-                    except ConnectionError:
-                        continue
-
-    @staticmethod
-    async def _send_oneway(conn: _Connection, message: Dict[str, Any]) -> None:
-        async with conn._lock:
-            await conn._ensure_locked()
-            await write_frame(conn._writer, message)
 
     async def client(
         self, client_id: str = "net-client", codec: str = CODEC_BINARY
@@ -131,14 +88,6 @@ class FLStoreNetDeployment:
         return client
 
     async def stop(self) -> None:
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            try:
-                await self._pump_task
-            except asyncio.CancelledError:
-                pass
-        for conn in self._maintainer_conns + self._indexer_conns:
-            await conn.close()
         for server in self.maintainers + self.indexers:
             await server.stop()
         if self.controller is not None:

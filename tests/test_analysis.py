@@ -809,6 +809,23 @@ class TestDispatchRule:
         )
         assert findings == []
 
+    def test_one_way_posts_count_as_sends(self, tmp_path):
+        """``link.post({...})`` and ``self._post(link, message)`` — the kept
+        gossip / postings links — send a request type like ``request`` does."""
+        client = (
+            "class Gossiper:\n"
+            "    async def tick(self, link):\n"
+            '        await link.post({"type": "ping"})\n'
+            '        message = {"type": "status"}\n'
+            "        await self._post(link, message)\n"
+        )
+        findings = lint(
+            tmp_path,
+            {"net/server.py": _NET_SERVER, "net/client.py": client},
+            select=["CHR011"],
+        )
+        assert findings == []
+
     def test_sent_but_unhandled_type_fires_at_send_site(self, tmp_path):
         client = _NET_CLIENT + (
             "\n"
@@ -1118,7 +1135,6 @@ class TestFlowGraph:
             "read_rules",
             "head",
             "gossip",
-            "drain_postings",
             "index_update",
             "lookup",
         ):

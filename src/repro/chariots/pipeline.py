@@ -226,7 +226,7 @@ class DatacenterPipeline:
 
         Call before traffic flows so the journal covers every placement —
         it is what a supervised restart replays.  In-memory by default;
-        with ``directory`` each maintainer journals to a JSON-lines file
+        with ``directory`` each maintainer journals to a block-journal file
         there instead — required for process-level recovery, where the
         maintainer writes in a worker process and the parent replays the
         file after a crash (a ``MemoryJournal`` would be pickle-copied
@@ -237,7 +237,7 @@ class DatacenterPipeline:
             for maintainer in self.maintainers:
                 if directory is not None:
                     path = os.path.join(
-                        directory, maintainer.name.replace("/", "_") + ".jsonl"
+                        directory, maintainer.name.replace("/", "_") + ".journal"
                     )
                     journal: Any = FileJournal(path)
                 else:
@@ -257,12 +257,11 @@ class DatacenterPipeline:
             raise ConfigurationError(f"no journal attached for maintainer {name!r}")
         journal = self.journals[name]
         # Recover journal-less, then re-attach: replaying a journal into
-        # itself would re-append every entry (and on a FileJournal, feed the
-        # replay its own output).
+        # itself would re-append every entry.
         core = recover_maintainer_core(
             name,
             self.plan,
-            journal.replay(),
+            journal.replay_runs(),
             config=self.flstore_config,
             new_journal=None,
         )

@@ -13,6 +13,7 @@ Experiments live in the scenario catalog: ``python -m repro.scenarios``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -53,14 +54,17 @@ def _cmd_inspect_journal(args: argparse.Namespace) -> int:
     from .flstore.journal import FileJournal
 
     journal = FileJournal(args.path)
-    entries = list(journal.replay())
+    runs = list(journal.replay_runs())
     journal.close()
+    entries = [pair for run in runs for pair in run]
     if not entries:
         print(f"{args.path}: empty journal")
         return 0
     lids = [lid for lid, _ in entries]
     hosts = sorted({record.host for _, record in entries})
+    size = os.path.getsize(args.path)
     print(f"{args.path}: {len(entries)} placements")
+    print(f"  blocks: {len(runs)} ({size} bytes, {size / len(entries):.1f} per record)")
     print(f"  LId range: {min(lids)}..{max(lids)}")
     print(f"  host datacenters: {', '.join(hosts)}")
     if args.verbose:

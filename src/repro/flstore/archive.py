@@ -6,17 +6,90 @@ solution: an :class:`ArchiveStore` receives every record the maintainers
 evict (via the maintainer's ``archive`` hook) and keeps it readable — so
 the *combined* view of archive plus live log still covers the entire
 history, which is what auditing and time-travel reads (§1) need.
+
+:meth:`ArchiveStore.dump` writes a readable export — JSON lines, the JSON
+form of a record being :func:`record_to_dict` — which nothing else in the
+repository reads or writes (journals are binary, see
+:mod:`repro.flstore.journal`).
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from bisect import insort
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.errors import LidOutOfRangeError
-from ..core.record import LogEntry, ReadRules, Record
-from .journal import record_from_dict, record_to_dict
+from ..core.errors import LidOutOfRangeError, LogError
+from ..core.record import LogEntry, ReadRules, Record, RecordId
+
+# --------------------------------------------------------------------- #
+# The export format: one JSON object per line
+# --------------------------------------------------------------------- #
+
+
+def _value_to_json(value: Any) -> Any:
+    """A record body or tag value in JSON-serialisable form.
+
+    Scalars stay verbatim; everything else is tagged — ``bytes`` (base64),
+    tuples, lists, and dicts (as pair lists, so keys are not restricted to
+    strings) — and comes back with its exact Python type.
+    """
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, bytes):
+        return {"$": "bytes", "v": base64.b64encode(value).decode("ascii")}
+    if isinstance(value, tuple):
+        return {"$": "t", "v": [_value_to_json(v) for v in value]}
+    if isinstance(value, list):
+        return {"$": "l", "v": [_value_to_json(v) for v in value]}
+    if isinstance(value, dict):
+        return {
+            "$": "d",
+            "v": [[_value_to_json(k), _value_to_json(v)] for k, v in value.items()],
+        }
+    raise LogError(f"cannot persist a value of type {type(value).__name__}: {value!r}")
+
+
+def _value_from_json(value: Any) -> Any:
+    """Inverse of :func:`_value_to_json`."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if not isinstance(value, dict) or "$" not in value:
+        raise LogError(f"malformed persisted value: {value!r}")
+    tag = value["$"]
+    payload = value.get("v")
+    if tag == "bytes":
+        return base64.b64decode(payload)
+    if tag == "t":
+        return tuple(_value_from_json(v) for v in payload)
+    if tag == "l":
+        return [_value_from_json(v) for v in payload]
+    if tag == "d":
+        return {_value_from_json(k): _value_from_json(v) for k, v in payload}
+    raise LogError(f"unknown persisted value tag {tag!r}")
+
+
+def record_to_dict(record: Record) -> Dict[str, Any]:
+    return {
+        "host": record.host,
+        "toid": record.toid,
+        "body": _value_to_json(record.body),
+        "tags": [[k, _value_to_json(v)] for k, v in record.tags],
+        "deps": [[dc, t] for dc, t in record.deps],
+        "internal": record.internal,
+    }
+
+
+def record_from_dict(data: Dict[str, Any]) -> Record:
+    return Record(
+        rid=RecordId(data["host"], data["toid"]),
+        body=_value_from_json(data["body"]),
+        tags=tuple((k, _value_from_json(v)) for k, v in data.get("tags", [])),
+        deps=tuple((dc, t) for dc, t in data.get("deps", [])),
+        internal=bool(data.get("internal", False)),
+    )
+
 
 
 class ArchiveStore:

@@ -8,121 +8,136 @@ replays it to recover exactly the slice it owned — the post-assignment
 cursor, the placed-record frontier, and the tag postings all rebuild from
 the journal alone.
 
-Two journal flavours:
+Two journal flavours, both taking a whole run of placements at a time
+(``append_run``) or one (``journal(lid, record)``):
 
 * :class:`MemoryJournal` — in-process, used by tests and failure drills;
-* :class:`FileJournal` — JSON-lines on disk, crash-safe via append-only
-  writes (an interrupted final line is skipped on replay and cut off
-  before the file is appended to again).
+* :class:`FileJournal` — a block journal on disk: one CRC-framed binary
+  block per run, written and flushed once.
 
-The JSON form of a record (:func:`record_to_dict`) is the *disk* format of
-:class:`FileJournal` and of :class:`~repro.flstore.archive.ArchiveStore`
-dumps; nothing on a socket uses it.
+Each maintainer's journal is independent and every entry carries its LId,
+so journals — and the blocks of one journal — replay in any interleaving.
+The durability contract is stated in ``docs/FAULTS.md``.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import os
-from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO, Tuple
+import struct
+import zlib
+from itertools import chain
+from typing import BinaryIO, Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 from ..core.config import FLStoreConfig
-from ..core.errors import LogError
-from ..core.record import Record, RecordId
-from .maintainer import MaintainerCore
+from ..core.errors import LogError, NetworkProtocolError
+from ..core.record import Record
+from ..core.value_codec import decode_value_binary, encode_placements
+from .maintainer import MaintainerCore, Placements
 from .range_map import OwnershipPlan
 
 # --------------------------------------------------------------------- #
 # Disk format
 # --------------------------------------------------------------------- #
 
-
-def _value_to_json(value: Any) -> Any:
-    """A record body or tag value in JSON-serialisable form.
-
-    Scalars stay verbatim; everything else is tagged — ``bytes`` (base64),
-    tuples, lists, and dicts (as pair lists, so keys are not restricted to
-    strings) — and comes back with its exact Python type.
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, bytes):
-        return {"$": "bytes", "v": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, tuple):
-        return {"$": "t", "v": [_value_to_json(v) for v in value]}
-    if isinstance(value, list):
-        return {"$": "l", "v": [_value_to_json(v) for v in value]}
-    if isinstance(value, dict):
-        return {
-            "$": "d",
-            "v": [[_value_to_json(k), _value_to_json(v)] for k, v in value.items()],
-        }
-    raise LogError(f"cannot persist a value of type {type(value).__name__}: {value!r}")
+#: A block is ``u32 length | u32 crc32 | payload``: the payload's length and
+#: CRC-32 (big-endian), then the payload — the placements exactly as the
+#: ``placements`` of a ``PlaceRecords`` message travel
+#: (:func:`~repro.core.value_codec.encode_placements`).
+_HEADER = struct.Struct(">II")
 
 
-def _value_from_json(value: Any) -> Any:
-    """Inverse of :func:`_value_to_json`."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if not isinstance(value, dict) or "$" not in value:
-        raise LogError(f"malformed persisted value: {value!r}")
-    tag = value["$"]
-    payload = value.get("v")
-    if tag == "bytes":
-        return base64.b64decode(payload)
-    if tag == "t":
-        return tuple(_value_from_json(v) for v in payload)
-    if tag == "l":
-        return [_value_from_json(v) for v in payload]
-    if tag == "d":
-        return {_value_from_json(k): _value_from_json(v) for k, v in payload}
-    raise LogError(f"unknown persisted value tag {tag!r}")
+def _pack_block(placements: Placements) -> bytearray:
+    block = bytearray(_HEADER.size)
+    try:
+        encode_placements(placements, block)
+    except NetworkProtocolError as exc:
+        raise LogError(f"cannot journal these placements: {exc}") from exc
+    payload = memoryview(block)[_HEADER.size :]
+    _HEADER.pack_into(block, 0, len(payload), zlib.crc32(payload))
+    return block
 
 
-def record_to_dict(record: Record) -> Dict[str, Any]:
-    return {
-        "host": record.host,
-        "toid": record.toid,
-        "body": _value_to_json(record.body),
-        "tags": [[k, _value_to_json(v)] for k, v in record.tags],
-        "deps": [[dc, t] for dc, t in record.deps],
-        "internal": record.internal,
-    }
+def _sound(payload: bytes, crc: int) -> bool:
+    """A block holds at least one byte and matches its checksum."""
+    return bool(payload) and zlib.crc32(payload) == crc
 
 
-def record_from_dict(data: Dict[str, Any]) -> Record:
-    return Record(
-        rid=RecordId(data["host"], data["toid"]),
-        body=_value_from_json(data["body"]),
-        tags=tuple((k, _value_from_json(v)) for k, v in data.get("tags", [])),
-        deps=tuple((dc, t) for dc, t in data.get("deps", [])),
-        internal=bool(data.get("internal", False)),
+def _damaged(path: str, offset: int) -> LogError:
+    return LogError(
+        f"{path}: the journal block at offset {offset} fails its checksum and is "
+        "not the last one — the file is damaged, not torn by a crash"
     )
 
 
-def _open_for_append(path: str) -> TextIO:
-    """Open ``path`` for appending, first cutting off a torn final line.
+def _sound_blocks(path: str) -> Iterator[Tuple[int, bytes]]:
+    """``(offset, payload)`` of every block of ``path`` in file order, each
+    checked against its checksum.  A final block that is incomplete or fails
+    the check is the torn tail of a crash mid-write and ends the walk; a
+    bad block with anything behind it raises."""
+    try:
+        handle = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with handle:
+        size = os.fstat(handle.fileno()).st_size
+        offset = 0
+        while size - offset >= _HEADER.size:
+            length, crc = _HEADER.unpack(handle.read(_HEADER.size))
+            end = offset + _HEADER.size + length
+            if end > size:
+                return
+            payload = handle.read(length)
+            if not _sound(payload, crc):
+                if end < size:
+                    raise _damaged(path, offset)
+                return
+            yield offset, payload
+            offset = end
 
-    A crash mid-write leaves a last line without its newline.  That entry
-    was never acknowledged, so dropping it is safe — but appending behind
-    it would glue the next entry onto the fragment, and replay would lose
-    that entry and every later one with it.
+
+def _open_for_append(path: str) -> BinaryIO:
+    """Open ``path`` for appending, first cutting off a torn final block.
+
+    A crash mid-write leaves a last block that is incomplete or fails its
+    checksum.  The turn that wrote it was never committed, so dropping it
+    is safe — but appending behind it would hide every later block from
+    replay.  Only the block headers are walked and only the last block is
+    verified; when that finds a tail to cut, every block before the cut is
+    verified first, so damage is never mistaken for a torn tail.
     """
     if os.path.exists(path):
-        with open(path, "rb+") as handle:
-            end = keep = handle.seek(0, os.SEEK_END)
-            while keep > 0:
-                start = max(0, keep - 4096)
-                handle.seek(start)
-                newline = handle.read(keep - start).rfind(b"\n")
-                if newline >= 0:
-                    keep = start + newline + 1
+        with open(path, "rb+", buffering=0) as handle:
+            size = handle.seek(0, os.SEEK_END)
+            start = end = 0  # of the last complete block
+            while size - end >= _HEADER.size:
+                handle.seek(end)
+                length, crc = _HEADER.unpack(handle.read(_HEADER.size))
+                if end + _HEADER.size + length > size:
                     break
-                keep = start
-            if keep < end:
-                handle.truncate(keep)
-    return open(path, "a", encoding="utf-8")
+                start, end = end, end + _HEADER.size + length
+            cut = end  # what follows is an incomplete block
+            if start < end == size:
+                # Nothing follows: the handle is at the last block's payload.
+                if not _sound(handle.read(length), crc):
+                    cut = start
+            if cut < size:
+                for _ in _sound_blocks(path):
+                    pass
+                handle.truncate(cut)
+    return open(path, "ab")
+
+
+def _read_runs(path: str) -> Iterator[Placements]:
+    """The runs of every sound block of ``path`` (see :func:`_sound_blocks`)."""
+    for offset, payload in _sound_blocks(path):
+        try:
+            run = decode_value_binary(payload)
+        except NetworkProtocolError as exc:
+            raise LogError(
+                f"{path}: the journal block at offset {offset} passes its "
+                f"checksum but does not decode: {exc}"
+            ) from exc
+        yield run
 
 
 # --------------------------------------------------------------------- #
@@ -134,16 +149,22 @@ class MemoryJournal:
     """An in-memory append-only journal of (LId, record) placements."""
 
     def __init__(self) -> None:
-        self._entries: List[Tuple[int, Record]] = []
+        self._entries: Placements = []
 
     def __call__(self, lid: int, record: Record) -> None:
         self._entries.append((lid, record))
+
+    def append_run(self, placements: Placements) -> None:
+        self._entries.extend(placements)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def replay(self) -> Iterator[Tuple[int, Record]]:
         return iter(list(self._entries))
+
+    def replay_runs(self) -> Iterator[Placements]:
+        return iter([list(self._entries)] if self._entries else [])
 
     def truncate_below(self, lid: int) -> int:
         """Compact the journal after garbage collection."""
@@ -153,13 +174,15 @@ class MemoryJournal:
 
 
 class FileJournal:
-    """A JSON-lines journal on disk.
+    """A block journal on disk.
 
-    Each line is ``{"lid": ..., "record": {...}}``.  Writes are appended
-    and flushed per entry; a torn final line (the record it described was
-    never acknowledged, so dropping it is safe) is skipped by replay and
-    cut off whenever the file is opened, before anything is appended
-    behind it.
+    :meth:`append_run` writes one block — ``u32 length | u32 crc32 |
+    payload`` — with one ``write`` and one ``flush``, so the block is on
+    the file before the call returns; ``journal(lid, record)`` is a
+    one-pair block.  A torn final block (the turn that wrote it was never
+    committed, so dropping it is safe) is skipped by replay and cut off
+    whenever the file is opened, before anything is appended behind it; a
+    bad block anywhere else is damage and raises :class:`LogError`.
 
     Instances are picklable (the open handle is dropped and reopened in
     append mode on unpickle), so a maintainer journaling to disk can be
@@ -171,66 +194,56 @@ class FileJournal:
         self.path = path
         self._file = _open_for_append(path)
 
-    def __getstate__(self) -> Dict[str, Any]:
+    def __getstate__(self) -> Dict[str, str]:
         return {"path": self.path}
 
-    def __setstate__(self, state: Dict[str, Any]) -> None:
+    def __setstate__(self, state: Dict[str, str]) -> None:
         self.path = state["path"]
         self._file = _open_for_append(self.path)
 
     def __call__(self, lid: int, record: Record) -> None:
-        line = json.dumps({"lid": lid, "record": record_to_dict(record)})
-        self._file.write(line + "\n")
+        self.append_run([(lid, record)])
+
+    def append_run(self, placements: Placements) -> None:
+        self._file.write(_pack_block(placements))
         self._file.flush()
 
     def close(self) -> None:
         if not self._file.closed:
             self._file.close()
 
-    def replay(self) -> Iterator[Tuple[int, Record]]:
+    def replay_runs(self) -> Iterator[Placements]:
+        """The journaled runs, a block at a time (read lazily)."""
         self._file.flush()
-        if not os.path.exists(self.path):
-            return iter(())
+        return _read_runs(self.path)
 
-        def entries() -> Iterator[Tuple[int, Record]]:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        data = json.loads(line)
-                    except json.JSONDecodeError:
-                        return  # torn tail from a crash mid-write
-                    yield data["lid"], record_from_dict(data["record"])
-
-        return entries()
+    def replay(self) -> Iterator[Tuple[int, Record]]:
+        return chain.from_iterable(self.replay_runs())
 
 
 def recover_maintainer_core(
     name: str,
     plan: OwnershipPlan,
-    journal_entries: Iterator[Tuple[int, Record]],
+    journal_runs: Iterable[Placements],
     config: Optional[FLStoreConfig] = None,
     new_journal: Optional[Callable[[int, Record], None]] = None,
 ) -> MaintainerCore:
     """Rebuild a maintainer's state from its journal after a crash.
 
-    Replays every journaled placement through the placed-mode path, which
-    restores the storage map, the assignment cursor (including skips over
-    early-placed records), and the pending tag postings.  The recovered
-    core resumes post-assignment exactly where the crashed one stopped —
-    no LId is ever handed out twice.
+    Replays every journaled run (``journal.replay_runs()``) through
+    :meth:`MaintainerCore.place_run` — the same outcome as placing each
+    pair in turn — which restores the storage map, the assignment cursor
+    (including skips over early-placed records), and the pending tag
+    postings.  The recovered core resumes post-assignment exactly where the
+    crashed one stopped — no LId is ever handed out twice.
 
-    ``new_journal`` receives every replayed placement too (recovery chains
-    into a fresh journal).  It must therefore be a *different* journal from
-    the one ``journal_entries`` reads: replaying a journal into itself
-    re-appends every entry — on a :class:`FileJournal` that is a feedback
-    loop (replay lazily reads the file the replay is appending to).  To
-    reuse the original journal object, recover with ``new_journal=None``
-    and attach it afterwards via ``core.set_journal``.
+    ``new_journal`` receives every replayed run too (recovery chains into a
+    fresh journal).  It must therefore be a *different* journal from the
+    one ``journal_runs`` reads: replaying a journal into itself re-appends
+    every entry.  To reuse the original journal object, recover with
+    ``new_journal=None`` and attach it afterwards via ``core.set_journal``.
     """
     core = MaintainerCore(name, plan, config=config, journal=new_journal)
-    for lid, record in journal_entries:
-        core.place(lid, record)
+    for run in journal_runs:
+        core.place_run(run)
     return core

@@ -18,6 +18,7 @@ adapts it to the actor runtimes, and ``repro.net`` adapts it to asyncio TCP.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.config import FLStoreConfig
@@ -52,6 +53,14 @@ from .range_map import OwnershipPlan
 
 _INF = float("inf")
 
+Placements = List[Tuple[int, Record]]
+
+
+def _journal_each(journal: Callable[[int, Record], None], placements: Placements) -> None:
+    """``append_run`` for a journal that is a plain ``(lid, record)`` callable."""
+    for lid, record in placements:
+        journal(lid, record)
+
 
 @dataclass(slots=True)
 class _DeferredAppend:
@@ -80,7 +89,7 @@ class MaintainerCore:
         self.name = name
         self.plan = plan
         self.config = config or FLStoreConfig()
-        self._journal = journal
+        self.set_journal(journal)
         #: Cold-storage hook (§6.1): called with each record evicted by GC.
         self._archive = archive
         self._storage: Dict[int, Record] = {}
@@ -110,9 +119,17 @@ class MaintainerCore:
         """Install (or replace) the durability hook for future placements.
 
         Attach before traffic flows: only placements made while a journal is
-        installed can be replayed by crash recovery.
+        installed can be replayed by crash recovery.  A journal with an
+        ``append_run(placements)`` method (:class:`~repro.flstore.journal.FileJournal`,
+        :class:`~repro.flstore.journal.MemoryJournal`) gets each
+        :meth:`place_run` / :meth:`append` as one call; a plain
+        ``journal(lid, record)`` callable is called once per pair.
         """
-        self._journal = journal
+        self._journal_run: Optional[Callable[[Placements], None]] = None
+        if journal is not None:
+            self._journal_run = getattr(journal, "append_run", None) or partial(
+                _journal_each, journal
+            )
 
     # ------------------------------------------------------------------ #
     # Appending (post-assignment, §5.2)
@@ -167,64 +184,46 @@ class MaintainerCore:
             self._next_unassigned = lid_after
         self._sync_self_vector()
 
+    def _assign(self, records: List[Record]) -> Placements:
+        """Give ``records`` the next free owned LIds, store them and journal
+        them as one run; returns the placements made.  If the maintainer
+        retires part-way, the records placed before that stay (and are
+        journaled) and :class:`NotOwnerError` propagates."""
+        placements: Placements = []
+        try:
+            start = self._bulk_run_start(len(records))
+            if start is not None:
+                end = start + len(records)
+                placements = list(zip(range(start, end), records))
+                storage = self._storage
+                by_rid = self._by_rid
+                postings = self._pending_postings
+                for lid, record in placements:
+                    storage[lid] = record
+                    by_rid[record.rid] = lid
+                    for key, value in record.tags:
+                        postings.append((key, value, lid))
+                self._max_stored_lid = end - 1
+                self._finish_bulk_run(end)
+            else:
+                for record in records:
+                    lid = self._take_next_lid()
+                    self._put(lid, record)
+                    placements.append((lid, record))
+        finally:
+            self.records_appended += len(placements)
+            if placements and self._journal_run is not None:
+                self._journal_run(placements)
+        return placements
+
     def _do_append(self, records: List[Record]) -> List[AppendResult]:
-        start = self._bulk_run_start(len(records))
-        if start is not None:
-            storage = self._storage
-            by_rid = self._by_rid
-            postings = self._pending_postings
-            journal = self._journal
-            results = []
-            lid = start
-            for record in records:
-                storage[lid] = record
-                by_rid[record.rid] = lid
-                for key, value in record.tags:
-                    postings.append((key, value, lid))
-                if journal is not None:
-                    journal(lid, record)
-                results.append(AppendResult(record.rid, lid))
-                lid += 1
-            self._max_stored_lid = lid - 1
-            self.records_appended += len(records)
-            self._finish_bulk_run(lid)
-            return results
-        results = []
-        for record in records:
-            lid = self._take_next_lid()
-            self._store(lid, record)
-            results.append(AppendResult(record.rid, lid))
-            self.records_appended += 1
-        return results
+        return [AppendResult(record.rid, lid) for lid, record in self._assign(records)]
 
     def append_count(self, records: List[Record]) -> int:
         """Fire-and-forget bulk append: like :meth:`append` without building
         per-record results.  Used by load generators where only the count is
         acknowledged."""
-        start = self._bulk_run_start(len(records))
-        if start is not None:
-            storage = self._storage
-            by_rid = self._by_rid
-            postings = self._pending_postings
-            journal = self._journal
-            lid = start
-            for record in records:
-                storage[lid] = record
-                by_rid[record.rid] = lid
-                for key, value in record.tags:
-                    postings.append((key, value, lid))
-                if journal is not None:
-                    journal(lid, record)
-                lid += 1
-            self._max_stored_lid = lid - 1
-            self.records_appended += len(records)
-            self._finish_bulk_run(lid)
-            return len(records)
-        for record in records:
-            lid = self._take_next_lid()
-            self._store(lid, record)
-            self.records_appended += 1
-        return len(records)
+        return len(self._assign(records))
 
     def _take_next_lid(self) -> int:
         if self._next_unassigned is None:
@@ -330,22 +329,25 @@ class MaintainerCore:
         """Store a batch of queue-assigned placements.
 
         Same outcome as :meth:`place` on each pair in turn (stored records,
-        postings, journal writes, cursor, and the error raised — with the
-        pairs before it stored), but ownership is checked once per run of
-        LIds with one owner and the cursor moves once per call.  Duplicates
-        and garbage-collected positions take the per-record path.
+        postings, journaled pairs and their order, cursor, and the error
+        raised — with the pairs before it stored and journaled), but
+        ownership is checked once per run of LIds with one owner, the cursor
+        moves once per call, and the newly stored pairs reach the journal as
+        one run — one block of a :class:`~repro.flstore.journal.FileJournal`,
+        on the file before this returns.  Duplicates and garbage-collected
+        positions take the per-record path.
         """
         plan = self.plan
         storage = self._storage
         by_rid = self._by_rid
         postings = self._pending_postings
-        journal = self._journal
         floor = self._gc_floor or 0
         run_start = run_end = -1  # LIds in [run_start, run_end) are owned
         newest = self._max_stored_lid
-        placed = 0
+        stored: Placements = []
         try:
-            for lid, record in placements:
+            for pair in placements:
+                lid, record = pair
                 if not run_start <= lid < run_end:
                     if plan.owner(lid) != self.name:
                         raise NotOwnerError(lid, self.name)
@@ -359,24 +361,27 @@ class MaintainerCore:
                     newest = lid
                 for key, value in record.tags:
                     postings.append((key, value, lid))
-                if journal is not None:
-                    journal(lid, record)
-                placed += 1
+                stored.append(pair)
         finally:
             self._max_stored_lid = newest
-            self.records_placed += placed
+            self.records_placed += len(stored)
             if self._next_unassigned in storage:
                 self._advance_cursor()
+            if stored and self._journal_run is not None:
+                self._journal_run(stored)
 
-    def _store(self, lid: int, record: Record) -> None:
+    def _put(self, lid: int, record: Record) -> None:
         self._storage[lid] = record
         self._by_rid[record.rid] = lid
         if lid > self._max_stored_lid:
             self._max_stored_lid = lid
         for key, value in record.tags:
             self._pending_postings.append((key, value, lid))
-        if self._journal is not None:
-            self._journal(lid, record)
+
+    def _store(self, lid: int, record: Record) -> None:
+        self._put(lid, record)
+        if self._journal_run is not None:
+            self._journal_run([(lid, record)])
 
     # ------------------------------------------------------------------ #
     # Reads

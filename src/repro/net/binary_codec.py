@@ -1,35 +1,28 @@
-"""The wire codec: length-prefixed, struct-packed message encoding.
+"""The wire codec: the protocol messages over the packed value layer.
 
 Every message that crosses a socket in this repository — in a TCP FLStore
 frame, through the actor-routed :class:`~repro.net.aio_runtime.AioRuntime`,
-inside a multiproc envelope — is encoded here.  The hot path is
-``Record``/``LogEntry`` batches flowing through appends, placements, and
-replication shipments, so the encoding is built around them: a single
-recursive pass that appends struct-packed bytes directly.
+inside a multiproc envelope — is encoded here.  The value layer (scalars,
+containers, the ``Record`` / ``RecordId`` / ``LogEntry`` / ``AppendResult``
+layouts and the record / placement / entry run shapes) lives in
+:mod:`repro.core.value_codec`, where the storage layer shares it; this
+module installs in it what only the network layer knows:
 
-* scalars: ``None``/bools as one tag byte; ints as 8-byte big-endian
-  (arbitrary-precision fallback for the rare overflow); floats as IEEE
-  doubles; strings/bytes as length-prefixed payloads — the
-  length is one byte for payloads under 255 bytes, else ``0xFF`` + u32;
-* containers: lists, tuples, and dicts with 4-byte counts — dict keys are
-  arbitrary encoded values, not just strings;
-* hot value types: ``Record``, ``RecordId``, ``LogEntry``,
-  ``AppendResult``, and ``DraftRecord`` get bespoke packed layouts;
-* every registered protocol message (:data:`_MESSAGE_TYPES`): a generic
-  ``(type index, fields...)`` layout over the name-sorted registry;
+* ``DraftRecord`` (tag ``0x14``) and ``RecordBatch`` (tag ``0x15``, decoded
+  lazily) get bespoke packed layouts;
+* every registered protocol message (:data:`_MESSAGE_TYPES`, tag ``0x1F``):
+  a generic ``(type index, fields...)`` layout over the name-sorted
+  registry;
 * record runs: the five message fields that carry the pipeline's records
   between processes (:data:`_RUN_FIELDS`) are packed **a column per batch**
-  (tag ``0x16``) once they hold :data:`_RUN_MIN` elements — ids as one
-  ``struct`` each, hosts / clients / whole deps tuples dictionary-coded,
-  bodies as a length column plus one ``join``, and only the records with
-  tags or a non-``bytes`` body paying the per-value encoding — so a run
-  costs a handful of C-level passes instead of a Python call per field
-  per record.  Shorter lists, heterogeneous lists and every other list
-  (so every TCP FLStore frame) keep the per-element layouts byte for byte.
+  (tag ``0x16``) once they hold ``_RUN_MIN`` elements — the draft and
+  commit run shapes are defined here, the other three below.  Shorter
+  lists, heterogeneous lists and every other list (so every TCP FLStore
+  frame) keep the per-element layouts byte for byte.
 
 Encoding is symmetric: ``decode(encode(x)) == x`` for every registered
-message type and every application body built from the scalars and
-containers above, with exact Python types.
+message type and every application body built from the value layer's
+scalars and containers, with exact Python types.
 For *any* byte string :func:`decode_value_binary` returns a value or raises
 :class:`~repro.core.errors.NetworkProtocolError`, allocating no more than
 a small multiple of the input's length.
@@ -40,9 +33,8 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from itertools import accumulate, repeat
 from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from ..baseline.sequencer import ReservedRange, SequencerRequest
 from ..chariots import messages as cmsg
@@ -55,72 +47,54 @@ from ..chariots.messages import (
 )
 from ..core.errors import NetworkProtocolError
 from ..core.record import AppendResult, LogEntry, ReadRules, Record, RecordId
+from ..core.value_codec import (
+    _MALFORMED,
+    _RUN_ENTRY,
+    _RUN_MIN,
+    _RUN_PLACEMENT,
+    _RUN_RECORD,
+    _RUN_SHAPES,
+    _TAG_DECODERS,
+    _TYPE_ENCODERS,
+    _all_of,
+    _dec_deps,
+    _dec_payload_columns,
+    _dec_record_fields,
+    _dec_str_column,
+    _dec_tags,
+    _decode_value,
+    _enc_deps,
+    _enc_len,
+    _enc_payload_columns,
+    _enc_record_fields,
+    _enc_run,
+    _enc_str_column,
+    _enc_tags,
+    _encode_value,
+    _new,
+    _pack_i64,
+    _pack_u32,
+    _set,
+    _unpack_i64,
+    _unpack_u32,
+    decode_value_binary,
+    encode_value_binary,
+)
 from ..flstore import messages as fmsg
 from ..flstore.messages import PlaceRecords, ReadNewReply
 from ..runtime.messages import RecordBatch
 
-# Decoded objects are built without running the frozen-dataclass __init__
-# (object.__new__ + object.__setattr__): the ctor's per-field immutability
-# machinery is pure overhead when every field comes straight off the wire.
-# The __post_init__ invariants (toid >= 1, lid >= 0) are checked explicitly.
-_new = object.__new__
-_set = object.__setattr__
-
-
-def _make_rid(host: str, toid: int) -> RecordId:
-    if toid < 1:
-        raise NetworkProtocolError(f"TOIds start at 1, got {toid}")
-    rid = _new(RecordId)
-    _set(rid, "host", host)
-    _set(rid, "toid", toid)
-    return rid
-
-
-def _make_entry(lid: int, record: Record) -> LogEntry:
-    if lid < 0:
-        raise NetworkProtocolError(f"LIds are non-negative, got {lid}")
-    entry = _new(LogEntry)
-    _set(entry, "lid", lid)
-    _set(entry, "record", record)
-    return entry
-
 #: First byte of every frame body; anything else is not a frame of ours.
 BINARY_MAGIC = 0xC5
 
-# Value tags (one byte each).
-_T_NONE = 0x00
-_T_TRUE = 0x01
-_T_FALSE = 0x02
-_T_INT = 0x03
-_T_FLOAT = 0x04
-_T_STR = 0x05
-_T_BYTES = 0x06
-_T_LIST = 0x07
-_T_TUPLE = 0x08
-_T_DICT = 0x09
-_T_BIGINT = 0x0A
-_T_RECORD = 0x10
-_T_RECORD_ID = 0x11
-_T_LOG_ENTRY = 0x12
-_T_APPEND_RESULT = 0x13
+# The value tags of this layer (the rest are the value layer's).
 _T_DRAFT = 0x14
 _T_BATCH = 0x15
-_T_RUN = 0x16
 _T_MESSAGE = 0x1F
 
-_U32 = struct.Struct(">I")
-_I64 = struct.Struct(">q")
-_F64 = struct.Struct(">d")
-_I64U8 = struct.Struct(">qB")  # (toid, internal) pair in the Record layout
-
-_pack_u32 = _U32.pack
-_pack_i64 = _I64.pack
-_pack_f64 = _F64.pack
-_pack_i64u8 = _I64U8.pack
-_unpack_u32 = _U32.unpack_from
-_unpack_i64 = _I64.unpack_from
-_unpack_f64 = _F64.unpack_from
-_unpack_i64u8 = _I64U8.unpack_from
+# The run shapes of this layer: what one element of the list is.
+_RUN_DRAFT = 3  # DraftRecord
+_RUN_COMMIT = 4  # DraftCommitted
 
 # --------------------------------------------------------------------- #
 # Message-type registry and the deterministic type table derived from it
@@ -182,14 +156,6 @@ _MSG_CLASSES: List[Type[Any]] = sorted(
     (cls for cls in _MESSAGE_TYPES if cls not in _SPECIAL_CLASSES),
     key=attrgetter("__name__"),
 )
-
-# Shapes of a columnar record run (the ``u8`` after the 0x16 tag): what one
-# element of the list is.
-_RUN_RECORD = 0  # Record
-_RUN_PLACEMENT = 1  # (lid, Record)
-_RUN_ENTRY = 2  # LogEntry
-_RUN_DRAFT = 3  # DraftRecord
-_RUN_COMMIT = 4  # DraftCommitted
 
 #: message class → (record-bearing field, run shape): the fields that carry
 #: the pipeline's records between processes.  A list in one of them travels
@@ -350,689 +316,134 @@ def _dec_batch(buf: Any, pos: int) -> Tuple["LazyRecordBatch", int]:
 
 
 # --------------------------------------------------------------------- #
-# Encoding
+# DraftRecord and the registered messages
 # --------------------------------------------------------------------- #
 
 
-def _enc_len(n: int, out: bytearray) -> None:
-    """Variable-length byte-run prefix: one byte under 255, else 0xFF+u32."""
-    if n < 255:
-        out.append(n)
+def _enc_draft(value: DraftRecord, out: bytearray) -> None:
+    out.append(_T_DRAFT)
+    client = value.client.encode("utf-8")
+    _enc_len(len(client), out)
+    out += client
+    out += _pack_i64(value.seq)
+    _encode_value(value.body, out)
+    _enc_tags(value.tags, out)
+    _enc_deps(value.deps, out)
+
+
+def _dec_draft(buf: Any, pos: int) -> Tuple[DraftRecord, int]:
+    if type(buf) is not bytes:
+        buf = bytes(buf)  # the top-level value of a memoryview
+    n = buf[pos]
+    pos += 1
+    if n == 255:
+        (n,) = _unpack_u32(buf, pos)
+        pos += 4
+    client = buf[pos : pos + n].decode("utf-8")
+    pos += n
+    (seq,) = _unpack_i64(buf, pos)
+    pos += 8
+    body, pos = _decode_value(buf, pos)
+    tags: Tuple[Any, ...] = ()
+    if buf[pos]:
+        tags, pos = _dec_tags(buf, pos)
     else:
-        out.append(255)
-        out += _pack_u32(n)
-
-
-def _enc_str(value: str, out: bytearray) -> None:
-    data = value.encode("utf-8")
-    out.append(_T_STR)
-    n = len(data)
-    if n < 255:
-        out.append(n)
+        pos += 1
+    deps: Tuple[Any, ...] = ()
+    if buf[pos]:
+        deps, pos = _dec_deps(buf, pos)
     else:
-        out.append(255)
-        out += _pack_u32(n)
-    out += data
+        pos += 1
+    draft = DraftRecord(client=client, seq=seq, body=body, tags=tags, deps=deps)
+    return draft, pos
 
 
-def _enc_record_fields(record: Record, out: bytearray) -> None:
-    """Packed Record body shared by the Record and LogEntry layouts."""
-    rid = record.rid
-    host = rid.host.encode("utf-8")
-    _enc_len(len(host), out)
-    out += host
-    out += _pack_i64u8(rid.toid, 1 if record.internal else 0)
-    _encode_value(record.body, out)
-    _enc_tags(record.tags, out)
-    _enc_deps(record.deps, out)
-
-
-def _encode_value(value: Any, out: bytearray) -> None:
-    kind = type(value)
-    if kind is bytes:
-        out.append(_T_BYTES)
-        _enc_len(len(value), out)
-        out += value
-        return
-    if kind is str:
-        _enc_str(value, out)
-        return
-    if kind is bool:
-        out.append(_T_TRUE if value else _T_FALSE)
-        return
-    if kind is int:
-        try:
-            packed = _pack_i64(value)
-        except struct.error:
-            data = str(value).encode("ascii")
-            out.append(_T_BIGINT)
-            _enc_len(len(data), out)
-            out += data
-            return
-        out.append(_T_INT)
-        out += packed
-        return
-    if value is None:
-        out.append(_T_NONE)
-        return
-    if kind is float:
-        out.append(_T_FLOAT)
-        out += _pack_f64(value)
-        return
-    if kind is Record:
-        out.append(_T_RECORD)
-        _enc_record_fields(value, out)
-        return
-    if kind is LogEntry:
-        out.append(_T_LOG_ENTRY)
-        out += _pack_i64(value.lid)
-        _enc_record_fields(value.record, out)
-        return
-    if kind is DraftRecord:
-        out.append(_T_DRAFT)
-        client = value.client.encode("utf-8")
-        _enc_len(len(client), out)
-        out += client
-        out += _pack_i64(value.seq)
-        _encode_value(value.body, out)
-        _enc_tags(value.tags, out)
-        _enc_deps(value.deps, out)
-        return
-    if kind is RecordId:
-        out.append(_T_RECORD_ID)
-        host = value.host.encode("utf-8")
-        _enc_len(len(host), out)
-        out += host
-        out += _pack_i64(value.toid)
-        return
-    if kind is AppendResult:
-        out.append(_T_APPEND_RESULT)
-        host = value.rid.host.encode("utf-8")
-        _enc_len(len(host), out)
-        out += host
-        out += _pack_i64(value.rid.toid)
-        out += _pack_i64(value.lid)
-        return
-    if kind is RecordBatch or kind is LazyRecordBatch:
-        _enc_batch(value, out)
-        return
-    if kind is list:
-        out.append(_T_LIST)
-        out += _pack_u32(len(value))
-        for item in value:
-            _encode_value(item, out)
-        return
-    if kind is tuple:
-        out.append(_T_TUPLE)
-        out += _pack_u32(len(value))
-        for item in value:
-            _encode_value(item, out)
-        return
-    if kind is dict:
-        out.append(_T_DICT)
-        out += _pack_u32(len(value))
-        for key, item in value.items():
-            _encode_value(key, out)
-            _encode_value(item, out)
-        return
-    entry = _MSG_ENCODERS.get(kind)
-    if entry is not None:
-        index, getter, single, run = entry
-        out.append(_T_MESSAGE)
-        out += _pack_u32(index)
-        if run is not None:
-            position, shape = run
-            fields = (getter(value),) if single else getter(value)
-            for at, field_value in enumerate(fields):
-                if (
-                    at == position
-                    and type(field_value) is list
-                    and len(field_value) >= _RUN_MIN
-                ):
-                    _enc_run(field_value, shape, out)
-                else:
-                    _encode_value(field_value, out)
-        elif single:
-            _encode_value(getter(value), out)
-        else:
-            for field_value in getter(value):
+def _enc_message(value: Any, out: bytearray) -> None:
+    index, getter, single, run = _MSG_ENCODERS[type(value)]
+    out.append(_T_MESSAGE)
+    out += _pack_u32(index)
+    if run is not None:
+        position, shape = run
+        fields = (getter(value),) if single else getter(value)
+        for at, field_value in enumerate(fields):
+            if (
+                at == position
+                and type(field_value) is list
+                and len(field_value) >= _RUN_MIN
+            ):
+                _enc_run(field_value, shape, out)
+            else:
                 _encode_value(field_value, out)
-        return
-    # Subclasses of the containers (a namedtuple, an OrderedDict) encode as
-    # their base type.
-    if isinstance(value, tuple):
-        out.append(_T_TUPLE)
-        out += _pack_u32(len(value))
-        for item in value:
-            _encode_value(item, out)
-        return
-    if isinstance(value, list):
-        out.append(_T_LIST)
-        out += _pack_u32(len(value))
-        for item in value:
-            _encode_value(item, out)
-        return
-    if isinstance(value, dict):
-        out.append(_T_DICT)
-        out += _pack_u32(len(value))
-        for key, item in value.items():
-            _encode_value(key, out)
-            _encode_value(item, out)
-        return
-    raise NetworkProtocolError(
-        f"cannot encode value of type {type(value).__name__}: {value!r}"
-    )
+    elif single:
+        _encode_value(getter(value), out)
+    else:
+        for field_value in getter(value):
+            _encode_value(field_value, out)
+
+
+def _dec_message(buf: Any, pos: int) -> Tuple[Any, int]:
+    if type(buf) is not bytes:
+        buf = bytes(buf)  # the top-level value of a memoryview
+    (index,) = _unpack_u32(buf, pos)
+    pos += 4
+    if index >= len(_MSG_DECODERS):
+        raise NetworkProtocolError(f"unknown binary message index {index}")
+    cls, field_count = _MSG_DECODERS[index]
+    values = []
+    for _ in range(field_count):
+        value, pos = _decode_value(buf, pos)
+        values.append(value)
+    return cls(*values), pos
 
 
 # --------------------------------------------------------------------- #
-# Columnar record runs (encode)
+# The draft and commit run shapes
 # --------------------------------------------------------------------- #
 
-#: Shortest list that travels as a run.  A run has a fixed cost the
-#: per-element layouts do not (three dictionary tables, three sparse-section
-#: headers, a ``struct`` format per column: about 13 µs a message against
-#: 2 µs, then 2 µs a record against 4.5).  Timed on this module, encode +
-#: decode in µs per message, run vs per-element, ledger-shaped records
-#: (512-byte bodies, one shared deps tuple, 20 % tagged):
-#:
-#:   n   PlaceRecords  ReadNewReply  DraftBatch  DraftCommitBatch  Shipment
-#:   4    23 vs 22      25 vs 20     18 vs 15      11 vs 17        27 vs 22
-#:   6    25 vs 28      26 vs 25     19 vs 22      13 vs 24        31 vs 31
-#:   8    31 vs 40      34 vs 36     24 vs 27      15 vs 32        34 vs 36
-#:  12    39 vs 59      43 vs 51     30 vs 39      18 vs 46        42 vs 51
-#:
-#: Eight is the first length at which the run wins for all five shapes.
-#: End to end (four seed-paired ``geo-mp`` ledger runs, 8 against 4) the
-#: throughput is the same and the ack p50 3.5 % lower with 8.
-_RUN_MIN = 8
-
-#: What makes a list "not a run": an element of another type, a field the
-#: packed columns cannot hold (an id outside i64, a non-``str`` host, an
-#: unhashable deps tuple).  Such a list keeps the per-element encoding,
-#: which either carries the value or raises what it always raised.
-_NOT_A_RUN = (AttributeError, TypeError, ValueError, struct.error)
-
-_record_columns = attrgetter("rid", "body", "tags", "deps", "internal")
 _draft_columns = attrgetter("client", "seq", "body", "tags", "deps")
 _commit_columns = attrgetter("client", "seq", "rid", "lid")
 
 
-def _enc_run(items: List[Any], shape: int, out: bytearray) -> None:
-    """Encode ``items`` as one columnar run of ``shape``; a list that is not
-    such a run (see :data:`_NOT_A_RUN`) is encoded per element instead."""
-    mark = len(out)
-    try:
-        out.append(_T_RUN)
-        out.append(shape)
-        out += _pack_u32(len(items))
-        _enc_run_columns(items, shape, out)
-    except _NOT_A_RUN:
-        del out[mark:]
-        _encode_value(items, out)
+def _enc_draft_run(items: List[Any], out: bytearray) -> None:
+    _all_of(DraftRecord, items)
+    clients, seqs, bodies, tags, deps = zip(*map(_draft_columns, items))
+    _enc_str_column(clients, out)
+    out += struct.pack(">%dq" % len(seqs), *seqs)
+    _enc_payload_columns(deps, (), bodies, tags, out)
 
 
-def _all_of(kind: type, items: Iterable[Any]) -> None:
-    if set(map(type, items)) != {kind}:
-        raise TypeError(f"not a homogeneous run of {kind.__name__}")
+def _dec_draft_run(buf: bytes, pos: int, n: int) -> Tuple[List[Any], int]:
+    clients, pos = _dec_str_column(buf, pos, n, False)
+    seqs = struct.unpack_from(">%dq" % n, buf, pos)
+    deps, _internal, bodies, tags, pos = _dec_payload_columns(buf, pos + 8 * n, n)
+    drafts: List[Any] = []
+    for client, seq, body, pairs, dep in zip(clients, seqs, bodies, tags, deps):
+        draft = _new(DraftRecord)
+        _set(draft, "client", client)
+        _set(draft, "seq", seq)
+        _set(draft, "body", body)
+        _set(draft, "tags", pairs)
+        _set(draft, "deps", dep)
+        drafts.append(draft)
+    return drafts, pos
 
 
-def _enc_run_columns(items: List[Any], shape: int, out: bytearray) -> None:
-    """The columns of a run: every pass below is one C-level sweep (``map``,
-    ``zip``, ``struct.pack``, ``join``) over the whole run."""
+def _enc_commit_run(items: List[Any], out: bytearray) -> None:
+    """The five columns of a ``DraftCommitted`` run (it has no payload)."""
+    _all_of(DraftCommitted, items)
     i64s = ">%dq" % len(items)
-    if shape == _RUN_COMMIT:
-        _all_of(DraftCommitted, items)
-        clients, seqs, rids, lids = zip(*map(_commit_columns, items))
-        _all_of(RecordId, rids)
-        hosts = [rid.host for rid in rids]
-        toids = [rid.toid for rid in rids]
-        _enc_str_column(clients, out)
-        out += struct.pack(i64s, *seqs)
-        _enc_str_column(hosts, out)
-        out += struct.pack(i64s, *toids)
-        out += struct.pack(i64s, *lids)
-        return
-    if shape == _RUN_DRAFT:
-        _all_of(DraftRecord, items)
-        clients, seqs, bodies, tags, deps = zip(*map(_draft_columns, items))
-        internal: Sequence[Any] = ()
-        _enc_str_column(clients, out)
-        out += struct.pack(i64s, *seqs)
-    else:
-        records: Sequence[Any] = items
-        if shape == _RUN_PLACEMENT:
-            _all_of(tuple, items)
-            if set(map(len, items)) != {2}:
-                raise TypeError("a placement is a (lid, record) pair")
-            lids, records = zip(*items)
-            out += struct.pack(i64s, *lids)
-        elif shape == _RUN_ENTRY:
-            _all_of(LogEntry, items)
-            lids = [entry.lid for entry in items]
-            records = [entry.record for entry in items]
-            out += struct.pack(i64s, *lids)
-        _all_of(Record, records)
-        rids, bodies, tags, deps, internal = zip(*map(_record_columns, records))
-        hosts = [rid.host for rid in rids]
-        toids = [rid.toid for rid in rids]
-        _enc_str_column(hosts, out)
-        out += struct.pack(i64s, *toids)
-
-    # deps: whole tuples, dictionary-coded (a batch shares one or a few).
-    table = dict.fromkeys(deps)
-    out += _pack_u32(len(table))
-    for dep in table:
-        _enc_deps(dep, out)
-    _enc_indices(deps, table, out)
-
-    # internal: positions of the (rare) system records.
-    _enc_positions(_positions_of(internal), out)
-
-    # bodies: lengths, then the bytes back to back; anything that is not
-    # plain ``bytes`` leaves an empty slot and goes through the generic
-    # encoder in the sparse section that follows.
-    odd: Sequence[int] = ()
-    plain: Sequence[bytes] = bodies
-    if set(map(type, bodies)) != {bytes}:
-        odd = [at for at, body in enumerate(bodies) if type(body) is not bytes]
-        plain = [body if type(body) is bytes else b"" for body in bodies]
-    out += struct.pack(">%dI" % len(plain), *map(len, plain))
-    out += b"".join(plain)
-    _enc_positions(odd, out)
-    for at in odd:
-        _encode_value(bodies[at], out)
-
-    # tags: only the records that have any.
-    tagged = _positions_of(tags)
-    _enc_positions(tagged, out)
-    for at in tagged:
-        _enc_tags(tags[at], out)
-
-
-def _positions_of(column: Sequence[Any]) -> Sequence[int]:
-    """Where ``column`` holds something truthy — found without a
-    Python-level pass when, as usual, it holds nothing."""
-    return [at for at, item in enumerate(column) if item] if any(column) else ()
-
-
-def _enc_str_column(values: Sequence[str], out: bytearray) -> None:
-    """A low-cardinality string column: the distinct values, then indices."""
-    table = dict.fromkeys(values)
-    out += _pack_u32(len(table))
-    for text in table:
-        data = text.encode("utf-8")
-        _enc_len(len(data), out)
-        out += data
-    _enc_indices(values, table, out)
-
-
-def _enc_indices(values: Sequence[Any], table: Dict[Any, None], out: bytearray) -> None:
-    """``n × u32`` positions of ``values`` in ``table`` (first-seen order);
-    a one-entry table needs none."""
-    if len(table) > 1:
-        index = dict(zip(table, range(len(table))))
-        out += struct.pack(">%dI" % len(values), *map(index.__getitem__, values))
-
-
-def _enc_positions(positions: Sequence[int], out: bytearray) -> None:
-    """A sparse section's header: ``u32 count`` then ``count × u32``."""
-    if positions:
-        out += struct.pack(">%dI" % (len(positions) + 1), len(positions), *positions)
-    else:
-        out += b"\x00\x00\x00\x00"
-
-
-def _enc_deps(deps: Tuple[Tuple[str, int], ...], out: bytearray) -> None:
-    """Dependency list as in the Record layout: count, then (dc, toid)."""
-    pack_i64 = _pack_i64
-    count = len(deps)
-    if count < 255:
-        out.append(count)
-    else:
-        out.append(255)
-        out += _pack_u32(count)
-    for dc, toid in deps:
-        data = dc.encode("utf-8")
-        n = len(data)
-        if n < 255:
-            out.append(n)
-        else:
-            out.append(255)
-            out += _pack_u32(n)
-        out += data
-        out += pack_i64(toid)
-
-
-def _enc_tags(tags: Tuple[Tuple[str, Any], ...], out: bytearray) -> None:
-    """Tag list as in the Record layout: count, then (key, value) values."""
-    count = len(tags)
-    if count < 255:
-        out.append(count)
-    else:
-        out.append(255)
-        out += _pack_u32(count)
-    for key, value in tags:
-        if type(key) is str:
-            _enc_str(key, out)
-        else:
-            _encode_value(key, out)
-        _encode_value(value, out)
-
-
-def encode_value_binary(value: Any) -> bytes:
-    """Encode any protocol value into the packed binary form."""
-    out = bytearray()
-    _encode_value(value, out)
-    return bytes(out)
-
-
-def encode_message_binary(message: Any) -> bytes:
-    """Encode a top-level protocol message (must be a registered type)."""
-    kind = type(message)
-    if kind not in _MSG_ENCODERS and kind not in _SPECIAL_CLASSES:
-        raise NetworkProtocolError(
-            f"{kind.__name__} is not a registered protocol message"
-        )
-    return encode_value_binary(message)
-
-
-# --------------------------------------------------------------------- #
-# Decoding
-# --------------------------------------------------------------------- #
-
-#: What hostile bytes can make the decoders raise besides
-#: :class:`NetworkProtocolError`: a read past the end (``IndexError``,
-#: ``struct.error``), bad UTF-8 or bigint digits (``ValueError``), an
-#: unhashable dict key (``TypeError``), nesting deeper than the interpreter
-#: allows (``RecursionError``).  The entry points turn every one of them into
-#: ``NetworkProtocolError`` — the only decode error servers and runtimes
-#: catch.
-_MALFORMED = (IndexError, struct.error, ValueError, TypeError, RecursionError)
-
-#: Datacenter-id bytes → interned str.  Host ids repeat constantly on the
-#: hot path (there are only a handful of datacenters), so one dict hit
-#: replaces a UTF-8 decode per occurrence.  Bounded by :func:`_intern_dc`.
-_DC_CACHE: Dict[bytes, str] = {}
-
-#: Far more datacenters than any deployment names; a peer that sends this
-#: many distinct host strings is not describing datacenters.
-_DC_CACHE_LIMIT = 1024
-
-
-def _intern_dc(raw: bytes) -> str:
-    """Decode a datacenter id missing from :data:`_DC_CACHE` and remember it.
-
-    The cache starts over when full (as :mod:`struct`'s format cache does),
-    so an untrusted peer cannot grow it without bound.
-    """
-    if len(_DC_CACHE) >= _DC_CACHE_LIMIT:
-        _DC_CACHE.clear()
-    name = _DC_CACHE[raw] = raw.decode("utf-8")
-    return name
-
-
-def _dec_record_fields(buf: bytes, pos: int) -> Tuple[Record, int]:
-    unpack_u32 = _unpack_u32
-    unpack_i64 = _unpack_i64
-    decode_value = _decode_value
-    dc_cache = _DC_CACHE
-    set_ = _set
-
-    n = buf[pos]
-    pos += 1
-    if n == 255:
-        (n,) = unpack_u32(buf, pos)
-        pos += 4
-    raw = buf[pos : pos + n]
-    host = dc_cache.get(raw)
-    if host is None:
-        host = _intern_dc(raw)
-    pos += n
-    toid, internal = _unpack_i64u8(buf, pos)
-    pos += 9
-    # Inline the common body shapes (bytes/str payloads) to skip a frame.
-    tag = buf[pos]
-    if tag == _T_BYTES:
-        n = buf[pos + 1]
-        pos += 2
-        if n == 255:
-            (n,) = unpack_u32(buf, pos)
-            pos += 4
-        body: Any = buf[pos : pos + n]
-        pos += n
-    elif tag == _T_STR:
-        n = buf[pos + 1]
-        pos += 2
-        if n == 255:
-            (n,) = unpack_u32(buf, pos)
-            pos += 4
-        body = buf[pos : pos + n].decode("utf-8")
-        pos += n
-    else:
-        body, pos = decode_value(buf, pos)
-    count = buf[pos]
-    pos += 1
-    if count == 255:
-        (count,) = unpack_u32(buf, pos)
-        pos += 4
-    if count:
-        tags = []
-        for _ in range(count):
-            # Tag keys are strings and values are usually small scalars;
-            # inline those shapes and fall back to the generic decoder.
-            tag = buf[pos]
-            if tag == _T_STR:
-                n = buf[pos + 1]
-                pos += 2
-                if n == 255:
-                    (n,) = unpack_u32(buf, pos)
-                    pos += 4
-                key: Any = buf[pos : pos + n].decode("utf-8")
-                pos += n
-            else:
-                key, pos = decode_value(buf, pos)
-            tag = buf[pos]
-            if tag == _T_INT:
-                (value,) = unpack_i64(buf, pos + 1)
-                pos += 9
-            elif tag == _T_STR:
-                n = buf[pos + 1]
-                pos += 2
-                if n == 255:
-                    (n,) = unpack_u32(buf, pos)
-                    pos += 4
-                value = buf[pos : pos + n].decode("utf-8")
-                pos += n
-            else:
-                value, pos = decode_value(buf, pos)
-            tags.append((key, value))
-        tags = tuple(tags)
-    else:
-        tags = ()
-    count = buf[pos]
-    pos += 1
-    if count == 255:
-        (count,) = unpack_u32(buf, pos)
-        pos += 4
-    if count:
-        deps = []
-        for _ in range(count):
-            n = buf[pos]
-            pos += 1
-            if n == 255:
-                (n,) = unpack_u32(buf, pos)
-                pos += 4
-            raw = buf[pos : pos + n]
-            dc = dc_cache.get(raw)
-            if dc is None:
-                dc = _intern_dc(raw)
-            pos += n
-            (dep_toid,) = unpack_i64(buf, pos)
-            pos += 8
-            deps.append((dc, dep_toid))
-        deps = tuple(deps)
-    else:
-        deps = ()
-    if toid < 1:
-        raise NetworkProtocolError(f"TOIds start at 1, got {toid}")
-    rid = _new(RecordId)
-    set_(rid, "host", host)
-    set_(rid, "toid", toid)
-    record = _new(Record)
-    set_(record, "rid", rid)
-    set_(record, "body", body)
-    set_(record, "tags", tags)
-    set_(record, "deps", deps)
-    set_(record, "internal", internal == 1)
-    return record, pos
-
-
-def _dec_tags(buf: bytes, pos: int) -> Tuple[Tuple[Tuple[Any, Any], ...], int]:
-    """Inverse of :func:`_enc_tags`: string keys and int / string values are
-    decoded in line, anything else by the generic decoder.
-    (:func:`_dec_record_fields` keeps its own copy of this loop and of
-    :func:`_dec_deps`: a call fewer per record on the per-element path.)"""
-    unpack_u32 = _unpack_u32
-    count = buf[pos]
-    pos += 1
-    if count == 255:
-        (count,) = unpack_u32(buf, pos)
-        pos += 4
-    tags = []
-    for _ in range(count):
-        tag = buf[pos]
-        if tag == _T_STR:
-            n = buf[pos + 1]
-            pos += 2
-            if n == 255:
-                (n,) = unpack_u32(buf, pos)
-                pos += 4
-            key: Any = buf[pos : pos + n].decode("utf-8")
-            pos += n
-        else:
-            key, pos = _decode_value(buf, pos)
-        tag = buf[pos]
-        if tag == _T_INT:
-            (value,) = _unpack_i64(buf, pos + 1)
-            pos += 9
-        elif tag == _T_STR:
-            n = buf[pos + 1]
-            pos += 2
-            if n == 255:
-                (n,) = unpack_u32(buf, pos)
-                pos += 4
-            value = buf[pos : pos + n].decode("utf-8")
-            pos += n
-        else:
-            value, pos = _decode_value(buf, pos)
-        tags.append((key, value))
-    return tuple(tags), pos
-
-
-def _dec_deps(buf: bytes, pos: int) -> Tuple[Tuple[Tuple[str, int], ...], int]:
-    """Inverse of :func:`_enc_deps`."""
-    dc_cache = _DC_CACHE
-    count = buf[pos]
-    pos += 1
-    if count == 255:
-        (count,) = _unpack_u32(buf, pos)
-        pos += 4
-    deps = []
-    for _ in range(count):
-        n = buf[pos]
-        pos += 1
-        if n == 255:
-            (n,) = _unpack_u32(buf, pos)
-            pos += 4
-        raw = buf[pos : pos + n]
-        dc = dc_cache.get(raw)
-        if dc is None:
-            dc = _intern_dc(raw)
-        pos += n
-        (toid,) = _unpack_i64(buf, pos)
-        pos += 8
-        deps.append((dc, toid))
-    return tuple(deps), pos
-
-
-# --------------------------------------------------------------------- #
-# Columnar record runs (decode)
-# --------------------------------------------------------------------- #
-
-#: Fewest bytes one element of a run occupies, by shape: its i64 ids and
-#: its u32 body length (dictionary indices vanish with one-entry tables).
-#: A count the rest of the frame cannot hold is refused before anything is
-#: sized by it, so allocation stays bounded by the frame's length.  The
-#: per-count ``">%dq"`` formats go through :mod:`struct`'s own cache, which
-#: is bounded too (it starts over at 100 entries).
-_RUN_MIN_BYTES = (12, 20, 20, 12, 24)
-
-
-def _dec_run(buf: bytes, pos: int) -> Tuple[List[Any], int]:
-    """Inverse of :func:`_enc_run_columns`: one pass per column, then one
-    loop that builds the ``n`` objects from the zipped columns."""
-    shape = buf[pos]
-    (n,) = _unpack_u32(buf, pos + 1)
-    pos += 5
-    if shape >= len(_RUN_MIN_BYTES):
-        raise NetworkProtocolError(f"unknown record-run shape {shape}")
-    if n * _RUN_MIN_BYTES[shape] > len(buf) - pos:
-        raise NetworkProtocolError(f"record run of {n} does not fit its frame")
-    if shape == _RUN_COMMIT:
-        return _dec_commit_run(buf, pos, n)
-    new = _new
-    set_ = _set
-    i64s = ">%dq" % n
-    items: List[Any] = []
-    if shape == _RUN_DRAFT:
-        clients, pos = _dec_str_column(buf, pos, n, False)
-        seqs = struct.unpack_from(i64s, buf, pos)
-        deps, internal, bodies, tags, pos = _dec_payload_columns(buf, pos + 8 * n, n)
-        for client, seq, body, pairs, dep in zip(clients, seqs, bodies, tags, deps):
-            draft = new(DraftRecord)
-            set_(draft, "client", client)
-            set_(draft, "seq", seq)
-            set_(draft, "body", body)
-            set_(draft, "tags", pairs)
-            set_(draft, "deps", dep)
-            items.append(draft)
-        return items, pos
-    if shape != _RUN_RECORD:
-        lids = struct.unpack_from(i64s, buf, pos)
-        pos += 8 * n
-        if shape == _RUN_ENTRY and n and min(lids) < 0:
-            raise NetworkProtocolError(f"LIds are non-negative, got {min(lids)}")
-    hosts, pos = _dec_str_column(buf, pos, n, True)
-    toids = struct.unpack_from(i64s, buf, pos)
-    if n and min(toids) < 1:
-        raise NetworkProtocolError(f"TOIds start at 1, got {min(toids)}")
-    deps, internal, bodies, tags, pos = _dec_payload_columns(buf, pos + 8 * n, n)
-    for host, toid, body, pairs, dep, flag in zip(hosts, toids, bodies, tags, deps, internal):
-        rid = new(RecordId)
-        set_(rid, "host", host)
-        set_(rid, "toid", toid)
-        record = new(Record)
-        set_(record, "rid", rid)
-        set_(record, "body", body)
-        set_(record, "tags", pairs)
-        set_(record, "deps", dep)
-        set_(record, "internal", flag)
-        items.append(record)
-    if shape == _RUN_PLACEMENT:
-        return list(zip(lids, items)), pos
-    if shape == _RUN_ENTRY:
-        entries = []
-        for lid, record in zip(lids, items):
-            entry = new(LogEntry)
-            set_(entry, "lid", lid)
-            set_(entry, "record", record)
-            entries.append(entry)
-        return entries, pos
-    return items, pos
+    clients, seqs, rids, lids = zip(*map(_commit_columns, items))
+    _all_of(RecordId, rids)
+    hosts = [rid.host for rid in rids]
+    toids = [rid.toid for rid in rids]
+    _enc_str_column(clients, out)
+    out += struct.pack(i64s, *seqs)
+    _enc_str_column(hosts, out)
+    out += struct.pack(i64s, *toids)
+    out += struct.pack(i64s, *lids)
 
 
 def _dec_commit_run(buf: bytes, pos: int, n: int) -> Tuple[List[Any], int]:
-    """The five columns of a ``DraftCommitted`` run (it has no payload)."""
     i64s = ">%dq" % n
     clients, pos = _dec_str_column(buf, pos, n, False)
     seqs = struct.unpack_from(i64s, buf, pos)
@@ -1055,261 +466,29 @@ def _dec_commit_run(buf: bytes, pos: int, n: int) -> Tuple[List[Any], int]:
     return commits, pos + 16 * n
 
 
-def _dec_payload_columns(
-    buf: bytes, pos: int, n: int
-) -> Tuple[Iterable[Any], List[bool], List[Any], List[Tuple[Any, ...]], int]:
-    """The columns records and drafts share — deps, internal flags, bodies,
-    tags — as ``n``-long sequences, and the position after them."""
-    (count,) = _unpack_u32(buf, pos)
-    pos += 4
-    if count > len(buf) - pos:
-        raise NetworkProtocolError(f"deps table of {count} does not fit its frame")
-    table = []
-    for _ in range(count):
-        if buf[pos]:
-            dep, pos = _dec_deps(buf, pos)
-        else:
-            dep = ()
-            pos += 1
-        table.append(dep)
-    deps, pos = _dec_indexed(table, buf, pos, n)
+# --------------------------------------------------------------------- #
+# Installing this layer's types in the value layer
+# --------------------------------------------------------------------- #
 
-    internal = [False] * n
-    marked, pos = _dec_positions(buf, pos, n)
-    for at in marked:
-        internal[at] = True
-
-    lens = struct.unpack_from(">%dI" % n, buf, pos)
-    ends = list(accumulate(lens, initial=pos + 4 * n))
-    pos = ends[-1]
-    if pos > len(buf):
-        raise NetworkProtocolError("record-run bodies run past the frame")
-    bodies: List[Any] = [buf[start:end] for start, end in zip(ends, ends[1:])]
-    marked, pos = _dec_positions(buf, pos, n)
-    for at in marked:
-        bodies[at], pos = _decode_value(buf, pos)
-
-    tags: List[Tuple[Any, ...]] = [()] * n
-    marked, pos = _dec_positions(buf, pos, n)
-    for at in marked:
-        tags[at], pos = _dec_tags(buf, pos)
-    return deps, internal, bodies, tags, pos
+_TYPE_ENCODERS[DraftRecord] = _enc_draft
+_TYPE_ENCODERS[RecordBatch] = _TYPE_ENCODERS[LazyRecordBatch] = _enc_batch
+_TYPE_ENCODERS.update(dict.fromkeys(_MSG_ENCODERS, _enc_message))
+_TAG_DECODERS[_T_DRAFT] = _dec_draft
+_TAG_DECODERS[_T_BATCH] = _dec_batch
+_TAG_DECODERS[_T_MESSAGE] = _dec_message
+# Byte floors: a draft's seq + body length, a commit's seq + toid + lid.
+_RUN_SHAPES[_RUN_DRAFT] = (12, _enc_draft_run, _dec_draft_run)
+_RUN_SHAPES[_RUN_COMMIT] = (24, _enc_commit_run, _dec_commit_run)
 
 
-def _dec_str_column(buf: bytes, pos: int, n: int, intern: bool) -> Tuple[Iterable[str], int]:
-    """Inverse of :func:`_enc_str_column`; ``intern`` for datacenter ids."""
-    (count,) = _unpack_u32(buf, pos)
-    pos += 4
-    if count > len(buf) - pos:
-        raise NetworkProtocolError(f"string table of {count} does not fit its frame")
-    table = []
-    for _ in range(count):
-        m = buf[pos]
-        pos += 1
-        if m == 255:
-            (m,) = _unpack_u32(buf, pos)
-            pos += 4
-        raw = buf[pos : pos + m]
-        pos += m
-        if intern:
-            text = _DC_CACHE.get(raw)
-            if text is None:
-                text = _intern_dc(raw)
-        else:
-            text = raw.decode("utf-8")
-        table.append(text)
-    return _dec_indexed(table, buf, pos, n)
-
-
-def _dec_indexed(table: List[Any], buf: bytes, pos: int, n: int) -> Tuple[Iterable[Any], int]:
-    """Expand a dictionary-coded column (inverse of :func:`_enc_indices`)."""
-    if len(table) == 1:
-        return repeat(table[0], n), pos
-    indices = struct.unpack_from(">%dI" % n, buf, pos)
-    if n and max(indices) >= len(table):
-        raise NetworkProtocolError("record-run dictionary index out of range")
-    return [table[i] for i in indices], pos + 4 * n
-
-
-def _dec_positions(buf: bytes, pos: int, n: int) -> Tuple[Sequence[int], int]:
-    """A sparse section's header (inverse of :func:`_enc_positions`)."""
-    (count,) = _unpack_u32(buf, pos)
-    pos += 4
-    if not count:
-        return (), pos
-    if count > n:
-        raise NetworkProtocolError(f"{count} sparse positions in a run of {n}")
-    positions = struct.unpack_from(">%dI" % count, buf, pos)
-    if max(positions) >= n:
-        raise NetworkProtocolError("record-run sparse position out of range")
-    return positions, pos + 4 * count
-
-
-def _decode_value(buf: bytes, pos: int) -> Tuple[Any, int]:
-    tag = buf[pos]
-    pos += 1
-    if tag == _T_INT:
-        (value,) = _unpack_i64(buf, pos)
-        return value, pos + 8
-    if tag == _T_STR:
-        n = buf[pos]
-        pos += 1
-        if n == 255:
-            (n,) = _unpack_u32(buf, pos)
-            pos += 4
-        return buf[pos : pos + n].decode("utf-8"), pos + n
-    if tag == _T_BYTES:
-        n = buf[pos]
-        pos += 1
-        if n == 255:
-            (n,) = _unpack_u32(buf, pos)
-            pos += 4
-        return buf[pos : pos + n], pos + n
-    if tag == _T_RECORD:
-        return _dec_record_fields(buf, pos)
-    if tag == _T_LOG_ENTRY:
-        (lid,) = _unpack_i64(buf, pos)
-        record, pos = _dec_record_fields(buf, pos + 8)
-        return _make_entry(lid, record), pos
-    if tag == _T_BATCH:
-        return _dec_batch(buf, pos)
-    if tag == _T_RUN:
-        return _dec_run(buf, pos)
-    if tag == _T_DRAFT:
-        n = buf[pos]
-        pos += 1
-        if n == 255:
-            (n,) = _unpack_u32(buf, pos)
-            pos += 4
-        client = buf[pos : pos + n].decode("utf-8")
-        pos += n
-        (seq,) = _unpack_i64(buf, pos)
-        pos += 8
-        body, pos = _decode_value(buf, pos)
-        tags: Tuple[Any, ...] = ()
-        if buf[pos]:
-            tags, pos = _dec_tags(buf, pos)
-        else:
-            pos += 1
-        deps: Tuple[Any, ...] = ()
-        if buf[pos]:
-            deps, pos = _dec_deps(buf, pos)
-        else:
-            pos += 1
-        draft = DraftRecord(client=client, seq=seq, body=body, tags=tags, deps=deps)
-        return draft, pos
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_TRUE:
-        return True, pos
-    if tag == _T_FALSE:
-        return False, pos
-    if tag == _T_FLOAT:
-        (value,) = _unpack_f64(buf, pos)
-        return value, pos + 8
-    if tag == _T_LIST or tag == _T_TUPLE:
-        (count,) = _unpack_u32(buf, pos)
-        pos += 4
-        items = []
-        for _ in range(count):
-            item, pos = _decode_value(buf, pos)
-            items.append(item)
-        return (tuple(items) if tag == _T_TUPLE else items), pos
-    if tag == _T_DICT:
-        (count,) = _unpack_u32(buf, pos)
-        pos += 4
-        result: Dict[Any, Any] = {}
-        for _ in range(count):
-            key, pos = _decode_value(buf, pos)
-            value, pos = _decode_value(buf, pos)
-            result[key] = value
-        return result, pos
-    if tag == _T_RECORD_ID:
-        n = buf[pos]
-        pos += 1
-        if n == 255:
-            (n,) = _unpack_u32(buf, pos)
-            pos += 4
-        host = buf[pos : pos + n].decode("utf-8")
-        pos += n
-        (toid,) = _unpack_i64(buf, pos)
-        return _make_rid(host, toid), pos + 8
-    if tag == _T_APPEND_RESULT:
-        n = buf[pos]
-        pos += 1
-        if n == 255:
-            (n,) = _unpack_u32(buf, pos)
-            pos += 4
-        host = buf[pos : pos + n].decode("utf-8")
-        pos += n
-        (toid,) = _unpack_i64(buf, pos)
-        pos += 8
-        (lid,) = _unpack_i64(buf, pos)
-        result = _new(AppendResult)
-        _set(result, "rid", _make_rid(host, toid))
-        _set(result, "lid", lid)
-        return result, pos + 8
-    if tag == _T_BIGINT:
-        n = buf[pos]
-        pos += 1
-        if n == 255:
-            (n,) = _unpack_u32(buf, pos)
-            pos += 4
-        return int(buf[pos : pos + n].decode("ascii")), pos + n
-    if tag == _T_MESSAGE:
-        (index,) = _unpack_u32(buf, pos)
-        pos += 4
-        if index >= len(_MSG_DECODERS):
-            raise NetworkProtocolError(f"unknown binary message index {index}")
-        cls, field_count = _MSG_DECODERS[index]
-        values = []
-        for _ in range(field_count):
-            value, pos = _decode_value(buf, pos)
-            values.append(value)
-        return cls(*values), pos
-    raise NetworkProtocolError(f"unknown binary value tag 0x{tag:02x}")
-
-
-def decode_value_binary(data: bytes, start: int = 0) -> Any:
-    """Inverse of :func:`encode_value_binary`.
-
-    ``start`` lets frame handling skip a prefix (the magic byte) without
-    copying the buffer.  The top-level Record/LogEntry shapes are dispatched
-    directly — they dominate hot-path traffic.  A top-level ``RecordBatch``
-    frame decodes zero-copy: ``bytes`` and read-only ``memoryview`` inputs
-    are consumed as-is and the lazy batch keeps a view over them.
-
-    Malformed input of any kind raises :class:`NetworkProtocolError` — the
-    one decode error connection loops and runtimes catch (:data:`_MALFORMED`).
-    """
-    if not isinstance(data, (bytes, memoryview)):
-        data = bytes(data)
-    try:
-        tag = data[start]
-        if tag == _T_BATCH:
-            value, pos = _dec_batch(data, start + 1)
-            if pos != len(data):
-                raise NetworkProtocolError(
-                    f"trailing garbage after binary value ({len(data) - pos} bytes)"
-                )
-            return value
-        if not isinstance(data, bytes):
-            data = bytes(data)
-        if tag == _T_RECORD:
-            value, pos = _dec_record_fields(data, start + 1)
-        elif tag == _T_LOG_ENTRY:
-            (lid,) = _unpack_i64(data, start + 1)
-            record, pos = _dec_record_fields(data, start + 9)
-            value = _make_entry(lid, record)
-        else:
-            value, pos = _decode_value(data, start)
-    except _MALFORMED as exc:
-        raise NetworkProtocolError(f"malformed binary value: {exc!r}") from exc
-    if pos != len(data):
+def encode_message_binary(message: Any) -> bytes:
+    """Encode a top-level protocol message (must be a registered type)."""
+    kind = type(message)
+    if kind not in _MSG_ENCODERS and kind not in _SPECIAL_CLASSES:
         raise NetworkProtocolError(
-            f"trailing garbage after binary value ({len(data) - pos} bytes)"
+            f"{kind.__name__} is not a registered protocol message"
         )
-    return value
+    return encode_value_binary(message)
 
 
 #: Inverse of :func:`encode_message_binary` (same routine: messages are

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import sys
+from typing import Any, Callable, Dict, List, Optional
 
 import pytest
 
@@ -40,3 +41,22 @@ def rec(host: str, toid: int, body=None, deps: Optional[Dict[str, int]] = None, 
 def chain(host: str, n: int, start: int = 1) -> List[Record]:
     """n records from one host in total order."""
     return [rec(host, t) for t in range(start, start + n)]
+
+
+def python_calls(fn: Callable[[Any], Any], arg: Any) -> int:
+    """Python-level function calls ``fn(arg)`` makes, the one to ``fn``
+    included (C calls are not counted)."""
+    fn(arg)  # warm: first-use interning is not a per-message cost
+    calls = 0
+
+    def profiler(_frame: Any, event: str, _arg: Any) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        fn(arg)
+    finally:
+        sys.setprofile(None)
+    return calls

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.apps import Checkpointer, Hyksos, LogAuditor
-from repro.core import LidOutOfRangeError, ReadRules
+from repro.core import LidOutOfRangeError, LogError, ReadRules, Record
 from repro.flstore import ArchiveStore, MaintainerCore, OwnershipPlan, TieredReader
 from repro.flstore.store import FLStore
 from repro.runtime import LocalRuntime
@@ -57,6 +57,62 @@ class TestArchiveStore:
         restored = ArchiveStore.load(path)
         assert len(restored) == 4
         assert restored.get(2).record.tag_dict() == {"k": 2}
+
+
+#: Three lines of the export format exactly as it was first written (when it
+#: was also the journal's format): scalar, ``bytes`` and container bodies.
+GOLDEN_LINES = (
+    '{"lid": 10, "record": {"host": "A", "toid": 1, "body": "scalar", '
+    '"tags": [["k", 1]], "deps": [["B", 2]], "internal": false}}\n'
+    '{"lid": 11, "record": {"host": "dc-b", "toid": 2, "body": '
+    '{"$": "bytes", "v": "AP9ieXRlcw=="}, "tags": [], "deps": [], "internal": false}}\n'
+    '{"lid": 12, "record": {"host": "A", "toid": 3, "body": {"$": "d", "v": '
+    '[["t", {"$": "t", "v": [1, {"$": "l", "v": [2.5, null]}]}], [3, "int-key"], '
+    '["blob", {"$": "bytes", "v": "AQ=="}]]}, "tags": [["when", {"$": "t", "v": [1, 2]}]], '
+    '"deps": [["A", 2], ["B", 7]], "internal": true}}\n'
+)
+GOLDEN_RECORDS = [
+    Record.make("A", 1, "scalar", tags={"k": 1}, deps={"B": 2}),
+    Record.make("dc-b", 2, b"\x00\xffbytes"),
+    Record.make(
+        "A",
+        3,
+        {"t": (1, [2.5, None]), 3: "int-key", "blob": b"\x01"},
+        tags={"when": (1, 2)},
+        deps={"A": 2, "B": 7},
+        internal=True,
+    ),
+]
+
+
+class TestDumpFormat:
+    def test_golden_lines_load_and_dump_byte_identically(self, tmp_path):
+        old = os.path.join(tmp_path, "old.jsonl")
+        with open(old, "w", encoding="utf-8") as handle:
+            handle.write(GOLDEN_LINES)
+        archive = ArchiveStore.load(old)
+        assert archive.lid_range() == (10, 12) and len(archive) == 3
+        assert [archive.get(lid).record for lid in (10, 11, 12)] == GOLDEN_RECORDS
+        new = os.path.join(tmp_path, "new.jsonl")
+        assert archive.dump(new) == 3
+        with open(new, encoding="utf-8") as handle:
+            assert handle.read() == GOLDEN_LINES
+
+    def test_unknown_value_tag_is_rejected(self, tmp_path):
+        path = os.path.join(tmp_path, "future.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(
+                '{"lid": 0, "record": {"host": "c", "toid": 1, '
+                '"body": {"$": "NoSuchType", "v": {}}}}\n'
+            )
+        with pytest.raises(LogError):
+            ArchiveStore.load(path)
+
+    def test_unpersistable_body_is_rejected(self, tmp_path):
+        archive = ArchiveStore()
+        archive(0, rec("c", 1, body=object()))
+        with pytest.raises(LogError):
+            archive.dump(os.path.join(tmp_path, "opaque.jsonl"))
 
 
 class TestTieredReader:

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import os
 import random
+import tempfile
 from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
@@ -376,6 +378,15 @@ def test_place_run_matches_per_record_place(case):
     journals = (MemoryJournal(), MemoryJournal())
     assert_same_outcome(plan_args, batches, truncate_after, journals)
     assert list(journals[0].replay()) == list(journals[1].replay())
+    # And with a block per run on disk against a call per record in memory:
+    # same entries, same order, also around a pair that raises.
+    with tempfile.TemporaryDirectory() as directory:
+        journals = (FileJournal(os.path.join(directory, "run")), MemoryJournal())
+        try:
+            assert_same_outcome(plan_args, batches, truncate_after, journals)
+            assert list(journals[0].replay()) == list(journals[1].replay())
+        finally:
+            journals[0].close()
 
 
 class TestPlaceRun:
@@ -417,19 +428,29 @@ class TestPlaceRun:
         run_core, _ = assert_same_outcome(self.PLAN, [ahead, fill])
         assert run_core.next_unassigned == 9
 
-    def test_journal_bytes_identical(self, tmp_path):
+    def test_journal_entries_identical(self, tmp_path):
+        """One block per run against one call per record: the same entries
+        in the same order — the pairs before one that raises (4 is m1's; 0
+        already holds another record) are journaled, none after it."""
         batches = [
             [(lid, rec("A", lid + 1, tags={"k": lid})) for lid in (0, 1, 2, 3, 8)],
             [(2, rec("A", 3, tags={"k": 2})), (9, rec("B", 1))],
+            [(10, rec("A", 11)), (4, rec("A", 5)), (11, rec("A", 12))],
+            [(16, rec("A", 17)), (0, rec("B", 9)), (17, rec("A", 18))],
+            [(lid, rec("A", lid + 1)) for lid in (11, 17, 18, 19, 24, 25, 26, 27, 32, 33)],
         ]
-        journals = (FileJournal(str(tmp_path / "run")), FileJournal(str(tmp_path / "each")))
+        journals = (FileJournal(str(tmp_path / "run")), MemoryJournal())
         try:
             assert_same_outcome(self.PLAN, batches, journals=journals)
+            runs = list(journals[0].replay_runs())
+            entries = list(journals[1].replay())
         finally:
-            for journal in journals:
-                journal.close()
-        written = (tmp_path / "run").read_bytes()
-        assert written and written == (tmp_path / "each").read_bytes()
+            journals[0].close()
+        assert [len(run) for run in runs] == [5, 1, 1, 1, 10]
+        assert [pair for run in runs for pair in run] == entries
+        assert [lid for lid, _ in entries] == [0, 1, 2, 3, 8, 9, 10, 16] + [
+            lid for lid, _ in batches[4]
+        ]
 
 
 # --------------------------------------------------------------------------- #

@@ -38,11 +38,14 @@ class TestInspection:
         path = os.path.join(tmp_path, "m.journal")
         journal = FileJournal(path)
         core = MaintainerCore("m0", OwnershipPlan(["m0"], batch_size=5), journal=journal)
-        core.append(chain("c", 4))
+        core.append(chain("c", 3))
+        core.place(3, rec("c", 4))
         journal.close()
         assert main(["inspect-journal", path, "-v"]) == 0
         out = capsys.readouterr().out
         assert "4 placements" in out
+        size = os.path.getsize(path)
+        assert f"blocks: 2 ({size} bytes, {size / 4:.1f} per record)" in out
         assert "LId range: 0..3" in out
 
     def test_inspect_empty_journal(self, tmp_path, capsys):

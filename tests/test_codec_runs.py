@@ -20,7 +20,6 @@ import hashlib
 import pickle
 import random
 import struct
-import sys
 import tracemalloc
 from typing import Any, Callable, Dict, Iterator, List, Tuple
 
@@ -36,6 +35,7 @@ from repro.chariots.messages import (
     ReplicationShipment,
 )
 from repro.core.errors import NetworkProtocolError
+from repro.core import value_codec
 from repro.core.record import AppendResult, LogEntry, Record, RecordId
 from repro.flstore.messages import (
     AppendReply,
@@ -44,7 +44,6 @@ from repro.flstore.messages import (
     ReadNewReply,
     ReadReply,
 )
-from repro.net import binary_codec
 from repro.net.binary_codec import (
     LazyRecordBatch,
     decode_value_binary,
@@ -53,7 +52,9 @@ from repro.net.binary_codec import (
 from repro.net.protocol import encode_frame_binary
 from repro.runtime.messages import RecordBatch
 
-CROSSOVER = binary_codec._RUN_MIN
+from conftest import python_calls
+
+CROSSOVER = value_codec._RUN_MIN
 #: Length of the small runs the structural tests take apart.
 RUN_N = CROSSOVER
 T_RUN = 0x16
@@ -134,13 +135,13 @@ def runs_decoded(monkeypatch) -> List[int]:
     """Shapes of the runs the decoder met (decoding is tag-driven, so this
     is exactly "which lists were encoded as runs")."""
     seen: List[int] = []
-    inner = binary_codec._dec_run
+    inner = value_codec._dec_run
 
     def spy(buf: bytes, pos: int) -> Any:
         seen.append(buf[pos])
         return inner(buf, pos)
 
-    monkeypatch.setattr(binary_codec, "_dec_run", spy)
+    monkeypatch.setattr(value_codec, "_dec_run", spy)
     return seen
 
 
@@ -416,10 +417,10 @@ class TestNamedHostileFrames:
             lazy.records
 
     def test_datacenter_intern_cache_is_bounded(self):
-        limit = binary_codec._DC_CACHE_LIMIT
+        limit = value_codec._DC_CACHE_LIMIT
         for i in range(limit + 50):
             decode_value_binary(encode_value_binary(Record(RecordId("host-%d" % i, 1), b"")))
-            assert len(binary_codec._DC_CACHE) <= limit
+            assert len(value_codec._DC_CACHE) <= limit
 
 
 def run_frames(**shape: Any) -> List[bytes]:
@@ -573,25 +574,6 @@ class TestFuzz:
 # --------------------------------------------------------------------------- #
 # (d) Calls per record: an exact, host-independent cost guard
 # --------------------------------------------------------------------------- #
-
-
-def python_calls(fn: Callable[[Any], Any], arg: Any) -> int:
-    """Python-level function calls ``fn(arg)`` makes, the one to ``fn``
-    included (C calls are not counted)."""
-    fn(arg)  # warm: first-use interning is not a per-message cost
-    calls = 0
-
-    def profiler(_frame: Any, event: str, _arg: Any) -> None:
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(profiler)
-    try:
-        fn(arg)
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 def ledger_shaped(n: int) -> Dict[str, Any]:

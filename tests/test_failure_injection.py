@@ -21,7 +21,7 @@ class TestMaintainerCrashRecovery:
         journals = {}
         for maintainer in store.maintainers:
             journal = MemoryJournal()
-            maintainer.core._journal = journal
+            maintainer.core.set_journal(journal)
             journals[maintainer.name] = journal
         return runtime, store, journals
 
@@ -29,7 +29,7 @@ class TestMaintainerCrashRecovery:
         victim = store.maintainers[victim_index]
         journal = journals[victim.name]
         recovered_core = recover_maintainer_core(
-            victim.name, store.plan, journal.replay(), new_journal=journal
+            victim.name, store.plan, journal.replay_runs(), new_journal=journal
         )
         replacement = LogMaintainer(
             victim.name,

@@ -1,6 +1,6 @@
 """Chariots: geo-replicated causal shared log via a multi-stage pipeline (§6)."""
 
-from .abstract import AbstractChariots, AbstractDeployment
+from .abstract import AbstractChariots, AbstractDeployment, LogVerdict, check_logs
 from .batcher import Batcher
 from .client import BlockingChariotsClient, ChariotsClient
 from .direct import DirectClient, DirectDeployment
@@ -27,8 +27,10 @@ __all__ = [
     "FilterMap",
     "FilterStage",
     "GcCoordinator",
+    "LogVerdict",
     "QueueStage",
     "Receiver",
     "Sender",
     "Token",
+    "check_logs",
 ]

@@ -3,8 +3,8 @@
 This is the paper's reference model: each datacenter is "a machine"
 manipulating a log, an Awareness Table, and a priority queue of deferred
 records under a single thread of control.  The distributed pipeline (§6.2)
-must be observationally equivalent to this model — the test suite drives
-random workloads through both and compares the outcomes.
+must be observationally equivalent to this model — :func:`check_logs` is
+the one judge of that, for the test suite and the scenario invariants alike.
 
 It is also a perfectly usable small-scale backend: the application layer
 (Hyksos, the stream processor, Message Futures/Helios) runs against either
@@ -13,10 +13,11 @@ this or the full pipeline through the same shared-log interface.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.atable import AwarenessTable
-from ..core.causality import CausalFrontier, DeferredQueue
+from ..core.causality import CausalFrontier, DeferredQueue, first_violation
 from ..core.errors import GarbageCollectedError, LidOutOfRangeError
 from ..core.record import (
     AppendResult,
@@ -25,6 +26,7 @@ from ..core.record import (
     LogEntry,
     ReadRules,
     Record,
+    RecordId,
 )
 
 
@@ -98,9 +100,6 @@ class AbstractChariots:
 
     def entries(self) -> List[LogEntry]:
         return [LogEntry(self._base_lid + i, r) for i, r in enumerate(self._log)]
-
-    def records(self) -> List[Record]:
-        return list(self._log)
 
     def __len__(self) -> int:
         return len(self._log)
@@ -237,9 +236,94 @@ class AbstractDeployment:
                 return
         raise RuntimeError("abstract deployment failed to converge")
 
-    def converged(self) -> bool:
-        """All logs hold the same record set."""
-        record_sets = [
-            {record.rid for record in dc.records()} for dc in self.dcs.values()
+
+@dataclass(frozen=True)
+class LogVerdict:
+    """What :func:`check_logs` found; ``ok`` when it found nothing.
+
+    Per datacenter: the first stored LId (``None`` if empty), the first entry
+    that repeats an LId, breaks the consecutive run or is causally
+    inadmissible, and the records missing from / unexpected in its log; per
+    misplaced ack, what its LId holds instead.  The repr names the
+    datacenter, LId and record of every problem.
+    """
+
+    first_lid: Dict[DatacenterId, Optional[int]]
+    repeated_lid: Dict[DatacenterId, LogEntry]
+    lid_gap: Dict[DatacenterId, LogEntry]
+    causal_violation: Dict[DatacenterId, LogEntry]
+    missing: Dict[DatacenterId, FrozenSet[RecordId]]
+    unexpected: Dict[DatacenterId, FrozenSet[RecordId]]
+    misplaced_acks: Dict[AppendResult, Optional[RecordId]]
+
+    @property
+    def ok(self) -> bool:
+        return not self._problems()
+
+    def _problems(self) -> List[str]:
+        per_entry = (
+            ("repeats an earlier LId", self.repeated_lid),
+            ("breaks the consecutive LId run", self.lid_gap),
+            ("is causally inadmissible", self.causal_violation),
+        )
+        lines: List[str] = []
+        for what, firsts in per_entry:
+            lines += [f"{dc}: {e.rid} at LId {e.lid} {what}" for dc, e in firsts.items()]
+        for what, sets in (("missing", self.missing), ("unexpected", self.unexpected)):
+            lines += [f"{dc}: {len(r)} {what}, first {min(r)}" for dc, r in sets.items()]
+        lines += [
+            f"{ack.rid.host}: ack of {ack.rid} names LId {ack.lid}, which holds {found}"
+            for ack, found in self.misplaced_acks.items()
         ]
-        return all(s == record_sets[0] for s in record_sets[1:])
+        return lines
+
+    def __repr__(self) -> str:
+        return f"LogVerdict({'; '.join(self._problems()) or 'ok'})"
+
+
+def check_logs(
+    logs: Mapping[DatacenterId, Sequence[LogEntry]],
+    reference: Optional[Mapping[DatacenterId, Sequence[LogEntry]]] = None,
+    acks: Iterable[AppendResult] = (),
+) -> LogVerdict:
+    """Judge datacenter logs (``{dc: entries in LId order}``, as
+    ``ChariotsDeployment.logs()`` returns) against the abstract solution.
+
+    Each log must hold unique LIds, consecutive from its first, and be a
+    causal order walked from an empty frontier; every log must hold the
+    record set of ``reference`` (typically the abstract solution's logs for
+    the same workload), else the union of ``logs``; each ack must name the
+    LId its record holds in its host's log.  The walk admits ``<h, t>`` only
+    right after ``<h, t-1>``, so it also rejects a repeated record and a
+    per-host gap or swap: equal sets plus the walk mean exactly-once
+    placement and identical per-host total orders.
+    """
+    first_lid: Dict[DatacenterId, Optional[int]] = {}
+    repeated: Dict[DatacenterId, LogEntry] = {}
+    gap: Dict[DatacenterId, LogEntry] = {}
+    causal: Dict[DatacenterId, LogEntry] = {}
+    for dc, entries in logs.items():
+        first_lid[dc] = entries[0].lid if entries else None
+        seen: Set[int] = set()
+        for position, entry in enumerate(entries):
+            if entry.lid in seen:
+                repeated.setdefault(dc, entry)
+            if entry.lid != entries[0].lid + position:
+                gap.setdefault(dc, entry)
+            seen.add(entry.lid)
+        bad = first_violation([entry.record for entry in entries])
+        if bad is not None:
+            causal[dc] = entries[bad]
+
+    rids = {dc: {entry.rid for entry in entries} for dc, entries in logs.items()}
+    expected = {e.rid for log in (logs if reference is None else reference).values() for e in log}
+    missing = {dc: frozenset(expected - s) for dc, s in rids.items() if expected - s}
+    unexpected = {dc: frozenset(s - expected) for dc, s in rids.items() if s - expected}
+
+    held = {(dc, entry.lid): entry.rid for dc, entries in logs.items() for entry in entries}
+    misplaced: Dict[AppendResult, Optional[RecordId]] = {}
+    for ack in acks:
+        found = held.get((ack.rid.host, ack.lid))
+        if found != ack.rid:
+            misplaced[ack] = found
+    return LogVerdict(first_lid, repeated, gap, causal, missing, unexpected, misplaced)

@@ -96,8 +96,5 @@ class DirectDeployment:
         """One directed propagation step (for adversarial schedules)."""
         return self.abstract.exchange(src, dst)
 
-    def converged(self) -> bool:
-        return self.abstract.converged()
-
     def logs(self) -> Dict[DatacenterId, List[LogEntry]]:
         return {dc: self.abstract[dc].entries() for dc in self.datacenters}

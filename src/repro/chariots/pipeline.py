@@ -13,11 +13,11 @@ the Awareness Table).  Inter-datacenter wiring happens afterwards via
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.config import DeploymentSpec, FLStoreConfig, PipelineConfig
 from ..core.errors import ConfigurationError
-from ..core.record import DatacenterId, KnowledgeVector, LogEntry, RecordId
+from ..core.record import DatacenterId, KnowledgeVector, LogEntry
 from ..flstore.controller import Controller
 from ..flstore.indexer import Indexer
 from ..flstore.journal import FileJournal, MemoryJournal, recover_maintainer_core
@@ -412,13 +412,11 @@ class ChariotsDeployment:
             pipe.supervise(supervisor, journal_dir=journal_dir)
         return supervisor
 
-    # -- convergence helpers (tests) -------------------------------------- #
+    # -- logs and convergence ---------------------------------------------- #
 
-    def record_sets(self) -> Dict[DatacenterId, Set[RecordId]]:
-        return {
-            dc: {entry.rid for entry in pipe.all_entries()}
-            for dc, pipe in self.pipelines.items()
-        }
+    def logs(self) -> Dict[DatacenterId, List[LogEntry]]:
+        """Every datacenter's stored log in LId order, as ``check_logs`` takes it."""
+        return {dc: pipe.all_entries() for dc, pipe in self.pipelines.items()}
 
     def frontiers(self) -> Dict[DatacenterId, Dict[DatacenterId, int]]:
         return {

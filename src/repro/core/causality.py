@@ -10,8 +10,9 @@ a total order (TOIds are dense), knowing "A up to TOId 7" means every record
   test used by the abstract solution and the queue stage;
 * :class:`DeferredQueue` — the priority queue of records whose dependencies
   are not yet satisfied (§6.1 step 5, Figure 5);
-* :func:`causal_order_respected` — the checker used throughout the test
-  suite to validate that a log ordering is causally consistent.
+* :func:`first_violation` / :func:`causal_order_respected` — the causal
+  walk over a record sequence that :func:`repro.chariots.check_logs` judges
+  every datacenter log with.
 """
 
 from __future__ import annotations
@@ -201,27 +202,23 @@ def happened_before(earlier: Record, later: Record) -> bool:
 
 
 def causal_order_respected(records: Sequence[Record]) -> bool:
-    """Validate that a sequence of records is a causally consistent order.
+    """Validate that a sequence of records is a causally consistent order."""
+    return first_violation(records) is None
+
+
+def first_violation(records: Sequence[Record]) -> Optional[int]:
+    """Position of the first record that breaks causal order, if any.
 
     Checks, for each record in turn, that the prefix before it contains the
     record's full dependency set and the host predecessor.  Because the
     dependency vectors are transitive summaries, prefix-closure under the
-    vector test implies transitive causal consistency.
+    vector test implies transitive causal consistency.  Walking from an
+    empty frontier also rejects a repeated record and a per-host TOId gap.
     """
     frontier = CausalFrontier()
-    for record in records:
+    for index, record in enumerate(records):
         if not frontier.admissible(record):
-            return False
-        frontier.advance(record)
-    return True
-
-
-def first_violation(records: Sequence[Record]) -> Optional[RecordId]:
-    """The rid of the first record that breaks causal order, if any."""
-    frontier = CausalFrontier()
-    for record in records:
-        if not frontier.admissible(record):
-            return record.rid
+            return index
         frontier.advance(record)
     return None
 

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..chaos.plan import FaultPlan
+from ..chariots.abstract import check_logs
 from ..chariots.messages import DraftBatch, DraftRecord
 from ..chariots.pipeline import ChariotsDeployment
-from ..core.causality import causal_order_respected
 from ..core.config import DeploymentSpec, NetworkProfile
 from ..core.errors import ConfigurationError
 from ..sim.kernel import SimRuntime
@@ -512,36 +512,19 @@ class GeoExecutor(Executor):
 
 
 def functional_metrics(
-    deployment: ChariotsDeployment,
-    datacenters: Sequence[str],
-    appended: int,
-    converged: bool,
-    acked: int,
+    deployment: ChariotsDeployment, appended: int, converged: bool, acked: int
 ) -> Dict[str, Any]:
     """The functional outcome every runtime reports: per-datacenter record
-    counts, acks against appends, and the log checks (gap-free,
-    duplicate-free, causally ordered) over each datacenter's stored log."""
-    causal_ok = True
-    gap_free = True
-    duplicate_free = True
-    for dc in datacenters:
-        entries = deployment[dc].all_entries()
-        causal_ok = causal_ok and causal_order_respected(
-            [entry.record for entry in entries]
-        )
-        lids = [entry.lid for entry in entries]
-        duplicate_free = duplicate_free and len(lids) == len(set(lids))
-        gap_free = gap_free and (
-            not lids or lids == list(range(lids[0], lids[0] + len(lids)))
-        )
+    counts, acks against appends, and the log checks of ``check_logs``."""
+    verdict = check_logs(deployment.logs())
     return {
-        "records": {dc: deployment[dc].total_records() for dc in datacenters},
+        "records": {dc: pipe.total_records() for dc, pipe in deployment.pipelines.items()},
         "appended": appended,
         "acked": acked,
         "converged": converged,
-        "causal_order_ok": causal_ok,
-        "gap_free": gap_free,
-        "duplicate_free": duplicate_free,
+        "causal_order_ok": not verdict.causal_violation,
+        "gap_free": not verdict.lid_gap,
+        "duplicate_free": not verdict.repeated_lid,
     }
 
 
@@ -607,9 +590,8 @@ class FunctionalExecutor(Executor):
             for i in range(work.append_records):
                 client.append(f"{dc}-{i}", on_done=acks.append)
         converged = deployment.settle(max_seconds=work.settle_seconds)
-        dcs = point.topology.datacenters
         metrics = functional_metrics(
-            deployment, dcs, work.append_records * len(dcs), converged, len(acks)
+            deployment, work.append_records * len(point.topology.datacenters), converged, len(acks)
         )
         if supervisor is not None:
             metrics["restarts"] = int(sum(supervisor.restarts.values()))
@@ -660,10 +642,7 @@ class FunctionalExecutor(Executor):
                     lambda: len(acks) == expected and deployment.converged(),
                     max_seconds=work.settle_seconds,
                 )
-                return functional_metrics(
-                    deployment, point.topology.datacenters, expected,
-                    converged, len(acks),
-                )
+                return functional_metrics(deployment, expected, converged, len(acks))
             finally:
                 await runtime.stop()
 

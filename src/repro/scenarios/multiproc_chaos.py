@@ -111,7 +111,7 @@ def run_deployment_multiproc_chaos(
         wall = perf_counter() - started
         recovery_seconds = [r["seconds"] for r in supervisor.recoveries]
         return {
-            **functional_metrics(deployment, dcs, appends, converged, len(acks)),
+            **functional_metrics(deployment, appends, converged, len(acks)),
             "workers_killed": int(chaos.stats["workers_killed"]) if chaos else 0,
             "frames_dropped": int(chaos.stats["frames_dropped"]) if chaos else 0,
             "recoveries": len(supervisor.recoveries),

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import sys
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.chariots import ChariotsDeployment
-from repro.core import DeploymentSpec, Record
+from repro.chariots import AbstractDeployment, ChariotsDeployment
+from repro.core import DeploymentSpec, LogEntry, Record
 from repro.runtime import LocalRuntime
 
 
@@ -41,6 +41,16 @@ def rec(host: str, toid: int, body=None, deps: Optional[Dict[str, int]] = None, 
 def chain(host: str, n: int, start: int = 1) -> List[Record]:
     """n records from one host in total order."""
     return [rec(host, t) for t in range(start, start + n)]
+
+
+def run_abstract(dcs: List[str], appends: List[Tuple[str, Any]]) -> Dict[str, List[LogEntry]]:
+    """The abstract solution's logs after ``(datacenter, body)`` appends and a
+    full sync: the ``reference`` a pipeline run of the workload is judged by."""
+    deployment = AbstractDeployment(dcs)
+    for dc, body in appends:
+        deployment[dc].append(body)
+    deployment.sync()
+    return {dc: deployment[dc].entries() for dc in dcs}
 
 
 def python_calls(fn: Callable[[Any], Any], arg: Any) -> int:

@@ -2,14 +2,23 @@
 
 import pytest
 
-from repro.chariots import AbstractChariots, AbstractDeployment
+from repro.chariots import (
+    AbstractChariots,
+    AbstractDeployment,
+    ChariotsDeployment,
+    check_logs,
+)
 from repro.core import (
+    AppendResult,
     GarbageCollectedError,
     LidOutOfRangeError,
+    LogEntry,
     ReadRules,
     RecordId,
-    causal_order_respected,
 )
+from repro.runtime import LocalRuntime
+
+from conftest import rec, run_abstract
 
 
 class TestAppend:
@@ -118,7 +127,8 @@ class TestConvergenceAndCausality:
             for i in range(3):
                 deployment[dc].append(f"{dc}{i}")
         deployment.sync()
-        assert deployment.converged()
+        assert check_logs({dc: deployment[dc].entries() for dc in "ABC"}).ok
+        assert len(deployment["A"]) == 9
 
     def test_all_logs_causally_consistent_after_sync(self):
         deployment = AbstractDeployment(["A", "B", "C"])
@@ -127,8 +137,7 @@ class TestConvergenceAndCausality:
         deployment["B"].append("b1-after-a1")
         deployment["C"].append("c1")
         deployment.sync()
-        for dc in "ABC":
-            assert causal_order_respected(deployment[dc].records())
+        assert check_logs({dc: deployment[dc].entries() for dc in "ABC"}).ok
 
     def test_per_host_subsequences_identical_everywhere(self):
         deployment = AbstractDeployment(["A", "B"])
@@ -136,10 +145,9 @@ class TestConvergenceAndCausality:
             deployment["A"].append(f"a{i}")
             deployment["B"].append(f"b{i}")
         deployment.sync()
-        for host in "AB":
-            seq_a = [r.toid for r in deployment["A"].records() if r.host == host]
-            seq_b = [r.toid for r in deployment["B"].records() if r.host == host]
-            assert seq_a == seq_b == [1, 2, 3, 4]
+        # Equal record sets plus the causal walk imply equal per-host orders.
+        assert check_logs({dc: deployment[dc].entries() for dc in "AB"}).ok
+        assert len(deployment["A"]) == 8
 
     def test_transitive_shipping_through_intermediary(self):
         # A -> B -> C without a direct A -> C exchange.
@@ -147,7 +155,7 @@ class TestConvergenceAndCausality:
         deployment["A"].append("origin")
         deployment.exchange("A", "B")
         deployment.exchange("B", "C")
-        assert any(r.host == "A" for r in deployment["C"].records())
+        assert any(e.rid.host == "A" for e in deployment["C"].entries())
 
 
 class TestGarbageCollection:
@@ -187,3 +195,59 @@ class TestGarbageCollection:
         deployment["A"].collect_garbage()
         assert deployment["A"].base_lid == 2
         assert deployment["A"].head_lid() == 1
+
+
+A1, A2, A3, B1 = rec("A", 1), rec("A", 2), rec("A", 3), rec("B", 1)
+B1_AFTER_A1 = rec("B", 1, deps={"A": 1})
+ACK_A1_AT_1 = AppendResult(A1.rid, 1)
+
+
+def log(*records):
+    """A hand-built log: ``records`` at LIds 0, 1, …"""
+    return [LogEntry(lid, r) for lid, r in enumerate(records)]
+
+
+#: One hand-built failing log per verdict field: (logs, keywords, field, value).
+FAILING_LOGS = {
+    "repeated-lid": (
+        {"A": [LogEntry(0, A1), LogEntry(0, A2)]}, {}, "repeated_lid", {"A": LogEntry(0, A2)}
+    ),
+    "lid-hole": ({"A": [LogEntry(3, A1), LogEntry(5, A2)]}, {}, "lid_gap", {"A": LogEntry(5, A2)}),
+    "repeated-record": ({"A": log(A1, A1)}, {}, "causal_violation", {"A": LogEntry(1, A1)}),
+    "dep-before-target": (
+        {"B": log(B1_AFTER_A1, A1)}, {}, "causal_violation", {"B": LogEntry(0, B1_AFTER_A1)}
+    ),
+    "toid-gap": ({"A": log(A1, A3)}, {}, "causal_violation", {"A": LogEntry(1, A3)}),
+    "dc-missing-a-record": ({"A": log(A1, B1), "B": log(B1)}, {}, "missing", {"B": {A1.rid}}),
+    "absent-from-reference": (
+        {"A": log(A1, A2)}, {"reference": {"A": log(A1)}}, "unexpected", {"A": {A2.rid}}
+    ),
+    "ack-at-wrong-lid": (
+        {"A": log(A1, A2)}, {"acks": [ACK_A1_AT_1]}, "misplaced_acks", {ACK_A1_AT_1: A2.rid}
+    ),
+}
+
+
+class TestCheckLogs:
+    @pytest.mark.parametrize("case", FAILING_LOGS)
+    def test_each_field_names_its_first_problem(self, case):
+        logs, keywords, field, value = FAILING_LOGS[case]
+        verdict = check_logs(logs, **keywords)
+        assert getattr(verdict, field) == value
+        assert not verdict.ok
+
+    def test_repr_names_datacenter_lid_and_record(self):
+        verdict = check_logs({"B": log(B1_AFTER_A1, A1)}, acks=[AppendResult(A1.rid, 0)])
+        assert repr(verdict) == (
+            "LogVerdict(B: <B,1> at LId 0 is causally inadmissible; "
+            "A: ack of <A,1> names LId 0, which holds None)"
+        )
+
+    def test_clean_pipeline_and_abstract_logs_pass(self):
+        deployment = ChariotsDeployment(LocalRuntime(), ["A", "B"], batch_size=4)
+        acks = [deployment.blocking_client(dc).append(dc) for dc in "AB" for _ in range(3)]
+        assert deployment.settle(max_seconds=10)
+        abstract = run_abstract(["A", "B"], [(dc, dc) for dc in "AB" for _ in range(3)])
+        verdict = check_logs(deployment.logs(), reference=abstract, acks=acks)
+        assert repr(verdict) == "LogVerdict(ok)" and verdict.first_lid == {"A": 0, "B": 0}
+        assert check_logs(abstract, reference=deployment.logs()).ok

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chaos import FaultPlan
-from repro.chariots import ChariotsDeployment
+from repro.chariots import ChariotsDeployment, check_logs
 from repro.chariots.messages import DraftBatch
 from repro.chariots.sender import Sender
 from repro.core import (
@@ -71,11 +71,10 @@ def tap_draft_batches(deployment: ChariotsDeployment, dc: str) -> List[Tuple[str
 def assert_acks_match_log(deployment, dc, client, seqs, acks, bodies):
     """Every ack names the log position that holds its own draft."""
     assert sorted(acks) == seqs
-    entries = {e.lid: e.record for e in deployment[dc].all_entries()}
-    for seq, body in zip(seqs, bodies):
-        result = acks[seq]
-        assert entries[result.lid].rid == result.rid
-        assert entries[result.lid].body == body
+    entries = deployment[dc].all_entries()
+    assert check_logs({dc: entries}, acks=acks.values()).ok
+    body_of = {e.rid: e.record.body for e in entries}
+    assert [body_of[acks[seq].rid] for seq in seqs] == bodies
     # Per-client order: TOIds follow call order.
     toids = [acks[seq].rid.toid for seq in seqs]
     assert toids == sorted(toids) and len(set(toids)) == len(toids)
@@ -634,10 +633,9 @@ class TestSenderFetch:
         assert deployment.settle(max_seconds=60)
         assert plan.stats["dropped"] > 0 and plan.stats["duplicated"] > 0
         assert len(acked) == 60
+        assert check_logs(deployment.logs(), acks=acked).ok
         for dc in ("A", "B"):
-            entries = deployment[dc].all_entries()
-            assert len(entries) == 60
-            assert causal_order_respected([e.record for e in entries])
+            assert deployment[dc].total_records() == 60
             # Fetch faults never turn into duplicate shipments.
             assert sum(f.core.duplicates_dropped for f in deployment[dc].filters) == 0
             assert sum(s.records_shipped for s in deployment[dc].senders) == 30

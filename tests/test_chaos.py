@@ -20,12 +20,13 @@ from repro.chaos import (
     NetChaos,
     PartitionEvent,
 )
-from repro.chariots import AbstractDeployment, ChariotsDeployment
-from repro.core import PipelineConfig, causal_order_respected
+from repro.chariots import ChariotsDeployment, check_logs
+from repro.core import PipelineConfig
 from repro.core.errors import ConfigurationError
 from repro.runtime import Actor, LocalRuntime
 from repro.sim import SimRuntime, SinkActor
 
+from conftest import run_abstract
 from test_sim import SIMPLE
 
 DCS = ["A", "B", "C"]
@@ -303,15 +304,7 @@ CHAOS_CONFIG = PipelineConfig(
 
 def make_workload(seed, size=20):
     rng = random.Random(seed)
-    return [(rng.randrange(len(DCS)), i) for i in range(size)]
-
-
-def run_abstract(workload):
-    deployment = AbstractDeployment(DCS)
-    for dc_index, payload in workload:
-        deployment[DCS[dc_index]].append(f"p{payload}")
-    deployment.sync()
-    return deployment
+    return [(DCS[rng.randrange(len(DCS))], f"p{i}") for i in range(size)]
 
 
 def run_chaotic_pipeline(workload, plan, max_seconds=120):
@@ -320,8 +313,8 @@ def run_chaotic_pipeline(workload, plan, max_seconds=120):
         runtime, DCS, batch_size=4, pipeline_config=CHAOS_CONFIG
     )
     clients = {dc: deployment.blocking_client(dc) for dc in DCS}
-    for dc_index, payload in workload:
-        clients[DCS[dc_index]].append(f"p{payload}")
+    for dc, body in workload:
+        clients[dc].append(body)
     assert deployment.settle(max_seconds=max_seconds)
     return deployment
 
@@ -338,27 +331,6 @@ def replication_chaos(seed):
     )
 
 
-def assert_equivalent(pipeline, abstract):
-    """Observational equivalence: same records everywhere, exactly once,
-    causally ordered, identical per-host total orders."""
-    reference = {r.rid for r in abstract[DCS[0]].records()}
-    for dc in DCS:
-        entries = pipeline[dc].all_entries()
-        rids = [e.rid for e in entries]
-        assert len(rids) == len(set(rids))  # exactly-once admission
-        assert set(rids) == reference
-        assert causal_order_respected([e.record for e in entries])
-    for host in DCS:
-        host_order = [r.toid for r in abstract[host].records() if r.host == host]
-        for dc in DCS:
-            observed = [
-                e.record.toid
-                for e in pipeline[dc].all_entries()
-                if e.record.host == host
-            ]
-            assert observed == host_order
-
-
 class TestEquivalenceUnderChaos:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_drops_dups_reorders_preserve_equivalence(self, seed):
@@ -369,7 +341,7 @@ class TestEquivalenceUnderChaos:
         assert plan.stats["dropped"] > 0
         assert plan.stats["duplicated"] > 0
         assert plan.stats["reordered"] > 0
-        assert_equivalent(pipeline, run_abstract(workload))
+        assert check_logs(pipeline.logs(), reference=run_abstract(DCS, workload)).ok
 
     def test_full_acceptance_run(self):
         """drops + dups + reorders + one maintainer crash + one DC partition,
@@ -390,11 +362,11 @@ class TestEquivalenceUnderChaos:
         # First wave before the faults; then drive time into the partition
         # window (the crash at 0.3 fires on the way) and append the rest
         # while C is dark and A's maintainer is being restarted.
-        for dc_index, payload in workload[:12]:
-            clients[DCS[dc_index]].append(f"p{payload}")
+        for dc, body in workload[:12]:
+            clients[dc].append(body)
         runtime.run_for(max(0.0, 0.8 - runtime.now))
-        for dc_index, payload in workload[12:]:
-            clients[DCS[dc_index]].append(f"p{payload}")
+        for dc, body in workload[12:]:
+            clients[dc].append(body)
         assert deployment.settle(max_seconds=120)
 
         assert supervisor.restarts["A/store/0"] >= 1
@@ -402,7 +374,7 @@ class TestEquivalenceUnderChaos:
         assert plan.stats["dropped"] > 0
         assert plan.stats["duplicated"] > 0
         assert plan.stats["reordered"] > 0
-        assert_equivalent(deployment, run_abstract(workload))
+        assert check_logs(deployment.logs(), reference=run_abstract(DCS, workload)).ok
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", [11, 12, 13, 14, 15])
@@ -420,12 +392,12 @@ class TestEquivalenceUnderChaos:
         )
         supervisor = deployment.supervise()
         clients = {dc: deployment.blocking_client(dc) for dc in DCS}
-        for dc_index, payload in workload[:30]:
-            clients[DCS[dc_index]].append(f"p{payload}")
+        for dc, body in workload[:30]:
+            clients[dc].append(body)
         runtime.run_for(max(0.0, 1.5 - runtime.now))  # crash fired; partition on
-        for dc_index, payload in workload[30:]:
-            clients[DCS[dc_index]].append(f"p{payload}")
+        for dc, body in workload[30:]:
+            clients[dc].append(body)
         assert deployment.settle(max_seconds=300)
         assert supervisor.restarts["B/store/0"] >= 1
         assert plan.stats["partitioned"] > 0
-        assert_equivalent(deployment, run_abstract(workload))
+        assert check_logs(deployment.logs(), reference=run_abstract(DCS, workload)).ok

@@ -170,8 +170,9 @@ class TestCausalOrderRespected:
     def test_first_violation_names_the_offender(self):
         a1 = rec("A", 1)
         b1 = rec("B", 1, deps={"A": 1})
-        assert first_violation([b1, a1]) == RecordId("B", 1)
+        assert first_violation([b1, a1]) == 0
         assert first_violation([a1, b1]) is None
+        assert first_violation([a1, b1, b1]) == 2  # the repeat, not the original
 
 
 class TestTopologicalCausalSort:

@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import repro
-from repro.chariots import ChariotsDeployment
+from repro.chariots import ChariotsDeployment, check_logs
 from repro.runtime import LocalRuntime, random_latency
 
 
@@ -17,10 +17,7 @@ def run_deployment(seed):
         ca.append(f"a{i}")
         cb.append(f"b{i}")
     assert deployment.settle(max_seconds=30)
-    return {
-        dc: [(e.lid, e.rid) for e in deployment[dc].all_entries()]
-        for dc in "AB"
-    }
+    return deployment.logs()
 
 
 class TestDeterministicReplay:
@@ -30,10 +27,7 @@ class TestDeterministicReplay:
         assert first == second
 
     def test_different_seeds_still_converge_to_same_record_sets(self):
-        first = run_deployment(seed=1)
-        second = run_deployment(seed=2)
-        for dc in "AB":
-            assert {rid for _, rid in first[dc]} == {rid for _, rid in second[dc]}
+        assert check_logs(run_deployment(seed=1), reference=run_deployment(seed=2)).ok
 
 
 class TestPublicApi:
@@ -82,6 +76,22 @@ class TestPublicApi:
                         continue
                     if any(t == "repro.net" or t.startswith("repro.net.") for t in targets):
                         offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert offenders == []
+
+    def test_tests_judge_logs_through_check_logs(self):
+        """Only the causal walk's own tests (and ``DeferredQueue.admit``'s)
+        use it on bare record lists; every other test uses ``check_logs``."""
+        walk = {"causal_order_respected", "first_violation"}
+        allowed = {
+            "test_core_causality.py", "test_property_structures.py", "test_burst_append_path.py"
+        }
+        offenders = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(Path(__file__).parent.glob("*.py"))
+            if path.name not in allowed
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and walk & {alias.name for alias in node.names}
+        ]
         assert offenders == []
 
     def test_docstrings_on_public_classes(self):

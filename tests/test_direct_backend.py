@@ -14,6 +14,7 @@ from repro.apps import (
     StreamJoiner,
     StreamReader,
 )
+from repro.chariots import check_logs
 from repro.chariots.direct import DirectDeployment
 
 
@@ -45,7 +46,7 @@ class TestDirectClient:
         assert direct.client("B").head() == -1
         direct.replicate()
         assert direct.client("B").head() == 0
-        assert direct.converged()
+        assert check_logs(direct.logs()).ok
 
     def test_auto_replicate_mode(self):
         deployment = DirectDeployment(["A", "B"], auto_replicate=True)

@@ -2,17 +2,16 @@
 
 The multiproc runtime trades determinism for parallelism, so its anchor is
 *outcome* equivalence: a fixed workload driven through a full Chariots
-deployment on real OS processes must converge to exactly the record sets,
-per-host total orders, and causal structure the deterministic sim runtime
-produces.  The unit tests cover the envelope/routing layer, the default
-placement policy, the inline (``workers=0``) baseline mode, and the
-pre-encoded zero-copy send path.
+deployment on real OS processes must pass ``check_logs`` against the
+abstract solution's run of the same workload — same record sets, causal
+order, and with it identical per-host total orders.  The unit tests cover
+the envelope/routing layer, the default placement policy, the inline
+(``workers=0``) baseline mode, and the pre-encoded zero-copy send path.
 """
 
 import pytest
 
-from repro.chariots import ChariotsDeployment
-from repro.core import causal_order_respected
+from repro.chariots import ChariotsDeployment, check_logs
 from repro.core.errors import ConfigurationError, SessionError
 from repro.core.record import Record, RecordId
 from repro.flstore.maintainer import LogMaintainer
@@ -23,36 +22,13 @@ from repro.runtime.multiproc import (
     MultiprocRuntime,
     default_placement,
 )
-from repro.sim import SimRuntime
+
+from conftest import run_abstract
 
 DCS = ["A", "B"]
 
 #: Fixed workload: (datacenter, payload) appends — identical on every run.
 WORKLOAD = [(DCS[i % 2], f"p{i}") for i in range(30)]
-
-
-def _extract(deployment):
-    """Comparable outcome: record-id sets, per-host orders, causal checks."""
-    sets = deployment.record_sets()
-    orders = {}
-    for dc in DCS:
-        entries = deployment[dc].all_entries()
-        assert causal_order_respected([e.record for e in entries])
-        for host in DCS:
-            orders[(dc, host)] = [
-                e.record.toid for e in entries if e.record.host == host
-            ]
-    return sets, orders
-
-
-def run_workload_on_sim():
-    runtime = SimRuntime()
-    deployment = ChariotsDeployment(runtime, DCS, batch_size=8)
-    clients = {dc: deployment.blocking_client(dc) for dc in DCS}
-    for dc, payload in WORKLOAD:
-        clients[dc].append(payload)
-    assert deployment.settle(max_seconds=120)
-    return _extract(deployment)
 
 
 def run_workload_on_multiproc(workers):
@@ -69,25 +45,19 @@ def run_workload_on_multiproc(workers):
             lambda: deployment.converged() and deployment._pipelines_drained(),
             max_seconds=60,
         )
-        return _extract(deployment)
+        return check_logs(deployment.logs(), reference=run_abstract(DCS, WORKLOAD), acks=acks)
     finally:
         runtime.stop()
 
 
 class TestEquivalence:
-    def test_multiproc_matches_sim_on_fixed_workload(self):
-        """The tentpole anchor: multiproc ≡ sim — same record sets in every
-        datacenter and identical per-host total orders."""
-        sim_sets, sim_orders = run_workload_on_sim()
-        mp_sets, mp_orders = run_workload_on_multiproc(workers=2)
-        assert mp_sets == sim_sets
-        assert mp_orders == sim_orders
+    def test_multiproc_matches_abstract_on_fixed_workload(self):
+        """Multiproc ≡ the abstract solution on a fixed workload."""
+        assert run_workload_on_multiproc(workers=2).ok
 
-    def test_inline_mode_matches_sim(self):
+    def test_inline_mode_matches_abstract(self):
         """workers=0 pays the codec round trip but stays in one process."""
-        sim_sets, _ = run_workload_on_sim()
-        mp_sets, _ = run_workload_on_multiproc(workers=0)
-        assert mp_sets == sim_sets
+        assert run_workload_on_multiproc(workers=0).ok
 
 
 class TestPlacement:

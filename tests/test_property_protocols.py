@@ -5,9 +5,8 @@ simulator determinism."""
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps import MessageFuturesManager
-from repro.chariots import AbstractDeployment
+from repro.chariots import AbstractDeployment, check_logs
 from repro.chariots.direct import DirectDeployment
-from repro.core import causal_order_respected
 
 DCS = ["A", "B", "C"]
 
@@ -35,11 +34,11 @@ def test_abstract_causality_holds_at_every_intermediate_state(schedule):
         if src != dst:
             deployment.exchange(DCS[src], DCS[dst])
         # The causal invariant is not just eventual — it holds after
-        # every single step, at every datacenter.
+        # every single step, at every datacenter (judged alone: sets differ).
         for dc in DCS:
-            assert causal_order_respected(deployment[dc].records())
+            assert check_logs({dc: deployment[dc].entries()}).ok
     deployment.sync()
-    assert deployment.converged()
+    assert check_logs({dc: deployment[dc].entries() for dc in DCS}).ok
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,13 +13,8 @@ import random
 import pytest
 
 from repro.chaos import FaultPlan, NetChaos
-from repro.chariots import ChariotsDeployment
-from repro.core import (
-    CircuitBreaker,
-    PipelineConfig,
-    RetryPolicy,
-    causal_order_respected,
-)
+from repro.chariots import ChariotsDeployment, check_logs
+from repro.core import CircuitBreaker, PipelineConfig, RetryPolicy
 from repro.core.errors import (
     AppendDeferred,
     ChariotsError,
@@ -217,9 +212,8 @@ class TestSenderBackoffAndBreaker:
         assert breaker.state == CircuitBreaker.CLOSED
         assert sender.buffered_records() == 0  # acked everywhere, compacted
         assert len(times) > transmissions_down  # a probe/retransmit got through
-        a_set = {e.rid for e in deployment["A"].all_entries()}
-        b_set = {e.rid for e in deployment["B"].all_entries()}
-        assert a_set == b_set and a_set
+        assert check_logs(deployment.logs()).ok
+        assert deployment["B"].all_entries()
 
     def test_open_breaker_stops_retransmissions(self):
         runtime, deployment, state, times = self.build()
@@ -252,17 +246,10 @@ class TestSupervisedRecovery:
         assert deployment.settle(max_seconds=60)
 
         assert supervisor.restarts["A/store/0"] >= 1
-        entries = deployment["A"].all_entries()
-        lids = [e.lid for e in entries]
-        assert len(lids) == len(set(lids))  # no LId duplicated
-        bodies = sorted(e.record.body for e in entries)
-        expected = sorted([f"pre{i}" for i in range(6)] + [f"post{i}" for i in range(6)])
-        assert bodies == expected  # no record lost
-        assert causal_order_respected([e.record for e in entries])
-        # The remote datacenter observed the same log.
-        assert {e.rid for e in deployment["B"].all_entries()} == {
-            e.rid for e in entries
-        }
+        # No LId duplicated, no record lost (every ack at its LId), and the
+        # remote datacenter holding the same records.
+        assert check_logs(deployment.logs(), acks=pre + post).ok
+        assert deployment["A"].total_records() == 12
 
     def test_supervisor_restarts_repeated_crashes(self):
         runtime = LocalRuntime()
@@ -320,10 +307,8 @@ class TestSupervisedRecovery:
         # Heal: the sender's breaker probes, retransmits, and the Awareness
         # Table frontiers re-converge with every record exactly once.
         assert deployment.settle(max_seconds=60)
-        b_entries = deployment["B"].all_entries()
-        assert len(b_entries) == 8
-        assert len({e.rid for e in b_entries}) == 8
-        assert causal_order_respected([e.record for e in b_entries])
+        assert check_logs(deployment.logs()).ok
+        assert len(deployment["B"].all_entries()) == 8
         assert (
             deployment["B"].frontier().get("A")
             == deployment["A"].frontier().get("A")
@@ -347,9 +332,7 @@ class TestSupervisedRecovery:
             clients["A"].append(f"a{i}")
             clients["B"].append(f"b{i}")
         assert deployment.settle(max_seconds=60)
-        assert {e.rid for e in deployment["A"].all_entries()} == {
-            e.rid for e in deployment["B"].all_entries()
-        }
+        assert check_logs(deployment.logs()).ok
         assert deployment["A"].total_records() == 8
 
 
@@ -531,11 +514,8 @@ class TestAioRuntimeChaos:
                     max_seconds=20,
                 )
                 assert ok
-                for dc in "AB":
-                    entries = deployment[dc].all_entries()
-                    rids = [e.rid for e in entries]
-                    assert len(rids) == 6 and len(set(rids)) == 6
-                    assert causal_order_respected([e.record for e in entries])
+                assert check_logs(deployment.logs()).ok
+                assert len(deployment["A"].all_entries()) == 6
             finally:
                 await runtime.stop()
 

@@ -29,7 +29,7 @@ import time
 import pytest
 
 from repro.chaos import FaultPlan, ProcChaos
-from repro.chariots import ChariotsDeployment
+from repro.chariots import ChariotsDeployment, check_logs
 from repro.core.errors import SessionError
 from repro.net.binary_codec import decode_value_binary, encode_value_binary
 from repro.runtime import multiproc
@@ -47,9 +47,9 @@ from repro.runtime.multiproc import (
 )
 from repro.runtime.supervisor import ProcessSupervisor
 from repro.scenarios.multiproc_chaos import pipeline_placement
-from repro.sim import SimRuntime
 
-from test_multiproc import DCS, _extract
+from conftest import run_abstract
+from test_multiproc import DCS
 
 # --------------------------------------------------------------------- #
 # Actors (module level: they are pickled into the workers)
@@ -656,34 +656,24 @@ BURST_RECORDS = 16384
 BURST_WINDOW = 256
 
 
-def _burst_on_sim():
-    runtime = SimRuntime()
-    deployment = ChariotsDeployment(runtime, DCS, batch_size=8)
-    clients = {dc: deployment.blocking_client(dc) for dc in DCS}
-    for i in range(BURST_RECORDS):
-        clients[DCS[i % 2]].append(f"p{i}")
-    assert deployment.settle(max_seconds=300)
-    return _extract(deployment)
-
-
 @pytest.fixture(scope="module")
-def burst_on_sim():
-    return _burst_on_sim()
+def burst_reference():
+    return run_abstract(DCS, [(DCS[i % 2], f"p{i}") for i in range(BURST_RECORDS)])
 
 
 @pytest.mark.slow
 class TestKillInsideBurst:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_sigkill_between_emission_and_marker_matches_fault_free_sim(
-        self, seed, burst_on_sim
+    def test_sigkill_between_emission_and_marker_matches_the_abstract_solution(
+        self, seed, burst_reference
     ):
         """SIGKILL the stage worker at a seeded instant while 256 appends
         are kept in flight.  The instant may fall where the held-in-the-
         worker design never let it: frames the worker emitted are parked at
         the parent and their marker is not sent yet (``TestParentCommit``
         pins that window down deterministically; here it is hit or missed
-        by the scheduler).  Wherever it falls, the recovered logs must be
-        the fault-free sim's, with no frame given up on and no duplicate
+        by the scheduler).  Wherever it falls, the recovered logs must match
+        the abstract solution's, with no frame given up on and no duplicate
         for the filters to drop — parked frames never happened."""
         kill_at = random.Random(seed).uniform(0.02, 0.10)
         chaos = ProcChaos.from_plan(FaultPlan(seed=seed).kill(0, kill_at))
@@ -722,7 +712,7 @@ class TestKillInsideBurst:
                     lambda: deployment.converged() and deployment._pipelines_drained(),
                     max_seconds=120,
                 )
-                assert _extract(deployment) == burst_on_sim
+                assert check_logs(deployment.logs(), reference=burst_reference, acks=acks).ok
                 assert dict(runtime.loss_accounting) == {}
                 assert runtime.uncommitted_peak_bytes > 0
                 duplicates = sum(

@@ -2,8 +2,8 @@
 Replicated-Dictionary-style propagation, extended to the pipeline)."""
 
 
-from repro.chariots import ChariotsDeployment
-from repro.core import PipelineConfig, causal_order_respected
+from repro.chariots import ChariotsDeployment, check_logs
+from repro.core import PipelineConfig
 from repro.runtime import LocalRuntime
 
 
@@ -31,9 +31,8 @@ class TestRingTopology:
             for dc, client in clients.items():
                 client.append(f"{dc}{i}")
         assert deployment.settle(max_seconds=60)
-        sets = deployment.record_sets()
-        assert sets["A"] == sets["B"] == sets["C"]
-        assert len(sets["A"]) == 12
+        assert check_logs(deployment.logs()).ok
+        assert deployment["A"].total_records() == 12
 
     def test_ring_logs_stay_causally_consistent(self):
         runtime = LocalRuntime()
@@ -46,9 +45,7 @@ class TestRingTopology:
         cc = deployment.blocking_client("C")
         cc.append("depends", deps={"A": a1.toid})
         assert deployment.settle(max_seconds=60)
-        for dc in "ABC":
-            records = [e.record for e in deployment[dc].all_entries()]
-            assert causal_order_respected(records)
+        assert check_logs(deployment.logs()).ok
 
     def test_four_dc_ring(self):
         runtime = LocalRuntime()
@@ -60,8 +57,8 @@ class TestRingTopology:
         for dc, client in clients.items():
             client.append(f"from-{dc}")
         assert deployment.settle(max_seconds=90)
-        sets = deployment.record_sets()
-        assert all(s == sets["A"] and len(s) == 4 for s in sets.values())
+        assert check_logs(deployment.logs()).ok
+        assert deployment["A"].total_records() == 4
 
 
 class TestChainTopology:
@@ -77,9 +74,8 @@ class TestChainTopology:
         ca.append("from-A")
         cc.append("from-C")
         assert deployment.settle(max_seconds=60)
-        assert deployment.converged()
-        hosts_at_a = {e.record.host for e in deployment["A"].all_entries()}
-        assert hosts_at_a == {"A", "C"}
+        assert check_logs(deployment.logs()).ok  # C's record reached A, and B
+        assert deployment["A"].total_records() == 2
 
 
 class TestFullMeshDefaults:
@@ -101,9 +97,8 @@ class TestFullMeshDefaults:
             client.append(f"x-{dc}")
         assert deployment.settle(max_seconds=30)
         # Transitive forwarding over a mesh must not duplicate records.
-        for dc in "ABC":
-            rids = [e.rid for e in deployment[dc].all_entries()]
-            assert len(rids) == len(set(rids)) == 3
+        assert check_logs(deployment.logs()).ok
+        assert deployment["A"].total_records() == 3
 
 
 class TestGcOverPartialTopology:

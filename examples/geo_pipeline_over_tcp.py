@@ -9,16 +9,13 @@ and routed across a localhost TCP connection, in real time.
 Run:  python examples/geo_pipeline_over_tcp.py
 """
 
-import asyncio
-
 from repro.chariots import ChariotsDeployment
 from repro.net.aio_runtime import AioRuntime
 
 
-async def main() -> None:
+def main() -> None:
     runtime = AioRuntime()
     deployment = ChariotsDeployment(runtime, ["tokyo", "dublin"], batch_size=50)
-    await runtime.start()
     try:
         tokyo = deployment.client("tokyo")
         dublin = deployment.client("dublin")
@@ -28,9 +25,8 @@ async def main() -> None:
             tokyo.append(f"order-{i} placed", tags={"order": i}, on_done=acks.append)
         dublin.append("inventory sync", on_done=acks.append)
 
-        ok = await runtime.settle(
-            lambda: len(acks) == 6 and deployment.converged(), max_seconds=15
-        )
+        runtime.run_until(lambda: len(acks) == 6, timeout=15)
+        ok = deployment.settle(max_seconds=15)
         print(f"converged over TCP: {ok}")
         print(f"frames routed through the socket: {runtime.messages_routed} "
               f"({runtime.bytes_routed} bytes)")
@@ -45,8 +41,8 @@ async def main() -> None:
         for entry in deployment["dublin"].all_entries():
             print(f"  [{entry.lid}] {entry.rid} {entry.record.body!r}")
     finally:
-        await runtime.stop()
+        runtime.stop()
 
 
 if __name__ == "__main__":
-    asyncio.run(main())
+    main()

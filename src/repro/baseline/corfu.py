@@ -18,8 +18,7 @@ from ..core.record import AppendResult, LogEntry, Record
 from ..flstore.maintainer import LogMaintainer
 from ..flstore.messages import PlaceRecords
 from ..flstore.range_map import OwnershipPlan
-from ..runtime.actor import Actor
-from ..runtime.local import BaseRuntime
+from ..runtime.actor import Actor, Runtime
 from .sequencer import ReservedRange, Sequencer, SequencerRequest
 
 Placer = Callable[[Actor], None]
@@ -74,7 +73,7 @@ class CorfuLog:
 
     def __init__(
         self,
-        runtime: BaseRuntime,
+        runtime: Runtime,
         n_units: int = 3,
         batch_size: int = 1000,
         config: Optional[FLStoreConfig] = None,

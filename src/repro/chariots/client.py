@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 from ..core.errors import ConfigurationError
 from ..core.record import AppendResult, DatacenterId, freeze_tags
 from ..flstore.client import BlockingFLStoreClient, FLStoreClient
-from ..runtime.local import BaseRuntime
+from ..runtime.actor import Runtime
 from .messages import DraftBatch, DraftCommitBatch, DraftCommitted, DraftRecord
 
 Callback = Callable[[Any], None]
@@ -115,7 +115,7 @@ class BlockingChariotsClient(BlockingFLStoreClient):
 
     client: ChariotsClient
 
-    def __init__(self, client: ChariotsClient, runtime: BaseRuntime) -> None:
+    def __init__(self, client: ChariotsClient, runtime: Runtime) -> None:
         super().__init__(client, runtime)
 
     def append(  # type: ignore[override]

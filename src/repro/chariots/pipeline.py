@@ -23,8 +23,7 @@ from ..flstore.indexer import Indexer
 from ..flstore.journal import FileJournal, MemoryJournal, recover_maintainer_core
 from ..flstore.maintainer import LogMaintainer
 from ..flstore.range_map import OwnershipPlan
-from ..runtime.actor import Actor
-from ..runtime.local import BaseRuntime
+from ..runtime.actor import Actor, Runtime
 from ..runtime.supervisor import Supervisor
 from .batcher import Batcher
 from .client import BlockingChariotsClient, ChariotsClient
@@ -47,7 +46,7 @@ class DatacenterPipeline:
 
     def __init__(
         self,
-        runtime: BaseRuntime,
+        runtime: Runtime,
         dc_id: DatacenterId,
         datacenters: Sequence[DatacenterId],
         spec: Optional[DeploymentSpec] = None,
@@ -334,7 +333,7 @@ class ChariotsDeployment:
 
     def __init__(
         self,
-        runtime: BaseRuntime,
+        runtime: Runtime,
         datacenters: Sequence[DatacenterId],
         spec: Optional[DeploymentSpec] = None,
         specs: Optional[Dict[DatacenterId, DeploymentSpec]] = None,
@@ -434,15 +433,12 @@ class ChariotsDeployment:
         fronts = list(self.frontiers().values())
         return all(f == fronts[0] for f in fronts[1:])
 
-    def settle(self, max_seconds: float = 30.0, check_interval: float = 0.1) -> bool:
-        """Run the deployment until replication converges (or time out)."""
-        self.runtime.start()
-        deadline = self.runtime.now + max_seconds
-        while self.runtime.now < deadline:
-            self.runtime.run_for(check_interval)
-            if self.converged() and self._pipelines_drained():
-                return True
-        return self.converged() and self._pipelines_drained()
+    def settle(self, max_seconds: float = 30.0) -> bool:
+        """Run the deployment until replication converges and every stage
+        has drained (or ``max_seconds`` pass), on any runtime."""
+        return self.runtime.settle(
+            lambda: self.converged() and self._pipelines_drained(), max_seconds
+        )
 
     def _pipelines_drained(self) -> bool:
         for pipe in self.pipelines.values():

@@ -17,8 +17,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ..core.errors import SessionError
 from ..core.hashing import stable_hash
 from ..core.record import AppendResult, LogEntry, ReadRules, Record
-from ..runtime.actor import Actor
-from ..runtime.local import BaseRuntime
+from ..runtime.actor import Actor, Runtime
 from .messages import (
     AppendReply,
     AppendRequest,
@@ -262,11 +261,12 @@ class FLStoreClient(Actor):
 class BlockingFLStoreClient:
     """Synchronous facade over :class:`FLStoreClient` for tests and examples.
 
-    Each call pumps the runtime until the reply arrives, so it only makes
-    sense on the deterministic local runtime (never on a live network).
+    Each call drives the runtime (``run_until``) until the reply arrives,
+    so it works on every runtime; on the real-time ones a call blocks for
+    as long as the round trip takes.
     """
 
-    def __init__(self, client: FLStoreClient, runtime: BaseRuntime) -> None:
+    def __init__(self, client: FLStoreClient, runtime: Runtime) -> None:
         self.client = client
         self.runtime = runtime
 

@@ -11,8 +11,7 @@ from typing import Callable, List, Optional
 
 from ..core.config import FLStoreConfig
 from ..core.record import LogEntry
-from ..runtime.actor import Actor
-from ..runtime.local import BaseRuntime
+from ..runtime.actor import Actor, Runtime
 from .client import BlockingFLStoreClient, FLStoreClient
 from .controller import Controller
 from .indexer import Indexer
@@ -28,7 +27,7 @@ class FLStore:
 
     def __init__(
         self,
-        runtime: BaseRuntime,
+        runtime: Runtime,
         n_maintainers: int = 3,
         n_indexers: int = 1,
         batch_size: int = 1000,

@@ -1,58 +1,75 @@
 """Real-time asyncio runtime: the same actors, over real sockets.
 
-:class:`AioRuntime` hosts the protocol actors on the asyncio event loop and
-routes **every** message through a localhost TCP connection: each ``send``
-serialises the message with the binary codec, frames it, writes it to
-the router socket, and the router's server side decodes and dispatches it to
-the destination actor.  Timers run on real (wall-clock) time.
+:class:`AioRuntime` hosts the protocol actors on an asyncio event loop of
+its own and routes **every** message through a localhost TCP connection:
+each ``send`` serialises the message with the binary codec, frames it,
+writes it to the router socket, and the router's server side decodes and
+dispatches it to the destination actor.  Timers run on real (wall-clock)
+time.
 
 This is the strongest in-repo demonstration that the protocol is
 network-ready: a whole multi-datacenter Chariots deployment — batchers,
 filters, the queue token, replication shipments, gossip — runs with every
 single message crossing the TCP stack and the codec.
 
-The runtime implements the same registration/`send` surface as
-:class:`~repro.runtime.local.BaseRuntime`, so ``ChariotsDeployment`` and
-``FLStore`` build on it unchanged; use the async helpers
-(:meth:`run_for`, :meth:`settle`) instead of the synchronous ones.
+It is driven like every other :class:`~repro.runtime.actor.Runtime`,
+synchronously: :meth:`start` opens the loop and the router socket pair,
+the loop advances only inside ``run_for`` / ``run_until`` / ``settle``,
+and :meth:`stop` closes both, after which no actor timer fires.  Call it
+from plain code, never from inside a coroutine.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, Iterable, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from ..core.errors import ConfigurationError
-from ..runtime.actor import Actor
+from ..core.errors import ConfigurationError, RuntimeExhaustedError
+from ..runtime.local import BaseRuntime
 from .protocol import FrameProtocol, encode_frame_binary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chaos.plan import FaultPlan
 
+#: Real seconds ``run_until`` lets the loop run between predicate checks.
+_POLL = 0.001
 
-class _AioTimerHandle:
-    """Cancellable handle matching the EventLoop handle surface."""
 
-    __slots__ = ("_handle",)
+class _AioTimer:
+    """Cancellable handle of one :class:`_AioTimers` timer."""
 
-    def __init__(self, handle: asyncio.TimerHandle) -> None:
-        self._handle = handle
+    __slots__ = ("callback", "handle", "cancelled")
+
+    def __init__(self, callback: Callable[[], None]) -> None:
+        self.callback = callback
+        self.handle: Optional[asyncio.TimerHandle] = None
+        self.cancelled = False
 
     def cancel(self) -> None:
-        self._handle.cancel()
+        self.cancelled = True
+        if self.handle is not None:
+            self.handle.cancel()
 
 
-class _AioLoopShim:
-    """The subset of :class:`~repro.runtime.loop.EventLoop` actors use,
-    backed by the asyncio loop (real time)."""
+class _AioTimers:
+    """The runtime's ``loop``: real-time timers on its asyncio loop.
+
+    Timers set before the runtime starts are armed when it starts; once
+    :attr:`live` drops (at ``stop()``) none fires."""
 
     def __init__(self) -> None:
         self._aio: Optional[asyncio.AbstractEventLoop] = None
         self._epoch = 0.0
+        self._early: List[Tuple[float, _AioTimer]] = []
+        self.live = False
 
     def bind(self, loop: asyncio.AbstractEventLoop) -> None:
         self._aio = loop
         self._epoch = loop.time()
+        self.live = True
+        early, self._early = self._early, []
+        for delay, timer in early:
+            self._arm(timer, delay)
 
     @property
     def now(self) -> float:
@@ -60,10 +77,22 @@ class _AioLoopShim:
             return 0.0
         return self._aio.time() - self._epoch
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> _AioTimerHandle:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> _AioTimer:
+        timer = _AioTimer(callback)
         if self._aio is None:
-            raise ConfigurationError("AioRuntime not started; timers unavailable")
-        return _AioTimerHandle(self._aio.call_later(max(0.0, delay), callback))
+            self._early.append((delay, timer))
+        else:
+            self._arm(timer, delay)
+        return timer
+
+    def _arm(self, timer: _AioTimer, delay: float) -> None:
+        assert self._aio is not None
+        if not timer.cancelled:
+            timer.handle = self._aio.call_later(max(0.0, delay), self._fire, timer)
+
+    def _fire(self, timer: _AioTimer) -> None:
+        if self.live:
+            timer.callback()
 
 
 class _HubConnection(FrameProtocol):
@@ -78,18 +107,20 @@ class _HubConnection(FrameProtocol):
         self._runtime._dispatch(envelope)
 
 
-class AioRuntime:
+class AioRuntime(BaseRuntime):
     """Actor runtime whose transport is a real localhost TCP connection."""
+
+    loop: _AioTimers
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         chaos: Optional["FaultPlan"] = None,
     ) -> None:
-        self.loop = _AioLoopShim()
+        super().__init__()
+        self.loop = _AioTimers()
         self._host = host
-        self._actors: Dict[str, Actor] = {}
-        self._started = False
+        self._aio: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         #: Sending end of the router pair, then the accepted end(s).
         self._writer: Optional[asyncio.Transport] = None
@@ -102,52 +133,43 @@ class AioRuntime:
         self.messages_dropped = 0
         self.bytes_routed = 0
 
-    # -- registry (BaseRuntime-compatible surface) ------------------------ #
-
-    def register(self, actor: Actor) -> Actor:
-        if actor.name in self._actors:
-            raise ConfigurationError(f"actor name {actor.name!r} already registered")
-        actor.runtime = self  # type: ignore[assignment]
-        self._actors[actor.name] = actor
-        if self._started:
-            actor.on_start()
-        return actor
-
-    def register_all(self, actors: Iterable[Actor]) -> List[Actor]:
-        return [self.register(actor) for actor in actors]
-
-    def actor(self, name: str) -> Actor:
-        return self._actors[name]
-
-    def has_actor(self, name: str) -> bool:
-        return name in self._actors
-
-    @property
-    def now(self) -> float:
-        return self.loop.now
-
     # -- lifecycle --------------------------------------------------------- #
 
-    async def start(self) -> None:
-        """Open the router socket pair and start every actor."""
-        if self._started:
+    def start(self) -> "AioRuntime":
+        """Open the event loop and the router socket pair, then start every
+        actor (idempotent)."""
+        if self._aio is None:
+            aio = self._aio = asyncio.new_event_loop()
+            server = aio.run_until_complete(
+                aio.create_server(self._hub_connection, self._host, 0)
+            )
+            self._server = server
+            port = server.sockets[0].getsockname()[1]
+            # The sending side of the router never receives frames; the
+            # accepted side dispatches directly to the actors.
+            self._writer, _sender = aio.run_until_complete(
+                aio.create_connection(self._hub_connection, self._host, port)
+            )
+            self.loop.bind(aio)
+        super().start()
+        return self
+
+    def stop(self) -> None:
+        """Close the sockets and the event loop; no timer fires afterwards
+        (idempotent)."""
+        aio, self._writer = self._aio, None
+        if aio is None or aio.is_closed():
             return
-        # Claim the flag before the first await: a second start() racing
-        # through the check above would otherwise open a second socket pair
-        # and orphan one of them.
-        self._started = True
-        self.loop.bind(asyncio.get_running_loop())
-        loop = asyncio.get_running_loop()
-        server = await loop.create_server(self._hub_connection, self._host, 0)
-        self._server = server
-        port = server.sockets[0].getsockname()[1]
-        # The sending side of the router never receives frames; the accepted
-        # side dispatches directly to the actors.
-        self._writer, _sender = await loop.create_connection(
-            self._hub_connection, self._host, port
-        )
-        for actor in list(self._actors.values()):
-            actor.on_start()
+        self.loop.live = False
+        server, self._server = self._server, None
+        hub, self._hub = self._hub, []
+        if server is not None:
+            server.close()
+        for connection in hub:
+            aio.run_until_complete(connection.aclose())
+        if server is not None:
+            aio.run_until_complete(server.wait_closed())
+        aio.close()
 
     def _hub_connection(self) -> _HubConnection:
         connection = _HubConnection(self)
@@ -155,8 +177,7 @@ class AioRuntime:
         return connection
 
     def _dispatch(self, envelope: Dict[str, Any]) -> None:
-        dst = envelope["d"]
-        target = self._actors.get(dst)
+        target = self._actors.get(envelope["d"])
         if target is None:
             return  # destination retired while the frame was in flight
         self.messages_routed += 1
@@ -167,7 +188,7 @@ class AioRuntime:
     def send(self, src: str, dst: str, message: Any) -> None:
         """Serialise and route one message through the TCP stack."""
         if self._writer is None:
-            raise ConfigurationError("AioRuntime not started; call await start()")
+            raise ConfigurationError("AioRuntime not started; call start()")
         if dst not in self._actors:
             raise ConfigurationError(f"message from {src!r} to unknown actor {dst!r}")
         frame = encode_frame_binary({"type": "route", "s": src, "d": dst, "m": message})
@@ -187,42 +208,32 @@ class AioRuntime:
         self._writer.write(frame)
 
     def _write_later(self, frame: bytes) -> None:
-        """Deferred write for chaos-delayed frames (no-op after stop())."""
-        if self._writer is not None:
-            self.bytes_routed += len(frame)
-            self._writer.write(frame)
+        """Deferred write for chaos-delayed frames (timers stop with the runtime)."""
+        assert self._writer is not None
+        self.bytes_routed += len(frame)
+        self._writer.write(frame)
 
-    # -- async drivers ---------------------------------------------------------- #
+    # -- drivers ------------------------------------------------------------ #
 
-    async def run_for(self, seconds: float) -> None:
-        """Let the deployment run for ``seconds`` of real time."""
-        await asyncio.sleep(seconds)
+    def _turn(self, seconds: float) -> None:
+        """Let the event loop run for ``seconds`` of real time."""
+        self.start()
+        if self._writer is None:
+            raise ConfigurationError("AioRuntime stopped")
+        assert self._aio is not None
+        self._aio.run_until_complete(asyncio.sleep(seconds))
 
-    async def settle(
-        self,
-        predicate: Callable[[], bool],
-        max_seconds: float = 10.0,
-        check_interval: float = 0.05,
-    ) -> bool:
-        """Run until ``predicate`` holds (checked every ``check_interval``)."""
-        deadline = self.loop.now + max_seconds
-        while self.loop.now < deadline:
-            if predicate():
-                return True
-            await asyncio.sleep(check_interval)
-        return predicate()
+    def run_for(self, duration: float) -> float:
+        """Let the deployment run for ``duration`` seconds of real time."""
+        self._turn(duration)
+        return self.now
 
-    async def stop(self) -> None:
-        # Detach the transport attributes before awaiting: send() and
-        # _write_later() check ``self._writer`` from other coroutines, and a
-        # concurrent stop() must never double-close either endpoint.
-        self._started = False
-        self._writer = None
-        server, self._server = self._server, None
-        hub, self._hub = self._hub, []
-        if server is not None:
-            server.close()
-        for connection in hub:
-            await connection.aclose()
-        if server is not None:
-            await server.wait_closed()
+    def run_until(self, predicate: Callable[[], bool], timeout: float = 60.0) -> float:
+        """Run until ``predicate()`` holds (checked every millisecond)."""
+        self.start()
+        deadline = self.now + timeout
+        while not predicate():
+            if self.now > deadline:
+                raise RuntimeExhaustedError(f"condition still false after {timeout}s")
+            self._turn(_POLL)
+        return self.now

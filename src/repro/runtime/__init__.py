@@ -1,6 +1,7 @@
-"""Actor runtimes: event loop, actor base class, deterministic local runtime."""
+"""Actor runtimes: the runtime contract, event loop, actor base class,
+deterministic local runtime."""
 
-from .actor import Actor
+from .actor import Actor, Runtime
 from .local import (
     BaseRuntime,
     LocalRuntime,
@@ -28,6 +29,7 @@ __all__ = [
     "Payload",
     "ProcessSupervisor",
     "RecordBatch",
+    "Runtime",
     "Supervisor",
     "partitioned",
     "random_drops",

@@ -2,21 +2,87 @@
 
 Actors interact with the world only through ``send``, timers, and the
 messages delivered to :meth:`Actor.on_message`.  This is what lets the same
-maintainer/batcher/filter/queue code run unchanged under the deterministic
-local runtime, the discrete-event capacity simulator, and (via a thin shim)
-the asyncio TCP runtime.
+maintainer/batcher/filter/queue code run unchanged on every runtime: the
+deterministic local runtime, the discrete-event capacity simulator, the
+asyncio TCP runtime and the multi-process runtime.  :class:`Runtime` is the
+surface all four offer, to actors and to the deployments that drive them.
 """
 
 from __future__ import annotations
 
 from abc import ABC
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Any, Callable, Iterable, List, Optional, Protocol
 
 from ..core.errors import ConfigurationError, SessionError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .local import BaseRuntime
-    from .loop import EventHandle
+
+class Cancellable(Protocol):
+    """A scheduled timer."""
+
+    def cancel(self) -> None: ...
+
+
+class Timers(Protocol):
+    """A runtime's clock and one-shot timers (``runtime.loop``)."""
+
+    @property
+    def now(self) -> float: ...
+    def schedule(self, delay: float, callback: Callable[[], None]) -> Cancellable: ...
+
+
+class Runtime(Protocol):
+    """The contract every runtime meets, synchronously.
+
+    Registry: an actor registered after :meth:`start` starts at once.
+    ``send`` to an unknown destination raises
+    :class:`~repro.core.errors.ConfigurationError`.  ``start`` and ``stop``
+    are idempotent; the drivers start the runtime first.  ``run_until``
+    raises :class:`~repro.core.errors.RuntimeExhaustedError` when
+    ``timeout`` passes first; ``settle`` checks its predicate after each
+    0.1 s slice and returns False once ``max_seconds`` pass.  ``peek``
+    evaluates a module-level ``fn(actor)`` where the actor lives.  Seconds
+    are virtual on the local and simulated runtimes, wall-clock on the
+    others.
+    """
+
+    @property
+    def loop(self) -> Timers: ...
+    @property
+    def now(self) -> float: ...
+    def register(self, actor: "Actor") -> "Actor": ...
+    def register_all(self, actors: Iterable["Actor"]) -> List["Actor"]: ...
+    def actor(self, name: str) -> "Actor": ...
+    def has_actor(self, name: str) -> bool: ...
+    def actors(self) -> List["Actor"]: ...
+    def send(self, src: str, dst: str, message: Any) -> None: ...
+    def start(self) -> "Runtime": ...
+    def stop(self) -> None: ...
+    def run_for(self, duration: float) -> float: ...
+    def run_until(self, predicate: Callable[[], bool], timeout: float = 60.0) -> float: ...
+    def settle(self, predicate: Callable[[], bool], max_seconds: float = 30.0) -> bool: ...
+    def peek(self, name: str, fn: Callable[["Actor"], Any]) -> Any: ...
+
+
+class _PeriodicTimer:
+    """A timer that re-arms itself after each firing until cancelled."""
+
+    __slots__ = ("_timers", "_delay", "_callback", "_handle", "_cancelled")
+
+    def __init__(self, timers: Timers, delay: float, callback: Callable[[], None]) -> None:
+        self._timers = timers
+        self._delay = delay
+        self._callback = callback
+        self._cancelled = False
+        self._handle = timers.schedule(delay, self._fire)
+
+    def _fire(self) -> None:
+        self._callback()
+        if not self._cancelled:
+            self._handle = self._timers.schedule(self._delay, self._fire)
+
+    def cancel(self) -> None:
+        self._cancelled = True
+        self._handle.cancel()
 
 
 class Actor(ABC):
@@ -31,7 +97,7 @@ class Actor(ABC):
         if not name:
             raise ConfigurationError("actors need a non-empty name")
         self.name = name
-        self.runtime: Optional["BaseRuntime"] = None
+        self.runtime: Optional[Runtime] = None
 
     # -- lifecycle ------------------------------------------------------ #
 
@@ -57,35 +123,15 @@ class Actor(ABC):
         delay: float,
         callback: Callable[[], None],
         periodic: bool = False,
-    ) -> "EventHandle":
+    ) -> Cancellable:
         """Schedule ``callback`` after ``delay`` seconds (optionally repeating).
 
         Periodic timers re-arm themselves after each firing until cancelled.
         """
-        runtime = self._require_runtime()
-        if not periodic:
-            return runtime.loop.schedule(delay, callback)
-
-        state = {"handle": None, "cancelled": False}
-
-        def fire() -> None:
-            if state["cancelled"]:
-                return
-            callback()
-            if not state["cancelled"]:
-                state["handle"] = runtime.loop.schedule(delay, fire)
-
-        state["handle"] = runtime.loop.schedule(delay, fire)
-
-        class _PeriodicHandle:
-            @staticmethod
-            def cancel() -> None:
-                state["cancelled"] = True
-                inner = state["handle"]
-                if inner is not None:
-                    inner.cancel()
-
-        return _PeriodicHandle()  # type: ignore[return-value]
+        timers = self._require_runtime().loop
+        if periodic:
+            return _PeriodicTimer(timers, delay, callback)
+        return timers.schedule(delay, callback)
 
     def service_cost(self, message: Any) -> Optional[float]:
         """CPU seconds to process ``message`` under the capacity simulator.
@@ -95,7 +141,7 @@ class Actor(ABC):
         """
         return None
 
-    def _require_runtime(self) -> "BaseRuntime":
+    def _require_runtime(self) -> Runtime:
         if self.runtime is None:
             raise SessionError(
                 f"actor {self.name!r} is not registered with a runtime"

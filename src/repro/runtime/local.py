@@ -8,7 +8,7 @@ produce adversarial delivery schedules) and through a full seeded
 crashes, partitions), and exposes ``run_until`` so synchronous client code
 can pump the network until a reply arrives.
 
-Crash semantics (shared by every :class:`BaseRuntime` subclass): a crashed
+Crash semantics (shared by this runtime and the simulator): a crashed
 actor's outgoing messages are discarded (a dead process sends nothing) and
 its inbound traffic is *parked* — held aside and redelivered when the actor
 is revived or replaced.  Parking models the reliable channels real deployments
@@ -23,7 +23,7 @@ import random
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..core.errors import ConfigurationError
-from .actor import Actor
+from .actor import Actor, Timers
 from .loop import EventLoop
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -35,11 +35,19 @@ LatencyFn = Callable[[str, str, Any], float]
 DropFn = Callable[[str, str, Any], bool]
 
 
+#: Runtime seconds :meth:`BaseRuntime.settle` runs between two checks.
+SETTLE_SLICE = 0.1
+
+
 class BaseRuntime:
-    """Shared actor registry and loop plumbing for all runtimes."""
+    """The :class:`~repro.runtime.actor.Runtime` surface every runtime shares:
+    the actor registry, crash bookkeeping, start / stop, ``settle`` and
+    ``peek``.  Subclasses supply ``loop``, ``send``, ``run_for`` and
+    ``run_until``."""
+
+    loop: Timers
 
     def __init__(self) -> None:
-        self.loop = EventLoop()
         self._actors: Dict[str, Actor] = {}
         self._started = False
         self._crashed: Set[str] = set()
@@ -145,28 +153,38 @@ class BaseRuntime:
                 actor.on_start()
         return self
 
+    def stop(self) -> None:
+        """Release what the runtime holds (nothing, for an in-process one)."""
+
     def send(self, src: str, dst: str, message: Any) -> None:
         raise NotImplementedError
 
     # -- execution ------------------------------------------------------- #
 
-    def run(
-        self,
-        until_time: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
-        """Start (if needed) and drain the event loop."""
-        self.start()
-        return self.loop.run(until_time=until_time, max_events=max_events)
-
-    def run_until(self, predicate: Callable[[], bool], max_events: int = 1_000_000) -> float:
-        self.start()
-        return self.loop.run_until(predicate, max_events=max_events)
-
     def run_for(self, duration: float) -> float:
-        """Advance simulated time by ``duration`` seconds."""
+        raise NotImplementedError
+
+    def run_until(self, predicate: Callable[[], bool], timeout: float = 60.0) -> float:
+        raise NotImplementedError
+
+    def settle(self, predicate: Callable[[], bool], max_seconds: float = 30.0) -> bool:
+        """Run in :data:`SETTLE_SLICE` slices until ``predicate()`` holds,
+        checking after each slice; False if ``max_seconds`` pass first."""
         self.start()
-        return self.loop.run(until_time=self.loop.now + duration)
+        deadline = self.now + max_seconds
+        while self.now < deadline:
+            self.run_for(SETTLE_SLICE)
+            if self._check(predicate):
+                return True
+        return self._check(predicate)
+
+    def _check(self, predicate: Callable[[], bool]) -> bool:
+        """One settle check (where actor state lives elsewhere, fetch it first)."""
+        return predicate()
+
+    def peek(self, name: str, fn: Callable[[Actor], Any]) -> Any:
+        """``fn(actor)`` evaluated where the actor lives."""
+        return fn(self._actors[name])
 
 
 class LocalRuntime(BaseRuntime):
@@ -178,6 +196,8 @@ class LocalRuntime(BaseRuntime):
     one ``is not None`` check per message.
     """
 
+    loop: EventLoop
+
     def __init__(
         self,
         latency_fn: Optional[LatencyFn] = None,
@@ -185,6 +205,7 @@ class LocalRuntime(BaseRuntime):
         chaos: Optional["FaultPlan"] = None,
     ) -> None:
         super().__init__()
+        self.loop = EventLoop()
         self.latency_fn = latency_fn
         self.drop_fn = drop_fn
         self.chaos = chaos
@@ -226,6 +247,26 @@ class LocalRuntime(BaseRuntime):
         # Resolve the target at delivery time so a replaced actor (crash
         # recovery) receives messages that were already in flight.
         self.loop.schedule(delay, lambda: self._on_deliver(src, dst, message))
+
+    # -- execution ------------------------------------------------------- #
+
+    def run(
+        self,
+        until_time: Optional[float] = None,
+        max_events: Optional[int] = None,
+    ) -> float:
+        """Start (if needed) and drain the event loop."""
+        self.start()
+        return self.loop.run(until_time=until_time, max_events=max_events)
+
+    def run_for(self, duration: float) -> float:
+        """Advance virtual time by ``duration`` seconds."""
+        self.start()
+        return self.loop.run(until_time=self.loop.now + duration)
+
+    def run_until(self, predicate: Callable[[], bool], timeout: float = 60.0) -> float:
+        self.start()
+        return self.loop.run_until(predicate, timeout)
 
 
 def random_latency(seed: int, max_delay: float = 0.05) -> LatencyFn:

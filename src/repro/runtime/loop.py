@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable, List, Optional, Tuple
 
 from ..core.errors import ConfigurationError, RuntimeExhaustedError
@@ -48,14 +49,6 @@ class EventLoop:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def events_processed(self) -> int:
-        return self._events_processed
-
-    def pending(self) -> int:
-        """Number of scheduled (non-cancelled) events still in the heap."""
-        return sum(1 for _, _, handle in self._heap if not handle.cancelled)
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` after ``delay`` simulated seconds."""
@@ -106,18 +99,14 @@ class EventLoop:
             self._now = until_time
         return self._now
 
-    def run_until(
-        self,
-        predicate: Callable[[], bool],
-        max_events: int = 1_000_000,
-    ) -> float:
-        """Run until ``predicate`` holds; raise if events run out first."""
-        if predicate():
-            return self._now
-        self.run(stop_when=predicate, max_events=max_events)
+    def run_until(self, predicate: Callable[[], bool], timeout: float = math.inf) -> float:
+        """Run until ``predicate`` holds; raise if the events run out or
+        ``timeout`` simulated seconds pass first."""
+        deadline = self._now + timeout
+        self.run(stop_when=lambda: predicate() or self._now > deadline)
         if not predicate():
             raise RuntimeExhaustedError(
-                f"event loop drained ({self._events_processed} events processed) "
-                "before the awaited condition became true"
+                f"event loop drained or {timeout}s passed ({self._events_processed} "
+                "events processed) before the awaited condition became true"
             )
         return self._now

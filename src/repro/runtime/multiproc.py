@@ -25,11 +25,12 @@ Semantics versus the single-process runtimes:
   ``send``, ``set_timer`` (real time), ``on_start``;
 * actors are **pickled** into their worker at :meth:`start`; the parent
   keeps shadow copies for introspection, refreshed on demand with
-  :meth:`refresh_actors` / :meth:`fetch_actor`;
+  :meth:`refresh_actors` (and before every ``settle`` check), while
+  :meth:`peek` evaluates a probe where the actor lives;
 * delivery order is FIFO per connection, but cross-process interleaving is
   wall-clock real time — *not* deterministic.  The deterministic runtimes
-  stay the test substrate; equivalence is anchored by
-  ``tests/test_multiproc.py``.
+  stay the test substrate; equivalence with them is anchored by
+  ``tests/test_runtime_contract.py``.
 
 Process-level fault tolerance
 -----------------------------
@@ -106,9 +107,10 @@ from typing import (
 )
 from zlib import crc32
 
-from ..core.errors import ConfigurationError, SessionError
+from ..core.errors import ConfigurationError, RuntimeExhaustedError, SessionError
 from ..core.retry import CircuitBreaker
 from .actor import Actor
+from .local import BaseRuntime
 from .supervisor import ProcessSupervisor
 
 # The codec lives in net/, which never imports this module back.
@@ -415,7 +417,7 @@ class _WorkerSlot:
         self.epoch = 0
 
 
-class MultiprocRuntime:
+class MultiprocRuntime(BaseRuntime):
     """Actor runtime spanning OS processes; the parent routes messages.
 
     ``workers=0`` is the inline mode: everything runs in the parent but
@@ -436,6 +438,8 @@ class MultiprocRuntime:
     :class:`SessionError`, exactly like any other worker death.
     """
 
+    loop: _RealtimeLoop
+
     def __init__(
         self,
         workers: int = 2,
@@ -446,6 +450,7 @@ class MultiprocRuntime:
     ) -> None:
         if workers < 0:
             raise ConfigurationError("workers must be >= 0")
+        super().__init__()
         self.workers = workers
         self.loop = _RealtimeLoop()
         self._placement_fn = placement or default_placement
@@ -455,9 +460,11 @@ class MultiprocRuntime:
         #: drops the oldest frames and accounts them in
         #: :attr:`loss_accounting` (bounded loss instead of unbounded RAM).
         self.retransmit_limit_bytes = retransmit_limit_bytes
-        self._actors: Dict[str, Actor] = {}
         self._location: Dict[str, Optional[int]] = {}
-        self._started = False
+        #: False until :meth:`start` has loaded and started every worker:
+        #: until then the pump runs no parent-side timer or delivery, so
+        #: nothing reaches a worker ahead of its actors.
+        self._serving = False
         self._stopped = False
         self._procs: List[Any] = []
         self._conns: List[_FrameConn] = []
@@ -485,38 +492,6 @@ class MultiprocRuntime:
         #: Frames/bytes that supervision could not protect: chaos drops,
         #: retransmit-buffer overflow, drain timeouts, replay gaps.
         self.loss_accounting: Counter[str] = Counter()
-
-    # -- registry (BaseRuntime-compatible surface) ------------------------ #
-
-    def register(self, actor: Actor) -> Actor:
-        if actor.name in self._actors:
-            raise ConfigurationError(f"actor name {actor.name!r} already registered")
-        actor.runtime = self  # type: ignore[assignment]
-        self._actors[actor.name] = actor
-        if self._started:
-            self._location[actor.name] = None
-            actor.on_start()
-        return actor
-
-    def register_all(self, actors: Iterable[Actor]) -> List[Actor]:
-        return [self.register(actor) for actor in actors]
-
-    def actor(self, name: str) -> Actor:
-        return self._actors[name]
-
-    def has_actor(self, name: str) -> bool:
-        return name in self._actors
-
-    def actors(self) -> List[Actor]:
-        return list(self._actors.values())
-
-    @property
-    def now(self) -> float:
-        return self.loop.now
-
-    def location_of(self, name: str) -> Optional[int]:
-        """Worker index hosting ``name`` (None = parent)."""
-        return self._location.get(name)
 
     # -- lifecycle -------------------------------------------------------- #
 
@@ -559,6 +534,7 @@ class MultiprocRuntime:
                 self._control(wid, {"op": "start"})
         if self._chaos is not None and self.workers:
             self._schedule_kills()
+        self._serving = True
         return self
 
     def _configure_payload(
@@ -699,7 +675,7 @@ class MultiprocRuntime:
                 self._initial_blobs[wid] = blob
             self._control(wid, {"op": "load", "actors": blob})
             for actor in group:  # parent keeps shadows for introspection
-                actor.runtime = self  # type: ignore[assignment]
+                actor.runtime = self
 
     def stop(self) -> None:
         """Shut workers down, then *always* reap children and close every
@@ -858,15 +834,6 @@ class MultiprocRuntime:
             raise SessionError(f"worker {wid} error: {reply['error']}")
         return reply.get("value") if isinstance(reply, dict) else reply
 
-    def fetch_actor(self, name: str) -> Actor:
-        """Pull the authoritative copy of ``name`` (worker state included)."""
-        wid = self._location.get(name)
-        if wid is None:
-            return self._actors[name]
-        blob = self._control(wid, {"op": "fetch", "name": name})
-        actor: Actor = pickle.loads(blob)[name]
-        return actor
-
     def refresh_actors(self, names: Optional[Iterable[str]] = None) -> None:
         """Replace the parent's shadow copies with fresh worker state.
 
@@ -900,9 +867,9 @@ class MultiprocRuntime:
                     # observe the fresh state too.
                     shadow.__dict__.clear()
                     shadow.__dict__.update(actor.__dict__)
-                    shadow.runtime = self  # type: ignore[assignment]
+                    shadow.runtime = self
                 else:
-                    actor.runtime = self  # type: ignore[assignment]
+                    actor.runtime = self
                     self._actors[name] = actor
 
     def peek(self, name: str, fn: Callable[[Actor], Any]) -> Any:
@@ -1086,7 +1053,7 @@ class MultiprocRuntime:
             },
         )
         for name, replacement in recovered.items():
-            replacement.runtime = self  # type: ignore[assignment]
+            replacement.runtime = self
             self._actors[name] = replacement
         ack = snap["ack"] if snap is not None else 0
         emission = snap["emission"] if snap is not None else 0
@@ -1159,17 +1126,9 @@ class MultiprocRuntime:
 
     # -- execution ---------------------------------------------------------- #
 
-    def start_if_needed(self) -> None:
-        if not self._started:
-            self.start()
-
-    def run(self, until_time: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        horizon = until_time if until_time is not None else self.now + 0.1
-        return self.run_for(max(0.0, horizon - self.now))
-
     def run_for(self, duration: float) -> float:
         """Pump routing, timers, and local deliveries for ``duration`` s."""
-        self.start_if_needed()
+        self.start()
         deadline = _wall_clock() + duration
         while True:
             remaining = deadline - _wall_clock()
@@ -1178,42 +1137,23 @@ class MultiprocRuntime:
             self._pump(min(0.05, remaining))
         return self.now
 
-    def run_until(
-        self,
-        predicate: Callable[[], bool],
-        max_events: int = 1_000_000,
-        timeout: float = 60.0,
-    ) -> float:
+    def run_until(self, predicate: Callable[[], bool], timeout: float = 60.0) -> float:
         """Pump until ``predicate()`` holds (checked between pump slices)."""
-        self.start_if_needed()
+        self.start()
         deadline = _wall_clock() + timeout
         while not predicate():
             if _wall_clock() > deadline:
-                raise SessionError("run_until timed out on the multiproc runtime")
+                raise RuntimeExhaustedError(
+                    "run_until timed out on the multiproc runtime"
+                )
             self._pump(0.02)
         return self.now
 
-    def settle(
-        self,
-        predicate: Callable[[], bool],
-        max_seconds: float = 30.0,
-        refresh: Optional[Iterable[str]] = None,
-    ) -> bool:
-        """Pump until ``predicate()`` holds, refreshing worker shadows first.
-
-        The multiproc analogue of ``AioRuntime.settle``: deployments check
-        convergence by reading actor state, which for placed actors lives in
-        the workers — each probe pulls it back before evaluating.
-        """
-        self.start_if_needed()
-        deadline = _wall_clock() + max_seconds
-        while True:
-            self.refresh_actors(refresh)
-            if predicate():
-                return True
-            if _wall_clock() > deadline:
-                return False
-            self._pump(0.1)
+    def _check(self, predicate: Callable[[], bool]) -> bool:
+        """A settle check reads actor state, which for placed actors lives in
+        the workers: refresh the parent's shadows first."""
+        self.refresh_actors()
+        return predicate()
 
     # -- the pump ----------------------------------------------------------- #
 
@@ -1221,13 +1161,12 @@ class MultiprocRuntime:
         if self._worker_error is not None:
             error, self._worker_error = self._worker_error, None
             raise SessionError(f"worker failure: {error}")
-        progressed = self._drain_local()
-        progressed += self.loop.fire_due()
+        progressed = self._drain_local() + self.loop.fire_due() if self._serving else 0
         for conn in self._conns:
             if conn.wants_write and not conn.closed:
                 conn.flush()
         if self._selector is not None and self._conns:
-            wait = 0.0 if (progressed or self._pending_local) else min(
+            wait = 0.0 if (progressed or self._serving and self._pending_local) else min(
                 max_wait, self.loop.seconds_to_next(max_wait)
             )
             # Backlogged conns must wake the select on writability too, or
@@ -1338,14 +1277,6 @@ class MultiprocRuntime:
             slot.uncommitted_bytes -= len(frame)
             self._forward(src, dst, payload, frame)
 
-    # -- context manager ----------------------------------------------------- #
-
-    def __enter__(self) -> "MultiprocRuntime":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
-
 
 def _read_one_frame_blocking(sock: socket.socket, timeout: float = 30.0) -> bytes:
     sock.settimeout(timeout)
@@ -1370,8 +1301,10 @@ def _read_one_frame_blocking(sock: socket.socket, timeout: float = 30.0) -> byte
 # ------------------------------------------------------------------------- #
 
 
-class _WorkerNode:
-    """The runtime surface inside one worker process.
+class _WorkerNode(BaseRuntime):
+    """The runtime surface inside one worker process; the parent drives it
+    through control frames, so its own loop (:meth:`run`) replaces
+    ``run_for`` / ``run_until``.
 
     Local destinations deliver in-process (same semantics as the parent's
     pending queue); everything else is encoded once and sent to the router.
@@ -1389,13 +1322,14 @@ class _WorkerNode:
     #: Longest idle wait of the loop (seconds).
     _IDLE_WAIT = 0.05
 
+    loop: _RealtimeLoop
+
     def __init__(self, worker_id: int, sock: socket.socket) -> None:
+        super().__init__()
         self.worker_id = worker_id
         self.loop = _RealtimeLoop()
         self.conn = _FrameConn(sock)
-        self._actors: Dict[str, Actor] = {}
         self._pending: "deque[Tuple[str, str, Any]]" = deque()
-        self._started = False
         self._stopping = False
         # -- supervision state (set by the "configure" control op) ---------
         self._supervised = False
@@ -1412,23 +1346,6 @@ class _WorkerNode:
         self._last_snap = (0, 0)
         self._snap_sent_at = 0
         self._next_capture_at = 0.0
-
-    @property
-    def now(self) -> float:
-        return self.loop.now
-
-    def actor(self, name: str) -> Actor:
-        return self._actors[name]
-
-    def has_actor(self, name: str) -> bool:
-        return name in self._actors
-
-    def register(self, actor: Actor) -> Actor:
-        actor.runtime = self  # type: ignore[assignment]
-        self._actors[actor.name] = actor
-        if self._started:
-            actor.on_start()
-        return actor
 
     def send(self, src: str, dst: str, message: Any) -> None:
         if dst in self._actors:
@@ -1450,28 +1367,26 @@ class _WorkerNode:
         seq = ctrl["seq"]
         try:
             if op == "load":
-                for actor in pickle.loads(ctrl["actors"]):
-                    self.register(actor)
+                self.register_all(pickle.loads(ctrl["actors"]))
                 self._reply({"seq": seq, "value": None})
             elif op == "restore":
                 # Replace the world: snapshot state (or the initial shipped
                 # blob) plus journal-recovered actors from the parent.
-                self._actors.clear()
-                self._pending.clear()
-                self._started = False
+                world: Dict[str, Actor] = {}
                 state_blob = ctrl.get("state")
                 if state_blob is not None:
-                    for actor in pickle.loads(state_blob).values():
-                        self.register(actor)
+                    world.update(pickle.loads(state_blob))
                 initial = ctrl.get("initial")
                 if initial is not None:
-                    for actor in pickle.loads(initial):
-                        self.register(actor)
+                    world.update((actor.name, actor) for actor in pickle.loads(initial))
                 jblob = ctrl.get("journaled")
                 if jblob is not None:
                     # Journal replacements override any stale initial copy.
-                    for actor in pickle.loads(jblob).values():
-                        self.register(actor)
+                    world.update(pickle.loads(jblob))
+                self._actors.clear()
+                self._pending.clear()
+                self._started = False
+                self.register_all(world.values())
                 self._reply({"seq": seq, "value": None})
             elif op == "configure":
                 self._supervised = True
@@ -1483,15 +1398,10 @@ class _WorkerNode:
                 self._reply({"seq": seq, "value": None})
             elif op == "start":
                 if not self._started:
-                    self._started = True
-                    for actor in list(self._actors.values()):
-                        actor.on_start()
+                    self.start()
                     if self._supervised:
                         self._arm_supervision()
                 self._reply({"seq": seq, "value": None})
-            elif op == "fetch":
-                actor = self._actors[ctrl["name"]]
-                self._reply({"seq": seq, "value": self._pickle_detached([actor.name])})
             elif op == "fetch_many":
                 self._reply(
                     {"seq": seq, "value": self._pickle_detached(list(ctrl["names"]))}

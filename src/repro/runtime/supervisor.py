@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..core.retry import RetryPolicy
 from .actor import Actor
+from .local import BaseRuntime
 
 #: A recovery factory rebuilds the replacement actor for one crashed address.
 RecoveryFactory = Callable[[], Actor]
@@ -62,6 +63,8 @@ class Supervisor(Actor):
     def sweep(self) -> int:
         """Restart every supervised crashed actor; returns how many."""
         runtime = self._require_runtime()
+        if not isinstance(runtime, BaseRuntime):
+            return 0  # only BaseRuntime keeps crashed actors
         restarted = 0
         for name in runtime.crashed_actors():
             factory = self._factories.get(name)
@@ -154,12 +157,11 @@ class ProcessSupervisor(Supervisor):
         )
 
     def sweep(self) -> int:
-        """Actor-level sweep where supported, plus worker-process checks."""
+        """Actor-level sweep, plus worker-process checks on a multiproc runtime."""
+        from .multiproc import MultiprocRuntime  # multiproc imports this module
+
+        restarted = super().sweep()
         runtime = self._require_runtime()
-        restarted = 0
-        if hasattr(runtime, "crashed_actors"):
-            restarted += super().sweep()
-        check = getattr(runtime, "check_workers", None)
-        if check is not None:
-            restarted += int(check())
+        if isinstance(runtime, MultiprocRuntime):
+            restarted += runtime.check_workers()
         return restarted

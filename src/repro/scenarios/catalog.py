@@ -387,8 +387,11 @@ def _functional(runtime: str) -> ScenarioSpec:
         title=f"Functional: two datacenters converge on the {runtime} runtime",
         kind="functional",
         runtime=runtime,
-        tags=("functional",) + (("net",) if runtime == "aio" else ()),
-        topology=TopologySpec(datacenters=("A", "B")),
+        tags=("functional",) + (("net",) if runtime != "local" else ()),
+        # Multiproc: two unsupervised workers under the default placement.
+        topology=TopologySpec(
+            datacenters=("A", "B"), workers=2 if runtime == "multiproc" else 0
+        ),
         workload=WorkloadSpec(lid_batch=8, append_records=12, settle_seconds=30.0),
         invariants=(
             Invariant(metric="points.0.converged", op="eq", value=True),
@@ -659,6 +662,7 @@ CATALOG: Tuple[ScenarioSpec, ...] = (
     _ablation_elasticity(),
     _functional("local"),
     _functional("aio"),
+    _functional("multiproc"),
 )
 
 _BY_NAME: Dict[str, ScenarioSpec] = {spec.name: spec for spec in CATALOG}

@@ -9,8 +9,9 @@ Every executor implements the same three-phase protocol the runner calls:
   **aggregates** document (deterministic, simulated metrics only — two
   seeded runs yield byte-identical JSON) plus the **perf** document
   (host-measured wall-clock numbers, informational only).
-* :meth:`Executor.teardown` — release any live resources.  The runner
-  guarantees this runs even when the experiment raises.
+* :meth:`Executor.teardown` — close the context (a functional point stops
+  its own runtime before it returns).  The runner guarantees this runs
+  even when the experiment raises.
 
 The sim-backed kinds (``flstore``/``pipeline``/``corfu``/``geo``) delegate
 the actual capacity modelling to :mod:`repro.scenarios.harness`; the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..chaos.plan import FaultPlan
 from ..chariots.abstract import check_logs
@@ -31,6 +32,10 @@ from ..chariots.messages import DraftBatch, DraftRecord
 from ..chariots.pipeline import ChariotsDeployment
 from ..core.config import DeploymentSpec, NetworkProfile
 from ..core.errors import ConfigurationError
+from ..net.aio_runtime import AioRuntime
+from ..runtime.actor import Runtime
+from ..runtime.local import LocalRuntime
+from ..runtime.multiproc import MultiprocRuntime
 from ..sim.kernel import SimRuntime
 from ..sim.workload import LoadClient
 from .harness import (
@@ -58,8 +63,6 @@ class ExecutionContext:
     timeseries: Dict[str, Dict[str, List[Tuple[float, float]]]] = field(
         default_factory=dict
     )
-    #: Live resources the functional executor must stop on teardown.
-    resources: List[Any] = field(default_factory=list)
     torn_down: bool = False
 
 
@@ -112,7 +115,6 @@ class Executor:
         return aggregates, perf
 
     def teardown(self, context: ExecutionContext) -> None:
-        context.resources.clear()
         context.torn_down = True
 
     # -- hooks ----------------------------------------------------------- #
@@ -528,12 +530,36 @@ def functional_metrics(
     }
 
 
+def drive_functional(
+    deployment: ChariotsDeployment,
+    appends_per_dc: int,
+    settle_seconds: float,
+    ready: Optional[Callable[[], bool]] = None,
+) -> Dict[str, Any]:
+    """The functional drive, the same on every runtime: one client per
+    datacenter appends ``appends_per_dc`` records; once every append is
+    acked and ``ready()`` holds (when given), the deployment settles."""
+    acks: List[Any] = []
+    for dc in deployment.datacenters:
+        client = deployment.client(dc)
+        for i in range(appends_per_dc):
+            client.append(f"{dc}-{i}", on_done=acks.append)
+    appended = appends_per_dc * len(deployment.datacenters)
+    if ready is not None:
+        deployment.runtime.run_until(
+            lambda: len(acks) == appended and ready(), timeout=settle_seconds
+        )
+    converged = deployment.settle(max_seconds=settle_seconds)
+    return functional_metrics(deployment, appended, converged, len(acks))
+
+
 class FunctionalExecutor(Executor):
     """The real protocol stack, functionally: append, settle, converge.
 
-    On ``local`` this is fully deterministic (the LocalRuntime's virtual
-    clock); on ``aio`` the same deployment runs over real TCP sockets and
-    is excluded from the deterministic catalog subset.
+    One drive (:func:`drive_functional`) on every runtime; only the runtime
+    constructed differs.  ``local`` is deterministic (virtual clock); ``aio``
+    (TCP) and ``multiproc`` (worker processes; with a fault plan, the
+    supervised ``multiproc_chaos`` driver) are wall-clock.
     """
 
     kind = "functional"
@@ -546,11 +572,48 @@ class FunctionalExecutor(Executor):
         point: ScenarioSpec,
         plan: Optional[FaultPlan],
     ) -> Dict[str, Any]:
+        work = point.workload
+        if point.runtime == "multiproc" and plan is not None:
+            from .multiproc_chaos import run_deployment_multiproc_chaos
+
+            dcs = point.topology.datacenters
+            return run_deployment_multiproc_chaos(
+                datacenters=dcs,
+                workers=point.topology.workers,
+                appends=work.append_records * len(dcs),
+                batch_size=work.lid_batch,
+                plan=plan,
+                timeout=work.settle_seconds,
+            )
+        runtime = self._runtime(point, plan)
+        try:
+            deployment = ChariotsDeployment(
+                runtime,
+                list(point.topology.datacenters),
+                spec=self._deployment_spec(point),
+                batch_size=work.lid_batch,
+                pipeline_config=point.pipeline_config() if point.pipeline else None,
+                flstore_config=point.flstore_config(),
+            )
+            supervisor = None
+            if plan is not None and plan.crashes:
+                # Crash events only make sense with someone to restart the
+                # victims; supervise every maintainer from its journal.
+                supervisor = deployment.supervise()
+            metrics = drive_functional(deployment, work.append_records, work.settle_seconds)
+            if supervisor is not None:
+                metrics["restarts"] = int(sum(supervisor.restarts.values()))
+            return metrics
+        finally:
+            runtime.stop()
+
+    @staticmethod
+    def _runtime(point: ScenarioSpec, plan: Optional[FaultPlan]) -> Runtime:
         if point.runtime == "aio":
-            return self._run_aio(point)
+            return AioRuntime(chaos=plan)
         if point.runtime == "multiproc":
-            return self._run_multiproc(point, plan)
-        return self._run_local(point, plan)
+            return MultiprocRuntime(workers=point.topology.workers)
+        return LocalRuntime(chaos=plan)
 
     def _deployment_spec(self, point: ScenarioSpec) -> DeploymentSpec:
         topo = point.topology
@@ -563,90 +626,6 @@ class FunctionalExecutor(Executor):
             senders=topo.senders,
             receivers=topo.receivers,
         )
-
-    def _run_local(
-        self, point: ScenarioSpec, plan: Optional[FaultPlan]
-    ) -> Dict[str, Any]:
-        from ..runtime.local import LocalRuntime
-
-        work = point.workload
-        runtime = LocalRuntime(chaos=plan)
-        deployment = ChariotsDeployment(
-            runtime,
-            list(point.topology.datacenters),
-            spec=self._deployment_spec(point),
-            batch_size=work.lid_batch,
-            pipeline_config=point.pipeline_config() if point.pipeline else None,
-            flstore_config=point.flstore_config(),
-        )
-        supervisor = None
-        if plan is not None and plan.crashes:
-            # Crash events only make sense with someone to restart the
-            # victims; supervise every maintainer from its journal.
-            supervisor = deployment.supervise()
-        acks: List[Any] = []
-        for dc in point.topology.datacenters:
-            client = deployment.client(dc)
-            for i in range(work.append_records):
-                client.append(f"{dc}-{i}", on_done=acks.append)
-        converged = deployment.settle(max_seconds=work.settle_seconds)
-        metrics = functional_metrics(
-            deployment, work.append_records * len(point.topology.datacenters), converged, len(acks)
-        )
-        if supervisor is not None:
-            metrics["restarts"] = int(sum(supervisor.restarts.values()))
-        return metrics
-
-    def _run_multiproc(
-        self, point: ScenarioSpec, plan: Optional[FaultPlan]
-    ) -> Dict[str, Any]:
-        from .multiproc_chaos import run_deployment_multiproc_chaos
-
-        work = point.workload
-        dcs = point.topology.datacenters
-        return run_deployment_multiproc_chaos(
-            datacenters=dcs,
-            workers=point.topology.workers,
-            appends=work.append_records * len(dcs),
-            batch_size=work.lid_batch,
-            plan=plan,
-            timeout=work.settle_seconds,
-        )
-
-    def _run_aio(self, point: ScenarioSpec) -> Dict[str, Any]:
-        import asyncio
-
-        from ..net.aio_runtime import AioRuntime
-
-        work = point.workload
-
-        async def scenario() -> Dict[str, Any]:
-            runtime = AioRuntime()
-            deployment = ChariotsDeployment(
-                runtime,
-                list(point.topology.datacenters),
-                spec=self._deployment_spec(point),
-                batch_size=work.lid_batch,
-                pipeline_config=point.pipeline_config() if point.pipeline else None,
-                flstore_config=point.flstore_config(),
-            )
-            await runtime.start()
-            try:
-                acks: List[Any] = []
-                for dc in point.topology.datacenters:
-                    client = deployment.client(dc)
-                    for i in range(work.append_records):
-                        client.append(f"{dc}-{i}", on_done=acks.append)
-                expected = work.append_records * len(point.topology.datacenters)
-                converged = await runtime.settle(
-                    lambda: len(acks) == expected and deployment.converged(),
-                    max_seconds=work.settle_seconds,
-                )
-                return functional_metrics(deployment, expected, converged, len(acks))
-            finally:
-                await runtime.stop()
-
-        return asyncio.run(scenario())
 
 
 EXECUTORS: Dict[str, Executor] = {

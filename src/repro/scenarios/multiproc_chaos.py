@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import tempfile
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..chaos.plan import FaultPlan
 from ..chaos.procchaos import ProcChaos
 from ..chariots.pipeline import ChariotsDeployment
 from ..runtime.multiproc import MultiprocRuntime
 from ..runtime.supervisor import ProcessSupervisor
-from .executors import functional_metrics
+from .executors import drive_functional
 
 
 def pipeline_placement(
@@ -65,12 +65,13 @@ def run_deployment_multiproc_chaos(
 ) -> Dict[str, Any]:
     """One full Chariots deployment on real processes, under process chaos.
 
-    Runs ``appends`` client appends (round-robin over ``datacenters``)
-    through a supervised :class:`MultiprocRuntime` while ``plan``'s
-    ``kill()`` events SIGKILL workers mid-run, waits for every recovery to
-    complete and the log to converge, and returns the outcome + recovery
-    metrics.  Shared by the ``multiproc-crash-recovery`` scenario entry,
-    the ``-m slow`` acceptance test, and the CI chaos smoke job.
+    Runs ``appends`` client appends (an equal share per datacenter) through
+    a supervised :class:`MultiprocRuntime` with the functional executor's
+    drive, while ``plan``'s ``kill()`` events SIGKILL workers mid-run; waits
+    for every recovery to complete and the log to converge, and returns the
+    outcome + recovery metrics.  Shared by the ``multiproc-crash-recovery``
+    scenario entry, the ``-m slow`` acceptance test, and the CI chaos smoke
+    job.
     """
     chaos = ProcChaos.from_plan(plan) if plan is not None else None
     kills_expected = len(plan.kills) if plan is not None else 0
@@ -88,30 +89,18 @@ def run_deployment_multiproc_chaos(
         deployment = ChariotsDeployment(runtime, dcs, batch_size=batch_size)
         supervisor = ProcessSupervisor()
         deployment.supervise(supervisor, journal_dir=journal_dir)
-        runtime.start()
-        clients = {dc: deployment.client(dc) for dc in dcs}
-        acks: List[Any] = []
+
+        def recovered() -> bool:
+            """Every scheduled kill has fired and been recovered from."""
+            killed = chaos.stats["workers_killed"] if chaos is not None else 0
+            return min(killed, len(supervisor.recoveries)) >= kills_expected
+
         started = perf_counter()
-        for i in range(appends):
-            clients[dcs[i % len(dcs)]].append(f"p{i}", on_done=acks.append)
-        runtime.run_until(lambda: len(acks) == appends, timeout=timeout)
-        if chaos is not None and kills_expected:
-            runtime.run_until(
-                lambda: chaos.stats["workers_killed"] >= kills_expected,
-                timeout=timeout,
-            )
-            runtime.run_until(
-                lambda: len(supervisor.recoveries) >= kills_expected,
-                timeout=timeout,
-            )
-        converged = runtime.settle(
-            lambda: deployment.converged() and deployment._pipelines_drained(),
-            max_seconds=timeout,
-        )
+        outcome = drive_functional(deployment, appends // len(dcs), timeout, ready=recovered)
         wall = perf_counter() - started
         recovery_seconds = [r["seconds"] for r in supervisor.recoveries]
         return {
-            **functional_metrics(deployment, appends, converged, len(acks)),
+            **outcome,
             "workers_killed": int(chaos.stats["workers_killed"]) if chaos else 0,
             "frames_dropped": int(chaos.stats["frames_dropped"]) if chaos else 0,
             "recoveries": len(supervisor.recoveries),

@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 from ..core.config import MachineProfile, NetworkProfile, PRIVATE_CLOUD
 from ..core.errors import ConfigurationError
 from ..runtime.actor import Actor
-from ..runtime.local import BaseRuntime
+from ..runtime.local import LocalRuntime
 from ..runtime.messages import record_count_of, wire_size_of
 from .machine import Machine
 from .metrics import MetricsRegistry
@@ -34,8 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chaos.plan import FaultPlan
 
 
-class SimRuntime(BaseRuntime):
-    """Discrete-event runtime with per-machine CPU and NIC capacity."""
+class SimRuntime(LocalRuntime):
+    """Discrete-event runtime with per-machine CPU and NIC capacity: the
+    local runtime's loop, drivers and crash semantics, with its own ``send``."""
 
     def __init__(
         self,
@@ -44,26 +45,13 @@ class SimRuntime(BaseRuntime):
         metrics: Optional[MetricsRegistry] = None,
         chaos: Optional["FaultPlan"] = None,
     ) -> None:
-        super().__init__()
+        super().__init__(chaos=chaos)
         self.network = network or NetworkProfile()
         self.record_size = record_size
         self.metrics = metrics or MetricsRegistry()
-        self.chaos = chaos
-        self.messages_dropped = 0
         self._machines: Dict[str, Machine] = {}
         self._placement: Dict[str, Machine] = {}
         self._latency_overrides: Dict[Tuple[str, str], float] = {}
-
-    def start(self) -> "BaseRuntime":
-        if not self._started and self.chaos is not None:
-            for crash in self.chaos.crashes:
-                self.loop.schedule(
-                    crash.at,
-                    lambda name=crash.actor: self.crash(name)
-                    if name in self._actors
-                    else None,
-                )
-        return super().start()
 
     # ------------------------------------------------------------------ #
     # Topology
@@ -108,9 +96,6 @@ class SimRuntime(BaseRuntime):
             f"m/{actor.name}", profile, datacenter=datacenter, shared_nic=shared_nic
         )
         return self.place(actor, machine.name)
-
-    def machine_of(self, actor_name: str) -> Optional[Machine]:
-        return self._placement.get(actor_name)
 
     def set_latency(self, dc_a: str, dc_b: str, one_way_seconds: float) -> None:
         """Override the one-way latency between two datacenters."""

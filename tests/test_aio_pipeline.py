@@ -1,17 +1,11 @@
 """The full Chariots pipeline over real TCP sockets (repro.net.aio_runtime)."""
 
-import asyncio
-
 import pytest
 
-from repro.chariots import ChariotsDeployment, check_logs
+from repro.chariots import ChariotsDeployment
 from repro.core import ReadRules
 from repro.core.errors import ConfigurationError
 from repro.net.aio_runtime import AioRuntime
-
-
-def run(coro):
-    return asyncio.run(coro)
 
 
 def _codec_samples():
@@ -120,56 +114,31 @@ class TestCodecCoverage:
 
 
 class TestPipelineOverSockets:
-    def test_two_datacenters_converge_over_tcp(self):
-        async def scenario():
-            runtime = AioRuntime()
-            deployment = ChariotsDeployment(runtime, ["A", "B"], batch_size=8)
-            await runtime.start()
-            try:
-                ca = deployment.client("A")
-                cb = deployment.client("B")
-                acks = []
-                for i in range(3):
-                    ca.append(f"a{i}", on_done=acks.append)
-                    cb.append(f"b{i}", on_done=acks.append)
-                ok = await runtime.settle(
-                    lambda: len(acks) == 6 and deployment.converged(),
-                    max_seconds=15,
-                )
-                assert ok
-                assert check_logs(deployment.logs()).ok
-                assert len(deployment["A"].all_entries()) == 6
-                assert runtime.messages_routed > 20  # real frames crossed TCP
-            finally:
-                await runtime.stop()
-
-        run(scenario())
+    """Convergence, timers and unknown destinations over TCP are checked with
+    every other runtime by ``tests/test_runtime_contract.py``."""
 
     def test_reads_and_tag_lookups_over_tcp(self):
-        async def scenario():
-            runtime = AioRuntime()
-            deployment = ChariotsDeployment(runtime, ["A"], batch_size=8)
-            await runtime.start()
-            try:
-                client = deployment.client("A")
-                acks = []
-                for i in range(4):
-                    client.append(f"v{i}", tags={"p": i % 2}, on_done=acks.append)
-                assert await runtime.settle(lambda: len(acks) == 4, max_seconds=10)
-                await runtime.run_for(0.1)  # postings flush to indexers
+        runtime = AioRuntime()
+        deployment = ChariotsDeployment(runtime, ["A"], batch_size=8)
+        try:
+            client = deployment.client("A")
+            acks = []
+            for i in range(4):
+                client.append(f"v{i}", tags={"p": i % 2}, on_done=acks.append)
+            assert runtime.settle(lambda: len(acks) == 4, max_seconds=10)
+            runtime.run_for(0.1)  # postings flush to indexers
 
-                replies = []
-                client.read_rules(
-                    ReadRules(tag_key="p", tag_value=1, limit=2), replies.append
-                )
-                assert await runtime.settle(lambda: bool(replies), max_seconds=10)
-                entries = replies[0]
-                assert len(entries) == 2
-                assert all(e.record.tag_dict()["p"] == 1 for e in entries)
-            finally:
-                await runtime.stop()
-
-        run(scenario())
+            replies = []
+            client.read_rules(
+                ReadRules(tag_key="p", tag_value=1, limit=2), replies.append
+            )
+            assert runtime.settle(lambda: bool(replies), max_seconds=10)
+            entries = replies[0]
+            assert len(entries) == 2
+            assert all(e.record.tag_dict()["p"] == 1 for e in entries)
+            assert runtime.messages_routed > 20  # real frames crossed TCP
+        finally:
+            runtime.stop()
 
     def test_send_requires_started_runtime(self):
         runtime = AioRuntime()
@@ -180,42 +149,6 @@ class TestPipelineOverSockets:
         runtime._actors["x"] = Dummy()  # bypass registration for the check
         with pytest.raises(ConfigurationError):
             runtime.send("a", "x", "msg")
-
-    def test_send_to_unknown_actor_rejected(self):
-        async def scenario():
-            runtime = AioRuntime()
-            await runtime.start()
-            try:
-                with pytest.raises(ConfigurationError):
-                    runtime.send("a", "ghost", "msg")
-            finally:
-                await runtime.stop()
-
-        run(scenario())
-
-    def test_real_time_timers_fire(self):
-        async def scenario():
-            from repro.runtime import Actor
-
-            ticks = []
-
-            class Ticker(Actor):
-                def on_start(self):
-                    self.set_timer(0.01, lambda: ticks.append(self.now), periodic=True)
-
-                def on_message(self, sender, message):
-                    pass
-
-            runtime = AioRuntime()
-            runtime.register(Ticker("tick"))
-            await runtime.start()
-            try:
-                await runtime.run_for(0.08)
-                assert len(ticks) >= 3
-            finally:
-                await runtime.stop()
-
-        run(scenario())
 
 
 class TestCodecErrors:

@@ -17,7 +17,6 @@ a slide back to per-record messaging fails here rather than in a benchmark.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import os
 import random
@@ -162,29 +161,24 @@ class TestClientBursts:
             client.append("x")
 
     def test_burst_on_aio_runtime(self):
-        async def scenario():
-            runtime = AioRuntime()
-            deployment = ChariotsDeployment(runtime, ["A", "B"], batch_size=8)
-            await runtime.start()
-            try:
-                batches = tap_draft_batches(deployment, "A")
-                client = deployment.client("A")
-                acks: Dict[int, Any] = {}
-                bodies = [f"b{i}" for i in range(20)]
-                seqs = [
-                    client.append(body, on_done=lambda r, i=i: acks.__setitem__(i + 1, r))
-                    for i, body in enumerate(bodies)
-                ]
-                assert await runtime.settle(
-                    lambda: len(acks) == 20 and deployment.converged(), max_seconds=10.0
-                )
-                assert len(batches) == 1
-                assert [d.seq for d in batches[0][1].drafts] == seqs
-                assert_acks_match_log(deployment, "A", client, seqs, acks, bodies)
-            finally:
-                await runtime.stop()
-
-        asyncio.run(scenario())
+        runtime = AioRuntime()
+        deployment = ChariotsDeployment(runtime, ["A", "B"], batch_size=8)
+        try:
+            batches = tap_draft_batches(deployment, "A")
+            client = deployment.client("A")
+            acks: Dict[int, Any] = {}
+            bodies = [f"b{i}" for i in range(20)]
+            seqs = [
+                client.append(body, on_done=lambda r, i=i: acks.__setitem__(i + 1, r))
+                for i, body in enumerate(bodies)
+            ]
+            runtime.run_until(lambda: len(acks) == 20, timeout=10.0)
+            assert deployment.settle(max_seconds=10.0)
+            assert len(batches) == 1
+            assert [d.seq for d in batches[0][1].drafts] == seqs
+            assert_acks_match_log(deployment, "A", client, seqs, acks, bodies)
+        finally:
+            runtime.stop()
 
 
 # --------------------------------------------------------------------------- #

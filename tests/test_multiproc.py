@@ -1,17 +1,15 @@
-"""MultiprocRuntime: cross-runtime equivalence and routing mechanics.
+"""MultiprocRuntime: placement and routing mechanics.
 
 The multiproc runtime trades determinism for parallelism, so its anchor is
-*outcome* equivalence: a fixed workload driven through a full Chariots
-deployment on real OS processes must pass ``check_logs`` against the
-abstract solution's run of the same workload — same record sets, causal
-order, and with it identical per-host total orders.  The unit tests cover
-the envelope/routing layer, the default placement policy, the inline
-(``workers=0``) baseline mode, and the pre-encoded zero-copy send path.
+*outcome* equivalence with the abstract solution, checked on real worker
+processes and inline by ``tests/test_runtime_contract.py``.  These unit
+tests cover the envelope/routing layer, the default placement policy, the
+inline (``workers=0``) baseline mode, and the pre-encoded zero-copy send
+path.
 """
 
 import pytest
 
-from repro.chariots import ChariotsDeployment, check_logs
 from repro.core.errors import ConfigurationError, SessionError
 from repro.core.record import Record, RecordId
 from repro.flstore.maintainer import LogMaintainer
@@ -22,42 +20,6 @@ from repro.runtime.multiproc import (
     MultiprocRuntime,
     default_placement,
 )
-
-from conftest import run_abstract
-
-DCS = ["A", "B"]
-
-#: Fixed workload: (datacenter, payload) appends — identical on every run.
-WORKLOAD = [(DCS[i % 2], f"p{i}") for i in range(30)]
-
-
-def run_workload_on_multiproc(workers):
-    runtime = MultiprocRuntime(workers=workers)
-    try:
-        deployment = ChariotsDeployment(runtime, DCS, batch_size=8)
-        runtime.start()
-        clients = {dc: deployment.client(dc) for dc in DCS}
-        acks = []
-        for dc, payload in WORKLOAD:
-            clients[dc].append(payload, on_done=acks.append)
-        runtime.run_until(lambda: len(acks) == len(WORKLOAD), timeout=60)
-        assert runtime.settle(
-            lambda: deployment.converged() and deployment._pipelines_drained(),
-            max_seconds=60,
-        )
-        return check_logs(deployment.logs(), reference=run_abstract(DCS, WORKLOAD), acks=acks)
-    finally:
-        runtime.stop()
-
-
-class TestEquivalence:
-    def test_multiproc_matches_abstract_on_fixed_workload(self):
-        """Multiproc ≡ the abstract solution on a fixed workload."""
-        assert run_workload_on_multiproc(workers=2).ok
-
-    def test_inline_mode_matches_abstract(self):
-        """workers=0 pays the codec round trip but stays in one process."""
-        assert run_workload_on_multiproc(workers=0).ok
 
 
 class TestPlacement:
@@ -134,7 +96,7 @@ class TestRouting:
             payload, n = _batch_payload()
             runtime.send_encoded("driver", "store/0", payload)
             runtime.run_until(
-                lambda: runtime.fetch_actor("store/0").core.stored_count() == n,
+                lambda: runtime.peek("store/0", _stored_count) == n,
                 timeout=30,
             )
             assert shadow.core.stored_count() == 0  # stale until refreshed

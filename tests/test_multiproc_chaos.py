@@ -28,7 +28,7 @@ from repro.scenarios.multiproc_chaos import (
 )
 
 from conftest import run_abstract
-from test_multiproc import DCS, WORKLOAD
+from test_runtime_contract import DCS, WORKLOAD
 
 
 # --------------------------------------------------------------------- #
@@ -159,7 +159,7 @@ class TestPipelinePlacement:
 
 
 def run_workload_on_multiproc_with_kills(kills, journal_dir):
-    """The WORKLOAD of tests.test_multiproc, under supervision and kills."""
+    """The WORKLOAD of tests.test_runtime_contract, under supervision and kills."""
     plan = FaultPlan(seed=7)
     for worker, at in kills:
         plan.kill(worker, at)
@@ -183,10 +183,7 @@ def run_workload_on_multiproc_with_kills(kills, journal_dir):
         runtime.run_until(
             lambda: len(supervisor.recoveries) >= len(kills), timeout=120
         )
-        assert runtime.settle(
-            lambda: deployment.converged() and deployment._pipelines_drained(),
-            max_seconds=120,
-        )
+        assert deployment.settle(max_seconds=120)
         verdict = check_logs(deployment.logs(), reference=run_abstract(DCS, WORKLOAD), acks=acks)
         return verdict, supervisor, dict(runtime.loss_accounting)
     finally:
@@ -248,11 +245,7 @@ class TestPlannedRestart:
                 )
                 drained = runtime.restart_worker(1, drain=True)
                 assert drained
-                assert runtime.settle(
-                    lambda: deployment.converged()
-                    and deployment._pipelines_drained(),
-                    max_seconds=120,
-                )
+                assert deployment.settle(max_seconds=120)
                 assert check_logs(deployment.logs(), reference=run_abstract(DCS, WORKLOAD)).ok
                 assert supervisor.recoveries
                 assert supervisor.recoveries[-1]["reason"] == "planned restart"

@@ -1,7 +1,10 @@
 """Tests for the asyncio TCP deployment of FLStore (repro.net)."""
 
 import asyncio
+import gc
+import logging
 import struct
+import warnings
 from collections import Counter
 
 import pytest
@@ -575,28 +578,34 @@ class TestCleanShutdown:
 
         self.run_quietly(scenario)
 
-    def test_aio_runtime_stop_is_silent(self):
+    def test_aio_runtime_stop_is_silent(self, caplog):
+        from repro.chariots import ChariotsDeployment
         from repro.flstore.messages import GossipHL
         from repro.net.aio_runtime import AioRuntime
         from repro.runtime import Actor
 
-        async def scenario():
-            got = []
+        got = []
 
-            class Listener(Actor):
-                def on_message(self, sender, message):
-                    got.append(message)
+        class Listener(Actor):
+            def on_message(self, sender, message):
+                got.append(message)
 
-            runtime = AioRuntime()
-            runtime.register(Listener("ear"))
-            await runtime.start()
-            for i in range(5):
-                runtime.send("mouth", "ear", GossipHL("m0", i))
-            assert await runtime.settle(lambda: len(got) == 5, max_seconds=5.0)
-            runtime.send("mouth", "ear", GossipHL("m0", 9))  # in flight at stop
-            await runtime.stop()
-
-        self.run_quietly(scenario)
+        runtime = AioRuntime()
+        client = ChariotsDeployment(runtime, ["A"], batch_size=4).client("A")
+        runtime.register(Listener("ear"))
+        runtime.start()
+        for i in range(5):
+            runtime.send("mouth", "ear", GossipHL("m0", i))
+        assert runtime.settle(lambda: len(got) == 5, max_seconds=5.0)
+        runtime.send("mouth", "ear", GossipHL("m0", 9))  # in flight at stop
+        client.append("x")  # still buffered at stop
+        with warnings.catch_warnings(record=True) as caught, caplog.at_level(logging.WARNING):
+            warnings.simplefilter("always")
+            runtime.stop()
+            del runtime, client
+            gc.collect()
+        assert caplog.records == []  # no "Exception in callback" from a timer
+        assert [str(w.message) for w in caught] == []  # nothing left unclosed
 
 
 class TestConcurrency:

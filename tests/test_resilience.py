@@ -462,61 +462,50 @@ class TestNetResilience:
 
 class TestAioRuntimeChaos:
     def test_dropped_frames_never_reach_the_actor(self):
-        async def scenario():
-            from repro.flstore.messages import GossipHL
-            from repro.runtime import Actor
+        from repro.flstore.messages import GossipHL
+        from repro.net.aio_runtime import AioRuntime
+        from repro.runtime import Actor
 
-            got = []
+        got = []
 
-            class Listener(Actor):
-                def on_message(self, sender, message):
-                    got.append(message)
+        class Listener(Actor):
+            def on_message(self, sender, message):
+                got.append(message)
 
-            from repro.net.aio_runtime import AioRuntime
-
-            runtime = AioRuntime(chaos=FaultPlan(seed=1).drop(message_type="GossipHL"))
-            runtime.register(Listener("ear"))
-            await runtime.start()
-            try:
-                runtime.send("mouth", "ear", GossipHL("m0", 1))
-                await runtime.run_for(0.05)
-                assert not got
-                assert runtime.messages_dropped == 1
-            finally:
-                await runtime.stop()
-
-        run(scenario())
+        runtime = AioRuntime(chaos=FaultPlan(seed=1).drop(message_type="GossipHL"))
+        runtime.register(Listener("ear"))
+        runtime.start()
+        try:
+            runtime.send("mouth", "ear", GossipHL("m0", 1))
+            runtime.run_for(0.05)
+            assert not got
+            assert runtime.messages_dropped == 1
+        finally:
+            runtime.stop()
 
     def test_pipeline_converges_over_tcp_despite_bounded_chaos(self):
-        async def scenario():
-            from repro.net.aio_runtime import AioRuntime
+        from repro.net.aio_runtime import AioRuntime
 
-            plan = (
-                FaultPlan(seed=8)
-                .drop(message_type="ReplicationShipment", probability=0.5, max_count=4)
-                .duplicate(message_type="ReplicationShipment", probability=0.5,
-                           delay=0.02, max_count=4)
-            )
-            runtime = AioRuntime(chaos=plan)
-            deployment = ChariotsDeployment(
-                runtime, ["A", "B"], batch_size=8, pipeline_config=FAST
-            )
-            await runtime.start()
-            try:
-                acks = []
-                ca = deployment.client("A")
-                cb = deployment.client("B")
-                for i in range(3):
-                    ca.append(f"a{i}", on_done=acks.append)
-                    cb.append(f"b{i}", on_done=acks.append)
-                ok = await runtime.settle(
-                    lambda: len(acks) == 6 and deployment.converged(),
-                    max_seconds=20,
-                )
-                assert ok
-                assert check_logs(deployment.logs()).ok
-                assert len(deployment["A"].all_entries()) == 6
-            finally:
-                await runtime.stop()
-
-        run(scenario())
+        plan = (
+            FaultPlan(seed=8)
+            .drop(message_type="ReplicationShipment", probability=0.5, max_count=4)
+            .duplicate(message_type="ReplicationShipment", probability=0.5,
+                       delay=0.02, max_count=4)
+        )
+        runtime = AioRuntime(chaos=plan)
+        deployment = ChariotsDeployment(
+            runtime, ["A", "B"], batch_size=8, pipeline_config=FAST
+        )
+        try:
+            acks = []
+            ca = deployment.client("A")
+            cb = deployment.client("B")
+            for i in range(3):
+                ca.append(f"a{i}", on_done=acks.append)
+                cb.append(f"b{i}", on_done=acks.append)
+            runtime.run_until(lambda: len(acks) == 6, timeout=20)
+            assert deployment.settle(max_seconds=20)
+            assert check_logs(deployment.logs()).ok
+            assert len(deployment["A"].all_entries()) == 6
+        finally:
+            runtime.stop()

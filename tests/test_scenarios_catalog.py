@@ -85,14 +85,24 @@ def test_required_tags_present():
 def test_deterministic_selection_excludes_aio():
     names = {spec.name for spec in select(deterministic=True)}
     assert "functional-convergence-aio" not in names
+    assert "functional-convergence-multiproc" not in names
     assert "multiproc-crash-recovery" not in names
     assert "functional-convergence-local" in names
 
 
 def test_runtime_selection():
     multiproc = {spec.name for spec in select(runtime="multiproc")}
-    assert multiproc == {"multiproc-crash-recovery"}
+    assert multiproc == {"multiproc-crash-recovery", "functional-convergence-multiproc"}
     assert all(spec.runtime == "sim" for spec in select(runtime="sim"))
+
+
+@pytest.mark.parametrize("runtime", ["local", "aio", "multiproc"])
+def test_functional_convergence_passes_on_every_runtime(runtime):
+    """The one functional drive, on each runtime it supports."""
+    spec = get(f"functional-convergence-{runtime}")
+    result = run_scenario(spec, run_root=None, raise_on_failure=False)
+    assert spec.runtime == runtime and result.error is None, result.error
+    assert result.invariant_failures == []
 
 
 def test_get_unknown_scenario_raises():

@@ -49,7 +49,7 @@ from repro.runtime.supervisor import ProcessSupervisor
 from repro.scenarios.multiproc_chaos import pipeline_placement
 
 from conftest import run_abstract
-from test_multiproc import DCS
+from test_runtime_contract import DCS
 
 # --------------------------------------------------------------------- #
 # Actors (module level: they are pickled into the workers)
@@ -489,7 +489,8 @@ class TestParentCommit:
             direct = [(n, k) for n in (1, 2) for k in (0, 1)]
             assert [g[1:] for g in sink.got if g[0] == "fan"] == direct
             assert rig.slot(1).delivery_seq == 4
-            tail = rt.fetch_actor("tail")
+            rt.refresh_actors(["tail"])
+            tail = rt.actor("tail")
             assert [tuple(m[1:3]) for m in tail.seen] == direct
             assert rt.snapshots_received > snapshots
             assert rt.loss_accounting == {}
@@ -708,10 +709,7 @@ class TestKillInsideBurst:
                 assert in_flight_at_kill and in_flight_at_kill[0] > 0, (
                     "the kill must land inside the burst"
                 )
-                assert runtime.settle(
-                    lambda: deployment.converged() and deployment._pipelines_drained(),
-                    max_seconds=120,
-                )
+                assert deployment.settle(max_seconds=120)
                 assert check_logs(deployment.logs(), reference=burst_reference, acks=acks).ok
                 assert dict(runtime.loss_accounting) == {}
                 assert runtime.uncommitted_peak_bytes > 0

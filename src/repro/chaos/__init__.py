@@ -5,16 +5,14 @@ protocol claims to survive (§1's component/datacenter failures; the
 Replicated-Dictionary lineage of the ATable assumes them) and injects them
 into the runtimes behind zero-overhead no-op defaults:
 
-* :class:`FaultPlan` — seeded message faults, crashes, and partitions for
-  ``LocalRuntime`` / ``SimRuntime`` / ``AioRuntime`` sends;
-* :class:`NetChaos` — seeded request-level faults for the asyncio servers;
-* :class:`ProcChaos` — process-level faults for ``MultiprocRuntime``:
-  scheduled worker SIGKILLs plus seeded drop/delay of raw routed frames.
+* :class:`FaultPlan` — seeded message faults, crashes, partitions and
+  worker kills: the one ``chaos`` argument of ``LocalRuntime`` /
+  ``SimRuntime`` / ``AioRuntime`` / ``MultiprocRuntime``;
+* :class:`NetChaos` — seeded request-level faults for the asyncio servers.
 """
 
 from .netchaos import NetChaos
 from .plan import CrashEvent, FaultPlan, FaultRule, KillEvent, PartitionEvent
-from .procchaos import ProcChaos
 
 __all__ = [
     "CrashEvent",
@@ -23,5 +21,4 @@ __all__ = [
     "KillEvent",
     "NetChaos",
     "PartitionEvent",
-    "ProcChaos",
 ]

@@ -8,11 +8,14 @@ windows.  The plan is driven by one seeded RNG, so the same plan + the same
 workload reproduces the same failure schedule bit-for-bit — chaos tests are
 regular deterministic tests.
 
-Runtimes consult the plan through :meth:`FaultPlan.intercept`, which maps one
-``(src, dst, message, now)`` send to either ``None`` (dropped) or a list of
-extra delivery delays (one entry per copy — duplicates yield two).  Installing
-no plan costs a single ``is not None`` check on the send path, so production
-configurations pay nothing.
+A plan is the one fault input of every actor runtime (``chaos=``).  The
+shared runtime base consults it through :meth:`FaultPlan.intercept`, which
+maps one ``(src, dst, message, now)`` send to either ``None`` (dropped) or a
+list of extra delivery delays (one entry per copy — duplicates yield two).
+Installing no plan costs a single ``is None`` check on the send path, so
+production configurations pay nothing.  A runtime that cannot apply one of
+the plan's faults refuses it when it starts (``docs/FAULTS.md`` has the
+runtime × fault matrix).
 
 Plans round-trip through :meth:`to_dict` / :meth:`from_dict` so chaos suites
 can be described in JSON (see ``docs/FAULTS.md`` for the schema).
@@ -185,7 +188,7 @@ class FaultPlan:
         self.kills: List[KillEvent] = []
         self.partitions: List[PartitionEvent] = []
         #: Injection counters: dropped / delayed / duplicated / reordered /
-        #: partitioned — chaos tests assert the plan actually fired.
+        #: partitioned / workers_killed — chaos tests assert the plan fired.
         self.stats: Counter[str] = Counter()
 
     # -- builders -------------------------------------------------------- #

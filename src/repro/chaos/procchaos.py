@@ -1,117 +1,13 @@
-"""Process-level chaos for the multiproc runtime.
+"""Kept only for the perf ledger's ``geo.py``, which still spells
+``ProcChaos.from_plan(plan)``: every runtime, ``MultiprocRuntime`` included,
+takes the :class:`~repro.chaos.plan.FaultPlan` itself as ``chaos``."""
 
-:class:`NetChaos` injects faults at the asyncio request layer; *this*
-module's :class:`ProcChaos` injects them one level down, where the multiproc
-runtime meets the operating system:
-
-* **scheduled kills** — SIGKILL a named worker process at a fixed time
-  (declared as :class:`~repro.chaos.plan.KillEvent` entries, usually via
-  ``FaultPlan.kill(worker, at)``), the real-process analogue of
-  ``FaultPlan.crash``;
-* **frame faults** — seeded drop/delay of raw routed frames at the parent's
-  forwarding layer, below the codec, so supervision's retransmission path
-  gets exercised against genuine byte-level loss.
-
-Like the rest of the chaos layer it is seeded and deterministic in its
-*decisions* (the same seed yields the same drop/delay schedule for the same
-frame sequence); wall-clock interleaving on real processes remains
-nondeterministic by nature.  Kills on an *unsupervised* runtime surface as a
-``SessionError`` — surviving them requires a registered
-:class:`~repro.runtime.supervisor.ProcessSupervisor`.
-"""
-
-from __future__ import annotations
-
-import random
-from collections import Counter
-from typing import Any, Iterable, List, Optional, Tuple, Union
-
-from ..core.errors import ConfigurationError
-from .plan import FaultPlan, KillEvent
-
-#: Frame-level decisions returned by :meth:`ProcChaos.decide_frame`.
-PASS = "pass"
-DROP = "drop"
-DELAY = "delay"
+from .plan import FaultPlan
 
 
 class ProcChaos:
-    """Seeded process/frame fault injector for ``MultiprocRuntime``.
+    """Vestige: :meth:`from_plan` hands the plan back unchanged."""
 
-    ``kills`` is an iterable of :class:`KillEvent` (or ``(worker, at)``
-    pairs); ``drop_probability`` / ``delay_probability`` apply per routed
-    frame at the parent's forwarding layer, with delayed frames re-admitted
-    after up to ``max_delay`` seconds.  ``max_faults`` caps total injected
-    frame faults so a soak cannot drop itself into a livelock.
-    """
-
-    def __init__(
-        self,
-        seed: int = 0,
-        kills: Iterable[Union[KillEvent, Tuple[Union[int, str], float]]] = (),
-        drop_probability: float = 0.0,
-        delay_probability: float = 0.0,
-        max_delay: float = 0.05,
-        max_faults: Optional[int] = None,
-    ) -> None:
-        for name, value in (
-            ("drop_probability", drop_probability),
-            ("delay_probability", delay_probability),
-        ):
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1]")
-        if max_delay < 0:
-            raise ConfigurationError("max_delay must be >= 0")
-        self.seed = seed
-        self._rng = random.Random(seed)
-        self.kills: List[KillEvent] = [
-            kill if isinstance(kill, KillEvent) else KillEvent(kill[0], kill[1])
-            for kill in kills
-        ]
-        self.drop_probability = drop_probability
-        self.delay_probability = delay_probability
-        self.max_delay = max_delay
-        self.max_faults = max_faults
-        #: Injection counters: frames_dropped / frames_delayed /
-        #: workers_killed — chaos tests assert the plan actually fired.
-        self.stats: Counter[str] = Counter()
-
-    @classmethod
-    def from_plan(cls, plan: FaultPlan, **overrides: Any) -> "ProcChaos":
-        """Build from a :class:`FaultPlan`'s ``kills`` (and seed).
-
-        Frame-fault probabilities are not part of the declarative plan (they
-        are transport-specific); pass them as ``overrides``.
-        """
-        overrides.setdefault("seed", plan.seed)
-        overrides.setdefault("kills", list(plan.kills))
-        return cls(**overrides)
-
-    def kill_schedule(self) -> List[Tuple[Union[int, str], float]]:
-        """``(worker, at)`` pairs for the runtime to schedule at start."""
-        return [(kill.worker, kill.at) for kill in self.kills]
-
-    def decide_frame(self) -> Tuple[str, float]:
-        """Fate of one routed frame: ``(action, delay_seconds)``."""
-        if not self.drop_probability and not self.delay_probability:
-            return PASS, 0.0
-        if self.max_faults is not None and (
-            self.stats["frames_dropped"] + self.stats["frames_delayed"]
-            >= self.max_faults
-        ):
-            return PASS, 0.0
-        roll = self._rng.random()
-        if roll < self.drop_probability:
-            self.stats["frames_dropped"] += 1
-            return DROP, 0.0
-        roll -= self.drop_probability
-        if roll < self.delay_probability:
-            self.stats["frames_delayed"] += 1
-            return DELAY, self._rng.uniform(0.0, self.max_delay)
-        return PASS, 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ProcChaos seed={self.seed} kills={len(self.kills)} "
-            f"drop={self.drop_probability} delay={self.delay_probability}>"
-        )
+    @staticmethod
+    def from_plan(plan: FaultPlan) -> FaultPlan:
+        return plan

@@ -17,12 +17,19 @@ synchronously: :meth:`start` opens the loop and the router socket pair,
 the loop advances only inside ``run_for`` / ``run_until`` / ``settle``,
 and :meth:`stop` closes both, after which no actor timer fires.  Call it
 from plain code, never from inside a coroutine.
+
+Faults come from the one plan every runtime takes (``chaos``, applied by
+:class:`~repro.runtime.local.BaseRuntime`): a dropped message is never
+written, a delayed copy is written when its timer fires, the plan's crash
+events are scheduled at :meth:`start`, and a frame that arrives for a
+crashed actor is parked until a supervisor restarts it.  Worker kills are
+refused: there are no worker processes.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..core.errors import ConfigurationError, RuntimeExhaustedError
 from ..runtime.local import BaseRuntime
@@ -117,7 +124,7 @@ class AioRuntime(BaseRuntime):
         host: str = "127.0.0.1",
         chaos: Optional["FaultPlan"] = None,
     ) -> None:
-        super().__init__()
+        super().__init__(chaos)
         self.loop = _AioTimers()
         self._host = host
         self._aio: Optional[asyncio.AbstractEventLoop] = None
@@ -125,12 +132,7 @@ class AioRuntime(BaseRuntime):
         #: Sending end of the router pair, then the accepted end(s).
         self._writer: Optional[asyncio.Transport] = None
         self._hub: List[_HubConnection] = []
-        #: Optional FaultPlan applied to every routed frame (drop / delay /
-        #: duplicate / reorder); crashes and partitions also apply, keyed by
-        #: actor-name prefixes, making TCP-backed chaos runs possible.
-        self.chaos = chaos
         self.messages_routed = 0
-        self.messages_dropped = 0
         self.bytes_routed = 0
 
     # -- lifecycle --------------------------------------------------------- #
@@ -139,6 +141,7 @@ class AioRuntime(BaseRuntime):
         """Open the event loop and the router socket pair, then start every
         actor (idempotent)."""
         if self._aio is None:
+            self._refuse_faults()  # before any socket is opened
             aio = self._aio = asyncio.new_event_loop()
             server = aio.run_until_complete(
                 aio.create_server(self._hub_connection, self._host, 0)
@@ -177,38 +180,29 @@ class AioRuntime(BaseRuntime):
         return connection
 
     def _dispatch(self, envelope: Dict[str, Any]) -> None:
-        target = self._actors.get(envelope["d"])
-        if target is None:
+        dst = envelope["d"]
+        if dst not in self._actors:
             return  # destination retired while the frame was in flight
         self.messages_routed += 1
-        target.on_message(envelope["s"], envelope["m"])
+        self._on_deliver(envelope["s"], dst, envelope["m"])
 
     # -- transport ----------------------------------------------------------- #
 
-    def send(self, src: str, dst: str, message: Any) -> None:
-        """Serialise and route one message through the TCP stack."""
+    def _schedule_delivery(
+        self, src: str, dst: str, message: Any, delays: Sequence[float]
+    ) -> None:
+        """Serialise once; write each copy to the router socket now, or when
+        its delay's timer fires (timers stop with the runtime)."""
         if self._writer is None:
             raise ConfigurationError("AioRuntime not started; call start()")
-        if dst not in self._actors:
-            raise ConfigurationError(f"message from {src!r} to unknown actor {dst!r}")
         frame = encode_frame_binary({"type": "route", "s": src, "d": dst, "m": message})
-        if self.chaos is not None:
-            copies = self.chaos.intercept(src, dst, message, self.loop.now)
-            if copies is None:
-                self.messages_dropped += 1
-                return
-            for extra in copies:
-                if extra <= 0.0:
-                    self.bytes_routed += len(frame)
-                    self._writer.write(frame)
-                else:
-                    self.loop.schedule(extra, lambda f=frame: self._write_later(f))
-            return
-        self.bytes_routed += len(frame)
-        self._writer.write(frame)
+        for delay in delays:
+            if delay > 0.0:
+                self.loop.schedule(delay, lambda: self._write(frame))
+            else:
+                self._write(frame)
 
-    def _write_later(self, frame: bytes) -> None:
-        """Deferred write for chaos-delayed frames (timers stop with the runtime)."""
+    def _write(self, frame: bytes) -> None:
         assert self._writer is not None
         self.bytes_routed += len(frame)
         self._writer.write(frame)

@@ -2,13 +2,7 @@
 deterministic local runtime."""
 
 from .actor import Actor, Runtime
-from .local import (
-    BaseRuntime,
-    LocalRuntime,
-    partitioned,
-    random_drops,
-    random_latency,
-)
+from .local import BaseRuntime, LocalRuntime
 from .loop import EventHandle, EventLoop
 from .messages import (
     CONTROL_MESSAGE_BYTES,
@@ -31,9 +25,6 @@ __all__ = [
     "RecordBatch",
     "Runtime",
     "Supervisor",
-    "partitioned",
-    "random_drops",
-    "random_latency",
     "record_count_of",
     "wire_size_of",
 ]

@@ -1,26 +1,35 @@
-"""Deterministic in-process runtime: instant (or hook-delayed) delivery.
+"""The runtime base every runtime shares, and the deterministic one.
 
-This is the substrate for functional tests, applications, and examples.  It
-delivers messages in a deterministic order, supports fault injection through
-``latency_fn`` / ``drop_fn`` hooks (used by the property-based tests to
-produce adversarial delivery schedules) and through a full seeded
-:class:`~repro.chaos.plan.FaultPlan` (drops, delays, duplicates, reorders,
-crashes, partitions), and exposes ``run_until`` so synchronous client code
-can pump the network until a reply arrives.
+:class:`BaseRuntime` holds what all four runtimes (local, sim, aio,
+multiproc) have in common: the actor registry, the driver surface, crash
+bookkeeping and the one fault input, a seeded
+:class:`~repro.chaos.plan.FaultPlan` passed as ``chaos``.  The plan is
+applied here, once per send: a crashed sender's messages are dropped, then
+:meth:`~repro.chaos.plan.FaultPlan.intercept` drops the message or returns
+one delivery delay per copy, and the runtime schedules each copy its own
+way.  Crash events are scheduled at :meth:`BaseRuntime.start`, where a
+runtime also refuses (``ConfigurationError``) any fault it cannot apply.
 
-Crash semantics (shared by this runtime and the simulator): a crashed
-actor's outgoing messages are discarded (a dead process sends nothing) and
-its inbound traffic is *parked* — held aside and redelivered when the actor
-is revived or replaced.  Parking models the reliable channels real deployments
-put in front of a restarted node: peers keep retransmitting until the
-replacement accepts, so from the protocol's point of view the messages were
-simply delayed across the outage.
+:class:`LocalRuntime` is the substrate for functional tests, applications,
+and examples: it delivers in a deterministic order on a virtual clock and
+exposes ``run_until`` so synchronous client code can pump the network until
+a reply arrives.
+
+Crash semantics (every runtime but multiproc, which kills whole worker
+processes instead): a crashed actor's outgoing messages are discarded (a
+dead process sends nothing) and its inbound traffic is *parked* — held
+aside and redelivered when the actor is revived or replaced.  Parking
+models the reliable channels real deployments put in front of a restarted
+node: peers keep retransmitting until the replacement accepts, so from the
+protocol's point of view the messages were simply delayed across the
+outage.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING,
+)
 
 from ..core.errors import ConfigurationError
 from .actor import Actor, Timers
@@ -29,30 +38,35 @@ from .loop import EventLoop
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chaos.plan import FaultPlan
 
-#: latency hook signature: (src, dst, message) -> seconds of delivery delay.
-LatencyFn = Callable[[str, str, Any], float]
-#: drop hook signature: (src, dst, message) -> True to drop the message.
-DropFn = Callable[[str, str, Any], bool]
-
 
 #: Runtime seconds :meth:`BaseRuntime.settle` runs between two checks.
 SETTLE_SLICE = 0.1
 
+#: The fate of a send the fault plan leaves alone: one copy, no delay.
+_ONCE: Sequence[float] = (0.0,)
+
 
 class BaseRuntime:
     """The :class:`~repro.runtime.actor.Runtime` surface every runtime shares:
-    the actor registry, crash bookkeeping, start / stop, ``settle`` and
-    ``peek``.  Subclasses supply ``loop``, ``send``, ``run_for`` and
-    ``run_until``."""
+    the actor registry, crash bookkeeping, the fault plan, start / stop,
+    ``send``, ``settle`` and ``peek``.  Subclasses supply ``loop``,
+    ``run_for``, ``run_until`` and how a delivery is scheduled
+    (:meth:`_schedule_delivery`)."""
 
     loop: Timers
 
-    def __init__(self) -> None:
+    def __init__(self, chaos: Optional["FaultPlan"] = None) -> None:
         self._actors: Dict[str, Actor] = {}
         self._started = False
         self._crashed: Set[str] = set()
         #: Inbound messages held for crashed actors: name -> [(src, message)].
         self._parked: Dict[str, List[Tuple[str, Any]]] = {}
+        #: The fault plan applied to every send (None: no faults, and the
+        #: send path pays one ``is None`` check for it).
+        self.chaos = chaos
+        self.messages_sent = 0
+        #: Sends lost to a crashed sender or to the plan.
+        self.messages_dropped = 0
         self.messages_parked = 0
 
     # -- registry -------------------------------------------------------- #
@@ -146,17 +160,65 @@ class BaseRuntime:
     # -- lifecycle ------------------------------------------------------- #
 
     def start(self) -> "BaseRuntime":
-        """Invoke every actor's ``on_start`` hook exactly once."""
+        """Schedule the plan's crash events, then invoke every actor's
+        ``on_start`` hook exactly once."""
         if not self._started:
+            self._refuse_faults()
             self._started = True
+            if self.chaos is not None:
+                for crash in self.chaos.crashes:
+                    self.loop.schedule(
+                        crash.at,
+                        lambda name=crash.actor: self.crash(name)
+                        if name in self._actors
+                        else None,
+                    )
             for actor in list(self._actors.values()):
                 actor.on_start()
         return self
 
+    def _refuse_faults(self) -> None:
+        """Raise :class:`ConfigurationError` for a fault of the plan this
+        runtime cannot apply: here, worker kills (no worker processes)."""
+        if self.chaos is not None and self.chaos.kills:
+            raise ConfigurationError(
+                f"{type(self).__name__} has no worker processes to kill; "
+                "FaultPlan.kill needs MultiprocRuntime (use crash() here)"
+            )
+
     def stop(self) -> None:
         """Release what the runtime holds (nothing, for an in-process one)."""
 
+    # -- messaging ------------------------------------------------------- #
+
     def send(self, src: str, dst: str, message: Any) -> None:
+        """Apply the fault plan to one send, then schedule each surviving
+        copy's delivery."""
+        self.messages_sent += 1
+        if dst not in self._actors:
+            raise ConfigurationError(f"message from {src!r} to unknown actor {dst!r}")
+        delays = self._fate(src, dst, message)
+        if delays is not None:
+            self._schedule_delivery(src, dst, message, delays)
+
+    def _fate(self, src: str, dst: str, message: Any) -> Optional[Sequence[float]]:
+        """One delivery delay per copy of a send, or None when it is lost:
+        a crashed sender sends nothing, and the plan may drop, delay,
+        duplicate or reorder."""
+        if self._crashed and src in self._crashed:
+            self.messages_dropped += 1
+            return None
+        if self.chaos is None:
+            return _ONCE
+        delays = self.chaos.intercept(src, dst, message, self.now)
+        if delays is None:
+            self.messages_dropped += 1
+        return delays
+
+    def _schedule_delivery(
+        self, src: str, dst: str, message: Any, delays: Sequence[float]
+    ) -> None:
+        """Deliver one copy of ``message`` after each of ``delays`` seconds."""
         raise NotImplementedError
 
     # -- execution ------------------------------------------------------- #
@@ -188,76 +250,29 @@ class BaseRuntime:
 
 
 class LocalRuntime(BaseRuntime):
-    """Instant-delivery deterministic runtime with fault-injection hooks.
-
-    ``chaos`` installs a :class:`~repro.chaos.plan.FaultPlan`: its message
-    faults and partitions are applied to every send, and its crash events
-    are scheduled when the runtime starts.  Without a plan the only cost is
-    one ``is not None`` check per message.
-    """
+    """Deterministic runtime on a virtual clock: every copy of a message is
+    delivered as an event ``delay`` seconds on (instantly, without a plan)."""
 
     loop: EventLoop
 
-    def __init__(
-        self,
-        latency_fn: Optional[LatencyFn] = None,
-        drop_fn: Optional[DropFn] = None,
-        chaos: Optional["FaultPlan"] = None,
-    ) -> None:
-        super().__init__()
+    def __init__(self, chaos: Optional["FaultPlan"] = None) -> None:
+        super().__init__(chaos)
         self.loop = EventLoop()
-        self.latency_fn = latency_fn
-        self.drop_fn = drop_fn
-        self.chaos = chaos
-        self.messages_sent = 0
-        self.messages_dropped = 0
 
-    def start(self) -> "BaseRuntime":
-        if not self._started and self.chaos is not None:
-            for crash in self.chaos.crashes:
-                self.loop.schedule(
-                    crash.at,
-                    lambda name=crash.actor: self.crash(name)
-                    if name in self._actors
-                    else None,
-                )
-        return super().start()
-
-    def send(self, src: str, dst: str, message: Any) -> None:
-        self.messages_sent += 1
-        if self._crashed and src in self._crashed:
-            self.messages_dropped += 1  # a dead process sends nothing
-            return
-        if self.drop_fn is not None and self.drop_fn(src, dst, message):
-            self.messages_dropped += 1
-            return
-        if dst not in self._actors:
-            raise ConfigurationError(f"message from {src!r} to unknown actor {dst!r}")
-        delay = self.latency_fn(src, dst, message) if self.latency_fn else 0.0
-        if self.chaos is not None:
-            copies = self.chaos.intercept(src, dst, message, self.loop.now)
-            if copies is None:
-                self.messages_dropped += 1
-                return
-            for extra in copies:
-                self.loop.schedule(
-                    delay + extra, lambda: self._on_deliver(src, dst, message)
-                )
-            return
+    def _schedule_delivery(
+        self, src: str, dst: str, message: Any, delays: Sequence[float]
+    ) -> None:
         # Resolve the target at delivery time so a replaced actor (crash
         # recovery) receives messages that were already in flight.
-        self.loop.schedule(delay, lambda: self._on_deliver(src, dst, message))
+        for delay in delays:
+            self.loop.schedule(delay, lambda: self._on_deliver(src, dst, message))
 
     # -- execution ------------------------------------------------------- #
 
-    def run(
-        self,
-        until_time: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
+    def run(self, until_time: Optional[float] = None) -> float:
         """Start (if needed) and drain the event loop."""
         self.start()
-        return self.loop.run(until_time=until_time, max_events=max_events)
+        return self.loop.run(until_time=until_time)
 
     def run_for(self, duration: float) -> float:
         """Advance virtual time by ``duration`` seconds."""
@@ -267,49 +282,3 @@ class LocalRuntime(BaseRuntime):
     def run_until(self, predicate: Callable[[], bool], timeout: float = 60.0) -> float:
         self.start()
         return self.loop.run_until(predicate, timeout)
-
-
-def random_latency(seed: int, max_delay: float = 0.05) -> LatencyFn:
-    """A reproducible random-latency hook for adversarial delivery tests."""
-    rng = random.Random(seed)
-
-    def fn(_src: str, _dst: str, _message: Any) -> float:
-        return rng.uniform(0.0, max_delay)
-
-    return fn
-
-
-def random_drops(
-    seed: int,
-    probability: float,
-    protected: Optional[Callable[[str, str, Any], bool]] = None,
-) -> DropFn:
-    """A reproducible random-drop hook.
-
-    ``protected(src, dst, msg)`` may exempt messages (e.g. never drop client
-    replies so tests terminate); replication traffic is retried by design so
-    it tolerates drops.
-    """
-    rng = random.Random(seed)
-
-    def fn(src: str, dst: str, message: Any) -> bool:
-        if protected is not None and protected(src, dst, message):
-            return False
-        return rng.random() < probability
-
-    return fn
-
-
-def partitioned(blocked_pairs: Iterable[Tuple[str, str]]) -> DropFn:
-    """A drop hook that severs specific (src-prefix, dst-prefix) pairs.
-
-    Useful for datacenter-partition tests: ``partitioned([("A/", "B/")])``
-    blocks every message from actors whose name starts with ``A/`` to actors
-    whose name starts with ``B/``.
-    """
-    pairs = list(blocked_pairs)
-
-    def fn(src: str, dst: str, _message: Any) -> bool:
-        return any(src.startswith(s) and dst.startswith(d) for s, d in pairs)
-
-    return fn

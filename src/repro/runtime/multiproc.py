@@ -74,9 +74,18 @@ per routed frame and one state snapshot per worker turn that did work:
   worker's queues to a clean snapshot first, and when it cannot, the loss
   is bounded and counted in :attr:`loss_accounting`.
 
-Process-level chaos (:class:`~repro.chaos.procchaos.ProcChaos`) plugs into
-the same machinery: scheduled SIGKILLs of named workers, plus seeded
-drop/delay of raw frames at the parent's forwarding layer.
+Faults come from the one plan every runtime takes (``chaos``, a
+:class:`~repro.chaos.plan.FaultPlan`, applied by
+:class:`~repro.runtime.local.BaseRuntime`).  Its kills SIGKILL worker
+processes at the scheduled times (counted in ``plan.stats
+["workers_killed"]``), which the machinery above recovers from.  Its
+drop / delay / duplicate / reorder rules and partitions apply once per
+message that crosses the parent router — in :meth:`MultiprocRuntime.send`
+and where a worker's frame is forwarded — keyed by the envelope's source
+and destination; a message between two actors of one worker never reaches
+the router and is not faulted.  Crash events and ``message_type`` rules are
+refused at :meth:`MultiprocRuntime.start`: a whole worker dies, not one
+actor, and worker frames are routed without being decoded.
 """
 
 from __future__ import annotations
@@ -117,7 +126,7 @@ from .supervisor import ProcessSupervisor
 from ..net.binary_codec import decode_value_binary, encode_value_binary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..chaos.procchaos import ProcChaos
+    from ..chaos.plan import FaultPlan
 
 #: First byte of every multiproc envelope body (binary codec frames start
 #: with 0xC5 — the router does not speak those directly).
@@ -152,6 +161,11 @@ _SEQ_OFF = 6
 
 #: Hard sanity cap per routed frame (matches net/protocol.py).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Per-worker cap on the bytes a supervised parent buffers for
+#: retransmission; overflow drops the oldest frames and counts them in
+#: ``loss_accounting`` (bounded loss instead of unbounded RAM).
+RETRANSMIT_LIMIT_BYTES = 64 << 20
 
 #: A complete wire frame.  Frames read off a socket or built by
 #: :func:`_envelope` are immutable ``bytes``; the supervised parent queues
@@ -429,13 +443,11 @@ class MultiprocRuntime(BaseRuntime):
     names across workers.  Actors registered after :meth:`start` always
     live in the parent.
 
-    ``chaos`` accepts a :class:`~repro.chaos.procchaos.ProcChaos`: its
-    scheduled kills SIGKILL worker processes at the given times, and its
-    frame faults drop/delay raw frames at the forwarding layer.  Surviving
-    kills requires a registered
-    :class:`~repro.runtime.supervisor.ProcessSupervisor` (see the module
-    docstring); without one a killed worker surfaces as a
-    :class:`SessionError`, exactly like any other worker death.
+    ``chaos`` is a :class:`~repro.chaos.plan.FaultPlan` (see the module
+    docstring for what applies where).  Surviving its kills requires a
+    registered :class:`~repro.runtime.supervisor.ProcessSupervisor`;
+    without one a killed worker surfaces as a :class:`SessionError`,
+    exactly like any other worker death.
     """
 
     loop: _RealtimeLoop
@@ -445,21 +457,15 @@ class MultiprocRuntime(BaseRuntime):
         workers: int = 2,
         placement: Optional[Callable[[str, int], Optional[int]]] = None,
         host: str = "127.0.0.1",
-        chaos: Optional["ProcChaos"] = None,
-        retransmit_limit_bytes: int = 64 << 20,
+        chaos: Optional["FaultPlan"] = None,
     ) -> None:
         if workers < 0:
             raise ConfigurationError("workers must be >= 0")
-        super().__init__()
+        super().__init__(chaos)
         self.workers = workers
         self.loop = _RealtimeLoop()
         self._placement_fn = placement or default_placement
         self._host = host
-        self._chaos = chaos
-        #: Per-worker cap on buffered-for-retransmission bytes; overflow
-        #: drops the oldest frames and accounts them in
-        #: :attr:`loss_accounting` (bounded loss instead of unbounded RAM).
-        self.retransmit_limit_bytes = retransmit_limit_bytes
         self._location: Dict[str, Optional[int]] = {}
         #: False until :meth:`start` has loaded and started every worker:
         #: until then the pump runs no parent-side timer or delivery, so
@@ -489,8 +495,8 @@ class MultiprocRuntime(BaseRuntime):
         self._breakers: List[CircuitBreaker] = []
         self._initial_blobs: Dict[int, bytes] = {}
         self._recovering = False
-        #: Frames/bytes that supervision could not protect: chaos drops,
-        #: retransmit-buffer overflow, drain timeouts, replay gaps.
+        #: Frames/bytes that supervision could not protect: retransmit-buffer
+        #: overflow, drain timeouts, replay gaps.
         self.loss_accounting: Counter[str] = Counter()
 
     # -- lifecycle -------------------------------------------------------- #
@@ -498,11 +504,16 @@ class MultiprocRuntime(BaseRuntime):
     def start(self) -> "MultiprocRuntime":
         if self._started:
             return self
-        self._started = True
+        self._refuse_faults()
         for name in self._actors:
             self._location[name] = (
                 self._placement_fn(name, self.workers) if self.workers else None
             )
+        kills = [
+            (self._resolve_worker(kill.worker), kill.at)
+            for kill in (self.chaos.kills if self.chaos is not None else ())
+        ]
+        self._started = True
         if self.workers:
             self._supervisor = next(
                 (
@@ -532,10 +543,25 @@ class MultiprocRuntime(BaseRuntime):
         if self.workers:
             for wid in range(self.workers):
                 self._control(wid, {"op": "start"})
-        if self._chaos is not None and self.workers:
-            self._schedule_kills()
+        for wid, at in kills:
+            self.loop.schedule(at, lambda w=wid: self._chaos_kill(w))
         self._serving = True
         return self
+
+    def _refuse_faults(self) -> None:
+        plan = self.chaos
+        if plan is None:
+            return
+        if plan.crashes:
+            raise ConfigurationError(
+                "MultiprocRuntime cannot crash one actor; FaultPlan.kill "
+                "SIGKILLs the worker process hosting it"
+            )
+        if any(rule.message_type is not None for rule in plan.rules):
+            raise ConfigurationError(
+                "MultiprocRuntime routes worker frames undecoded: fault "
+                "rules cannot match on message_type"
+            )
 
     def _configure_payload(
         self, wid: int, delivered: int, emission: int
@@ -554,13 +580,6 @@ class MultiprocRuntime(BaseRuntime):
             "delivered": delivered,
             "emission": emission,
         }
-
-    def _schedule_kills(self) -> None:
-        chaos = self._chaos
-        assert chaos is not None
-        for target, at in chaos.kill_schedule():
-            wid = self._resolve_worker(target)
-            self.loop.schedule(at, lambda w=wid: self._chaos_kill(w))
 
     def _resolve_worker(self, target: Any) -> int:
         """Map a kill target (worker index or actor name) to a worker id."""
@@ -582,41 +601,12 @@ class MultiprocRuntime(BaseRuntime):
         if proc is None or not proc.is_alive():
             return
         proc.kill()
-        if self._chaos is not None:
-            self._chaos.stats["workers_killed"] += 1
+        assert self.chaos is not None
+        self.chaos.stats["workers_killed"] += 1
 
     def _spawn_workers(self) -> None:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, 0))
-        listener.listen(self.workers)
-        listener.settimeout(30.0)
-        port = listener.getsockname()[1]
-        ctx = get_context("spawn")
-        for wid in range(self.workers):
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(wid, self._host, port),
-                daemon=True,
-                name=f"repro-mp-worker-{wid}",
-            )
-            proc.start()
-            self._procs.append(proc)
-        conns: Dict[int, _FrameConn] = {}
-        try:
-            while len(conns) < self.workers:
-                sock, _addr = listener.accept()
-                sock.settimeout(30.0)
-                hello = _read_one_frame_blocking(sock)
-                kind, _seq, _src, _dst, payload = _parse_envelope(
-                    memoryview(hello)[4:]
-                )
-                if kind != _K_REPLY:
-                    raise SessionError("bad worker handshake")
-                wid = pickle.loads(bytes(payload))["hello"]
-                conns[wid] = _FrameConn(sock, wid=wid)
-        finally:
-            listener.close()
+        procs, conns = self._spawn(range(self.workers), 30.0)
+        self._procs = [procs[wid] for wid in range(self.workers)]
         self._conns = [conns[wid] for wid in range(self.workers)]
         self._selector = selectors.DefaultSelector()
         now = _wall_clock()
@@ -628,35 +618,53 @@ class MultiprocRuntime(BaseRuntime):
     def _spawn_one(self, wid: int) -> Tuple[Any, _FrameConn]:
         """Spawn and handshake a single replacement worker process."""
         sup = self._supervisor
-        timeout = sup.spawn_timeout if sup is not None else 10.0
+        procs, conns = self._spawn([wid], sup.spawn_timeout if sup is not None else 10.0)
+        return procs[wid], conns[wid]
+
+    def _spawn(
+        self, wids: Iterable[int], timeout: float
+    ) -> Tuple[Dict[int, Any], Dict[int, _FrameConn]]:
+        """Start one worker process per id, all at once, then accept each
+        one's connection and check its hello; on failure kill them all."""
+        wids = list(wids)
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self._host, 0))
-        listener.listen(1)
+        listener.listen(len(wids))
         listener.settimeout(timeout)
         port = listener.getsockname()[1]
         ctx = get_context("spawn")
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(wid, self._host, port),
-            daemon=True,
-            name=f"repro-mp-worker-{wid}",
-        )
-        proc.start()
+        procs: Dict[int, Any] = {}
+        conns: Dict[int, _FrameConn] = {}
         try:
-            sock, _addr = listener.accept()
-            sock.settimeout(timeout)
-            hello = _read_one_frame_blocking(sock, timeout=timeout)
-            kind, _seq, _src, _dst, payload = _parse_envelope(memoryview(hello)[4:])
-            if kind != _K_REPLY or pickle.loads(bytes(payload)).get("hello") != wid:
-                raise SessionError(f"bad handshake from respawned worker {wid}")
-        except (socket.timeout, OSError) as exc:
-            proc.kill()
-            proc.join(1.0)
-            raise SessionError(f"worker {wid} respawn handshake failed: {exc!r}")
+            for wid in wids:
+                proc = ctx.Process(
+                    target=_worker_main,
+                    args=(wid, self._host, port),
+                    daemon=True,
+                    name=f"repro-mp-worker-{wid}",
+                )
+                proc.start()
+                procs[wid] = proc
+            while len(conns) < len(wids):
+                sock, _addr = listener.accept()
+                hello = _read_one_frame_blocking(sock, timeout=timeout)
+                kind, _seq, _src, _dst, payload = _parse_envelope(memoryview(hello)[4:])
+                hello_wid = pickle.loads(bytes(payload)).get("hello") if kind == _K_REPLY else None
+                if hello_wid not in procs or hello_wid in conns:
+                    sock.close()
+                    raise SessionError(f"bad worker handshake (hello {hello_wid!r})")
+                conns[hello_wid] = _FrameConn(sock, wid=hello_wid)
+        except (OSError, SessionError) as exc:
+            for proc in procs.values():
+                proc.kill()
+                proc.join(1.0)
+            for conn in conns.values():
+                conn.close()
+            raise SessionError(f"worker {wids} spawn failed: {exc!r}") from exc
         finally:
             listener.close()
-        return proc, _FrameConn(sock, wid=wid)
+        return procs, conns
 
     def _ship_actors(self) -> None:
         by_worker: Dict[int, List[Actor]] = {}
@@ -718,15 +726,16 @@ class MultiprocRuntime(BaseRuntime):
     # -- messaging --------------------------------------------------------- #
 
     def send(self, src: str, dst: str, message: Any) -> None:
+        self.messages_sent += 1
         wid = self._location.get(dst, None) if self._started else None
         if wid is None:
             if dst not in self._actors:
                 raise ConfigurationError(
                     f"message from {src!r} to unknown actor {dst!r}"
                 )
-            self._pending_local.append((src, dst, message))
+            self._route(None, src, dst, message)
             return
-        self._queue_to_worker(wid, _envelope(_K_MSG, src, dst, encode_value_binary(message)))
+        self._route(wid, src, dst, _envelope(_K_MSG, src, dst, encode_value_binary(message)))
 
     def send_encoded(self, src: str, dst: str, payload: bytes) -> None:
         """Route a pre-encoded binary payload (zero parent-side encode cost).
@@ -742,9 +751,9 @@ class MultiprocRuntime(BaseRuntime):
                 raise ConfigurationError(
                     f"message from {src!r} to unknown actor {dst!r}"
                 )
-            self._pending_local.append((src, dst, decode_value_binary(payload)))
+            self._route(None, src, dst, decode_value_binary(payload))
             return
-        self._queue_to_worker(wid, _envelope(_K_MSG, src, dst, payload))
+        self._route(wid, src, dst, _envelope(_K_MSG, src, dst, payload))
 
     def prepare_encoded(self, src: str, dst: str, payload: bytes) -> bytes:
         """Build the complete wire frame for a message once, for resending.
@@ -764,25 +773,33 @@ class MultiprocRuntime(BaseRuntime):
         if wid is None:
             if dst not in self._actors:
                 raise ConfigurationError(f"send_prepared to unknown actor {dst!r}")
-            self._pending_local.append((src, dst, decode_value_binary(payload)))
+            self._route(None, src, dst, decode_value_binary(payload))
             return
-        self._queue_to_worker(wid, frame)
+        self._route(wid, src, dst, frame)
 
-    def _queue_to_worker(self, wid: int, frame: Frame) -> None:
-        """Forwarding layer: chaos interception happens here, *before* a
-        delivery sequence number is assigned, so a delayed frame re-enters
-        the normal path and per-worker delivery stays in order."""
-        if self._chaos is not None:
-            action, delay = self._chaos.decide_frame()
-            if action == "drop":
-                self.loss_accounting["chaos_dropped_frames"] += 1
-                return
-            if action == "delay":
-                self.loop.schedule(
-                    delay, lambda w=wid, f=frame: self._admit_frame(w, f)
-                )
-                return
-        self._admit_frame(wid, frame)
+    def _route(self, wid: Optional[int], src: str, dst: str, item: Any) -> None:
+        """The router's one exit, where the fault plan applies: ``item`` is a
+        frame for worker ``wid``, or a decoded message for a parent actor
+        (``wid`` None).  A delayed copy re-enters :meth:`_queue` when its
+        timer fires, before a delivery sequence number is assigned, so
+        per-worker delivery stays in admission order."""
+        if self.chaos is None:
+            self._queue(wid, src, dst, item)
+            return
+        delays = self._fate(src, dst, item)
+        if delays is None:
+            return
+        for delay in delays:
+            if delay > 0.0:
+                self.loop.schedule(delay, lambda: self._queue(wid, src, dst, item))
+            else:
+                self._queue(wid, src, dst, item)
+
+    def _queue(self, wid: Optional[int], src: str, dst: str, item: Any) -> None:
+        if wid is None:
+            self._pending_local.append((src, dst, item))
+        else:
+            self._admit_frame(wid, item)
 
     def _admit_frame(self, wid: int, frame: Frame) -> None:
         if self._supervised:
@@ -795,7 +812,7 @@ class MultiprocRuntime(BaseRuntime):
             _U32.pack_into(frame, _SEQ_OFF, slot.delivery_seq)
             slot.unacked.append((slot.delivery_seq, frame))
             slot.unacked_bytes += len(frame)
-            while slot.unacked_bytes > self.retransmit_limit_bytes and slot.unacked:
+            while slot.unacked_bytes > RETRANSMIT_LIMIT_BYTES and slot.unacked:
                 _d, old = slot.unacked.popleft()
                 slot.unacked_bytes -= len(old)
                 self.loss_accounting["retransmit_overflow_frames"] += 1
@@ -1250,12 +1267,12 @@ class MultiprocRuntime(BaseRuntime):
             if dst not in self._actors:
                 raise SessionError(f"route to unknown actor {dst!r}")
             # payload view pins `frame`; lazy batches stay valid after this.
-            self._pending_local.append((src, dst, decode_value_binary(payload)))
+            self._route(None, src, dst, decode_value_binary(payload))
             return
         # Worker→worker: forward the original frame bytes untouched (the
         # supervised path re-stamps seq with the destination's delivery
         # number on a copy inside _admit_frame).
-        self._queue_to_worker(target, frame)
+        self._route(target, src, dst, frame)
 
     def _on_snapshot(self, wid: int, snap: Dict[str, Any]) -> None:
         """Record a worker snapshot, trim its retransmit buffer — every

@@ -15,7 +15,6 @@ from time import perf_counter
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..chaos.plan import FaultPlan
-from ..chaos.procchaos import ProcChaos
 from ..chariots.pipeline import ChariotsDeployment
 from ..runtime.multiproc import MultiprocRuntime
 from ..runtime.supervisor import ProcessSupervisor
@@ -67,13 +66,13 @@ def run_deployment_multiproc_chaos(
 
     Runs ``appends`` client appends (an equal share per datacenter) through
     a supervised :class:`MultiprocRuntime` with the functional executor's
-    drive, while ``plan``'s ``kill()`` events SIGKILL workers mid-run; waits
+    drive, while ``plan``'s ``kill()`` events SIGKILL workers mid-run (and
+    its rules and partitions, if any, fault the routed messages); waits
     for every recovery to complete and the log to converge, and returns the
     outcome + recovery metrics.  Shared by the ``multiproc-crash-recovery``
     scenario entry, the ``-m slow`` acceptance test, and the CI chaos smoke
     job.
     """
-    chaos = ProcChaos.from_plan(plan) if plan is not None else None
     kills_expected = len(plan.kills) if plan is not None else 0
     dcs = list(datacenters)
     owned_dir: Optional[tempfile.TemporaryDirectory] = None
@@ -83,7 +82,7 @@ def run_deployment_multiproc_chaos(
     runtime = MultiprocRuntime(
         workers=workers,
         placement=pipeline_placement(dcs, workers),
-        chaos=chaos,
+        chaos=plan,
     )
     try:
         deployment = ChariotsDeployment(runtime, dcs, batch_size=batch_size)
@@ -92,7 +91,7 @@ def run_deployment_multiproc_chaos(
 
         def recovered() -> bool:
             """Every scheduled kill has fired and been recovered from."""
-            killed = chaos.stats["workers_killed"] if chaos is not None else 0
+            killed = plan.stats["workers_killed"] if plan is not None else 0
             return min(killed, len(supervisor.recoveries)) >= kills_expected
 
         started = perf_counter()
@@ -101,8 +100,8 @@ def run_deployment_multiproc_chaos(
         recovery_seconds = [r["seconds"] for r in supervisor.recoveries]
         return {
             **outcome,
-            "workers_killed": int(chaos.stats["workers_killed"]) if chaos else 0,
-            "frames_dropped": int(chaos.stats["frames_dropped"]) if chaos else 0,
+            "workers_killed": int(plan.stats["workers_killed"]) if plan is not None else 0,
+            "messages_dropped": runtime.messages_dropped,
             "recoveries": len(supervisor.recoveries),
             "frames_replayed": sum(r["replayed"] for r in supervisor.recoveries),
             "recovery_seconds_max": round(max(recovery_seconds), 3)

@@ -20,7 +20,7 @@ records/second the paper's Tables 2–5 report.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..core.config import MachineProfile, NetworkProfile, PRIVATE_CLOUD
 from ..core.errors import ConfigurationError
@@ -36,7 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class SimRuntime(LocalRuntime):
     """Discrete-event runtime with per-machine CPU and NIC capacity: the
-    local runtime's loop, drivers and crash semantics, with its own ``send``."""
+    local runtime's loop, drivers, fault plan and crash semantics, with its
+    own way of carrying a message."""
 
     def __init__(
         self,
@@ -114,27 +115,19 @@ class SimRuntime(LocalRuntime):
     # Message transport
     # ------------------------------------------------------------------ #
 
-    def send(self, src: str, dst: str, message: Any) -> None:
-        if self._crashed and src in self._crashed:
-            self.messages_dropped += 1  # a dead process sends nothing
+    def _schedule_delivery(
+        self, src: str, dst: str, message: Any, delays: Sequence[float]
+    ) -> None:
+        """A copy the plan delays leaves its sender after that delay; an
+        undelayed single copy goes onto the network at once."""
+        if len(delays) > 1 or delays[0] > 0.0:
+            for delay in delays:
+                self.loop.schedule(delay, lambda: self._transmit(src, dst, message))
             return
-        if self.chaos is not None:
-            copies = self.chaos.intercept(src, dst, message, self.now)
-            if copies is None:
-                self.messages_dropped += 1
-                return
-            if len(copies) > 1 or copies[0] > 0.0:
-                for extra in copies:
-                    self.loop.schedule(
-                        extra, lambda: self._transmit(src, dst, message)
-                    )
-                return
         self._transmit(src, dst, message)
 
     def _transmit(self, src: str, dst: str, message: Any) -> None:
-        target = self._actors.get(dst)
-        if target is None:
-            raise ConfigurationError(f"message from {src!r} to unknown actor {dst!r}")
+        target = self._actors[dst]
         n_records = record_count_of(message)
         if src != dst:
             # Self-sends model internal work (e.g. record generation); they
@@ -192,11 +185,8 @@ class SimRuntime(LocalRuntime):
         self.loop.schedule_at(done, complete)
 
     def _deliver(self, src: str, target: Actor, message: Any, n_records: int) -> None:
-        if self._crashed and target.name in self._crashed:
-            self._park(src, target.name, message)
-            return
         if src != target.name:
             if n_records:
                 self.metrics.add(target.name, "in_records", n_records, self.now)
             self.metrics.add(target.name, "in_messages", 1, self.now)
-        target.on_message(src, message)
+        self._on_deliver(src, target.name, message)

@@ -185,7 +185,8 @@ class TestNetChaos:
 
 
 # --------------------------------------------------------------------------- #
-# Runtime integration: the plan actually shapes delivery
+# Runtime integration: the plan actually shapes delivery (the same plan on
+# every runtime, crash parking included: tests/test_runtime_contract.py)
 # --------------------------------------------------------------------------- #
 
 
@@ -224,19 +225,6 @@ class TestLocalRuntimeChaos:
         assert len(b.received) == 1
         assert plan.stats["partitioned"] == 2
 
-    def test_scheduled_crash_parks_inbound_until_revive(self):
-        runtime = LocalRuntime(chaos=FaultPlan(seed=1).crash("probe", at=0.5))
-        probe = runtime.register(Probe())
-        runtime.run_for(1.0)
-        assert runtime.is_crashed("probe")
-        runtime.send("ghost", "probe", Ping())
-        runtime.run()
-        assert not probe.received
-        assert runtime.messages_parked == 1
-        runtime.revive("probe")
-        runtime.run()
-        assert len(probe.received) == 1
-
     def test_crashed_actor_sends_nothing(self):
         runtime = LocalRuntime()
         probe = runtime.register(Probe())
@@ -269,23 +257,6 @@ class TestSimRuntimeChaos:
         runtime.run()
         assert sink.records_received == 0
         assert runtime.messages_dropped == 1
-
-    def test_crash_parks_inbound_in_sim(self):
-        from repro.runtime import RecordBatch
-        from conftest import rec
-
-        runtime = SimRuntime(chaos=FaultPlan(seed=1).crash("sink", at=0.0))
-        sink = SinkActor("sink")
-        runtime.place_on_new_machine(sink, profile=SIMPLE)
-        src = SinkActor("src")
-        runtime.place_on_new_machine(src, profile=SIMPLE)
-        runtime.run_for(0.1)
-        runtime.send("src", "sink", RecordBatch([rec("A", 1)]))
-        runtime.run()
-        assert sink.records_received == 0
-        runtime.revive("sink")
-        runtime.run()
-        assert sink.records_received == 1
 
 
 # --------------------------------------------------------------------------- #

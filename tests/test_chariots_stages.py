@@ -1,10 +1,11 @@
 """Unit tests for the individual pipeline stages (§6.2)."""
 
 
+from repro.chaos import FaultPlan
 from repro.chariots.batcher import Batcher
 from repro.chariots.filters import FilterMap
 from repro.chariots.gc import GcCoordinator
-from repro.chariots.messages import AdmittedBatch, DraftBatch, DraftRecord, FilterBatch, PeerVector, ShipmentAck
+from repro.chariots.messages import AdmittedBatch, DraftBatch, DraftRecord, FilterBatch, PeerVector
 from repro.chariots.queues import QueueStage
 from repro.chariots.receiver import Receiver
 from repro.chariots.sender import Sender
@@ -233,9 +234,7 @@ class TestSenderReceiver:
         assert batcher_sink.records_received == 0
 
     def test_retransmission_until_acked(self):
-        runtime = LocalRuntime(
-            drop_fn=lambda s, d, m: isinstance(m, ShipmentAck) and runtime.now < 0.3
-        )
+        runtime = LocalRuntime(chaos=FaultPlan().drop(message_type="ShipmentAck", end=0.3))
         plan = OwnershipPlan(["A/store"], batch_size=10)
         store = LogMaintainer("A/store", plan, peers=["A/store"])
         batcher_sink = SinkActor("B/batcher")

@@ -4,12 +4,13 @@ import ast
 from pathlib import Path
 
 import repro
+from repro.chaos import FaultPlan
 from repro.chariots import ChariotsDeployment, check_logs
-from repro.runtime import LocalRuntime, random_latency
+from repro.runtime import LocalRuntime
 
 
 def run_deployment(seed):
-    runtime = LocalRuntime(latency_fn=random_latency(seed=seed, max_delay=0.02))
+    runtime = LocalRuntime(chaos=FaultPlan(seed).reorder(delay=0.02))
     deployment = ChariotsDeployment(runtime, ["A", "B"], batch_size=4)
     ca = deployment.blocking_client("A")
     cb = deployment.blocking_client("B")

@@ -9,8 +9,9 @@ abstract solution's (same record sets, causal order, per-host total orders).
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.chaos import FaultPlan
 from repro.chariots import ChariotsDeployment, check_logs
-from repro.runtime import LocalRuntime, random_latency
+from repro.runtime import LocalRuntime
 
 from conftest import run_abstract
 
@@ -25,7 +26,7 @@ workload_strategy = st.lists(
 
 
 def run_pipeline(workload, seed):
-    runtime = LocalRuntime(latency_fn=random_latency(seed=seed, max_delay=0.03))
+    runtime = LocalRuntime(chaos=FaultPlan(seed).reorder(delay=0.03))
     deployment = ChariotsDeployment(runtime, DCS, batch_size=4)
     clients = {dc: deployment.blocking_client(dc) for dc in DCS}
     for dc, body in workload:

@@ -6,7 +6,9 @@ journal-based maintainer recovery under the same address, and continued
 availability plus catch-up around datacenter outages.
 """
 
+import math
 
+from repro.chaos import FaultPlan
 from repro.chariots import ChariotsDeployment, check_logs
 from repro.flstore import FLStore, LogMaintainer, MemoryJournal, recover_maintainer_core
 from repro.runtime import LocalRuntime
@@ -83,20 +85,37 @@ class TestMaintainerCrashRecovery:
         assert client.head() >= head_before
 
 
+def outage(prefix):
+    """A plan whose rules drop everything to and from ``prefix``, in a
+    window that starts closed: open it with :func:`begin`, close it with
+    :func:`end`."""
+    return (
+        FaultPlan()
+        .drop(src=prefix, start=math.inf)
+        .drop(dst=prefix, start=math.inf)
+    )
+
+
+def begin(plan, now):
+    for rule in plan.rules:
+        rule.start = now
+
+
+def end(plan, now):
+    for rule in plan.rules:
+        rule.end = now
+
+
 class TestDatacenterOutage:
     def test_surviving_datacenters_converge_during_outage(self):
-        down = {"on": False}
-
-        def drop(src, dst, message):
-            return down["on"] and (src.startswith("C/") or dst.startswith("C/"))
-
-        runtime = LocalRuntime(drop_fn=drop)
+        plan = outage("C/")
+        runtime = LocalRuntime(chaos=plan)
         deployment = ChariotsDeployment(runtime, ["A", "B", "C"], batch_size=4)
         clients = {dc: deployment.blocking_client(dc) for dc in "ABC"}
         clients["C"].append("pre-outage")
         assert deployment.settle(max_seconds=20)
 
-        down["on"] = True  # datacenter C goes dark
+        begin(plan, runtime.now)  # datacenter C goes dark
         clients["A"].append("during-1")
         clients["B"].append("during-2")
         runtime.run_for(2.0)
@@ -107,33 +126,26 @@ class TestDatacenterOutage:
         assert {"A", "B"} <= b_hosts
 
     def test_datacenter_catches_up_after_outage(self):
-        down = {"on": False}
-
-        def drop(src, dst, message):
-            return down["on"] and (src.startswith("C/") or dst.startswith("C/"))
-
-        runtime = LocalRuntime(drop_fn=drop)
+        plan = outage("C/")
+        runtime = LocalRuntime(chaos=plan)
         deployment = ChariotsDeployment(runtime, ["A", "B", "C"], batch_size=4)
         clients = {dc: deployment.blocking_client(dc) for dc in "ABC"}
 
-        down["on"] = True
+        begin(plan, runtime.now)
         for i in range(5):
             clients["A"].append(f"missed-{i}")
         runtime.run_for(1.5)
         assert deployment["C"].total_records() == 0
 
-        down["on"] = False  # C comes back
+        end(plan, runtime.now)  # C comes back
         assert deployment.settle(max_seconds=60)
         assert check_logs(deployment.logs()).ok
         assert deployment["C"].total_records() == 5
 
     def test_local_writes_never_block_on_remote_outage(self):
-        down = {"on": True}
-
-        def drop(src, dst, message):
-            return down["on"] and (src.startswith("B/") or dst.startswith("B/"))
-
-        runtime = LocalRuntime(drop_fn=drop)
+        plan = outage("B/")
+        begin(plan, 0.0)
+        runtime = LocalRuntime(chaos=plan)
         deployment = ChariotsDeployment(runtime, ["A", "B"], batch_size=4)
         client = deployment.blocking_client("A")
         # Availability under partition: appends complete locally (§1's

@@ -5,7 +5,8 @@ The multiproc runtime trades determinism for parallelism, so its anchor is
 processes and inline by ``tests/test_runtime_contract.py``.  These unit
 tests cover the envelope/routing layer, the default placement policy, the
 inline (``workers=0``) baseline mode, and the pre-encoded zero-copy send
-path.
+path; registration, unknown destinations and the fault plan are the
+contract suite's.
 """
 
 import pytest
@@ -106,12 +107,6 @@ class TestRouting:
         finally:
             runtime.stop()
 
-    def test_unknown_destination_raises(self):
-        runtime = MultiprocRuntime(workers=0)
-        runtime.start()
-        with pytest.raises(ConfigurationError, match="unknown actor"):
-            runtime.send("src", "nobody", RecordBatch([]))
-
     def test_send_prepared_resends_one_frame_to_workers(self):
         runtime = _maintainer_runtime(workers=2)
         try:
@@ -168,12 +163,6 @@ class TestRouting:
                 runtime.peek("store/0", _raise_in_worker)
         finally:
             runtime.stop()
-
-    def test_duplicate_registration_rejected(self):
-        runtime = _maintainer_runtime(workers=0)
-        plan = OwnershipPlan(["store/0"], batch_size=10)
-        with pytest.raises(ConfigurationError, match="already registered"):
-            runtime.register(LogMaintainer("store/0", plan, peers=[]))
 
 
 def _stored_count(actor):

@@ -1,7 +1,7 @@
 """Fault tolerance of the multi-process runtime.
 
-Fast units cover the sequenced envelope, :class:`ProcChaos` decisions,
-``FaultPlan.kill`` round-trips, and the chaos placement helper.  The
+Fast units cover the sequenced envelope, ``FaultPlan.kill`` round-trips,
+and the chaos placement helper.  The
 ``-m slow`` variants SIGKILL real worker processes mid-run — one pipeline
 stage worker and one maintainer worker — and judge the recovered logs with
 ``check_logs`` against the abstract solution: same record sets, causal
@@ -13,9 +13,7 @@ import tempfile
 import pytest
 
 from repro.chariots import ChariotsDeployment, check_logs
-from repro.chaos import FaultPlan, KillEvent, ProcChaos
-from repro.chaos.procchaos import DELAY, DROP, PASS
-from repro.core.errors import ConfigurationError
+from repro.chaos import FaultPlan, KillEvent
 from repro.runtime.multiproc import (
     _envelope,
     _parse_envelope,
@@ -52,55 +50,6 @@ class TestEnvelopeSeq:
         frame = _envelope(2, "s", "d", b"x", seq=0xFFFF_FFFF)
         _, seq, _, _, _ = _parse_envelope(memoryview(frame)[4:])
         assert seq == 0xFFFF_FFFF
-
-
-# --------------------------------------------------------------------- #
-# ProcChaos decisions
-# --------------------------------------------------------------------- #
-
-
-class TestProcChaos:
-    def test_same_seed_same_decisions(self):
-        kwargs = dict(seed=11, drop_probability=0.3, delay_probability=0.3)
-        first = [ProcChaos(**kwargs).decide_frame() for _ in range(1)]
-        a, b = ProcChaos(**kwargs), ProcChaos(**kwargs)
-        assert [a.decide_frame() for _ in range(200)] == [
-            b.decide_frame() for _ in range(200)
-        ]
-        assert first  # keep the single-draw smoke visible
-
-    def test_zero_probabilities_always_pass(self):
-        chaos = ProcChaos(seed=1)
-        assert all(chaos.decide_frame() == (PASS, 0.0) for _ in range(50))
-        assert chaos.stats["frames_dropped"] == 0
-
-    def test_decisions_update_stats_and_bound_delay(self):
-        chaos = ProcChaos(seed=3, drop_probability=0.5, delay_probability=0.5)
-        for _ in range(200):
-            action, delay = chaos.decide_frame()
-            assert action in (PASS, DROP, DELAY)
-            assert 0.0 <= delay <= chaos.max_delay
-        assert chaos.stats["frames_dropped"] > 0
-        assert chaos.stats["frames_delayed"] > 0
-
-    def test_max_faults_caps_injections(self):
-        chaos = ProcChaos(seed=5, drop_probability=1.0, max_faults=3)
-        decisions = [chaos.decide_frame() for _ in range(10)]
-        assert decisions[:3] == [(DROP, 0.0)] * 3
-        assert decisions[3:] == [(PASS, 0.0)] * 7
-
-    def test_invalid_probability_rejected(self):
-        with pytest.raises(ConfigurationError, match="drop_probability"):
-            ProcChaos(drop_probability=1.5)
-        with pytest.raises(ConfigurationError, match="max_delay"):
-            ProcChaos(max_delay=-0.1)
-
-    def test_from_plan_carries_kills_and_seed(self):
-        plan = FaultPlan(seed=42).kill("A/store/0", 0.3).kill(1, 0.6)
-        chaos = ProcChaos.from_plan(plan, drop_probability=0.1)
-        assert chaos.seed == 42
-        assert chaos.kill_schedule() == [("A/store/0", 0.3), (1, 0.6)]
-        assert chaos.drop_probability == 0.1
 
 
 # --------------------------------------------------------------------- #
@@ -163,9 +112,8 @@ def run_workload_on_multiproc_with_kills(kills, journal_dir):
     plan = FaultPlan(seed=7)
     for worker, at in kills:
         plan.kill(worker, at)
-    chaos = ProcChaos.from_plan(plan)
     runtime = MultiprocRuntime(
-        workers=4, placement=pipeline_placement(DCS, 4), chaos=chaos
+        workers=4, placement=pipeline_placement(DCS, 4), chaos=plan
     )
     try:
         deployment = ChariotsDeployment(runtime, DCS, batch_size=8)
@@ -178,7 +126,7 @@ def run_workload_on_multiproc_with_kills(kills, journal_dir):
             clients[dc].append(payload, on_done=acks.append)
         runtime.run_until(lambda: len(acks) == len(WORKLOAD), timeout=120)
         runtime.run_until(
-            lambda: chaos.stats["workers_killed"] >= len(kills), timeout=120
+            lambda: plan.stats["workers_killed"] >= len(kills), timeout=120
         )
         runtime.run_until(
             lambda: len(supervisor.recoveries) >= len(kills), timeout=120

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.chaos import FaultPlan
 from repro.chariots import ChariotsDeployment, check_logs
 from repro.core import ReadRules
-from repro.runtime import LocalRuntime, random_latency
+from repro.runtime import LocalRuntime
 
 
 class TestSingleDatacenter:
@@ -92,7 +93,7 @@ class TestGeoReplication:
 
 class TestExactlyOnce:
     def test_wan_reordering_does_not_duplicate_or_drop(self):
-        runtime = LocalRuntime(latency_fn=random_latency(seed=7, max_delay=0.08))
+        runtime = LocalRuntime(chaos=FaultPlan(seed=7).reorder(delay=0.08))
         deployment = ChariotsDeployment(runtime, ["A", "B"], batch_size=4)
         ca = deployment.blocking_client("A")
         cb = deployment.blocking_client("B")
@@ -104,17 +105,9 @@ class TestExactlyOnce:
         assert deployment["A"].total_records() == 20
 
     def test_replication_drops_recovered_by_retransmission(self):
-        import random
-
-        rng = random.Random(3)
-
-        def drop(src, dst, message):
-            # Drop 30% of cross-datacenter shipments (never acks/local).
-            from repro.chariots.messages import ReplicationShipment
-
-            return isinstance(message, ReplicationShipment) and rng.random() < 0.3
-
-        runtime = LocalRuntime(drop_fn=drop)
+        # Drop 30% of cross-datacenter shipments (never acks/local).
+        plan = FaultPlan(seed=3).drop(message_type="ReplicationShipment", probability=0.3)
+        runtime = LocalRuntime(chaos=plan)
         deployment = ChariotsDeployment(runtime, ["A", "B"], batch_size=4)
         ca = deployment.blocking_client("A")
         results = [ca.append(f"a{i}") for i in range(12)]
@@ -122,16 +115,9 @@ class TestExactlyOnce:
         assert check_logs(deployment.logs(), acks=results).ok
 
     def test_duplicate_shipments_filtered(self):
-        # Aggressive retransmission: every shipment is sent twice.
-        class DuplicatingRuntime(LocalRuntime):
-            def send(self, src, dst, message):
-                from repro.chariots.messages import ReplicationShipment
-
-                super().send(src, dst, message)
-                if isinstance(message, ReplicationShipment):
-                    super().send(src, dst, message)
-
-        runtime = DuplicatingRuntime()
+        # Aggressive retransmission: every shipment is delivered twice.
+        plan = FaultPlan().duplicate(message_type="ReplicationShipment", delay=0.0)
+        runtime = LocalRuntime(chaos=plan)
         deployment = ChariotsDeployment(runtime, ["A", "B"], batch_size=4)
         ca = deployment.blocking_client("A")
         for i in range(8):
@@ -143,16 +129,8 @@ class TestExactlyOnce:
 
 class TestPartitionTolerance:
     def test_datacenters_stay_available_during_partition(self):
-
-        block = {"on": True}
-
-        def drop(src, dst, message):
-            return block["on"] and (
-                (src.startswith("A/") and dst.startswith("B/"))
-                or (src.startswith("B/") and dst.startswith("A/"))
-            )
-
-        runtime = LocalRuntime(drop_fn=drop)
+        plan = FaultPlan().partition("A/", "B/")
+        runtime = LocalRuntime(chaos=plan)
         deployment = ChariotsDeployment(runtime, ["A", "B"], batch_size=4)
         ca = deployment.blocking_client("A")
         cb = deployment.blocking_client("B")
@@ -161,7 +139,7 @@ class TestPartitionTolerance:
             assert ca.append(f"a{i}").lid == i
             assert cb.append(f"b{i}").lid == i
         # Heal the partition; replication converges.
-        block["on"] = False
+        plan.partitions[0].end = runtime.now
         assert deployment.settle(max_seconds=30)
         assert len(deployment["A"].all_entries()) == 10
 

@@ -8,6 +8,7 @@ server (``NetChaos``).
 """
 
 import asyncio
+import math
 import random
 
 import pytest
@@ -161,28 +162,28 @@ class TestCircuitBreaker:
 
 class TestSenderBackoffAndBreaker:
     def build(self):
-        """Two datacenters; ack dropping is toggled by the returned dict, and
-        every record-carrying shipment arrival time is logged."""
-        state = {"drop_acks": False, "runtime": None}
+        """Two datacenters; acks are dropped inside the window of the
+        returned rule (closed until its ``start`` is set), and the send time
+        of every record-carrying shipment is logged."""
         times = []
+        plan = FaultPlan().drop(message_type="ShipmentAck", start=math.inf)
 
-        def hook(src, dst, message):
-            name = type(message).__name__
-            if name == "ReplicationShipment" and getattr(message, "ship_seq", 0) > 0:
-                times.append(state["runtime"].now)
-            return name == "ShipmentAck" and state["drop_acks"]
+        class ShipmentLog(LocalRuntime):
+            def send(self, src, dst, message):
+                if type(message).__name__ == "ReplicationShipment" and message.ship_seq > 0:
+                    times.append(self.now)
+                super().send(src, dst, message)
 
-        runtime = LocalRuntime(drop_fn=hook)
-        state["runtime"] = runtime
+        runtime = ShipmentLog(chaos=plan)
         deployment = ChariotsDeployment(
             runtime, ["A", "B"], batch_size=4, pipeline_config=FAST
         )
-        return runtime, deployment, state, times
+        return runtime, deployment, plan.rules[0], times
 
     def test_retransmission_gaps_grow_exponentially(self):
-        runtime, deployment, state, times = self.build()
+        runtime, deployment, drop_acks, times = self.build()
         client = deployment.blocking_client("A")
-        state["drop_acks"] = True
+        drop_acks.start = runtime.now
         client.append("unacked")
         runtime.run_for(1.2)
         # First transmission + retries with growing waits (0.1, ~0.2, ~0.4 ...).
@@ -193,9 +194,9 @@ class TestSenderBackoffAndBreaker:
             assert gaps[2] > gaps[1] * 1.3
 
     def test_breaker_opens_after_repeated_timeouts_then_heals(self):
-        runtime, deployment, state, times = self.build()
+        runtime, deployment, drop_acks, times = self.build()
         client = deployment.blocking_client("A")
-        state["drop_acks"] = True
+        drop_acks.start = runtime.now
         client.append("buffered")
         runtime.run_for(4.0)
         sender = deployment["A"].senders[0]
@@ -203,7 +204,7 @@ class TestSenderBackoffAndBreaker:
         assert breaker.opens >= 1  # peer declared down after 3 timeouts
         transmissions_down = len(times)
 
-        state["drop_acks"] = False  # the "partition" heals
+        drop_acks.end = runtime.now  # the "partition" heals
         assert deployment.settle(max_seconds=30)
         # settle() tracks incorporation, not sender bookkeeping: the records
         # already reached B during the outage, so convergence can precede the
@@ -216,9 +217,9 @@ class TestSenderBackoffAndBreaker:
         assert deployment["B"].all_entries()
 
     def test_open_breaker_stops_retransmissions(self):
-        runtime, deployment, state, times = self.build()
+        runtime, deployment, drop_acks, times = self.build()
         client = deployment.blocking_client("A")
-        state["drop_acks"] = True
+        drop_acks.start = runtime.now
         client.append("shed")
         runtime.run_for(4.0)
         # While OPEN the sender must not hammer the peer: during each 0.5 s

@@ -28,7 +28,7 @@ import time
 
 import pytest
 
-from repro.chaos import FaultPlan, ProcChaos
+from repro.chaos import FaultPlan
 from repro.chariots import ChariotsDeployment, check_logs
 from repro.core.errors import SessionError
 from repro.net.binary_codec import decode_value_binary, encode_value_binary
@@ -335,7 +335,7 @@ class TestWorkerWire:
             parent.close()
 
     def test_input_without_output_is_acked_with_no_timer(self):
-        """``unacked`` cannot creep toward ``retransmit_limit_bytes`` on
+        """``unacked`` cannot creep toward ``RETRANSMIT_LIMIT_BYTES`` on
         one-way traffic: the ack rides the turn's commit, not a clock."""
         parent = RawParent([Quiet("quiet")]).run_node()
         try:
@@ -609,6 +609,35 @@ class TestSnapshotSize:
 
 
 # --------------------------------------------------------------------- #
+# Bounded loss: the retransmit buffer's cap
+# --------------------------------------------------------------------- #
+
+
+class TestRetransmitOverflow:
+    def test_overflow_and_the_replay_gap_it_leaves_are_counted(self, monkeypatch):
+        """With the cap at two frames and no marker acknowledging anything,
+        the third input pushes the first out of the retransmit buffer; the
+        loss is counted at once, and again as a gap when the worker dies and
+        the replay can only start at the second input."""
+        frame_bytes = len(_envelope(_K_MSG, "test", "fan", encode_value_binary(1)))
+        monkeypatch.setattr(multiproc, "RETRANSMIT_LIMIT_BYTES", 2 * frame_bytes)
+        with _two_stage_rig() as rig:
+            rt = rig.rt
+            rig.node(0).withhold = True
+            for n in (1, 2, 3):
+                rt.send("test", "fan", n)
+            assert [seq for seq, _f in rig.slot(0).unacked] == [2, 3]
+            assert rt.loss_accounting == {
+                "retransmit_overflow_frames": 1,
+                "retransmit_overflow_bytes": frame_bytes,
+            }
+            rt._procs[0].kill()
+            rig.pump_until(lambda: bool(rig.supervisor.recoveries))
+            assert rig.supervisor.recoveries[0]["replayed"] == 2
+            assert rt.loss_accounting["replay_gap_frames"] == 1
+
+
+# --------------------------------------------------------------------- #
 # Real processes
 # --------------------------------------------------------------------- #
 
@@ -677,10 +706,10 @@ class TestKillInsideBurst:
         the abstract solution's, with no frame given up on and no duplicate
         for the filters to drop — parked frames never happened."""
         kill_at = random.Random(seed).uniform(0.02, 0.10)
-        chaos = ProcChaos.from_plan(FaultPlan(seed=seed).kill(0, kill_at))
+        plan = FaultPlan(seed=seed).kill(0, kill_at)
         with tempfile.TemporaryDirectory() as journal_dir:
             runtime, deployment, supervisor = _supervised_deployment(
-                journal_dir, chaos=chaos
+                journal_dir, chaos=plan
             )
             try:
                 runtime.start()
@@ -698,7 +727,7 @@ class TestKillInsideBurst:
                         sent += 1
 
                 def all_acked():
-                    if chaos.stats["workers_killed"] and not in_flight_at_kill:
+                    if plan.stats["workers_killed"] and not in_flight_at_kill:
                         in_flight_at_kill.append(sent - len(acks))
                     return len(acks) == BURST_RECORDS
 

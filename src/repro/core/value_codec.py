@@ -17,21 +17,23 @@ recursive pass that appends struct-packed bytes directly.
   arbitrary encoded values, not just strings;
 * hot value types: ``Record``, ``RecordId``, ``LogEntry`` and
   ``AppendResult`` get bespoke packed layouts;
-* record runs (tag ``0x16``): a list of records, ``(lid, record)``
-  placements or log entries packed **a column per batch** — ids as one
-  ``struct`` each, hosts / whole deps tuples dictionary-coded, bodies as a
-  length column plus one ``join``, and only the records with tags or a
-  non-``bytes`` body paying the per-value encoding — so a run costs a
-  handful of C-level passes instead of a Python call per field per record.
-  A list travels as a run only where its writer asks for one
-  (:func:`_enc_run`: five message fields on the wire, every journal block
-  of :data:`_RUN_MIN` placements or more); every other list keeps the
-  per-element layout byte for byte;
+* runs (tag ``0x16``): a list of records, ``(lid, record)`` placements,
+  log entries, append results or ``(key, value, lid)`` tag postings packed
+  **a column per list** — ids as one ``struct`` each, hosts / keys / whole
+  deps tuples dictionary-coded, bodies as a length column plus one
+  ``join``, and only the records with tags or a non-``bytes`` body paying
+  the per-value encoding — so a run costs a handful of C-level passes
+  instead of a Python call per field per element.  One rule picks it, in
+  the list encoder, for every writer alike (wire messages, TCP frames,
+  journal blocks): a list of at least :data:`_RUN_MIN` elements is the run
+  shape of its first element (:data:`_RUN_OF`); a shorter list, or one the
+  shape cannot hold exactly, keeps the per-element layout byte for byte;
 * extension types: a layer above ``core`` that defines value types of its
   own (the network layer's ``DraftRecord``, ``RecordBatch`` and protocol
   messages, and the two run shapes made of them) installs their layouts in
-  :data:`_TYPE_ENCODERS`, :data:`_TAG_DECODERS` and :data:`_RUN_SHAPES` when
-  it is imported.  Nothing in this module depends on what is installed.
+  :data:`_TYPE_ENCODERS`, :data:`_TAG_DECODERS`, :data:`_RUN_SHAPES` and
+  :data:`_RUN_OF` when it is imported.  Nothing in this module depends on
+  what is installed.
 
 Encoding is symmetric: ``decode(encode(x)) == x`` for every value built
 from the above, with exact Python types.
@@ -97,6 +99,7 @@ _T_RUN = 0x16
 
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
+_I64_LIMIT = 1 << 63  # ints in [-_I64_LIMIT, _I64_LIMIT) take the i64 form
 _F64 = struct.Struct(">d")
 _I64U8 = struct.Struct(">qB")  # (toid, internal) pair in the Record layout
 
@@ -137,18 +140,6 @@ def _enc_len(n: int, out: bytearray) -> None:
         out += _pack_u32(n)
 
 
-def _enc_str(value: str, out: bytearray) -> None:
-    data = value.encode("utf-8")
-    out.append(_T_STR)
-    n = len(data)
-    if n < 255:
-        out.append(n)
-    else:
-        out.append(255)
-        out += _pack_u32(n)
-    out += data
-
-
 def _enc_record_fields(record: Record, out: bytearray) -> None:
     """Packed Record body shared by the Record and LogEntry layouts."""
     rid = record.rid
@@ -157,7 +148,7 @@ def _enc_record_fields(record: Record, out: bytearray) -> None:
     out += host
     out += _pack_i64u8(rid.toid, 1 if record.internal else 0)
     _encode_value(record.body, out)
-    _enc_tags(record.tags, out)
+    _enc_tag_lists((record.tags,), out)
     _enc_deps(record.deps, out)
 
 
@@ -169,7 +160,15 @@ def _encode_value(value: Any, out: bytearray) -> None:
         out += value
         return
     if kind is str:
-        _enc_str(value, out)
+        data = value.encode("utf-8")
+        out.append(_T_STR)
+        n = len(data)
+        if n < 255:
+            out.append(n)
+        else:
+            out.append(255)
+            out += _pack_u32(n)
+        out += data
         return
     if kind is bool:
         out.append(_T_TRUE if value else _T_FALSE)
@@ -218,6 +217,14 @@ def _encode_value(value: Any, out: bytearray) -> None:
         out += _pack_i64(value.lid)
         return
     if kind is list:
+        if len(value) >= _RUN_MIN:
+            first = value[0]
+            element = type(first)
+            shape = _RUN_OF.get((tuple, len(first)) if element is tuple else element)
+            if shape is not None:
+                _enc_run(value, shape, out)
+                return
+        # Per element; the loop stays in line, so a short list costs no extra call.
         out.append(_T_LIST)
         out += _pack_u32(len(value))
         for item in value:
@@ -267,7 +274,7 @@ def _encode_value(value: Any, out: bytearray) -> None:
 
 
 # --------------------------------------------------------------------- #
-# Columnar record runs (encode)
+# Columnar runs (encode)
 # --------------------------------------------------------------------- #
 
 #: Shortest list that travels as a run.  A run has a fixed cost the
@@ -289,16 +296,19 @@ def _encode_value(value: Any, out: bytearray) -> None:
 _RUN_MIN = 8
 
 #: What makes a list "not a run": an element of another type, a field the
-#: packed columns cannot hold (an id outside i64, a non-``str`` host, an
-#: unhashable deps tuple).  Such a list keeps the per-element encoding,
-#: which either carries the value or raises what it always raised.
+#: packed columns cannot hold exactly (an id outside i64, a non-``str``
+#: host or key, a ``bool`` LId in a result or posting, an unhashable deps
+#: tuple).  Such a list keeps the per-element encoding, which either carries
+#: the value or raises what it always raised.
 _NOT_A_RUN = (AttributeError, TypeError, ValueError, struct.error)
 
-#: Shapes of a columnar record run (the ``u8`` after the 0x16 tag): what one
+#: Shapes of a columnar run (the ``u8`` after the 0x16 tag): what one
 #: element of the list is.  3 and 4 are the network layer's.
 _RUN_RECORD = 0  # Record
 _RUN_PLACEMENT = 1  # (lid, Record)
 _RUN_ENTRY = 2  # LogEntry
+_RUN_RESULT = 5  # AppendResult
+_RUN_POSTING = 6  # (tag key, tag value, lid)
 
 #: shape → (fewest bytes one element occupies, ``encoder(items, out)`` of
 #: the columns, ``decoder(buf, pos, n)`` returning ``(items, pos)``).  The
@@ -317,12 +327,28 @@ _RUN_SHAPES: Dict[
     ],
 ] = {}
 
-_record_columns = attrgetter("rid", "body", "tags", "deps", "internal")
+#: The run rule: a list of at least :data:`_RUN_MIN` elements is encoded as
+#: the run shape its first element names here — by exact type, or, for a
+#: tuple, by ``(tuple, length)``.  A list whose first element names no shape
+#: is encoded per element.
+_RUN_OF: Dict[Any, int] = {
+    Record: _RUN_RECORD,
+    (tuple, 2): _RUN_PLACEMENT,
+    LogEntry: _RUN_ENTRY,
+    AppendResult: _RUN_RESULT,
+    (tuple, 3): _RUN_POSTING,
+}
+
+_record_columns = attrgetter("rid.host", "rid.toid", "body", "tags", "deps", "internal")
+_entry_columns = attrgetter("lid", "record")
+_result_columns = attrgetter("rid", "lid")
+_rid_columns = attrgetter("host", "toid")
 
 
 def _enc_run(items: List[Any], shape: int, out: bytearray) -> None:
-    """Encode ``items`` as one columnar run of ``shape``; a list that is not
-    such a run (see :data:`_NOT_A_RUN`) is encoded per element instead."""
+    """Encode ``items`` as one columnar run of ``shape``; a list the shape
+    cannot hold exactly (see :data:`_NOT_A_RUN`) is encoded per element
+    instead — each element on its own, the list never tried as a run again."""
     mark = len(out)
     try:
         out.append(_T_RUN)
@@ -331,7 +357,10 @@ def _enc_run(items: List[Any], shape: int, out: bytearray) -> None:
         _RUN_SHAPES[shape][1](items, out)
     except _NOT_A_RUN:
         del out[mark:]
-        _encode_value(items, out)
+        out.append(_T_LIST)
+        out += _pack_u32(len(items))
+        for item in items:
+            _encode_value(item, out)
 
 
 def _all_of(kind: type, items: Iterable[Any]) -> None:
@@ -345,9 +374,7 @@ def _all_of(kind: type, items: Iterable[Any]) -> None:
 
 def _enc_record_run(records: Sequence[Any], out: bytearray) -> None:
     _all_of(Record, records)
-    rids, bodies, tags, deps, internal = zip(*map(_record_columns, records))
-    hosts = [rid.host for rid in rids]
-    toids = [rid.toid for rid in rids]
+    hosts, toids, bodies, tags, deps, internal = zip(*map(_record_columns, records))
     _enc_str_column(hosts, out)
     out += struct.pack(">%dq" % len(toids), *toids)
     _enc_payload_columns(deps, internal, bodies, tags, out)
@@ -364,8 +391,40 @@ def _enc_placement_run(items: List[Any], out: bytearray) -> None:
 
 def _enc_entry_run(items: List[Any], out: bytearray) -> None:
     _all_of(LogEntry, items)
-    out += struct.pack(">%dq" % len(items), *[entry.lid for entry in items])
-    _enc_record_run([entry.record for entry in items], out)
+    lids, records = zip(*map(_entry_columns, items))
+    out += struct.pack(">%dq" % len(lids), *lids)
+    _enc_record_run(records, out)
+
+
+def _enc_result_run(items: List[Any], out: bytearray) -> None:
+    """Hosts, then the TOId and LId columns (one ``struct`` for both)."""
+    _all_of(AppendResult, items)
+    rids, lids = zip(*map(_result_columns, items))
+    _all_of(RecordId, rids)
+    _all_of(int, lids)
+    hosts, toids = zip(*map(_rid_columns, rids))
+    _enc_str_column(hosts, out)
+    out += struct.pack(">%dq" % (2 * len(lids)), *toids, *lids)
+
+
+def _enc_posting_run(items: List[Any], out: bytearray) -> None:
+    """Keys, LIds, then the values: an i64 column (flag 1) when every value
+    is exactly an ``int``, else (flag 0) one encoded value each."""
+    _all_of(tuple, items)
+    if set(map(len, items)) != {3}:
+        raise TypeError("a posting is a (key, value, lid) triple")
+    keys, values, lids = zip(*items)
+    _all_of(str, keys)
+    _all_of(int, lids)
+    _enc_str_column(keys, out)
+    out += struct.pack(">%dq" % len(lids), *lids)
+    if set(map(type, values)) == {int}:
+        out.append(1)
+        out += struct.pack(">%dq" % len(values), *values)
+    else:
+        out.append(0)
+        for value in values:
+            _encode_value(value, out)
 
 
 def _enc_payload_columns(
@@ -380,37 +439,33 @@ def _enc_payload_columns(
     table = dict.fromkeys(deps)
     out += _pack_u32(len(table))
     for dep in table:
-        _enc_deps(dep, out)
-    _enc_indices(deps, table, out)
+        if dep:
+            _enc_deps(dep, out)
+        else:
+            out.append(0)
+    if len(table) > 1:
+        _enc_indices(deps, table, out)
 
     # internal: positions of the (rare) system records.
-    _enc_positions(_positions_of(internal), out)
+    _enc_positions(internal, out)
 
     # bodies: lengths, then the bytes back to back; anything that is not
     # plain ``bytes`` leaves an empty slot and goes through the generic
     # encoder in the sparse section that follows.
-    odd: Sequence[int] = ()
+    odd: Sequence[bool] = ()
     plain: Sequence[bytes] = bodies
     if set(map(type, bodies)) != {bytes}:
-        odd = [at for at, body in enumerate(bodies) if type(body) is not bytes]
-        plain = [body if type(body) is bytes else b"" for body in bodies]
+        odd = [type(body) is not bytes for body in bodies]
+        plain = [b"" if flag else body for flag, body in zip(odd, bodies)]
     out += struct.pack(">%dI" % len(plain), *map(len, plain))
     out += b"".join(plain)
-    _enc_positions(odd, out)
-    for at in odd:
+    for at in _enc_positions(odd, out):
         _encode_value(bodies[at], out)
 
     # tags: only the records that have any.
-    tagged = _positions_of(tags)
-    _enc_positions(tagged, out)
-    for at in tagged:
-        _enc_tags(tags[at], out)
-
-
-def _positions_of(column: Sequence[Any]) -> Sequence[int]:
-    """Where ``column`` holds something truthy — found without a
-    Python-level pass when, as usual, it holds nothing."""
-    return [at for at, item in enumerate(column) if item] if any(column) else ()
+    tagged = _enc_positions(tags, out)
+    if tagged:
+        _enc_tag_lists(map(tags.__getitem__, tagged), out)
 
 
 def _enc_str_column(values: Sequence[str], out: bytearray) -> None:
@@ -421,23 +476,27 @@ def _enc_str_column(values: Sequence[str], out: bytearray) -> None:
         data = text.encode("utf-8")
         _enc_len(len(data), out)
         out += data
-    _enc_indices(values, table, out)
+    if len(table) > 1:
+        _enc_indices(values, table, out)
 
 
 def _enc_indices(values: Sequence[Any], table: Dict[Any, None], out: bytearray) -> None:
     """``n × u32`` positions of ``values`` in ``table`` (first-seen order);
-    a one-entry table needs none."""
-    if len(table) > 1:
-        index = dict(zip(table, range(len(table))))
-        out += struct.pack(">%dI" % len(values), *map(index.__getitem__, values))
+    only a table of two or more entries has them."""
+    index = dict(zip(table, range(len(table))))
+    out += struct.pack(">%dI" % len(values), *map(index.__getitem__, values))
 
 
-def _enc_positions(positions: Sequence[int], out: bytearray) -> None:
-    """A sparse section's header: ``u32 count`` then ``count × u32``."""
-    if positions:
-        out += struct.pack(">%dI" % (len(positions) + 1), len(positions), *positions)
-    else:
+def _enc_positions(column: Sequence[Any], out: bytearray) -> Sequence[int]:
+    """A sparse section's header — ``u32 count`` then ``count × u32`` — of
+    where ``column`` holds something truthy; returns those positions, found
+    without a Python-level pass when, as usual, there are none."""
+    if not any(column):
         out += b"\x00\x00\x00\x00"
+        return ()
+    positions = [at for at, item in enumerate(column) if item]
+    out += struct.pack(">%dI" % (len(positions) + 1), len(positions), *positions)
+    return positions
 
 
 def _enc_deps(deps: Tuple[Tuple[str, int], ...], out: bytearray) -> None:
@@ -461,20 +520,36 @@ def _enc_deps(deps: Tuple[Tuple[str, int], ...], out: bytearray) -> None:
         out += pack_i64(toid)
 
 
-def _enc_tags(tags: Tuple[Tuple[str, Any], ...], out: bytearray) -> None:
-    """Tag list as in the Record layout: count, then (key, value) values."""
-    count = len(tags)
-    if count < 255:
-        out.append(count)
-    else:
-        out.append(255)
-        out += _pack_u32(count)
-    for key, value in tags:
-        if type(key) is str:
-            _enc_str(key, out)
+def _enc_tag_lists(lists: Iterable[Tuple[Tuple[Any, Any], ...]], out: bytearray) -> None:
+    """Tag lists as in the Record layout, back to back: each a count, then
+    (key, value) values — string keys and i64 values in line, so a run's
+    tags cost one call, not a few per record."""
+    pack_i64 = _pack_i64
+    for tags in lists:
+        count = len(tags)
+        if count < 255:
+            out.append(count)
         else:
-            _encode_value(key, out)
-        _encode_value(value, out)
+            out.append(255)
+            out += _pack_u32(count)
+        for key, value in tags:
+            if type(key) is str:
+                data = key.encode("utf-8")
+                out.append(_T_STR)
+                n = len(data)
+                if n < 255:
+                    out.append(n)
+                else:
+                    out.append(255)
+                    out += _pack_u32(n)
+                out += data
+            else:
+                _encode_value(key, out)
+            if type(value) is int and -_I64_LIMIT <= value < _I64_LIMIT:
+                out.append(_T_INT)
+                out += pack_i64(value)
+            else:
+                _encode_value(value, out)
 
 
 def encode_value_binary(value: Any) -> bytes:
@@ -488,17 +563,6 @@ def encode_value_binary(value: Any) -> bytes:
     else:
         _encode_value(value, out)
     return bytes(out)
-
-
-def encode_placements(placements: List[Tuple[int, Record]], out: bytearray) -> None:
-    """Append ``(lid, record)`` pairs to ``out`` exactly as the
-    ``placements`` of a ``PlaceRecords`` message travel: one columnar run
-    from :data:`_RUN_MIN` pairs up, per element below (decode with
-    :func:`decode_value_binary`)."""
-    if len(placements) >= _RUN_MIN:
-        _enc_run(placements, _RUN_PLACEMENT, out)
-    else:
-        _encode_value(placements, out)
 
 
 # --------------------------------------------------------------------- #
@@ -652,46 +716,50 @@ def _dec_record_fields(buf: bytes, pos: int) -> Tuple[Record, int]:
     return record, pos
 
 
-def _dec_tags(buf: bytes, pos: int) -> Tuple[Tuple[Tuple[Any, Any], ...], int]:
-    """Inverse of :func:`_enc_tags`: string keys and int / string values are
-    decoded in line, anything else by the generic decoder.
-    (:func:`_dec_record_fields` keeps its own copy of this loop and of
-    :func:`_dec_deps`: a call fewer per record on the per-element path.)"""
+def _dec_tag_lists(buf: bytes, pos: int, lists: int) -> Tuple[List[Tuple[Any, ...]], int]:
+    """Inverse of :func:`_enc_tag_lists` for ``lists`` tag lists: string
+    keys and int / string values are decoded in line, anything else by the
+    generic decoder.  (:func:`_dec_record_fields` keeps its own copy of this
+    loop and of :func:`_dec_deps`: a call fewer per record on the
+    per-element path.)"""
     unpack_u32 = _unpack_u32
-    count = buf[pos]
-    pos += 1
-    if count == 255:
-        (count,) = unpack_u32(buf, pos)
-        pos += 4
-    tags = []
-    for _ in range(count):
-        tag = buf[pos]
-        if tag == _T_STR:
-            n = buf[pos + 1]
-            pos += 2
-            if n == 255:
-                (n,) = unpack_u32(buf, pos)
-                pos += 4
-            key: Any = buf[pos : pos + n].decode("utf-8")
-            pos += n
-        else:
-            key, pos = _decode_value(buf, pos)
-        tag = buf[pos]
-        if tag == _T_INT:
-            (value,) = _unpack_i64(buf, pos + 1)
-            pos += 9
-        elif tag == _T_STR:
-            n = buf[pos + 1]
-            pos += 2
-            if n == 255:
-                (n,) = unpack_u32(buf, pos)
-                pos += 4
-            value = buf[pos : pos + n].decode("utf-8")
-            pos += n
-        else:
-            value, pos = _decode_value(buf, pos)
-        tags.append((key, value))
-    return tuple(tags), pos
+    decoded = []
+    for _ in range(lists):
+        count = buf[pos]
+        pos += 1
+        if count == 255:
+            (count,) = unpack_u32(buf, pos)
+            pos += 4
+        tags = []
+        for _ in range(count):
+            tag = buf[pos]
+            if tag == _T_STR:
+                n = buf[pos + 1]
+                pos += 2
+                if n == 255:
+                    (n,) = unpack_u32(buf, pos)
+                    pos += 4
+                key: Any = buf[pos : pos + n].decode("utf-8")
+                pos += n
+            else:
+                key, pos = _decode_value(buf, pos)
+            tag = buf[pos]
+            if tag == _T_INT:
+                (value,) = _unpack_i64(buf, pos + 1)
+                pos += 9
+            elif tag == _T_STR:
+                n = buf[pos + 1]
+                pos += 2
+                if n == 255:
+                    (n,) = unpack_u32(buf, pos)
+                    pos += 4
+                value = buf[pos : pos + n].decode("utf-8")
+                pos += n
+            else:
+                value, pos = _decode_value(buf, pos)
+            tags.append((key, value))
+        decoded.append(tuple(tags))
+    return decoded, pos
 
 
 def _dec_deps(buf: bytes, pos: int) -> Tuple[Tuple[Tuple[str, int], ...], int]:
@@ -721,7 +789,7 @@ def _dec_deps(buf: bytes, pos: int) -> Tuple[Tuple[Tuple[str, int], ...], int]:
 
 
 # --------------------------------------------------------------------- #
-# Columnar record runs (decode)
+# Columnar runs (decode)
 # --------------------------------------------------------------------- #
 
 
@@ -734,9 +802,9 @@ def _dec_run(buf: bytes, pos: int) -> Tuple[List[Any], int]:
     pos += 5
     entry = _RUN_SHAPES.get(shape)
     if entry is None:
-        raise NetworkProtocolError(f"unknown record-run shape {shape}")
+        raise NetworkProtocolError(f"unknown run shape {shape}")
     if n * entry[0] > len(buf) - pos:
-        raise NetworkProtocolError(f"record run of {n} does not fit its frame")
+        raise NetworkProtocolError(f"run of {n} does not fit its frame")
     return entry[2](buf, pos, n)
 
 
@@ -784,9 +852,51 @@ def _dec_entry_run(buf: bytes, pos: int, n: int) -> Tuple[List[Any], int]:
     return entries, pos
 
 
+def _dec_result_run(buf: bytes, pos: int, n: int) -> Tuple[List[Any], int]:
+    hosts, pos = _dec_str_column(buf, pos, n, True)
+    ids = struct.unpack_from(">%dq" % (2 * n), buf, pos)
+    toids = ids[:n]
+    if n and min(toids) < 1:
+        raise NetworkProtocolError(f"TOIds start at 1, got {min(toids)}")
+    results: List[Any] = []
+    for host, toid, lid in zip(hosts, toids, ids[n:]):
+        rid = _new(RecordId)
+        _set(rid, "host", host)
+        _set(rid, "toid", toid)
+        result = _new(AppendResult)
+        _set(result, "rid", rid)
+        _set(result, "lid", lid)
+        results.append(result)
+    return results, pos + 16 * n
+
+
+def _dec_posting_run(buf: bytes, pos: int, n: int) -> Tuple[List[Any], int]:
+    keys, pos = _dec_str_column(buf, pos, n, False)
+    lids = struct.unpack_from(">%dq" % n, buf, pos)
+    pos += 8 * n
+    flag = buf[pos]
+    pos += 1
+    values: Sequence[Any]
+    if flag == 1:
+        values = struct.unpack_from(">%dq" % n, buf, pos)
+        pos += 8 * n
+    elif flag == 0:
+        values = []
+        for _ in range(n):
+            value, pos = _decode_value(buf, pos)
+            values.append(value)
+    else:
+        raise NetworkProtocolError(f"unknown posting-value column {flag}")
+    return list(zip(keys, values, lids)), pos
+
+
+# Byte floors: ids and a u32 body length; a result's toid + lid; a
+# posting's lid + a value of at least one byte.
 _RUN_SHAPES[_RUN_RECORD] = (12, _enc_record_run, _dec_record_run)
 _RUN_SHAPES[_RUN_PLACEMENT] = (20, _enc_placement_run, _dec_placement_run)
 _RUN_SHAPES[_RUN_ENTRY] = (20, _enc_entry_run, _dec_entry_run)
+_RUN_SHAPES[_RUN_RESULT] = (16, _enc_result_run, _dec_result_run)
+_RUN_SHAPES[_RUN_POSTING] = (9, _enc_posting_run, _dec_posting_run)
 
 
 def _dec_payload_columns(
@@ -825,8 +935,10 @@ def _dec_payload_columns(
 
     tags: List[Tuple[Any, ...]] = [()] * n
     marked, pos = _dec_positions(buf, pos, n)
-    for at in marked:
-        tags[at], pos = _dec_tags(buf, pos)
+    if marked:
+        decoded, pos = _dec_tag_lists(buf, pos, len(marked))
+        for at, pairs in zip(marked, decoded):
+            tags[at] = pairs
     return deps, internal, bodies, tags, pos
 
 
@@ -861,7 +973,7 @@ def _dec_indexed(table: List[Any], buf: bytes, pos: int, n: int) -> Tuple[Iterab
         return repeat(table[0], n), pos
     indices = struct.unpack_from(">%dI" % n, buf, pos)
     if n and max(indices) >= len(table):
-        raise NetworkProtocolError("record-run dictionary index out of range")
+        raise NetworkProtocolError("run dictionary index out of range")
     return [table[i] for i in indices], pos + 4 * n
 
 
@@ -875,7 +987,7 @@ def _dec_positions(buf: bytes, pos: int, n: int) -> Tuple[Sequence[int], int]:
         raise NetworkProtocolError(f"{count} sparse positions in a run of {n}")
     positions = struct.unpack_from(">%dI" % count, buf, pos)
     if max(positions) >= n:
-        raise NetworkProtocolError("record-run sparse position out of range")
+        raise NetworkProtocolError("run sparse position out of range")
     return positions, pos + 4 * count
 
 

@@ -8,7 +8,7 @@ reading the records from the owning maintainers.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..runtime.actor import Actor
@@ -25,8 +25,22 @@ class IndexerCore:
         self.postings_stored = 0
 
     def add(self, key: str, value: object, lid: int) -> None:
+        """Store one posting; storing it again is a no-op.
+
+        A maintainer rebuilt from its journal re-queues every posting it
+        ever made, so the same posting can arrive twice — and a lookup that
+        returned an LId twice would leave a reader waiting for a second,
+        distinct answer.  LIds usually arrive in order, so the common case
+        is one comparison with the bucket's tail and an append."""
         bucket = self._postings.setdefault(key, [])
-        insort(bucket, (lid, value))
+        posting = (lid, value)
+        if not bucket or bucket[-1] < posting:
+            bucket.append(posting)
+        else:
+            at = bisect_left(bucket, posting)
+            if at < len(bucket) and bucket[at] == posting:
+                return
+            bucket.insert(at, posting)
         self.postings_stored += 1
 
     def add_many(self, postings: List[Tuple[str, object, int]]) -> None:

@@ -31,7 +31,7 @@ from typing import BinaryIO, Callable, Dict, Iterable, Iterator, Optional, Tuple
 from ..core.config import FLStoreConfig
 from ..core.errors import LogError, NetworkProtocolError
 from ..core.record import Record
-from ..core.value_codec import decode_value_binary, encode_placements
+from ..core.value_codec import _encode_value, decode_value_binary
 from .maintainer import MaintainerCore, Placements
 from .range_map import OwnershipPlan
 
@@ -40,16 +40,17 @@ from .range_map import OwnershipPlan
 # --------------------------------------------------------------------- #
 
 #: A block is ``u32 length | u32 crc32 | payload``: the payload's length and
-#: CRC-32 (big-endian), then the payload — the placements exactly as the
-#: ``placements`` of a ``PlaceRecords`` message travel
-#: (:func:`~repro.core.value_codec.encode_placements`).
+#: CRC-32 (big-endian), then the payload — the list of placements as the
+#: value layer encodes any list (one rule for wire and disk: a columnar run
+#: from ``_RUN_MIN`` pairs up, per element below), so it is byte for byte
+#: the ``placements`` of the ``PlaceRecords`` message that carried them.
 _HEADER = struct.Struct(">II")
 
 
 def _pack_block(placements: Placements) -> bytearray:
     block = bytearray(_HEADER.size)
     try:
-        encode_placements(placements, block)
+        _encode_value(placements, block)
     except NetworkProtocolError as exc:
         raise LogError(f"cannot journal these placements: {exc}") from exc
     payload = memoryview(block)[_HEADER.size :]

@@ -4,21 +4,20 @@ Every message that crosses a socket in this repository — in a TCP FLStore
 frame, through the actor-routed :class:`~repro.net.aio_runtime.AioRuntime`,
 inside a multiproc envelope — is encoded here.  The value layer (scalars,
 containers, the ``Record`` / ``RecordId`` / ``LogEntry`` / ``AppendResult``
-layouts and the record / placement / entry run shapes) lives in
-:mod:`repro.core.value_codec`, where the storage layer shares it; this
-module installs in it what only the network layer knows:
+layouts, and the record / placement / entry / result / posting run shapes)
+lives in :mod:`repro.core.value_codec`, where the storage layer shares it;
+this module installs in it what only the network layer knows:
 
 * ``DraftRecord`` (tag ``0x14``) and ``RecordBatch`` (tag ``0x15``, decoded
   lazily) get bespoke packed layouts;
 * every registered protocol message (:data:`_MESSAGE_TYPES`, tag ``0x1F``):
   a generic ``(type index, fields...)`` layout over the name-sorted
   registry;
-* record runs: the five message fields that carry the pipeline's records
-  between processes (:data:`_RUN_FIELDS`) are packed **a column per batch**
-  (tag ``0x16``) once they hold ``_RUN_MIN`` elements — the draft and
-  commit run shapes are defined here, the other three below.  Shorter
-  lists, heterogeneous lists and every other list (so every TCP FLStore
-  frame) keep the per-element layouts byte for byte.
+* the draft and commit run shapes (tag ``0x16``): a list of at least
+  ``_RUN_MIN`` drafts or commits is packed **a column per list** by the
+  value layer's one list rule (:data:`~repro.core.value_codec._RUN_OF`),
+  the rule that packs every other record-bearing list too — in a message
+  field, a TCP frame's dict or a journal block alike.
 
 Encoding is symmetric: ``decode(encode(x)) == x`` for every registered
 message type and every application body built from the value layer's
@@ -34,25 +33,16 @@ from __future__ import annotations
 import dataclasses
 import struct
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Tuple, Type
 
 from ..baseline.sequencer import ReservedRange, SequencerRequest
 from ..chariots import messages as cmsg
-from ..chariots.messages import (
-    DraftBatch,
-    DraftCommitBatch,
-    DraftCommitted,
-    DraftRecord,
-    ReplicationShipment,
-)
+from ..chariots.messages import DraftCommitted, DraftRecord
 from ..core.errors import NetworkProtocolError
 from ..core.record import AppendResult, LogEntry, ReadRules, Record, RecordId
 from ..core.value_codec import (
     _MALFORMED,
-    _RUN_ENTRY,
-    _RUN_MIN,
-    _RUN_PLACEMENT,
-    _RUN_RECORD,
+    _RUN_OF,
     _RUN_SHAPES,
     _TAG_DECODERS,
     _TYPE_ENCODERS,
@@ -61,15 +51,14 @@ from ..core.value_codec import (
     _dec_payload_columns,
     _dec_record_fields,
     _dec_str_column,
-    _dec_tags,
+    _dec_tag_lists,
     _decode_value,
     _enc_deps,
     _enc_len,
     _enc_payload_columns,
     _enc_record_fields,
-    _enc_run,
     _enc_str_column,
-    _enc_tags,
+    _enc_tag_lists,
     _encode_value,
     _new,
     _pack_i64,
@@ -81,7 +70,6 @@ from ..core.value_codec import (
     encode_value_binary,
 )
 from ..flstore import messages as fmsg
-from ..flstore.messages import PlaceRecords, ReadNewReply
 from ..runtime.messages import RecordBatch
 
 #: First byte of every frame body; anything else is not a frame of ours.
@@ -157,32 +145,15 @@ _MSG_CLASSES: List[Type[Any]] = sorted(
     key=attrgetter("__name__"),
 )
 
-#: message class → (record-bearing field, run shape): the fields that carry
-#: the pipeline's records between processes.  A list in one of them travels
-#: as one columnar run (:func:`_enc_run`); every other list — in particular
-#: everything a TCP FLStore frame holds — keeps the per-element encoding.
-_RUN_FIELDS: Dict[Type[Any], Tuple[str, int]] = {
-    PlaceRecords: ("placements", _RUN_PLACEMENT),
-    ReadNewReply: ("entries", _RUN_ENTRY),
-    DraftBatch: ("drafts", _RUN_DRAFT),
-    DraftCommitBatch: ("commits", _RUN_COMMIT),
-    ReplicationShipment: ("records", _RUN_RECORD),
-}
-
 #: class → (type index, attrgetter over the dataclass fields in order,
-#: single-field flag, (position, shape) of the run field or None).
-_MSG_ENCODERS: Dict[
-    Type[Any], Tuple[int, Callable[[Any], Any], bool, Optional[Tuple[int, int]]]
-] = {}
+#: single-field flag).
+_MSG_ENCODERS: Dict[Type[Any], Tuple[int, Callable[[Any], Any], bool]] = {}
 #: type index → (class, field count).
 _MSG_DECODERS: List[Tuple[Type[Any], int]] = []
 
 for _index, _cls in enumerate(_MSG_CLASSES):
     _names = [f.name for f in dataclasses.fields(_cls)]
-    _single = len(_names) == 1
-    _field = _RUN_FIELDS.get(_cls)
-    _run = None if _field is None else (_names.index(_field[0]), _field[1])
-    _MSG_ENCODERS[_cls] = (_index, attrgetter(*_names), _single, _run)
+    _MSG_ENCODERS[_cls] = (_index, attrgetter(*_names), len(_names) == 1)
     _MSG_DECODERS.append((_cls, len(_names)))
 
 
@@ -327,7 +298,7 @@ def _enc_draft(value: DraftRecord, out: bytearray) -> None:
     out += client
     out += _pack_i64(value.seq)
     _encode_value(value.body, out)
-    _enc_tags(value.tags, out)
+    _enc_tag_lists((value.tags,), out)
     _enc_deps(value.deps, out)
 
 
@@ -346,7 +317,7 @@ def _dec_draft(buf: Any, pos: int) -> Tuple[DraftRecord, int]:
     body, pos = _decode_value(buf, pos)
     tags: Tuple[Any, ...] = ()
     if buf[pos]:
-        tags, pos = _dec_tags(buf, pos)
+        (tags,), pos = _dec_tag_lists(buf, pos, 1)
     else:
         pos += 1
     deps: Tuple[Any, ...] = ()
@@ -359,22 +330,10 @@ def _dec_draft(buf: Any, pos: int) -> Tuple[DraftRecord, int]:
 
 
 def _enc_message(value: Any, out: bytearray) -> None:
-    index, getter, single, run = _MSG_ENCODERS[type(value)]
+    index, getter, single = _MSG_ENCODERS[type(value)]
     out.append(_T_MESSAGE)
     out += _pack_u32(index)
-    if run is not None:
-        position, shape = run
-        fields = (getter(value),) if single else getter(value)
-        for at, field_value in enumerate(fields):
-            if (
-                at == position
-                and type(field_value) is list
-                and len(field_value) >= _RUN_MIN
-            ):
-                _enc_run(field_value, shape, out)
-            else:
-                _encode_value(field_value, out)
-    elif single:
+    if single:
         _encode_value(getter(value), out)
     else:
         for field_value in getter(value):
@@ -479,6 +438,8 @@ _TAG_DECODERS[_T_MESSAGE] = _dec_message
 # Byte floors: a draft's seq + body length, a commit's seq + toid + lid.
 _RUN_SHAPES[_RUN_DRAFT] = (12, _enc_draft_run, _dec_draft_run)
 _RUN_SHAPES[_RUN_COMMIT] = (24, _enc_commit_run, _dec_commit_run)
+_RUN_OF[DraftRecord] = _RUN_DRAFT
+_RUN_OF[DraftCommitted] = _RUN_COMMIT
 
 
 def encode_message_binary(message: Any) -> bytes:

@@ -271,7 +271,7 @@ class IndexerServer(_BaseServer):
     async def handle(self, request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         kind = request["type"]
         if kind == "index_update":
-            self.core.add_many([(k, v, lid) for k, v, lid in request["postings"]])
+            self.core.add_many(request["postings"])
             return None
         if kind == "lookup":
             lids = self.core.lookup(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import struct
 import tempfile
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -574,7 +575,8 @@ class TestSenderFetch:
     def test_three_dc_transitive_deployment_is_unchanged(self):
         # Transitive senders ask unfiltered, so a transitive deployment must
         # behave exactly as before the host filter: same logs (hashed in the
-        # per-element wire form), same shipments, same message count.  The
+        # per-element wire form, spelled out: a list this long is otherwise
+        # encoded as a run), same shipments, same message count.  The
         # expected values were recorded on the commit before the filter.
         runtime = LocalRuntime()
         deployment = ChariotsDeployment(runtime, ["A", "B", "C"], batch_size=4, transitive=True)
@@ -590,7 +592,9 @@ class TestSenderFetch:
         assert deployment.settle(max_seconds=60)
         digest = hashlib.sha256()
         for dc in "ABC":
-            digest.update(encode_value_binary(deployment[dc].all_entries()))
+            entries = deployment[dc].all_entries()
+            digest.update(struct.pack(">BI", 0x07, len(entries)))
+            digest.update(b"".join(map(encode_value_binary, entries)))
         assert digest.hexdigest() == (
             "7aba778a597d428dd125f3825735832f5cfcdd2191e64fa6d4edf5445cc73c43"
         )

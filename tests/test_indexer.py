@@ -78,3 +78,19 @@ class TestBulk:
         core.add_many([("a", 1, 0), ("b", 2, 1), ("a", 3, 2)])
         assert core.keys() == ["a", "b"]
         assert core.lookup("a") == [2, 0]
+
+
+class TestIdempotentAdd:
+    def test_a_posting_stored_twice_counts_and_answers_once(self):
+        core = make_indexed()
+        before = core.postings_stored
+        for lid in range(10):  # a recovered maintainer pushes them all again
+            core.add("k", lid % 3, lid)
+        assert core.postings_stored == before
+        assert core.lookup("k", tag_value=1) == [7, 4, 1]
+
+    def test_a_repeat_below_the_tail_is_found_and_a_new_value_is_not_a_repeat(self):
+        core = IndexerCore("ix")
+        core.add_many([("k", 1, 0), ("k", 1, 5), ("k", 1, 2), ("k", 1, 2), ("k", 2, 2)])
+        assert core.postings_stored == 4
+        assert core.lookup("k", most_recent=False) == [0, 2, 2, 5]

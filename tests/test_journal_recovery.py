@@ -8,11 +8,10 @@ import zlib
 
 import pytest
 
-from repro.chariots import check_logs
+from repro.chariots import ChariotsDeployment, check_logs
 from repro.core import Record
 from repro.core.errors import LogError
-from repro.core.record import RecordId
-from repro.core.value_codec import encode_placements
+from repro.core.record import ReadRules, RecordId
 from repro.flstore import (
     FileJournal,
     MaintainerCore,
@@ -22,6 +21,7 @@ from repro.flstore import (
 )
 from repro.flstore.messages import PlaceRecords
 from repro.net.binary_codec import encode_value_binary
+from repro.runtime.local import LocalRuntime
 
 from conftest import chain, python_calls, rec
 
@@ -107,6 +107,35 @@ class TestCrashRecovery:
         core.append([rec("c", 1, body="survives")])
         recovered = recover_maintainer_core("m0", plan, journal.replay_runs())
         assert recovered.get(0).record.body == "survives"
+
+
+class TestSupervisedRestartKeepsTheIndexExact:
+    """A maintainer rebuilt from its journal re-queues every posting it ever
+    made, and pushes them to the indexer again.  The indexer must absorb
+    the repeats: a lookup that names an LId twice leaves a reader waiting
+    for a second, distinct entry that never comes."""
+
+    def test_postings_and_tag_reads_survive_a_maintainer_restart(self):
+        runtime = LocalRuntime()
+        deployment = ChariotsDeployment(runtime, ["A", "B"], batch_size=4)
+        supervisor = deployment.supervise()
+        client = deployment.blocking_client("A")
+        for i in range(20):
+            client.append(b"r%d" % i, tags={"k": i % 2})
+        assert deployment.settle()
+        indexer = deployment["A"].indexers[0].core
+        assert indexer.postings_stored == 20
+
+        runtime.crash("A/store/0")
+        assert deployment.settle()
+        assert supervisor.restarts["A/store/0"] == 1
+        assert indexer.postings_stored == 20
+        assert indexer.lookup("k", tag_value=0, limit=5) == [18, 16, 14, 12, 10]
+
+        read: list = []
+        client.client.read_rules(ReadRules(tag_key="k", tag_value=0, limit=5), read.append)
+        runtime.run_until(lambda: bool(read), timeout=5.0)
+        assert [entry.lid for entry in read[0]] == [18, 16, 14, 12, 10]
 
 
 class TestFileJournal:
@@ -229,8 +258,7 @@ class TestFileJournal:
 
 def block_of(placements):
     """The bytes one ``append_run(placements)`` puts on disk."""
-    payload = bytearray()
-    encode_placements(placements, payload)
+    payload = encode_value_binary(placements)
     return struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
 
 

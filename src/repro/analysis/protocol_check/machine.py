@@ -1,7 +1,7 @@
 """The multiproc seq/ack/group-commit protocol as an explicit-state machine.
 
 This is a faithful, bounded abstraction of the exactly-once path in
-``runtime/multiproc.py`` — one parent, one supervised worker, and the two
+``runtime/multiproc/`` — one parent, one supervised worker, and the two
 directions of their TCP connection as FIFO channels:
 
 * **inject** — the parent admits a frame (``_admit_frame``): bump
@@ -17,7 +17,7 @@ directions of their TCP connection as FIFO channels:
   (The one-in-flight and duty-cycle rules only *delay* this event; the
   machine lets it fire whenever something changed, a superset.)
 * **recv** — the parent pops the head of the worker channel
-  (``_route_frame``/``_on_snapshot``): an output is *parked* in
+  (``_park``/``_on_snapshot``): an output is *parked* in
   ``uncommitted``; a snapshot trims the unacked buffer up to its ack and
   commits — accepts, in order — every parked output up to its emission.
 * **crash** — SIGKILL: worker state, both channels and the parked outputs

@@ -3,7 +3,7 @@
 Two failure modes, both surfaced as findings:
 
 * **Spec drift** — a :class:`~.spec.CodeAnchor` no longer matches
-  ``runtime/multiproc.py``: the code changed in a way the declarative
+  ``runtime/multiproc/``: the code changed in a way the declarative
   machine does not describe, so whatever the checker proves is about a
   protocol the repo no longer runs.  Re-derive the transition (and its
   anchors) from the new code before trusting the green check.
@@ -46,7 +46,7 @@ class ProtocolInvariantRule(Rule):
     name = "protocol-invariant"
     description = (
         "The declarative model of the multiproc exactly-once protocol must "
-        "still anchor to runtime/multiproc.py (spec drift is a finding), "
+        "still anchor to runtime/multiproc/ (spec drift is a finding), "
         "and its bounded exploration under deliver/dup/reorder/crash/"
         "respawn must uphold exactly-once emissions, the retransmit-window "
         "bound, replay-gap freedom and the parent-side commit point — "

@@ -78,7 +78,8 @@ class ProtocolSpec:
 
 
 def multiproc_spec() -> ProtocolSpec:
-    """The seq/ack/group-commit/respawn machine of ``runtime/multiproc.py``.
+    """The seq/ack/group-commit/respawn machine of ``runtime/multiproc/``:
+    the parent half in ``supervision.py``, the worker half in ``worker.py``.
 
     Transition names match the event labels of
     :class:`~repro.analysis.protocol_check.machine.MultiprocModel`, so a
@@ -86,8 +87,8 @@ def multiproc_spec() -> ProtocolSpec:
     """
     return ProtocolSpec(
         name="multiproc-exactly-once",
-        module_suffixes=("runtime/multiproc.py", "runtime/supervisor.py"),
-        required_classes=("MultiprocRuntime", "_WorkerNode"),
+        module_suffixes=("runtime/multiproc/supervision.py", "runtime/multiproc/worker.py"),
+        required_classes=("Supervision", "_WorkerNode"),
         transitions=(
             Transition(
                 name="inject",
@@ -96,8 +97,8 @@ def multiproc_spec() -> ProtocolSpec:
                     "append to the retransmission buffer"
                 ),
                 anchors=(
-                    CodeAnchor("MultiprocRuntime", "_admit_frame", "augassign", "delivery_seq"),
-                    CodeAnchor("MultiprocRuntime", "_admit_frame", "append", "unacked"),
+                    CodeAnchor("Supervision", "_admit_frame", "augassign", "delivery_seq"),
+                    CodeAnchor("Supervision", "_admit_frame", "append", "unacked"),
                 ),
             ),
             Transition(
@@ -135,13 +136,13 @@ def multiproc_spec() -> ProtocolSpec:
                     "its ack and forwards the parked outputs it covers"
                 ),
                 anchors=(
-                    CodeAnchor("MultiprocRuntime", "_route_frame", "compare", "emission_high"),
-                    CodeAnchor("MultiprocRuntime", "_route_frame", "assign", "emission_high"),
-                    CodeAnchor("MultiprocRuntime", "_route_frame", "append", "uncommitted"),
-                    CodeAnchor("MultiprocRuntime", "_on_snapshot", "method_call", "unacked", "popleft"),
-                    CodeAnchor("MultiprocRuntime", "_on_snapshot", "assign", "acked"),
-                    CodeAnchor("MultiprocRuntime", "_on_snapshot", "method_call", "uncommitted", "popleft"),
-                    CodeAnchor("MultiprocRuntime", "_on_snapshot", "call", detail="_forward"),
+                    CodeAnchor("Supervision", "_park", "compare", "emission_high"),
+                    CodeAnchor("Supervision", "_park", "assign", "emission_high"),
+                    CodeAnchor("Supervision", "_park", "append", "uncommitted"),
+                    CodeAnchor("Supervision", "_on_snapshot", "method_call", "unacked", "popleft"),
+                    CodeAnchor("Supervision", "_on_snapshot", "assign", "acked"),
+                    CodeAnchor("Supervision", "_on_snapshot", "method_call", "uncommitted", "popleft"),
+                    CodeAnchor("Supervision", "_on_snapshot", "call", detail="_forward"),
                 ),
             ),
             Transition(
@@ -151,9 +152,9 @@ def multiproc_spec() -> ProtocolSpec:
                     "drops the parked outputs"
                 ),
                 anchors=(
-                    CodeAnchor("MultiprocRuntime", "_mark_worker_down", "assign", "buffering"),
-                    CodeAnchor("MultiprocRuntime", "_mark_worker_down", "assign", "failed"),
-                    CodeAnchor("MultiprocRuntime", "_mark_worker_down", "method_call", "uncommitted", "clear"),
+                    CodeAnchor("Supervision", "_mark_worker_down", "assign", "buffering"),
+                    CodeAnchor("Supervision", "_mark_worker_down", "assign", "failed"),
+                    CodeAnchor("Supervision", "_mark_worker_down", "method_call", "uncommitted", "clear"),
                 ),
             ),
             Transition(
@@ -164,9 +165,9 @@ def multiproc_spec() -> ProtocolSpec:
                     "unacked window"
                 ),
                 anchors=(
-                    CodeAnchor("MultiprocRuntime", "_respawn_once", "assign", "emission_high"),
-                    CodeAnchor("MultiprocRuntime", "_respawn_once", "method_call", "conn", "queue"),
-                    CodeAnchor("MultiprocRuntime", "_respawn_once", "assign", "buffering"),
+                    CodeAnchor("Supervision", "_respawn_once", "assign", "emission_high"),
+                    CodeAnchor("Supervision", "_respawn_once", "method_call", "conn", "queue"),
+                    CodeAnchor("Supervision", "_respawn_once", "assign", "buffering"),
                 ),
             ),
         ),

@@ -1,15 +1,15 @@
 """CHR016 — supervisor-protocol safety in the multi-process runtime.
 
 The supervised seq/ack/group-commit protocol has two invariants the type
-system cannot see, mined from ``runtime/multiproc.py``:
+system cannot see, mined from ``runtime/multiproc/supervision.py``:
 
 * **Sequenced emissions must be ackable.**  A method that advances a
   sequence counter (``slot.delivery_seq += 1``, ``slot.emission_high =
   seq``) and appends the frame to a buffer that outlives the call (an
   attribute named ``*unacked*``, ``*retransmit*`` or ``*uncommitted*``) is
   the 0xC6 sequenced-emission path: ``_admit_frame`` keeping inputs for
-  retransmission, ``_route_frame`` parking outputs until their commit
-  marker.  The class must also trim that buffer somewhere — a
+  retransmission, ``_park`` holding outputs until their commit marker.
+  The class must also trim that buffer somewhere — a
   ``popleft``/``pop``/``remove``/``clear`` call or a reset assignment
   outside ``__init__`` (``parked, self.uncommitted = self.uncommitted, []``)
   — or every acked frame is retained forever and replay-after-respawn
@@ -52,7 +52,7 @@ _TRIM_CALLS = frozenset({"popleft", "pop", "remove", "clear"})
 
 #: The supervision API's own recovery entry points, recognised as terminals
 #: by exact name rather than via :data:`_TERMINAL_CALL_RE`.  These are the
-#: public drain/restart operations of ``runtime/multiproc.py``; pinning them
+#: drain/restart operations of ``runtime/multiproc/supervision.py``; pinning them
 #: here means renaming one surfaces as a lint-fixture failure instead of the
 #: heuristic silently ceasing to recognise the call.
 TERMINAL_METHODS = frozenset({"drain_worker", "restart_worker"})

@@ -27,8 +27,6 @@ class FLStoreConfig:
     #: bound cannot yet be satisfied fills the intervening positions it owns
     #: with internal no-op records instead of waiting (liveness fallback).
     fill_gaps_with_noops: bool = False
-    #: Maximum records buffered per append request batch from a client.
-    append_batch_limit: int = 10_000
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -182,24 +180,6 @@ class NetworkProfile:
     @property
     def wan_latency(self) -> float:
         return self.wan_rtt / 2
-
-
-@dataclass(frozen=True)
-class WorkloadConfig:
-    """Record-generation parameters for benchmarks (§7)."""
-
-    record_size: int = 512
-    #: Target appends/s per client machine.
-    target_throughput: float = 125_000.0
-    #: Records per client append batch (clients batch like the paper's do).
-    client_batch: int = 500
-    duration: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.record_size < 1:
-            raise ConfigurationError("record_size must be >= 1")
-        if self.target_throughput <= 0:
-            raise ConfigurationError("target_throughput must be positive")
 
 
 @dataclass

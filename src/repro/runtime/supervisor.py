@@ -23,9 +23,8 @@ type regardless of substrate.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
-from ..core.retry import RetryPolicy
 from .actor import Actor
 from .local import BaseRuntime
 
@@ -82,47 +81,18 @@ class ProcessSupervisor(Supervisor):
 
     Registered on a :class:`~repro.runtime.multiproc.MultiprocRuntime`, it
     switches the runtime into supervised mode (heartbeats, snapshots, frame
-    retransmission — see that module's docstring) and drives failure
+    retransmission — see :mod:`repro.runtime.multiproc.supervision`, which
+    also holds the liveness and respawn constants) and drives failure
     detection + respawn from its sweep timer.  The recovery factories double
     as the journal-replay path: an actor with a registered factory is
     treated as journal-backed — excluded from worker snapshots and rebuilt
     from its durable journal on restart.
-
-    Tuning knobs:
-
-    * ``heartbeat_interval`` / ``heartbeat_timeout`` — worker liveness
-      (timeout defaults to 10x the interval; EOF and exit codes catch hard
-      crashes much sooner, heartbeats exist for *hangs*);
-    * ``spawn_timeout`` — respawn handshake deadline;
-    * ``retry`` / ``breaker_threshold`` / ``breaker_cooldown`` — respawn
-      backoff via the shared :mod:`repro.core.retry` mechanisms.
-
-    Snapshot cadence is not among them: a worker commits once per loop turn
-    that did work, paced by its own capture cost (``_WorkerNode._commit``).
     """
 
-    def __init__(
-        self,
-        name: str = "supervisor",
-        check_interval: float = 0.05,
-        heartbeat_interval: float = 0.5,
-        heartbeat_timeout: Optional[float] = None,
-        spawn_timeout: float = 10.0,
-        retry: Optional[RetryPolicy] = None,
-        breaker_threshold: int = 5,
-        breaker_cooldown: float = 1.0,
-    ) -> None:
+    def __init__(self, name: str = "supervisor", check_interval: float = 0.05) -> None:
         super().__init__(name, check_interval)
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = (
-            heartbeat_timeout if heartbeat_timeout is not None else 10.0 * heartbeat_interval
-        )
-        self.spawn_timeout = spawn_timeout
-        self.retry = retry if retry is not None else RetryPolicy(max_attempts=4)
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
         #: One entry per completed worker recovery (diagnostics / metrics):
-        #: {"worker", "seconds", "replayed", "reason", "from_snapshot"}.
+        #: {"worker", "seconds", "replayed", "reason"}.
         self.recoveries: List[Dict[str, Any]] = []
 
     def is_journaled(self, actor_name: str) -> bool:
@@ -142,7 +112,6 @@ class ProcessSupervisor(Supervisor):
         recovered: float,
         replayed: int,
         reason: str = "",
-        from_snapshot: bool = True,
     ) -> None:
         """Called by the runtime after a worker respawn completes."""
         self.restarts[f"worker/{worker}"] += 1
@@ -152,7 +121,6 @@ class ProcessSupervisor(Supervisor):
                 "seconds": max(0.0, recovered - detected),
                 "replayed": replayed,
                 "reason": reason,
-                "from_snapshot": from_snapshot,
             }
         )
 

@@ -38,6 +38,7 @@ from repro.analysis.dataflow import (
 from repro.analysis.rules.typed_api import TYPED_PACKAGES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+SUPERVISION_SOURCE = REPO_ROOT / "src" / "repro" / "runtime" / "multiproc" / "supervision.py"
 
 
 def lint(tmp_path, files, select=None):
@@ -1463,8 +1464,8 @@ class TestSupervisorProtocolRule:
             assert findings == [], trim
 
     def test_real_runtime_parks_and_trims_uncommitted(self):
-        """The fixtures above describe the real thing: ``_route_frame`` is
-        seen as a sequenced-emission path, and both trim paths exist."""
+        """The fixtures above describe the real thing: ``_park`` is seen as
+        a sequenced-emission path, and both trim paths exist."""
         from repro.analysis.rules.supervision import (
             _sequenced_buffers,
             _trimmed_buffers,
@@ -1473,15 +1474,15 @@ class TestSupervisorProtocolRule:
         module = next(
             m
             for m in scan([REPO_ROOT / "src"])
-            if m.relpath.endswith("runtime/multiproc.py")
+            if m.relpath.endswith("runtime/multiproc/supervision.py")
         )
         cls = next(
             node
             for node in ast.walk(module.tree)
-            if isinstance(node, ast.ClassDef) and node.name == "MultiprocRuntime"
+            if isinstance(node, ast.ClassDef) and node.name == "Supervision"
         )
         methods = class_methods(cls)
-        assert set(_sequenced_buffers(methods["_route_frame"])) == {"uncommitted"}
+        assert set(_sequenced_buffers(methods["_park"])) == {"uncommitted"}
         assert set(_sequenced_buffers(methods["_admit_frame"])) == {"unacked"}
         assert {"uncommitted", "unacked"} <= _trimmed_buffers(cls)
 
@@ -1617,11 +1618,11 @@ class TestTypedSurfaceConsistency:
 
 class TestSupervisionCallGraph:
     def _runtime_class(self):
-        source = (REPO_ROOT / "src" / "repro" / "runtime" / "multiproc.py").read_text()
+        source = SUPERVISION_SOURCE.read_text()
         for node in ast.parse(source).body:
-            if isinstance(node, ast.ClassDef) and node.name == "MultiprocRuntime":
+            if isinstance(node, ast.ClassDef) and node.name == "Supervision":
                 return node
-        raise AssertionError("MultiprocRuntime not found")
+        raise AssertionError("Supervision not found")
 
     def test_failure_detection_reaches_mark_down(self):
         graph = self_call_graph(self._runtime_class())
@@ -1871,9 +1872,7 @@ class TestSupervisionExplicitTerminals:
     def test_terminal_methods_name_real_entry_points(self):
         from repro.analysis.rules.supervision import TERMINAL_METHODS
 
-        source = (
-            REPO_ROOT / "src" / "repro" / "runtime" / "multiproc.py"
-        ).read_text()
+        source = SUPERVISION_SOURCE.read_text()
         for name in sorted(TERMINAL_METHODS):
             assert f"def {name}(" in source, name
 

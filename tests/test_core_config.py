@@ -11,7 +11,6 @@ from repro.core import (
     MachineProfile,
     NetworkProfile,
     PipelineConfig,
-    WorkloadConfig,
 )
 
 
@@ -74,17 +73,6 @@ class TestNetworkProfile:
 
     def test_default_lan_rtt_matches_paper(self):
         assert NetworkProfile().lan_rtt == pytest.approx(0.00015)  # §7: 0.15 ms
-
-
-class TestWorkloadConfig:
-    def test_record_size_default_matches_paper(self):
-        assert WorkloadConfig().record_size == 512
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            WorkloadConfig(record_size=0)
-        with pytest.raises(ConfigurationError):
-            WorkloadConfig(target_throughput=0)
 
 
 class TestDeploymentSpec:

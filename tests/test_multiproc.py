@@ -3,10 +3,9 @@
 The multiproc runtime trades determinism for parallelism, so its anchor is
 *outcome* equivalence with the abstract solution, checked on real worker
 processes and inline by ``tests/test_runtime_contract.py``.  These unit
-tests cover the envelope/routing layer, the default placement policy, the
-inline (``workers=0``) baseline mode, and the pre-encoded zero-copy send
-path; registration, unknown destinations and the fault plan are the
-contract suite's.
+tests cover the default placement policy, routing to worker-hosted
+maintainers, shadow refresh, ``peek`` and worker errors; registration,
+unknown destinations and the fault plan are the contract suite's.
 """
 
 import pytest
@@ -14,9 +13,8 @@ import pytest
 from repro.core.errors import ConfigurationError, SessionError
 from repro.core.record import Record, RecordId
 from repro.flstore.maintainer import LogMaintainer
+from repro.flstore.messages import PlaceRecords
 from repro.flstore.range_map import OwnershipPlan
-from repro.net.binary_codec import encode_value_binary
-from repro.runtime.messages import RecordBatch
 from repro.runtime.multiproc import (
     MultiprocRuntime,
     default_placement,
@@ -57,45 +55,21 @@ def _maintainer_runtime(workers):
     return runtime
 
 
-def _batch_payload(n=20):
-    records = [
-        Record(rid=RecordId("A", i + 1), body=b"x" * 32) for i in range(n)
-    ]
-    return encode_value_binary(RecordBatch(records)), n
+def _placements(n=20):
+    """``n`` records at LIds 0..n-1: the first round, which ``store/0`` owns."""
+    return PlaceRecords(
+        [(lid, Record(rid=RecordId("A", lid + 1), body=b"x" * 32)) for lid in range(n)]
+    ), n
 
 
 class TestRouting:
-    def test_send_encoded_reaches_worker_maintainers(self):
-        runtime = _maintainer_runtime(workers=2)
-        try:
-            runtime.start()
-            payload, n = _batch_payload()
-            for _ in range(5):
-                runtime.send_encoded("driver", "store/0", payload)
-                runtime.send_encoded("driver", "store/1", payload)
-            runtime.run_until(
-                lambda: _stored_total(runtime) == 10 * n, timeout=30
-            )
-            assert runtime.messages_routed >= 10
-            assert runtime.bytes_routed > 0
-        finally:
-            runtime.stop()
-
-    def test_send_encoded_inline_decodes_lazily(self):
-        runtime = _maintainer_runtime(workers=0)
-        runtime.start()
-        payload, n = _batch_payload()
-        runtime.send_encoded("driver", "store/0", payload)
-        runtime.run_for(0.05)
-        assert runtime.actor("store/0").core.stored_count() == n
-
     def test_refresh_updates_existing_references(self):
         runtime = _maintainer_runtime(workers=2)
         try:
             shadow = runtime.actor("store/0")
             runtime.start()
-            payload, n = _batch_payload()
-            runtime.send_encoded("driver", "store/0", payload)
+            message, n = _placements()
+            runtime.send("driver", "store/0", message)
             runtime.run_until(
                 lambda: runtime.peek("store/0", _stored_count) == n,
                 timeout=30,
@@ -107,48 +81,19 @@ class TestRouting:
         finally:
             runtime.stop()
 
-    def test_send_prepared_resends_one_frame_to_workers(self):
-        runtime = _maintainer_runtime(workers=2)
-        try:
-            runtime.start()
-            payload, n = _batch_payload()
-            frame = runtime.prepare_encoded("driver", "store/1", payload)
-            for _ in range(4):
-                runtime.send_prepared(frame)
-            runtime.run_until(
-                lambda: runtime.peek("store/1", _stored_count) == 4 * n,
-                timeout=30,
-            )
-            # Peer gossip between the maintainers also crosses the parent,
-            # so the total is a floor, not an exact multiple.
-            assert runtime.bytes_routed >= 4 * len(frame)
-        finally:
-            runtime.stop()
-
-    def test_send_prepared_inline_decodes_locally(self):
-        runtime = _maintainer_runtime(workers=0)
-        runtime.start()
-        payload, n = _batch_payload()
-        frame = runtime.prepare_encoded("driver", "store/0", payload)
-        runtime.send_prepared(frame)
-        runtime.run_for(0.05)
-        assert runtime.actor("store/0").core.stored_count() == n
-        assert runtime.bytes_routed == 0  # nothing crossed a socket
-
     def test_prepare_encoded_unknown_actor_raises(self):
         runtime = _maintainer_runtime(workers=0)
         runtime.start()
-        payload, _ = _batch_payload()
         with pytest.raises(ConfigurationError, match="unknown actor"):
-            runtime.prepare_encoded("driver", "nobody", payload)
+            runtime.prepare_encoded("driver", "nobody", b"")
 
     def test_peek_runs_module_level_fn_in_worker(self):
         runtime = _maintainer_runtime(workers=2)
         try:
             runtime.start()
             assert runtime.peek("store/0", _stored_count) == 0
-            payload, n = _batch_payload()
-            runtime.send_encoded("driver", "store/0", payload)
+            message, n = _placements()
+            runtime.send("driver", "store/0", message)
             runtime.run_until(
                 lambda: runtime.peek("store/0", _stored_count) == n, timeout=30
             )
@@ -172,8 +117,3 @@ def _stored_count(actor):
 def _raise_in_worker(actor):
     raise ValueError("boom")
 
-
-def _stored_total(runtime):
-    return sum(
-        runtime.peek(name, _stored_count) for name in ("store/0", "store/1")
-    )

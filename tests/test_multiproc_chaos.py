@@ -14,11 +14,8 @@ import pytest
 
 from repro.chariots import ChariotsDeployment, check_logs
 from repro.chaos import FaultPlan, KillEvent
-from repro.runtime.multiproc import (
-    _envelope,
-    _parse_envelope,
-    MultiprocRuntime,
-)
+from repro.runtime.multiproc import MultiprocRuntime
+from repro.runtime.multiproc.wire import _envelope, _parse_envelope
 from repro.runtime.supervisor import ProcessSupervisor
 from repro.scenarios.multiproc_chaos import (
     pipeline_placement,

@@ -6,7 +6,7 @@ trace must name it); the multiproc machine explored exhaustively under
 dup + reorder + crash + respawn (a proof over the bounded space, asserted
 via ``complete``); the FIFO assumption shown to be load-bearing by
 switching on worker→parent reordering; and the spec/extractor cross-check
-run over the *real* ``runtime/multiproc.py`` sources plus a mutated copy
+run over the *real* ``runtime/multiproc/`` sources plus a mutated copy
 that must register as drift.
 """
 
@@ -242,8 +242,21 @@ class TestMultiprocModel:
 
 def _scan_runtime():
     # Scan from src so relpaths keep their "runtime/" prefix — the spec's
-    # module_suffixes match "runtime/multiproc.py", not a bare filename.
+    # module_suffixes match "runtime/multiproc/worker.py", not a bare filename.
     return scan([REPO_ROOT / "src"])
+
+
+def _renamed_admit_frame(tmp_path):
+    """A scan of a copy of the multiproc package with ``_admit_frame``
+    renamed."""
+    package = REPO_ROOT / "src" / "repro" / "runtime" / "multiproc"
+    root = tmp_path / "runtime" / "multiproc"
+    root.mkdir(parents=True)
+    for source in package.glob("*.py"):
+        (root / source.name).write_text(
+            source.read_text().replace("def _admit_frame", "def _admit_frame_renamed")
+        )
+    return scan([tmp_path])
 
 
 class TestSpecExtraction:
@@ -262,17 +275,7 @@ class TestSpecExtraction:
     def test_mutated_source_registers_as_drift(self, tmp_path):
         """Renaming ``_admit_frame`` in a copy of the real source must break
         exactly the ``inject`` transition's anchors — CHR020's drift path."""
-        runtime = REPO_ROOT / "src" / "repro" / "runtime"
-        root = tmp_path / "runtime"
-        root.mkdir()
-        mutated = (runtime / "multiproc.py").read_text().replace(
-            "def _admit_frame", "def _admit_frame_renamed"
-        )
-        (root / "multiproc.py").write_text(mutated)
-        (root / "supervisor.py").write_text(
-            (runtime / "supervisor.py").read_text()
-        )
-        drifts = check_anchors(multiproc_spec(), scan([tmp_path]))
+        drifts = check_anchors(multiproc_spec(), _renamed_admit_frame(tmp_path))
         assert drifts, "renamed method must surface as spec drift"
         assert {d.transition for d in drifts} == {"inject"}
         assert all("_admit_frame" in d.describe() for d in drifts)
@@ -320,17 +323,7 @@ class TestProtocolRule:
         assert findings == []
 
     def test_drift_surfaces_as_finding_and_skips_verification(self, tmp_path):
-        runtime = REPO_ROOT / "src" / "repro" / "runtime"
-        root = tmp_path / "runtime"
-        root.mkdir()
-        mutated = (runtime / "multiproc.py").read_text().replace(
-            "def _admit_frame", "def _admit_frame_renamed"
-        )
-        (root / "multiproc.py").write_text(mutated)
-        (root / "supervisor.py").write_text(
-            (runtime / "supervisor.py").read_text()
-        )
-        findings = run_rules(scan([tmp_path]), select=["CHR020"])
+        findings = run_rules(_renamed_admit_frame(tmp_path), select=["CHR020"])
         assert findings
         assert all(f.code == "CHR020" for f in findings)
         assert all("spec drift" in f.message for f in findings)

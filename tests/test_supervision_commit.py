@@ -1,10 +1,10 @@
-"""The supervised group-commit protocol of ``runtime/multiproc.py``.
+"""The supervised group-commit protocol of ``runtime/multiproc/``.
 
 Process-free: the worker half is a real :class:`_WorkerNode` running its
 real loop on a *thread*, joined to the other side by a loopback TCP pair
 (``_FrameConn`` sets ``TCP_NODELAY``, so an ``AF_UNIX`` ``socketpair`` will
 not do).  The other side is either this file speaking raw frames, or a real
-:class:`MultiprocRuntime` whose two spawn hooks hand it such thread-backed
+:class:`MultiprocRuntime` whose spawn hook hands it such thread-backed
 workers instead of OS processes — everything else (``start``, routing,
 supervision sweep, respawn, drain, stop) is the production code.  A killed
 "process" is a node whose loop exits without a final snapshot and whose
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import pickle
 import random
-import selectors
 import socket
 import tempfile
 import threading
@@ -32,19 +31,18 @@ from repro.chaos import FaultPlan
 from repro.chariots import ChariotsDeployment, check_logs
 from repro.core.errors import SessionError
 from repro.net.binary_codec import decode_value_binary, encode_value_binary
-from repro.runtime import multiproc
 from repro.runtime.actor import Actor
-from repro.runtime.multiproc import (
+from repro.runtime.multiproc import MultiprocRuntime, supervision, wire
+from repro.runtime.multiproc.supervision import Supervision
+from repro.runtime.multiproc.wire import (
     _K_CTRL,
     _K_MSG,
     _K_REPLY,
-    MultiprocRuntime,
     _envelope,
     _FrameConn,
     _parse_envelope,
-    _WorkerNode,
-    _WorkerSlot,
 )
+from repro.runtime.multiproc.worker import _WorkerNode
 from repro.runtime.supervisor import ProcessSupervisor
 from repro.scenarios.multiproc_chaos import pipeline_placement
 
@@ -181,23 +179,16 @@ class Rig:
         self.supervisor = ProcessSupervisor(check_interval=0.01)
         self.sink = Sink()
         self.rt.register_all([*actors, self.sink, self.supervisor])
-        self.rt._spawn_workers = self._spawn_all
-        self.rt._spawn_one = self._spawn
+        self.rt._spawn = self._spawn
 
-    def _spawn(self, wid):
-        near, far = _tcp_pair()
-        node = RigNode(wid, far)
-        self.nodes[wid].append(node)
-        return ThreadProc(node), _FrameConn(near, wid=wid)
-
-    def _spawn_all(self):
-        rt = self.rt
-        rt._selector = selectors.DefaultSelector()
-        for wid in range(rt.workers):
-            proc, conn = self._spawn(wid)
-            rt._procs.append(proc)
-            rt._conns.append(conn)
-            rt._selector.register(conn.sock, selectors.EVENT_READ, conn)
+    def _spawn(self, wids, _timeout):
+        procs, conns = {}, {}
+        for wid in wids:
+            near, far = _tcp_pair()
+            node = RigNode(wid, far)
+            self.nodes[wid].append(node)
+            procs[wid], conns[wid] = ThreadProc(node), _FrameConn(near, wid=wid)
+        return procs, conns
 
     def __enter__(self):
         self.rt.start()
@@ -210,7 +201,7 @@ class Rig:
         return self.nodes[wid][-1]
 
     def slot(self, wid):
-        return self.rt._slots[wid]
+        return self.rt._supervision.slots[wid]
 
     def pump_until(self, predicate, timeout=10.0):
         self.rt.run_until(predicate, timeout=timeout)
@@ -232,17 +223,8 @@ class RawParent:
 
     def run_node(self):
         self.proc = ThreadProc(self.node)
-        blob = pickle.dumps(list(self._actors))
-        self.control({"op": "load", "actors": blob})
-        self.control(
-            {
-                "op": "configure",
-                "heartbeat_interval": 0.5,
-                "journaled": list(self._journaled),
-                "delivered": 0,
-                "emission": 0,
-            }
-        )
+        self.control({"op": "restore", "state": _state(self._actors)})
+        self.control(_configure(self._journaled))
         self.control({"op": "start"})
         return self
 
@@ -289,6 +271,14 @@ class RawParent:
             )
             if not self.poll():
                 time.sleep(0.0005)
+
+
+def _state(actors):
+    return pickle.dumps({actor.name: actor for actor in actors})
+
+
+def _configure(journaled=()):
+    return {"op": "configure", "journaled": list(journaled), "delivered": 0, "emission": 0}
 
 
 def _parse(frame):
@@ -393,11 +383,9 @@ class TestCommitPacing:
         node = parent.node
         # Driven by hand (no thread): one call sequence per loop turn.
         node._handle_control(
-            {"op": "load", "actors": pickle.dumps([Fan("fan", ["x"], pad=64 << 10)]), "seq": 1}
+            {"op": "restore", "state": _state([Fan("fan", ["x"], pad=64 << 10)]), "seq": 1}
         )
-        node._handle_control(
-            {"op": "configure", "heartbeat_interval": 0.5, "seq": 2}
-        )
+        node._handle_control(dict(_configure(), seq=2))
         node._handle_control({"op": "start", "seq": 3})
         try:
             worst = 0
@@ -510,7 +498,7 @@ class TestParentCommit:
             rt._procs[0].kill()
             rig.pump_until(lambda: bool(sup.recoveries))
             recovery = sup.recoveries[0]
-            assert recovery["worker"] == 0 and recovery["from_snapshot"]
+            assert recovery["worker"] == 0
             assert recovery["replayed"] == 3  # from ack + 1 = 1
             assert rig.node(0) is not doomed
 
@@ -526,8 +514,7 @@ class TestParentCommit:
     def test_repeated_or_skipped_emission_id_is_an_error(self):
         rt = MultiprocRuntime(workers=1)
         rt.register(Sink())
-        rt._supervised = True
-        rt._slots = [_WorkerSlot()]
+        rt._supervision = Supervision(rt, ProcessSupervisor())
         rt._location = {"sink": None}
 
         def emission(seq):
@@ -539,7 +526,7 @@ class TestParentCommit:
             rt._route_frame(0, emission(2))
         with pytest.raises(SessionError, match="dense"):
             rt._route_frame(0, emission(4))
-        assert [entry[0] for entry in rt._slots[0].uncommitted] == [1, 2]
+        assert [entry[0] for entry in rt._supervision.slots[0].uncommitted] == [1, 2]
         # Unsequenced (unsupervised-style) frames are routed, never parked.
         rt._route_frame(0, emission(0))
         assert len(rt._pending_local) == 1
@@ -593,7 +580,7 @@ class TestSnapshotSize:
         3 x 0.5 MB under a 1 MB cap commits and routes all three.  (A state
         blob that *alone* exceeds the cap is still fatal: that is chunking,
         ROADMAP "transport hazards" (c), not this test.)"""
-        monkeypatch.setattr(multiproc, "MAX_FRAME_BYTES", 1 << 20)
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 1 << 20)
         rig = Rig([Fan("fan", ["sink"], fanout=3, pad=512 << 10)], homes={"fan": 0})
         with rig:
             rt = rig.rt
@@ -620,7 +607,7 @@ class TestRetransmitOverflow:
         loss is counted at once, and again as a gap when the worker dies and
         the replay can only start at the second input."""
         frame_bytes = len(_envelope(_K_MSG, "test", "fan", encode_value_binary(1)))
-        monkeypatch.setattr(multiproc, "RETRANSMIT_LIMIT_BYTES", 2 * frame_bytes)
+        monkeypatch.setattr(supervision, "RETRANSMIT_LIMIT_BYTES", 2 * frame_bytes)
         with _two_stage_rig() as rig:
             rt = rig.rt
             rig.node(0).withhold = True

@@ -68,6 +68,60 @@ class CorfuClient(Actor):
             callback(results)
 
 
+class CorfuLoadClient(Actor):
+    """Paced CORFU load generator: reserve positions, then write one
+    template record to each reserved position's storage unit."""
+
+    def __init__(
+        self,
+        name: str,
+        sequencer: str,
+        plan: OwnershipPlan,
+        template: Record,
+        target_rate: float,
+        grant_batch: int = 16,
+        max_outstanding: int = 32,
+    ) -> None:
+        super().__init__(name)
+        self.sequencer = sequencer
+        self.plan = plan
+        self.template = template
+        self.target_rate = target_rate
+        self.grant_batch = grant_batch
+        self.max_outstanding = max_outstanding
+        self._outstanding = 0
+        self._request_ids = itertools.count(1)
+        self.records_written = 0
+
+    def on_start(self) -> None:
+        interval = self.grant_batch / self.target_rate
+
+        def tick() -> None:
+            if self._outstanding >= self.max_outstanding:
+                return
+            self._outstanding += 1
+            self.send(
+                self.sequencer,
+                SequencerRequest(next(self._request_ids), count=self.grant_batch),
+            )
+
+        self.set_timer(interval, tick, periodic=True)
+
+    def on_message(self, sender: str, message: Any) -> None:
+        if not isinstance(message, ReservedRange):
+            return
+        self._outstanding -= 1
+        placements: Dict[str, PlaceRecords] = {}
+        for offset in range(message.count):
+            lid = message.start + offset
+            placements.setdefault(self.plan.owner(lid), PlaceRecords()).placements.append(
+                (lid, self.template)
+            )
+        for owner, batch in placements.items():
+            self.send(owner, batch)
+        self.records_written += message.count
+
+
 class CorfuLog:
     """A deployed CORFU-style log: one sequencer plus striped storage units."""
 

@@ -2,17 +2,19 @@
 
 ``repro.scenarios`` turns the repo's experiments into data: a
 :class:`ScenarioSpec` describes topology, workload, faults, and the checks
-a run must satisfy; the :class:`ScenarioRunner` executes specs through a
-standup → experiment → teardown lifecycle and persists artifacts under
-``runs/<scenario>/<run-id>/``; :mod:`~repro.scenarios.catalog` holds the
-tagged entries covering the paper's Figures 7–9 and Tables 2–5 plus the
-repo's own soak/overload/chaos scenarios.
+a run must satisfy; :data:`EXECUTORS` maps each scenario kind to the one
+function that builds and runs a sweep point's deployment; the
+:class:`ScenarioRunner` executes specs through a standup → experiment
+lifecycle and persists artifacts under ``runs/<scenario>/<run-id>/``;
+:mod:`~repro.scenarios.catalog` holds the tagged entries covering the
+paper's Figures 7–9 and Tables 2–5 plus the repo's own
+soak/overload/chaos scenarios.
 
 Command line: ``python -m repro.scenarios {list,show,run}``.
 """
 
 from .catalog import CATALOG, get, names, select, tags_in_use
-from .executors import EXECUTORS, ExecutionContext, Executor, executor_for
+from .executors import EXECUTORS
 from .runner import (
     PhaseStatus,
     RunResult,
@@ -42,8 +44,6 @@ __all__ = [
     "KNOWN_TAGS",
     "PROFILES",
     "RUNTIMES",
-    "ExecutionContext",
-    "Executor",
     "Invariant",
     "PhaseStatus",
     "RunResult",
@@ -53,7 +53,6 @@ __all__ = [
     "TopologySpec",
     "WorkloadSpec",
     "check_invariants",
-    "executor_for",
     "get",
     "names",
     "next_run_id",

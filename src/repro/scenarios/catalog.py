@@ -569,7 +569,7 @@ def _ablation_gossip_interval() -> ScenarioSpec:
         workload=WorkloadSpec(target_rate=100_000, duration=1.0, warmup=0.3),
         sweep=tuple(
             {"label": f"gossip-{round(i * 1000)}ms",
-             "workload": {"gossip_interval": i}}
+             "flstore": {"gossip_interval": i}}
             for i in intervals
         ),
         invariants=(

@@ -1,24 +1,27 @@
-"""Phased scenario runner: standup → experiment → teardown, with artifacts.
+"""Phased scenario runner: standup → experiment, with artifacts.
 
-Every run of a scenario persists a self-describing artifact directory::
+Standup resolves every sweep point and its fault plan before any
+simulation work, so a misconfigured spec fails fast; the experiment runs
+each point through its kind's function (:data:`.executors.EXECUTORS`) and
+assembles the aggregates document.  Every run persists a self-describing
+artifact directory::
 
     runs/<scenario>/<run-id>/
         spec.json          the exact spec that ran (round-trips losslessly)
         aggregates.json    deterministic simulated metrics (sorted keys)
-        perf.json          host-measured numbers, when the kind records any
         timeseries.json    per-point throughput timeseries, when captured
         run.json           phase statuses, invariant failures, verdict
 
 ``aggregates.json`` is the regression surface: it contains only simulated,
 seeded metrics, so running the same deterministic spec twice produces
-byte-identical files.  Host wall-clock measurements are quarantined in
-``perf.json``; host performance is the perf ledger's job (``ledger/``).
+byte-identical files.  Host performance is the perf ledger's job
+(``ledger/``).
 
 Run ids are sequential (``run-0001``, ``run-0002``, …) rather than
 timestamps — artifact trees stay reproducible and diffable.
 
-The teardown phase always runs: a failing experiment still releases its
-resources and still writes ``run.json`` recording what happened.
+The artifacts are written on every path: an experiment that raises still
+leaves ``run.json`` recording what happened.
 """
 
 from __future__ import annotations
@@ -27,10 +30,14 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from .executors import executor_for
+from ..chaos.plan import FaultPlan
+from .executors import EXECUTORS, PRIMARY_METRIC
 from .spec import ScenarioSpec, check_invariants
+
+#: (label, effective per-point spec, per-point fault plan).
+Point = Tuple[str, ScenarioSpec, Optional[FaultPlan]]
 
 _RUN_ID = re.compile(r"^run-(\d+)$")
 
@@ -64,7 +71,6 @@ class RunResult:
     run_id: str
     phases: List[PhaseStatus] = field(default_factory=list)
     aggregates: Dict[str, Any] = field(default_factory=dict)
-    perf: Dict[str, Any] = field(default_factory=dict)
     timeseries: Dict[str, Any] = field(default_factory=dict)
     invariant_failures: List[str] = field(default_factory=list)
     error: Optional[str] = None
@@ -117,6 +123,48 @@ def next_run_id(scenario_dir: Path) -> str:
     return f"run-{highest + 1:04d}"
 
 
+def standup(spec: ScenarioSpec) -> List[Point]:
+    """Every sweep point with its fault plan, resolved up front."""
+    return [
+        (label, point, FaultPlan.from_dict(point.faults) if point.faults is not None else None)
+        for label, point in spec.points()
+    ]
+
+
+def experiment(
+    spec: ScenarioSpec, points: List[Point]
+) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """Run every point; returns ``(aggregates, timeseries)``."""
+    run_point = EXECUTORS[spec.kind]
+    point_metrics: List[Dict[str, Any]] = []
+    timeseries: Dict[str, Any] = {}
+    fault_stats: Dict[str, int] = {}
+    for label, point, plan in points:
+        metrics = run_point(point, plan)
+        series = metrics.pop("timeseries", None)
+        if series:
+            timeseries[label] = series
+        if plan is not None:
+            for key, count in plan.stats.items():
+                fault_stats[key] = fault_stats.get(key, 0) + count
+        point_metrics.append({"label": label, **metrics})
+    aggregates: Dict[str, Any] = {
+        "kind": spec.kind,
+        "scenario": spec.name,
+        "points": point_metrics,
+    }
+    primary = PRIMARY_METRIC.get(spec.kind)
+    if primary is not None:
+        index = max(
+            range(len(point_metrics)),
+            key=lambda i: point_metrics[i].get(primary, float("-inf")),
+        )
+        aggregates["best"] = {"index": index, **point_metrics[index]}
+    if fault_stats:
+        aggregates["faults"] = dict(sorted(fault_stats.items()))
+    return aggregates, timeseries
+
+
 class ScenarioRunner:
     """Runs specs through the phase lifecycle and persists artifacts.
 
@@ -133,12 +181,12 @@ class ScenarioRunner:
         run_id: Optional[str] = None,
         raise_on_failure: bool = False,
     ) -> RunResult:
-        """Execute one spec: standup → experiment → teardown → invariants.
+        """Execute one spec: standup → experiment → invariants.
 
-        Teardown always runs, and artifacts are always written, even when
-        the experiment raises.  With ``raise_on_failure`` a failed run
-        raises :class:`ScenarioError` (carrying the result) after artifacts
-        are persisted; otherwise inspect :attr:`RunResult.status`.
+        Artifacts are always written, even when the experiment raises.
+        With ``raise_on_failure`` a failed run raises :class:`ScenarioError`
+        (carrying the result) after artifacts are persisted; otherwise
+        inspect :attr:`RunResult.status`.
         """
         scenario_dir = (
             self.run_root / spec.name if self.run_root is not None else None
@@ -148,37 +196,24 @@ class ScenarioRunner:
                 next_run_id(scenario_dir) if scenario_dir is not None else "adhoc"
             )
         result = RunResult(spec=spec, run_id=run_id)
-        executor = executor_for(spec)
 
-        context = None
+        points: Optional[List[Point]] = None
         try:
-            context = executor.standup(spec)
+            points = standup(spec)
             result.phases.append(PhaseStatus("standup", "ok"))
         except Exception as exc:
             result.phases.append(PhaseStatus("standup", "failed", repr(exc)))
             result.error = f"standup: {exc!r}"
 
-        if context is not None:
+        if points is None:
+            result.phases.append(PhaseStatus("experiment", "skipped"))
+        else:
             try:
-                aggregates, perf = executor.experiment(context)
-                result.aggregates = aggregates
-                result.perf = perf
-                result.timeseries = dict(context.timeseries)
+                result.aggregates, result.timeseries = experiment(spec, points)
                 result.phases.append(PhaseStatus("experiment", "ok"))
             except Exception as exc:
                 result.phases.append(PhaseStatus("experiment", "failed", repr(exc)))
                 result.error = f"experiment: {exc!r}"
-            finally:
-                try:
-                    executor.teardown(context)
-                    result.phases.append(PhaseStatus("teardown", "ok"))
-                except Exception as exc:  # noqa: BLE001 - recorded, not lost
-                    result.phases.append(PhaseStatus("teardown", "failed", repr(exc)))
-                    if result.error is None:
-                        result.error = f"teardown: {exc!r}"
-        else:
-            result.phases.append(PhaseStatus("experiment", "skipped"))
-            result.phases.append(PhaseStatus("teardown", "skipped"))
 
         if result.error is None:
             result.invariant_failures = check_invariants(spec, result.aggregates)
@@ -196,8 +231,6 @@ class ScenarioRunner:
         run_dir.mkdir(parents=True, exist_ok=True)
         _write_json(run_dir / "spec.json", result.spec.to_dict())
         _write_json(run_dir / "aggregates.json", result.aggregates)
-        if result.perf:
-            _write_json(run_dir / "perf.json", result.perf)
         if result.timeseries:
             _write_json(run_dir / "timeseries.json", result.timeseries)
         _write_json(run_dir / "run.json", result.to_dict())

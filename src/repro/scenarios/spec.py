@@ -34,7 +34,7 @@ from ..core.config import (
 )
 from ..core.errors import ConfigurationError
 
-#: Scenario kinds and the executor each maps to (see ``executors.py``).
+#: Scenario kinds, each run by one function of ``executors.EXECUTORS``.
 KINDS: Tuple[str, ...] = ("flstore", "pipeline", "corfu", "geo", "functional")
 
 #: Runtimes a scenario may request.  ``sim`` is the deterministic
@@ -56,8 +56,10 @@ KNOWN_TAGS: Tuple[str, ...] = (
 )
 
 #: Machine profiles addressable by name from a spec.  ``load-generator``
-#: mirrors ``repro.scenarios.harness.GENERATOR``; ``fig9-shared-nic`` is the
-#: constrained 1 GbE shared-NIC profile Figure 9's discussion describes.
+#: is the load generators' own machine (Figures 7–8 drive maintainers from
+#: separate machines whose capacity must not be the bottleneck);
+#: ``fig9-shared-nic`` is the constrained 1 GbE shared-NIC profile Figure
+#: 9's discussion describes.
 PROFILES: Dict[str, MachineProfile] = {
     "private-cloud": PRIVATE_CLOUD,
     "public-cloud": PUBLIC_CLOUD,
@@ -172,6 +174,10 @@ class TopologySpec:
                       "maintainers", "senders", "receivers", "units"):
             if getattr(self, stage) < 1:
                 raise ConfigurationError(f"topology.{stage} must be >= 1")
+        if self.grant_batch < 1:
+            raise ConfigurationError("topology.grant_batch must be >= 1")
+        if self.sequencer_capacity <= 0:
+            raise ConfigurationError("topology.sequencer_capacity must be positive")
         if self.workers < 0:
             raise ConfigurationError("topology.workers must be >= 0")
         if self.expand_maintainers < 0:
@@ -210,9 +216,8 @@ class WorkloadSpec:
     #: Keep simulating this long after the load window (drain phases).
     run_past_load: float = 0.0
     max_outstanding: int = 4
-    #: FLStore round-robin LId round size and gossip interval (§5).
+    #: FLStore round-robin LId round size (§5).
     lid_batch: int = 1000
-    gossip_interval: float = 0.005
     #: Figure 9-style per-source throughput timeseries.
     timeseries_sources: Tuple[str, ...] = ()
     timeseries_bin: float = 0.1
@@ -258,7 +263,9 @@ class WorkloadSpec:
 # Invariants
 # ===================================================================== #
 
-_OPS: Tuple[str, ...] = ("eq", "lt", "gt", "le", "ge", "approx", "between", "ratio_between")
+#: Ops that compare the metric with ``value`` or ``other``.
+_COMPARISONS: Tuple[str, ...] = ("eq", "lt", "gt", "le", "ge", "approx")
+_OPS: Tuple[str, ...] = _COMPARISONS + ("between", "ratio_between")
 
 
 @dataclass(frozen=True)
@@ -289,6 +296,10 @@ class Invariant:
             raise ConfigurationError(f"invariant op {self.op!r} needs a band")
         if self.op == "ratio_between" and self.other is None:
             raise ConfigurationError("ratio_between needs an `other` path")
+        if self.op in _COMPARISONS and self.value is None and self.other is None:
+            raise ConfigurationError(
+                f"invariant op {self.op!r} needs a `value` or an `other` path"
+            )
 
     # -- evaluation ---------------------------------------------------- #
 
@@ -299,6 +310,7 @@ class Invariant:
 
     def check(self, aggregates: Any) -> Optional[str]:
         """None when satisfied, otherwise a readable failure description."""
+        suffix = f" — {self.note}" if self.note else ""
         try:
             actual = resolve_path(aggregates, self.metric)
             expected = self._expected(aggregates) if self.op not in (
@@ -326,9 +338,12 @@ class Invariant:
                 expected = f"ratio in [{lo}, {hi}] of {self.other} (got {ratio:.3f})"
         except KeyError as exc:
             return f"{self.metric}: {exc.args[0]}"
+        except TypeError as exc:
+            # An operand the run could not produce (``lag_seconds: None``
+            # when a datacenter never caught up) fails the claim readably.
+            return f"{self.metric} {self.op}: operands not comparable ({exc}){suffix}"
         if ok:
             return None
-        suffix = f" — {self.note}" if self.note else ""
         return (
             f"{self.metric} {self.op} "
             f"{self.other + ' * ' + repr(self.scale) if self.other else expected!r}: "
@@ -405,12 +420,7 @@ class ScenarioSpec:
         return PipelineConfig(**self.pipeline)
 
     def flstore_config(self) -> FLStoreConfig:
-        base = {
-            "batch_size": self.workload.lid_batch,
-            "gossip_interval": self.workload.gossip_interval,
-        }
-        base.update(self.flstore)
-        return FLStoreConfig(**base)
+        return FLStoreConfig(**{"batch_size": self.workload.lid_batch, **self.flstore})
 
     def points(self) -> List[Tuple[str, "ScenarioSpec"]]:
         """The resolved sweep: (label, effective spec) per point.

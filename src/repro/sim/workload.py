@@ -58,8 +58,6 @@ class LoadClient(Actor):
         Records per batch.
     total_records:
         Stop after generating this many records (None = run forever).
-    start_at / stop_at:
-        Generation window in simulated seconds.
     max_outstanding:
         Bound on queued generation jobs (pacing backpressure).
     """
@@ -72,8 +70,6 @@ class LoadClient(Actor):
         target_rate: float,
         batch_size: int = 500,
         total_records: Optional[int] = None,
-        start_at: float = 0.0,
-        stop_at: Optional[float] = None,
         max_outstanding: int = 4,
     ) -> None:
         super().__init__(name)
@@ -86,8 +82,6 @@ class LoadClient(Actor):
         self.target_rate = target_rate
         self.batch_size = batch_size
         self.total_records = total_records
-        self.start_at = start_at
-        self.stop_at = stop_at
         self.max_outstanding = max_outstanding
         self.records_generated = 0
         self.batches_sent = 0
@@ -112,8 +106,6 @@ class LoadClient(Actor):
             if self._finished():
                 if self._timer is not None:
                     self._timer.cancel()
-                return
-            if self.now < self.start_at:
                 return
             if self._outstanding >= self.max_outstanding:
                 return  # client CPU saturated; skip this tick (sheds load)
@@ -142,11 +134,7 @@ class LoadClient(Actor):
         return max(0, min(self.batch_size, remaining))
 
     def _finished(self) -> bool:
-        if self.total_records is not None and self.records_generated >= self.total_records:
-            return True
-        if self.stop_at is not None and self.now >= self.stop_at:
-            return True
-        return False
+        return self.total_records is not None and self.records_generated >= self.total_records
 
 
 class SinkActor(Actor):

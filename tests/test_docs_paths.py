@@ -25,7 +25,7 @@ _ROOTS = ("", "src", "src/repro", "src/repro/analysis", "docs")
 #: Named in the docs but produced by running things (all gitignored).
 _GENERATED = {
     "runs/", "ledger/out/",
-    "spec.json", "aggregates.json", "perf.json", "timeseries.json", "run.json",
+    "spec.json", "aggregates.json", "timeseries.json", "run.json",
 }
 
 _CODE = re.compile(r"```.*?```|`[^`\n]+`", re.DOTALL)

@@ -120,13 +120,21 @@ def test_message_futures_agreement(txns):
 @settings(max_examples=10, deadline=None)
 @given(st.integers(1, 3), st.integers(50_000, 150_000))
 def test_simulation_results_are_deterministic(n_maintainers, target):
-    from repro.scenarios.harness import run_flstore_sim
+    from repro.scenarios import ScenarioSpec, TopologySpec, WorkloadSpec, run_scenario
 
-    first = run_flstore_sim(n_maintainers, float(target), duration=0.5, warmup=0.2)
-    second = run_flstore_sim(n_maintainers, float(target), duration=0.5, warmup=0.2)
-    assert first.achieved_total == second.achieved_total
-    assert first.records_stored == second.records_stored
-    assert first.head_of_log == second.head_of_log
+    spec = ScenarioSpec(
+        name="determinism",
+        title="determinism",
+        kind="flstore",
+        topology=TopologySpec(maintainers=n_maintainers, profile="public-cloud"),
+        workload=WorkloadSpec(target_rate=float(target), duration=0.5, warmup=0.2),
+    )
+    first = run_scenario(spec).aggregates["points"][0]
+    second = run_scenario(spec).aggregates["points"][0]
+    assert first["achieved"] == second["achieved"]
+    assert first["records_stored"] == second["records_stored"]
+    assert first["head_lag"] == second["head_lag"]
+    assert first == second
 
 
 # --------------------------------------------------------------------- #

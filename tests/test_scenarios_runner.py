@@ -33,7 +33,7 @@ def _quick_spec(**overrides):
 def test_lifecycle_phases_and_artifacts(tmp_path):
     result = ScenarioRunner(run_root=tmp_path).run(_quick_spec())
     assert [(p.name, p.status) for p in result.phases] == [
-        ("standup", "ok"), ("experiment", "ok"), ("teardown", "ok")
+        ("standup", "ok"), ("experiment", "ok")
     ]
     assert result.status == "passed"
     run_dir = result.artifacts_dir
@@ -85,20 +85,21 @@ def test_no_persist_runner_writes_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_teardown_runs_when_experiment_raises(tmp_path, monkeypatch):
-    def explode(self, context, label, point, plan):
+def test_artifacts_persist_when_experiment_raises(tmp_path, monkeypatch):
+    def explode(point, plan):
         raise RuntimeError("mid-experiment crash")
 
-    monkeypatch.setattr(type(EXECUTORS["flstore"]), "run_point", explode)
+    monkeypatch.setitem(EXECUTORS, "flstore", explode)
     result = ScenarioRunner(run_root=tmp_path).run(_quick_spec())
     assert result.status == "error"
     assert "mid-experiment crash" in result.error
     assert result.phase("experiment").status == "failed"
-    # Teardown still ran, and artifacts were still persisted.
-    assert result.phase("teardown").status == "ok"
+    # Every artifact is still persisted, and run.json records the failure.
+    names = {p.name for p in result.artifacts_dir.iterdir()}
+    assert {"spec.json", "aggregates.json", "run.json"} <= names
     run_doc = json.loads((result.artifacts_dir / "run.json").read_text())
     assert run_doc["status"] == "error"
-    assert any(p["name"] == "teardown" and p["status"] == "ok"
+    assert any(p["name"] == "experiment" and p["status"] == "failed"
                for p in run_doc["phases"])
 
 
@@ -109,7 +110,6 @@ def test_standup_failure_skips_experiment(tmp_path):
     assert result.status == "error"
     assert result.phase("standup").status == "failed"
     assert result.phase("experiment").status == "skipped"
-    assert result.phase("teardown").status == "skipped"
 
 
 def test_invariant_failure_marks_run_failed_and_raises(tmp_path):
@@ -135,3 +135,15 @@ def test_geo_scenario_requires_two_datacenters():
     result = run_scenario(spec, raise_on_failure=False)
     assert result.status == "error"
     assert ">= 2 datacenters" in result.error
+
+
+def test_incomparable_metric_fails_the_run_instead_of_raising(tmp_path):
+    """A metric a run could not produce fails its invariant; the runner
+    still finishes and persists every artifact."""
+    spec = _quick_spec(invariants=(
+        Invariant(metric="points.0.achieved", op="gt", other="points.0.label"),
+    ))
+    result = ScenarioRunner(run_root=tmp_path).run(spec)
+    assert result.status == "failed"
+    assert "not comparable" in result.invariant_failures[0]
+    assert (result.artifacts_dir / "run.json").is_file()

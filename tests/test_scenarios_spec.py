@@ -70,6 +70,18 @@ def test_sim_only_kind_rejects_other_runtimes(kind, runtime):
         ScenarioSpec(name="bad", title="t", kind=kind, runtime=runtime)
 
 
+@pytest.mark.parametrize(
+    "field,value", [("grant_batch", 0), ("sequencer_capacity", 0.0)]
+)
+def test_topology_rejects_a_corfu_run_that_never_advances(field, value):
+    """A zero grant batch makes the CORFU client's timer re-arm at the same
+    instant forever; refuse it (and a zero-capacity sequencer) up front."""
+    with pytest.raises(ConfigurationError, match=field):
+        TopologySpec(**{field: value})
+    with pytest.raises(ConfigurationError, match=field):
+        ScenarioSpec.from_dict({"name": "c", "kind": "corfu", "topology": {field: value}})
+
+
 def test_topology_rejects_negative_workers_and_expansion():
     with pytest.raises(ConfigurationError, match="workers"):
         TopologySpec(workers=-1)
@@ -213,3 +225,31 @@ def test_invariant_missing_path_reported_not_raised():
         _DOC,
     )
     assert failures and "points.9.achieved" in failures[0]
+
+
+@pytest.mark.parametrize("op", ["eq", "lt", "gt", "le", "ge", "approx"])
+def test_comparison_without_an_expected_side_is_refused(op):
+    with pytest.raises(ConfigurationError, match="needs a `value` or an `other`"):
+        Invariant(metric="points.0.achieved", op=op)
+
+
+@pytest.mark.parametrize(
+    "inv",
+    [
+        Invariant(metric="points.0.lag_seconds", op="gt", value=0.1),
+        Invariant(metric="points.0.lag_seconds", op="ge", value=0.0),
+        Invariant(metric="points.0.lag_seconds", op="approx", value=1.0),
+        Invariant(metric="points.0.lag_seconds", op="between", band=(0.0, 1.0)),
+        Invariant(metric="points.1.lag_seconds", op="lt", other="points.0.lag_seconds"),
+        Invariant(metric="points.1.lag_seconds", op="ratio_between",
+                  other="points.0.lag_seconds", band=(0.5, 2.0)),
+    ],
+)
+def test_incomparable_operand_is_a_failure_not_an_exception(inv):
+    """A geo point that never caught up reports ``lag_seconds: None``."""
+    doc = {"points": [{"lag_seconds": None}, {"lag_seconds": 0.5}]}
+    failures = check_invariants(
+        ScenarioSpec(name="s", title="t", invariants=(inv, inv)), doc
+    )
+    assert len(failures) == 2
+    assert "not comparable" in failures[0]

@@ -8,12 +8,16 @@ core record model (``core/record.py``) must therefore be declared
 ``Payload``, carry an explicit ``__slots__ = ()`` so subclasses' slots
 actually bite (a dict-ful base silently re-adds ``__dict__`` to every
 subclass instance).
+
+A ``typing.NamedTuple`` is slotted, but a class that subclasses one (as the
+record model's checked types do) gets a per-instance ``__dict__`` back
+unless it declares ``__slots__ = ()`` too.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Tuple
+from typing import Iterator, Set, Tuple
 
 from ..findings import Finding
 from ..project import ModuleInfo
@@ -32,6 +36,14 @@ def _dataclass_decorator(node: ast.ClassDef) -> ast.expr | None:
         if name == "dataclass":
             return decorator
     return None
+
+
+def _base_names(node: ast.ClassDef) -> Iterator[str]:
+    for base in node.bases:
+        if isinstance(base, ast.Attribute):
+            yield base.attr
+        elif isinstance(base, ast.Name):
+            yield base.id
 
 
 def _declares_slots(node: ast.ClassDef) -> bool:
@@ -57,14 +69,33 @@ class SlotsRule(ModuleRule):
         "Public dataclasses in */messages.py and core/record.py are "
         "allocated per wire item on the batch fast paths and must declare "
         "slots=True in their @dataclass decorator (or an explicit "
-        "__slots__ assignment for field-less bases)."
+        "__slots__ assignment for field-less bases); a public subclass of "
+        "a NamedTuple class there must declare __slots__ = ()."
     )
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         if not any(module.relpath.endswith(s) for s in HOT_MODULE_SUFFIXES):
             return
+        tuple_classes: Set[str] = set()  # NamedTuple classes and their subclasses
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = set(_base_names(node))
+            if "NamedTuple" in bases:
+                tuple_classes.add(node.name)
+                continue
+            if bases & tuple_classes:
+                tuple_classes.add(node.name)
+                if not node.name.startswith("_") and not _declares_slots(node):
+                    yield self.finding(
+                        module,
+                        node.lineno,
+                        node.col_offset,
+                        f"hot-path NamedTuple subclass {node.name} lacks "
+                        "__slots__ = (); without it every instance has a __dict__",
+                    )
+                continue
+            if node.name.startswith("_"):
                 continue
             decorator = _dataclass_decorator(node)
             if decorator is None:

@@ -18,7 +18,7 @@ bounded set of deferred records.  The queue holding the token:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..core.causality import CausalFrontier, DeferredQueue
 from ..core.config import PipelineConfig
@@ -137,7 +137,9 @@ class QueueStage(Actor):
         #    incorporated is held, with every later draft of the buffer, until
         #    a later round (the abstract Append defers it too); the frontier
         #    then covers its dependencies, so they add nothing to the vector.
-        commits: List[DraftCommitted] = []
+        #    Drafts take the LIds after the admitted externals, in order, so
+        #    each commit is built with its final LId, in its client's batch.
+        by_client: Dict[str, DraftCommitBatch] = {}
         drafts = self._buffered_drafts
         if drafts:
             dc = self.dc_id
@@ -145,6 +147,7 @@ class QueueStage(Actor):
             base_vector.pop(dc, None)
             base_items = tuple(sorted(base_vector.items()))
             first = toid = frontier.max_toid(dc)
+            lid_of_toid = token.next_lid + len(ordered) - first - 1
             for draft in drafts:
                 if draft.deps and any(
                     host != dc and dep_toid > base_vector.get(host, 0)
@@ -153,47 +156,39 @@ class QueueStage(Actor):
                     break
                 toid += 1
                 tags = freeze_tags(dict(draft.tags)) if draft.tags else ()
-                record = Record(
-                    rid=RecordId(dc, toid),
-                    body=draft.body,
-                    tags=tags,
-                    deps=base_items,
+                rid = RecordId(dc, toid)
+                ordered.append(Record(rid, draft.body, tags, base_items))
+                batch = by_client.get(draft.client)
+                if batch is None:
+                    batch = by_client[draft.client] = DraftCommitBatch()
+                batch.commits.append(
+                    DraftCommitted(draft.client, draft.seq, rid, lid_of_toid + toid)
                 )
-                ordered.append(record)
-                commits.append(DraftCommitted(draft.client, draft.seq, record.rid, -1))
             if toid > first:
                 frontier.advance_host(dc, toid)
             self._buffered_drafts = drafts[toid - first:]
 
-        # 3. Assign LIds and route to the owning maintainers.  Ownership is
-        #    constant across a round, so look it up once per run of LIds
-        #    instead of once per record.
+        # 3. Assign LIds and route to the owning maintainers: one ownership
+        #    lookup and one slice per run of LIds with a single owner.
         if ordered:
             placements: Dict[str, PlaceRecords] = {}
-            lid_by_rid: Dict[RecordId, int] = {}
             plan = self.plan
-            lid = token.next_lid
-            run_end = -1
-            target: List[Tuple[int, Record]] = []
-            for record in ordered:
-                if lid >= run_end:
-                    owner = plan.owner(lid)
-                    run_end = plan.owned_run_end(lid)
-                    message = placements.get(owner)
-                    if message is None:
-                        message = placements[owner] = PlaceRecords()
-                    target = message.placements
-                lid_by_rid[record.rid] = lid
-                target.append((lid, record))
-                lid += 1
-            token.next_lid = lid
+            start = lid = token.next_lid
+            end = start + len(ordered)
+            while lid < end:
+                owner = plan.owner(lid)
+                run_end = min(plan.owned_run_end(lid), end)
+                message = placements.get(owner)
+                if message is None:
+                    message = placements[owner] = PlaceRecords()
+                message.placements.extend(
+                    zip(range(lid, run_end), ordered[lid - start : run_end - start])
+                )
+                lid = run_end
+            token.next_lid = end
             self.records_sequenced += len(ordered)
             for owner, message in placements.items():
                 self.send(owner, message)
-            by_client: Dict[str, DraftCommitBatch] = {}
-            for commit in commits:
-                commit.lid = lid_by_rid[commit.rid]
-                by_client.setdefault(commit.client, DraftCommitBatch()).commits.append(commit)
             for client, batch in by_client.items():
                 self.send(client, batch)
 

@@ -16,12 +16,18 @@ client's knowledge of every datacenter's records at append time, expressed as
 ``{datacenter: max TOId seen}``.  This is the causality metadata used by the
 abstract solution (§6.1) and the queue stage (§6.2) to decide when a record
 may be incorporated into a local log.
+
+:class:`RecordId`, :class:`Record`, :class:`LogEntry` and
+:class:`AppendResult` are immutable ``NamedTuple`` values: construction,
+hashing, equality and ordering are the tuple's own, in C, so two values with
+equal fields are equal (a ``RecordId`` equals its plain ``(host, toid)``
+pair).  The id range checks run in ``__new__``, also when unpickling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import ConfigurationError
 
@@ -31,21 +37,29 @@ DatacenterId = str
 #: Mapping from datacenter id to the highest TOId known from it.
 KnowledgeVector = Dict[DatacenterId, int]
 
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True, order=True, slots=True)
-class RecordId:
+
+# A NamedTuple class may not define ``__new__``, so the two types whose
+# fields have a range check subclass a private field tuple and check there.
+class _RecordIdFields(NamedTuple):
+    host: DatacenterId
+    toid: int
+
+
+class RecordId(_RecordIdFields):
     """Globally unique, immutable identity of a record: ``(host, TOId)``.
 
     TOIds start at 1 (the paper initialises ATable entries to zero so that
     "the first record of each node has a TOId of 1").
     """
 
-    host: DatacenterId
-    toid: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.toid < 1:
-            raise ConfigurationError(f"TOIds start at 1, got {self.toid}")
+    def __new__(cls, host: DatacenterId, toid: int) -> "RecordId":
+        if toid < 1:
+            raise ConfigurationError(f"TOIds start at 1, got {toid}")
+        return _tuple_new(cls, (host, toid))
 
     def predecessor(self) -> Optional["RecordId"]:
         """The record that precedes this one in its host's total order."""
@@ -64,8 +78,7 @@ def freeze_tags(tags: Optional[Mapping[str, Any]]) -> Tuple[Tuple[str, Any], ...
     return tuple(sorted(tags.items()))
 
 
-@dataclass(frozen=True, slots=True)
-class Record:
+class Record(NamedTuple):
     """An immutable shared-log record.
 
     Records are created once by an application client at their host
@@ -148,8 +161,12 @@ class Record:
         return body + tag_overhead + dep_overhead + 24  # 24B fixed header
 
 
-@dataclass(frozen=True, slots=True)
-class LogEntry:
+class _LogEntryFields(NamedTuple):
+    lid: int
+    record: Record
+
+
+class LogEntry(_LogEntryFields):
     """One datacenter's copy of a record: the record plus its local LId.
 
     LIds start at 0 and are dense: position ``i`` in a datacenter's shared
@@ -157,20 +174,19 @@ class LogEntry:
     ``i``.
     """
 
-    lid: int
-    record: Record
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lid < 0:
-            raise ConfigurationError(f"LIds are non-negative, got {self.lid}")
+    def __new__(cls, lid: int, record: Record) -> "LogEntry":
+        if lid < 0:
+            raise ConfigurationError(f"LIds are non-negative, got {lid}")
+        return _tuple_new(cls, (lid, record))
 
     @property
     def rid(self) -> RecordId:
         return self.record.rid
 
 
-@dataclass(frozen=True, slots=True)
-class AppendResult:
+class AppendResult(NamedTuple):
     """Returned to the application client after a successful append (§3).
 
     Carries the assigned TOId and LId as the paper's ``Append`` API promises.

@@ -52,30 +52,23 @@ from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 from .errors import NetworkProtocolError
 from .record import AppendResult, LogEntry, Record, RecordId
 
-# Decoded objects are built without running the frozen-dataclass __init__
-# (object.__new__ + object.__setattr__): the ctor's per-field immutability
-# machinery is pure overhead when every field comes straight off the wire.
-# The __post_init__ invariants (toid >= 1, lid >= 0) are checked explicitly.
-_new = object.__new__
-_set = object.__setattr__
+# The record model's types are tuples: a decoder builds one with a single
+# C-level ``_tuple_new(T, (...))``, after making the range checks the types'
+# constructors make (TOId >= 1, LId >= 0) — raising NetworkProtocolError
+# where the constructors raise ConfigurationError.
+_tuple_new = tuple.__new__
 
 
 def _make_rid(host: str, toid: int) -> RecordId:
     if toid < 1:
         raise NetworkProtocolError(f"TOIds start at 1, got {toid}")
-    rid = _new(RecordId)
-    _set(rid, "host", host)
-    _set(rid, "toid", toid)
-    return rid
+    return _tuple_new(RecordId, (host, toid))
 
 
 def _make_entry(lid: int, record: Record) -> LogEntry:
     if lid < 0:
         raise NetworkProtocolError(f"LIds are non-negative, got {lid}")
-    entry = _new(LogEntry)
-    _set(entry, "lid", lid)
-    _set(entry, "record", record)
-    return entry
+    return _tuple_new(LogEntry, (lid, record))
 
 
 # Value tags (one byte each).  0x14, 0x15 and 0x1F belong to the network
@@ -605,7 +598,6 @@ def _dec_record_fields(buf: bytes, pos: int) -> Tuple[Record, int]:
     unpack_i64 = _unpack_i64
     decode_value = _decode_value
     dc_cache = _DC_CACHE
-    set_ = _set
 
     n = buf[pos]
     pos += 1
@@ -704,16 +696,8 @@ def _dec_record_fields(buf: bytes, pos: int) -> Tuple[Record, int]:
         deps = ()
     if toid < 1:
         raise NetworkProtocolError(f"TOIds start at 1, got {toid}")
-    rid = _new(RecordId)
-    set_(rid, "host", host)
-    set_(rid, "toid", toid)
-    record = _new(Record)
-    set_(record, "rid", rid)
-    set_(record, "body", body)
-    set_(record, "tags", tags)
-    set_(record, "deps", deps)
-    set_(record, "internal", internal == 1)
-    return record, pos
+    rid = _tuple_new(RecordId, (host, toid))
+    return _tuple_new(Record, (rid, body, tags, deps, internal == 1)), pos
 
 
 def _dec_tag_lists(buf: bytes, pos: int, lists: int) -> Tuple[List[Tuple[Any, ...]], int]:
@@ -809,25 +793,16 @@ def _dec_run(buf: bytes, pos: int) -> Tuple[List[Any], int]:
 
 
 def _dec_record_run(buf: bytes, pos: int, n: int) -> Tuple[List[Any], int]:
-    new = _new
-    set_ = _set
+    new = _tuple_new
     hosts, pos = _dec_str_column(buf, pos, n, True)
     toids = struct.unpack_from(">%dq" % n, buf, pos)
     if n and min(toids) < 1:
         raise NetworkProtocolError(f"TOIds start at 1, got {min(toids)}")
     deps, internal, bodies, tags, pos = _dec_payload_columns(buf, pos + 8 * n, n)
-    records: List[Any] = []
-    for host, toid, body, pairs, dep, flag in zip(hosts, toids, bodies, tags, deps, internal):
-        rid = new(RecordId)
-        set_(rid, "host", host)
-        set_(rid, "toid", toid)
-        record = new(Record)
-        set_(record, "rid", rid)
-        set_(record, "body", body)
-        set_(record, "tags", pairs)
-        set_(record, "deps", dep)
-        set_(record, "internal", flag)
-        records.append(record)
+    records = [
+        new(Record, (new(RecordId, (host, toid)), body, pairs, dep, flag))
+        for host, toid, body, pairs, dep, flag in zip(hosts, toids, bodies, tags, deps, internal)
+    ]
     return records, pos
 
 
@@ -843,13 +818,7 @@ def _dec_entry_run(buf: bytes, pos: int, n: int) -> Tuple[List[Any], int]:
     if n and min(lids) < 0:
         raise NetworkProtocolError(f"LIds are non-negative, got {min(lids)}")
     records, pos = _dec_record_run(buf, pos + 8 * n, n)
-    entries: List[Any] = []
-    for lid, record in zip(lids, records):
-        entry = _new(LogEntry)
-        _set(entry, "lid", lid)
-        _set(entry, "record", record)
-        entries.append(entry)
-    return entries, pos
+    return [_tuple_new(LogEntry, pair) for pair in zip(lids, records)], pos
 
 
 def _dec_result_run(buf: bytes, pos: int, n: int) -> Tuple[List[Any], int]:
@@ -858,15 +827,11 @@ def _dec_result_run(buf: bytes, pos: int, n: int) -> Tuple[List[Any], int]:
     toids = ids[:n]
     if n and min(toids) < 1:
         raise NetworkProtocolError(f"TOIds start at 1, got {min(toids)}")
-    results: List[Any] = []
-    for host, toid, lid in zip(hosts, toids, ids[n:]):
-        rid = _new(RecordId)
-        _set(rid, "host", host)
-        _set(rid, "toid", toid)
-        result = _new(AppendResult)
-        _set(result, "rid", rid)
-        _set(result, "lid", lid)
-        results.append(result)
+    new = _tuple_new
+    results = [
+        new(AppendResult, (new(RecordId, (host, toid)), lid))
+        for host, toid, lid in zip(hosts, toids, ids[n:])
+    ]
     return results, pos + 16 * n
 
 
@@ -1066,10 +1031,7 @@ def _decode_value(buf: bytes, pos: int) -> Tuple[Any, int]:
         (toid,) = _unpack_i64(buf, pos)
         pos += 8
         (lid,) = _unpack_i64(buf, pos)
-        result = _new(AppendResult)
-        _set(result, "rid", _make_rid(host, toid))
-        _set(result, "lid", lid)
-        return result, pos + 8
+        return _tuple_new(AppendResult, (_make_rid(host, toid), lid)), pos + 8
     if tag == _T_BIGINT:
         n = buf[pos]
         pos += 1

@@ -30,7 +30,7 @@ from ..core.errors import (
     NotOwnerError,
 )
 from ..core.hashing import stable_hash
-from ..core.record import AppendResult, DatacenterId, LogEntry, ReadRules, Record, RecordId
+from ..core.record import AppendResult, DatacenterId, LogEntry, ReadRules, Record
 from ..runtime.actor import Actor
 from ..runtime.messages import RecordBatch
 from .messages import (
@@ -93,7 +93,6 @@ class MaintainerCore:
         #: Cold-storage hook (§6.1): called with each record evicted by GC.
         self._archive = archive
         self._storage: Dict[int, Record] = {}
-        self._by_rid: Dict[RecordId, int] = {}
         first = plan.first_owned_lid(name)
         #: First owned LId not yet filled (post-assign cursor / placed frontier).
         self._next_unassigned: Optional[int] = first
@@ -196,11 +195,9 @@ class MaintainerCore:
                 end = start + len(records)
                 placements = list(zip(range(start, end), records))
                 storage = self._storage
-                by_rid = self._by_rid
                 postings = self._pending_postings
                 for lid, record in placements:
                     storage[lid] = record
-                    by_rid[record.rid] = lid
                     for key, value in record.tags:
                         postings.append((key, value, lid))
                 self._max_stored_lid = end - 1
@@ -339,7 +336,6 @@ class MaintainerCore:
         """
         plan = self.plan
         storage = self._storage
-        by_rid = self._by_rid
         postings = self._pending_postings
         floor = self._gc_floor or 0
         run_start = run_end = -1  # LIds in [run_start, run_end) are owned
@@ -356,7 +352,6 @@ class MaintainerCore:
                     self.place(lid, record)  # no-op, or ImmutabilityError
                     continue
                 storage[lid] = record
-                by_rid[record.rid] = lid
                 if lid > newest:
                     newest = lid
                 for key, value in record.tags:
@@ -372,7 +367,6 @@ class MaintainerCore:
 
     def _put(self, lid: int, record: Record) -> None:
         self._storage[lid] = record
-        self._by_rid[record.rid] = lid
         if lid > self._max_stored_lid:
             self._max_stored_lid = lid
         for key, value in record.tags:
@@ -524,7 +518,6 @@ class MaintainerCore:
             if self._archive is not None and not record.internal:
                 self._archive(lid, record)
             del self._storage[lid]
-            self._by_rid.pop(record.rid, None)
             dropped += 1
             if not record.internal:
                 self.records_collected += 1
@@ -553,9 +546,6 @@ class MaintainerCore:
 
     def stored_entries(self) -> List[LogEntry]:
         return [LogEntry(lid, self._storage[lid]) for lid in sorted(self._storage)]
-
-    def has_record(self, rid: RecordId) -> bool:
-        return rid in self._by_rid
 
 
 class LogMaintainer(Actor):

@@ -60,10 +60,9 @@ from ..core.value_codec import (
     _enc_str_column,
     _enc_tag_lists,
     _encode_value,
-    _new,
     _pack_i64,
     _pack_u32,
-    _set,
+    _tuple_new,
     _unpack_i64,
     _unpack_u32,
     decode_value_binary,
@@ -71,6 +70,13 @@ from ..core.value_codec import (
 )
 from ..flstore import messages as fmsg
 from ..runtime.messages import RecordBatch
+
+# Drafts and commits are slotted dataclasses; their decoders build them
+# without running __init__ (``_new`` + ``_set``): the frozen DraftRecord's
+# per-field immutability machinery is pure overhead when every field comes
+# straight off the wire.
+_new = object.__new__
+_set = object.__setattr__
 
 #: First byte of every frame body; anything else is not a frame of ours.
 BINARY_MAGIC = 0xC5
@@ -413,13 +419,10 @@ def _dec_commit_run(buf: bytes, pos: int, n: int) -> Tuple[List[Any], int]:
         raise NetworkProtocolError(f"TOIds start at 1, got {min(toids)}")
     commits = []
     for client, seq, host, toid, lid in zip(clients, seqs, hosts, toids, lids):
-        rid = _new(RecordId)
-        _set(rid, "host", host)
-        _set(rid, "toid", toid)
         commit = _new(DraftCommitted)
         commit.client = client
         commit.seq = seq
-        commit.rid = rid
+        commit.rid = _tuple_new(RecordId, (host, toid))
         commit.lid = lid
         commits.append(commit)
     return commits, pos + 16 * n

@@ -404,6 +404,25 @@ class TestSlotsRule:
         findings = lint(tmp_path, {"proto/config.py": source}, select=["CHR007"])
         assert findings == []
 
+    NAMED_TUPLE = (
+        "from typing import NamedTuple\n\n"
+        "class _Fields(NamedTuple):\n    lid: int\n\n"
+        "class Entry(_Fields):\n{slots}"
+        "    def __new__(cls, lid: int) -> 'Entry':\n"
+        "        return tuple.__new__(cls, (lid,))\n"
+    )
+
+    def test_named_tuple_subclass_without_slots_fires(self, tmp_path):
+        source = self.NAMED_TUPLE.format(slots="")
+        findings = lint(tmp_path, {"core/record.py": source}, select=["CHR007"])
+        assert codes(findings) == ["CHR007"]
+        assert "Entry" in findings[0].message
+
+    def test_named_tuple_subclass_with_empty_slots_is_fine(self, tmp_path):
+        source = self.NAMED_TUPLE.format(slots="    __slots__ = ()\n\n")
+        findings = lint(tmp_path, {"core/record.py": source}, select=["CHR007"])
+        assert findings == []
+
 
 # --------------------------------------------------------------------- #
 # CHR008 — typed public API

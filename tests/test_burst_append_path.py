@@ -290,7 +290,6 @@ def test_causal_tests_read_deps_without_building_a_vector():
 def core_state(core: MaintainerCore) -> Dict[str, Any]:
     return {
         "storage": dict(core._storage),
-        "by_rid": dict(core._by_rid),
         "cursor": core.next_unassigned,
         "round_end": core._round_end,
         "newest": core.max_stored_lid,

@@ -5,12 +5,20 @@ from repro.chaos import FaultPlan
 from repro.chariots.batcher import Batcher
 from repro.chariots.filters import FilterMap
 from repro.chariots.gc import GcCoordinator
-from repro.chariots.messages import AdmittedBatch, DraftBatch, DraftRecord, FilterBatch, PeerVector
+from repro.chariots.messages import (
+    AdmittedBatch,
+    DraftBatch,
+    DraftCommitBatch,
+    DraftRecord,
+    FilterBatch,
+    PeerVector,
+)
 from repro.chariots.queues import QueueStage
 from repro.chariots.receiver import Receiver
 from repro.chariots.sender import Sender
-from repro.core import PipelineConfig
+from repro.core import PipelineConfig, RecordId
 from repro.flstore.maintainer import LogMaintainer
+from repro.flstore.messages import PlaceRecords
 from repro.flstore.range_map import OwnershipPlan
 from repro.runtime import LocalRuntime
 from repro.sim.workload import SinkActor
@@ -188,6 +196,36 @@ class TestQueueStage:
         q1.on_message("f", AdmittedBatch(externals=[rec("B", 1)]))
         runtime.run_for(0.005)
         assert store.core.stored_count() == 2
+
+
+    def test_one_round_commits_each_draft_at_its_placed_lid(self):
+        plan = OwnershipPlan(["m0", "m1"], batch_size=4)
+        queue = QueueStage("queue", "A", plan, holds_initial_token=True)
+        sent = []
+        queue.send = lambda dst, message: sent.append((dst, message))
+        queue._token.next_lid = 2  # LIds 2-3 are m0's, 4-7 m1's, 8-11 m0's again
+        drafts = [draft("c2", 1), draft("c1", 1), draft("c2", 2), draft("c1", 2), draft("c2", 3)]
+        queue.on_message("f", AdmittedBatch(externals=[rec("B", 2), rec("B", 1)], drafts=drafts))
+
+        assert [dst for dst, _ in sent] == ["m0", "m1", "c2", "c1"]
+        placed = {}
+        for dst, message in sent[:2]:
+            assert isinstance(message, PlaceRecords)
+            for lid, record in message.placements:
+                assert plan.owner(lid) == dst
+                placed[record.rid] = lid
+        assert sorted(placed.values()) == list(range(2, 9))
+        assert placed[RecordId("B", 1)] == 2 and placed[RecordId("B", 2)] == 3
+
+        commits = {}
+        for client, batch in sent[2:]:
+            assert isinstance(batch, DraftCommitBatch)
+            for commit in batch.commits:
+                assert commit.client == client
+                assert commit.lid == placed[commit.rid]
+                commits[(client, commit.seq)] = commit.lid
+        assert commits == {("c2", 1): 4, ("c1", 1): 5, ("c2", 2): 6, ("c1", 2): 7, ("c2", 3): 8}
+        assert queue._token.next_lid == 9
 
 
 class TestSenderReceiver:

@@ -574,6 +574,14 @@ class TestMalformedRuns:
         toid_column = commits.rindex(struct.pack(">%dq" % RUN_N, *range(1, RUN_N + 1)))
         with pytest.raises(NetworkProtocolError, match="TOIds start at 1"):
             decode_value_binary(set_i64(commits, toid_column, -5))
+        placements = encode_value_binary(five_messages(records)[0])
+        toid_column = placements.index(struct.pack(">%dq" % RUN_N, *range(1, RUN_N + 1)))
+        with pytest.raises(NetworkProtocolError, match="TOIds start at 1"):
+            decode_value_binary(set_i64(placements, toid_column, 0))
+        results = encode_value_binary([AppendResult(r.rid, 100 + i) for i, r in enumerate(records)])
+        toid_column = results.index(struct.pack(">%dq" % RUN_N, *range(1, RUN_N + 1)))
+        with pytest.raises(NetworkProtocolError, match="TOIds start at 1"):
+            decode_value_binary(set_i64(results, toid_column + 8, 0))
         reply = encode_value_binary(five_messages(records)[1])
         lid_column = reply.index(struct.pack(">q", 1000))
         with pytest.raises(NetworkProtocolError, match="LIds are non-negative"):

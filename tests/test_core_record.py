@@ -1,7 +1,10 @@
 """Unit tests for the record model (repro.core.record)."""
 
+import pickle
+
 import pytest
 
+from repro.chariots.messages import DraftCommitted
 from repro.core import (
     AppendResult,
     ConfigurationError,
@@ -10,9 +13,18 @@ from repro.core import (
     Record,
     RecordId,
     freeze_tags,
+    value_codec,
 )
+from repro.net.binary_codec import decode_value_binary, encode_value_binary
 
 from conftest import rec
+
+T_RUN = 0x16
+
+
+def unchecked(kind, *fields):
+    """A value built past its constructor's check, as a corrupt pickle holds."""
+    return tuple.__new__(kind, fields)
 
 
 class TestRecordId:
@@ -24,6 +36,9 @@ class TestRecordId:
     def test_toids_start_at_one(self):
         with pytest.raises(ConfigurationError):
             RecordId("A", 0)
+        blob = pickle.dumps(unchecked(RecordId, "A", 0))
+        with pytest.raises(ConfigurationError):
+            pickle.loads(blob)
 
     def test_negative_toid_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -33,6 +48,7 @@ class TestRecordId:
         assert RecordId("A", 1) == RecordId("A", 1)
         assert RecordId("A", 1) != RecordId("B", 1)
         assert len({RecordId("A", 1), RecordId("A", 1), RecordId("A", 2)}) == 2
+        assert hash(RecordId("A", 3)) == hash(("A", 3))  # set and dict order rely on it
 
     def test_ordering_is_host_then_toid(self):
         assert RecordId("A", 9) < RecordId("B", 1)
@@ -69,8 +85,8 @@ class TestRecord:
 
     def test_records_are_immutable(self):
         record = rec("A", 1)
-        with pytest.raises(Exception):
-            record.body = "changed"  # frozen dataclass
+        with pytest.raises(AttributeError):
+            record.body = "changed"
 
     def test_implicit_host_dependency(self):
         record = rec("A", 3)
@@ -122,6 +138,9 @@ class TestLogEntry:
     def test_negative_lid_rejected(self):
         with pytest.raises(ConfigurationError):
             LogEntry(-1, rec("A", 1))
+        blob = pickle.dumps(unchecked(LogEntry, -1, rec("A", 1)))
+        with pytest.raises(ConfigurationError):
+            pickle.loads(blob)
 
 
 class TestAppendResult:
@@ -169,3 +188,76 @@ class TestReadRules:
     def test_internal_records_hidden_by_default(self):
         assert not ReadRules().matches(self.entry(internal=True))
         assert ReadRules(include_internal=True).matches(self.entry(internal=True))
+
+
+# --------------------------------------------------------------------------- #
+# The value-type contract: immutable tuples, exact types through pickle and
+# the binary codec, one value at a time and as every run shape that holds them
+# --------------------------------------------------------------------------- #
+
+RUN_N = value_codec._RUN_MIN  # the shortest list that travels as a run
+
+
+def records(n=RUN_N):
+    return [
+        Record.make("A", i + 1, b"body-%d" % i, tags={"k": i} if i % 3 == 0 else None,
+                    deps={"B": 4})
+        for i in range(n)
+    ]
+
+
+SINGLES = {
+    RecordId: lambda: RecordId("A", 7),
+    Record: lambda: records(1)[0],
+    LogEntry: lambda: LogEntry(3, records(1)[0]),
+    AppendResult: lambda: AppendResult(RecordId("A", 7), 42),
+}
+
+FIELDS = {RecordId: "toid", Record: "body", LogEntry: "lid", AppendResult: "lid"}
+
+#: Every run shape that carries the record model's types.
+RUNS = {
+    "records": lambda: records(),
+    "placements": lambda: [(10 + i, r) for i, r in enumerate(records())],
+    "entries": lambda: [LogEntry(10 + i, r) for i, r in enumerate(records())],
+    "results": lambda: [AppendResult(r.rid, 10 + i) for i, r in enumerate(records())],
+    "commits": lambda: [
+        DraftCommitted("A/client", i + 1, r.rid, 10 + i) for i, r in enumerate(records())
+    ],
+}
+
+
+def assert_same_types(got, want):
+    assert got == want
+    assert type(got) is type(want)
+    if isinstance(want, (tuple, list)):
+        for g, w in zip(got, want):
+            assert_same_types(g, w)
+    elif isinstance(want, DraftCommitted):
+        assert_same_types(got.rid, want.rid)
+
+
+@pytest.mark.parametrize("kind", list(SINGLES), ids=lambda k: k.__name__)
+class TestValueContract:
+    def test_fields_cannot_be_assigned(self, kind):
+        value = SINGLES[kind]()
+        with pytest.raises(AttributeError):
+            setattr(value, FIELDS[kind], 1)
+        assert not hasattr(value, "__dict__")
+
+    def test_pickle_keeps_the_exact_type(self, kind):
+        value = SINGLES[kind]()
+        assert_same_types(pickle.loads(pickle.dumps(value)), value)
+
+    def test_codec_keeps_the_exact_type(self, kind):
+        value = SINGLES[kind]()
+        assert_same_types(decode_value_binary(encode_value_binary(value)), value)
+
+
+@pytest.mark.parametrize("shape", list(RUNS))
+def test_runs_keep_the_exact_types(shape):
+    items = RUNS[shape]()
+    wire = encode_value_binary(items)
+    assert wire[0] == T_RUN  # the columnar form, not the per-element one
+    assert_same_types(decode_value_binary(wire), items)
+    assert_same_types(pickle.loads(pickle.dumps(items)), items)

@@ -10,7 +10,6 @@ paper's design argument is about.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.config import FLStoreConfig
@@ -31,7 +30,7 @@ class CorfuClient(Actor):
         super().__init__(name)
         self.sequencer = sequencer
         self.plan = plan
-        self._request_ids = itertools.count(1)
+        self._request_id = 0  # the last one issued
         self._pending: Dict[int, List[Record]] = {}
         self._callbacks: Dict[int, Callable[[List[AppendResult]], None]] = {}
         self.records_written = 0
@@ -41,7 +40,7 @@ class CorfuClient(Actor):
         records: List[Record],
         on_done: Optional[Callable[[List[AppendResult]], None]] = None,
     ) -> None:
-        request_id = next(self._request_ids)
+        request_id = self._request_id = self._request_id + 1
         self._pending[request_id] = list(records)
         if on_done is not None:
             self._callbacks[request_id] = on_done
@@ -90,7 +89,7 @@ class CorfuLoadClient(Actor):
         self.grant_batch = grant_batch
         self.max_outstanding = max_outstanding
         self._outstanding = 0
-        self._request_ids = itertools.count(1)
+        self._request_id = 0  # the last one issued
         self.records_written = 0
 
     def on_start(self) -> None:
@@ -100,9 +99,10 @@ class CorfuLoadClient(Actor):
             if self._outstanding >= self.max_outstanding:
                 return
             self._outstanding += 1
+            self._request_id += 1
             self.send(
                 self.sequencer,
-                SequencerRequest(next(self._request_ids), count=self.grant_batch),
+                SequencerRequest(self._request_id, count=self.grant_batch),
             )
 
         self.set_timer(interval, tick, periodic=True)

@@ -46,9 +46,8 @@ class Batcher(Actor):
             self._flush_full()
         elif isinstance(message, FilterBatch):
             # Receivers forward external records wrapped as FilterBatch.
-            filter_for_record = self.filter_map.filter_for_record
-            for record in message.externals:
-                self._buffer_for(filter_for_record(record)).externals.append(record)
+            for filter_name, run in self.filter_map.route_externals(message.externals):
+                self._buffer_for(filter_name).externals.extend(run)
             self._pending_records += len(message.externals)
             self.records_batched += len(message.externals)
             self._buffer_drafts(message.drafts)

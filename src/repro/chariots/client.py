@@ -8,7 +8,6 @@ stage reports the assigned TOId and LId.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..core.errors import ConfigurationError
@@ -18,6 +17,8 @@ from ..runtime.actor import Runtime
 from .messages import DraftBatch, DraftCommitBatch, DraftCommitted, DraftRecord
 
 Callback = Callable[[Any], None]
+
+_tuple_new = tuple.__new__
 
 
 class ChariotsClient(FLStoreClient):
@@ -40,7 +41,8 @@ class ChariotsClient(FLStoreClient):
         self.batchers = list(batchers)
         # Stagger the starting batcher per client so load spreads (§6.2).
         self._next_batcher = seed % len(self.batchers) if self.batchers else 0
-        self._draft_seq = itertools.count(1)
+        #: Sequence number of the last draft issued (drafts count from 1).
+        self._draft_seq = 0
         #: Drafts of the current burst, in call order, until the flush timer
         #: armed by the burst's first append fires (so never more than the
         #: caller appends in one turn).
@@ -71,13 +73,16 @@ class ChariotsClient(FLStoreClient):
             if not self.batchers:
                 raise ConfigurationError(f"client {self.name!r} has no batchers to append through")
             self.set_timer(0.0, self._flush_burst)
-        seq = next(self._draft_seq)
-        draft = DraftRecord(
-            client=self.name,
-            seq=seq,
-            body=body,
-            tags=freeze_tags(tags),
-            deps=tuple(sorted((deps or {}).items())),
+        seq = self._draft_seq = self._draft_seq + 1
+        draft = _tuple_new(
+            DraftRecord,
+            (
+                self.name,
+                seq,
+                body,
+                freeze_tags(tags) if tags else (),
+                tuple(sorted(deps.items())) if deps else (),
+            ),
         )
         if on_done is not None:
             self._pending_commits[seq] = on_done
@@ -99,15 +104,13 @@ class ChariotsClient(FLStoreClient):
         if isinstance(message, DraftCommitBatch):
             for commit in message.commits:
                 self._handle_commit(commit)
-        elif isinstance(message, DraftCommitted):
-            self._handle_commit(message)
         else:
             super().on_message(sender, message)
 
     def _handle_commit(self, commit: DraftCommitted) -> None:
         handler = self._pending_commits.pop(commit.seq, None)
         if handler is not None:
-            handler(AppendResult(commit.rid, commit.lid))
+            handler(_tuple_new(AppendResult, (commit.rid, commit.lid)))
 
 
 class BlockingChariotsClient(BlockingFLStoreClient):

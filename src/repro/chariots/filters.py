@@ -20,7 +20,8 @@ scalable (§6.2).
 
 from __future__ import annotations
 
-import itertools
+from itertools import groupby
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import PipelineConfig
@@ -29,6 +30,8 @@ from ..core.hashing import stable_hash
 from ..core.record import DatacenterId, Record
 from ..runtime.actor import Actor
 from .messages import AdmittedBatch, DraftRecord, FilterBatch
+
+_host_of = attrgetter("rid.host")
 
 
 class FilterMap:
@@ -125,6 +128,23 @@ class FilterMap:
 
     def filter_for_record(self, record: Record) -> str:
         return self.filter_for(record.host, record.toid)
+
+    def route_externals(self, records: List[Record]) -> List[Tuple[str, List[Record]]]:
+        """Champion filter of every record, as ``(filter, records)`` runs.
+
+        The runs keep the records' order.  A run of one host's records
+        whose host has a :meth:`sole_champion` costs one lookup; the records
+        of a split or reassigned host are routed one by one with
+        :meth:`filter_for`.
+        """
+        routed: List[Tuple[str, List[Record]]] = []
+        for host, run in groupby(records, _host_of):
+            champion = self.sole_champion(host)
+            if champion is not None:
+                routed.append((champion, list(run)))
+            else:
+                routed.extend((self.filter_for(*record.rid), [record]) for record in run)
+        return routed
 
     def next_toid_for(self, host: DatacenterId, after_toid: int, filter_name: str) -> int:
         """Smallest TOId > ``after_toid`` of ``host`` championed by
@@ -260,22 +280,17 @@ class FilterCore:
         next_toid = self._next_toid
         while i < n:
             record = records[i]
-            host = record.host
-            if fm.sole_champion(host) != self.name:
+            host, toid = record.rid
+            if (
+                fm.sole_champion(host) != self.name
+                or toid != next_toid.get(host, 1)
+                or self._reorder.get(host)
+            ):
                 released.extend(self.offer_external(record))
                 i += 1
                 continue
-            expected = next_toid.get(host, 1)
-            if record.toid != expected or self._reorder.get(host):
-                released.extend(self.offer_external(record))
-                i += 1
-                continue
-            toid = expected
             j = i
-            while j < n:
-                r = records[j]
-                if r.host != host or r.toid != toid:
-                    break
+            while j < n and records[j].rid == (host, toid):
                 toid += 1
                 j += 1
             released.extend(records[i:j])
@@ -365,13 +380,14 @@ class FilterStage(Actor):
         self.core = FilterCore(name, filter_map)
         self.queues = list(queues)
         self.config = config or PipelineConfig()
-        self._queue_cycle = itertools.cycle(self.queues)
+        #: Index in ``queues`` of the next admitted batch's queue.
+        self._next_queue = 0
 
     def add_queue(self, name: str) -> None:
         """Elasticity: include a newly added queue in the fan-out (§6.3)."""
         if name not in self.queues:
             self.queues.append(name)
-            self._queue_cycle = itertools.cycle(self.queues)
+            self._next_queue = 0
 
     def on_message(self, sender: str, message: Any) -> None:
         if not isinstance(message, FilterBatch):
@@ -382,7 +398,9 @@ class FilterStage(Actor):
         if message.drafts:
             admitted.drafts.extend(self.core.offer_drafts(message.drafts))
         if admitted.record_count() > 0:
-            self.send(next(self._queue_cycle), admitted)
+            index = self._next_queue
+            self._next_queue = (index + 1) % len(self.queues)
+            self.send(self.queues[index], admitted)
         # Reassignment races: pass records we no longer champion onward.
         forwards: Dict[str, FilterBatch] = {}
         for record in self.core.take_misrouted():

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.record import DatacenterId, KnowledgeVector, Record, RecordId
 from ..runtime.messages import Payload
 
 
-@dataclass(frozen=True, slots=True)
-class DraftRecord:
+class DraftRecord(NamedTuple):
     """A locally-appended record before the queue assigns its TOId/LId.
 
     The paper's abstract solution constructs the final record (host id,
@@ -19,6 +18,10 @@ class DraftRecord:
     through batchers and filters is this draft.  ``(client, seq)`` is dense
     per client and lets the filters guarantee exactly-once admission and
     per-client FIFO.
+
+    An immutable ``NamedTuple`` value, like :class:`~repro.core.record.Record`:
+    a draft equals the plain tuple of its fields, and the hot path builds it
+    with ``tuple.__new__``.
     """
 
     client: str

@@ -22,6 +22,7 @@ from typing import Any, Dict, List, Optional
 
 from ..core.causality import CausalFrontier, DeferredQueue
 from ..core.config import PipelineConfig
+from ..core.errors import ConfigurationError
 from ..core.record import DatacenterId, Record, RecordId, freeze_tags
 from ..flstore.messages import PlaceRecords
 from ..flstore.range_map import OwnershipPlan
@@ -35,6 +36,8 @@ from .messages import (
     Token,
     TokenPass,
 )
+
+_tuple_new = tuple.__new__
 
 
 class QueueStage(Actor):
@@ -147,23 +150,24 @@ class QueueStage(Actor):
             base_vector.pop(dc, None)
             base_items = tuple(sorted(base_vector.items()))
             first = toid = frontier.max_toid(dc)
+            if first < 0:  # every TOId built below is first + 1 or more
+                raise ConfigurationError(f"TOIds start at 1, got {first + 1}")
             lid_of_toid = token.next_lid + len(ordered) - first - 1
-            for draft in drafts:
-                if draft.deps and any(
+            new = _tuple_new
+            for client, seq, body, tags, deps in drafts:
+                if deps and any(
                     host != dc and dep_toid > base_vector.get(host, 0)
-                    for host, dep_toid in draft.deps
+                    for host, dep_toid in deps
                 ):
                     break
                 toid += 1
-                tags = freeze_tags(dict(draft.tags)) if draft.tags else ()
-                rid = RecordId(dc, toid)
-                ordered.append(Record(rid, draft.body, tags, base_items))
-                batch = by_client.get(draft.client)
+                rid = new(RecordId, (dc, toid))
+                tags = freeze_tags(dict(tags)) if tags else ()
+                ordered.append(new(Record, (rid, body, tags, base_items, False)))
+                batch = by_client.get(client)
                 if batch is None:
-                    batch = by_client[draft.client] = DraftCommitBatch()
-                batch.commits.append(
-                    DraftCommitted(draft.client, draft.seq, rid, lid_of_toid + toid)
-                )
+                    batch = by_client[client] = DraftCommitBatch()
+                batch.commits.append(DraftCommitted(client, seq, rid, lid_of_toid + toid))
             if toid > first:
                 frontier.advance_host(dc, toid)
             self._buffered_drafts = drafts[toid - first:]

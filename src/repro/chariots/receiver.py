@@ -9,7 +9,6 @@ one another — scaling the stage is coordination-free (§6.3).
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, List, Optional
 
 from ..core.config import PipelineConfig
@@ -34,7 +33,8 @@ class Receiver(Actor):
         self.batchers = list(batchers)
         self.gc_coordinator = gc_coordinator
         self.config = config or PipelineConfig()
-        self._batcher_cycle = itertools.cycle(self.batchers)
+        #: Index in ``batchers`` of the next shipment's batcher.
+        self._next_batcher = 0
         self.records_received = 0
         self.shipments_received = 0
 
@@ -42,7 +42,7 @@ class Receiver(Actor):
         """Elasticity: include a newly added batcher in the fan-out (§6.3)."""
         if name not in self.batchers:
             self.batchers.append(name)
-            self._batcher_cycle = itertools.cycle(self.batchers)
+            self._next_batcher = 0
 
     def on_message(self, sender: str, message: Any) -> None:
         if not isinstance(message, ReplicationShipment):
@@ -59,7 +59,9 @@ class Receiver(Actor):
         )
         if message.records:
             self.records_received += len(message.records)
-            self.send(next(self._batcher_cycle), FilterBatch(externals=list(message.records)))
+            index = self._next_batcher
+            self._next_batcher = (index + 1) % len(self.batchers)
+            self.send(self.batchers[index], FilterBatch(externals=list(message.records)))
         if self.gc_coordinator is not None and (message.vector or message.atable):
             self.send(
                 self.gc_coordinator,

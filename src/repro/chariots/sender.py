@@ -22,17 +22,19 @@ moment the partition heals.
 
 from __future__ import annotations
 
-import itertools
-import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import PipelineConfig
 from ..core.record import DatacenterId, KnowledgeVector, Record
-from ..core.retry import CircuitBreaker, RetryPolicy
+from ..core.retry import CircuitBreaker, ReplayableRandom, RetryPolicy
 from ..flstore.messages import ReadNewReply, ReadNewRequest
 from ..runtime.actor import Actor
 from .messages import AtableSnapshot, FrontierUpdate, ReplicationShipment, ShipmentAck
+
+_lid_of = itemgetter(0)
 
 
 @dataclass
@@ -95,8 +97,9 @@ class Sender(Actor):
             )
         else:
             self.retry_policy = self.config.retransmit_policy()
-        #: Seeded per-sender RNG: jitter stays deterministic across runs.
-        self._rng = random.Random(name)
+        #: Seeded per-sender RNG: jitter stays deterministic across runs
+        #: (and across a snapshot and restore, which replays its draws).
+        self._rng = ReplayableRandom(name)
         self._breakers: Dict[DatacenterId, CircuitBreaker] = {
             dc: self._new_breaker() for dc in self.peer_receivers
         }
@@ -105,7 +108,8 @@ class Sender(Actor):
         self.transitive = transitive
         self._vector: KnowledgeVector = {}
         self._atable_matrix = None
-        #: Fetched-but-not-globally-acked local records per maintainer.
+        #: Fetched-but-not-globally-acked local records per maintainer, as
+        #: ``(lid, record)`` pairs in LId order.
         self._buffer: Dict[str, List[Tuple[int, Record]]] = {m: [] for m in self.maintainers}
         self._fetch_cursor: Dict[str, int] = {m: -1 for m in self.maintainers}
         self._streams: Dict[Tuple[DatacenterId, str], _PeerStream] = {
@@ -113,11 +117,11 @@ class Sender(Actor):
             for dc in self.peer_receivers
             for m in self.maintainers
         }
-        self._ship_seq = itertools.count(1)
-        self._receiver_cycle = {
-            dc: itertools.cycle(receivers) for dc, receivers in self.peer_receivers.items()
-        }
-        self._request_ids = itertools.count(1)
+        #: The last shipment sequence number and fetch request id issued.
+        self._ship_seq = 0
+        self._request_id = 0
+        #: Per peer datacenter, the index of the receiver to send to next.
+        self._next_receiver: Dict[DatacenterId, int] = dict.fromkeys(self.peer_receivers, 0)
         #: At most one fetch in flight per maintainer: overlapping fetches of
         #: one cursor would be read, shipped and dropped remotely several times.
         self._fetches: Dict[str, _Fetch] = {}
@@ -149,10 +153,17 @@ class Sender(Actor):
     def add_peer(self, dc: DatacenterId, receivers: List[str]) -> None:
         """Connect a remote datacenter (deployment wiring / elasticity)."""
         self.peer_receivers[dc] = list(receivers)
-        self._receiver_cycle[dc] = itertools.cycle(receivers)
+        self._next_receiver[dc] = 0
         self._breakers.setdefault(dc, self._new_breaker())
         for maintainer in self.maintainers:
             self._streams.setdefault((dc, maintainer), _PeerStream())
+
+    def _receiver_for(self, dc: DatacenterId) -> str:
+        """The next receiver of ``dc``, round-robin."""
+        receivers = self.peer_receivers[dc]
+        index = self._next_receiver[dc]
+        self._next_receiver[dc] = (index + 1) % len(receivers)
+        return receivers[index]
 
     def on_start(self) -> None:
         self.set_timer(self.config.replication_interval, self._tick, periodic=True)
@@ -182,7 +193,7 @@ class Sender(Actor):
             if 0.0 <= waited < self.retry_policy.delay(inflight.attempts):
                 return
             attempts = inflight.attempts + 1  # request or reply was lost
-        request_id = next(self._request_ids)
+        request_id = self._request_id = self._request_id + 1
         self._fetches[maintainer] = _Fetch(request_id, self.now, attempts)
         self.send(
             maintainer,
@@ -203,14 +214,14 @@ class Sender(Actor):
         # re-issue's: entries at or below the cursor are buffered already.
         cursor = self._fetch_cursor[maintainer]
         buffer = self._buffer[maintainer]
-        for entry in reply.entries:
-            if entry.lid <= cursor or entry.record.internal:
+        for lid, record in reply.entries:
+            if lid <= cursor or record.internal:
                 continue
             # Direct mode ships only locally-generated records (external
             # ones reach the peers from their own hosts over the full
             # mesh); transitive mode forwards everything.
-            if self.transitive or entry.record.host == self.dc_id:
-                buffer.append((entry.lid, entry.record))
+            if self.transitive or record.rid.host == self.dc_id:
+                buffer.append((lid, record))
         moved = reply.upto > cursor
         if moved:
             self._fetch_cursor[maintainer] = reply.upto
@@ -233,7 +244,7 @@ class Sender(Actor):
                 continue  # peer is down; shipments will carry the vector later
             if self._vector and self._vector != self._last_vector_sent.get(dc):
                 self._last_vector_sent[dc] = dict(self._vector)
-                receiver = next(self._receiver_cycle[dc])
+                receiver = self._receiver_for(dc)
                 self.send(
                     receiver,
                     ReplicationShipment(
@@ -282,17 +293,14 @@ class Sender(Actor):
             stream.timed_out = False
             self._transmit(dc, maintainer, stream)  # retransmission / probe
             return
-        pending = [
-            (lid, record)
-            for lid, record in self._buffer[maintainer]
-            if lid > stream.acked_upto
-        ]
-        if not pending:
-            return
+        buffer = self._buffer[maintainer]
+        start = bisect_right(buffer, stream.acked_upto, key=_lid_of)
+        if start == len(buffer):
+            return  # nothing unacked
         if not breaker.allow(self.now):
             return  # don't open new shipments toward a dead peer
-        pending = pending[: self.config.replication_batch_limit]
-        stream.inflight_seq = next(self._ship_seq)
+        pending = buffer[start : start + self.config.replication_batch_limit]
+        stream.inflight_seq = self._ship_seq = self._ship_seq + 1
         stream.attempts = 0
         stream.retry_after = self.retry_policy.delay(0, self._rng)
         stream.timed_out = False
@@ -301,12 +309,12 @@ class Sender(Actor):
         # forwards third-party records only; the filters would drop echoes
         # anyway, this just saves the bandwidth).
         stream.inflight_records = [
-            record for _lid, record in pending if record.host != dc
+            record for _lid, record in pending if record.rid.host != dc
         ]
         self._transmit(dc, maintainer, stream)
 
     def _transmit(self, dc: DatacenterId, maintainer: str, stream: _PeerStream) -> None:
-        receiver = next(self._receiver_cycle[dc])
+        receiver = self._receiver_for(dc)
         stream.sent_at = self.now
         self.send(
             receiver,
@@ -346,9 +354,8 @@ class Sender(Actor):
         floor = min(
             self._streams[(dc, maintainer)].acked_upto for dc in self.peer_receivers
         )
-        self._buffer[maintainer] = [
-            (lid, record) for lid, record in self._buffer[maintainer] if lid > floor
-        ]
+        buffer = self._buffer[maintainer]
+        self._buffer[maintainer] = buffer[bisect_right(buffer, floor, key=_lid_of):]
 
     # ------------------------------------------------------------------ #
 

@@ -18,6 +18,7 @@ a total order (TOIds are dense), knowing "A up to TOId 7" means every record
 from __future__ import annotations
 
 import heapq
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import DuplicateRecordError
@@ -60,6 +61,35 @@ class CausalFrontier:
                 return False
         return True
 
+    def take_in_order(self, records: Iterable[Record]) -> Tuple[List[Record], List[Record]]:
+        """Incorporate, in one walk, every record this frontier admits in turn.
+
+        ``records`` come in ``(host, toid)`` order.  Each one costs a single
+        lookup of its host, which settles the duplicate test, the next-record
+        test and (with one lookup per dependency) the deps test of
+        :meth:`is_duplicate` / :meth:`admissible`.  Returns the records
+        incorporated, in walk order, and the ones that must wait; duplicates
+        of incorporated records are dropped.
+        """
+        known = self._max_toid
+        released: List[Record] = []
+        waiting: List[Record] = []
+        for record in records:
+            host, toid = record.rid
+            have = known.get(host, 0)
+            if have >= toid:
+                continue  # already incorporated
+            if have == toid - 1:
+                for dep_host, dep_toid in record.deps:
+                    if dep_host != host and known.get(dep_host, 0) < dep_toid:
+                        break
+                else:
+                    known[host] = toid
+                    released.append(record)
+                    continue
+            waiting.append(record)
+        return released, waiting
+
     def is_duplicate(self, record: Record) -> bool:
         """Whether the record has already been incorporated."""
         rid = record.rid
@@ -101,9 +131,7 @@ class CausalFrontier:
         return f"CausalFrontier({self._max_toid!r})"
 
 
-def _host_order(record: Record) -> Tuple[DatacenterId, int]:
-    rid = record.rid
-    return rid.host, rid.toid
+_BY_RID = attrgetter("rid")
 
 
 class DeferredQueue:
@@ -141,14 +169,9 @@ class DeferredQueue:
         ``(host, toid)`` order and parks only the records that cannot be
         admitted on that walk, so an in-order batch never touches the heap.
         """
-        released: List[Record] = []
-        for record in sorted(arrivals, key=_host_order):
-            if frontier.is_duplicate(record):
-                continue
-            if frontier.admissible(record):
-                frontier.advance(record)
-                released.append(record)
-            elif record.rid not in self._pending:  # else: repeated arrival
+        released, waiting = frontier.take_in_order(sorted(arrivals, key=_BY_RID))
+        for record in waiting:
+            if record.rid not in self._pending:  # else: repeated arrival
                 self.push(record)
         if self._heap and released:
             # A release above may have unlocked a record parked before it.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional, Tuple, Union
 
 from .errors import ConfigurationError
 
@@ -74,6 +74,35 @@ class RetryPolicy:
         """The full backoff schedule (``max_attempts - 1`` waits)."""
         for attempt in range(self.max_attempts - 1):
             yield self.delay(attempt, rng)
+
+
+class ReplayableRandom(random.Random):
+    """A seeded ``random.Random`` that pickles as its seed and draw count.
+
+    A ``random.Random`` pickles its whole Mersenne Twister state (about
+    3.8 KB); this one pickles to its seed and the number of :meth:`random`
+    draws so far, and unpickling replays those draws, so the copy continues
+    the original's sequence.  Only :meth:`random` is counted — the one
+    method :meth:`RetryPolicy.delay` draws with.
+    """
+
+    def __init__(self, seed: Union[int, str]) -> None:
+        super().__init__(seed)
+        self._seed = seed
+        self._draws = 0
+
+    def random(self) -> float:
+        self._draws += 1
+        return super().random()
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return type(self), (self._seed,), self._draws
+
+    def __setstate__(self, draws: int) -> None:
+        draw = super().random
+        for _ in range(draws):
+            draw()
+        self._draws = draws
 
 
 class CircuitBreaker:

@@ -11,7 +11,6 @@ reset.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.errors import SessionError
@@ -43,11 +42,15 @@ class FLStoreClient(Actor):
         self.controller = controller
         self._session: Optional[SessionInfo] = None
         self._plan: Optional[OwnershipPlan] = None
-        self._request_ids = itertools.count(1)
+        #: The last request id and TOId issued (both count from 1).
+        self._request_id = 0
         self._pending: Dict[int, Callback] = {}
         self._queued_ops: List[Callable[[], None]] = []
-        self._maintainer_cycle = None
-        self._toids = itertools.count(1)
+        #: The session's maintainers in round-robin order, and the index of
+        #: the next one to use.
+        self._maintainer_order: Optional[List[str]] = None
+        self._next_maintainer_index = 0
+        self._toid = 0
         self._host_stream = f"client/{name}"
         self._seed = seed
 
@@ -56,7 +59,7 @@ class FLStoreClient(Actor):
     # ------------------------------------------------------------------ #
 
     def on_start(self) -> None:
-        request_id = next(self._request_ids)
+        request_id = self._next_request_id()
         self._pending[request_id] = self._install_session
         self.send(self.controller, SessionRequest(request_id))
 
@@ -73,10 +76,15 @@ class FLStoreClient(Actor):
             offset = maintainers.index(info.suggested_maintainer)
         else:
             offset = self._seed % len(maintainers) if maintainers else 0
-        self._maintainer_cycle = itertools.cycle(maintainers[offset:] + maintainers[:offset])
+        self._maintainer_order = maintainers[offset:] + maintainers[:offset]
+        self._next_maintainer_index = 0
         queued, self._queued_ops = self._queued_ops, []
         for op in queued:
             op()
+
+    def _next_request_id(self) -> int:
+        self._request_id += 1
+        return self._request_id
 
     @property
     def session_ready(self) -> bool:
@@ -89,9 +97,12 @@ class FLStoreClient(Actor):
             op()
 
     def _next_maintainer(self) -> str:
-        if self._maintainer_cycle is None:
+        order = self._maintainer_order
+        if order is None:
             raise SessionError(f"client {self.name!r} has no session yet")
-        return next(self._maintainer_cycle)
+        index = self._next_maintainer_index
+        self._next_maintainer_index = (index + 1) % len(order)
+        return order[index]
 
     # ------------------------------------------------------------------ #
     # Public API: Append / Read / Head (§3)
@@ -99,7 +110,8 @@ class FLStoreClient(Actor):
 
     def make_record(self, body: Any, tags: Optional[Dict[str, Any]] = None) -> Record:
         """Construct a record on this client's identity stream."""
-        return Record.make(self._host_stream, next(self._toids), body, tags=tags)
+        self._toid += 1
+        return Record.make(self._host_stream, self._toid, body, tags=tags)
 
     def append(
         self,
@@ -123,7 +135,7 @@ class FLStoreClient(Actor):
         """Append a batch; ``on_done`` receives ``List[AppendResult]``."""
 
         def op() -> None:
-            request_id = next(self._request_ids)
+            request_id = self._next_request_id()
             if on_done is not None:
                 self._pending[request_id] = lambda reply: on_done(reply.results)
             self.send(
@@ -139,7 +151,7 @@ class FLStoreClient(Actor):
         def op() -> None:
             assert self._plan is not None
             owner = self._plan.owner(lid)
-            request_id = next(self._request_ids)
+            request_id = self._next_request_id()
             self._pending[request_id] = on_done
             self.send(owner, ReadRequest(request_id, lid=lid))
 
@@ -161,7 +173,7 @@ class FLStoreClient(Actor):
             assert self._session is not None
             indexers = self._session.indexers
             indexer = indexers[stable_hash(rules.tag_key) % len(indexers)]
-            request_id = next(self._request_ids)
+            request_id = self._next_request_id()
 
             def on_lookup(reply: LookupReply) -> None:
                 self._fetch_lids(reply.lids, rules, on_done)
@@ -207,7 +219,7 @@ class FLStoreClient(Actor):
             return handler
 
         for lid in lids:
-            request_id = next(self._request_ids)
+            request_id = self._next_request_id()
             self._pending[request_id] = collect(lid)
             self.send(self._plan.owner(lid), ReadRequest(request_id, lid=lid))
 
@@ -227,7 +239,7 @@ class FLStoreClient(Actor):
                     on_done(entries)
 
             for maintainer in maintainers:
-                request_id = next(self._request_ids)
+                request_id = self._next_request_id()
                 self._pending[request_id] = collect
                 self.send(maintainer, ReadRequest(request_id, rules=rules))
 
@@ -237,7 +249,7 @@ class FLStoreClient(Actor):
         """Ask a maintainer for the head of the log (HL, §5.4)."""
 
         def op() -> None:
-            request_id = next(self._request_ids)
+            request_id = self._next_request_id()
             self._pending[request_id] = lambda reply: on_done(reply.head_lid)
             self.send(self._next_maintainer(), HeadRequest(request_id))
 

@@ -23,6 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.config import FLStoreConfig
 from ..core.errors import (
+    ConfigurationError,
     GapError,
     GarbageCollectedError,
     ImmutabilityError,
@@ -52,6 +53,7 @@ from .messages import (
 from .range_map import OwnershipPlan
 
 _INF = float("inf")
+_tuple_new = tuple.__new__
 
 Placements = List[Tuple[int, Record]]
 
@@ -428,6 +430,9 @@ class MaintainerCore:
         next_un = self._next_unassigned
         gc_floor = self._gc_floor
         lid = plan.next_owned_lid(self.name, after_lid)
+        if lid is not None and lid < 0:  # LogEntry's check; the walk only climbs
+            raise ConfigurationError(f"LIds are non-negative, got {lid}")
+        new = _tuple_new
         # Owned LIds are consecutive within a round, so walk runs with
         # ``lid += 1`` and pay the plan lookup only at run boundaries.
         while lid is not None and len(entries) < limit:
@@ -444,7 +449,7 @@ class MaintainerCore:
                         continue
                     return entries, upto  # hole: stop at the frontier
                 if host is None or record.rid.host == host:
-                    entries.append(LogEntry(lid, record))
+                    entries.append(new(LogEntry, (lid, record)))
                 upto = lid
                 lid += 1
             if lid >= run_end:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+from itertools import repeat
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Tuple, Type
 
@@ -71,12 +72,12 @@ from ..core.value_codec import (
 from ..flstore import messages as fmsg
 from ..runtime.messages import RecordBatch
 
-# Drafts and commits are slotted dataclasses; their decoders build them
-# without running __init__ (``_new`` + ``_set``): the frozen DraftRecord's
-# per-field immutability machinery is pure overhead when every field comes
-# straight off the wire.
+# Decoders build a ``DraftRecord`` (a NamedTuple) with the C-level
+# ``_tuple_new``, and a ``DraftCommitted`` (a slots dataclass) with ``_new``
+# and plain slot stores: both skip a Python-level ``__init__`` / ``__new__``
+# for fields that come straight off the wire (``_new`` and four stores
+# measured about 190 ns a commit, against 250 ns for ``__init__``).
 _new = object.__new__
-_set = object.__setattr__
 
 #: First byte of every frame body; anything else is not a frame of ours.
 BINARY_MAGIC = 0xC5
@@ -331,8 +332,7 @@ def _dec_draft(buf: Any, pos: int) -> Tuple[DraftRecord, int]:
         deps, pos = _dec_deps(buf, pos)
     else:
         pos += 1
-    draft = DraftRecord(client=client, seq=seq, body=body, tags=tags, deps=deps)
-    return draft, pos
+    return _tuple_new(DraftRecord, (client, seq, body, tags, deps)), pos
 
 
 def _enc_message(value: Any, out: bytearray) -> None:
@@ -365,13 +365,12 @@ def _dec_message(buf: Any, pos: int) -> Tuple[Any, int]:
 # The draft and commit run shapes
 # --------------------------------------------------------------------- #
 
-_draft_columns = attrgetter("client", "seq", "body", "tags", "deps")
 _commit_columns = attrgetter("client", "seq", "rid", "lid")
 
 
 def _enc_draft_run(items: List[Any], out: bytearray) -> None:
     _all_of(DraftRecord, items)
-    clients, seqs, bodies, tags, deps = zip(*map(_draft_columns, items))
+    clients, seqs, bodies, tags, deps = zip(*items)  # a draft is its field tuple
     _enc_str_column(clients, out)
     out += struct.pack(">%dq" % len(seqs), *seqs)
     _enc_payload_columns(deps, (), bodies, tags, out)
@@ -381,16 +380,8 @@ def _dec_draft_run(buf: bytes, pos: int, n: int) -> Tuple[List[Any], int]:
     clients, pos = _dec_str_column(buf, pos, n, False)
     seqs = struct.unpack_from(">%dq" % n, buf, pos)
     deps, _internal, bodies, tags, pos = _dec_payload_columns(buf, pos + 8 * n, n)
-    drafts: List[Any] = []
-    for client, seq, body, pairs, dep in zip(clients, seqs, bodies, tags, deps):
-        draft = _new(DraftRecord)
-        _set(draft, "client", client)
-        _set(draft, "seq", seq)
-        _set(draft, "body", body)
-        _set(draft, "tags", pairs)
-        _set(draft, "deps", dep)
-        drafts.append(draft)
-    return drafts, pos
+    fields = zip(clients, seqs, bodies, tags, deps)
+    return list(map(_tuple_new, repeat(DraftRecord, n), fields)), pos
 
 
 def _enc_commit_run(items: List[Any], out: bytearray) -> None:

@@ -14,7 +14,6 @@ capacity instead of accumulating an unbounded self-queue.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -86,8 +85,9 @@ class LoadClient(Actor):
         self.records_generated = 0
         self.batches_sent = 0
         self._outstanding = 0
-        self._batch_index = itertools.count()
-        self._target_cycle = itertools.cycle(self.targets)
+        #: Index of the next batch, and of the target it goes to.
+        self._batch_index = 0
+        self._next_target = 0
         self._timer = None
 
     # ------------------------------------------------------------------ #
@@ -97,7 +97,7 @@ class LoadClient(Actor):
         if not targets:
             raise ConfigurationError("LoadClient needs at least one target")
         self.targets = list(targets)
-        self._target_cycle = itertools.cycle(self.targets)
+        self._next_target = 0
 
     def on_start(self) -> None:
         interval = self.batch_size / self.target_rate
@@ -119,8 +119,11 @@ class LoadClient(Actor):
             self._outstanding -= 1
             if message.n_records <= 0 or self._finished():
                 return
-            batch = self.batch_factory(self.name, next(self._batch_index), message.n_records)
-            self.send(next(self._target_cycle), batch)
+            batch = self.batch_factory(self.name, self._batch_index, message.n_records)
+            self._batch_index += 1
+            target = self._next_target
+            self._next_target = (target + 1) % len(self.targets)
+            self.send(self.targets[target], batch)
             self.records_generated += message.n_records
             self.batches_sent += 1
         # Append acknowledgements and other replies need no client action.

@@ -12,13 +12,14 @@ from repro.chariots.messages import (
     DraftRecord,
     FilterBatch,
     PeerVector,
+    ShipmentAck,
 )
 from repro.chariots.queues import QueueStage
 from repro.chariots.receiver import Receiver
 from repro.chariots.sender import Sender
-from repro.core import PipelineConfig, RecordId
+from repro.core import LogEntry, PipelineConfig, RecordId
 from repro.flstore.maintainer import LogMaintainer
-from repro.flstore.messages import PlaceRecords
+from repro.flstore.messages import PlaceRecords, ReadNewReply
 from repro.flstore.range_map import OwnershipPlan
 from repro.runtime import LocalRuntime
 from repro.sim.workload import SinkActor
@@ -83,6 +84,20 @@ class TestBatcher:
         runtime.loop.run(max_events=10)
         assert sinks["f0"].records_received == 1
         assert sinks["f1"].records_received == 1
+
+    def test_split_host_externals_land_with_their_champions(self):
+        fmap = FilterMap(["f0", "f1", "f2"])
+        fmap.assign_host("A", ["f0"])
+        fmap.reassign_host("A", ["f1", "f2"], from_toid=5)  # split by residue
+        batcher = Batcher("batcher", fmap, config=PipelineConfig(batcher_flush_threshold=1000))
+        externals = [rec("A", t) for t in range(1, 11)] + [rec("B", 1)]  # B: all three
+        batcher.on_message("recv", FilterBatch(externals=externals))
+        for record in externals:
+            champion = fmap.filter_for(record.host, record.toid)
+            assert record in batcher._buffers[champion].externals
+        assert sum(len(b.externals) for b in batcher._buffers.values()) == len(externals)
+        assert [r.toid for r in batcher._buffers["f0"].externals if r.host == "A"] == [1, 2, 3, 4]
+        assert [r.toid for r in batcher._buffers["f2"].externals] == [5, 7, 9]
 
     def test_counts_records(self):
         runtime, batcher, sink = self.make()
@@ -296,6 +311,26 @@ class TestSenderReceiver:
         store.core.append([rec("A", t) for t in (1, 2)])
         runtime.run_for(0.1)
         assert sender.buffered_records() == 0
+
+    def test_partial_ack_ships_from_the_first_unacked_lid(self):
+        runtime = LocalRuntime()
+        receiver = SinkActor("B/recv")
+        sender = Sender(
+            "A/send", "A", maintainers=["A/store"], peer_receivers={"B": ["B/recv"]},
+            config=PipelineConfig(replication_interval=60.0, replication_batch_limit=4),
+        )
+        runtime.register_all([SinkActor("A/store"), receiver, sender])
+        runtime.start()
+        entries = [LogEntry(lid, rec("A", lid + 1)) for lid in range(6)]
+        sender.on_message("A/store", ReadNewReply(1, entries, upto=5))
+        runtime.run_for(0.01)
+        first = receiver.messages[-1]
+        assert (first.upto_lid, [r.toid for r in first.records]) == (3, [1, 2, 3, 4])
+        sender.on_message("B/recv", ShipmentAck("A/store", first.ship_seq, 1, from_dc="B"))
+        runtime.run_for(0.01)
+        second = receiver.messages[-1]
+        assert second.ship_seq > first.ship_seq
+        assert (second.upto_lid, [r.toid for r in second.records]) == (5, [3, 4, 5, 6])
 
     def test_vector_reaches_remote_gc(self):
         runtime, store, sender, receiver, batcher_sink, gc_sink = self.make_pair()

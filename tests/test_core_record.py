@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.chariots.messages import DraftCommitted
+from repro.chariots.messages import DraftCommitted, DraftRecord
 from repro.core import (
     AppendResult,
     ConfigurationError,
@@ -206,14 +206,22 @@ def records(n=RUN_N):
     ]
 
 
+def drafts(n=RUN_N):
+    return [DraftRecord("A/client/%d" % (i % 2), i + 1, r.body, r.tags, r.deps)
+            for i, r in enumerate(records(n))]
+
+
 SINGLES = {
     RecordId: lambda: RecordId("A", 7),
     Record: lambda: records(1)[0],
     LogEntry: lambda: LogEntry(3, records(1)[0]),
     AppendResult: lambda: AppendResult(RecordId("A", 7), 42),
+    DraftRecord: lambda: drafts(1)[0],
 }
 
-FIELDS = {RecordId: "toid", Record: "body", LogEntry: "lid", AppendResult: "lid"}
+FIELDS = {
+    RecordId: "toid", Record: "body", LogEntry: "lid", AppendResult: "lid", DraftRecord: "seq",
+}
 
 #: Every run shape that carries the record model's types.
 RUNS = {
@@ -221,6 +229,7 @@ RUNS = {
     "placements": lambda: [(10 + i, r) for i, r in enumerate(records())],
     "entries": lambda: [LogEntry(10 + i, r) for i, r in enumerate(records())],
     "results": lambda: [AppendResult(r.rid, 10 + i) for i, r in enumerate(records())],
+    "drafts": lambda: drafts(),
     "commits": lambda: [
         DraftCommitted("A/client", i + 1, r.rid, 10 + i) for i, r in enumerate(records())
     ],
@@ -252,6 +261,16 @@ class TestValueContract:
     def test_codec_keeps_the_exact_type(self, kind):
         value = SINGLES[kind]()
         assert_same_types(decode_value_binary(encode_value_binary(value)), value)
+
+
+def test_draft_construction_matches_the_dataclass_it_replaced():
+    # Keyword and positional forms, with the default tags and deps, as the
+    # scenario executors build drafts.
+    by_keyword = DraftRecord(client="c", seq=3, body=b"x")
+    assert by_keyword == DraftRecord("c", 3, b"x") == DraftRecord("c", 3, b"x", (), ())
+    assert (by_keyword.tags, by_keyword.deps) == ((), ())
+    assert by_keyword.size_bytes() == 1 + 32
+    assert DraftRecord("c", 1, None).size_bytes(100) == 132
 
 
 @pytest.mark.parametrize("shape", list(RUNS))

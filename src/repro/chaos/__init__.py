@@ -7,8 +7,10 @@ into the runtimes behind zero-overhead no-op defaults:
 
 * :class:`FaultPlan` — seeded message faults, crashes, partitions and
   worker kills: the one ``chaos`` argument of ``LocalRuntime`` /
-  ``SimRuntime`` / ``AioRuntime`` / ``MultiprocRuntime``;
-* :class:`NetChaos` — seeded request-level faults for the asyncio servers.
+  ``SimRuntime`` / ``AioRuntime`` (one process, a loopback TCP socket) /
+  ``MultiprocRuntime``;
+* :class:`NetChaos` — seeded request-level faults for the asyncio servers
+  of the legacy TCP FLStore stack (:mod:`repro.net.server`).
 """
 
 from .netchaos import NetChaos

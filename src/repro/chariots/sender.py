@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import PipelineConfig
 from ..core.record import DatacenterId, KnowledgeVector, Record
-from ..core.retry import CircuitBreaker, ReplayableRandom, RetryPolicy
+from ..core.retry import CircuitBreaker, ReplayableRandom
 from ..flstore.messages import ReadNewReply, ReadNewRequest
 from ..runtime.actor import Actor
 from .messages import AtableSnapshot, FrontierUpdate, ReplicationShipment, ShipmentAck
@@ -75,8 +75,6 @@ class Sender(Actor):
         maintainers: List[str],
         peer_receivers: Dict[DatacenterId, List[str]],
         config: Optional[PipelineConfig] = None,
-        retransmit_timeout: Optional[float] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         transitive: bool = False,
     ) -> None:
         super().__init__(name)
@@ -84,19 +82,7 @@ class Sender(Actor):
         self.maintainers = list(maintainers)
         self.peer_receivers = {dc: list(rs) for dc, rs in peer_receivers.items()}
         self.config = config or PipelineConfig()
-        if retry_policy is not None:
-            self.retry_policy = retry_policy
-        elif retransmit_timeout is not None:
-            # Back-compat shorthand: a bare timeout becomes the backoff base.
-            self.retry_policy = RetryPolicy(
-                base_delay=retransmit_timeout,
-                max_delay=retransmit_timeout * 8,
-                multiplier=self.config.retransmit_multiplier,
-                jitter=self.config.retransmit_jitter,
-                max_attempts=1_000_000,
-            )
-        else:
-            self.retry_policy = self.config.retransmit_policy()
+        self.retry_policy = self.config.retransmit_policy()
         #: Seeded per-sender RNG: jitter stays deterministic across runs
         #: (and across a snapshot and restore, which replays its draws).
         self._rng = ReplayableRandom(name)

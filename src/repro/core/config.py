@@ -1,9 +1,9 @@
 """Configuration objects shared across FLStore, Chariots, and the simulator.
 
-Defaults follow the paper's experimental setup (§7): 512-byte records, a
-round-robin batch size of 1000 LIds per maintainer round (Figure 4), and
+Defaults follow the paper's experimental setup (§7): 512-byte records and
 machine profiles calibrated so a single pipeline stage machine sustains the
-~120–130 K records/s the paper reports.
+~120–130 K records/s the paper reports.  The round size (1000 LIds per
+maintainer round, Figure 4) is the ``batch_size`` of the ownership plan.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .retry import RetryPolicy
 class FLStoreConfig:
     """Tunables for the intra-datacenter log store (§5)."""
 
-    #: Number of consecutive LIds in one maintainer round (Figure 4 uses 1000).
-    batch_size: int = 1000
     #: Seconds between head-of-log gossip messages between maintainers (§5.4).
     gossip_interval: float = 0.005
     #: When True, a maintainer holding an explicit-order record whose minimum
@@ -29,8 +27,6 @@ class FLStoreConfig:
     fill_gaps_with_noops: bool = False
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.gossip_interval <= 0:
             raise ConfigurationError("gossip_interval must be positive")
 

@@ -1,8 +1,9 @@
 """The wire codec: the protocol messages over the packed value layer.
 
 Every message that crosses a socket in this repository — in a TCP FLStore
-frame, through the actor-routed :class:`~repro.net.aio_runtime.AioRuntime`,
-inside a multiproc envelope — is encoded here.  The value layer (scalars,
+frame, or inside an envelope of the socket wire that
+:class:`~repro.net.aio_runtime.AioRuntime` and the multiproc runtime share —
+is encoded here.  The value layer (scalars,
 containers, the ``Record`` / ``RecordId`` / ``LogEntry`` / ``AppendResult``
 layouts, and the record / placement / entry / result / posting run shapes)
 lives in :mod:`repro.core.value_codec`, where the storage layer shares it;
@@ -25,7 +26,8 @@ scalars and containers, with exact Python types.
 For *any* byte string :func:`decode_value_binary` returns a value or raises
 :class:`~repro.core.errors.NetworkProtocolError`, allocating no more than
 a small multiple of the input's length.
-Framing lives in :mod:`repro.net.protocol`.
+Framing lives in :mod:`repro.runtime.multiproc.wire` (the actor runtimes)
+and :mod:`repro.net.protocol` (the legacy TCP FLStore stack).
 """
 
 from __future__ import annotations

@@ -8,11 +8,12 @@ travel inside it as native objects.  That is the only format: a body that
 starts with any other byte is rejected, and the connection it arrived on is
 dropped.
 
-:class:`FrameProtocol` is the one frame parser: the component servers, the
-``AioRuntime`` hub and :class:`Connection` (the outbound side: client
-requests, gossip and postings links) all subclass it, so a complete frame is
+:class:`FrameProtocol` is the frame parser of this legacy TCP stack only:
+the component servers and :class:`Connection` (the outbound side: client
+requests, gossip and postings links) subclass it, so a complete frame is
 handled inside the transport's read callback — no task, future or reader
-wake-up per frame on the receiving side.
+wake-up per frame on the receiving side.  The actor runtimes' socket wire
+is :mod:`repro.runtime.multiproc.wire`.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ control-plane actors (clients, controllers, GC, load generators).
 The package is four modules:
 
 * :mod:`.wire` — the 0xC6 envelope (routed without decoding the payload),
-  framed sockets and the selector turn both sides run;
+  framed sockets, the selector turn both sides run and the real-time
+  timer loop;
 * :mod:`.worker` — the worker process and the node hosting its actors;
 * :mod:`.supervision` — the parent half of the supervised exactly-once
   protocol, present only when a
@@ -69,10 +70,11 @@ from .wire import (
     _FrameConn,
     _parse_envelope,
     _read_one_frame_blocking,
+    _RealtimeLoop,
     _turn,
     _wall_clock,
 )
-from .worker import _RealtimeLoop, _worker_main
+from .worker import _worker_main
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...chaos.plan import FaultPlan

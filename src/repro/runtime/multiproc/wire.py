@@ -1,4 +1,6 @@
-"""The multiproc wire: envelopes, framed sockets and the one selector turn.
+"""The socket wire: envelopes, framed sockets, the one selector turn and
+the real-time timer loop.  The multiproc parent, its workers and
+:class:`~repro.net.aio_runtime.AioRuntime` all run on it.
 
 Every frame between the parent and a worker is a length-prefixed envelope
 the router can parse *without touching the payload*::
@@ -15,6 +17,8 @@ per-worker delivery number (parent→worker) or the worker's emission id
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import selectors
 import socket
 import struct
@@ -23,6 +27,7 @@ from collections import deque
 from typing import Callable, List, Sequence, Tuple, Union
 
 from ...core.errors import SessionError
+from ..loop import EventHandle
 
 #: First byte of every multiproc envelope body (binary codec frames start
 #: with 0xC5 — the router does not speak those directly).
@@ -50,10 +55,46 @@ Frame = Union[bytes, bytearray]
 
 
 def _wall_clock() -> float:
-    """This runtime is real time by design, like ``net/aio_runtime``: OS
-    processes and sockets do not replay from a seed, so deadlines and the
-    timer loop read the monotonic clock rather than a simulated one."""
+    """The socket runtimes are real time by design: OS processes and
+    sockets do not replay from a seed, so deadlines and the timer loop read
+    the monotonic clock rather than a simulated one."""
     return time.monotonic()  # chariots: noqa=CHR003 - real-time runtime
+
+
+class _RealtimeLoop:
+    """Monotonic-clock timer heap exposing the ``EventLoop`` subset actors
+    use (``now`` + ``schedule``); shared by the multiproc parent, its
+    workers and :class:`~repro.net.aio_runtime.AioRuntime`."""
+
+    def __init__(self) -> None:
+        self._epoch = _wall_clock()
+        self._heap: List[Tuple[float, int, EventHandle]] = []
+        self._seq = itertools.count()
+
+    @property
+    def now(self) -> float:
+        return _wall_clock() - self._epoch
+
+    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
+        handle = EventHandle(self.now + max(0.0, delay), next(self._seq), callback)
+        heapq.heappush(self._heap, (handle.time, handle.seq, handle))
+        return handle
+
+    def fire_due(self) -> int:
+        fired = 0
+        while self._heap and self._heap[0][0] <= self.now:
+            handle = heapq.heappop(self._heap)[2]
+            if not handle.cancelled:
+                handle.callback()
+                fired += 1
+        return fired
+
+    def seconds_to_next(self, default: float) -> float:
+        while self._heap and self._heap[0][2].cancelled:
+            heapq.heappop(self._heap)
+        if not self._heap:
+            return default
+        return max(0.0, self._heap[0][0] - self.now)
 
 
 def _envelope(kind: int, src: str, dst: str, payload: bytes, seq: int = 0) -> bytes:

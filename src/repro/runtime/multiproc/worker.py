@@ -1,4 +1,4 @@
-"""The worker process: a real-time timer loop and the node that hosts actors.
+"""The worker process and the node that hosts its actors.
 
 :func:`_worker_main` is the spawned process's entry point: it connects
 back to the parent, says hello, and runs a :class:`_WorkerNode` until the
@@ -10,20 +10,17 @@ control frames (``restore``, ``configure``, ``start``, ``fetch_many``,
 from __future__ import annotations
 
 import gc
-import heapq
-import itertools
 import pickle
 import selectors
 import socket
 import sys
 import traceback
 from collections import deque
-from typing import Any, Callable, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from ...net.binary_codec import decode_value_binary, encode_value_binary
 from ..actor import Actor
 from ..local import BaseRuntime
-from ..loop import EventHandle
 from .supervision import HEARTBEAT_INTERVAL
 from .wire import (
     _K_CTRL,
@@ -32,44 +29,10 @@ from .wire import (
     _envelope,
     _FrameConn,
     _parse_envelope,
+    _RealtimeLoop,
     _turn,
     _wall_clock,
 )
-
-
-class _RealtimeLoop:
-    """Monotonic-clock timer heap exposing the ``EventLoop`` subset actors
-    use (``now`` + ``schedule``); shared by the parent and the workers."""
-
-    def __init__(self) -> None:
-        self._epoch = _wall_clock()
-        self._heap: List[Tuple[float, int, EventHandle]] = []
-        self._seq = itertools.count()
-
-    @property
-    def now(self) -> float:
-        return _wall_clock() - self._epoch
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
-        handle = EventHandle(self.now + max(0.0, delay), next(self._seq), callback)
-        heapq.heappush(self._heap, (handle.time, handle.seq, handle))
-        return handle
-
-    def fire_due(self) -> int:
-        fired = 0
-        while self._heap and self._heap[0][0] <= self.now:
-            handle = heapq.heappop(self._heap)[2]
-            if not handle.cancelled:
-                handle.callback()
-                fired += 1
-        return fired
-
-    def seconds_to_next(self, default: float) -> float:
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return default
-        return max(0.0, self._heap[0][0] - self.now)
 
 
 def _format_error(exc: BaseException) -> str:

@@ -420,7 +420,7 @@ class ScenarioSpec:
         return PipelineConfig(**self.pipeline)
 
     def flstore_config(self) -> FLStoreConfig:
-        return FLStoreConfig(**{"batch_size": self.workload.lid_batch, **self.flstore})
+        return FLStoreConfig(**self.flstore)
 
     def points(self) -> List[Tuple[str, "ScenarioSpec"]]:
         """The resolved sweep: (label, effective spec) per point.

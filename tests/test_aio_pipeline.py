@@ -140,6 +140,33 @@ class TestPipelineOverSockets:
         finally:
             runtime.stop()
 
+    def test_a_frame_larger_than_a_read_arrives_whole_and_in_order(self):
+        """A 6 MiB message is above one ``recv`` (1 MiB) and one read budget
+        (4 MiB), so its frame is reassembled across turns; it and the small
+        messages around it arrive intact and in send order."""
+        from repro.flstore.messages import GossipHL
+        from repro.runtime import Actor
+
+        got = []
+
+        class Listener(Actor):
+            def on_message(self, sender, message):
+                got.append(message)
+
+        big = bytes(range(256)) * (6 * 4 * 1024)
+        sent = [GossipHL("m0", 1), big, GossipHL("m0", 2)]
+        runtime = AioRuntime()
+        runtime.register(Listener("ear"))
+        runtime.start()
+        try:
+            for message in sent:
+                runtime.send("mouth", "ear", message)
+            assert runtime.settle(lambda: len(got) == 3, max_seconds=10)
+            assert got == sent
+            assert runtime.messages_routed == 3
+        finally:
+            runtime.stop()
+
     def test_send_requires_started_runtime(self):
         runtime = AioRuntime()
 

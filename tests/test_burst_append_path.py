@@ -458,8 +458,11 @@ def make_sender(retransmit_timeout=0.1):
     sender = Sender(
         "A/send", "A", maintainers=["A/store"],
         peer_receivers={"B": ["B/recv"]},
-        config=PipelineConfig(replication_interval=0.01),
-        retransmit_timeout=retransmit_timeout,
+        config=PipelineConfig(
+            replication_interval=0.01,
+            retransmit_base=retransmit_timeout,
+            retransmit_max=8 * retransmit_timeout,
+        ),
     )
     runtime.register_all([store, receiver, sender])
     runtime.start()

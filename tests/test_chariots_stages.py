@@ -295,8 +295,9 @@ class TestSenderReceiver:
         sender = Sender(
             "A/send", "A", maintainers=["A/store"],
             peer_receivers={"B": ["B/recv"]},
-            config=PipelineConfig(replication_interval=0.01),
-            retransmit_timeout=0.05,
+            config=PipelineConfig(
+                replication_interval=0.01, retransmit_base=0.05, retransmit_max=0.4
+            ),
         )
         runtime.register_all([store, batcher_sink, receiver, sender])
         runtime.start()

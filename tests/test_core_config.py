@@ -12,16 +12,22 @@ from repro.core import (
     NetworkProfile,
     PipelineConfig,
 )
+from repro.flstore.range_map import OwnershipPlan, RangeEpoch
 
 
 class TestFLStoreConfig:
+    """The round size is not an FLStoreConfig field: it is the ``batch_size``
+    of the ownership plan's epochs, checked there."""
+
     def test_defaults_match_paper(self):
-        config = FLStoreConfig()
-        assert config.batch_size == 1000  # Figure 4's example round size
+        plan = OwnershipPlan(["m0", "m1"])
+        assert plan.current_epoch.batch_size == 1000  # Figure 4's example round size
 
     def test_batch_size_positive(self):
         with pytest.raises(ConfigurationError):
-            FLStoreConfig(batch_size=0)
+            OwnershipPlan(["m0"], batch_size=0)
+        with pytest.raises(ConfigurationError):
+            RangeEpoch(0, 0, ("m0",))
 
     def test_gossip_interval_positive(self):
         with pytest.raises(ConfigurationError):
@@ -29,7 +35,7 @@ class TestFLStoreConfig:
 
     def test_frozen(self):
         with pytest.raises(Exception):
-            FLStoreConfig().batch_size = 5
+            FLStoreConfig().gossip_interval = 5
 
 
 class TestPipelineConfig:

@@ -106,7 +106,7 @@ class TestInternalRecordsStayInternal:
 
         deployment = ChariotsDeployment(
             runtime, ["A", "B"], batch_size=4,
-            flstore_config=FLStoreConfig(batch_size=4, fill_gaps_with_noops=True),
+            flstore_config=FLStoreConfig(fill_gaps_with_noops=True),
         )
         ca = deployment.blocking_client("A")
         ca.append("real")
@@ -121,7 +121,7 @@ class TestInternalRecordsStayInternal:
         runtime = LocalRuntime()
         store = FLStore(
             runtime, n_maintainers=1, n_indexers=0, batch_size=10,
-            config=FLStoreConfig(batch_size=10, fill_gaps_with_noops=True),
+            config=FLStoreConfig(fill_gaps_with_noops=True),
         )
         client = store.blocking_client()
         client.append("visible", min_lid=3)  # forces no-op fill at 0..3

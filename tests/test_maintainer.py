@@ -287,7 +287,7 @@ class TestExplicitOrder:
         assert results[0].lid == 3
 
     def test_noop_fill_preserves_no_gap_invariant(self):
-        config = FLStoreConfig(batch_size=5, fill_gaps_with_noops=True)
+        config = FLStoreConfig(fill_gaps_with_noops=True)
         plan = OwnershipPlan(["m0"], batch_size=5)
         m0 = MaintainerCore("m0", plan, config=config)
         results = m0.append([rec("late", 1)], min_lid=3)
@@ -328,7 +328,7 @@ class TestGarbageCollection:
         assert dropped == 2
 
     def test_internal_records_always_collectable(self):
-        config = FLStoreConfig(batch_size=5, fill_gaps_with_noops=True)
+        config = FLStoreConfig(fill_gaps_with_noops=True)
         plan = OwnershipPlan(["m0"], batch_size=5)
         m0 = MaintainerCore("m0", plan, config=config)
         m0.append([rec("A", 1)], min_lid=2)  # no-ops at 0..2, record at 3

@@ -1,11 +1,12 @@
 """CORFU-style shared log: sequencer pre-assignment over striped storage.
 
-The comparison baseline (§2.1, §5.2).  Storage units are this library's log
-maintainers operated in *placed* mode with the same deterministic
-round-robin range map — the only architectural difference from FLStore is
-that log positions are **pre-assigned by a centralised sequencer** instead
-of post-assigned by the storage nodes.  That isolates the variable the
-paper's design argument is about.
+The comparison baseline (§2.1, §5.2).  The storage units are an
+:class:`~repro.flstore.store.FLStore` without indexers, its maintainers
+operated in *placed* mode with the same deterministic round-robin range
+map — the only architectural difference from FLStore is that log positions
+are **pre-assigned by a centralised sequencer** instead of post-assigned by
+the storage nodes.  That isolates the variable the paper's design argument
+is about.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..core.config import FLStoreConfig
 from ..core.record import AppendResult, LogEntry, Record
-from ..flstore.maintainer import LogMaintainer
 from ..flstore.messages import PlaceRecords
 from ..flstore.range_map import OwnershipPlan
+from ..flstore.store import FLStore, Placer
 from ..runtime.actor import Actor, Runtime
 from .sequencer import ReservedRange, Sequencer, SequencerRequest
-
-Placer = Callable[[Actor], None]
 
 
 class CorfuClient(Actor):
@@ -123,7 +122,8 @@ class CorfuLoadClient(Actor):
 
 
 class CorfuLog:
-    """A deployed CORFU-style log: one sequencer plus striped storage units."""
+    """A deployed CORFU-style log: one sequencer plus striped storage units
+    (the maintainers ``{prefix}store/{i}`` of an indexer-less FLStore)."""
 
     def __init__(
         self,
@@ -135,39 +135,35 @@ class CorfuLog:
         placer: Optional[Placer] = None,
         sequencer_grant_cost: Optional[float] = None,
     ) -> None:
-        self.runtime = runtime
-        self.config = config or FLStoreConfig()
-        place = placer or (lambda actor: runtime.register(actor))
-
-        unit_names = [f"{prefix}unit/{i}" for i in range(n_units)]
-        self.plan = OwnershipPlan(unit_names, batch_size=batch_size)
-        self.units: List[LogMaintainer] = []
-        for name in unit_names:
-            unit = LogMaintainer(name, self.plan, peers=unit_names, config=self.config)
-            place(unit)
-            self.units.append(unit)
-
+        self.store = FLStore(
+            runtime,
+            n_maintainers=n_units,
+            n_indexers=0,
+            batch_size=batch_size,
+            config=config,
+            prefix=prefix,
+            placer=placer,
+        )
+        self.plan = self.store.plan
+        self.units = self.store.maintainers
         self.sequencer = Sequencer(f"{prefix}sequencer", grant_cost=sequencer_grant_cost)
-        place(self.sequencer)
+        self.store.placer(self.sequencer)
         self._client_count = 0
-        self._prefix = prefix
 
     def client(self, name: Optional[str] = None) -> CorfuClient:
         self._client_count += 1
-        client_name = name or f"{self._prefix}client/{self._client_count}"
+        client_name = name or f"{self.store.prefix}client/{self._client_count}"
         client = CorfuClient(client_name, self.sequencer.name, self.plan)
-        self.runtime.register(client)
+        self.store.runtime.register(client)
         return client
 
     # -- introspection ----------------------------------------------------- #
 
     def all_entries(self) -> List[LogEntry]:
-        entries = [e for unit in self.units for e in unit.core.stored_entries()]
-        entries.sort(key=lambda entry: entry.lid)
-        return entries
+        return self.store.all_entries()
 
     def total_records(self) -> int:
-        return sum(unit.core.stored_count() for unit in self.units)
+        return self.store.total_records()
 
     def head_of_log(self) -> int:
-        return min(unit.core.head_of_log() for unit in self.units)
+        return self.store.head_of_log()

@@ -11,31 +11,24 @@ Every pipeline stage scales without disrupting application clients:
 * **Queues** splice into the token exchange loop — one existing queue is
   told to forward the token to the newcomer.
 
-These functions operate on a live :class:`~repro.chariots.pipeline.DatacenterPipeline`
-or :class:`~repro.flstore.store.FLStore`; the shared ``OwnershipPlan`` /
-``FilterMap`` objects play the role the controller plays in a physical
-deployment (distributing mapping updates).
+These functions operate on a live :class:`~repro.flstore.store.FLStore` —
+a :class:`~repro.chariots.pipeline.DatacenterPipeline` is one — and place
+newcomers with the deployment's own placer unless given another; the
+shared ``OwnershipPlan`` / ``FilterMap`` objects play the role the
+controller plays in a physical deployment (distributing mapping updates).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
+from typing import List, Optional
 
 from ..core.errors import ConfigurationError
 from ..flstore.maintainer import LogMaintainer
-from ..flstore.store import FLStore
-from ..runtime.actor import Actor
+from ..flstore.store import FLStore, Placer
 from .batcher import Batcher
 from .filters import FilterStage
 from .pipeline import DatacenterPipeline
 from .queues import QueueStage
-
-Placer = Callable[[Actor], None]
-
-
-def _default_placer(pipeline_or_store) -> Placer:
-    runtime = pipeline_or_store.runtime
-    return lambda actor: runtime.register(actor)
 
 
 def _future_round_boundary(plan, margin_rounds: int = 2) -> int:
@@ -55,28 +48,25 @@ def _ceil_multiple(value: int, multiple: int) -> int:
 
 
 def expand_maintainers(
-    target: Union[DatacenterPipeline, FLStore],
+    target: FLStore,
     count: int = 1,
     placer: Optional[Placer] = None,
     from_lid: Optional[int] = None,
 ) -> List[LogMaintainer]:
     """Add ``count`` log maintainers via future reassignment (§6.3).
 
-    Works on a :class:`DatacenterPipeline` or an :class:`FLStore`.  The new
-    epoch keeps the old maintainers and appends the new ones, effective at
-    ``from_lid`` (default: a round boundary safely past all cursors).
+    Works on any :class:`FLStore`, a :class:`DatacenterPipeline` included.
+    The new epoch keeps the old maintainers and appends the new ones,
+    effective at ``from_lid`` (default: a round boundary safely past all
+    cursors).
     """
     if count < 1:
         raise ConfigurationError("count must be >= 1")
-    place = placer or _default_placer(target)
+    place = placer or target.placer
     plan = target.plan
     old_names = list(plan.current_epoch.maintainers)
     existing = len(plan.maintainers())
-    if isinstance(target, DatacenterPipeline):
-        prefix = f"{target.dc_id}/store"
-    else:
-        prefix = f"{getattr(target, '_prefix', '')}maintainer"
-    new_names = [f"{prefix}/{existing + i}" for i in range(count)]
+    new_names = [f"{target.prefix}store/{existing + i}" for i in range(count)]
     all_names = old_names + new_names
 
     if from_lid is None:
@@ -94,13 +84,9 @@ def expand_maintainers(
 
     plan.add_epoch(from_lid, all_names)
 
-    indexer_names = [ix.name for ix in getattr(target, "indexers", [])]
-    config = getattr(target, "flstore_config", None) or getattr(target, "config", None)
     added: List[LogMaintainer] = []
     for name in new_names:
-        maintainer = LogMaintainer(
-            name, plan, peers=all_names, indexers=indexer_names, config=config
-        )
+        maintainer = target.build_maintainer(name, all_names)
         place(maintainer)
         target.maintainers.append(maintainer)
         added.append(maintainer)
@@ -112,10 +98,9 @@ def expand_maintainers(
             maintainer.add_peer(name)
 
     # Chariots pipelines: some sender must ship the new maintainers' records.
-    for i, maintainer in enumerate(added):
-        senders = getattr(target, "senders", None)
-        if senders:
-            senders[i % len(senders)].add_maintainer(maintainer.name)
+    if isinstance(target, DatacenterPipeline):
+        for i, maintainer in enumerate(added):
+            target.senders[i % len(target.senders)].add_maintainer(maintainer.name)
     return added
 
 
@@ -134,7 +119,7 @@ def expand_filters(
     """
     if count < 1:
         raise ConfigurationError("count must be >= 1")
-    place = placer or _default_placer(pipeline)
+    place = placer or pipeline.placer
     filter_map = pipeline.filter_map
     existing = len(filter_map.filters)
     queue_names = [q.name for q in pipeline.queues]
@@ -169,7 +154,7 @@ def expand_queues(
     """
     if count < 1:
         raise ConfigurationError("count must be >= 1")
-    place = placer or _default_placer(pipeline)
+    place = placer or pipeline.placer
     added: List[QueueStage] = []
     for _ in range(count):
         index = len(pipeline.queues)
@@ -205,7 +190,7 @@ def expand_batchers(
     """Add ``count`` batchers and announce them to the receivers (§6.3)."""
     if count < 1:
         raise ConfigurationError("count must be >= 1")
-    place = placer or _default_placer(pipeline)
+    place = placer or pipeline.placer
     added: List[Batcher] = []
     for _ in range(count):
         index = len(pipeline.batchers)

@@ -1,29 +1,25 @@
 """One datacenter's Chariots instance: the six-stage pipeline (§6.2).
 
-Builds and wires every stage for a datacenter on any runtime:
+A datacenter's pipeline is an :class:`~repro.flstore.store.FLStore` (log
+maintainers in placed mode, indexers, the controller for client sessions,
+journals and supervision) plus every stage, wired on any runtime:
 
     clients / receivers → batchers → filters → queues → log maintainers
                                                       ↘ senders → (peers)
 
-plus the control plane (controller for client sessions, GC coordinator for
-the Awareness Table).  Inter-datacenter wiring happens afterwards via
+and the GC coordinator for the Awareness Table.  Inter-datacenter wiring
+happens afterwards via
 :meth:`DatacenterPipeline.connect_peer` (the deployment object does this).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core.config import DeploymentSpec, FLStoreConfig, PipelineConfig
-from ..core.errors import ConfigurationError
 from ..core.record import DatacenterId, KnowledgeVector, LogEntry
-from ..flstore.controller import Controller
-from ..flstore.indexer import Indexer
-from ..flstore.journal import FileJournal, MemoryJournal, recover_maintainer_core
-from ..flstore.maintainer import LogMaintainer
-from ..flstore.range_map import OwnershipPlan
-from ..runtime.actor import Actor, Runtime
+from ..flstore.store import FLStore, Placer
+from ..runtime.actor import Runtime
 from ..runtime.supervisor import Supervisor
 from .batcher import Batcher
 from .client import BlockingChariotsClient, ChariotsClient
@@ -33,16 +29,15 @@ from .queues import QueueStage
 from .receiver import Receiver
 from .sender import Sender
 
-Placer = Callable[[Actor], None]
-
 
 def _partition(items: List[str], n_groups: int) -> List[List[str]]:
     """Deal ``items`` round-robin into ``n_groups`` non-empty-ish groups."""
     return [items[i::n_groups] for i in range(n_groups)]
 
 
-class DatacenterPipeline:
-    """All Chariots components of one datacenter."""
+class DatacenterPipeline(FLStore):
+    """All Chariots components of one datacenter: an FLStore (maintainers in
+    placed mode, indexers, controller) plus the pipeline stages."""
 
     def __init__(
         self,
@@ -57,18 +52,24 @@ class DatacenterPipeline:
         placer: Optional[Placer] = None,
         transitive_replication: bool = False,
     ) -> None:
-        self.runtime = runtime
+        self.spec = spec or DeploymentSpec()
+        super().__init__(
+            runtime,
+            n_maintainers=self.spec.maintainers,
+            n_indexers=n_indexers,
+            batch_size=batch_size,
+            config=flstore_config,
+            prefix=f"{dc_id}/",
+            placer=placer,
+        )
         self.dc_id = dc_id
         self.datacenters = list(datacenters)
-        self.spec = spec or DeploymentSpec()
         self.transitive_replication = transitive_replication
         self.pipeline_config = pipeline_config or PipelineConfig()
-        self.flstore_config = flstore_config or FLStoreConfig()
-        place = placer or (lambda actor: runtime.register(actor))
-        p = f"{dc_id}/"
+        p = self.prefix
 
-        maintainer_names = [f"{p}store/{i}" for i in range(self.spec.maintainers)]
-        indexer_names = [f"{p}indexer/{i}" for i in range(n_indexers)]
+        maintainer_names = [m.name for m in self.maintainers]
+        indexer_names = [ix.name for ix in self.indexers]
         queue_names = [f"{p}queue/{i}" for i in range(self.spec.queues)]
         filter_names = [f"{p}filter/{i}" for i in range(self.spec.filters)]
         batcher_names = [f"{p}batcher/{i}" for i in range(self.spec.batchers)]
@@ -76,28 +77,8 @@ class DatacenterPipeline:
         sender_names = [f"{p}sender/{i}" for i in range(self.spec.senders)]
         self.gc_name = f"{p}gc"
 
-        self.plan = OwnershipPlan(maintainer_names, batch_size=batch_size)
         self.filter_map = FilterMap(filter_names)
         self._assign_filter_champions(filter_names)
-
-        # Log maintainers (FLStore, placed mode) ------------------------- #
-        self.maintainers: List[LogMaintainer] = []
-        for name in maintainer_names:
-            maintainer = LogMaintainer(
-                name,
-                self.plan,
-                peers=maintainer_names,
-                indexers=indexer_names,
-                config=self.flstore_config,
-            )
-            place(maintainer)
-            self.maintainers.append(maintainer)
-
-        self.indexers: List[Indexer] = []
-        for name in indexer_names:
-            indexer = Indexer(name)
-            place(indexer)
-            self.indexers.append(indexer)
 
         # GC coordinator (control plane, never on the data path) --------- #
         self.gc = GcCoordinator(
@@ -127,21 +108,21 @@ class DatacenterPipeline:
                 config=self.pipeline_config,
                 holds_initial_token=(i == 0),
             )
-            place(queue)
+            self.placer(queue)
             self.queues.append(queue)
 
         # Filters ---------------------------------------------------------- #
         self.filters: List[FilterStage] = []
         for name in filter_names:
             stage = FilterStage(name, self.filter_map, queues=queue_names, config=self.pipeline_config)
-            place(stage)
+            self.placer(stage)
             self.filters.append(stage)
 
         # Batchers ---------------------------------------------------------- #
         self.batchers: List[Batcher] = []
         for name in batcher_names:
             batcher = Batcher(name, self.filter_map, config=self.pipeline_config)
-            place(batcher)
+            self.placer(batcher)
             self.batchers.append(batcher)
 
         # Receivers ---------------------------------------------------------- #
@@ -154,7 +135,7 @@ class DatacenterPipeline:
                 gc_coordinator=self.gc_name,
                 config=self.pipeline_config,
             )
-            place(receiver)
+            self.placer(receiver)
             self.receivers.append(receiver)
 
         # Senders: each ships a partition of the maintainers ---------------- #
@@ -170,19 +151,11 @@ class DatacenterPipeline:
                 config=self.pipeline_config,
                 transitive=transitive_replication,
             )
-            place(sender)
+            self.placer(sender)
             self.senders.append(sender)
-
-        # Controller (client sessions) ---------------------------------------- #
-        self.controller = Controller(
-            f"{p}controller", self.plan, indexers=indexer_names, config=self.flstore_config
-        )
-        runtime.register(self.controller)
 
         self.batcher_names = batcher_names
         self.receiver_names = receiver_names
-        self._client_count = 0
-        self.journals: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -215,81 +188,6 @@ class DatacenterPipeline:
             sender.add_peer(peer.dc_id, peer.receiver_names)
 
     # ------------------------------------------------------------------ #
-    # Resilience: journaling + supervised crash recovery
-    # ------------------------------------------------------------------ #
-
-    def attach_journals(
-        self, directory: Optional[str] = None
-    ) -> Dict[str, Any]:
-        """Give every maintainer a journal (idempotent).
-
-        Call before traffic flows so the journal covers every placement —
-        it is what a supervised restart replays.  In-memory by default;
-        with ``directory`` each maintainer journals to a block-journal file
-        there instead — required for process-level recovery, where the
-        maintainer writes in a worker process and the parent replays the
-        file after a crash (a ``MemoryJournal`` would be pickle-copied
-        into the worker, leaving the parent's copy empty).
-        """
-        if self.journals is None:
-            self.journals = {}
-            for maintainer in self.maintainers:
-                if directory is not None:
-                    path = os.path.join(
-                        directory, maintainer.name.replace("/", "_") + ".journal"
-                    )
-                    journal: Any = FileJournal(path)
-                else:
-                    journal = MemoryJournal()
-                maintainer.core.set_journal(journal)
-                self.journals[maintainer.name] = journal
-        return self.journals
-
-    def recover_maintainer(self, name: str) -> LogMaintainer:
-        """Rebuild the maintainer ``name`` from its journal (not registered).
-
-        The replacement resumes exactly where the crashed maintainer's
-        journal ends — same storage, same assignment cursor, same postings —
-        so no LId is lost or handed out twice.
-        """
-        if self.journals is None or name not in self.journals:
-            raise ConfigurationError(f"no journal attached for maintainer {name!r}")
-        journal = self.journals[name]
-        # Recover journal-less, then re-attach: replaying a journal into
-        # itself would re-append every entry.
-        core = recover_maintainer_core(
-            name,
-            self.plan,
-            journal.replay_runs(),
-            config=self.flstore_config,
-            new_journal=None,
-        )
-        core.set_journal(journal)
-        replacement = LogMaintainer(
-            name,
-            self.plan,
-            peers=[m.name for m in self.maintainers],
-            indexers=[ix.name for ix in self.indexers],
-            config=self.flstore_config,
-        )
-        replacement.core = core
-        for i, maintainer in enumerate(self.maintainers):
-            if maintainer.name == name:
-                self.maintainers[i] = replacement
-        return replacement
-
-    def supervise(
-        self, supervisor: Supervisor, journal_dir: Optional[str] = None
-    ) -> None:
-        """Register journal-driven restart of every maintainer with ``supervisor``."""
-        self.attach_journals(directory=journal_dir)
-        for maintainer in self.maintainers:
-            supervisor.supervise(
-                maintainer.name,
-                lambda name=maintainer.name: self.recover_maintainer(name),
-            )
-
-    # ------------------------------------------------------------------ #
     # Clients
     # ------------------------------------------------------------------ #
 
@@ -312,20 +210,9 @@ class DatacenterPipeline:
     # Introspection (tests / diagnostics)
     # ------------------------------------------------------------------ #
 
-    def all_entries(self) -> List[LogEntry]:
-        entries = [e for m in self.maintainers for e in m.core.stored_entries()]
-        entries.sort(key=lambda entry: entry.lid)
-        return entries
-
-    def head_of_log(self) -> int:
-        return min(m.core.head_of_log() for m in self.maintainers)
-
     def frontier(self) -> KnowledgeVector:
         """The datacenter's incorporation frontier (from the GC coordinator)."""
         return self.gc.atable.self_row()
-
-    def total_records(self) -> int:
-        return sum(m.core.stored_count() for m in self.maintainers)
 
 
 class ChariotsDeployment:
@@ -401,22 +288,14 @@ class ChariotsDeployment:
         supervision.  Call before running traffic so the journals are
         complete.  ``journal_dir`` switches the maintainers to on-disk
         :class:`~repro.flstore.journal.FileJournal` files, which worker
-        processes require (see :meth:`DatacenterPipeline.attach_journals`).
+        processes require (see :meth:`FLStore.supervise`).
         """
-        from ..runtime.multiproc import MultiprocRuntime  # imports this package
-
-        runtime = self.runtime
-        if journal_dir is None and isinstance(runtime, MultiprocRuntime) and runtime.workers:
-            raise ConfigurationError(
-                "supervising worker processes needs journal_dir: a MemoryJournal "
-                "pickled into a worker leaves the parent nothing to replay"
-            )
         if supervisor is None:
             supervisor = Supervisor("supervisor", check_interval=check_interval)
-        if supervisor.runtime is None:
-            self.runtime.register(supervisor)
         for pipe in self.pipelines.values():
             pipe.supervise(supervisor, journal_dir=journal_dir)
+        if supervisor.runtime is None:
+            self.runtime.register(supervisor)
         return supervisor
 
     # -- logs and convergence ---------------------------------------------- #

@@ -8,8 +8,8 @@ maintainer round, Figure 4) is the ``batch_size`` of the ownership plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import ConfigurationError
 from .retry import RetryPolicy
@@ -192,7 +192,6 @@ class DeploymentSpec:
     maintainers: int = 1
     senders: int = 1
     receivers: int = 1
-    extra: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for stage in ("clients", "batchers", "filters", "queues", "maintainers", "senders", "receivers"):

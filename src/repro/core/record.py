@@ -26,7 +26,7 @@ pair).  The id range checks run in ``__new__``, also when unpickling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import ConfigurationError
@@ -221,7 +221,6 @@ class ReadRules:
     limit: Optional[int] = None
     most_recent: bool = True
     include_internal: bool = False
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     def matches(self, entry: LogEntry) -> bool:
         """Whether a log entry satisfies every constraint in this rule."""

@@ -16,6 +16,7 @@ repository reads or writes (journals are binary, see
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 from bisect import insort
 from typing import Any, Dict, List, Optional, Tuple
@@ -195,21 +196,7 @@ class TieredReader:
         entries = list(self.live.read(rules))
         remaining = None if rules.limit is None else rules.limit - len(entries)
         if remaining is None or remaining > 0:
-            archived = self.archive.read(
-                ReadRules(
-                    min_lid=rules.min_lid,
-                    max_lid=rules.max_lid,
-                    host=rules.host,
-                    min_toid=rules.min_toid,
-                    max_toid=rules.max_toid,
-                    tag_key=rules.tag_key,
-                    tag_value=rules.tag_value,
-                    tag_min_value=rules.tag_min_value,
-                    limit=remaining,
-                    most_recent=rules.most_recent,
-                    include_internal=rules.include_internal,
-                )
-            )
+            archived = self.archive.read(dataclasses.replace(rules, limit=remaining))
             seen = {entry.lid for entry in entries}
             entries.extend(e for e in archived if e.lid not in seen)
         entries.sort(key=lambda e: e.lid, reverse=rules.most_recent)

@@ -597,7 +597,9 @@ class LogMaintainer(Actor):
         self._report_load()
 
     def _report_load(self) -> None:
-        if self.controller is None:
+        # Placed-mode maintainers (a Chariots pipeline, CORFU) serve no
+        # client appends, so they have no load for the controller to steer.
+        if self.controller is None or self.core.records_appended == 0:
             return
         stored = self.core.stored_count()
         elapsed = self.now - self._last_report_time

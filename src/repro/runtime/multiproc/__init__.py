@@ -85,7 +85,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: the parent, where synchronous drivers can reach it.
 DATA_PLANE_MARKERS: Tuple[str, ...] = (
     "store",
-    "maintainer",
     "indexer",
     "batcher",
     "filter",

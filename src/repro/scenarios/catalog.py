@@ -350,6 +350,7 @@ def _flstore_chaos_soak() -> ScenarioSpec:
         invariants=(
             Invariant(metric="points.0.achieved", op="approx", value=200_000,
                       rel=0.1, note="gossip faults are off the data path"),
+            Invariant(metric="faults.delayed", op="gt", value=0),
             Invariant(metric="faults.dropped", op="gt", value=0),
             Invariant(metric="faults.duplicated", op="gt", value=0),
         ),

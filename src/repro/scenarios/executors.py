@@ -89,7 +89,7 @@ def _deployment_spec(topo: TopologySpec) -> DeploymentSpec:
 
 def _flstore_under_load(
     point: ScenarioSpec, plan: Optional[FaultPlan], elastic: bool
-) -> Tuple[SimRuntime, FLStore, Callable[[Actor], None], List[LoadClient]]:
+) -> Tuple[SimRuntime, FLStore, List[LoadClient]]:
     """An FLStore on simulated machines plus its load generators.
 
     Fixed deployments get one generator per maintainer offering it
@@ -139,7 +139,7 @@ def _flstore_under_load(
         )
         runtime.place_on_new_machine(client, profile=PROFILES["load-generator"])
         clients.append(client)
-    return runtime, store, place, clients
+    return runtime, store, clients
 
 
 def _scaling_fraction(per_maintainer: Mapping[str, float]) -> float:
@@ -155,7 +155,7 @@ def run_flstore(point: ScenarioSpec, plan: Optional[FaultPlan]) -> Metrics:
     topo, work = point.topology, point.workload
     if topo.expand_maintainers:
         return _run_flstore_elastic(point, plan)
-    runtime, store, _place, _clients = _flstore_under_load(point, plan, elastic=False)
+    runtime, store, _clients = _flstore_under_load(point, plan, elastic=False)
     runtime.run(until_time=work.duration)
 
     per_maintainer = {
@@ -188,10 +188,10 @@ def _run_flstore_elastic(point: ScenarioSpec, plan: Optional[FaultPlan]) -> Metr
         raise ConfigurationError(
             "elastic flstore scenarios need 0 < workload.expand_at < duration"
         )
-    runtime, store, place, clients = _flstore_under_load(point, plan, elastic=True)
+    runtime, store, clients = _flstore_under_load(point, plan, elastic=True)
 
     runtime.run(until_time=work.expand_at)
-    expand_maintainers(store, topo.expand_maintainers, placer=place)
+    expand_maintainers(store, topo.expand_maintainers)
     names = [m.name for m in store.maintainers]
     for client in clients:
         client.set_targets(names)  # session refresh after the expansion
@@ -544,7 +544,7 @@ def pipeline_placement(
     """
     order = {dc: i for i, dc in enumerate(sorted(datacenters))}
     stage_markers = ("batcher", "filter", "queue", "sender", "receiver")
-    store_markers = ("store", "maintainer", "indexer")
+    store_markers = ("store", "indexer")
 
     def placement(name: str, w: int) -> Optional[int]:
         if w <= 0:
@@ -586,20 +586,20 @@ def run_functional(point: ScenarioSpec, plan: Optional[FaultPlan]) -> Metrics:
     else:
         runtime = LocalRuntime(chaos=plan)
     supervised = plan is not None and bool(plan.crashes or plan.kills)
+    deployment = ChariotsDeployment(
+        runtime,
+        dcs,
+        spec=_deployment_spec(topo),
+        batch_size=work.lid_batch,
+        pipeline_config=point.pipeline_config() if point.pipeline else None,
+        flstore_config=point.flstore_config(),
+    )
     journals = (
         tempfile.TemporaryDirectory(prefix="repro-journals-")
         if supervised and point.runtime == "multiproc"
         else None
     )
     try:
-        deployment = ChariotsDeployment(
-            runtime,
-            dcs,
-            spec=_deployment_spec(topo),
-            batch_size=work.lid_batch,
-            pipeline_config=point.pipeline_config() if point.pipeline else None,
-            flstore_config=point.flstore_config(),
-        )
         supervisor = (
             deployment.supervise(journal_dir=journals.name if journals else None)
             if supervised
@@ -634,6 +634,9 @@ def run_functional(point: ScenarioSpec, plan: Optional[FaultPlan]) -> Metrics:
     finally:
         runtime.stop()
         if journals is not None:
+            for pipe in deployment.pipelines.values():
+                for journal in (pipe.journals or {}).values():
+                    journal.close()
             journals.cleanup()
 
 

@@ -401,9 +401,13 @@ class ScenarioSpec:
             raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
         if self.runtime not in RUNTIMES:
             raise ConfigurationError(f"unknown runtime {self.runtime!r}")
-        if self.kind in ("flstore", "pipeline", "corfu") and self.runtime != "sim":
+        if self.kind in ("flstore", "pipeline", "corfu", "geo") and self.runtime != "sim":
             raise ConfigurationError(
                 f"kind {self.kind!r} only runs on the sim runtime"
+            )
+        if self.kind == "functional" and self.runtime == "sim":
+            raise ConfigurationError(
+                "kind 'functional' runs on local, aio or multiproc, not sim"
             )
         # Constructing the configs validates the override dicts eagerly.
         self.pipeline_config()

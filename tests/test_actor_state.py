@@ -75,7 +75,7 @@ def test_load_generators_hold_no_itertools_objects():
     runtime.register(
         CorfuLoadClient("corfu/load", corfu.sequencer.name, corfu.plan, rec("A", 1), 100.0)
     )
-    runtime.register(LoadClient("load", ["corfu/unit/0"], lambda *_: None, 100.0))
+    runtime.register(LoadClient("load", ["corfu/store/0"], lambda *_: None, 100.0))
     runtime.start()
     assert_itertools_free(runtime)
 

@@ -10,79 +10,79 @@ import math
 
 from repro.chaos import FaultPlan
 from repro.chariots import ChariotsDeployment, check_logs
-from repro.flstore import FLStore, LogMaintainer, MemoryJournal, recover_maintainer_core
-from repro.runtime import LocalRuntime
+from repro.flstore import FLStore
+from repro.runtime import LocalRuntime, Supervisor
 
 
 class TestMaintainerCrashRecovery:
     def build(self):
         runtime = LocalRuntime()
         store = FLStore(runtime, n_maintainers=2, n_indexers=0, batch_size=5)
-        # Attach journals post-hoc (FLStore wires plain maintainers).
-        journals = {}
-        for maintainer in store.maintainers:
-            journal = MemoryJournal()
-            maintainer.core.set_journal(journal)
-            journals[maintainer.name] = journal
-        return runtime, store, journals
+        store.attach_journals()
+        return runtime, store
 
-    def crash_and_recover(self, runtime, store, journals, victim_index=0):
-        victim = store.maintainers[victim_index]
-        journal = journals[victim.name]
-        recovered_core = recover_maintainer_core(
-            victim.name, store.plan, journal.replay_runs(), new_journal=journal
-        )
-        replacement = LogMaintainer(
-            victim.name,
-            store.plan,
-            peers=[m.name for m in store.maintainers],
-            config=store.config,
-        )
-        replacement.core = recovered_core
-        runtime.replace(replacement)
-        store.maintainers[victim_index] = replacement
-        return replacement
+    def crash_and_recover(self, runtime, store, victim_index=0):
+        return runtime.replace(store.recover_maintainer(store.maintainers[victim_index].name))
 
     def test_recovered_maintainer_serves_old_records(self):
-        runtime, store, journals = self.build()
+        runtime, store = self.build()
         client = store.blocking_client()
         results = [client.append(f"b{i}") for i in range(10)]
-        replacement = self.crash_and_recover(runtime, store, journals)
+        replacement = self.crash_and_recover(runtime, store)
         for result in results:
             reply = client.read_lid(result.lid)
             assert reply.error is None
             assert reply.entries[0].record.body.startswith("b")
 
     def test_recovered_maintainer_continues_post_assignment(self):
-        runtime, store, journals = self.build()
+        runtime, store = self.build()
         client = store.blocking_client()
         before = {client.append(f"pre{i}").lid for i in range(10)}
-        self.crash_and_recover(runtime, store, journals)
+        self.crash_and_recover(runtime, store)
         after = {client.append(f"post{i}").lid for i in range(10)}
         assert not (before & after)  # no LId handed out twice
         assert store.total_records() == 20
 
     def test_in_flight_appends_reach_the_replacement(self):
-        runtime, store, journals = self.build()
+        runtime, store = self.build()
         client = store.client()
         runtime.run_until(lambda: client.session_ready)
         done = []
         client.append("in-flight", on_done=done.append)
         # Crash before the append is processed.
-        self.crash_and_recover(runtime, store, journals)
+        self.crash_and_recover(runtime, store)
         runtime.run_until(lambda: bool(done))
         assert done[0].lid >= 0
 
     def test_head_of_log_recovers_after_crash(self):
-        runtime, store, journals = self.build()
+        runtime, store = self.build()
         client = store.blocking_client()
         for i in range(10):
             client.append(f"b{i}")
         runtime.run_for(0.1)
         head_before = client.head()
-        self.crash_and_recover(runtime, store, journals)
+        self.crash_and_recover(runtime, store)
         runtime.run_for(0.1)  # gossip re-converges
         assert client.head() >= head_before
+
+    def test_supervised_store_recovers_from_a_planned_crash(self):
+        # A bare FLStore journals and supervises itself: the plan's crash of
+        # store/0 parks the appends sent to it, the supervisor rebuilds it
+        # from its journal, and appends carry on with no LId lost or handed
+        # out twice.  One maintainer keeps LId order = append order, which
+        # the causal walk of check_logs needs for a single client stream.
+        runtime = LocalRuntime(chaos=FaultPlan(seed=1).crash("store/0", at=0.5))
+        store = FLStore(runtime, n_maintainers=1, n_indexers=0, batch_size=4)
+        supervisor = runtime.register(Supervisor(check_interval=0.02))
+        store.supervise(supervisor)
+        client = store.blocking_client()
+        acks = [client.append(f"pre{i}") for i in range(6)]
+        runtime.run_until(lambda: runtime.is_crashed("store/0"), timeout=1.0)
+        acks += [client.append(f"post{i}") for i in range(6)]
+        assert supervisor.restarts["store/0"] == 1
+        assert store.total_records() == 12
+        host = acks[0].rid.host
+        assert check_logs({host: store.all_entries()}, acks=acks).ok
 
 
 def outage(prefix):

@@ -6,6 +6,7 @@ from repro.chariots.elasticity import expand_maintainers
 from repro.core import ReadRules
 from repro.flstore import FLStore
 from repro.runtime import LocalRuntime
+from repro.sim import SimRuntime
 
 
 @pytest.fixture
@@ -137,6 +138,25 @@ class TestFLStoreElasticity:
         expand_maintainers(store, 1)
         for result in results:
             assert client.read_lid(result.lid).entries[0].record.body.startswith("pre")
+
+    def test_newcomers_report_load_to_the_controller(self, deployment):
+        runtime, store = deployment
+        added = expand_maintainers(store, 1)
+        client = store.blocking_client()
+        for i in range(40):
+            client.append(f"post{i}")
+        runtime.run_for(0.1)
+        assert added[0].core.stored_count() > 0
+        assert store.controller.core.approx_records() == store.total_records() == 40
+
+    def test_newcomers_go_where_the_store_places_its_maintainers(self):
+        runtime = SimRuntime()
+        store = FLStore(
+            runtime, n_maintainers=2, n_indexers=0, placer=runtime.place_on_new_machine
+        )
+        (added,) = expand_maintainers(store, 1)
+        assert f"m/{added.name}" in runtime.machines()
+        assert added.name == "store/2"
 
 
 class TestCallbackClientApi:

@@ -599,6 +599,7 @@ class TestCleanShutdown:
         assert runtime.settle(lambda: len(got) == 5, max_seconds=5.0)
         runtime.send("mouth", "ear", GossipHL("m0", 9))  # in flight at stop
         client.append("x")  # still buffered at stop
+        gc.collect()  # earlier tests' garbage is not this runtime's to answer for
         with warnings.catch_warnings(record=True) as caught, caplog.at_level(logging.WARNING):
             warnings.simplefilter("always")
             runtime.stop()

@@ -63,11 +63,18 @@ def test_unknown_kind_rejected():
 @pytest.mark.parametrize(
     "kind,runtime",
     [("flstore", "local"), ("corfu", "aio"), ("pipeline", "local"),
-     ("pipeline", "multiproc")],
+     ("pipeline", "multiproc"), ("geo", "local"), ("geo", "multiproc")],
 )
 def test_sim_only_kind_rejects_other_runtimes(kind, runtime):
     with pytest.raises(ConfigurationError, match="only runs on the sim"):
         ScenarioSpec(name="bad", title="t", kind=kind, runtime=runtime)
+
+
+def test_functional_kind_rejects_the_sim_runtime():
+    # run_functional drives a real runtime; on "sim" it would silently
+    # fall through to LocalRuntime.
+    with pytest.raises(ConfigurationError, match="not sim"):
+        ScenarioSpec(name="bad", title="t", kind="functional", runtime="sim")
 
 
 @pytest.mark.parametrize(

@@ -232,6 +232,8 @@ class RawParent:
         if self.proc is not None:
             self.proc.kill()
             self.proc.join(2.0)
+        else:
+            self.node.conn.close()  # a node driven by hand never runs its loop
         self.conn.close()
 
     def control(self, payload):
@@ -662,6 +664,9 @@ class TestIdleLatency:
                 assert runtime.loss_accounting == {}
             finally:
                 runtime.stop()
+                for dc in DCS:
+                    for journal in deployment[dc].journals.values():
+                        journal.close()
 
 
 #: Sized so the burst outlasts the latest kill instant (0.10 s) with margin:

@@ -31,6 +31,19 @@ from .pipeline import DatacenterPipeline
 from .queues import QueueStage
 
 
+def _refuse_worker_processes(target: FLStore) -> None:
+    """Refuse started worker processes: they hold copies of the plan and
+    maps pickled at ``start()``, which an expansion cannot reach."""
+    from ..runtime.multiproc import MultiprocRuntime  # imports this package
+
+    runtime = target.runtime
+    if isinstance(runtime, MultiprocRuntime) and runtime.workers and runtime._started:
+        raise ConfigurationError(
+            "live elasticity cannot reach worker processes, which hold the plan "
+            "pickled at start(); expand before start() (ROADMAP item 16)"
+        )
+
+
 def _future_round_boundary(plan, margin_rounds: int = 2) -> int:
     """A safe LId for a maintainer epoch switch: beyond every cursor.
 
@@ -62,6 +75,7 @@ def expand_maintainers(
     """
     if count < 1:
         raise ConfigurationError("count must be >= 1")
+    _refuse_worker_processes(target)
     place = placer or target.placer
     plan = target.plan
     old_names = list(plan.current_epoch.maintainers)
@@ -119,6 +133,7 @@ def expand_filters(
     """
     if count < 1:
         raise ConfigurationError("count must be >= 1")
+    _refuse_worker_processes(pipeline)
     place = placer or pipeline.placer
     filter_map = pipeline.filter_map
     existing = len(filter_map.filters)
@@ -154,6 +169,7 @@ def expand_queues(
     """
     if count < 1:
         raise ConfigurationError("count must be >= 1")
+    _refuse_worker_processes(pipeline)
     place = placer or pipeline.placer
     added: List[QueueStage] = []
     for _ in range(count):
@@ -190,6 +206,7 @@ def expand_batchers(
     """Add ``count`` batchers and announce them to the receivers (§6.3)."""
     if count < 1:
         raise ConfigurationError("count must be >= 1")
+    _refuse_worker_processes(pipeline)
     place = placer or pipeline.placer
     added: List[Batcher] = []
     for _ in range(count):

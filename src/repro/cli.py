@@ -4,8 +4,7 @@ Usage (also available as ``chariots-repro`` when installed with pip):
 
     python -m repro.cli demo                     # two-datacenter walkthrough
     python -m repro.cli table1                   # the systems comparison
-    python -m repro.cli inspect-journal m0.journal
-    python -m repro.cli inspect-archive archive.jsonl
+    python -m repro.cli inspect-journal m0.journal   # or an ArchiveStore.dump
 
 Experiments live in the scenario catalog: ``python -m repro.scenarios``.
 """
@@ -51,11 +50,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect_journal(args: argparse.Namespace) -> int:
-    from .flstore.journal import FileJournal
+    from .flstore.journal import _read_runs
 
-    journal = FileJournal(args.path)
-    runs = list(journal.replay_runs())
-    journal.close()
+    runs = list(_read_runs(args.path))  # read-only: a torn tail is skipped, not cut
     entries = [pair for run in runs for pair in run]
     if not entries:
         print(f"{args.path}: empty journal")
@@ -70,22 +67,6 @@ def _cmd_inspect_journal(args: argparse.Namespace) -> int:
     if args.verbose:
         for lid, record in entries[: args.limit]:
             print(f"  [{lid}] {record.rid} tags={record.tag_dict()}")
-    return 0
-
-
-def _cmd_inspect_archive(args: argparse.Namespace) -> int:
-    from .core import ReadRules
-    from .flstore.archive import ArchiveStore
-
-    archive = ArchiveStore.load(args.path)
-    print(f"{args.path}: {len(archive)} archived records")
-    lid_range = archive.lid_range()
-    if lid_range:
-        print(f"  LId range: {lid_range[0]}..{lid_range[1]}")
-    if args.verbose:
-        for entry in archive.read(ReadRules(most_recent=False, limit=args.limit,
-                                            include_internal=True)):
-            print(f"  [{entry.lid}] {entry.rid} tags={entry.record.tag_dict()}")
     return 0
 
 
@@ -104,17 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     table1 = sub.add_parser("table1", help="print the systems comparison (Table 1)")
     table1.set_defaults(func=_cmd_table1)
 
-    journal = sub.add_parser("inspect-journal", help="summarise a maintainer journal")
+    journal = sub.add_parser("inspect-journal", help="summarise a journal or an archive dump")
     journal.add_argument("path")
     journal.add_argument("-v", "--verbose", action="store_true")
     journal.add_argument("--limit", type=int, default=20)
     journal.set_defaults(func=_cmd_inspect_journal)
-
-    archive = sub.add_parser("inspect-archive", help="summarise a cold-storage dump")
-    archive.add_argument("path")
-    archive.add_argument("-v", "--verbose", action="store_true")
-    archive.add_argument("--limit", type=int, default=20)
-    archive.set_defaults(func=_cmd_inspect_archive)
 
     return parser
 

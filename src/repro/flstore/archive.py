@@ -3,94 +3,25 @@
 "If the user choses not to garbage collect the records then they may employ
 a cold storage solution to archive older records."  This module is that
 solution: an :class:`ArchiveStore` receives every record the maintainers
-evict (via the maintainer's ``archive`` hook) and keeps it readable — so
-the *combined* view of archive plus live log still covers the entire
-history, which is what auditing and time-travel reads (§1) need.
+evict (each truncation's as one run) and keeps it readable — so the
+*combined* view of archive plus live log still covers the entire history,
+which is what auditing and time-travel reads (§1) need.
 
-:meth:`ArchiveStore.dump` writes a readable export — JSON lines, the JSON
-form of a record being :func:`record_to_dict` — which nothing else in the
-repository reads or writes (journals are binary, see
-:mod:`repro.flstore.journal`).
+On disk an archive is a journal file (:mod:`repro.flstore.journal`) of one
+block, so ``inspect-journal`` and ``FileJournal.replay_runs`` read a dump.
 """
 
 from __future__ import annotations
 
-import base64
 import dataclasses
-import json
+import os
 from bisect import insort
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.errors import LidOutOfRangeError, LogError
-from ..core.record import LogEntry, ReadRules, Record, RecordId
-
-# --------------------------------------------------------------------- #
-# The export format: one JSON object per line
-# --------------------------------------------------------------------- #
-
-
-def _value_to_json(value: Any) -> Any:
-    """A record body or tag value in JSON-serialisable form.
-
-    Scalars stay verbatim; everything else is tagged — ``bytes`` (base64),
-    tuples, lists, and dicts (as pair lists, so keys are not restricted to
-    strings) — and comes back with its exact Python type.
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, bytes):
-        return {"$": "bytes", "v": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, tuple):
-        return {"$": "t", "v": [_value_to_json(v) for v in value]}
-    if isinstance(value, list):
-        return {"$": "l", "v": [_value_to_json(v) for v in value]}
-    if isinstance(value, dict):
-        return {
-            "$": "d",
-            "v": [[_value_to_json(k), _value_to_json(v)] for k, v in value.items()],
-        }
-    raise LogError(f"cannot persist a value of type {type(value).__name__}: {value!r}")
-
-
-def _value_from_json(value: Any) -> Any:
-    """Inverse of :func:`_value_to_json`."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if not isinstance(value, dict) or "$" not in value:
-        raise LogError(f"malformed persisted value: {value!r}")
-    tag = value["$"]
-    payload = value.get("v")
-    if tag == "bytes":
-        return base64.b64decode(payload)
-    if tag == "t":
-        return tuple(_value_from_json(v) for v in payload)
-    if tag == "l":
-        return [_value_from_json(v) for v in payload]
-    if tag == "d":
-        return {_value_from_json(k): _value_from_json(v) for k, v in payload}
-    raise LogError(f"unknown persisted value tag {tag!r}")
-
-
-def record_to_dict(record: Record) -> Dict[str, Any]:
-    return {
-        "host": record.host,
-        "toid": record.toid,
-        "body": _value_to_json(record.body),
-        "tags": [[k, _value_to_json(v)] for k, v in record.tags],
-        "deps": [[dc, t] for dc, t in record.deps],
-        "internal": record.internal,
-    }
-
-
-def record_from_dict(data: Dict[str, Any]) -> Record:
-    return Record(
-        rid=RecordId(data["host"], data["toid"]),
-        body=_value_from_json(data["body"]),
-        tags=tuple((k, _value_from_json(v)) for k, v in data.get("tags", [])),
-        deps=tuple((dc, t) for dc, t in data.get("deps", [])),
-        internal=bool(data.get("internal", False)),
-    )
-
+from ..core.errors import LidOutOfRangeError
+from ..core.record import LogEntry, ReadRules, Record
+from .journal import _pack_block, _read_runs
+from .maintainer import Placements
 
 
 class ArchiveStore:
@@ -101,17 +32,18 @@ class ArchiveStore:
         self._lids: List[int] = []
         self._tag_index: Dict[str, List[int]] = {}
 
-    # -- the maintainer-facing hook ---------------------------------------- #
+    # -- the maintainer-facing sink ---------------------------------------- #
 
-    def __call__(self, lid: int, record: Record) -> None:
-        """Accept an evicted record (idempotent for retried evictions)."""
-        if lid in self._records:
-            return
-        self._records[lid] = record
-        insort(self._lids, lid)
-        for key, _value in record.tags:
-            bucket = self._tag_index.setdefault(key, [])
-            insort(bucket, lid)
+    def append_run(self, placements: Placements) -> None:
+        """Accept a run of evicted records; LIds already held (a retried
+        eviction) are skipped."""
+        for lid, record in placements:
+            if lid in self._records:
+                continue
+            self._records[lid] = record
+            insort(self._lids, lid)
+            for key, _value in record.tags:
+                insort(self._tag_index.setdefault(key, []), lid)
 
     # -- reads --------------------------------------------------------------- #
 
@@ -151,25 +83,22 @@ class ArchiveStore:
     # -- persistence ---------------------------------------------------------- #
 
     def dump(self, path: str) -> int:
-        """Write the archive as JSON lines; returns the record count."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for lid in self._lids:
-                handle.write(
-                    json.dumps({"lid": lid, "record": record_to_dict(self._records[lid])})
-                    + "\n"
-                )
+        """Write the archive as one journal block, in LId order; returns the
+        record count.  A body the record codec cannot encode raises
+        :class:`~repro.core.errors.LogError`."""
+        block = _pack_block([(lid, self._records[lid]) for lid in self._lids])
+        with open(path, "wb") as handle:
+            handle.write(block)
         return len(self._lids)
 
     @classmethod
     def load(cls, path: str) -> "ArchiveStore":
+        """Read back a :meth:`dump` (or any journal file) without changing it."""
+        if not os.path.isfile(path):
+            raise FileNotFoundError(path)
         store = cls()
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                data = json.loads(line)
-                store(data["lid"], record_from_dict(data["record"]))
+        for run in _read_runs(path):
+            store.append_run(run)
         return store
 
 

@@ -26,7 +26,7 @@ import os
 import struct
 import zlib
 from itertools import chain
-from typing import BinaryIO, Callable, Dict, Iterable, Iterator, Optional, Tuple
+from typing import BinaryIO, Dict, Iterable, Iterator, Optional, Tuple
 
 from ..core.config import FLStoreConfig
 from ..core.errors import LogError, NetworkProtocolError
@@ -227,7 +227,6 @@ def recover_maintainer_core(
     plan: OwnershipPlan,
     journal_runs: Iterable[Placements],
     config: Optional[FLStoreConfig] = None,
-    new_journal: Optional[Callable[[int, Record], None]] = None,
 ) -> MaintainerCore:
     """Rebuild a maintainer's state from its journal after a crash.
 
@@ -238,13 +237,10 @@ def recover_maintainer_core(
     postings.  The recovered core resumes post-assignment exactly where the
     crashed one stopped — no LId is ever handed out twice.
 
-    ``new_journal`` receives every replayed run too (recovery chains into a
-    fresh journal).  It must therefore be a *different* journal from the
-    one ``journal_runs`` reads: replaying a journal into itself re-appends
-    every entry.  To reuse the original journal object, recover with
-    ``new_journal=None`` and attach it afterwards via ``core.set_journal``.
+    The core comes back without a journal; attach one with
+    ``core.set_journal`` (the original journal object included).
     """
-    core = MaintainerCore(name, plan, config=config, journal=new_journal)
+    core = MaintainerCore(name, plan, config=config)
     for run in journal_runs:
         core.place_run(run)
     return core

@@ -18,8 +18,7 @@ adapts it to the actor runtimes, and ``repro.net`` adapts it to asyncio TCP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from ..core.config import FLStoreConfig
 from ..core.errors import (
@@ -58,10 +57,11 @@ _tuple_new = tuple.__new__
 Placements = List[Tuple[int, Record]]
 
 
-def _journal_each(journal: Callable[[int, Record], None], placements: Placements) -> None:
-    """``append_run`` for a journal that is a plain ``(lid, record)`` callable."""
-    for lid, record in placements:
-        journal(lid, record)
+class RunSink(Protocol):
+    """What a maintainer hands whole runs of placements: its journal and its
+    cold-storage archive (:class:`~repro.flstore.archive.ArchiveStore`)."""
+
+    def append_run(self, placements: Placements) -> None: ...
 
 
 @dataclass(slots=True)
@@ -85,14 +85,14 @@ class MaintainerCore:
         name: str,
         plan: OwnershipPlan,
         config: Optional[FLStoreConfig] = None,
-        journal: Optional[Callable[[int, Record], None]] = None,
-        archive: Optional[Callable[[int, Record], None]] = None,
+        journal: Optional[RunSink] = None,
+        archive: Optional[RunSink] = None,
     ) -> None:
         self.name = name
         self.plan = plan
         self.config = config or FLStoreConfig()
         self.set_journal(journal)
-        #: Cold-storage hook (§6.1): called with each record evicted by GC.
+        #: Cold storage (§6.1): each truncation's evicted records, as one run.
         self._archive = archive
         self._storage: Dict[int, Record] = {}
         first = plan.first_owned_lid(name)
@@ -116,21 +116,16 @@ class MaintainerCore:
         self.records_placed = 0
         self.records_collected = 0
 
-    def set_journal(self, journal: Optional[Callable[[int, Record], None]]) -> None:
-        """Install (or replace) the durability hook for future placements.
+    def set_journal(self, journal: Optional[RunSink]) -> None:
+        """Install (or replace) the journal of future placements: each
+        :meth:`place_run` / :meth:`append` reaches it as one ``append_run``.
 
         Attach before traffic flows: only placements made while a journal is
-        installed can be replayed by crash recovery.  A journal with an
-        ``append_run(placements)`` method (:class:`~repro.flstore.journal.FileJournal`,
-        :class:`~repro.flstore.journal.MemoryJournal`) gets each
-        :meth:`place_run` / :meth:`append` as one call; a plain
-        ``journal(lid, record)`` callable is called once per pair.
+        installed can be replayed by crash recovery.
         """
-        self._journal_run: Optional[Callable[[Placements], None]] = None
-        if journal is not None:
-            self._journal_run = getattr(journal, "append_run", None) or partial(
-                _journal_each, journal
-            )
+        self._journal_run: Optional[Callable[[Placements], None]] = (
+            None if journal is None else journal.append_run
+        )
 
     # ------------------------------------------------------------------ #
     # Appending (post-assignment, §5.2)
@@ -505,8 +500,11 @@ class MaintainerCore:
 
         A record is coverable when every datacenter already knows it:
         ``toid_frontier[host(r)] >= toid(r)``.  Internal no-op records are
-        always coverable.  Returns the number of records dropped.
+        always coverable.  Returns the number of records dropped.  The
+        evicted non-internal records reach the archive as one run.
         """
+        archive = self._archive
+        evicted: Optional[Placements] = None if archive is None else []
         dropped = 0
         lid = self._gc_floor
         while lid is not None:
@@ -520,14 +518,16 @@ class MaintainerCore:
             if not record.internal:
                 if toid_frontier.get(record.host, 0) < record.toid:
                     break
-            if self._archive is not None and not record.internal:
-                self._archive(lid, record)
+            if evicted is not None and not record.internal:
+                evicted.append((lid, record))
             del self._storage[lid]
             dropped += 1
             if not record.internal:
                 self.records_collected += 1
             lid = self.plan.next_owned_lid(self.name, lid)
         self._gc_floor = lid
+        if archive is not None and evicted:
+            archive.append_run(evicted)
         return dropped
 
     # ------------------------------------------------------------------ #
@@ -563,8 +563,8 @@ class LogMaintainer(Actor):
         peers: List[str],
         indexers: Optional[List[str]] = None,
         config: Optional[FLStoreConfig] = None,
-        journal: Optional[Callable[[int, Record], None]] = None,
-        archive: Optional[Callable[[int, Record], None]] = None,
+        journal: Optional[RunSink] = None,
+        archive: Optional[RunSink] = None,
         controller: Optional[str] = None,
     ) -> None:
         super().__init__(name)

@@ -138,14 +138,8 @@ class FLStore:
         if self.journals is None or name not in self.journals:
             raise ConfigurationError(f"no journal attached for maintainer {name!r}")
         journal = self.journals[name]
-        # Recover journal-less, then re-attach: replaying a journal into
-        # itself would re-append every entry.
         core = recover_maintainer_core(
-            name,
-            self.plan,
-            journal.replay_runs(),
-            config=self.config,
-            new_journal=None,
+            name, self.plan, journal.replay_runs(), config=self.config
         )
         core.set_journal(journal)
         replacement = self.build_maintainer(name, [m.name for m in self.maintainers])

@@ -565,9 +565,8 @@ class MultiprocRuntime(BaseRuntime):
         actors = self._actors
         while pending:
             src, dst, message = pending.popleft()
-            actor = actors.get(dst)
-            if actor is not None:
-                actor.on_message(src, message)
+            if dst in actors:
+                self._on_deliver(src, dst, message)
                 delivered += 1
         return delivered
 

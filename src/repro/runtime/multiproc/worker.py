@@ -211,13 +211,6 @@ class _WorkerNode(BaseRuntime):
             for name, actor in actors.items():
                 actor.runtime = saved[name]
 
-    def _deliver(self, src: str, dst: str, message: Any) -> None:
-        actor = self._actors.get(dst)
-        if actor is None:
-            self._reply({"worker_error": f"worker {self.worker_id} has no actor {dst!r}"})
-            return
-        actor.on_message(src, message)
-
     def run(self) -> None:
         selector = selectors.DefaultSelector()
         selector.register(self.conn.sock, selectors.EVENT_READ, self.conn)
@@ -264,8 +257,11 @@ class _WorkerNode(BaseRuntime):
         self._dispatch_safely(src, dst, decode_value_binary(payload))
 
     def _dispatch_safely(self, src: str, dst: str, message: Any) -> None:
+        if dst not in self._actors:
+            self._reply({"worker_error": f"worker {self.worker_id} has no actor {dst!r}"})
+            return
         try:
-            self._deliver(src, dst, message)
+            self._on_deliver(src, dst, message)
         except Exception as exc:  # noqa: BLE001 - reported to the parent
             self._reply(
                 {

@@ -5,8 +5,9 @@ import os
 import pytest
 
 from repro.apps import Checkpointer, Hyksos, LogAuditor
+from repro.cli import main
 from repro.core import LidOutOfRangeError, LogError, ReadRules, Record
-from repro.flstore import ArchiveStore, MaintainerCore, OwnershipPlan, TieredReader
+from repro.flstore import ArchiveStore, FileJournal, MaintainerCore, OwnershipPlan, TieredReader
 from repro.flstore.store import FLStore
 from repro.runtime import LocalRuntime
 
@@ -23,17 +24,34 @@ class TestArchiveStore:
         assert len(archive) == 3
         assert archive.get(0).record.toid == 1
 
+    def test_one_truncation_hands_the_archive_one_run(self):
+        class CountingSink:
+            def __init__(self):
+                self.runs = []
+
+            def append_run(self, placements):
+                self.runs.append(list(placements))
+
+        plan = OwnershipPlan(["m0"], batch_size=10)
+        sink = CountingSink()
+        core = MaintainerCore("m0", plan, archive=sink)
+        core.append([rec("A", t) for t in range(1, 6)])
+        assert core.truncate({"A": 4}) == 4
+        assert [[lid for lid, _ in run] for run in sink.runs] == [[0, 1, 2, 3]]
+        assert core.truncate({"A": 4}) == 0
+        assert len(sink.runs) == 1  # a sweep that evicts nothing sends nothing
+
     def test_archive_is_idempotent(self):
         archive = ArchiveStore()
         record = rec("A", 1)
-        archive(0, record)
-        archive(0, record)
+        archive.append_run([(0, record)])
+        archive.append_run([(0, record)])
         assert len(archive) == 1
 
     def test_read_by_rules_and_tag(self):
         archive = ArchiveStore()
         for i in range(6):
-            archive(i, rec("A", i + 1, tags={"p": i % 2}))
+            archive.append_run([(i, rec("A", i + 1, tags={"p": i % 2}))])
         entries = archive.read(ReadRules(tag_key="p", tag_value=0, limit=2))
         assert [e.lid for e in entries] == [4, 2]
 
@@ -44,33 +62,26 @@ class TestArchiveStore:
     def test_lid_range(self):
         archive = ArchiveStore()
         assert archive.lid_range() is None
-        archive(3, rec("A", 1))
-        archive(7, rec("A", 2))
+        archive.append_run([(3, rec("A", 1))])
+        archive.append_run([(7, rec("A", 2))])
         assert archive.lid_range() == (3, 7)
 
     def test_dump_and_load(self, tmp_path):
         archive = ArchiveStore()
         for i in range(4):
-            archive(i, rec("A", i + 1, tags={"k": i}))
-        path = os.path.join(tmp_path, "archive.jsonl")
+            archive.append_run([(i, rec("A", i + 1, tags={"k": i}))])
+        path = os.path.join(tmp_path, "archive.dump")
         assert archive.dump(path) == 4
         restored = ArchiveStore.load(path)
         assert len(restored) == 4
         assert restored.get(2).record.tag_dict() == {"k": 2}
+        with pytest.raises(FileNotFoundError):
+            ArchiveStore.load(os.path.join(tmp_path, "missing.dump"))
 
 
-#: Three lines of the export format exactly as it was first written (when it
-#: was also the journal's format): scalar, ``bytes`` and container bodies.
-GOLDEN_LINES = (
-    '{"lid": 10, "record": {"host": "A", "toid": 1, "body": "scalar", '
-    '"tags": [["k", 1]], "deps": [["B", 2]], "internal": false}}\n'
-    '{"lid": 11, "record": {"host": "dc-b", "toid": 2, "body": '
-    '{"$": "bytes", "v": "AP9ieXRlcw=="}, "tags": [], "deps": [], "internal": false}}\n'
-    '{"lid": 12, "record": {"host": "A", "toid": 3, "body": {"$": "d", "v": '
-    '[["t", {"$": "t", "v": [1, {"$": "l", "v": [2.5, null]}]}], [3, "int-key"], '
-    '["blob", {"$": "bytes", "v": "AQ=="}]]}, "tags": [["when", {"$": "t", "v": [1, 2]}]], '
-    '"deps": [["A", 2], ["B", 7]], "internal": true}}\n'
-)
+#: Records that stress the record serialiser: a scalar body with tags and
+#: deps, a ``bytes`` body, and a nested dict / tuple / list body with an int
+#: key and a ``bytes`` value, a tuple tag and ``internal=True``.
 GOLDEN_RECORDS = [
     Record.make("A", 1, "scalar", tags={"k": 1}, deps={"B": 2}),
     Record.make("dc-b", 2, b"\x00\xffbytes"),
@@ -86,33 +97,35 @@ GOLDEN_RECORDS = [
 
 
 class TestDumpFormat:
-    def test_golden_lines_load_and_dump_byte_identically(self, tmp_path):
-        old = os.path.join(tmp_path, "old.jsonl")
-        with open(old, "w", encoding="utf-8") as handle:
-            handle.write(GOLDEN_LINES)
-        archive = ArchiveStore.load(old)
-        assert archive.lid_range() == (10, 12) and len(archive) == 3
-        assert [archive.get(lid).record for lid in (10, 11, 12)] == GOLDEN_RECORDS
-        new = os.path.join(tmp_path, "new.jsonl")
-        assert archive.dump(new) == 3
-        with open(new, encoding="utf-8") as handle:
-            assert handle.read() == GOLDEN_LINES
+    def test_golden_records_round_trip_with_exact_types(self, tmp_path):
+        archive = ArchiveStore()
+        archive.append_run(list(zip((10, 11, 12), GOLDEN_RECORDS)))
+        path = os.path.join(tmp_path, "golden.archive")
+        assert archive.dump(path) == 3
+        restored = ArchiveStore.load(path)
+        assert restored.lid_range() == (10, 12) and len(restored) == 3
+        records = [restored.get(lid).record for lid in (10, 11, 12)]
+        assert records == GOLDEN_RECORDS
+        assert [repr(r) for r in records] == [repr(r) for r in GOLDEN_RECORDS]
 
-    def test_unknown_value_tag_is_rejected(self, tmp_path):
-        path = os.path.join(tmp_path, "future.jsonl")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(
-                '{"lid": 0, "record": {"host": "c", "toid": 1, '
-                '"body": {"$": "NoSuchType", "v": {}}}}\n'
-            )
-        with pytest.raises(LogError):
-            ArchiveStore.load(path)
+    def test_dump_is_one_journal_block(self, tmp_path, capsys):
+        archive = ArchiveStore()
+        archive.append_run(list(zip((10, 11, 12), GOLDEN_RECORDS)))
+        path = os.path.join(tmp_path, "golden.archive")
+        archive.dump(path)
+        journal = FileJournal(path)
+        assert list(journal.replay_runs()) == [list(zip((10, 11, 12), GOLDEN_RECORDS))]
+        journal.close()
+        assert main(["inspect-journal", path, "-v"]) == 0
+        out = capsys.readouterr().out
+        assert "3 placements" in out and "blocks: 1 (" in out
+        assert "[12] <A,3> tags={'when': (1, 2)}" in out
 
     def test_unpersistable_body_is_rejected(self, tmp_path):
         archive = ArchiveStore()
-        archive(0, rec("c", 1, body=object()))
+        archive.append_run([(0, rec("c", 1, body=object()))])
         with pytest.raises(LogError):
-            archive.dump(os.path.join(tmp_path, "opaque.jsonl"))
+            archive.dump(os.path.join(tmp_path, "opaque.archive"))
 
 
 class TestTieredReader:

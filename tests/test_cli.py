@@ -57,12 +57,14 @@ class TestInspection:
     def test_inspect_archive(self, tmp_path, capsys):
         archive = ArchiveStore()
         for i in range(3):
-            archive(i, rec("A", i + 1, tags={"k": i}))
-        path = os.path.join(tmp_path, "a.jsonl")
+            archive.append_run([(i, rec("A", i + 1, tags={"k": i}))])
+        path = os.path.join(tmp_path, "a.archive")
         archive.dump(path)
-        assert main(["inspect-archive", path, "-v"]) == 0
+        assert main(["inspect-journal", path, "-v"]) == 0
         out = capsys.readouterr().out
-        assert "3 archived records" in out
+        assert "3 placements" in out
+        assert "blocks: 1 (" in out
+        assert "[2] <A,3> tags={'k': 2}" in out
 
 
 class TestParser:
@@ -76,7 +78,6 @@ class TestParser:
             ["demo"],
             ["table1"],
             ["inspect-journal", "x"],
-            ["inspect-archive", "x"],
         ):
             args = parser.parse_args(argv)
             assert callable(args.func)

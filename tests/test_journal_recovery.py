@@ -87,19 +87,6 @@ class TestCrashRecovery:
         assert recovered.next_unassigned == 1
         assert recovered.try_get(3) is not None
 
-    def test_recovery_chains_into_a_new_journal(self):
-        plan = make_plan()
-        first = MemoryJournal()
-        core = MaintainerCore("m0", plan, journal=first)
-        core.append(chain("c", 3))
-        second = MemoryJournal()
-        recovered = recover_maintainer_core(
-            "m0", plan, first.replay_runs(), new_journal=second
-        )
-        assert len(second) == 3  # replayed placements re-journal
-        recovered.append(chain("d", 1))
-        assert len(second) == 4
-
     def test_recovered_maintainer_serves_reads(self):
         plan = make_plan()
         journal = MemoryJournal()
@@ -226,9 +213,9 @@ class TestFileJournal:
 
     def test_restart_replays_from_the_original_journal_object(self, tmp_path):
         """Reusing the crashed maintainer's own journal for recovery: replay
-        with ``new_journal=None`` and attach it afterwards, the discipline
-        ``ChariotsDeployment.recover_maintainer`` follows (feeding a journal
-        its own replay would loop it back into itself)."""
+        into a journal-less core and attach it afterwards, the discipline
+        ``FLStore.recover_maintainer`` follows (feeding a journal its own
+        replay would loop it back into itself)."""
         path = os.path.join(tmp_path, "reuse.journal")
         plan = make_plan(n=1)
         journal = FileJournal(path)

@@ -4,12 +4,21 @@ The multiproc runtime trades determinism for parallelism, so its anchor is
 *outcome* equivalence with the abstract solution, checked on real worker
 processes and inline by ``tests/test_runtime_contract.py``.  These unit
 tests cover the default placement policy, routing to worker-hosted
-maintainers, shadow refresh, ``peek`` and worker errors; registration,
-unknown destinations and the fault plan are the contract suite's.
+maintainers, shadow refresh, ``peek``, worker errors, the one delivery
+point and the refusal of live elasticity on worker processes;
+registration, unknown destinations and the fault plan are the contract
+suite's.
 """
 
 import pytest
 
+from repro.chariots import ChariotsDeployment
+from repro.chariots.elasticity import (
+    expand_batchers,
+    expand_filters,
+    expand_maintainers,
+    expand_queues,
+)
 from repro.core.errors import ConfigurationError, SessionError
 from repro.core.record import Record, RecordId
 from repro.flstore.maintainer import LogMaintainer
@@ -19,6 +28,9 @@ from repro.runtime.multiproc import (
     MultiprocRuntime,
     default_placement,
 )
+from repro.runtime.multiproc.worker import _WorkerNode
+
+from test_supervision_commit import Fan, Quiet, RawParent
 
 
 class TestPlacement:
@@ -117,3 +129,84 @@ def _stored_count(actor):
 def _raise_in_worker(actor):
     raise ValueError("boom")
 
+
+
+class CountingRuntime(MultiprocRuntime):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.delivered = []
+
+    def _on_deliver(self, src, dst, message):
+        self.delivered.append(dst)
+        super()._on_deliver(src, dst, message)
+
+
+class CountingNode(_WorkerNode):
+    def __init__(self, worker_id, sock):
+        super().__init__(worker_id, sock)
+        self.delivered = []
+
+    def _on_deliver(self, src, dst, message):
+        self.delivered.append(dst)
+        super()._on_deliver(src, dst, message)
+
+
+class TestOneDeliveryPoint:
+    """Every delivery goes through ``BaseRuntime._on_deliver``, the hook
+    telemetry and record/replay attach to, in the parent and in workers."""
+
+    def test_parent_local_deliveries(self):
+        runtime = CountingRuntime(workers=0)
+        runtime.register_all([Fan("fan", ["quiet"]), Quiet("quiet")])
+        runtime.start()
+        for i in range(3):
+            runtime.send("driver", "fan", i)
+        runtime.run_until(lambda: runtime.actor("quiet").seen == 3, timeout=5)
+        assert sorted(runtime.delivered) == ["fan"] * 3 + ["quiet"] * 3
+
+    def test_worker_deliveries_frames_and_local(self):
+        parent = RawParent(
+            [Fan("fan", ["quiet"]), Quiet("quiet")], node_cls=CountingNode
+        ).run_node()
+        try:
+            for i in range(3):
+                seq = parent.deliver("fan", i)
+            parent.read_until(lambda f: f[0] == "S" and f[1]["ack"] == seq)
+            assert sorted(parent.node.delivered) == ["fan"] * 3 + ["quiet"] * 3
+            parent.deliver("ghost", 0)
+            error = parent.read_until(lambda f: f[0] == "R" and "worker_error" in f[1])
+            assert "no actor 'ghost'" in error[1]["worker_error"]
+            assert "ghost" not in parent.node.delivered
+        finally:
+            parent.close()
+
+
+class TestElasticityOnWorkers:
+    EXPANSIONS = [
+        lambda pipe: expand_maintainers(pipe, 1),
+        lambda pipe: expand_filters(pipe, host="A", count=1),
+        lambda pipe: expand_queues(pipe, 1),
+        lambda pipe: expand_batchers(pipe, 1),
+    ]
+
+    def test_started_workers_refuse_every_expansion(self):
+        runtime = MultiprocRuntime(workers=1)
+        deployment = ChariotsDeployment(runtime, ["A"], batch_size=4)
+        pipe = deployment["A"]
+        epochs = len(pipe.plan.epochs)
+        try:
+            runtime.start()
+            for expand in self.EXPANSIONS:
+                with pytest.raises(ConfigurationError, match="item 16"):
+                    expand(pipe)
+        finally:
+            runtime.stop()
+        assert len(pipe.plan.epochs) == epochs
+        assert len(pipe.maintainers) == len(pipe.queues) == 1
+
+    def test_expanding_before_start_is_allowed(self):
+        runtime = MultiprocRuntime(workers=1)
+        pipe = ChariotsDeployment(runtime, ["A"], batch_size=4)["A"]
+        for expand in self.EXPANSIONS:
+            assert len(expand(pipe)) == 1
+        assert len(pipe.plan.epochs) == 2

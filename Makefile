@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test chaos chaos-multiproc scenarios ledger-smoke lint analysis ruff mypy baseline graph
+.PHONY: check test chaos chaos-multiproc scenarios aggregates-diff ledger-smoke lint analysis ruff mypy baseline graph
 
 ## Tier-1 gate: the full test suite.
 check: test
@@ -62,6 +62,26 @@ chaos-multiproc:
 ## chaos, overload) and persist artifacts under runs/ (docs/SCENARIOS.md).
 scenarios:
 	$(PYTHON) -m repro.scenarios run --deterministic
+
+## Run the deterministic catalog on BASE (a git revision, extracted with
+## `git archive` into a temporary directory) and on the working tree, and
+## name each scenario whose aggregates.json differs or exists on one side
+## only; exits non-zero if any does.  Runs the catalog twice (~1 min each).
+BASE ?= HEAD
+aggregates-diff:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base" && git archive $(BASE) | tar -x -C "$$tmp/base" && \
+	(cd "$$tmp/base" && $(PYTHON) -m repro.scenarios run --deterministic --run-root "$$tmp/base-runs" > /dev/null) && \
+	$(PYTHON) -m repro.scenarios run --deterministic --run-root "$$tmp/head-runs" > /dev/null || exit 1; \
+	status=0; count=0; \
+	for name in $$( (ls "$$tmp/base-runs"; ls "$$tmp/head-runs") | sort -u); do \
+		count=$$((count + 1)); \
+		if ! cmp -s "$$tmp"/base-runs/$$name/run-*/aggregates.json "$$tmp"/head-runs/$$name/run-*/aggregates.json; then \
+			echo "aggregates differ: $$name"; status=1; \
+		fi; \
+	done; \
+	echo "aggregates-diff: $$count scenarios compared against $(BASE)"; \
+	exit $$status
 
 ## The perf ledger's correctness gate at 1/20 size: every BENCHMARK.json
 ## workload once (a failed gate, a failed op or a wedged trial exits

@@ -5,13 +5,13 @@ Each filter champions a slice of the record space and guarantees
 
 * **External records** — the championing scheme is the shared
   :class:`FilterMap` (also consulted by the batchers): each host datacenter
-  maps to one or more filters, and when several filters share a host they
-  split it by TOId residue (the paper's odd/even example).  Per championed
-  (host, slice) the filter tracks the next expected TOId: the expected
-  record is admitted, earlier ones are duplicates (dropped), later ones
-  wait in a reorder buffer until the gap fills — WAN shipments arrive out
-  of order and retransmissions duplicate.
-* **Drafts** — per client, the same scheme over the client's dense
+  has an epoch journal naming one or more filters, and when several
+  filters share a host they split it by TOId residue (the paper's
+  odd/even example).  Per host the filter tracks the next TOId it
+  champions: the expected record is admitted, earlier ones are duplicates
+  (dropped), later ones wait in a reorder buffer until the gap fills — WAN
+  shipments arrive out of order and retransmissions duplicate.
+* **Drafts** — per client, the same walk over the client's dense
   sequence numbers: exactly-once admission and per-client FIFO.
 
 Filters never talk to each other, which is what makes the stage seamlessly
@@ -22,16 +22,21 @@ from __future__ import annotations
 
 from itertools import groupby
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple, TypeVar
 
 from ..core.config import PipelineConfig
 from ..core.errors import ConfigurationError
 from ..core.hashing import stable_hash
 from ..core.record import DatacenterId, Record
+from ..flstore.range_map import OwnershipPlan, RangeEpoch
 from ..runtime.actor import Actor
 from .messages import AdmittedBatch, DraftRecord, FilterBatch
 
 _host_of = attrgetter("rid.host")
+_rid_of = attrgetter("rid")
+_client_of = attrgetter("client")
+_seq_of = attrgetter("seq")
+_Item = TypeVar("_Item", Record, DraftRecord)
 
 
 class FilterMap:
@@ -41,10 +46,12 @@ class FilterMap:
     here the datacenter's batchers and filters share one instance, which
     keeps them consistent by construction.
 
-    External records: per host datacenter, an epoch list
-    ``(effective_from_toid, champion filters)``; within an epoch, a host
-    with ``k`` champions is split by TOId residue.  Reassignments are
-    scheduled at a *future* TOId (§6.3, "future reassignment"), giving
+    External records: per host datacenter, the maintainers' epoch journal
+    (:class:`~repro.flstore.range_map.OwnershipPlan`) over TOIds, with
+    rounds of one TOId.  Within an epoch a host with ``k`` champions is
+    split by absolute TOId residue: TOId ``t`` goes to ``champions[t % k]``
+    (the paper's odd/even example).  Reassignments are later epochs that
+    take effect at a *future* TOId (§6.3, "future reassignment"), giving
     batchers time to learn the change before it takes effect.
 
     Drafts: clients are stickily assigned a champion on first sight
@@ -56,7 +63,7 @@ class FilterMap:
         if not filters:
             raise ConfigurationError("FilterMap needs at least one filter")
         self._filters = list(filters)
-        self._host_epochs: Dict[DatacenterId, List[Tuple[int, List[str]]]] = {}
+        self._plans: Dict[DatacenterId, OwnershipPlan] = {}
         self._client_champion: Dict[str, str] = {}
 
     @property
@@ -66,68 +73,59 @@ class FilterMap:
     # -- configuration ---------------------------------------------------- #
 
     def assign_host(self, host: DatacenterId, filters: List[str]) -> None:
-        """Initial championing of ``host`` (effective from TOId 1)."""
-        self._validate_filters(filters)
-        if host in self._host_epochs:
+        """Initial championing of ``host``, from its first TOId."""
+        unknown = [f for f in filters if f not in self._filters]
+        if unknown:
+            raise ConfigurationError(f"unknown filters {unknown}")
+        if host in self._plans:
             raise ConfigurationError(f"host {host!r} already assigned; use reassign_host")
-        self._host_epochs[host] = [(1, list(filters))]
+        # The first epoch starts at TOId 0, so its residues are absolute.
+        self._plans[host] = OwnershipPlan(filters, batch_size=1)
 
     def reassign_host(
         self, host: DatacenterId, filters: List[str], from_toid: int
     ) -> None:
         """Future reassignment: ``host`` TOIds >= ``from_toid`` move to
         ``filters`` (§6.3)."""
-        self._validate_filters(filters, allow_new=True)
-        epochs = self._host_epochs.setdefault(host, [(1, list(self._filters))])
-        if from_toid <= epochs[-1][0]:
-            raise ConfigurationError(
-                f"reassignment at TOId {from_toid} is not in the future "
-                f"(last epoch starts at {epochs[-1][0]})"
-            )
-        epochs.append((from_toid, list(filters)))
+        if from_toid <= 1:
+            raise ConfigurationError(f"reassignment at TOId {from_toid} is not in the future")
+        if not filters:
+            raise ConfigurationError("champion list cannot be empty")
+        # The epoch counts rounds from its own start; rotating the list by
+        # ``from_toid % k`` keeps TOId ``t`` with ``filters[t % k]``.
+        shift = from_toid % len(filters)
+        self.plan(host).add_epoch(from_toid, filters[shift:] + filters[:shift])
+        for name in filters:
+            self.add_filter(name)
 
     def add_filter(self, name: str) -> None:
         if name not in self._filters:
             self._filters.append(name)
 
-    def _validate_filters(self, filters: List[str], allow_new: bool = False) -> None:
-        if not filters:
-            raise ConfigurationError("champion list cannot be empty")
-        if allow_new:
-            for name in filters:
-                self.add_filter(name)
-        else:
-            unknown = [f for f in filters if f not in self._filters]
-            if unknown:
-                raise ConfigurationError(f"unknown filters {unknown}")
-
     # -- lookups ------------------------------------------------------------ #
 
-    def _champions(self, host: DatacenterId, toid: int) -> List[str]:
-        epochs = self._host_epochs.get(host)
-        if not epochs:
-            return self._filters
-        candidates = epochs[0][1]
-        for from_toid, filters in epochs:
-            if toid >= from_toid:
-                candidates = filters
-            else:
-                break
-        return candidates
+    def plan(self, host: DatacenterId) -> OwnershipPlan:
+        """The epoch journal of ``host``'s TOIds.  A host no one assigned
+        gets one at first lookup, over the filters present then."""
+        plan = self._plans.get(host)
+        if plan is None:
+            plan = self._plans[host] = OwnershipPlan(self._filters, batch_size=1)
+        return plan
 
     def champions_for(self, host: DatacenterId, toid: int) -> List[str]:
-        """All filters championing ``host`` at ``toid`` (the slice set)."""
-        return list(self._champions(host, toid))
+        """All filters championing ``host`` at ``toid`` (the slice set), in
+        the order they were assigned."""
+        epoch = self.plan(host).epoch_for(toid)
+        members = epoch.maintainers
+        shift = -epoch.start_lid % len(members)
+        return list(members[shift:] + members[:shift])
 
     def filter_for(self, host: DatacenterId, toid: int) -> str:
         """Champion filter of external record ``<host, toid>``."""
-        candidates = self._champions(host, toid)
-        if len(candidates) == 1:
-            return candidates[0]
-        return candidates[toid % len(candidates)]
+        return self.plan(host).owner(toid)
 
     def filter_for_record(self, record: Record) -> str:
-        return self.filter_for(record.host, record.toid)
+        return self.filter_for(*record.rid)
 
     def route_externals(self, records: List[Record]) -> List[Tuple[str, List[Record]]]:
         """Champion filter of every record, as ``(filter, records)`` runs.
@@ -146,20 +144,12 @@ class FilterMap:
                 routed.extend((self.filter_for(*record.rid), [record]) for record in run)
         return routed
 
-    def next_toid_for(self, host: DatacenterId, after_toid: int, filter_name: str) -> int:
+    def next_toid_for(
+        self, host: DatacenterId, after_toid: int, filter_name: str
+    ) -> Optional[int]:
         """Smallest TOId > ``after_toid`` of ``host`` championed by
-        ``filter_name``.  This is the filter's expected-TOId stepping; it
-        remains correct across residue slicing and epoch changes."""
-        toid = after_toid + 1
-        # The champion set has bounded size; a match occurs within one full
-        # residue cycle of each epoch the scan crosses.
-        for _ in range(1_000_000):  # defensive bound
-            if self.filter_for(host, toid) == filter_name:
-                return toid
-            toid += 1
-        raise ConfigurationError(  # pragma: no cover - defensive
-            f"filter {filter_name!r} never champions host {host!r} past {after_toid}"
-        )
+        ``filter_name``, or ``None`` once no later epoch names it."""
+        return self.plan(host).next_owned_lid(filter_name, after_toid)
 
     def filter_for_draft(self, draft: DraftRecord) -> str:
         champion = self._client_champion.get(draft.client)
@@ -171,61 +161,44 @@ class FilterMap:
     def sole_champion(self, host: DatacenterId) -> Optional[str]:
         """The one filter championing *every* TOId of ``host``, or ``None``.
 
-        Only the unsplit, never-reassigned case qualifies (one epoch, one
-        champion — or no epoch and a single filter overall).  In that case
-        the host's championed TOIds are dense, which lets
-        :meth:`FilterCore.offer_externals` admit in-order runs without the
-        per-record ``next_toid_for`` stepping.
+        Only the unsplit, never-reassigned case qualifies: one epoch (only
+        the first starts at 0) of one champion.  Its TOIds are dense, which
+        lets :class:`FilterCore` admit in-order runs of the host without
+        stepping per record.
         """
-        epochs = self._host_epochs.get(host)
-        if epochs is None:
-            return self._filters[0] if len(self._filters) == 1 else None
-        if len(epochs) == 1 and len(epochs[0][1]) == 1:
-            return epochs[0][1][0]
+        epoch = self.plan(host).current_epoch
+        if epoch.start_lid == 0 and len(epoch.maintainers) == 1:
+            return epoch.maintainers[0]
         return None
 
 
 class FilterCore:
-    """Pure-logic uniqueness/ordering state for one filter."""
+    """Pure-logic uniqueness/ordering state for one filter.
+
+    Both streams go through one admission walk.  A stream key (a host, or a
+    client) has a *floor*: every position below it that this filter
+    champions has been admitted, so an offered position below it is a
+    duplicate.  The next expected position is the first championed one at
+    or past the floor (a client's sequence is dense, a host's TOIds step
+    through its plan); later positions wait in the key's reorder buffer.
+    """
 
     def __init__(self, name: str, filter_map: FilterMap) -> None:
         self.name = name
         self.filter_map = filter_map
-        self._next_toid: Dict[DatacenterId, int] = {}
+        self._host_floor: Dict[DatacenterId, int] = {}
         self._reorder: Dict[DatacenterId, Dict[int, Record]] = {}
-        self._next_seq: Dict[str, int] = {}
+        #: Per host, the epoch under which its reorder buffer was filled.
+        self._buffer_epoch: Dict[DatacenterId, RangeEpoch] = {}
+        self._client_floor: Dict[str, int] = {}
         self._draft_reorder: Dict[str, Dict[int, DraftRecord]] = {}
-        #: Records this filter no longer champions (a future reassignment
-        #: took effect); the stage forwards them to the current champion.
-        self.misrouted: List[Record] = []
+        #: Records this filter does not champion (a future reassignment
+        #: took effect, or it left the host); the stage forwards them to
+        #: the current champion.  Only a host's stream has a plan, so only
+        #: records land here.
+        self.misrouted: List[Any] = []
         self.duplicates_dropped = 0
         self.records_admitted = 0
-
-    # -- external records ------------------------------------------------ #
-
-    def _expected_toid(self, host: DatacenterId) -> int:
-        """Next expected TOId for ``host``, revalidated against the
-        (possibly reassigned) champion map."""
-        expected = self._next_toid.get(host)
-        if expected is None:
-            expected = self.filter_map.next_toid_for(host, 0, self.name)
-            self._next_toid[host] = expected
-        if self.filter_map.filter_for(host, expected) != self.name:
-            # A future reassignment moved our slice boundary: skip to our
-            # next TOId under the new mapping and hand misplaced buffer
-            # entries over to their new champions.
-            expected = self.filter_map.next_toid_for(host, expected - 1, self.name)
-            self._next_toid[host] = expected
-            self._sweep_misrouted(host)
-        return expected
-
-    def _sweep_misrouted(self, host: DatacenterId) -> None:
-        buffer = self._reorder.get(host)
-        if not buffer:
-            return
-        for toid in list(buffer):
-            if self.filter_map.filter_for(host, toid) != self.name:
-                self.misrouted.append(buffer.pop(toid))
 
     def take_misrouted(self) -> List[Record]:
         """Drain records awaiting forwarding to their current champion."""
@@ -233,129 +206,119 @@ class FilterCore:
         return out
 
     def offer_external(self, record: Record) -> List[Record]:
-        """Admit ``record`` if it is next in its host's championed slice.
-
-        Returns the records released (the offered one plus any buffered
-        successors it unblocks), in slice order.  Records this filter does
-        not champion (reassignment races) land in :meth:`take_misrouted`.
-        """
-        host = record.host
-        expected = self._expected_toid(host)
-        if self.filter_map.filter_for_record(record) != self.name:
-            self.misrouted.append(record)
-            return []
-        if record.toid < expected:
-            self.duplicates_dropped += 1
-            return []
-        buffer = self._reorder.setdefault(host, {})
-        if record.toid > expected:
-            if record.toid in buffer:
-                self.duplicates_dropped += 1
-            else:
-                buffer[record.toid] = record
-            return []
-        released = [record]
-        self.records_admitted += 1
-        expected = self.filter_map.next_toid_for(host, expected, self.name)
-        while expected in buffer:
-            released.append(buffer.pop(expected))
-            self.records_admitted += 1
-            expected = self.filter_map.next_toid_for(host, expected, self.name)
-        self._next_toid[host] = expected
-        return released
+        return self.offer_externals([record])
 
     def offer_externals(self, records: List[Record]) -> List[Record]:
-        """Batch form of :meth:`offer_external`.
-
-        Dense in-order runs from a sole-champion host — the WAN replication
-        hot path, where a shipment carries one host's records in TOId order —
-        are admitted as a slice, skipping the per-record champion check,
-        reorder-buffer probe and ``next_toid_for`` stepping.  Anything else
-        falls back to the per-record path, so semantics are unchanged.
-        """
-        released: List[Record] = []
-        i = 0
-        n = len(records)
-        fm = self.filter_map
-        next_toid = self._next_toid
-        while i < n:
-            record = records[i]
-            host, toid = record.rid
-            if (
-                fm.sole_champion(host) != self.name
-                or toid != next_toid.get(host, 1)
-                or self._reorder.get(host)
-            ):
-                released.extend(self.offer_external(record))
-                i += 1
-                continue
-            j = i
-            while j < n and records[j].rid == (host, toid):
-                toid += 1
-                j += 1
-            released.extend(records[i:j])
-            self.records_admitted += j - i
-            next_toid[host] = toid
-            i = j
-        return released
-
-    # -- drafts ----------------------------------------------------------- #
+        """Admit each record next in its host's championed slice, with any
+        buffered successors it unblocks; records this filter does not
+        champion land in :meth:`take_misrouted`."""
+        return self._walk(
+            records, map(_rid_of, records), self._host_floor, self._reorder, self.filter_map
+        )
 
     def offer_draft(self, draft: DraftRecord) -> List[DraftRecord]:
-        """Admit a local draft exactly once, in client-sequence order."""
-        expected = self._next_seq.get(draft.client, 1)
-        if draft.seq < expected:
-            self.duplicates_dropped += 1
-            return []
-        buffer = self._draft_reorder.setdefault(draft.client, {})
-        if draft.seq > expected:
-            if draft.seq in buffer:
-                self.duplicates_dropped += 1
-            else:
-                buffer[draft.seq] = draft
-            return []
-        released = [draft]
-        self.records_admitted += 1
-        expected += 1
-        while expected in buffer:
-            released.append(buffer.pop(expected))
-            self.records_admitted += 1
-            expected += 1
-        self._next_seq[draft.client] = expected
-        return released
+        return self.offer_drafts([draft])
 
     def offer_drafts(self, drafts: List[DraftRecord]) -> List[DraftRecord]:
-        """Batch form of :meth:`offer_draft`.
+        """Admit local drafts exactly once, in client-sequence order."""
+        idents = zip(map(_client_of, drafts), map(_seq_of, drafts))
+        return self._walk(drafts, idents, self._client_floor, self._draft_reorder, None)
 
-        Consecutive drafts from the same client with dense, in-order
-        sequence numbers — the local-append hot path — are admitted as a
-        slice with one bookkeeping update; out-of-order or interleaved
-        drafts fall back to the per-record path.
+    def _walk(
+        self,
+        items: List[_Item],
+        idents: Iterator[Tuple[Any, int]],
+        floors: Dict[Any, int],
+        buffers: Dict[Any, Dict[int, _Item]],
+        plans: Optional[FilterMap],
+    ) -> List[_Item]:
+        """Admit ``items``, whose ``(key, position)`` pairs ``idents``
+        yields in step, exactly once and in order per key.
+
+        ``plans`` maps a key to the plan its positions step on; without one
+        (drafts) every position is this filter's.  A dense in-order run of
+        one key this filter wholly champions — a client's drafts, a
+        sole-champion host's shipment — is admitted as one slice; anything
+        else goes through :meth:`_offer` item by item.
         """
-        released: List[DraftRecord] = []
+        released: List[_Item] = []
+        name = self.name
+        head = next(idents, None)
         i = 0
-        n = len(drafts)
-        next_seq = self._next_seq
-        while i < n:
-            draft = drafts[i]
-            client = draft.client
-            expected = next_seq.get(client, 1)
-            if draft.seq != expected or self._draft_reorder.get(client):
-                released.extend(self.offer_draft(draft))
-                i += 1
-                continue
-            seq = expected
-            j = i
-            while j < n:
-                d = drafts[j]
-                if d.client != client or d.seq != seq:
-                    break
-                seq += 1
-                j += 1
-            released.extend(drafts[i:j])
-            self.records_admitted += j - i
-            next_seq[client] = seq
+        while head is not None:
+            key, pos = head
+            head = None
+            if (
+                (plans is None or plans.sole_champion(key) == name)
+                and pos == floors.get(key, 1)
+                and not buffers.get(key)
+            ):
+                first = pos
+                pos += 1
+                for other, at in idents:
+                    if at != pos or other != key:
+                        head = other, at
+                        break
+                    pos += 1
+                j = i + pos - first
+                released += items[i:j]
+                self.records_admitted += j - i
+                floors[key] = pos
+            else:
+                plan = None if plans is None else plans.plan(key)
+                released += self._offer(items[i], key, pos, plan, floors, buffers)
+                head = next(idents, None)
+                j = i + 1
             i = j
+        return released
+
+    def _offer(
+        self,
+        item: _Item,
+        key: Any,
+        pos: int,
+        plan: Optional[OwnershipPlan],
+        floors: Dict[Any, int],
+        buffers: Dict[Any, Dict[int, _Item]],
+    ) -> List[_Item]:
+        name = self.name
+        buffer = buffers.get(key)
+        if plan is not None:
+            epoch = plan.current_epoch
+            if buffer and self._buffer_epoch[key] is not epoch:
+                # A reassignment since the buffer filled: hand the entries
+                # we no longer champion to their new champions.
+                self._buffer_epoch[key] = epoch
+                for held in [p for p in buffer if plan.owner(p) != name]:
+                    self.misrouted.append(buffer.pop(held))
+            if plan.owner(pos) != name:
+                self.misrouted.append(item)
+                return []
+        floor = floors.get(key, 1)
+        if pos < floor:
+            self.duplicates_dropped += 1
+            return []
+        # ``pos`` is ours and at or past the floor, so an expected one exists.
+        expected = floor if plan is None else plan.next_owned_lid(name, floor - 1)
+        if pos != expected:
+            if buffer is None:
+                buffer = buffers[key] = {}
+            if not buffer and plan is not None:
+                self._buffer_epoch[key] = plan.current_epoch
+            if pos in buffer:
+                self.duplicates_dropped += 1
+            else:
+                buffer[pos] = item
+            return []
+        released = [item]
+        while buffer:
+            step = pos + 1 if plan is None else plan.next_owned_lid(name, pos)
+            if step is None or step not in buffer:
+                break
+            pos = step
+            released.append(buffer.pop(pos))
+        floors[key] = pos + 1
+        self.records_admitted += len(released)
         return released
 
     # -- introspection ----------------------------------------------------- #

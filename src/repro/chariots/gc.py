@@ -44,7 +44,6 @@ class GcCoordinator(Actor):
         self.snapshot_interval = snapshot_interval
         self.config = config or PipelineConfig()
         self._floors = {m: -1 for m in self.maintainers}
-        self._next_lid = 0
         self.sweeps = 0
 
     def on_start(self) -> None:
@@ -64,7 +63,6 @@ class GcCoordinator(Actor):
     def on_message(self, sender: str, message: Any) -> None:
         if isinstance(message, FrontierUpdate):
             self.atable.note_peer_knowledge(self.dc_id, message.vector)
-            self._next_lid = max(self._next_lid, message.next_lid)
         elif isinstance(message, PeerVector):
             self.atable.note_peer_knowledge(message.peer, message.vector)
             if message.matrix:
@@ -88,10 +86,7 @@ class GcCoordinator(Actor):
         frontier = self.gc_vector()
         if not any(frontier.values()):
             return
-        keep_from = None
-        if self.config.gc_keep_records > 0:
-            keep_from = max(0, self._next_lid - self.config.gc_keep_records)
-        message = TruncateBelow(toid_frontier=frontier, keep_from_lid=keep_from)
+        message = TruncateBelow(toid_frontier=frontier)
         for maintainer in self.maintainers:
             self.send(maintainer, message)
 

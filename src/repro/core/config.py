@@ -62,8 +62,6 @@ class PipelineConfig:
     sender_buffer_limit: int = 65_536
     #: Seconds between garbage-collection sweeps (0 disables GC).
     gc_interval: float = 0.0
-    #: Keep at least this many most recent LIds even when GC-eligible.
-    gc_keep_records: int = 0
     #: First replication retransmission timeout; later attempts back off
     #: exponentially (capped, jittered) instead of the old fixed constant.
     retransmit_base: float = 0.5

@@ -65,10 +65,7 @@ class FLStoreClient(Actor):
 
     def _install_session(self, info: SessionInfo) -> None:
         self._session = info
-        plan = OwnershipPlan(info.epochs[0][2], batch_size=info.epochs[0][1])
-        for start_lid, batch_size, maintainers in info.epochs[1:]:
-            plan.add_epoch(start_lid, maintainers, batch_size)
-        self._plan = plan
+        self._plan = OwnershipPlan.from_epochs(info.epochs)
         # Start at the controller's least-loaded suggestion when present
         # (§5.2's load feedback); otherwise stagger by client seed.
         maintainers = list(info.maintainers)

@@ -66,10 +66,6 @@ class ControllerCore:
             return current[0] if current else None
         return min(candidates, key=lambda m: self._load[m].records_stored)
 
-    def add_indexer(self, name: str) -> None:
-        if name not in self.indexers:
-            self.indexers.append(name)
-
 
 class Controller(Actor):
     """Actor adapter for :class:`ControllerCore`."""

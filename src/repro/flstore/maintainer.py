@@ -491,11 +491,7 @@ class MaintainerCore:
     # Garbage collection (§6.1)
     # ------------------------------------------------------------------ #
 
-    def truncate(
-        self,
-        toid_frontier: Dict[str, int],
-        keep_from_lid: Optional[int] = None,
-    ) -> int:
+    def truncate(self, toid_frontier: Dict[str, int]) -> int:
         """Drop the longest owned prefix fully covered by the GC frontier.
 
         A record is coverable when every datacenter already knows it:
@@ -509,8 +505,6 @@ class MaintainerCore:
         lid = self._gc_floor
         while lid is not None:
             if self._next_unassigned is not None and lid >= self._next_unassigned:
-                break
-            if keep_from_lid is not None and lid >= keep_from_lid:
                 break
             record = self._storage.get(lid)
             if record is None:
@@ -648,7 +642,7 @@ class LogMaintainer(Actor):
         elif isinstance(message, GossipHL):
             self.core.on_gossip(message)
         elif isinstance(message, TruncateBelow):
-            self.core.truncate(message.toid_frontier, message.keep_from_lid)
+            self.core.truncate(message.toid_frontier)
             floor = self.core.gc_floor
             self.send(sender, GcReport(self.name, -1 if floor is None else floor))
 

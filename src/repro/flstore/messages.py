@@ -244,5 +244,3 @@ class TruncateBelow:
     """
 
     toid_frontier: Dict[str, int] = field(default_factory=dict)
-    #: Never truncate at or above this LId even if eligible (retention floor).
-    keep_from_lid: Optional[int] = None

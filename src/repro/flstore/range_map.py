@@ -75,6 +75,19 @@ class OwnershipPlan:
         self._epochs: List[RangeEpoch] = [RangeEpoch(0, batch_size, tuple(maintainers))]
         self._starts: List[int] = [0]
 
+    @classmethod
+    def from_epochs(cls, epochs: Sequence[Tuple[int, int, Sequence[str]]]) -> "OwnershipPlan":
+        """Rebuild a plan from its ``(start_lid, batch_size, members)``
+        tuples, the form :class:`~repro.flstore.messages.SessionInfo`
+        carries."""
+        if not epochs or epochs[0][0] != 0:
+            raise ConfigurationError("an epoch journal starts with an epoch at 0")
+        (_start, batch_size, members), *later = epochs
+        plan = cls(members, batch_size)
+        for start_lid, size, names in later:
+            plan.add_epoch(start_lid, names, size)
+        return plan
+
     # ------------------------------------------------------------------ #
     # Journal maintenance
     # ------------------------------------------------------------------ #

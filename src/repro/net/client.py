@@ -137,11 +137,7 @@ class AsyncFLStoreClient:
             name: Connection(address) for name, address in info["indexers"].items()
         }
         self._indexer_names = sorted(self._indexers)
-        epochs = info["epochs"]
-        plan = OwnershipPlan(epochs[0][2], batch_size=epochs[0][1])
-        for start_lid, batch_size, maintainers in epochs[1:]:
-            plan.add_epoch(start_lid, maintainers, batch_size)
-        self._plan = plan
+        self._plan = OwnershipPlan.from_epochs(info["epochs"])
         self._maintainer_cycle = itertools.cycle(sorted(self._maintainers))
 
     async def close(self) -> None:

@@ -65,7 +65,7 @@ def _codec_message_samples(record, nested, entry, cmsg, fmsg):
         fmsg.SessionRequest(7),
         fmsg.SessionInfo(7, ["m0"], ["ix"], 10, 3, [(0, 10, ("m0",))], "m0"),
         fmsg.LoadReport("m0", 100, 2.5),
-        fmsg.TruncateBelow({"A": 3}, keep_from_lid=9),
+        fmsg.TruncateBelow({"A": 3}),
         fmsg.PruneIndexBelow(4),
         fmsg.GcReport("m0", 5),
         cmsg.DraftRecord("c", 1, "body", tags=(("t", 1),), deps=(("B", 2),)),

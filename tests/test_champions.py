@@ -161,7 +161,7 @@ class TestUnreadableLidParity:
     @classmethod
     def truncate(cls, cores):
         """Collect the first third of the log; the index still lists it."""
-        dropped = sum(core.truncate({"A": cls.N}, keep_from_lid=cls.N // 3) for core in cores)
+        dropped = sum(core.truncate({"A": cls.N // 3}) for core in cores)
         assert dropped > 0
         return dropped
 

@@ -87,8 +87,8 @@ class TestExpandFilters:
         _, deployment, _, _ = live_deployment
         seen = deployment["A"].frontier().get("B", 0)
         expand_filters(deployment["A"], host="B", count=1)
-        epochs = deployment["A"].filter_map._host_epochs["B"]
-        assert epochs[-1][0] > seen
+        start = deployment["A"].filter_map.plan("B").current_epoch.start_lid
+        assert start > seen
 
 
 class TestExpandQueues:

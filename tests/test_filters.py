@@ -69,6 +69,23 @@ class TestFilterMap:
         assert fmap.next_toid_for("A", 3, "f0") == 4
         assert fmap.next_toid_for("A", 4, "f1") == 5
 
+    def test_next_toid_for_is_none_once_no_epoch_names_the_filter(self):
+        fmap = FilterMap(["f0"])
+        fmap.assign_host("A", ["f0"])
+        fmap.reassign_host("A", ["f1"], from_toid=5)
+        assert fmap.next_toid_for("A", 3, "f0") == 4
+        assert fmap.next_toid_for("A", 4, "f0") is None
+
+    def test_reassignment_keeps_absolute_residues(self):
+        fmap = FilterMap(["x"])
+        fmap.assign_host("A", ["x"])
+        fmap.reassign_host("A", ["x", "y", "z"], from_toid=7)
+        assert fmap.champions_for("A", 7) == ["x", "y", "z"]
+        assert [fmap.filter_for("A", t) for t in range(7, 13)] == [
+            ["x", "y", "z"][t % 3] for t in range(7, 13)
+        ]
+        assert fmap.plan("A").current_epoch.start_lid == 7
+
     def test_draft_champion_is_sticky(self):
         fmap = FilterMap(["f0", "f1"])
         d = draft("client-1", 1)
@@ -128,6 +145,39 @@ class TestExternalAdmission:
         assert [r.toid for r in x.offer_external(rec("A", 2))] == [2]
         assert x.offer_external(rec("A", 6)) == []  # 4 missing
         assert [r.toid for r in x.offer_external(rec("A", 4))] == [4, 6]
+
+
+class TestReassignedAdmission:
+    def test_filter_that_leaves_a_host_admits_up_to_its_last_toid(self):
+        fmap = FilterMap(["f0"])
+        fmap.assign_host("A", ["f0"])
+        fmap.reassign_host("A", ["f1"], from_toid=5)
+        f0 = FilterCore("f0", fmap)
+        released = []
+        for toid in (1, 2, 3, 4):
+            released += f0.offer_external(rec("A", toid))
+        assert [r.toid for r in released] == [1, 2, 3, 4]
+        # Past its last TOId it expects nothing more: TOId 5 is forwarded.
+        assert f0.offer_external(rec("A", 5)) == []
+        assert [r.toid for r in f0.take_misrouted()] == [5]
+
+    def test_record_of_a_host_championed_elsewhere_is_forwarded(self):
+        fmap = FilterMap(["f0", "f1"])
+        fmap.assign_host("A", ["f1"])
+        f0 = FilterCore("f0", fmap)
+        assert f0.offer_externals([rec("A", 1), rec("A", 2)]) == []
+        assert [r.toid for r in f0.take_misrouted()] == [1, 2]
+        assert f0.duplicates_dropped == 0
+
+    def test_reassignment_forwards_buffered_records_it_moved(self):
+        fmap = FilterMap(["f0", "f1"])
+        fmap.assign_host("A", ["f0"])
+        f0 = FilterCore("f0", fmap)
+        f0.offer_externals([rec("A", 1), rec("A", 3), rec("A", 6)])
+        fmap.reassign_host("A", ["f1"], from_toid=5)
+        assert [r.toid for r in f0.offer_external(rec("A", 2))] == [2, 3]
+        assert [r.toid for r in f0.take_misrouted()] == [6]
+        assert f0.buffered_count() == 0
 
 
 class TestDraftAdmission:

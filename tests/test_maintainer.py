@@ -321,12 +321,6 @@ class TestGarbageCollection:
         dropped = m0.truncate({"A": 5})  # B:1 not covered
         assert dropped == 1
 
-    def test_truncate_respects_keep_from(self):
-        _, (m0, *_) = make_cluster(batch=5)
-        m0.append([rec("A", t) for t in range(1, 5)])
-        dropped = m0.truncate({"A": 10}, keep_from_lid=2)
-        assert dropped == 2
-
     def test_internal_records_always_collectable(self):
         config = FLStoreConfig(fill_gaps_with_noops=True)
         plan = OwnershipPlan(["m0"], batch_size=5)

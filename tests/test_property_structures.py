@@ -173,6 +173,58 @@ def test_sliced_filters_jointly_admit_exactly_once(n, rng):
     assert sorted(r.toid for r in released) == list(range(1, n + 1))
 
 
+FILTERS = ("f0", "f1", "f2")
+champions_strategy = st.lists(st.sampled_from(FILTERS), min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    champions_strategy,
+    # (stream step, extra distance, new champions): may drop a filter
+    st.lists(st.tuples(st.integers(0, 60), st.integers(0, 4), champions_strategy), max_size=4),
+    st.integers(1, 25),
+    st.integers(1, 3),  # duplication factor
+    st.randoms(),
+)
+def test_reassigned_filters_jointly_admit_exactly_once(first, reassignments, n, dups, rng):
+    """Records are routed when sent and delivered later in any order, so a
+    reassignment can overtake them; the former champion forwards them.
+    Each reassignment starts past every TOId admitted so far (the future
+    reassignment of §6.3), and a closing retransmission round stands for
+    the sender resending what was not acknowledged."""
+    fmap = FilterMap(list(FILTERS))
+    fmap.assign_host("A", first)
+    cores = {name: FilterCore(name, fmap) for name in FILTERS}
+    admitted = {name: [] for name in FILTERS}
+    stream = [rec("A", t) for t in range(1, n + 1)] * dups
+    rng.shuffle(stream)
+    in_flight = []
+
+    def deliver(index):
+        champion, record = in_flight.pop(index)
+        core = cores[champion]
+        admitted[champion].extend(r.toid for r in core.offer_external(record))
+        in_flight.extend((fmap.filter_for_record(r), r) for r in core.take_misrouted())
+
+    for step, record in enumerate(stream):
+        for at, distance, champions in reassignments:
+            if at == step:
+                start = fmap.plan("A").current_epoch.start_lid
+                highest = max((t for toids in admitted.values() for t in toids), default=0)
+                from_toid = max(highest + 1, start + 1, 2) + distance
+                fmap.reassign_host("A", champions, from_toid)
+        in_flight.append((fmap.filter_for_record(record), record))
+        if rng.random() < 0.5:
+            deliver(rng.randrange(len(in_flight)))
+    in_flight.extend((fmap.filter_for_record(r), r) for r in stream)
+    while in_flight:
+        deliver(rng.randrange(len(in_flight)))
+
+    assert sorted(t for toids in admitted.values() for t in toids) == list(range(1, n + 1))
+    for toids in admitted.values():
+        assert toids == sorted(toids)
+
+
 # --------------------------------------------------------------------- #
 # MaintainerCore: post-assignment never reuses or skips LIds
 # --------------------------------------------------------------------- #

@@ -131,3 +131,10 @@ class TestEpochJournal:
         assert plan.owner(10) == "m0"
         assert plan.owner(13) == "m1"
         assert plan.owner(16) == "m0"
+
+    def test_from_epochs_rebuilds_the_journal(self):
+        plan = self.make_plan()
+        wire = [(e.start_lid, e.batch_size, e.maintainers) for e in plan.epochs]
+        assert OwnershipPlan.from_epochs(wire).epochs == plan.epochs
+        with pytest.raises(ConfigurationError):
+            OwnershipPlan.from_epochs([(5, 5, ("m0",))])

@@ -60,8 +60,10 @@ def main() -> None:
     print()
 
     # --- The system keeps working through and after the expansion --------- #
+    # Enough records that A's log runs into the new maintainer's first LId
+    # range and B's TOIds pass the new filter's first one.
     fresh_client = deployment.blocking_client("A")
-    for i in range(60):
+    for i in range(120):
         fresh_client.append(f"post-scale-{i}")
         cb.append(f"more-remote-{i}")
     converged = deployment.settle(max_seconds=20)
@@ -75,6 +77,8 @@ def main() -> None:
     entry = fresh_client.read_lid(0).entries[0]
     print(f"oldest record still readable via the epoch journal: "
           f"LId 0 -> {entry.record.body!r}")
+    if not converged or new_store.core.stored_count() == 0:
+        raise SystemExit("the new maintainer stored nothing: the expansion was not exercised")
 
 
 if __name__ == "__main__":

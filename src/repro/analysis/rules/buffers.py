@@ -1,7 +1,8 @@
 """CHR009 — unbounded inter-stage buffers.
 
 Every pipeline stage keeps pending work in ``list``/``deque`` instance
-buffers (batcher drafts, sender retransmission windows, queue deferrals).
+buffers (batcher drafts, queue deferrals; a sender keeps none, its
+retransmission window is one attempt per stream over the log).
 A buffer appended to on the ``on_message`` hot path with no high-water mark
 grows without bound the moment a downstream stage slows — the failure mode
 log-structured stores guard with explicit watermarks.  The rule flags any

@@ -153,6 +153,10 @@ def expand_filters(
 
     current = filter_map.champions_for(host, from_toid)
     filter_map.reassign_host(host, current + new_names, from_toid)
+    # What the reassignment took out of a filter's reorder buffer goes to
+    # its new champion now, not at that filter's next message.
+    for stage in pipeline.filters:
+        stage.forward_misrouted()
     return added
 
 

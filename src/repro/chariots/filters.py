@@ -28,7 +28,7 @@ from ..core.config import PipelineConfig
 from ..core.errors import ConfigurationError
 from ..core.hashing import stable_hash
 from ..core.record import DatacenterId, Record
-from ..flstore.range_map import OwnershipPlan, RangeEpoch
+from ..flstore.range_map import OwnershipPlan
 from ..runtime.actor import Actor
 from .messages import AdmittedBatch, DraftRecord, FilterBatch
 
@@ -65,6 +65,13 @@ class FilterMap:
         self._filters = list(filters)
         self._plans: Dict[DatacenterId, OwnershipPlan] = {}
         self._client_champion: Dict[str, str] = {}
+        #: The cores of this map's filters, by name, so that a reassignment
+        #: re-homes what they buffered.  Not pickled: a core unpickled with
+        #: the map joins it again.
+        self._cores: Dict[str, FilterCore] = {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {**self.__dict__, "_cores": {}}
 
     @property
     def filters(self) -> List[str]:
@@ -86,7 +93,9 @@ class FilterMap:
         self, host: DatacenterId, filters: List[str], from_toid: int
     ) -> None:
         """Future reassignment: ``host`` TOIds >= ``from_toid`` move to
-        ``filters`` (§6.3)."""
+        ``filters`` (§6.3).  Each filter's buffered records of ``host``
+        that it no longer champions go to its :meth:`FilterCore.take_misrouted`
+        at once."""
         if from_toid <= 1:
             raise ConfigurationError(f"reassignment at TOId {from_toid} is not in the future")
         if not filters:
@@ -97,6 +106,8 @@ class FilterMap:
         self.plan(host).add_epoch(from_toid, filters[shift:] + filters[:shift])
         for name in filters:
             self.add_filter(name)
+        for core in self._cores.values():
+            core.rehome(host)
 
     def add_filter(self, name: str) -> None:
         if name not in self._filters:
@@ -188,8 +199,6 @@ class FilterCore:
         self.filter_map = filter_map
         self._host_floor: Dict[DatacenterId, int] = {}
         self._reorder: Dict[DatacenterId, Dict[int, Record]] = {}
-        #: Per host, the epoch under which its reorder buffer was filled.
-        self._buffer_epoch: Dict[DatacenterId, RangeEpoch] = {}
         self._client_floor: Dict[str, int] = {}
         self._draft_reorder: Dict[str, Dict[int, DraftRecord]] = {}
         #: Records this filter does not champion (a future reassignment
@@ -199,6 +208,20 @@ class FilterCore:
         self.misrouted: List[Any] = []
         self.duplicates_dropped = 0
         self.records_admitted = 0
+        filter_map._cores[name] = self
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self.filter_map._cores[self.name] = self
+
+    def rehome(self, host: DatacenterId) -> None:
+        """Hand the buffered records of ``host`` that this filter no longer
+        champions (a reassignment moved them) to :meth:`take_misrouted`."""
+        buffer = self._reorder.get(host)
+        if buffer:
+            owner = self.filter_map.plan(host).owner
+            for held in [toid for toid in buffer if owner(toid) != self.name]:
+                self.misrouted.append(buffer.pop(held))
 
     def take_misrouted(self) -> List[Record]:
         """Drain records awaiting forwarding to their current champion."""
@@ -282,29 +305,19 @@ class FilterCore:
         buffers: Dict[Any, Dict[int, _Item]],
     ) -> List[_Item]:
         name = self.name
-        buffer = buffers.get(key)
-        if plan is not None:
-            epoch = plan.current_epoch
-            if buffer and self._buffer_epoch[key] is not epoch:
-                # A reassignment since the buffer filled: hand the entries
-                # we no longer champion to their new champions.
-                self._buffer_epoch[key] = epoch
-                for held in [p for p in buffer if plan.owner(p) != name]:
-                    self.misrouted.append(buffer.pop(held))
-            if plan.owner(pos) != name:
-                self.misrouted.append(item)
-                return []
+        if plan is not None and plan.owner(pos) != name:
+            self.misrouted.append(item)
+            return []
         floor = floors.get(key, 1)
         if pos < floor:
             self.duplicates_dropped += 1
             return []
         # ``pos`` is ours and at or past the floor, so an expected one exists.
         expected = floor if plan is None else plan.next_owned_lid(name, floor - 1)
+        buffer = buffers.get(key)
         if pos != expected:
             if buffer is None:
                 buffer = buffers[key] = {}
-            if not buffer and plan is not None:
-                self._buffer_epoch[key] = plan.current_epoch
             if pos in buffer:
                 self.duplicates_dropped += 1
             else:
@@ -364,7 +377,10 @@ class FilterStage(Actor):
             index = self._next_queue
             self._next_queue = (index + 1) % len(self.queues)
             self.send(self.queues[index], admitted)
-        # Reassignment races: pass records we no longer champion onward.
+        self.forward_misrouted()
+
+    def forward_misrouted(self) -> None:
+        """Reassignment races: pass records we no longer champion onward."""
         forwards: Dict[str, FilterBatch] = {}
         for record in self.core.take_misrouted():
             champion = self.core.filter_map.filter_for_record(record)

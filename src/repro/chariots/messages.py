@@ -135,7 +135,6 @@ class FrontierUpdate:
     """Queue → senders / GC coordinator: latest incorporation state."""
 
     vector: KnowledgeVector
-    next_lid: int
 
 
 @dataclass(slots=True)

@@ -201,7 +201,7 @@ class QueueStage(Actor):
         self._local_deferred = still_deferred
 
         if ordered:
-            update = FrontierUpdate(token.frontier, token.next_lid)
+            update = FrontierUpdate(token.frontier)
             for listener in self.frontier_listeners:
                 self.send(listener, update)
 

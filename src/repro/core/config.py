@@ -50,16 +50,12 @@ class PipelineConfig:
     token_deferred_limit: int = 1024
     #: Seconds between sender replication shipments to each remote datacenter.
     replication_interval: float = 0.02
-    #: Records per replication shipment.
+    #: Most entries a sender reads from a maintainer, and so ships, at once.
     replication_batch_limit: int = 4096
     #: High-water mark on a queue's buffered (externals + drafts) while it
     #: does not hold the token: past it, arriving batches are forwarded
     #: around the ring toward the token holder instead of buffered.
     queue_buffer_limit: int = 65_536
-    #: High-water mark on a sender's per-maintainer retransmission window:
-    #: past it, the sender stops fetching new records from that maintainer's
-    #: durable log (the fetch cursor pauses) until acks drain the window.
-    sender_buffer_limit: int = 65_536
     #: Seconds between garbage-collection sweeps (0 disables GC).
     gc_interval: float = 0.0
     #: First replication retransmission timeout; later attempts back off
@@ -88,8 +84,6 @@ class PipelineConfig:
             raise ConfigurationError("token_deferred_limit must be >= 0")
         if self.queue_buffer_limit < 1:
             raise ConfigurationError("queue_buffer_limit must be >= 1")
-        if self.sender_buffer_limit < 1:
-            raise ConfigurationError("sender_buffer_limit must be >= 1")
         if self.retransmit_base <= 0:
             raise ConfigurationError("retransmit_base must be positive")
         if self.retransmit_max < self.retransmit_base:

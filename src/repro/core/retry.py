@@ -139,17 +139,22 @@ class CircuitBreaker:
         self.opens = 0
         self.probes = 0
 
-    def allow(self, now: float) -> bool:
-        """May a request be issued at time ``now``?"""
+    def ready(self, now: float) -> bool:
+        """Would :meth:`allow` let a request through at ``now``?  Asking
+        changes nothing (no probe is taken)."""
         if self.state == self.CLOSED:
             return True
-        if self.state == self.OPEN:
-            if now - self.opened_at >= self.reset_timeout:
-                self.state = self.HALF_OPEN
-                self.probes += 1
-                return True  # the single half-open probe
+        # Open: only once the cooldown passed.  Half-open: the probe is out.
+        return self.state == self.OPEN and now - self.opened_at >= self.reset_timeout
+
+    def allow(self, now: float) -> bool:
+        """May a request be issued at time ``now``?"""
+        if not self.ready(now):
             return False
-        return False  # half-open: probe already in flight
+        if self.state == self.OPEN:
+            self.state = self.HALF_OPEN
+            self.probes += 1  # the single half-open probe
+        return True
 
     def record_success(self, now: float = 0.0) -> None:
         self.state = self.CLOSED

@@ -243,7 +243,6 @@ def _overload() -> ScenarioSpec:
             "batcher_flush_interval": 0.002,
             "batcher_buffer_limit": 2000,
             "queue_buffer_limit": 4096,
-            "sender_buffer_limit": 4096,
         },
         invariants=(
             Invariant(metric="points.0.bottleneck", op="eq", value="Batcher",
@@ -256,7 +255,8 @@ def _overload() -> ScenarioSpec:
                       note="admitted records still flow through bounded buffers"),
             Invariant(metric="points.0.records_stored", op="gt", value=0),
         ),
-        notes="Exercises batcher/queue/sender high-water marks under 3x load.",
+        notes="Exercises batcher/queue high-water marks and the senders' "
+              "one-shipment-per-stream window under 3x load.",
     )
 
 

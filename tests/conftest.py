@@ -70,3 +70,15 @@ def python_calls(fn: Callable[[Any], Any], arg: Any) -> int:
     finally:
         sys.setprofile(None)
     return calls
+
+
+def streams_caught_up(sender: Any, maintainers: List[Any]) -> bool:
+    """Whether every replication stream of ``sender`` has no shipment
+    outstanding and its cursor at the last LId of its maintainer's log
+    (``maintainers`` are the ``LogMaintainer`` actors it reads)."""
+    last = {m.name: m.core.entries_after(-1, 1 << 30)[1] for m in maintainers}
+    return all(
+        not (stream.shipping and stream.seq is not None)
+        and stream.acked_upto == last[maintainer]
+        for (_dc, maintainer), stream in sender._streams.items()
+    )

@@ -2,9 +2,10 @@
 
 ``MultiprocRuntime`` pickles actors when it ships them to their worker and
 in every supervised snapshot.  Python 3.14 removes pickling of ``itertools``
-objects (3.12 and 3.13 warn), so no actor may hold one; and the sender's
+objects (3.12 and 3.13 warn), so no actor may hold one; the sender's
 jitter source pickles as its seed and draw count, not as the Mersenne
-Twister state.
+Twister state; and a sender holds no records, so its snapshot does not grow
+with the log.
 """
 
 import itertools
@@ -12,12 +13,16 @@ import pickle
 
 from repro.baseline import CorfuLog
 from repro.baseline.corfu import CorfuLoadClient
+from repro.chaos import FaultPlan
 from repro.chariots import ChariotsDeployment
+from repro.chariots.receiver import Receiver
 from repro.chariots.sender import Sender
 from repro.core import PipelineConfig
-from repro.flstore import FLStore
+from repro.flstore import FLStore, OwnershipPlan
+from repro.flstore.maintainer import LogMaintainer
 from repro.runtime import LocalRuntime
 from repro.sim import LoadClient
+from repro.sim.workload import SinkActor
 
 from conftest import rec
 
@@ -100,3 +105,40 @@ def test_an_unpickled_sender_continues_the_jitter_sequence():
     assert [policy.delay(1, copy._rng) for _ in range(20)] == [
         policy.delay(1, sender._rng) for _ in range(20)
     ]
+
+
+def detached_size(actor):
+    """Bytes of ``actor`` pickled without its runtime, as a worker's
+    snapshot pickles it."""
+    runtime, actor.runtime = actor.runtime, None
+    try:
+        return len(pickle.dumps(actor, protocol=pickle.HIGHEST_PROTOCOL))
+    finally:
+        actor.runtime = runtime
+
+
+def test_a_sender_snapshot_does_not_grow_with_the_log():
+    # No ack ever arrives, so the peer's breaker opens with every record
+    # unacknowledged: a sender holding the log tail would pickle it all.
+    runtime = LocalRuntime(chaos=FaultPlan().drop(message_type="ShipmentAck"))
+    store = LogMaintainer("A/store", OwnershipPlan(["A/store"], batch_size=10), peers=["A/store"])
+    sender = Sender(
+        "A/send", "A", maintainers=["A/store"], peer_receivers={"B": ["B/recv"]},
+        config=PipelineConfig(
+            replication_interval=0.01, retransmit_base=0.02, retransmit_max=0.04,
+            breaker_failure_threshold=2, breaker_reset_timeout=0.2,
+        ),
+    )
+    receiver = Receiver("B/recv", "B", batchers=["B/batcher"])
+    runtime.register_all([store, SinkActor("B/batcher"), receiver, sender])
+    runtime.start()
+    sizes = []
+    appended = 0
+    for count in (100, 5000):
+        store.core.append([rec("A", t) for t in range(appended + 1, appended + count + 1)])
+        appended += count
+        runtime.run_for(0.5)
+        sizes.append(detached_size(sender))
+    assert sizes[1] <= sizes[0] + 64
+    assert sender.breaker("B").opens >= 1
+    assert receiver.records_received >= 5100  # every record was shipped

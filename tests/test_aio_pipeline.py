@@ -75,7 +75,7 @@ def _codec_message_samples(record, nested, entry, cmsg, fmsg):
         cmsg.TokenPass(cmsg.Token({"A": 1}, 2, [record])),
         cmsg.DraftCommitted("c", 1, record.rid, 0),
         cmsg.DraftCommitBatch([cmsg.DraftCommitted("c", 1, record.rid, 0)]),
-        cmsg.FrontierUpdate({"A": 1}, 2),
+        cmsg.FrontierUpdate({"A": 1}),
         cmsg.ReplicationShipment("A", "s", "m", 1, [record], {"A": 1}, 0,
                                  atable={"A": {"A": 1}}),
         cmsg.ShipmentAck("m", 1, 0, "B"),

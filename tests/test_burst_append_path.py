@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chaos import FaultPlan
 from repro.chariots import ChariotsDeployment, check_logs
-from repro.chariots.messages import DraftBatch
+from repro.chariots.messages import DraftBatch, ReplicationShipment, ShipmentAck
 from repro.chariots.sender import Sender
 from repro.core import (
     CausalFrontier,
@@ -469,13 +469,28 @@ def make_sender(retransmit_timeout=0.1):
     return runtime, sender, store
 
 
+def sender_shipments(runtime):
+    return [m for m in runtime.actor("B/recv").messages if isinstance(m, ReplicationShipment)]
+
+
 def reply(request_id, lids, upto=None):
     entries = [LogEntry(lid, rec("A", lid + 1)) for lid in lids]
     return ReadNewReply(request_id, entries, upto=lids[-1] if upto is None else upto)
 
 
-def buffered_lids(sender):
-    return [lid for lid, _ in sender._buffer["A/store"]]
+def shipped_lids(receiver):
+    """LIds of the records shipped to the sink, in order (``reply`` gives
+    the record at LId ``n`` TOId ``n + 1``)."""
+    return [
+        record.toid - 1
+        for message in receiver.messages
+        if isinstance(message, ReplicationShipment)
+        for record in message.records
+    ]
+
+
+def stream(sender):
+    return sender._streams[("B", "A/store")]
 
 
 class TestSenderFetch:
@@ -490,32 +505,57 @@ class TestSenderFetch:
         runtime.run_for(0.15)  # the second wait is longer (backoff)
         assert len([m for m in store.messages if isinstance(m, ReadNewRequest)]) == 2
 
-    def test_non_empty_reply_fetches_again_at_once(self):
-        runtime, sender, store = make_sender()
+    def test_ack_after_the_interval_reads_again_at_once(self):
+        runtime, sender, store = make_sender()  # replication_interval 0.01
         runtime.run_for(0.011)
         first = store.messages[0]
         sender.on_message("A/store", reply(first.request_id, [0, 1, 2]))
+        runtime.run_for(0.0)
+        [shipment] = sender_shipments(runtime)
+        runtime.run_for(0.014)  # ticks pass: no read while the shipment is out
+        assert len(store.messages) == 1
+        sender.on_message("B/recv", ShipmentAck("A/store", shipment.ship_seq, 2, from_dc="B"))
         runtime.run_for(0.0)  # no tick in between
         second = store.messages[1]
         assert isinstance(second, ReadNewRequest) and second.after_lid == 2
-        sender.on_message("A/store", ReadNewReply(second.request_id, [], upto=2))
+        sender.on_message("A/store", reply(second.request_id, [3]))
         runtime.run_for(0.0)
-        assert len(store.messages) == 2  # an empty reply waits for the tick
+        [_, shipment] = sender_shipments(runtime)
+        # Acked within the interval: the next read waits for the tick.
+        sender.on_message("B/recv", ShipmentAck("A/store", shipment.ship_seq, 3, from_dc="B"))
+        runtime.run_for(0.0)
+        assert len(store.messages) == 2
+        runtime.run_for(0.01)
+        assert store.messages[2].after_lid == 3
+        sender.on_message("A/store", ReadNewReply(store.messages[2].request_id, [], upto=3))
+        runtime.run_for(0.0)
+        assert len(store.messages) == 3  # an empty reply waits for the tick
 
     def test_overlapping_and_late_replies_never_duplicate_entries(self):
         runtime, sender, store = make_sender(retransmit_timeout=0.05)
         runtime.run_for(0.075)  # first fetch timed out and was re-issued
         first, second = [m for m in store.messages if isinstance(m, ReadNewRequest)]
+        receiver = runtime.actor("B/recv")
         sender.on_message("A/store", reply(second.request_id, [0, 1, 2]))
-        assert buffered_lids(sender) == [0, 1, 2]
+        runtime.run_for(0.0)
+        assert shipped_lids(receiver) == [0, 1, 2]
         # The reply given up on arrives after all, overlapping and extending.
         sender.on_message("A/store", reply(first.request_id, [0, 1, 2, 3, 4]))
-        assert buffered_lids(sender) == [0, 1, 2, 3, 4]
         # A duplicated delivery of either changes nothing.
         sender.on_message("A/store", reply(second.request_id, [0, 1, 2]))
         sender.on_message("A/store", reply(first.request_id, [0, 1, 2, 3, 4]))
-        assert buffered_lids(sender) == [0, 1, 2, 3, 4]
-        assert sender._fetch_cursor["A/store"] == 4
+        runtime.run_for(0.0)
+        assert shipped_lids(receiver) == [0, 1, 2]
+        [shipment] = sender_shipments(runtime)
+        sender.on_message("B/recv", ShipmentAck("A/store", shipment.ship_seq, 2, from_dc="B"))
+        runtime.run_for(0.01)  # the next tick reads
+        third = store.messages[-1]
+        assert third.after_lid == 2
+        sender.on_message("A/store", reply(third.request_id, [3, 4]))
+        sender.on_message("A/store", reply(third.request_id, [3, 4]))
+        runtime.run_for(0.0)
+        assert shipped_lids(receiver) == [0, 1, 2, 3, 4]
+        assert stream(sender).acked_upto == 2
 
     def test_late_reply_does_not_cancel_the_fetch_in_flight(self):
         runtime, sender, store = make_sender(retransmit_timeout=0.05)
@@ -530,7 +570,7 @@ class TestSenderFetch:
         # the one its in-flight fetch was stamped on.
         runtime, sender, store = make_sender(retransmit_timeout=0.1)
         runtime.run_for(0.011)
-        sender._fetches["A/store"].sent_at = runtime.now + 3600.0
+        stream(sender).sent_at = runtime.now + 3600.0
         runtime.run_for(0.01)
         assert len([m for m in store.messages if isinstance(m, ReadNewRequest)]) == 2
 
@@ -539,7 +579,7 @@ class TestSenderFetch:
         runtime.run_for(0.011)
         assert store.messages[0].host == "A"
         sender.transitive = True  # forwards every host: nothing to leave out
-        sender.on_message("A/store", reply(store.messages[0].request_id, [0]))
+        sender.on_message("A/store", ReadNewReply(store.messages[0].request_id, [], upto=0))
         runtime.run_for(0.0)
         assert store.messages[1].host is None
 
@@ -554,11 +594,12 @@ class TestSenderFetch:
         runtime.run_for(0.0)  # no tick in between
         second = store.messages[1]
         assert isinstance(second, ReadNewRequest) and second.after_lid == 7
-        assert buffered_lids(sender) == []
+        assert stream(sender).acked_upto == 7
+        assert sender_shipments(runtime) == []
 
     def test_unfiltered_or_stale_reply_stays_harmless(self):
         # A maintainer that ignores ``host`` (or a reply from before the
-        # filter) still only contributes local, non-internal, new entries.
+        # filter) still only contributes local, non-internal entries.
         runtime, sender, store = make_sender()
         runtime.run_for(0.011)
         first = store.messages[0]
@@ -570,9 +611,10 @@ class TestSenderFetch:
             LogEntry(3, rec("A", 2)),
         ]
         sender.on_message("A/store", ReadNewReply(first.request_id, entries, upto=3))
-        assert buffered_lids(sender) == [0, 3]
         sender.on_message("A/store", ReadNewReply(first.request_id, entries, upto=3))
-        assert buffered_lids(sender) == [0, 3]
+        runtime.run_for(0.0)
+        [shipment] = sender_shipments(runtime)
+        assert ([r.rid for r in shipment.records], shipment.upto_lid) == ([("A", 1), ("A", 2)], 3)
 
     def test_three_dc_transitive_deployment_is_unchanged(self):
         # Transitive senders ask unfiltered, so a transitive deployment must
@@ -600,9 +642,12 @@ class TestSenderFetch:
         assert digest.hexdigest() == (
             "7aba778a597d428dd125f3825735832f5cfcdd2191e64fa6d4edf5445cc73c43"
         )
+        assert check_logs(deployment.logs()).ok
         for dc in "ABC":
             assert sum(s.records_shipped for s in deployment[dc].senders) == 72
-        assert runtime.messages_sent == 792
+        # 792 when a sender read once per maintainer for all its peers; a
+        # stream per (peer, maintainer) reads for itself.
+        assert runtime.messages_sent == 822
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_replication_converges_when_fetch_traffic_is_dropped_and_duplicated(self, seed):
@@ -621,15 +666,17 @@ class TestSenderFetch:
         runtime.start()
         clients = [deployment.client(dc) for dc in ("A", "B")]
         acked: List[Any] = []
+        cursors: Dict[Any, int] = {}
         for chunk in range(10):
             for i in range(6):
                 clients[i % 2].append(f"c{chunk}-{i}", on_done=acked.append)
             runtime.run_for(0.05)
             for dc in ("A", "B"):
                 for sender in deployment[dc].senders:
-                    for buffer in sender._buffer.values():
-                        lids = [lid for lid, _ in buffer]
-                        assert lids == sorted(set(lids))
+                    for key, stream in sender._streams.items():
+                        # A cursor only moves forward.
+                        assert stream.acked_upto >= cursors.get((dc, key), -1)
+                        cursors[(dc, key)] = stream.acked_upto
         assert deployment.settle(max_seconds=60)
         assert plan.stats["dropped"] > 0 and plan.stats["duplicated"] > 0
         assert len(acked) == 60

@@ -19,12 +19,12 @@ from repro.chariots.receiver import Receiver
 from repro.chariots.sender import Sender
 from repro.core import LogEntry, PipelineConfig, RecordId
 from repro.flstore.maintainer import LogMaintainer
-from repro.flstore.messages import PlaceRecords, ReadNewReply
+from repro.flstore.messages import PlaceRecords, ReadNewReply, ReadNewRequest
 from repro.flstore.range_map import OwnershipPlan
 from repro.runtime import LocalRuntime
 from repro.sim.workload import SinkActor
 
-from conftest import rec
+from conftest import rec, streams_caught_up
 
 
 def draft(client, seq, body=None):
@@ -305,13 +305,14 @@ class TestSenderReceiver:
         runtime.run_for(0.6)
         # Acks dropped early -> retransmissions -> eventually acked.
         assert receiver.shipments_received > 1
-        assert sender.buffered_records() == 0  # compacted after the ack
+        assert streams_caught_up(sender, [store])  # the cursor passed the record
 
-    def test_buffer_compaction_after_all_peers_ack(self):
+    def test_streams_catch_up_after_every_peer_acks(self):
         runtime, store, sender, receiver, batcher_sink, _ = self.make_pair()
         store.core.append([rec("A", t) for t in (1, 2)])
         runtime.run_for(0.1)
-        assert sender.buffered_records() == 0
+        assert streams_caught_up(sender, [store])
+        assert sender._streams[("B", "A/store")].acked_upto == 1
 
     def test_partial_ack_ships_from_the_first_unacked_lid(self):
         runtime = LocalRuntime()
@@ -320,14 +321,23 @@ class TestSenderReceiver:
             "A/send", "A", maintainers=["A/store"], peer_receivers={"B": ["B/recv"]},
             config=PipelineConfig(replication_interval=60.0, replication_batch_limit=4),
         )
-        runtime.register_all([SinkActor("A/store"), receiver, sender])
+        store = SinkActor("A/store")
+        runtime.register_all([store, receiver, sender])
         runtime.start()
         entries = [LogEntry(lid, rec("A", lid + 1)) for lid in range(6)]
-        sender.on_message("A/store", ReadNewReply(1, entries, upto=5))
+        runtime.run_for(60.001)  # the first tick reads
+        read = store.messages[-1]
+        assert read.after_lid == -1
+        sender.on_message("A/store", ReadNewReply(read.request_id, entries[:4], upto=3))
         runtime.run_for(0.01)
         first = receiver.messages[-1]
         assert (first.upto_lid, [r.toid for r in first.records]) == (3, [1, 2, 3, 4])
         sender.on_message("B/recv", ShipmentAck("A/store", first.ship_seq, 1, from_dc="B"))
+        runtime.run_for(60.0)
+        # The next read (the next tick's) starts from the first unacked LId.
+        read = store.messages[-1]
+        assert isinstance(read, ReadNewRequest) and read.after_lid == 1
+        sender.on_message("A/store", ReadNewReply(read.request_id, entries[2:], upto=5))
         runtime.run_for(0.01)
         second = receiver.messages[-1]
         assert second.ship_seq > first.ship_seq
@@ -337,7 +347,7 @@ class TestSenderReceiver:
         runtime, store, sender, receiver, batcher_sink, gc_sink = self.make_pair()
         sender.on_message("queue", __import__(
             "repro.chariots.messages", fromlist=["FrontierUpdate"]
-        ).FrontierUpdate({"A": 5}, 5))
+        ).FrontierUpdate({"A": 5}))
         store.core.append([rec("A", 1)])
         runtime.run_for(0.05)
         vectors = [m for m in gc_sink.messages if isinstance(m, PeerVector)]
@@ -358,7 +368,7 @@ class TestGcCoordinator:
         store.core.place(0, rec("A", 1))
         from repro.chariots.messages import FrontierUpdate
 
-        gc.on_message("queue", FrontierUpdate({"A": 1}, 1))
+        gc.on_message("queue", FrontierUpdate({"A": 1}))
         gc.on_message("recv", PeerVector("B", {"A": 1}))
         runtime.run_for(0.05)
         assert store.core.stored_count() == 0
@@ -376,7 +386,7 @@ class TestGcCoordinator:
         store.core.place(0, rec("A", 1))
         from repro.chariots.messages import FrontierUpdate
 
-        gc.on_message("queue", FrontierUpdate({"A": 1}, 1))  # B silent
+        gc.on_message("queue", FrontierUpdate({"A": 1}))  # B silent
         runtime.run_for(0.05)
         assert store.core.stored_count() == 1
 

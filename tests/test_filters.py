@@ -1,5 +1,7 @@
 """Tests for the filter stage (repro.chariots.filters)."""
 
+import pickle
+
 import pytest
 
 from repro.chariots import FilterCore, FilterMap
@@ -178,6 +180,29 @@ class TestReassignedAdmission:
         assert [r.toid for r in f0.offer_external(rec("A", 2))] == [2, 3]
         assert [r.toid for r in f0.take_misrouted()] == [6]
         assert f0.buffered_count() == 0
+
+    def test_reassignment_itself_rehomes_what_the_old_champion_buffered(self):
+        # No further record of the host reaches f0: the reassignment alone
+        # must empty its buffer, and f1 admit TOId 6 without a resend.
+        fmap = FilterMap(["f0", "f1"])
+        fmap.assign_host("A", ["f0"])
+        f0, f1 = FilterCore("f0", fmap), FilterCore("f1", fmap)
+        assert f0.offer_external(rec("A", 6)) == []
+        assert f0.buffered_count() == 1
+        fmap.reassign_host("A", ["f1"], from_toid=5)
+        assert f0.buffered_count() == 0
+        assert f1.offer_externals(f0.take_misrouted()) == []  # waits for TOId 5
+        assert [r.toid for r in f1.offer_external(rec("A", 5))] == [5, 6]
+        assert f1.offer_external(rec("A", 6)) == []
+        assert (f1.records_admitted, f1.duplicates_dropped, f1.buffered_count()) == (2, 1, 0)
+
+    def test_an_unpickled_core_rejoins_its_map(self):
+        fmap = FilterMap(["f0", "f1"])
+        fmap.assign_host("A", ["f0"])
+        FilterCore("f0", fmap).offer_external(rec("A", 6))
+        f0 = pickle.loads(pickle.dumps(fmap._cores["f0"]))
+        f0.filter_map.reassign_host("A", ["f1"], from_toid=5)
+        assert [r.toid for r in f0.take_misrouted()] == [6]
 
 
 class TestDraftAdmission:

@@ -192,6 +192,41 @@ class TestGcEndToEnd:
         assert collected > 0
         assert deployment["A"].total_records() < 16
 
+    def test_gc_under_a_partition_collects_nothing_the_peer_lacks(self):
+        # A maintainer collects a record only once every datacenter has
+        # incorporated it (the Awareness Table rule), so the senders'
+        # cursors, resuming after the heal, find every record the peer
+        # still lacks in the log: nothing is lost below a collected prefix.
+        from repro.core import PipelineConfig
+
+        plan = FaultPlan().partition("A/", "B/", start=0.4, end=1.4)
+        runtime = LocalRuntime(chaos=plan)
+        deployment = ChariotsDeployment(
+            runtime,
+            ["A", "B"],
+            batch_size=4,
+            pipeline_config=PipelineConfig(
+                gc_interval=0.05, retransmit_base=0.05, retransmit_max=0.4,
+                breaker_failure_threshold=3, breaker_reset_timeout=0.3,
+            ),
+        )
+        runtime.start()
+        clients = {dc: deployment.client(dc) for dc in "AB"}
+        for chunk in range(20):  # before, during and after the partition
+            for dc in "AB":
+                for i in range(3):
+                    clients[dc].append(f"{dc}{chunk}-{i}")
+            runtime.run_for(0.1)
+        assert plan.stats["partitioned"] > 0
+        assert deployment.settle(max_seconds=60)
+        runtime.run_for(1.0)  # GC sweeps what both sides now hold
+        for dc in "AB":
+            pipe = deployment[dc]
+            collected = sum(m.core.records_collected for m in pipe.maintainers)
+            assert collected > 0
+            assert pipe.total_records() + collected == 120  # held or collected
+            assert deployment.frontiers()[dc] == {"A": 60, "B": 60}
+
 
 class TestVisibilityWait:
     def test_wait_until_visible_blocks_for_replication(self, two_dc_deployment):

@@ -154,7 +154,7 @@ class AbstractChariots:
             self._incorporate(record)
             incorporated.append(record)
         if matrix is not None:
-            self.atable.merge(sender, matrix)
+            self.atable.merge(matrix)
         return incorporated
 
     def _incorporate(self, record: Record) -> None:

@@ -186,7 +186,7 @@ def expand_queues(
             pipeline.dc_id,
             pipeline.plan,
             next_queue=successor,
-            frontier_listeners=list(splice_at.frontier_listeners),
+            gc=splice_at.gc,
             config=pipeline.pipeline_config,
             holds_initial_token=False,
         )

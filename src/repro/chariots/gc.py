@@ -1,10 +1,15 @@
 """Garbage collection coordinator (§6.1, "Garbage collection").
 
 A record may be collected at a datacenter only once *every* datacenter is
-known to have it.  The coordinator maintains the datacenter's Awareness
-Table: its own row comes from the queues' ``FrontierUpdate`` broadcasts, the
-peers' rows from the knowledge vectors attached to inbound replication
-shipments.  On each sweep it computes the per-host GC frontier (the minimum
+known to have it.  The coordinator keeps the datacenter's Awareness Table:
+its own row comes from the queues' ``FrontierUpdate`` messages, every other
+row from the tables its peers' coordinators gossip.  Every
+``replication_interval`` it sends its whole table to each peer coordinator,
+along the replication topology, and merges what it receives (element-wise
+max: a cell only grows).  Like the maintainers' ``GossipHL`` it sends even
+when nothing changed, so a lost snapshot is replaced by the next one.  A
+cell ``T[Y, h]`` therefore only ever holds a value Y's queues reported.  On
+each sweep the coordinator computes the per-host GC frontier (the minimum
 over all rows) and instructs the maintainers to truncate covered prefixes;
 their reports then let it prune the indexers.
 """
@@ -18,7 +23,7 @@ from ..core.config import PipelineConfig
 from ..core.record import DatacenterId, KnowledgeVector
 from ..flstore.messages import GcReport, PruneIndexBelow, TruncateBelow
 from ..runtime.actor import Actor
-from .messages import AtableSnapshot, FrontierUpdate, PeerVector
+from .messages import AtableSnapshot, FrontierUpdate
 
 
 class GcCoordinator(Actor):
@@ -31,17 +36,15 @@ class GcCoordinator(Actor):
         datacenters: Iterable[DatacenterId],
         maintainers: List[str],
         indexers: Optional[List[str]] = None,
-        senders: Optional[List[str]] = None,
         config: Optional[PipelineConfig] = None,
-        snapshot_interval: float = 0.05,
     ) -> None:
         super().__init__(name)
         self.dc_id = dc_id
         self.atable = AwarenessTable(dc_id, datacenters)
         self.maintainers = list(maintainers)
         self.indexers = list(indexers or [])
-        self.senders = list(senders or [])
-        self.snapshot_interval = snapshot_interval
+        #: The peer datacenters' coordinators this one gossips its table to.
+        self.peers: List[str] = []
         self.config = config or PipelineConfig()
         self._floors = {m: -1 for m in self.maintainers}
         self.sweeps = 0
@@ -49,24 +52,18 @@ class GcCoordinator(Actor):
     def on_start(self) -> None:
         if self.config.gc_interval > 0:
             self.set_timer(self.config.gc_interval, self.sweep, periodic=True)
-        if self.senders:
-            self.set_timer(self.snapshot_interval, self._broadcast_atable, periodic=True)
+        self.set_timer(self.config.replication_interval, self._gossip, periodic=True)
 
-    def _broadcast_atable(self) -> None:
-        """Hand the senders the current ATable so their shipments carry it
-        (the abstract solution propagates the table with every snapshot,
-        §6.1) — required for GC convergence over partial topologies."""
+    def _gossip(self) -> None:
         snapshot = AtableSnapshot(self.atable.as_matrix())
-        for sender in self.senders:
-            self.send(sender, snapshot)
+        for peer in self.peers:
+            self.send(peer, snapshot)
 
     def on_message(self, sender: str, message: Any) -> None:
         if isinstance(message, FrontierUpdate):
             self.atable.note_peer_knowledge(self.dc_id, message.vector)
-        elif isinstance(message, PeerVector):
-            self.atable.note_peer_knowledge(message.peer, message.vector)
-            if message.matrix:
-                self.atable.merge(message.peer, message.matrix)
+        elif isinstance(message, AtableSnapshot):
+            self.atable.merge(message.matrix)
         elif isinstance(message, GcReport):
             if message.maintainer in self._floors:
                 self._floors[message.maintainer] = max(

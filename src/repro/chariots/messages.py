@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Tuple
 
 from ..core.record import DatacenterId, KnowledgeVector, Record, RecordId
 from ..runtime.messages import Payload
@@ -132,21 +132,20 @@ class DraftCommitBatch:
 
 @dataclass(slots=True)
 class FrontierUpdate:
-    """Queue → senders / GC coordinator: latest incorporation state."""
+    """Queue → GC coordinator: the datacenter's incorporation frontier, its
+    own row of the Awareness Table."""
 
     vector: KnowledgeVector
 
 
 @dataclass(slots=True)
 class ReplicationShipment(Payload):
-    """Sender → remote receiver: records plus our knowledge state.
+    """Sender → remote receiver: records read from one maintainer's log.
 
     ``ship_seq`` orders shipments per (sender, maintainer) stream so the ack
     protocol can retransmit losslessly; duplicate delivery is harmless — the
-    remote filters enforce exactly-once admission.  ``atable`` optionally
-    carries the sending datacenter's full Awareness Table (the abstract
-    solution ships it with every propagation, §6.1), which lets garbage
-    collection converge even over partial replication topologies.
+    remote filters enforce exactly-once admission.  ``upto_lid`` is the LId
+    the stream's cursor moves to once the peer acks.
     """
 
     from_dc: DatacenterId
@@ -154,14 +153,13 @@ class ReplicationShipment(Payload):
     maintainer: str
     ship_seq: int
     records: List[Record] = field(default_factory=list)
-    vector: KnowledgeVector = field(default_factory=dict)
     upto_lid: int = -1
-    atable: Optional[Dict[DatacenterId, Dict[DatacenterId, int]]] = None
 
 
 @dataclass(slots=True)
 class AtableSnapshot:
-    """GC coordinator → local senders: the current Awareness Table."""
+    """GC coordinator → peer GC coordinator: the whole Awareness Table,
+    gossiped every ``replication_interval`` and merged by element-wise max."""
 
     matrix: Dict[DatacenterId, Dict[DatacenterId, int]] = field(default_factory=dict)
 
@@ -174,12 +172,3 @@ class ShipmentAck:
     ship_seq: int
     upto_lid: int
     from_dc: DatacenterId = ""
-
-
-@dataclass(slots=True)
-class PeerVector:
-    """Receiver → GC coordinator: a peer datacenter's knowledge state."""
-
-    peer: DatacenterId
-    vector: KnowledgeVector = field(default_factory=dict)
-    matrix: Optional[Dict[DatacenterId, Dict[DatacenterId, int]]] = None

@@ -87,13 +87,11 @@ class DatacenterPipeline(FLStore):
             self.datacenters,
             maintainers=maintainer_names,
             indexers=indexer_names,
-            senders=sender_names,
             config=self.pipeline_config,
         )
         runtime.register(self.gc)
 
         # Queues: token ring ---------------------------------------------- #
-        frontier_listeners = sender_names + [self.gc_name]
         self.queues: List[QueueStage] = []
         for i, name in enumerate(queue_names):
             next_queue = (
@@ -104,7 +102,7 @@ class DatacenterPipeline(FLStore):
                 dc_id,
                 self.plan,
                 next_queue=next_queue,
-                frontier_listeners=frontier_listeners,
+                gc=self.gc_name,
                 config=self.pipeline_config,
                 holds_initial_token=(i == 0),
             )
@@ -132,7 +130,6 @@ class DatacenterPipeline(FLStore):
                 name,
                 dc_id,
                 batchers=batcher_names,
-                gc_coordinator=self.gc_name,
                 config=self.pipeline_config,
             )
             self.placer(receiver)
@@ -183,9 +180,11 @@ class DatacenterPipeline(FLStore):
     # ------------------------------------------------------------------ #
 
     def connect_peer(self, peer: "DatacenterPipeline") -> None:
-        """Point this datacenter's senders at ``peer``'s receivers."""
+        """Point this datacenter's senders at ``peer``'s receivers, and its
+        GC coordinator's Awareness Table gossip at ``peer``'s coordinator."""
         for sender in self.senders:
             sender.add_peer(peer.dc_id, peer.receiver_names)
+        self.gc.peers.append(peer.gc_name)
 
     # ------------------------------------------------------------------ #
     # Clients

@@ -49,7 +49,7 @@ class QueueStage(Actor):
         dc_id: DatacenterId,
         plan: OwnershipPlan,
         next_queue: Optional[str] = None,
-        frontier_listeners: Optional[List[str]] = None,
+        gc: Optional[str] = None,
         config: Optional[PipelineConfig] = None,
         holds_initial_token: bool = False,
     ) -> None:
@@ -57,7 +57,8 @@ class QueueStage(Actor):
         self.dc_id = dc_id
         self.plan = plan
         self.next_queue = next_queue  # None = solo queue, token never leaves
-        self.frontier_listeners = list(frontier_listeners or [])
+        #: The GC coordinator, told the frontier whenever it moves.
+        self.gc = gc
         self.config = config or PipelineConfig()
         self._token: Optional[Token] = Token() if holds_initial_token else None
         self._buffered_externals: List[Record] = []
@@ -200,10 +201,8 @@ class QueueStage(Actor):
         token.frontier = frontier.snapshot()
         self._local_deferred = still_deferred
 
-        if ordered:
-            update = FrontierUpdate(token.frontier)
-            for listener in self.frontier_listeners:
-                self.send(listener, update)
+        if ordered and self.gc is not None:
+            self.send(self.gc, FrontierUpdate(token.frontier))
 
     def _pass_token(self) -> None:
         token = self._token

@@ -1,10 +1,10 @@
 """Receivers: the remote-ingest side of stage 1 (§6.2).
 
 Receivers accept replication shipments from other datacenters, acknowledge
-them, forward the records to the local batchers (round-robin), and report
-the shipping datacenter's knowledge vector to the local GC coordinator so
-the Awareness Table stays current.  Receivers are completely independent of
-one another — scaling the stage is coordination-free (§6.3).
+them and forward the records to the local batchers (round-robin).  They
+never see the Awareness Table, which the GC coordinators gossip among
+themselves.  Receivers are completely independent of one another — scaling
+the stage is coordination-free (§6.3).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Any, List, Optional
 from ..core.config import PipelineConfig
 from ..core.record import DatacenterId
 from ..runtime.actor import Actor
-from .messages import FilterBatch, PeerVector, ReplicationShipment, ShipmentAck
+from .messages import FilterBatch, ReplicationShipment, ShipmentAck
 
 
 class Receiver(Actor):
@@ -25,13 +25,11 @@ class Receiver(Actor):
         name: str,
         dc_id: DatacenterId,
         batchers: List[str],
-        gc_coordinator: Optional[str] = None,
         config: Optional[PipelineConfig] = None,
     ) -> None:
         super().__init__(name)
         self.dc_id = dc_id
         self.batchers = list(batchers)
-        self.gc_coordinator = gc_coordinator
         self.config = config or PipelineConfig()
         #: Index in ``batchers`` of the next shipment's batcher.
         self._next_batcher = 0
@@ -62,8 +60,3 @@ class Receiver(Actor):
             index = self._next_batcher
             self._next_batcher = (index + 1) % len(self.batchers)
             self.send(self.batchers[index], FilterBatch(externals=list(message.records)))
-        if self.gc_coordinator is not None and (message.vector or message.atable):
-            self.send(
-                self.gc_coordinator,
-                PeerVector(message.from_dc, dict(message.vector), matrix=message.atable),
-            )

@@ -19,8 +19,8 @@ Awareness Table rule, §6.1), which a peer does only after receiving them;
 that rule alone makes it safe for ``entries_after`` to step over a collected
 prefix (the peer has it) instead of failing the read.
 
-Shipments carry this datacenter's knowledge vector (the queues'
-``FrontierUpdate``) into the peer's Awareness Table, for garbage collection.
+Shipments carry records only: the Awareness Table travels between the GC
+coordinators (:mod:`repro.chariots.gc`), so a sender never reads it.
 Timeouts follow :class:`~repro.core.retry.RetryPolicy` (seeded jitter on
 shipments); each peer gets a :class:`~repro.core.retry.CircuitBreaker`:
 after enough consecutive shipment timeouts its streams neither read nor
@@ -33,11 +33,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import PipelineConfig
-from ..core.record import DatacenterId, KnowledgeVector, Record
+from ..core.record import DatacenterId
 from ..core.retry import CircuitBreaker, ReplayableRandom
 from ..flstore.messages import ReadNewReply, ReadNewRequest
 from ..runtime.actor import Actor
-from .messages import AtableSnapshot, FrontierUpdate, ReplicationShipment, ShipmentAck
+from .messages import ReplicationShipment, ShipmentAck
 
 
 @dataclass(slots=True)
@@ -85,8 +85,6 @@ class Sender(Actor):
         #: Transitive shipping (Replicated Dictionary style): forward
         #: records from *any* host, so partial topologies still converge.
         self.transitive = transitive
-        self._vector: KnowledgeVector = {}
-        self._atable_matrix = None
         self._streams: Dict[Tuple[DatacenterId, str], _Stream] = {
             (dc, m): _Stream() for dc in self.peer_receivers for m in self.maintainers
         }
@@ -94,7 +92,6 @@ class Sender(Actor):
         self._seq = 0
         #: Per peer datacenter, the index of the receiver to send to next.
         self._next_receiver: Dict[DatacenterId, int] = dict.fromkeys(self.peer_receivers, 0)
-        self._last_vector_sent: Dict[DatacenterId, KnowledgeVector] = {}
         self.records_shipped = 0
 
     # ------------------------------------------------------------------ #
@@ -150,7 +147,6 @@ class Sender(Actor):
                 stream.attempts += 1
                 stream.seq = None  # start over from the cursor
             self._read(dc, maintainer, stream)
-        self._heartbeat_vectors()
 
     def _read(self, dc: DatacenterId, maintainer: str, stream: _Stream) -> None:
         """Ask ``maintainer`` for the entries past the stream's cursor,
@@ -209,25 +205,18 @@ class Sender(Actor):
         stream.shipping = True
         stream.sent_at = self.now
         stream.wait = self.retry_policy.delay(stream.attempts, self._rng)
-        self._send_shipment(dc, maintainer, stream.seq, records, reply.upto)
-        self.records_shipped += len(records)
-
-    def _send_shipment(
-        self, dc: DatacenterId, maintainer: str, seq: int, records: List[Record], upto: int
-    ) -> None:
         self.send(
             self._receiver_for(dc),
             ReplicationShipment(
                 from_dc=self.dc_id,
                 sender=self.name,
                 maintainer=maintainer,
-                ship_seq=seq,
+                ship_seq=stream.seq,
                 records=records,
-                vector=dict(self._vector),
-                upto_lid=upto,
-                atable=self._atable_matrix,
+                upto_lid=reply.upto,
             ),
         )
+        self.records_shipped += len(records)
 
     def _on_ack(self, ack: ShipmentAck) -> None:
         stream = self._streams.get((ack.from_dc, ack.maintainer))
@@ -241,28 +230,8 @@ class Sender(Actor):
         if self.now - stream.sent_at >= self.config.replication_interval:
             self._read(ack.from_dc, ack.maintainer, stream)
 
-    def _heartbeat_vectors(self) -> None:
-        """Ship a records-free vector update to peers whose view is stale.
-
-        Without this, a datacenter that stops appending would never tell its
-        peers what it has incorporated, and garbage collection (which needs
-        everyone's knowledge of everyone, §6.1) could stall.
-        """
-        for dc in self.peer_receivers:
-            if self._breakers[dc].state == CircuitBreaker.OPEN:
-                continue  # peer is down; shipments will carry the vector later
-            if self._vector and self._vector != self._last_vector_sent.get(dc):
-                self._last_vector_sent[dc] = dict(self._vector)
-                self._send_shipment(dc, "__vector__", 0, [], -1)
-
     def on_message(self, sender: str, message: Any) -> None:
         if isinstance(message, ReadNewReply):
             self._on_read(sender, message)
-        elif isinstance(message, FrontierUpdate):
-            for host, toid in message.vector.items():
-                if toid > self._vector.get(host, 0):
-                    self._vector[host] = toid
-        elif isinstance(message, AtableSnapshot):
-            self._atable_matrix = message.matrix
         elif isinstance(message, ShipmentAck):
             self._on_ack(message)

@@ -8,6 +8,8 @@ The table drives two mechanisms:
 
 * **Propagation filtering** — when A sends its log to B it only ships
   records ``r`` with ``TOId(r) > T_A[B, host(r)]`` (§6.1, "Propagate").
+  Only the abstract solution filters this way; the pipeline's senders
+  replicate from a cursor over the log.
 * **Garbage collection** — a record ``r`` may be collected at A once every
   datacenter knows it: ``∀j: T_A[j, host(r)] ≥ TOId(r)`` (§6.1,
   "Garbage collection").
@@ -73,13 +75,12 @@ class AwarenessTable:
         if rid.toid > row[rid.host]:
             row[rid.host] = rid.toid
 
-    def merge(self, sender: DatacenterId, remote_matrix: Dict[DatacenterId, Dict[DatacenterId, int]]) -> None:
-        """Incorporate the ATable snapshot received from ``sender``.
+    def merge(self, remote_matrix: Dict[DatacenterId, Dict[DatacenterId, int]]) -> None:
+        """Incorporate an ATable snapshot received from a peer.
 
         Every cell is advanced to the element-wise maximum — awareness is
-        monotone.  Additionally, the sender's *own* row tells us directly
-        what the sender knows, which keeps ``T[sender, *]`` fresh even if
-        the snapshot's other rows are stale.
+        monotone.  Rows and columns of datacenters outside this table's
+        membership are ignored.
         """
         for row_dc, cols in remote_matrix.items():
             if row_dc not in self._table:

@@ -132,7 +132,6 @@ _MESSAGE_TYPES: Tuple[Type[Any], ...] = (
     cmsg.FrontierUpdate,
     cmsg.ReplicationShipment,
     cmsg.ShipmentAck,
-    cmsg.PeerVector,
     cmsg.AtableSnapshot,
     # Runtime.  Built only by drivers outside src/ (the ledger's codec
     # calibration, tests) and, lazily, by this module's own decoder.

@@ -10,8 +10,9 @@ from repro.chariots.messages import (
     DraftBatch,
     DraftCommitBatch,
     DraftRecord,
+    AtableSnapshot,
     FilterBatch,
-    PeerVector,
+    FrontierUpdate,
     ShipmentAck,
 )
 from repro.chariots.queues import QueueStage
@@ -114,7 +115,7 @@ class TestQueueStage:
         listener = SinkActor("listener")
         runtime.register(listener)
         queue = QueueStage(
-            "queue", "A", plan, frontier_listeners=["listener"],
+            "queue", "A", plan, gc="listener",
             holds_initial_token=True,
         )
         runtime.register(queue)
@@ -148,8 +149,6 @@ class TestQueueStage:
         runtime.register(client)
         queue.on_message("f", AdmittedBatch(drafts=[draft("client", 1)]))
         runtime.loop.run(max_events=20)
-        from repro.chariots.messages import FrontierUpdate
-
         updates = [m for m in listener.messages if isinstance(m, FrontierUpdate)]
         assert updates and updates[-1].vector == {"A": 1}
 
@@ -249,39 +248,38 @@ class TestSenderReceiver:
         plan = OwnershipPlan(["A/store"], batch_size=10)
         store = LogMaintainer("A/store", plan, peers=["A/store"])
         batcher_sink = SinkActor("B/batcher")
-        gc_sink = SinkActor("B/gc")
-        receiver = Receiver("B/recv", "B", batchers=["B/batcher"], gc_coordinator="B/gc")
+        receiver = Receiver("B/recv", "B", batchers=["B/batcher"])
         sender = Sender(
             "A/send", "A", maintainers=["A/store"],
             peer_receivers={"B": ["B/recv"]},
             config=PipelineConfig(replication_interval=0.01),
             transitive=transitive,
         )
-        runtime.register_all([store, batcher_sink, gc_sink, receiver, sender])
+        runtime.register_all([store, batcher_sink, receiver, sender])
         runtime.start()
-        return runtime, store, sender, receiver, batcher_sink, gc_sink
+        return runtime, store, sender, receiver, batcher_sink
 
     def test_local_records_flow_to_remote_batchers(self):
-        runtime, store, sender, receiver, batcher_sink, _ = self.make_pair()
+        runtime, store, sender, receiver, batcher_sink = self.make_pair()
         store.core.append([rec("A", t) for t in (1, 2, 3)])
         runtime.run_for(0.05)
         assert batcher_sink.records_received == 3
         assert receiver.shipments_received >= 1
 
     def test_external_records_not_forwarded_in_direct_mode(self):
-        runtime, store, sender, receiver, batcher_sink, _ = self.make_pair()
+        runtime, store, sender, receiver, batcher_sink = self.make_pair()
         store.core.append([rec("C", 1)])  # an external record in A's log
         runtime.run_for(0.05)
         assert batcher_sink.records_received == 0
 
     def test_transitive_mode_forwards_third_party_records(self):
-        runtime, store, sender, receiver, batcher_sink, _ = self.make_pair(transitive=True)
+        runtime, store, sender, receiver, batcher_sink = self.make_pair(transitive=True)
         store.core.append([rec("C", 1)])
         runtime.run_for(0.05)
         assert batcher_sink.records_received == 1
 
     def test_transitive_mode_never_echoes_peers_own_records(self):
-        runtime, store, sender, receiver, batcher_sink, _ = self.make_pair(transitive=True)
+        runtime, store, sender, receiver, batcher_sink = self.make_pair(transitive=True)
         store.core.append([rec("B", 1)])  # B's own record, held at A
         runtime.run_for(0.05)
         assert batcher_sink.records_received == 0
@@ -308,7 +306,7 @@ class TestSenderReceiver:
         assert streams_caught_up(sender, [store])  # the cursor passed the record
 
     def test_streams_catch_up_after_every_peer_acks(self):
-        runtime, store, sender, receiver, batcher_sink, _ = self.make_pair()
+        runtime, store, sender, receiver, batcher_sink = self.make_pair()
         store.core.append([rec("A", t) for t in (1, 2)])
         runtime.run_for(0.1)
         assert streams_caught_up(sender, [store])
@@ -343,16 +341,6 @@ class TestSenderReceiver:
         assert second.ship_seq > first.ship_seq
         assert (second.upto_lid, [r.toid for r in second.records]) == (5, [3, 4, 5, 6])
 
-    def test_vector_reaches_remote_gc(self):
-        runtime, store, sender, receiver, batcher_sink, gc_sink = self.make_pair()
-        sender.on_message("queue", __import__(
-            "repro.chariots.messages", fromlist=["FrontierUpdate"]
-        ).FrontierUpdate({"A": 5}))
-        store.core.append([rec("A", 1)])
-        runtime.run_for(0.05)
-        vectors = [m for m in gc_sink.messages if isinstance(m, PeerVector)]
-        assert vectors and vectors[-1].vector.get("A") == 5
-
 
 class TestGcCoordinator:
     def test_sweep_truncates_when_everyone_knows(self):
@@ -366,10 +354,8 @@ class TestGcCoordinator:
         runtime.register_all([store, gc])
         runtime.start()
         store.core.place(0, rec("A", 1))
-        from repro.chariots.messages import FrontierUpdate
-
         gc.on_message("queue", FrontierUpdate({"A": 1}))
-        gc.on_message("recv", PeerVector("B", {"A": 1}))
+        gc.on_message("B/gc", AtableSnapshot({"B": {"A": 1}}))
         runtime.run_for(0.05)
         assert store.core.stored_count() == 0
 
@@ -384,8 +370,6 @@ class TestGcCoordinator:
         runtime.register_all([store, gc])
         runtime.start()
         store.core.place(0, rec("A", 1))
-        from repro.chariots.messages import FrontierUpdate
-
         gc.on_message("queue", FrontierUpdate({"A": 1}))  # B silent
         runtime.run_for(0.05)
         assert store.core.stored_count() == 1
@@ -396,8 +380,26 @@ class TestGcCoordinator:
         runtime.register(gc)
         runtime.start()
         gc.on_message(
-            "recv",
-            PeerVector("B", {"A": 3}, matrix={"C": {"A": 2, "B": 0, "C": 0}}),
+            "B/gc",
+            AtableSnapshot({"B": {"A": 3}, "C": {"A": 2, "B": 0, "C": 0}}),
         )
         assert gc.atable.get("B", "A") == 3
         assert gc.atable.get("C", "A") == 2  # learned transitively
+
+    def test_atable_gossip_reaches_peer_coordinators(self):
+        # Every replication_interval, whether or not the table changed: a
+        # lost snapshot is replaced by the next one.
+        runtime = LocalRuntime()
+        gc = GcCoordinator(
+            "A/gc", "A", ["A", "B"], maintainers=[],
+            config=PipelineConfig(replication_interval=0.01),
+        )
+        peer = SinkActor("B/gc")
+        runtime.register_all([gc, peer])
+        gc.peers.append("B/gc")
+        runtime.start()
+        gc.on_message("A/queue/0", FrontierUpdate({"A": 5}))
+        runtime.run_for(0.035)
+        snapshots = [m for m in peer.messages if isinstance(m, AtableSnapshot)]
+        assert len(snapshots) == 3
+        assert all(s.matrix["A"] == {"A": 5, "B": 0} for s in snapshots)

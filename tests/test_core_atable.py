@@ -48,18 +48,18 @@ class TestLocalUpdates:
 class TestMerge:
     def test_merge_takes_elementwise_max(self, table):
         remote = {"A": {"A": 0, "B": 0, "C": 0}, "B": {"A": 3, "B": 7, "C": 0}, "C": {"A": 0, "B": 0, "C": 2}}
-        table.merge("B", remote)
+        table.merge(remote)
         assert table.get("B", "A") == 3
         assert table.get("B", "B") == 7
         assert table.get("C", "C") == 2
 
     def test_merge_never_regresses(self, table):
         table.note_peer_knowledge("B", {"A": 9})
-        table.merge("B", {"B": {"A": 2, "B": 0, "C": 0}})
+        table.merge({"B": {"A": 2, "B": 0, "C": 0}})
         assert table.get("B", "A") == 9
 
     def test_merge_ignores_unknown_datacenters(self, table):
-        table.merge("B", {"Z": {"A": 5}, "B": {"Z": 7}})
+        table.merge({"Z": {"A": 5}, "B": {"Z": 7}})
         assert table.get("B", "A") == 0
 
     def test_note_peer_knowledge(self, table):

@@ -4,7 +4,7 @@ control-plane refresh after elasticity, heartbeat-only replication."""
 
 from repro.chariots import ChariotsDeployment
 from repro.chariots.elasticity import expand_maintainers
-from repro.chariots.messages import AdmittedBatch
+from repro.chariots.messages import AdmittedBatch, ReplicationShipment, ShipmentAck
 from repro.core import MachineProfile, PipelineConfig
 from repro.runtime import LocalRuntime
 from repro.sim import SimRuntime, SinkActor
@@ -85,19 +85,53 @@ class TestControlPlaneAfterElasticity:
         assert late._plan.owner(boundary) == deployment["A"].plan.owner(boundary)
 
 
+class SendLog(LocalRuntime):
+    """A local runtime that keeps every message sent."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent = []
+
+    def send(self, src, dst, message):
+        self.sent.append((src, dst, message))
+        super().send(src, dst, message)
+
+
 class TestHeartbeatOnlyReplication:
     def test_idle_datacenter_still_reports_knowledge(self, runtime):
-        """B never appends, so it never ships records — but its vector
-        heartbeats must still tell A what B has incorporated, or garbage
-        collection at A would stall forever."""
+        """B never appends, so it never ships records — but its GC
+        coordinator's Awareness Table gossip must still tell A what B has
+        incorporated, or garbage collection at A would stall forever."""
         deployment = ChariotsDeployment(runtime, ["A", "B"], batch_size=4)
         ca = deployment.blocking_client("A")
         for i in range(5):
             ca.append(f"a{i}")
         assert deployment.settle(max_seconds=20)
-        runtime.run_for(1.0)  # heartbeat rounds
+        runtime.run_for(1.0)  # gossip rounds
         atable = deployment["A"].gc.atable
         assert atable.get("B", "A") == 5
+
+    def test_no_shipment_travels_without_records(self):
+        """Replication carries records only: an idle datacenter sends no
+        shipments, and every ack answers a shipment that carried records."""
+        runtime = SendLog()
+        deployment = ChariotsDeployment(runtime, ["A", "B"], batch_size=4)
+        ca = deployment.blocking_client("A")
+        for i in range(5):
+            ca.append(f"a{i}")
+        assert deployment.settle(max_seconds=20)
+        runtime.run_for(1.0)
+        shipments = {
+            (src, m.maintainer, m.ship_seq): m
+            for src, _dst, m in runtime.sent
+            if isinstance(m, ReplicationShipment)
+        }
+        acks = [(dst, m) for _src, dst, m in runtime.sent if isinstance(m, ShipmentAck)]
+        assert shipments and acks
+        assert all(m.records for m in shipments.values())
+        for dst, ack in acks:
+            assert shipments[(dst, ack.maintainer, ack.ship_seq)].records
+        assert deployment["A"].gc.atable.get("B", "A") == 5
 
 
 class TestInternalRecordsStayInternal:

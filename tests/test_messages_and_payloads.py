@@ -102,7 +102,7 @@ class TestChariotsMessageSizing:
     def test_replication_shipment(self):
         shipment = ReplicationShipment(
             from_dc="A", sender="s", maintainer="m", ship_seq=1,
-            records=[rec("A", 1)], vector={"A": 1},
+            records=[rec("A", 1)],
         )
         assert record_count_of(shipment) == 1
 

@@ -5,9 +5,9 @@ The multiproc runtime trades determinism for parallelism, so its anchor is
 processes and inline by ``tests/test_runtime_contract.py``.  These unit
 tests cover the default placement policy, routing to worker-hosted
 maintainers, shadow refresh, ``peek``, worker errors, the one delivery
-point and the refusal of live elasticity on worker processes;
-registration, unknown destinations and the fault plan are the contract
-suite's.
+point, the refusal of live elasticity on worker processes and garbage
+collection with the maintainers on workers; registration, unknown
+destinations and the fault plan are the contract suite's.
 """
 
 import pytest
@@ -19,6 +19,7 @@ from repro.chariots.elasticity import (
     expand_maintainers,
     expand_queues,
 )
+from repro.core import PipelineConfig
 from repro.core.errors import ConfigurationError, SessionError
 from repro.core.record import Record, RecordId
 from repro.flstore.maintainer import LogMaintainer
@@ -29,6 +30,7 @@ from repro.runtime.multiproc import (
     default_placement,
 )
 from repro.runtime.multiproc.worker import _WorkerNode
+from repro.scenarios.executors import pipeline_placement
 
 from test_supervision_commit import Fan, Quiet, RawParent
 
@@ -210,3 +212,45 @@ class TestElasticityOnWorkers:
         for expand in self.EXPANSIONS:
             assert len(expand(pipe)) == 1
         assert len(pipe.plan.epochs) == 2
+
+
+def _records_collected(actor):
+    return actor.core.records_collected
+
+
+class TestGcOnWorkers:
+    def test_gc_collects_on_worker_maintainers(self):
+        # The GC coordinators stay in the parent and gossip their Awareness
+        # Tables there; the maintainers they truncate live on a worker.
+        runtime = MultiprocRuntime(workers=2, placement=pipeline_placement(["A", "B"], 2))
+        deployment = ChariotsDeployment(
+            runtime, ["A", "B"], batch_size=8,
+            pipeline_config=PipelineConfig(gc_interval=0.05),
+        )
+
+        def collected(dc):
+            return sum(
+                runtime.peek(m.name, _records_collected) for m in deployment[dc].maintainers
+            )
+
+        def tables_agree():
+            return deployment["A"].gc.atable.as_matrix() == deployment["B"].gc.atable.as_matrix()
+
+        try:
+            runtime.start()
+            clients = {dc: deployment.client(dc) for dc in "AB"}
+            acks = []
+            for i in range(200):
+                for dc in "AB":
+                    clients[dc].append(f"{dc}{i}", on_done=acks.append)
+            runtime.run_until(lambda: len(acks) == 400, timeout=60)
+            assert deployment.settle(max_seconds=60)
+            runtime.run_until(
+                lambda: tables_agree() and collected("A") > 0 and collected("B") > 0,
+                timeout=30,
+            )
+            assert collected("A") > 0 and collected("B") > 0
+            assert deployment.frontiers() == {dc: {"A": 200, "B": 200} for dc in "AB"}
+            assert tables_agree()
+        finally:
+            runtime.stop()

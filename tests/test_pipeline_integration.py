@@ -181,8 +181,8 @@ class TestGcEndToEnd:
             ca.append(f"a{i}")
             cb.append(f"b{i}")
         assert deployment.settle(max_seconds=10)
-        # Keep exchanging heartbeat-free: senders re-ship vectors with empty
-        # batches, ATables converge, GC sweeps truncate.
+        # Keep running with no appends: the GC coordinators gossip their
+        # ATables, the tables converge, GC sweeps truncate.
         runtime.run_for(3.0)
         collected = sum(
             1

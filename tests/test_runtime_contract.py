@@ -9,11 +9,14 @@ import pytest
 
 from repro.chaos import FaultPlan
 from repro.chariots import ChariotsDeployment, check_logs
+from repro.chariots.messages import ReplicationShipment
 from repro.core import PipelineConfig
 from repro.core.errors import ConfigurationError, RuntimeExhaustedError
 from repro.net.aio_runtime import AioRuntime
+from repro.net.binary_codec import decode_message_binary
 from repro.runtime import Actor, LocalRuntime, Supervisor
 from repro.runtime.multiproc import MultiprocRuntime, default_placement
+from repro.runtime.multiproc.wire import _parse_envelope
 from repro.sim import SimRuntime
 
 from conftest import run_abstract
@@ -184,16 +187,19 @@ def test_blocking_append_and_read(rt):
     assert client.read_lid(result.lid).entries[0].record.body == "hello"
 
 
-def converge_on_workload(rt, **deployment_args):
-    """Append :data:`WORKLOAD` on a two-datacenter deployment, settle, and
-    return the verdict of ``check_logs`` against the abstract solution."""
+def converge_on_workload(rt, phases=1, **deployment_args):
+    """Append :data:`WORKLOAD` on a two-datacenter deployment in ``phases``
+    equal parts, settling after each, and return the verdict of
+    ``check_logs`` against the abstract solution."""
     deployment = ChariotsDeployment(rt, DCS, batch_size=8, **deployment_args)
     clients = {dc: deployment.client(dc) for dc in DCS}
     acks = []
-    for dc, payload in WORKLOAD:
-        clients[dc].append(payload, on_done=acks.append)
-    rt.run_until(lambda: len(acks) == len(WORKLOAD), timeout=60)
-    assert deployment.settle(max_seconds=60)
+    part = len(WORKLOAD) // phases
+    for start in range(0, len(WORKLOAD), part):
+        for dc, payload in WORKLOAD[start : start + part]:
+            clients[dc].append(payload, on_done=acks.append)
+        rt.run_until(lambda: len(acks) == min(start + part, len(WORKLOAD)), timeout=60)
+        assert deployment.settle(max_seconds=60)
     return check_logs(deployment.logs(), reference=run_abstract(DCS, WORKLOAD), acks=acks)
 
 
@@ -247,19 +253,44 @@ def test_drop_delay_and_a_partition_window_act_on_an_exchange(make, substrate):
 FAST_RETRANSMIT = PipelineConfig(retransmit_base=0.1, retransmit_max=0.8)
 
 
+class ReceiverWatch(FaultPlan):
+    """A fault plan that keeps each message sent to ``B/receiver``, split
+    into those it let through and those it lost."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.passed = []
+        self.lost = []
+
+    def intercept(self, src, dst, message, now):
+        delays = super().intercept(src, dst, message, now)
+        if dst.startswith("B/receiver"):
+            if isinstance(message, bytes):  # multiproc routes a worker's frame whole
+                message = decode_message_binary(bytes(_parse_envelope(memoryview(message)[4:])[4]))
+            (self.passed if delays is not None else self.lost).append(message)
+        return delays
+
+
 def test_workload_converges_under_drops_duplicates_and_reorders(make, substrate):
     plan = (
-        FaultPlan(seed=5)
+        ReceiverWatch(seed=5)
         .drop(dst="B/receiver", max_count=1)
         .duplicate(dst="B/receiver", delay=0.02, max_count=2)
         .reorder(dst="B/receiver", delay=0.02)
     )
     rt = make(substrate, chaos=plan)
-    verdict = converge_on_workload(rt, pipeline_config=FAST_RETRANSMIT)
+    # Two phases, so that the drop and both duplicates find data shipments.
+    verdict = converge_on_workload(rt, phases=2, pipeline_config=FAST_RETRANSMIT)
     assert verdict.ok, verdict
     assert plan.stats["dropped"] == 1
     assert plan.stats["duplicated"] == 2
     assert plan.stats["reordered"] > 0
+    # The drop hit a data shipment, and so did both duplicates: every
+    # message for B's receivers is one, and at least three were sent.
+    [lost] = plan.lost
+    assert isinstance(lost, ReplicationShipment) and lost.records
+    assert len(plan.passed) >= 2
+    assert all(isinstance(m, ReplicationShipment) and m.records for m in plan.passed)
 
 
 @pytest.mark.parametrize("substrate", ["local", "sim", "aio"])

@@ -2,6 +2,7 @@
 Replicated-Dictionary-style propagation, extended to the pipeline)."""
 
 
+from repro.chaos import FaultPlan
 from repro.chariots import ChariotsDeployment, check_logs
 from repro.core import PipelineConfig
 from repro.runtime import LocalRuntime
@@ -114,7 +115,8 @@ class TestGcOverPartialTopology:
             ca.append(f"a{i}")
         assert deployment.settle(max_seconds=60)
         runtime.run_for(3.0)
-        # A hears what C knows only through B's forwarded ATable.
+        # A hears what C knows only from C's coordinator, which gossips to A
+        # along the ring's one edge into A.
         atable = deployment["A"].gc.atable
         assert atable.get("C", "A") >= 8
 
@@ -133,3 +135,52 @@ class TestGcOverPartialTopology:
         runtime.run_for(4.0)
         total_before_gc = 15
         assert deployment["A"].total_records() < total_before_gc
+
+    def test_pipeline_atable_never_overclaims(self):
+        """The pipeline counterpart of the abstract solution's property: a
+        cell ``T_X[Y, h]`` never exceeds what Y's own queues have reported,
+        however the gossip is dropped, duplicated, reordered or partitioned."""
+        dcs = ["A", "B", "C"]
+        plan = (
+            FaultPlan(seed=11)
+            .drop(message_type="AtableSnapshot", probability=0.3)
+            .duplicate(message_type="AtableSnapshot", probability=0.3, delay=0.03)
+            .reorder(message_type="AtableSnapshot", delay=0.05)
+            .partition("A/", "B/", start=0.5, end=1.5)
+        )
+        runtime = LocalRuntime(chaos=plan)
+        deployment = ChariotsDeployment(
+            runtime, dcs, batch_size=4, topology=ring(dcs),
+            pipeline_config=PipelineConfig(
+                gc_interval=0.05, retransmit_base=0.05, retransmit_max=0.4,
+            ),
+        )
+        runtime.start()
+        clients = {dc: deployment.client(dc) for dc in dcs}
+
+        def never_overclaims():
+            frontiers = {dc: deployment[dc].frontier() for dc in dcs}
+            for x in dcs:
+                table = deployment[x].gc.atable
+                for y in dcs:
+                    for host in dcs:
+                        assert table.get(y, host) <= frontiers[y][host], (x, y, host)
+
+        for step in range(2500):
+            if step % 100 == 0 and step < 2000:  # before, during and after the partition
+                for dc in dcs:
+                    for i in range(2):
+                        clients[dc].append(f"{dc}{step}-{i}")
+            runtime.run_for(0.001)
+            never_overclaims()
+        assert plan.stats["partitioned"] > 0 and plan.stats["dropped"] > 0
+        assert plan.stats["duplicated"] > 0 and plan.stats["reordered"] > 0
+        assert deployment.settle(max_seconds=60)
+        runtime.run_for(1.0)  # GC sweeps what every datacenter now holds
+        never_overclaims()
+        for dc in dcs:
+            pipe = deployment[dc]
+            collected = sum(m.core.records_collected for m in pipe.maintainers)
+            assert collected >= 1
+            assert pipe.total_records() + collected == 120  # held or collected
+            assert deployment.frontiers()[dc] == {"A": 40, "B": 40, "C": 40}

@@ -59,7 +59,6 @@ class ChariotsClient(FLStoreClient):
         tags: Optional[Mapping[str, Any]] = None,
         deps: Optional[Mapping[DatacenterId, int]] = None,
         on_done: Optional[Callback] = None,
-        min_lid: Optional[int] = None,  # accepted for interface parity; unused
     ) -> int:
         """Append one record; ``on_done`` receives an :class:`AppendResult`.
 

@@ -26,7 +26,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, TypeVar
 
 from ..core.config import PipelineConfig
 from ..core.errors import ConfigurationError
-from ..core.hashing import stable_hash
+from ..core.hashing import champion
 from ..core.record import DatacenterId, Record
 from ..flstore.range_map import OwnershipPlan
 from ..runtime.actor import Actor
@@ -163,11 +163,10 @@ class FilterMap:
         return self.plan(host).next_owned_lid(filter_name, after_toid)
 
     def filter_for_draft(self, draft: DraftRecord) -> str:
-        champion = self._client_champion.get(draft.client)
-        if champion is None:
-            champion = self._filters[stable_hash(draft.client) % len(self._filters)]
-            self._client_champion[draft.client] = champion
-        return champion
+        chosen = self._client_champion.get(draft.client)
+        if chosen is None:
+            chosen = self._client_champion[draft.client] = champion(draft.client, self._filters)
+        return chosen
 
     def sole_champion(self, host: DatacenterId) -> Optional[str]:
         """The one filter championing *every* TOId of ``host``, or ``None``.

@@ -8,6 +8,9 @@ writer and a reader in different processes must both arrive at.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 @lru_cache(maxsize=4096)
@@ -21,3 +24,9 @@ def stable_hash(text: str) -> int:
     for ch in text.encode("utf-8"):
         value = ((value ^ ch) * 16777619) & 0xFFFFFFFF
     return value
+
+
+def champion(key: str, names: Sequence[T]) -> T:
+    """The member of ``names`` that champions ``key``: the same in every
+    process that picks from the same ``names`` in the same order."""
+    return names[stable_hash(key) % len(names)]

@@ -27,7 +27,7 @@ pair).  The id range checks run in ``__new__``, also when unpickling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError
 
@@ -246,3 +246,16 @@ class ReadRules:
             if self.tag_min_value is not None and tags[self.tag_key] < self.tag_min_value:
                 return False
         return True
+
+    def merge_indexed(self, lids: Sequence[int], entries: Iterable[LogEntry]) -> List[LogEntry]:
+        """An indexed read's answer: ``entries`` in lookup order ``lids``,
+        skipping unreadable LIds, filtered by :meth:`matches`, up to ``limit``."""
+        found = {entry.lid: entry for entry in entries}
+        merged = [found[lid] for lid in lids if lid in found and self.matches(found[lid])]
+        return merged if self.limit is None else merged[: self.limit]
+
+    def merge_scan(self, entries: Iterable[LogEntry]) -> List[LogEntry]:
+        """A scan's answer: every maintainer's ``entries``, sorted by LId in
+        the rules' direction, up to ``limit``."""
+        merged = sorted(entries, key=lambda entry: entry.lid, reverse=self.most_recent)
+        return merged if self.limit is None else merged[: self.limit]

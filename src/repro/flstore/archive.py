@@ -128,7 +128,4 @@ class TieredReader:
             archived = self.archive.read(dataclasses.replace(rules, limit=remaining))
             seen = {entry.lid for entry in entries}
             entries.extend(e for e in archived if e.lid not in seen)
-        entries.sort(key=lambda e: e.lid, reverse=rules.most_recent)
-        if rules.limit is not None:
-            entries = entries[: rules.limit]
-        return entries
+        return rules.merge_scan(entries)

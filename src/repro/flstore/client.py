@@ -11,10 +11,10 @@ reset.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import SessionError
-from ..core.hashing import stable_hash
+from ..core.hashing import champion
 from ..core.record import AppendResult, LogEntry, ReadRules, Record
 from ..runtime.actor import Actor, Runtime
 from .messages import (
@@ -32,6 +32,7 @@ from .messages import (
 from .range_map import OwnershipPlan
 
 Callback = Callable[[Any], None]
+OnEntries = Callable[[List[LogEntry]], None]
 
 
 class FLStoreClient(Actor):
@@ -147,14 +148,13 @@ class FLStoreClient(Actor):
 
         def op() -> None:
             assert self._plan is not None
-            owner = self._plan.owner(lid)
             request_id = self._next_request_id()
             self._pending[request_id] = on_done
-            self.send(owner, ReadRequest(request_id, lid=lid))
+            self.send(self._plan.owner(lid), ReadRequest(request_id, [lid]))
 
         self._when_ready(op)
 
-    def read_rules(self, rules: ReadRules, on_done: Callable[[List[LogEntry]], None]) -> None:
+    def read_rules(self, rules: ReadRules, on_done: OnEntries) -> None:
         """Rule-based read (§3): via the indexers when a tag is given,
         otherwise a scatter-gather scan of every maintainer."""
         if rules.tag_key is not None and self._has_indexers():
@@ -165,11 +165,10 @@ class FLStoreClient(Actor):
     def _has_indexers(self) -> bool:
         return bool(self._session and self._session.indexers)
 
-    def _read_via_index(self, rules: ReadRules, on_done: Callable[[List[LogEntry]], None]) -> None:
+    def _read_via_index(self, rules: ReadRules, on_done: OnEntries) -> None:
         def op() -> None:
             assert self._session is not None
-            indexers = self._session.indexers
-            indexer = indexers[stable_hash(rules.tag_key) % len(indexers)]
+            indexer = champion(rules.tag_key, self._session.indexers)
             request_id = self._next_request_id()
 
             def on_lookup(reply: LookupReply) -> None:
@@ -191,56 +190,48 @@ class FLStoreClient(Actor):
 
         self._when_ready(op)
 
-    def _fetch_lids(
-        self,
-        lids: List[int],
-        rules: ReadRules,
-        on_done: Callable[[List[LogEntry]], None],
-    ) -> None:
-        if not lids:
-            on_done([])
-            return
+    def _fetch_lids(self, lids: List[int], rules: ReadRules, on_done: OnEntries) -> None:
+        """One read per owning maintainer, all in flight together."""
         assert self._plan is not None
-        results: Dict[int, Optional[LogEntry]] = {}
-
-        def collect(lid: int) -> Callback:
-            def handler(reply: ReadReply) -> None:
-                results[lid] = reply.entries[0] if reply.entries else None
-                if len(results) == len(lids):
-                    entries = [results[l] for l in lids if results[l] is not None]
-                    entries = [e for e in entries if rules.matches(e)]
-                    if rules.limit is not None:
-                        entries = entries[: rules.limit]
-                    on_done(entries)
-
-            return handler
-
+        by_owner: Dict[str, List[int]] = {}
         for lid in lids:
-            request_id = self._next_request_id()
-            self._pending[request_id] = collect(lid)
-            self.send(self._plan.owner(lid), ReadRequest(request_id, lid=lid))
+            by_owner.setdefault(self._plan.owner(lid), []).append(lid)
+        self._gather(
+            [(owner, owned, None) for owner, owned in by_owner.items()],
+            lambda entries: rules.merge_indexed(lids, entries),
+            on_done,
+        )
 
-    def _read_via_scan(self, rules: ReadRules, on_done: Callable[[List[LogEntry]], None]) -> None:
+    def _read_via_scan(self, rules: ReadRules, on_done: OnEntries) -> None:
         def op() -> None:
             assert self._session is not None
             maintainers = self._session.maintainers
-            replies: List[ReadReply] = []
-
-            def collect(reply: ReadReply) -> None:
-                replies.append(reply)
-                if len(replies) == len(maintainers):
-                    entries = [e for r in replies for e in r.entries]
-                    entries.sort(key=lambda e: e.lid, reverse=rules.most_recent)
-                    if rules.limit is not None:
-                        entries = entries[: rules.limit]
-                    on_done(entries)
-
-            for maintainer in maintainers:
-                request_id = self._next_request_id()
-                self._pending[request_id] = collect
-                self.send(maintainer, ReadRequest(request_id, rules=rules))
+            self._gather([(m, [], rules) for m in maintainers], rules.merge_scan, on_done)
 
         self._when_ready(op)
+
+    def _gather(
+        self,
+        reads: List[Tuple[str, List[int], Optional[ReadRules]]],
+        merge: Callable[[List[LogEntry]], List[LogEntry]],
+        on_done: OnEntries,
+    ) -> None:
+        """Send each ``(maintainer, lids, rules)`` read at once; when the
+        last reply is in, hand ``merge`` of all their entries to ``on_done``."""
+        if not reads:
+            on_done(merge([]))
+            return
+        replies: List[ReadReply] = []
+
+        def collect(reply: ReadReply) -> None:
+            replies.append(reply)
+            if len(replies) == len(reads):
+                on_done(merge([entry for r in replies for entry in r.entries]))
+
+        for maintainer, lids, rules in reads:
+            request_id = self._next_request_id()
+            self._pending[request_id] = collect
+            self.send(maintainer, ReadRequest(request_id, lids, rules))
 
     def head(self, on_done: Callable[[int], None]) -> None:
         """Ask a maintainer for the head of the log (HL, §5.4)."""

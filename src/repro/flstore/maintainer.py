@@ -27,9 +27,10 @@ from ..core.errors import (
     GarbageCollectedError,
     ImmutabilityError,
     LidOutOfRangeError,
+    LogError,
     NotOwnerError,
 )
-from ..core.hashing import stable_hash
+from ..core.hashing import champion
 from ..core.record import AppendResult, DatacenterId, LogEntry, ReadRules, Record
 from ..runtime.actor import Actor
 from ..runtime.messages import RecordBatch
@@ -392,6 +393,18 @@ class MaintainerCore:
             raise GapError(lid)
         raise LidOutOfRangeError(lid, self._max_stored_lid)
 
+    def read_lids(self, lids: List[int]) -> Tuple[List[LogEntry], Optional[str]]:
+        """The readable entries of ``lids`` in request order, and why the
+        first unreadable LId was not (``None`` when all were read)."""
+        entries: List[LogEntry] = []
+        error: Optional[str] = None
+        for lid in lids:
+            try:
+                entries.append(self.get(lid))
+            except LogError as exc:
+                error = error or str(exc)
+        return entries, error
+
     def try_get(self, lid: int) -> Optional[LogEntry]:
         record = self._storage.get(lid)
         return None if record is None else LogEntry(lid, record)
@@ -611,9 +624,8 @@ class LogMaintainer(Actor):
         if not postings:
             return
         buckets: Dict[str, List[Tuple[str, object, int]]] = {}
-        for key, value, lid in postings:
-            indexer = self.indexers[stable_hash(key) % len(self.indexers)]
-            buckets.setdefault(indexer, []).append((key, value, lid))
+        for posting in postings:
+            buckets.setdefault(champion(posting[0], self.indexers), []).append(posting)
         for indexer, bucket in buckets.items():
             self.send(indexer, IndexUpdate(postings=bucket))
 
@@ -666,14 +678,8 @@ class LogMaintainer(Actor):
             self.send(reply_to, AppendReply(request_id, deferred.results or []))
 
     def _handle_read(self, sender: str, message: ReadRequest) -> None:
-        try:
-            if message.lid is not None:
-                entries = [self.core.get(message.lid)]
-            elif message.rules is not None:
-                entries = self.core.read(message.rules)
-            else:
-                entries = []
-        except (GapError, GarbageCollectedError, LidOutOfRangeError, NotOwnerError) as exc:
-            self.send(sender, ReadReply(message.request_id, [], error=str(exc)))
-            return
-        self.send(sender, ReadReply(message.request_id, entries))
+        if message.rules is not None:
+            self.send(sender, ReadReply(message.request_id, self.core.read(message.rules)))
+        else:
+            entries, error = self.core.read_lids(message.lids)
+            self.send(sender, ReadReply(message.request_id, entries, error))

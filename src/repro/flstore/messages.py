@@ -64,10 +64,10 @@ class PlaceRecords(Payload):
 
 @dataclass(slots=True)
 class ReadRequest(Payload):
-    """Client → maintainer: read by LId, or rule-scan the maintainer's slice."""
+    """Client → maintainer: read these owned LIds, or rule-scan its slice."""
 
     request_id: int
-    lid: Optional[int] = None
+    lids: List[int] = field(default_factory=list)
     rules: Optional[ReadRules] = None
 
 

@@ -29,7 +29,7 @@ from ..core.errors import (
     NetworkProtocolError,
     SessionError,
 )
-from ..core.hashing import stable_hash
+from ..core.hashing import champion
 from ..core.record import AppendResult, LogEntry, ReadRules, Record
 from ..core.retry import CircuitBreaker, RetryPolicy
 from ..flstore.range_map import OwnershipPlan
@@ -199,15 +199,12 @@ class AsyncFLStoreClient:
         for conn in self._maintainers.values():
             response = await self._request(conn, {"type": "read_rules", "rules": rules})
             entries.extend(response["entries"])
-        entries.sort(key=lambda e: e.lid, reverse=rules.most_recent)
-        if rules.limit is not None:
-            entries = entries[: rules.limit]
-        return entries
+        return rules.merge_scan(entries)
 
     async def _read_via_index(self, rules: ReadRules) -> List[LogEntry]:
         plan = self._require_session()
         assert rules.tag_key is not None
-        indexer = self._indexer_names[stable_hash(rules.tag_key) % len(self._indexer_names)]
+        indexer = champion(rules.tag_key, self._indexer_names)
         response = await self._request(
             self._indexers[indexer],
             {
@@ -220,9 +217,7 @@ class AsyncFLStoreClient:
                 "max_lid": rules.max_lid,
             }
         )
-        # One fetch per owning maintainer, all in flight together; an LId
-        # that became unreadable since the lookup (garbage-collected) is
-        # skipped, as the in-process client does.
+        # One fetch per owning maintainer, all in flight together.
         lids = response["lids"]
         by_owner: Dict[str, List[int]] = {}
         for lid in lids:
@@ -233,8 +228,7 @@ class AsyncFLStoreClient:
                 for owner, owned in by_owner.items()
             )
         )
-        found = {entry.lid: entry for reply in replies for entry in reply["entries"]}
-        return [found[lid] for lid in lids if lid in found and rules.matches(found[lid])]
+        return rules.merge_indexed(lids, (entry for reply in replies for entry in reply["entries"]))
 
     async def head(self) -> int:
         self._require_session()

@@ -16,9 +16,8 @@ import asyncio
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..core.config import FLStoreConfig
-from ..core.errors import ChariotsError, LogError
-from ..core.hashing import stable_hash
-from ..core.record import LogEntry
+from ..core.errors import ChariotsError
+from ..core.hashing import champion
 from ..flstore.controller import ControllerCore
 from ..flstore.indexer import IndexerCore
 from ..flstore.maintainer import MaintainerCore
@@ -170,7 +169,7 @@ class MaintainerServer(_BaseServer):
         self.config = config or FLStoreConfig()
         self._peer_links: List[Connection] = []
         #: Indexer links in indexer-name order, the order champions are
-        #: picked in (:func:`~repro.core.hashing.stable_hash`).
+        #: picked in (:func:`~repro.core.hashing.champion`).
         self._indexer_links: List[Connection] = []
         self._gossip_task: Optional["asyncio.Task[None]"] = None
 
@@ -215,12 +214,11 @@ class MaintainerServer(_BaseServer):
             postings = self.core.drain_postings()
             if not postings or not self._indexer_links:
                 continue
-            links = self._indexer_links
-            buckets: Dict[int, List[Tuple[str, object, int]]] = {}
+            buckets: Dict[Connection, List[Tuple[str, object, int]]] = {}
             for posting in postings:
-                buckets.setdefault(stable_hash(posting[0]) % len(links), []).append(posting)
-            for index, bucket in buckets.items():
-                await self._post(links[index], {"type": "index_update", "postings": bucket})
+                buckets.setdefault(champion(posting[0], self._indexer_links), []).append(posting)
+            for link, bucket in buckets.items():
+                await self._post(link, {"type": "index_update", "postings": bucket})
 
     @staticmethod
     async def _post(link: Connection, message: Dict[str, Any]) -> None:
@@ -241,15 +239,7 @@ class MaintainerServer(_BaseServer):
                 return {"type": "append_deferred"}
             return {"type": "append_reply", "results": results}
         if kind == "read_lid":
-            # The readable subset, plus why the first unreadable LId was not:
-            # a point read raises it, an indexed read skips what is gone.
-            entries: List[LogEntry] = []
-            error: Optional[str] = None
-            for lid in request["lids"]:
-                try:
-                    entries.append(self.core.get(lid))
-                except LogError as exc:
-                    error = error or str(exc)
+            entries, error = self.core.read_lids(request["lids"])
             return {"type": "read_reply", "entries": entries, "error": error}
         if kind == "read_rules":
             return {"type": "read_reply", "entries": self.core.read(request["rules"])}

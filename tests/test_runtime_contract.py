@@ -10,8 +10,9 @@ import pytest
 from repro.chaos import FaultPlan
 from repro.chariots import ChariotsDeployment, check_logs
 from repro.chariots.messages import ReplicationShipment
-from repro.core import PipelineConfig
+from repro.core import PipelineConfig, ReadRules
 from repro.core.errors import ConfigurationError, RuntimeExhaustedError
+from repro.flstore import FLStore
 from repro.net.aio_runtime import AioRuntime
 from repro.net.binary_codec import decode_message_binary
 from repro.runtime import Actor, LocalRuntime, Supervisor
@@ -185,6 +186,32 @@ def test_blocking_append_and_read(rt):
     client = ChariotsDeployment(rt, ["A"], batch_size=4).blocking_client("A")
     result = client.append("hello")
     assert client.read_lid(result.lid).entries[0].record.body == "hello"
+
+
+def postings_stored(indexer):
+    return indexer.core.postings_stored
+
+
+@pytest.mark.parametrize("substrate", ["local", "sim", "aio", "multiproc-2"])
+def test_a_tag_read_costs_one_request_per_owning_maintainer(make, substrate):
+    """A limit-10 tag read whose hits live on all three maintainers costs
+    the lookup and one read per maintainer, not one read per LId; a point
+    read of an unfilled LId still answers with no entries and the reason."""
+    rt = make(substrate)
+    store = FLStore(rt, n_maintainers=3, n_indexers=1, batch_size=4)
+    client = store.blocking_client()
+    for i in range(30):  # round-robin appends: ten records on each maintainer
+        client.append(f"v{i}", tags={"k": "v"})
+    assert rt.settle(lambda: rt.peek("indexer/0", postings_stored) == 30, max_seconds=30)
+    issued = client.client._request_id
+    entries = client.read(ReadRules(tag_key="k", tag_value="v", limit=10))
+    assert client.client._request_id - issued <= 1 + 3
+    lids = [33, 32, 29, 28, 25, 24, 23, 22, 21, 20]
+    assert [entry.lid for entry in entries] == lids
+    assert {store.plan.owner(lid) for lid in lids} == {"store/0", "store/1", "store/2"}
+    assert entries == [client.read_lid(lid).entries[0] for lid in lids]
+    unfilled = client.read_lid(34)
+    assert unfilled.entries == [] and unfilled.error
 
 
 def converge_on_workload(rt, phases=1, **deployment_args):

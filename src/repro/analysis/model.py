@@ -598,6 +598,8 @@ def _reply_read_sites(
     literal ``"type"`` is that type's reply (``response = await
     self._request(conn, {"type": "head"})``).  Subscript reads are *hard*
     (a dropped key is a ``KeyError``); ``.get(...)`` reads are tolerant.
+    A variable assigned from ``await asyncio.gather(...)`` of such sends is
+    a list of those replies, so the target of a loop over it is one.
     """
     var_types = _send_var_types(func, local_consts, global_consts)
 
@@ -616,6 +618,7 @@ def _reply_read_sites(
         return None
 
     reply_vars: Dict[str, str] = {}
+    gathered: Dict[str, str] = {}
     for node in ast.walk(func):
         if not isinstance(node, ast.Assign) or len(node.targets) != 1:
             continue
@@ -625,6 +628,18 @@ def _reply_read_sites(
         kind = call_send_type(node.value)
         if kind is not None:
             reply_vars[target.id] = kind
+            value = node.value
+            if isinstance(value, ast.Await) and isinstance(value.value, ast.Call):
+                if terminal_name(value.value.func) == "gather":
+                    gathered[target.id] = kind
+    for node in ast.walk(func):
+        if (
+            isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
+            and isinstance(node.iter, ast.Name)
+            and node.iter.id in gathered
+            and isinstance(node.target, ast.Name)
+        ):
+            reply_vars[node.target.id] = gathered[node.iter.id]
 
     reads: List[Tuple[str, str, bool, int, int]] = []
     for node in ast.walk(func):

@@ -87,6 +87,7 @@ class AioRuntime(BaseRuntime):
             self._selector.close()
             for conn in conns:
                 conn.close()
+        super().stop()
 
     # -- transport ----------------------------------------------------------- #
 

@@ -195,11 +195,14 @@ class AsyncFLStoreClient:
         self._require_session()
         if rules.tag_key is not None and self._indexer_names:
             return await self._read_via_index(rules)
-        entries: List[LogEntry] = []
-        for conn in self._maintainers.values():
-            response = await self._request(conn, {"type": "read_rules", "rules": rules})
-            entries.extend(response["entries"])
-        return rules.merge_scan(entries)
+        # One scan per maintainer, all in flight together.
+        replies = await asyncio.gather(
+            *(
+                self._request(conn, {"type": "read_rules", "rules": rules})
+                for conn in self._maintainers.values()
+            )
+        )
+        return rules.merge_scan([entry for reply in replies for entry in reply["entries"]])
 
     async def _read_via_index(self, rules: ReadRules) -> List[LogEntry]:
         plan = self._require_session()

@@ -27,6 +27,8 @@ outage.
 
 from __future__ import annotations
 
+import gc
+import threading
 from collections import Counter
 from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING,
@@ -46,11 +48,56 @@ SETTLE_SLICE = 0.1
 #: The fate of a send the fault plan leaves alone: one copy, no delay.
 _ONCE: Sequence[float] = (0.0,)
 
+#: The cyclic collector's thresholds while any runtime is started (and for
+#: the whole life of a multiproc worker process).
+GC_POLICY: Tuple[int, int, int] = (200_000, 100, 100)
+
+_gc_lock = threading.Lock()
+_gc_holds = 0
+_gc_saved: Tuple[int, int, int] = gc.get_threshold()
+
+
+def hold_gc_policy() -> None:
+    """Hold :data:`GC_POLICY`; the first holder saves the thresholds in force.
+
+    A runtime is an ingest loop: it allocates records at a high rate and
+    most of them survive into long-lived log storage.  That is the worst
+    case for CPython's default generational thresholds: every young
+    collection promotes, and each full collection walks the whole growing
+    log (every stored ``Record`` and ``RecordId`` is a tracked
+    ``NamedTuple``) while freeing nothing, because records, drafts and
+    frames are acyclic.  Raising the thresholds trades only peak cycle
+    latency for the steady-state throughput.  :meth:`BaseRuntime.start`
+    holds the policy until :meth:`BaseRuntime.stop`; a runtime that is never
+    stopped keeps it until the process exits.
+    """
+    _count_gc_hold(1)
+
+
+def release_gc_policy() -> None:
+    """Give back one hold of :data:`GC_POLICY`; the last one restores the
+    thresholds the first holder saved."""
+    _count_gc_hold(-1)
+
+
+def _count_gc_hold(step: int) -> None:
+    global _gc_holds, _gc_saved
+    with _gc_lock:
+        _gc_holds += step
+        if step > 0 and _gc_holds == 1:
+            _gc_saved, threshold = gc.get_threshold(), GC_POLICY
+        elif step < 0 and _gc_holds == 0:
+            threshold = _gc_saved
+        else:
+            return
+        gc.set_threshold(*threshold)
+
 
 class BaseRuntime:
     """The :class:`~repro.runtime.actor.Runtime` surface every runtime shares:
-    the actor registry, crash bookkeeping, the fault plan, start / stop,
-    ``send``, ``settle`` and ``peek``.  Subclasses supply ``loop``,
+    the actor registry, crash bookkeeping, the fault plan, start / stop (and
+    with them the collector policy, :func:`hold_gc_policy`), ``send``,
+    ``settle`` and ``peek``.  Subclasses supply ``loop``,
     ``run_for``, ``run_until`` and how a delivery is scheduled
     (:meth:`_schedule_delivery`)."""
 
@@ -59,6 +106,9 @@ class BaseRuntime:
     def __init__(self, chaos: Optional["FaultPlan"] = None) -> None:
         self._actors: Dict[str, Actor] = {}
         self._started = False
+        #: Whether this runtime holds the collector policy: taken once, at
+        #: the first :meth:`start`, and given back once, at :meth:`stop`.
+        self._holds_gc = False
         self._crashed: Set[str] = set()
         #: Inbound messages held for crashed actors: name -> [(src, message)].
         self._parked: Dict[str, List[Tuple[str, Any]]] = {}
@@ -175,11 +225,15 @@ class BaseRuntime:
     # -- lifecycle ------------------------------------------------------- #
 
     def start(self) -> "BaseRuntime":
-        """Schedule the plan's crash events, then invoke every actor's
-        ``on_start`` hook exactly once."""
+        """Hold the collector policy, schedule the plan's crash events, then
+        invoke the ``on_start`` hook of every actor this process hosts
+        exactly once."""
         if not self._started:
             self._refuse_faults()
             self._started = True
+            if not self._holds_gc:
+                self._holds_gc = True
+                hold_gc_policy()
             if self.chaos is not None:
                 for crash in self.chaos.crashes:
                     self.loop.schedule(
@@ -188,9 +242,13 @@ class BaseRuntime:
                         if name in self._actors
                         else None,
                     )
-            for actor in list(self._actors.values()):
+            for actor in self._hosted_actors():
                 actor.on_start()
         return self
+
+    def _hosted_actors(self) -> List[Actor]:
+        """The actors whose ``on_start`` runs in this process: all of them."""
+        return list(self._actors.values())
 
     def _refuse_faults(self) -> None:
         """Raise :class:`ConfigurationError` for a fault of the plan this
@@ -202,7 +260,11 @@ class BaseRuntime:
             )
 
     def stop(self) -> None:
-        """Release what the runtime holds (nothing, for an in-process one)."""
+        """Give back the collector policy (idempotent); subclasses release
+        their sockets and processes first."""
+        if self._holds_gc:
+            self._holds_gc = False
+            release_gc_policy()
 
     # -- messaging ------------------------------------------------------- #
 

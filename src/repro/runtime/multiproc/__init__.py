@@ -177,7 +177,6 @@ class MultiprocRuntime(BaseRuntime):
             (self._resolve_worker(kill.worker), kill.at)
             for kill in (self.chaos.kills if self.chaos is not None else ())
         ]
-        self._started = True
         if self.workers:
             supervisor = next(
                 (a for a in self._actors.values() if isinstance(a, Supervisor)), None
@@ -186,15 +185,17 @@ class MultiprocRuntime(BaseRuntime):
                 self._supervision = Supervision(self, supervisor)
             self._spawn_workers()
             self._ship_actors()
-        for name, actor in self._actors.items():
-            if self._location[name] is None:
-                actor.on_start()
+        super().start()
         for wid in range(self.workers):
             self._control(wid, {"op": "start"})
         for wid, at in kills:
             self.loop.schedule(at, lambda w=wid: self._chaos_kill(w))
         self._serving = True
         return self
+
+    def _hosted_actors(self) -> List[Actor]:
+        """The actors that live in the parent (workers start their own)."""
+        return [a for name, a in self._actors.items() if self._location.get(name) is None]
 
     def _refuse_faults(self) -> None:
         plan = self.chaos
@@ -344,6 +345,7 @@ class MultiprocRuntime(BaseRuntime):
                 except OSError:
                     pass
                 self._selector = None
+            super().stop()
 
     # -- messaging --------------------------------------------------------- #
 

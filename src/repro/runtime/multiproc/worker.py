@@ -9,7 +9,6 @@ control frames (``restore``, ``configure``, ``start``, ``fetch_many``,
 
 from __future__ import annotations
 
-import gc
 import pickle
 import selectors
 import socket
@@ -20,7 +19,7 @@ from typing import Any, Dict, List, Set, Tuple
 
 from ...net.binary_codec import decode_value_binary, encode_value_binary
 from ..actor import Actor
-from ..local import BaseRuntime
+from ..local import BaseRuntime, hold_gc_policy
 from .supervision import HEARTBEAT_INTERVAL
 from .wire import (
     _K_CTRL,
@@ -274,13 +273,7 @@ class _WorkerNode(BaseRuntime):
 
 
 def _worker_main(worker_id: int, host: str, port: int) -> None:
-    # Workers are ingest loops: they allocate records at a high rate and
-    # most survive into long-lived log storage, the worst case for CPython's
-    # default generational thresholds (every young collection promotes, and
-    # full collections rescan the ever-growing store).  Records and frames
-    # are acyclic, so raising the thresholds trades nothing but peak cycle
-    # latency for a large steady-state throughput win.
-    gc.set_threshold(200_000, 100, 100)
+    hold_gc_policy()  # for the process's life, before the actors unpickle
     sock = socket.create_connection((host, port), timeout=30.0)
     hello = pickle.dumps({"hello": worker_id}, protocol=pickle.HIGHEST_PROTOCOL)
     sock.sendall(_envelope(_K_REPLY, "", "", hello))

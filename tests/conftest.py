@@ -3,13 +3,23 @@
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import pytest
 
+from repro.analysis import ProjectInfo, scan
 from repro.chariots import AbstractDeployment, ChariotsDeployment
 from repro.core import DeploymentSpec, LogEntry, Record
 from repro.runtime import LocalRuntime
+
+
+@pytest.fixture(scope="session")
+def src_project() -> ProjectInfo:
+    """One analyzer scan of ``src/`` for every test that only reads it.
+    Rules and model builders never change a scan; they only memoise the
+    project model and actor graph on it, so later users start warm."""
+    return scan([Path(__file__).resolve().parent.parent / "src"])
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ import ast
 import json
 import time
 import tomllib
+from dataclasses import replace
 from pathlib import Path
 
 from repro.analysis import (
@@ -589,40 +590,40 @@ class TestCli:
 
 
 class TestCommittedTree:
-    def test_src_is_clean_under_every_rule(self):
-        findings = run_rules(scan([REPO_ROOT / "src"]))
+    def test_src_is_clean_under_every_rule(self, src_project):
+        findings = run_rules(src_project)
         assert findings == [], [f.render() for f in findings]
 
-    def test_committed_baseline_matches_fresh_run(self):
+    def test_committed_baseline_matches_fresh_run(self, src_project):
         committed = (REPO_ROOT / "analysis-baseline.json").read_text()
-        fresh = dump_baseline(run_rules(scan([REPO_ROOT / "src"])))
+        fresh = dump_baseline(run_rules(src_project))
         assert committed == fresh
 
-    def test_protocol_and_determinism_rules_need_no_baseline(self):
+    def test_protocol_and_determinism_rules_need_no_baseline(self, src_project):
         """The acceptance bar: CHR001/CHR002 (protocol) and CHR003-CHR005
         (determinism) pass with an empty baseline on the real tree."""
         findings = run_rules(
-            scan([REPO_ROOT / "src"]),
+            src_project,
             select=["CHR001", "CHR002", "CHR003", "CHR004", "CHR005"],
         )
         assert findings == []
 
-    def test_concurrency_and_flow_rules_need_no_baseline(self):
+    def test_concurrency_and_flow_rules_need_no_baseline(self, src_project):
         """PR 4's acceptance bar: the interprocedural rules (CHR009-CHR013)
         pass with an empty baseline on the real tree."""
         findings = run_rules(
-            scan([REPO_ROOT / "src"]),
+            src_project,
             select=["CHR009", "CHR010", "CHR011", "CHR012", "CHR013"],
         )
         assert findings == [], [f.render() for f in findings]
 
-    def test_reply_and_supervision_rules_need_no_baseline(self):
+    def test_reply_and_supervision_rules_need_no_baseline(self, src_project):
         """This PR's acceptance bar: CHR014 (sockets), CHR015 (reply shapes)
         and CHR016 (supervisor protocol) pass with an empty baseline.
         CHR017 only audits on full runs and is covered by
         test_src_is_clean_under_every_rule."""
         findings = run_rules(
-            scan([REPO_ROOT / "src"]),
+            src_project,
             select=["CHR014", "CHR015", "CHR016"],
         )
         assert findings == [], [f.render() for f in findings]
@@ -1127,8 +1128,8 @@ class TestBlockingSocketRule:
         findings = lint(tmp_path, {"bench/probe.py": source}, select=["CHR014"])
         assert findings == []
 
-    def test_shipped_tree_is_baseline_free_for_chr014(self):
-        findings = run_rules(scan([REPO_ROOT / "src"]), select=["CHR014"])
+    def test_shipped_tree_is_baseline_free_for_chr014(self, src_project):
+        findings = run_rules(src_project, select=["CHR014"])
         assert findings == []
 
 
@@ -1138,14 +1139,14 @@ class TestBlockingSocketRule:
 
 
 class TestFlowGraph:
-    def test_model_is_cached_per_scan(self):
-        project = scan([REPO_ROOT / "src"])
+    def test_model_is_cached_per_scan(self, src_project):
+        project = replace(src_project, model_cache=None, actor_cache=None)
         assert build_model(project) is build_model(project)
 
-    def test_every_server_request_branch_is_exercised(self):
+    def test_every_server_request_branch_is_exercised(self, src_project):
         """The acceptance bar: every request['type'] branch in net/server.py
         corresponds to a type some client sends, and vice versa."""
-        model = build_model(scan([REPO_ROOT / "src"]))
+        model = build_model(src_project)
         assert model.has_request_handlers
         assert set(model.request_sent) == set(model.request_handled)
         for kind in (
@@ -1186,8 +1187,8 @@ class TestFlowGraph:
         assert graph["requests"]["ping"]["reply_keys"] == ["ok"]
         assert graph["requests"]["ping"]["reply_opaque"] is False
 
-    def test_graph_dot_renders(self):
-        dot = build_model(scan([REPO_ROOT / "src"])).graph_dot()
+    def test_graph_dot_renders(self, src_project):
+        dot = build_model(src_project).graph_dot()
         assert dot.startswith("digraph message_flow {")
         assert dot.rstrip().endswith("}")
         assert '"msg:AdmittedBatch"' in dot
@@ -1377,6 +1378,30 @@ class TestReplyShapeRule:
         )
         assert findings == []
 
+    def test_reads_through_a_gathered_reply_list_count(self, tmp_path):
+        client = _REPLY_CLIENT.replace(
+            '        response = await conn.request({"type": "ping"})\n'
+            '        return response["seq"]\n',
+            "        replies = await asyncio.gather(\n"
+            '            *(conn.request({"type": "ping"}) for _ in range(2))\n'
+            "        )\n"
+            '        return [reply["seq"] for reply in replies]\n',
+        )
+        assert "gather" in client
+        findings = lint(
+            tmp_path,
+            {"net/server.py": _REPLY_SERVER, "net/client.py": client},
+            select=["CHR015"],
+        )
+        assert findings == []
+        misspelled = client.replace('reply["seq"]', 'reply["sequence"]')
+        findings = lint(
+            tmp_path,
+            {"net/server.py": _REPLY_SERVER, "net/client.py": misspelled},
+            select=["CHR015"],
+        )
+        assert codes(findings) == ["CHR015", "CHR015"]
+
 
 # --------------------------------------------------------------------- #
 # CHR016 — supervisor-protocol safety
@@ -1482,7 +1507,7 @@ class TestSupervisorProtocolRule:
             )
             assert findings == [], trim
 
-    def test_real_runtime_parks_and_trims_uncommitted(self):
+    def test_real_runtime_parks_and_trims_uncommitted(self, src_project):
         """The fixtures above describe the real thing: ``_park`` is seen as
         a sequenced-emission path, and both trim paths exist."""
         from repro.analysis.rules.supervision import (
@@ -1492,7 +1517,7 @@ class TestSupervisorProtocolRule:
 
         module = next(
             m
-            for m in scan([REPO_ROOT / "src"])
+            for m in src_project
             if m.relpath.endswith("runtime/multiproc/supervision.py")
         )
         cls = next(
@@ -1964,10 +1989,10 @@ class TestActorGraphExport:
         ]
         assert actors["actors"]["StageA"]["handles"]["Up"]["refusable"]
 
-    def test_actor_graph_is_memoised_per_scan(self):
+    def test_actor_graph_is_memoised_per_scan(self, src_project):
         from repro.analysis.actors import build_actor_graph
 
-        project = scan([REPO_ROOT / "src"])
+        project = replace(src_project, model_cache=None, actor_cache=None)
         first = build_actor_graph(project)
         assert build_actor_graph(project) is first
         assert project.actor_cache is first

@@ -79,6 +79,37 @@ class TestPublicApi:
                         offenders.append(f"{path.relative_to(root)}:{node.lineno}")
         assert offenders == []
 
+    def test_only_the_runtime_base_touches_the_collector(self):
+        """One collector policy: outside ``runtime/local.py``, whose hold every
+        runtime takes, no module sets thresholds, disables or freezes it."""
+        root = Path(repro.__file__).parent
+        touching = {"set_threshold", "disable", "freeze"}
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            if path == root / "runtime" / "local.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            gc_names = {
+                alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                for alias in node.names
+                if alias.name == "gc"
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                    hit = touching & {alias.name for alias in node.names}
+                else:
+                    hit = (
+                        isinstance(node, ast.Attribute)
+                        and node.attr in touching
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in gc_names
+                    )
+                if hit:
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert offenders == []
+
     def test_tests_judge_logs_through_check_logs(self):
         """Only the causal walk's own tests (and ``DeferredQueue.admit``'s)
         use it on bare record lists; every other test uses ``check_logs``."""

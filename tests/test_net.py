@@ -263,6 +263,59 @@ class TestNetDeployment:
 
         run(scenario())
 
+    def test_a_scan_asks_every_maintainer_at_once(self):
+        """A rules scan has its ``read_rules`` request to every maintainer in
+        flight before the first answer returns, and merges to what asking
+        the maintainers in turn gives."""
+
+        async def scenario():
+            deployment = FLStoreNetDeployment(n_maintainers=3, batch_size=4)
+            await deployment.start()
+            events = []
+
+            def trace_arrivals(server):
+                handle, name = server.handle, server.core.name
+
+                async def traced(request, *args):
+                    if request["type"] == "read_rules":
+                        events.append(("arrive", name))
+                    return await handle(request, *args)
+
+                server.handle = traced
+
+            try:
+                client = await deployment.client()
+                for i in range(12):
+                    await client.append(f"v{i}")
+                rules = ReadRules(limit=5)
+                await client.read(rules)  # opens the lazy maintainer links
+                for server in deployment.maintainers:
+                    trace_arrivals(server)
+                request = client._request
+
+                async def traced_request(conn, message, *args):
+                    reply = await request(conn, message, *args)
+                    events.append(("answer", conn.address))
+                    return reply
+
+                client._request = traced_request
+                entries = await client.read(rules)
+                assert [kind for kind, _who in events] == ["arrive"] * 3 + ["answer"] * 3
+                assert {who for kind, who in events if kind == "arrive"} == {
+                    server.core.name for server in deployment.maintainers
+                }
+                serial = []
+                for conn in client._maintainers.values():
+                    reply = await request(conn, {"type": "read_rules", "rules": rules})
+                    serial.extend(reply["entries"])
+                assert len(entries) == 5
+                assert entries == rules.merge_scan(serial)
+                await client.close()
+            finally:
+                await deployment.stop()
+
+        run(scenario())
+
     def test_remote_error_surfaces_as_exception(self):
         async def scenario():
             deployment = FLStoreNetDeployment(n_maintainers=1, batch_size=4)

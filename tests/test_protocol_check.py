@@ -240,12 +240,6 @@ class TestMultiprocModel:
 # --------------------------------------------------------------------- #
 
 
-def _scan_runtime():
-    # Scan from src so relpaths keep their "runtime/" prefix — the spec's
-    # module_suffixes match "runtime/multiproc/worker.py", not a bare filename.
-    return scan([REPO_ROOT / "src"])
-
-
 def _renamed_admit_frame(tmp_path):
     """A scan of a copy of the multiproc package with ``_admit_frame``
     renamed."""
@@ -260,11 +254,12 @@ def _renamed_admit_frame(tmp_path):
 
 
 class TestSpecExtraction:
-    def test_real_multiproc_sources_match_every_anchor(self):
-        project = _scan_runtime()
+    def test_real_multiproc_sources_match_every_anchor(self, src_project):
+        # The scan is of src, so relpaths keep their "runtime/" prefix — the
+        # spec's module_suffixes match "runtime/multiproc/worker.py".
         spec = multiproc_spec()
-        assert locate_classes(spec, project) is not None
-        assert check_anchors(spec, project) == []
+        assert locate_classes(spec, src_project) is not None
+        assert check_anchors(spec, src_project) == []
 
     def test_fixture_tree_without_protocol_is_out_of_scope(self, tmp_path):
         (tmp_path / "app.py").write_text("class Other:\n    pass\n")
@@ -311,10 +306,8 @@ class TestSpecExtraction:
 
 
 class TestProtocolRule:
-    def test_real_tree_is_clean(self):
-        findings = run_rules(
-            scan([REPO_ROOT / "src"]), select=["CHR020"]
-        )
+    def test_real_tree_is_clean(self, src_project):
+        findings = run_rules(src_project, select=["CHR020"])
         assert findings == []
 
     def test_silent_on_trees_without_the_protocol(self, tmp_path):

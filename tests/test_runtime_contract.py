@@ -3,6 +3,7 @@ aio (TCP) and multiproc inline and with two worker processes, all driven
 synchronously through the same calls — and all taking the same fault input,
 one seeded ``FaultPlan`` as ``chaos``."""
 
+import gc
 import math
 
 import pytest
@@ -16,6 +17,8 @@ from repro.flstore import FLStore
 from repro.net.aio_runtime import AioRuntime
 from repro.net.binary_codec import decode_message_binary
 from repro.runtime import Actor, LocalRuntime, Supervisor
+from repro.runtime import local as runtime_local
+from repro.runtime.local import GC_POLICY
 from repro.runtime.multiproc import MultiprocRuntime, default_placement
 from repro.runtime.multiproc.wire import _parse_envelope
 from repro.sim import SimRuntime
@@ -180,6 +183,55 @@ def test_stop_is_idempotent(rt):
     rt.start()
     rt.stop()
     rt.stop()
+
+
+#: CPython's own collector thresholds, which differ from ``GC_POLICY``.
+CPYTHON_THRESHOLDS = (700, 10, 10)
+
+
+def collector_thresholds(_actor):
+    """The collector thresholds of the process the actor lives in."""
+    return gc.get_threshold()
+
+
+@pytest.fixture
+def no_policy_held(monkeypatch):
+    """No runtime holds the collector policy and the thresholds are CPython's
+    own; the hold count and the thresholds come back at teardown.  Ask for
+    it before ``make``, so the runtimes stop while the count is this test's."""
+    saved = gc.get_threshold()
+    monkeypatch.setattr(runtime_local, "_gc_holds", 0)
+    gc.set_threshold(*CPYTHON_THRESHOLDS)
+    yield CPYTHON_THRESHOLDS
+    gc.set_threshold(*saved)
+
+
+@pytest.mark.parametrize("substrate", ["local", "sim", "aio", "multiproc-2"])
+def test_a_started_runtime_holds_the_collector_policy(no_policy_held, make, substrate):
+    rt = make(substrate)
+    rt.register(Recorder("store/probe"))  # on a worker under multiproc placement
+    assert gc.get_threshold() == no_policy_held
+    rt.start()
+    assert gc.get_threshold() == GC_POLICY
+    assert rt.peek("store/probe", collector_thresholds) == GC_POLICY
+    rt.stop()
+    assert gc.get_threshold() == no_policy_held
+    rt.stop()
+    assert gc.get_threshold() == no_policy_held
+
+
+@pytest.mark.parametrize("substrate", ["local", "sim", "aio", "multiproc-2"])
+def test_overlapping_runtimes_restore_the_thresholds_after_the_last_stop(
+    no_policy_held, make, substrate
+):
+    first, second = make(substrate), make("local")
+    first.start()
+    second.start()
+    first.stop()
+    first.stop()  # a second stop gives back nothing more
+    assert gc.get_threshold() == GC_POLICY
+    second.stop()
+    assert gc.get_threshold() == no_policy_held
 
 
 def test_blocking_append_and_read(rt):

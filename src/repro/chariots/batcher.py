@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..core.config import PipelineConfig
+from ..core.record import count_records
 from ..runtime.actor import Actor
 from .filters import FilterMap
 from .messages import DraftBatch, DraftRecord, FilterBatch
@@ -45,11 +46,12 @@ class Batcher(Actor):
             self._buffer_drafts(message.drafts)
             self._flush_full()
         elif isinstance(message, FilterBatch):
-            # Receivers forward external records wrapped as FilterBatch.
+            # Receivers forward external records and runs wrapped as FilterBatch.
             for filter_name, run in self.filter_map.route_externals(message.externals):
                 self._buffer_for(filter_name).externals.extend(run)
-            self._pending_records += len(message.externals)
-            self.records_batched += len(message.externals)
+            count = count_records(message.externals)
+            self._pending_records += count
+            self.records_batched += count
             self._buffer_drafts(message.drafts)
             self._flush_full()
         else:

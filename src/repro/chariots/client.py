@@ -11,10 +11,10 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..core.errors import ConfigurationError
-from ..core.record import AppendResult, DatacenterId, freeze_tags
+from ..core.record import AppendResult, DatacenterId, RecordId, freeze_tags
 from ..flstore.client import BlockingFLStoreClient, FLStoreClient
 from ..runtime.actor import Runtime
-from .messages import DraftBatch, DraftCommitBatch, DraftCommitted, DraftRecord
+from .messages import DraftBatch, DraftCommitBatch, DraftRecord
 
 Callback = Callable[[Any], None]
 
@@ -101,15 +101,23 @@ class ChariotsClient(FLStoreClient):
 
     def on_message(self, sender: str, message: Any) -> None:
         if isinstance(message, DraftCommitBatch):
-            for commit in message.commits:
-                self._handle_commit(commit)
+            self._handle_commits(message)
         else:
             super().on_message(sender, message)
 
-    def _handle_commit(self, commit: DraftCommitted) -> None:
-        handler = self._pending_commits.pop(commit.seq, None)
-        if handler is not None:
-            handler(_tuple_new(AppendResult, (commit.rid, commit.lid)))
+    def _handle_commits(self, batch: DraftCommitBatch) -> None:
+        """Resolve each committed draft's ``on_done``, a run at a time."""
+        pending = self._pending_commits
+        host = batch.host
+        lid_offset = batch.lid_offset
+        new = _tuple_new
+        for first_seq, first_toid, count in batch.runs:
+            for seq, toid in zip(
+                range(first_seq, first_seq + count), range(first_toid, first_toid + count)
+            ):
+                handler = pending.pop(seq, None)
+                if handler is not None:
+                    handler(new(AppendResult, (new(RecordId, (host, toid)), toid + lid_offset)))
 
 
 class BlockingChariotsClient(BlockingFLStoreClient):

@@ -27,12 +27,12 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, TypeVar
 from ..core.config import PipelineConfig
 from ..core.errors import ConfigurationError
 from ..core.hashing import champion
-from ..core.record import DatacenterId, Record
+from ..core.record import DatacenterId, Record, RecordItem, RecordRun, split_runs
 from ..flstore.range_map import OwnershipPlan
 from ..runtime.actor import Actor
 from .messages import AdmittedBatch, DraftRecord, FilterBatch
 
-_host_of = attrgetter("rid.host")
+_host_of = attrgetter("host")  # a record's, or a run's
 _rid_of = attrgetter("rid")
 _client_of = attrgetter("client")
 _seq_of = attrgetter("seq")
@@ -138,21 +138,23 @@ class FilterMap:
     def filter_for_record(self, record: Record) -> str:
         return self.filter_for(*record.rid)
 
-    def route_externals(self, records: List[Record]) -> List[Tuple[str, List[Record]]]:
-        """Champion filter of every record, as ``(filter, records)`` runs.
+    def route_externals(self, items: List[RecordItem]) -> List[Tuple[str, List[RecordItem]]]:
+        """Champion filter of every record, as ``(filter, items)`` groups.
 
-        The runs keep the records' order.  A run of one host's records
-        whose host has a :meth:`sole_champion` costs one lookup; the records
-        of a split or reassigned host are routed one by one with
-        :meth:`filter_for`.
+        The groups keep the items' order.  A stretch of one host's records
+        and runs whose host has a :meth:`sole_champion` costs one lookup and
+        goes whole; the items of a split or reassigned host are split into
+        records and routed one by one with :meth:`filter_for`.
         """
-        routed: List[Tuple[str, List[Record]]] = []
-        for host, run in groupby(records, _host_of):
+        routed: List[Tuple[str, List[RecordItem]]] = []
+        for host, group in groupby(items, _host_of):
             champion = self.sole_champion(host)
             if champion is not None:
-                routed.append((champion, list(run)))
+                routed.append((champion, list(group)))
             else:
-                routed.extend((self.filter_for(*record.rid), [record]) for record in run)
+                routed.extend(
+                    (self.filter_for(*record.rid), [record]) for record in split_runs(group)
+                )
         return routed
 
     def next_toid_for(
@@ -228,12 +230,42 @@ class FilterCore:
         return out
 
     def offer_external(self, record: Record) -> List[Record]:
-        return self.offer_externals([record])
+        return self._walk_records([record])
 
-    def offer_externals(self, records: List[Record]) -> List[Record]:
+    def offer_externals(self, items: List[RecordItem]) -> List[RecordItem]:
         """Admit each record next in its host's championed slice, with any
         buffered successors it unblocks; records this filter does not
-        champion land in :meth:`take_misrouted`."""
+        champion land in :meth:`take_misrouted`.
+
+        A run is admitted whole when this filter wholly champions its host,
+        it starts at the host's floor and the host's reorder buffer is
+        empty; any other run is split into records for the walk."""
+        released: List[RecordItem] = []
+        records: List[Record] = []
+        floors = self._host_floor
+        for item in items:
+            if type(item) is not RecordRun:
+                records.append(item)  # type: ignore[arg-type]
+                continue
+            if records:
+                released += self._walk_records(records)
+                records = []
+            host = item.host
+            if (
+                item.first_toid == floors.get(host, 1)
+                and not self._reorder.get(host)
+                and self.filter_map.sole_champion(host) == self.name
+            ):
+                released.append(item)
+                floors[host] = item.end_toid
+                self.records_admitted += len(item)
+            else:
+                released += self._walk_records(item.records())
+        if records:
+            released += self._walk_records(records)
+        return released
+
+    def _walk_records(self, records: List[Record]) -> List[Record]:
         return self._walk(
             records, map(_rid_of, records), self._host_floor, self._reorder, self.filter_map
         )

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Tuple
 
-from ..core.record import DatacenterId, KnowledgeVector, Record, RecordId
+from ..core.record import DatacenterId, KnowledgeVector, Record, RecordItem, count_records
 from ..runtime.messages import Payload
 
 
@@ -55,13 +55,15 @@ class DraftBatch(Payload):
 
 @dataclass(slots=True)
 class FilterBatch(Payload):
-    """Batcher → filter: mixed batch for the filter's championed slices."""
+    """Batcher → filter: mixed batch for the filter's championed slices.
+
+    ``externals`` are lone records and record runs, as shipped."""
 
     drafts: List[DraftRecord] = field(default_factory=list)
-    externals: List[Record] = field(default_factory=list)
+    externals: List[RecordItem] = field(default_factory=list)
 
     def record_count(self) -> int:
-        return len(self.drafts) + len(self.externals)
+        return len(self.drafts) + count_records(self.externals)
 
     def wire_size(self, record_size: int = 512) -> int:
         return 64 + sum(d.size_bytes(record_size) for d in self.drafts) + sum(
@@ -74,10 +76,10 @@ class AdmittedBatch(Payload):
     """Filter → queue: records that passed uniqueness/order checks."""
 
     drafts: List[DraftRecord] = field(default_factory=list)
-    externals: List[Record] = field(default_factory=list)
+    externals: List[RecordItem] = field(default_factory=list)
 
     def record_count(self) -> int:
-        return len(self.drafts) + len(self.externals)
+        return len(self.drafts) + count_records(self.externals)
 
     def wire_size(self, record_size: int = 512) -> int:
         return 64 + sum(d.size_bytes(record_size) for d in self.drafts) + sum(
@@ -114,20 +116,18 @@ class TokenPass(Payload):
 
 
 @dataclass(slots=True)
-class DraftCommitted:
-    """Queue → client: a draft's assigned identity (the append ack of §3)."""
-
-    client: str
-    seq: int
-    rid: RecordId
-    lid: int
-
-
-@dataclass(slots=True)
 class DraftCommitBatch:
-    """Queue → client: assigned identities for a batch of the client's drafts."""
+    """Queue → client: the assigned identities of the client's drafts one
+    queue round sequenced (the append acks of §3), as runs.
 
-    commits: List[DraftCommitted] = field(default_factory=list)
+    Each run ``[first_seq, first_toid, count]`` gives drafts ``first_seq``
+    to ``first_seq + count - 1`` the TOIds ``first_toid`` onwards at
+    ``host``; within a round a record's LId is its TOId plus
+    ``lid_offset``."""
+
+    host: DatacenterId = ""
+    lid_offset: int = 0
+    runs: List[List[int]] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -152,8 +152,12 @@ class ReplicationShipment(Payload):
     sender: str
     maintainer: str
     ship_seq: int
-    records: List[Record] = field(default_factory=list)
+    #: Lone records and record runs, as the maintainer's log cut them.
+    records: List[RecordItem] = field(default_factory=list)
     upto_lid: int = -1
+
+    def record_count(self) -> int:
+        return count_records(self.records)
 
 
 @dataclass(slots=True)

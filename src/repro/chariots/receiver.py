@@ -1,10 +1,10 @@
 """Receivers: the remote-ingest side of stage 1 (§6.2).
 
 Receivers accept replication shipments from other datacenters, acknowledge
-them and forward the records to the local batchers (round-robin).  They
-never see the Awareness Table, which the GC coordinators gossip among
-themselves.  Receivers are completely independent of one another — scaling
-the stage is coordination-free (§6.3).
+them and forward the records — lone, and runs as shipped — to the local
+batchers (round-robin).  They never see the Awareness Table, which the GC
+coordinators gossip among themselves.  Receivers are completely independent
+of one another — scaling the stage is coordination-free (§6.3).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class Receiver(Actor):
             ),
         )
         if message.records:
-            self.records_received += len(message.records)
+            self.records_received += message.record_count()
             index = self._next_batcher
             self._next_batcher = (index + 1) % len(self.batchers)
             self.send(self.batchers[index], FilterBatch(externals=list(message.records)))

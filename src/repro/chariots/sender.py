@@ -16,8 +16,8 @@ retransmission window, and so the back-pressure.
 The log is the only buffer.  It keeps what a stream has yet to ship because
 a maintainer truncates only records every datacenter has incorporated (the
 Awareness Table rule, §6.1), which a peer does only after receiving them;
-that rule alone makes it safe for ``entries_after`` to step over a collected
-prefix (the peer has it) instead of failing the read.
+that rule alone makes it safe for ``MaintainerCore.runs_after`` to step
+over a collected prefix (the peer has it) instead of failing the read.
 
 Shipments carry records only: the Awareness Table travels between the GC
 coordinators (:mod:`repro.chariots.gc`), so a sender never reads it.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import PipelineConfig
-from ..core.record import DatacenterId
+from ..core.record import DatacenterId, Record, RecordItem, count_records
 from ..core.retry import CircuitBreaker, ReplayableRandom
 from ..flstore.messages import ReadNewReply, ReadNewRequest
 from ..runtime.actor import Actor
@@ -182,13 +182,17 @@ class Sender(Actor):
     ) -> None:
         stream.seq = None
         # Direct mode ships local records only (the rest reach the peer from
-        # their own hosts), transitive mode all but the peer's own echoes.
-        records = [
-            record
-            for _lid, record in reply.entries
-            if not record.internal
-            and record.rid.host != dc
-            and (self.transitive or record.rid.host == self.dc_id)
+        # their own hosts), transitive mode all but the peer's own echoes;
+        # neither ships internal records.  A run has one host and no
+        # internal record, so the filter costs one test per run.
+        own = self.dc_id
+        transitive = self.transitive
+        records: List[RecordItem] = [
+            item
+            for _lid, item in reply.entries
+            if item.host != dc
+            and (transitive or item.host == own)
+            and not (type(item) is Record and item.internal)
         ]
         if not records:
             if reply.upto > stream.acked_upto:
@@ -216,7 +220,7 @@ class Sender(Actor):
                 upto_lid=reply.upto,
             ),
         )
-        self.records_shipped += len(records)
+        self.records_shipped += count_records(records)
 
     def _on_ack(self, ack: ShipmentAck) -> None:
         stream = self._streams.get((ack.from_dc, ack.maintainer))

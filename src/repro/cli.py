@@ -50,10 +50,11 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect_journal(args: argparse.Namespace) -> int:
+    from .core.record import split_placements
     from .flstore.journal import _read_runs
 
     runs = list(_read_runs(args.path))  # read-only: a torn tail is skipped, not cut
-    entries = [pair for run in runs for pair in run]
+    entries = [pair for run in runs for pair in split_placements(run)]
     if not entries:
         print(f"{args.path}: empty journal")
         return 0

@@ -27,7 +27,19 @@ pair).  The id range checks run in ``__new__``, also when unpickling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .errors import ConfigurationError
 
@@ -159,6 +171,109 @@ class Record(NamedTuple):
         tag_overhead = sum(len(str(k)) + len(str(v)) for k, v in self.tags)
         dep_overhead = 12 * len(self.deps)
         return body + tag_overhead + dep_overhead + 24  # 24B fixed header
+
+
+@dataclass(slots=True)
+class RecordRun:
+    """Records one queue round sequenced together, as columns.
+
+    A run is ``len(bodies)`` records of one ``host`` with consecutive TOIds
+    from ``first_toid``, one shared ``deps`` tuple (the queue computes it
+    once per round) and the ``bodies`` and ``tags`` columns (lists, one
+    entry per record).  It is the unit of work from the queue to the remote
+    datacenter's maintainer — sequenced, placed, stored, shipped and
+    admitted whole, the way a Kafka record batch is a base offset plus
+    deltas.  :meth:`records` splits it back into :class:`Record` values,
+    which only the read API, the oracle and the applications build.
+    A run holds at least one record, and never an internal one.
+    """
+
+    host: DatacenterId
+    first_toid: int
+    deps: Tuple[Tuple[DatacenterId, int], ...]
+    bodies: List[Any]
+    tags: List[Tuple[Tuple[str, Any], ...]]
+
+    def __post_init__(self) -> None:
+        if self.first_toid < 1:
+            raise ConfigurationError(f"TOIds start at 1, got {self.first_toid}")
+        if not self.bodies:
+            raise ConfigurationError("a record run holds at least one record")
+
+    def __len__(self) -> int:
+        return len(self.bodies)
+
+    @property
+    def end_toid(self) -> int:
+        """The TOId after the run's last record."""
+        return self.first_toid + len(self.bodies)
+
+    def records(self) -> List[Record]:
+        """The run's records, in TOId order."""
+        host = self.host
+        deps = self.deps
+        new = _tuple_new
+        return [
+            new(Record, (new(RecordId, (host, toid)), body, tags, deps, False))
+            for toid, body, tags in zip(
+                range(self.first_toid, self.end_toid), self.bodies, self.tags
+            )
+        ]
+
+    def slice(self, start: int, stop: int) -> "RecordRun":
+        """Records ``start`` to ``stop - 1`` of the run, as a run."""
+        return RecordRun(
+            self.host,
+            self.first_toid + start,
+            self.deps,
+            self.bodies[start:stop],
+            self.tags[start:stop],
+        )
+
+    def size_bytes(self, default_body_size: int = 512) -> int:
+        """The sum of :meth:`Record.size_bytes` over the run's records."""
+        body = 0
+        for value in self.bodies:
+            if isinstance(value, bytes):
+                body += len(value)
+            elif isinstance(value, str):
+                body += len(value.encode("utf-8"))
+            else:
+                body += default_body_size
+        tag_overhead = sum(len(str(k)) + len(str(v)) for tags in self.tags for k, v in tags)
+        return body + tag_overhead + (12 * len(self.deps) + 24) * len(self.bodies)
+
+
+#: What carries records between stages: a lone record, or a run of them.
+RecordItem = Union[Record, RecordRun]
+
+
+def count_records(items: Iterable[RecordItem]) -> int:
+    """How many records ``items`` hold (a run counts its records)."""
+    return sum(len(item) if isinstance(item, RecordRun) else 1 for item in items)
+
+
+def split_runs(items: Iterable[RecordItem]) -> List[Record]:
+    """``items`` as lone records, runs split in place."""
+    records: List[Record] = []
+    for item in items:
+        if isinstance(item, RecordRun):
+            records += item.records()
+        else:
+            records.append(item)
+    return records
+
+
+def split_placements(
+    placements: Iterable[Tuple[int, RecordItem]]
+) -> Iterator[Tuple[int, Record]]:
+    """``(lid, item)`` placements as ``(lid, record)`` pairs: a run placed
+    at ``lid`` holds LIds ``lid`` to ``lid + len(run) - 1``."""
+    for lid, item in placements:
+        if isinstance(item, RecordRun):
+            yield from zip(range(lid, lid + len(item)), item.records())
+        else:
+            yield lid, item
 
 
 class _LogEntryFields(NamedTuple):

@@ -16,7 +16,10 @@ recursive pass that appends struct-packed bytes directly.
 * containers: lists, tuples, and dicts with 4-byte counts — dict keys are
   arbitrary encoded values, not just strings;
 * hot value types: ``Record``, ``RecordId``, ``LogEntry`` and
-  ``AppendResult`` get bespoke packed layouts;
+  ``AppendResult`` get bespoke packed layouts; a ``RecordRun`` (tag
+  ``0x17``) is its scalars — host, first TOId, count — then the columns of
+  a record run (one shared deps tuple, the bodies, the tags), so it costs
+  O(1) Python calls whatever its length;
 * runs (tag ``0x16``): a list of records, ``(lid, record)`` placements,
   log entries, append results or ``(key, value, lid)`` tag postings packed
   **a column per list** — ids as one ``struct`` each, hosts / keys / whole
@@ -30,7 +33,7 @@ recursive pass that appends struct-packed bytes directly.
   shape cannot hold exactly, keeps the per-element layout byte for byte;
 * extension types: a layer above ``core`` that defines value types of its
   own (the network layer's ``DraftRecord``, ``RecordBatch`` and protocol
-  messages, and the two run shapes made of them) installs their layouts in
+  messages, and the draft run shape) installs their layouts in
   :data:`_TYPE_ENCODERS`, :data:`_TAG_DECODERS`, :data:`_RUN_SHAPES` and
   :data:`_RUN_OF` when it is imported.  Nothing in this module depends on
   what is installed.
@@ -50,7 +53,7 @@ from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import NetworkProtocolError
-from .record import AppendResult, LogEntry, Record, RecordId
+from .record import AppendResult, LogEntry, Record, RecordId, RecordRun
 
 # The record model's types are tuples: a decoder builds one with a single
 # C-level ``_tuple_new(T, (...))``, after making the range checks the types'
@@ -89,12 +92,14 @@ _T_RECORD_ID = 0x11
 _T_LOG_ENTRY = 0x12
 _T_APPEND_RESULT = 0x13
 _T_RUN = 0x16
+_T_RECORD_RUN = 0x17
 
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 _I64_LIMIT = 1 << 63  # ints in [-_I64_LIMIT, _I64_LIMIT) take the i64 form
 _F64 = struct.Struct(">d")
 _I64U8 = struct.Struct(">qB")  # (toid, internal) pair in the Record layout
+_I64U32 = struct.Struct(">qI")  # (first toid, count) in the RecordRun layout
 
 _pack_u32 = _U32.pack
 _pack_i64 = _I64.pack
@@ -104,6 +109,7 @@ _unpack_u32 = _U32.unpack_from
 _unpack_i64 = _I64.unpack_from
 _unpack_f64 = _F64.unpack_from
 _unpack_i64u8 = _I64U8.unpack_from
+_unpack_i64u32 = _I64U32.unpack_from
 
 # --------------------------------------------------------------------- #
 # Extension types
@@ -296,7 +302,8 @@ _RUN_MIN = 8
 _NOT_A_RUN = (AttributeError, TypeError, ValueError, struct.error)
 
 #: Shapes of a columnar run (the ``u8`` after the 0x16 tag): what one
-#: element of the list is.  3 and 4 are the network layer's.
+#: element of the list is.  3 is the network layer's; 4 (a commit, before
+#: commits travelled as runs) is retired.
 _RUN_RECORD = 0  # Record
 _RUN_PLACEMENT = 1  # (lid, Record)
 _RUN_ENTRY = 2  # LogEntry
@@ -954,6 +961,54 @@ def _dec_positions(buf: bytes, pos: int, n: int) -> Tuple[Sequence[int], int]:
     if max(positions) >= n:
         raise NetworkProtocolError("run sparse position out of range")
     return positions, pos + 4 * count
+
+
+# --------------------------------------------------------------------- #
+# RecordRun: scalars plus the record columns
+# --------------------------------------------------------------------- #
+
+
+def _enc_record_run_value(run: RecordRun, out: bytearray) -> None:
+    """Tag, host, first TOId and count, then the columns a record run
+    packs (:func:`_enc_payload_columns`) with a one-entry deps table and no
+    internal record: a handful of C-level passes whatever the length."""
+    out.append(_T_RECORD_RUN)
+    host = run.host.encode("utf-8")
+    _enc_len(len(host), out)
+    out += host
+    n = len(run.bodies)
+    out += _pack_i64(run.first_toid)
+    out += _pack_u32(n)
+    _enc_payload_columns((run.deps,) * n, (), run.bodies, run.tags, out)
+
+
+def _dec_record_run_value(buf: Any, pos: int) -> Tuple[RecordRun, int]:
+    if type(buf) is not bytes:
+        buf = bytes(buf)  # the top-level value of a memoryview
+    n = buf[pos]
+    pos += 1
+    if n == 255:
+        (n,) = _unpack_u32(buf, pos)
+        pos += 4
+    raw = buf[pos : pos + n]
+    host = _DC_CACHE.get(raw)
+    if host is None:
+        host = _intern_dc(raw)
+    pos += n
+    first_toid, count = _unpack_i64u32(buf, pos)
+    pos += 12
+    if first_toid < 1:
+        raise NetworkProtocolError(f"TOIds start at 1, got {first_toid}")
+    if count < 1 or 4 * count > len(buf) - pos:  # a u32 body length each
+        raise NetworkProtocolError(f"a record run of {count} does not fit its frame")
+    deps, internal, bodies, tags, pos = _dec_payload_columns(buf, pos, count)
+    if type(deps) is not repeat or any(internal):
+        raise NetworkProtocolError("a record run has one deps tuple and no internal record")
+    return RecordRun(host, first_toid, next(iter(deps)), bodies, tags), pos
+
+
+_TYPE_ENCODERS[RecordRun] = _enc_record_run_value
+_TAG_DECODERS[_T_RECORD_RUN] = _dec_record_run_value
 
 
 def _decode_value(buf: bytes, pos: int) -> Tuple[Any, int]:

@@ -4,12 +4,17 @@ A maintainer owns the LId ranges the :class:`~repro.flstore.range_map.OwnershipP
 assigns it.  In **post-assignment** mode (standalone FLStore) it assigns the
 next free owned LId to each record it receives — no sequencer, no
 coordination.  In **placed** mode (under the Chariots pipeline) the queue
-stage pre-assigns LIds and the maintainer simply stores records at the
-requested positions, tolerating out-of-order arrival.
+stage pre-assigns LIds and the maintainer simply stores records — whole
+runs of them — at the requested positions, tolerating out-of-order arrival.
+
+The log is stored as one columnar segment per owned round (LogBase's log
+segments): records go in as runs with one slice assignment per column,
+and ``Record`` / ``LogEntry`` values are built only when they are read.
 
 The maintainer also participates in the head-of-log gossip (§5.4), serves
 reads, feeds tag postings to the indexers (§5.3), hands new entries to
-replication senders, and truncates garbage-collected prefixes (§6.1).
+replication senders as runs cut from the columns, and truncates
+garbage-collected prefixes (§6.1).
 
 ``MaintainerCore`` is pure protocol logic (no I/O); :class:`LogMaintainer`
 adapts it to the actor runtimes, and ``repro.net`` adapts it to asyncio TCP.
@@ -17,7 +22,11 @@ adapts it to the actor runtimes, and ``repro.net`` adapts it to asyncio TCP.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from ..core.config import FLStoreConfig
@@ -31,7 +40,17 @@ from ..core.errors import (
     NotOwnerError,
 )
 from ..core.hashing import champion
-from ..core.record import AppendResult, DatacenterId, LogEntry, ReadRules, Record
+from ..core.record import (
+    AppendResult,
+    DatacenterId,
+    LogEntry,
+    ReadRules,
+    Record,
+    RecordId,
+    RecordItem,
+    RecordRun,
+    split_placements,
+)
 from ..runtime.actor import Actor
 from ..runtime.messages import RecordBatch
 from .messages import (
@@ -55,7 +74,92 @@ from .range_map import OwnershipPlan
 _INF = float("inf")
 _tuple_new = tuple.__new__
 
-Placements = List[Tuple[int, Record]]
+#: ``(lid, item)`` pairs: a record at ``lid``, or a run from ``lid`` on.
+Placements = List[Tuple[int, RecordItem]]
+
+_record_columns = attrgetter("rid.host", "rid.toid", "body", "tags", "deps", "internal")
+
+
+class _Segment:
+    """One owned round of the log, as columns: position ``i`` holds LId
+    ``base + i``.
+
+    The columns grow as far as the round is filled, up to ``end - base``
+    positions.  A ``None`` host marks a hole (never placed, or collected).
+    ``starts`` marks where each stored run or lone record begins, so a read
+    cuts runs with C-level searches.  Whatever its length, a segment is a
+    handful of objects the cyclic collector tracks: bodies are ``bytes``,
+    tags and deps exact tuples of scalars, TOIds an ``array``.
+    """
+
+    __slots__ = ("base", "end", "hosts", "toids", "bodies", "tags", "deps", "internal", "starts")
+
+    def __init__(self, base: int, end: int) -> None:
+        self.base = base
+        self.end = end
+        self.hosts: List[Optional[DatacenterId]] = []
+        self.toids = array("q")
+        self.bodies: List[Any] = []
+        self.tags: List[Any] = []
+        self.deps: List[Any] = []
+        self.internal = bytearray()
+        self.starts = bytearray()
+
+    def _grow(self, size: int) -> None:
+        """Extend every column with holes to ``size`` positions."""
+        k = size - len(self.hosts)
+        if k > 0:
+            self.hosts += [None] * k
+            self.toids.frombytes(bytes(8 * k))
+            self.bodies += [None] * k
+            self.tags += [()] * k
+            self.deps += [()] * k
+            self.internal += bytes(k)
+            self.starts += bytes(k)
+
+    def write_run(self, off: int, run: RecordRun) -> None:
+        """Fill the holes from ``off`` with ``run``: one slice assignment
+        per column."""
+        n = len(run.bodies)
+        end = off + n
+        self._grow(end)
+        self.hosts[off:end] = [run.host] * n
+        self.toids[off:end] = array("q", range(run.first_toid, run.first_toid + n))
+        self.bodies[off:end] = run.bodies
+        self.tags[off:end] = run.tags
+        self.deps[off:end] = [run.deps] * n
+        self.starts[off] = 1
+
+    def write_records(self, off: int, records: List[Record]) -> None:
+        """Fill the holes from ``off`` with lone ``records``."""
+        end = off + len(records)
+        self._grow(end)
+        hosts, toids, bodies, tags, deps, internal = zip(*map(_record_columns, records))
+        self.hosts[off:end] = hosts
+        self.toids[off:end] = array("q", toids)
+        self.bodies[off:end] = bodies
+        self.tags[off:end] = tags
+        self.deps[off:end] = deps
+        self.internal[off:end] = bytes(internal)
+        self.starts[off:end] = b"\x01" * len(records)
+
+    def record(self, off: int) -> Record:
+        new = _tuple_new
+        rid = new(RecordId, (self.hosts[off], self.toids[off]))
+        return new(
+            Record,
+            (rid, self.bodies[off], self.tags[off], self.deps[off], self.internal[off] == 1),
+        )
+
+    def clear(self, off: int) -> None:
+        """Collect position ``off``: it becomes a hole."""
+        self.hosts[off] = None
+        self.toids[off] = 0
+        self.bodies[off] = None
+        self.tags[off] = ()
+        self.deps[off] = ()
+        self.internal[off] = 0
+        self.starts[off] = 0
 
 
 class RunSink(Protocol):
@@ -95,7 +199,11 @@ class MaintainerCore:
         self.set_journal(journal)
         #: Cold storage (§6.1): each truncation's evicted records, as one run.
         self._archive = archive
-        self._storage: Dict[int, Record] = {}
+        #: The stored log: one segment per owned round, in LId order, and
+        #: their base LIds (for bisection).
+        self._segments: List[_Segment] = []
+        self._bases: List[int] = []
+        self._stored = 0
         first = plan.first_owned_lid(name)
         #: First owned LId not yet filled (post-assign cursor / placed frontier).
         self._next_unassigned: Optional[int] = first
@@ -189,21 +297,15 @@ class MaintainerCore:
         placements: Placements = []
         try:
             start = self._bulk_run_start(len(records))
-            if start is not None:
+            if start is not None and records:
                 end = start + len(records)
                 placements = list(zip(range(start, end), records))
-                storage = self._storage
-                postings = self._pending_postings
-                for lid, record in placements:
-                    storage[lid] = record
-                    for key, value in record.tags:
-                        postings.append((key, value, lid))
-                self._max_stored_lid = end - 1
+                self._write_records(start, records)
                 self._finish_bulk_run(end)
             else:
                 for record in records:
                     lid = self._take_next_lid()
-                    self._put(lid, record)
+                    self._write(lid, record)
                     placements.append((lid, record))
         finally:
             self.records_appended += len(placements)
@@ -231,18 +333,29 @@ class MaintainerCore:
         """Move the cursor to the next owned LId after it that is not filled,
         skipping placed records that arrived ahead of the frontier."""
         assert self._next_unassigned is not None
-        storage = self._storage
         cursor: Optional[int] = self._next_unassigned + 1
-        # Owned LIds are consecutive inside a round: pay the plan lookup only
-        # when the walk leaves the cached round.
+        # Owned LIds are consecutive inside a round: find the round's next
+        # hole with one scan of its hosts column, and pay the plan lookup
+        # only when the walk leaves the cached round.
         while cursor is not None:
             if cursor >= self._round_end:
                 cursor = self._next_unassigned = self.plan.next_owned_lid(self.name, cursor - 1)
                 self._refresh_round_end()
-            elif cursor in storage:
-                cursor += 1
-            else:
+                continue
+            segment = self._segment_at(cursor)
+            if segment is None:
                 break
+            hosts = segment.hosts
+            off = cursor - segment.base
+            if off >= len(hosts):
+                break
+            try:
+                cursor = segment.base + hosts.index(None, off)
+                break
+            except ValueError:
+                cursor = segment.base + len(hosts)
+                if cursor < self._round_end:
+                    break
         self._next_unassigned = cursor
         self._sync_self_vector()
 
@@ -309,9 +422,9 @@ class MaintainerCore:
             raise NotOwnerError(lid, self.name)
         if self._gc_floor is not None and lid < self._gc_floor:
             return False  # already garbage collected; re-placement is a no-op
-        existing = self._storage.get(lid)
+        existing = self.try_get(lid)
         if existing is not None:
-            if existing.rid == record.rid:
+            if existing.record.rid == record.rid:
                 return False
             raise ImmutabilityError(lid)
         self._store(lid, record)
@@ -320,58 +433,126 @@ class MaintainerCore:
             self._advance_cursor()
         return True
 
-    def place_run(self, placements: List[Tuple[int, Record]]) -> None:
-        """Store a batch of queue-assigned placements.
+    def place_run(self, placements: Placements) -> None:
+        """Store a batch of queue-assigned placements: ``(lid, record)``
+        pairs and ``(lid, run)`` runs.
 
-        Same outcome as :meth:`place` on each pair in turn (stored records,
-        postings, journaled pairs and their order, cursor, and the error
-        raised — with the pairs before it stored and journaled), but
-        ownership is checked once per run of LIds with one owner, the cursor
-        moves once per call, and the newly stored pairs reach the journal as
-        one run — one block of a :class:`~repro.flstore.journal.FileJournal`,
-        on the file before this returns.  Duplicates and garbage-collected
-        positions take the per-record path.
+        Same outcome as :meth:`place` on each record in turn (stored
+        records, postings, cursor, and the error raised — with the records
+        before it stored and journaled), but ownership is checked once per
+        run of LIds with one owner, a run goes into its segment with one
+        slice assignment per column, the cursor moves once per call, and the
+        newly stored placements — runs as they came — reach the journal as
+        one run: one block of a :class:`~repro.flstore.journal.FileJournal`,
+        on the file before this returns.  A run is split only where
+        ownership changes; duplicates and garbage-collected positions take
+        the per-record path.
         """
         plan = self.plan
-        storage = self._storage
-        postings = self._pending_postings
+        name = self.name
         floor = self._gc_floor or 0
         run_start = run_end = -1  # LIds in [run_start, run_end) are owned
-        newest = self._max_stored_lid
         stored: Placements = []
+        placed = 0
         try:
-            for pair in placements:
-                lid, record = pair
-                if not run_start <= lid < run_end:
-                    if plan.owner(lid) != self.name:
-                        raise NotOwnerError(lid, self.name)
-                    run_start, run_end = lid, plan.owned_run_end(lid)
-                if lid in storage or lid < floor:
-                    self.place(lid, record)  # no-op, or ImmutabilityError
-                    continue
-                storage[lid] = record
-                if lid > newest:
-                    newest = lid
-                for key, value in record.tags:
-                    postings.append((key, value, lid))
-                stored.append(pair)
+            for lid, item in placements:
+                n = len(item) if type(item) is RecordRun else 1
+                done = 0
+                while done < n:
+                    at = lid + done
+                    if not run_start <= at < run_end:
+                        if plan.owner(at) != name:
+                            raise NotOwnerError(at, name)
+                        run_start, run_end = at, plan.owned_run_end(at)
+                    take = min(n - done, run_end - at)
+                    part: RecordItem = item
+                    if take < n:
+                        part = item.slice(done, done + take)  # type: ignore[union-attr]
+                    done += take
+                    if at >= floor and (at > self._max_stored_lid or self._holes(at, take)):
+                        self._write(at, part)
+                        stored.append((at, part))
+                        placed += take
+                        continue
+                    records = part.records() if isinstance(part, RecordRun) else [part]
+                    for pos, record in enumerate(records, at):
+                        if pos < floor or self.try_get(pos) is not None:
+                            self.place(pos, record)  # no-op, or ImmutabilityError
+                            continue
+                        self._write(pos, record)
+                        stored.append((pos, record))
+                        placed += 1
         finally:
-            self._max_stored_lid = newest
-            self.records_placed += len(stored)
-            if self._next_unassigned in storage:
+            self.records_placed += placed
+            cursor = self._next_unassigned
+            if cursor is not None and self.try_get(cursor) is not None:
                 self._advance_cursor()
             if stored and self._journal_run is not None:
                 self._journal_run(stored)
 
-    def _put(self, lid: int, record: Record) -> None:
-        self._storage[lid] = record
-        if lid > self._max_stored_lid:
-            self._max_stored_lid = lid
-        for key, value in record.tags:
-            self._pending_postings.append((key, value, lid))
+    # ------------------------------------------------------------------ #
+    # Segments
+    # ------------------------------------------------------------------ #
+
+    def _segment_at(self, lid: int) -> Optional[_Segment]:
+        """The segment whose round holds ``lid``, if one exists."""
+        index = bisect_right(self._bases, lid) - 1
+        if index >= 0:
+            segment = self._segments[index]
+            if lid < segment.end:
+                return segment
+        return None
+
+    def _segment_for(self, lid: int) -> _Segment:
+        """The segment whose round holds the owned ``lid``, made if new."""
+        segment = self._segment_at(lid)
+        if segment is None:
+            base = self.plan.owned_run_start(lid)
+            segment = _Segment(base, self.plan.owned_run_end(lid))
+            index = bisect_right(self._bases, base)
+            self._bases.insert(index, base)
+            self._segments.insert(index, segment)
+        return segment
+
+    def _holes(self, lid: int, count: int) -> bool:
+        """Whether LIds ``lid`` to ``lid + count - 1`` (one round's) are all
+        unfilled."""
+        segment = self._segment_at(lid)
+        if segment is None:
+            return True
+        off = lid - segment.base
+        window = segment.hosts[off : off + count]
+        return window.count(None) == len(window)
+
+    def _write(self, lid: int, item: RecordItem) -> None:
+        """Store ``item`` in the holes from ``lid`` (one round's)."""
+        if isinstance(item, RecordRun):
+            segment = self._segment_for(lid)
+            segment.write_run(lid - segment.base, item)
+            self._written(lid, item.tags)
+        else:
+            self._write_records(lid, [item])
+
+    def _write_records(self, lid: int, records: List[Record]) -> None:
+        """Store lone ``records`` in the holes from ``lid`` (one round's)."""
+        segment = self._segment_for(lid)
+        segment.write_records(lid - segment.base, records)
+        self._written(lid, [record.tags for record in records])
+
+    def _written(self, lid: int, tags: List[Any]) -> None:
+        """Count the records just stored from ``lid``, whose tags are
+        ``tags``, and queue their postings."""
+        self._stored += len(tags)
+        last = lid + len(tags) - 1
+        if last > self._max_stored_lid:
+            self._max_stored_lid = last
+        postings = self._pending_postings
+        for off in compress(range(len(tags)), tags):
+            for key, value in tags[off]:
+                postings.append((key, value, lid + off))
 
     def _store(self, lid: int, record: Record) -> None:
-        self._put(lid, record)
+        self._write(lid, record)
         if self._journal_run is not None:
             self._journal_run([(lid, record)])
 
@@ -386,9 +567,9 @@ class MaintainerCore:
             # Distinguish "collected" from "we never owned it before epoch".
             if lid >= (self.plan.first_owned_lid(self.name) or 0):
                 raise GarbageCollectedError(lid, self._gc_floor)
-        record = self._storage.get(lid)
-        if record is not None:
-            return LogEntry(lid, record)
+        entry = self.try_get(lid)
+        if entry is not None:
+            return entry
         if lid < self._max_stored_lid:
             raise GapError(lid)
         raise LidOutOfRangeError(lid, self._max_stored_lid)
@@ -406,63 +587,132 @@ class MaintainerCore:
         return entries, error
 
     def try_get(self, lid: int) -> Optional[LogEntry]:
-        record = self._storage.get(lid)
-        return None if record is None else LogEntry(lid, record)
+        segment = self._segment_at(lid)
+        if segment is not None:
+            off = lid - segment.base
+            if off < len(segment.hosts) and segment.hosts[off] is not None:
+                return _tuple_new(LogEntry, (lid, segment.record(off)))
+        return None
 
     def read(self, rules: ReadRules) -> List[LogEntry]:
-        """Rule-scan this maintainer's slice of the log."""
-        lids = sorted(self._storage, reverse=rules.most_recent)
+        """Rule-scan this maintainer's slice of the log, segment by segment
+        in the rules' direction."""
         matches: List[LogEntry] = []
-        for lid in lids:
-            entry = LogEntry(lid, self._storage[lid])
-            if rules.matches(entry):
-                matches.append(entry)
-                if rules.limit is not None and len(matches) >= rules.limit:
-                    break
+        backwards = rules.most_recent
+        for segment in reversed(self._segments) if backwards else self._segments:
+            hosts = segment.hosts
+            base = segment.base
+            offsets = range(len(hosts) - 1, -1, -1) if backwards else range(len(hosts))
+            for off in offsets:
+                if hosts[off] is None:
+                    continue
+                entry = _tuple_new(LogEntry, (base + off, segment.record(off)))
+                if rules.matches(entry):
+                    matches.append(entry)
+                    if rules.limit is not None and len(matches) >= rules.limit:
+                        return matches
         return matches
+
+    def runs_after(
+        self, after_lid: int, limit: int = 4096, host: Optional[DatacenterId] = None
+    ) -> Tuple[Placements, int]:
+        """Owned records with LId > ``after_lid``, below the placed
+        frontier, as ``(lid, item)`` placements cut from the columns: a run
+        wherever host, deps, TOIds and LIds continue (at most ``limit``
+        records in all), an internal record alone.
+
+        Only the gap-free owned prefix is returned so replication senders
+        never ship around holes.  Returns (placements, highest safe LId).
+        With ``host``, records created elsewhere are walked over (the safe
+        LId advances past them) but not returned.  A collected prefix is
+        stepped over: the peer has it.
+        """
+        items: Placements = []
+        upto = after_lid
+        plan = self.plan
+        name = self.name
+        next_un = self._next_unassigned
+        floor = self._gc_floor
+        lid = plan.next_owned_lid(name, after_lid)
+        if lid is not None and lid < 0:  # a LogEntry's check; the walk only climbs
+            raise ConfigurationError(f"LIds are non-negative, got {lid}")
+        while lid is not None and floor is not None and lid < floor:
+            run_end = plan.owned_run_end(lid)
+            stop = min(run_end, floor)
+            upto = stop - 1
+            lid = stop if stop < run_end else plan.next_owned_lid(name, run_end - 1)
+        count = 0
+        #: The last run returned and the LId after it: a stored run that
+        #: continues it (host, TOIds, deps, LIds) extends it.
+        tail: Optional[RecordRun] = None
+        tail_end = -1
+        while lid is not None and count < limit:
+            if next_un is not None and lid >= next_un:
+                break
+            segment = self._segment_at(lid)
+            if segment is None:
+                break  # a hole: stop at the frontier
+            base = segment.base
+            hosts = segment.hosts
+            off = lid - base
+            stop = len(hosts)
+            if next_un is not None:
+                stop = min(stop, next_un - base)
+            else:
+                try:
+                    stop = hosts.index(None, off, stop)
+                except ValueError:
+                    pass
+            if off >= stop:
+                break
+            starts = segment.starts
+            while off < stop and count < limit:
+                cut = starts.find(1, off + 1, stop)
+                if cut < 0:
+                    cut = stop
+                record_host = hosts[off]
+                if host is None or record_host == host:
+                    at = base + off
+                    if segment.internal[off]:
+                        take = 1
+                        items.append((at, segment.record(off)))
+                        tail = None
+                    else:
+                        take = min(cut - off, limit - count)
+                        first_toid = segment.toids[off]
+                        deps = segment.deps[off]
+                        bodies = segment.bodies[off : off + take]
+                        tags = segment.tags[off : off + take]
+                        if (
+                            tail is not None
+                            and tail_end == at
+                            and tail.host == record_host
+                            and tail.end_toid == first_toid
+                            and tail.deps == deps
+                        ):
+                            tail.bodies += bodies
+                            tail.tags += tags
+                        else:
+                            tail = RecordRun(record_host, first_toid, deps, bodies, tags)  # type: ignore[arg-type]
+                            items.append((at, tail))
+                        tail_end = at + take
+                    count += take
+                    off += take
+                else:
+                    off = cut
+                upto = base + off - 1
+            if off < segment.end - base:
+                lid = base + off
+            else:
+                lid = plan.next_owned_lid(name, segment.end - 1)
+        return items, upto
 
     def entries_after(
         self, after_lid: int, limit: int = 4096, host: Optional[DatacenterId] = None
     ) -> Tuple[List[LogEntry], int]:
-        """Owned entries with LId > ``after_lid``, below the placed frontier.
-
-        Only the gap-free owned prefix is returned so replication senders
-        never ship around holes.  Returns (entries, highest safe LId).
-        With ``host``, entries of records created elsewhere are walked over
-        (the safe LId advances past them) but not returned.
-        """
-        entries: List[LogEntry] = []
-        upto = after_lid
-        plan = self.plan
-        storage = self._storage
-        next_un = self._next_unassigned
-        gc_floor = self._gc_floor
-        lid = plan.next_owned_lid(self.name, after_lid)
-        if lid is not None and lid < 0:  # LogEntry's check; the walk only climbs
-            raise ConfigurationError(f"LIds are non-negative, got {lid}")
-        new = _tuple_new
-        # Owned LIds are consecutive within a round, so walk runs with
-        # ``lid += 1`` and pay the plan lookup only at run boundaries.
-        while lid is not None and len(entries) < limit:
-            run_end = plan.owned_run_end(lid)
-            while lid < run_end and len(entries) < limit:
-                if next_un is not None and lid >= next_un:
-                    return entries, upto
-                record = storage.get(lid)
-                if record is None:
-                    if gc_floor is not None and lid < gc_floor:
-                        # Collected prefix: skip forward, the peer has it.
-                        upto = lid
-                        lid += 1
-                        continue
-                    return entries, upto  # hole: stop at the frontier
-                if host is None or record.rid.host == host:
-                    entries.append(new(LogEntry, (lid, record)))
-                upto = lid
-                lid += 1
-            if lid >= run_end:
-                lid = plan.next_owned_lid(self.name, run_end - 1)
-        return entries, upto
+        """:meth:`runs_after`, as one ``LogEntry`` per record."""
+        items, upto = self.runs_after(after_lid, limit, host)
+        return [_tuple_new(LogEntry, pair) for pair in split_placements(items)], upto
 
     # ------------------------------------------------------------------ #
     # Head-of-log gossip (§5.4)
@@ -519,20 +769,33 @@ class MaintainerCore:
         while lid is not None:
             if self._next_unassigned is not None and lid >= self._next_unassigned:
                 break
-            record = self._storage.get(lid)
-            if record is None:
+            segment = self._segment_at(lid)
+            if segment is None:
                 break
-            if not record.internal:
-                if toid_frontier.get(record.host, 0) < record.toid:
+            off = lid - segment.base
+            if off >= len(segment.hosts) or segment.hosts[off] is None:
+                break
+            internal = segment.internal[off]
+            if not internal:
+                if toid_frontier.get(segment.hosts[off], 0) < segment.toids[off]:  # type: ignore[arg-type]
                     break
-            if evicted is not None and not record.internal:
-                evicted.append((lid, record))
-            del self._storage[lid]
-            dropped += 1
-            if not record.internal:
+                if evicted is not None:
+                    evicted.append((lid, segment.record(off)))
                 self.records_collected += 1
+            segment.clear(off)
+            self._stored -= 1
+            dropped += 1
             lid = self.plan.next_owned_lid(self.name, lid)
         self._gc_floor = lid
+        # The segments wholly below the floor are empty: drop them.
+        if lid is None:
+            emptied = len(self._segments)
+        else:
+            emptied = bisect_right(self._bases, lid)
+            if emptied and self._segments[emptied - 1].end > lid:
+                emptied -= 1
+        del self._segments[:emptied]
+        del self._bases[:emptied]
         if archive is not None and evicted:
             archive.append_run(evicted)
         return dropped
@@ -554,10 +817,17 @@ class MaintainerCore:
         return self._max_stored_lid
 
     def stored_count(self) -> int:
-        return len(self._storage)
+        return self._stored
 
     def stored_entries(self) -> List[LogEntry]:
-        return [LogEntry(lid, self._storage[lid]) for lid in sorted(self._storage)]
+        """Every stored record, as entries in LId order."""
+        new = _tuple_new
+        return [
+            new(LogEntry, (segment.base + off, segment.record(off)))
+            for segment in self._segments
+            for off, host in enumerate(segment.hosts)
+            if host is not None
+        ]
 
 
 class LogMaintainer(Actor):
@@ -640,10 +910,8 @@ class LogMaintainer(Actor):
         elif isinstance(message, ReadRequest):
             self._handle_read(sender, message)
         elif isinstance(message, ReadNewRequest):
-            entries, upto = self.core.entries_after(
-                message.after_lid, message.limit, message.host
-            )
-            self.send(sender, ReadNewReply(message.request_id, entries, upto))
+            items, upto = self.core.runs_after(message.after_lid, message.limit, message.host)
+            self.send(sender, ReadNewReply(message.request_id, items, upto))
         elif isinstance(message, HeadRequest):
             self.send(sender, HeadReply(message.request_id, self.core.head_of_log()))
         elif isinstance(message, RecordBatch):

@@ -9,8 +9,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.record import AppendResult, DatacenterId, LogEntry, ReadRules, Record
+from ..core.record import (
+    AppendResult,
+    DatacenterId,
+    LogEntry,
+    ReadRules,
+    Record,
+    RecordItem,
+    count_records,
+)
 from ..runtime.messages import Payload
+
+
+def _placed_count(placements: List[Tuple[int, RecordItem]]) -> int:
+    """Records in ``(lid, item)`` placements (a run counts its records)."""
+    return count_records(item for _lid, item in placements)
+
+
+def _placed_size(placements: List[Tuple[int, RecordItem]], record_size: int) -> int:
+    """64 bytes, then 8 per record (its LId) plus the record's size."""
+    return 64 + 8 * _placed_count(placements) + sum(
+        item.size_bytes(record_size) for _lid, item in placements
+    )
 
 # --------------------------------------------------------------------- #
 # Appends
@@ -46,15 +66,18 @@ class AppendReply(Payload):
 
 @dataclass(slots=True)
 class PlaceRecords(Payload):
-    """Queue → maintainer: store records at pre-assigned LIds (Chariots mode)."""
+    """Queue → maintainer: store records at pre-assigned LIds (Chariots mode).
 
-    placements: List[Tuple[int, Record]] = field(default_factory=list)
+    A placement ``(lid, run)`` places the run's records at LIds ``lid``
+    onwards; ``(lid, record)`` places one record."""
+
+    placements: List[Tuple[int, RecordItem]] = field(default_factory=list)
 
     def record_count(self) -> int:
-        return len(self.placements)
+        return _placed_count(self.placements)
 
     def wire_size(self, record_size: int = 512) -> int:
-        return 64 + sum(8 + record.size_bytes(record_size) for _lid, record in self.placements)
+        return _placed_size(self.placements, record_size)
 
 
 # --------------------------------------------------------------------- #
@@ -103,16 +126,20 @@ class ReadNewRequest(Payload):
 
 @dataclass(slots=True)
 class ReadNewReply(Payload):
+    """Maintainer → sender: the entries past ``after_lid``, as ``(lid,
+    item)`` pairs cut from the log's columns — a run wherever host, deps
+    and TOIds continue, else a lone record (a ``LogEntry`` is such a pair)."""
+
     request_id: int
-    entries: List[LogEntry] = field(default_factory=list)
+    entries: List[Tuple[int, RecordItem]] = field(default_factory=list)
     #: Highest contiguously-assigned owned LId at the maintainer.
     upto: int = -1
 
     def record_count(self) -> int:
-        return len(self.entries)
+        return _placed_count(self.entries)
 
     def wire_size(self, record_size: int = 512) -> int:
-        return 64 + sum(8 + e.record.size_bytes(record_size) for e in self.entries)
+        return _placed_size(self.entries, record_size)
 
 
 # --------------------------------------------------------------------- #

@@ -149,6 +149,12 @@ class OwnershipPlan:
         """The maintainer responsible for ``lid`` (pure function, no RPC)."""
         return self.epoch_for(lid).owner(lid)
 
+    def owned_run_start(self, lid: int) -> int:
+        """First LId of the single-owner run (the round) containing ``lid``."""
+        epoch = self.epoch_for(lid)
+        rel = lid - epoch.start_lid
+        return epoch.start_lid + (rel // epoch.batch_size) * epoch.batch_size
+
     def owned_run_end(self, lid: int) -> int:
         """Exclusive end of the single-owner run of LIds containing ``lid``.
 

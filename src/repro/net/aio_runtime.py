@@ -120,9 +120,8 @@ class AioRuntime(BaseRuntime):
     def _pump(self, max_wait: float) -> None:
         """Fire the due timers, then one selector turn that waits at most
         ``max_wait`` seconds (less when a timer falls due sooner)."""
+        self._refuse_stopped()
         self.start()
-        if self._selector is None or not self._conns:
-            raise ConfigurationError("AioRuntime stopped")
         self.loop.fire_due()
         wait = min(max_wait, self.loop.seconds_to_next(max_wait))
         _turn(self._selector, self._conns, wait, self._on_ready)
@@ -138,6 +137,7 @@ class AioRuntime(BaseRuntime):
     def run_until(self, predicate: Callable[[], bool], timeout: float = 60.0) -> float:
         """Run until ``predicate()`` holds (checked after every turn, at
         least every millisecond)."""
+        self._refuse_stopped()
         self.start()
         deadline = self.now + timeout
         while not predicate():

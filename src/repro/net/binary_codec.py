@@ -5,7 +5,7 @@ frame, or inside an envelope of the socket wire that
 :class:`~repro.net.aio_runtime.AioRuntime` and the multiproc runtime share —
 is encoded here.  The value layer (scalars,
 containers, the ``Record`` / ``RecordId`` / ``LogEntry`` / ``AppendResult``
-layouts, and the record / placement / entry / result / posting run shapes)
+/ ``RecordRun`` layouts, and the record / placement / entry / result / posting run shapes)
 lives in :mod:`repro.core.value_codec`, where the storage layer shares it;
 this module installs in it what only the network layer knows:
 
@@ -14,8 +14,8 @@ this module installs in it what only the network layer knows:
 * every registered protocol message (:data:`_MESSAGE_TYPES`, tag ``0x1F``):
   a generic ``(type index, fields...)`` layout over the name-sorted
   registry;
-* the draft and commit run shapes (tag ``0x16``): a list of at least
-  ``_RUN_MIN`` drafts or commits is packed **a column per list** by the
+* the draft run shape (tag ``0x16``): a list of at least
+  ``_RUN_MIN`` drafts is packed **a column per list** by the
   value layer's one list rule (:data:`~repro.core.value_codec._RUN_OF`),
   the rule that packs every other record-bearing list too — in a message
   field, a TCP frame's dict or a journal block alike.
@@ -40,9 +40,9 @@ from typing import Any, Callable, Dict, List, Tuple, Type
 
 from ..baseline.sequencer import ReservedRange, SequencerRequest
 from ..chariots import messages as cmsg
-from ..chariots.messages import DraftCommitted, DraftRecord
+from ..chariots.messages import DraftRecord
 from ..core.errors import NetworkProtocolError
-from ..core.record import AppendResult, LogEntry, ReadRules, Record, RecordId
+from ..core.record import AppendResult, LogEntry, ReadRules, Record, RecordId, RecordRun
 from ..core.value_codec import (
     _MALFORMED,
     _RUN_OF,
@@ -75,11 +75,8 @@ from ..flstore import messages as fmsg
 from ..runtime.messages import RecordBatch
 
 # Decoders build a ``DraftRecord`` (a NamedTuple) with the C-level
-# ``_tuple_new``, and a ``DraftCommitted`` (a slots dataclass) with ``_new``
-# and plain slot stores: both skip a Python-level ``__init__`` / ``__new__``
-# for fields that come straight off the wire (``_new`` and four stores
-# measured about 190 ns a commit, against 250 ns for ``__init__``).
-_new = object.__new__
+# ``_tuple_new``, skipping a Python-level ``__new__`` for fields that come
+# straight off the wire.
 
 #: First byte of every frame body; anything else is not a frame of ours.
 BINARY_MAGIC = 0xC5
@@ -89,9 +86,8 @@ _T_DRAFT = 0x14
 _T_BATCH = 0x15
 _T_MESSAGE = 0x1F
 
-# The run shapes of this layer: what one element of the list is.
+# The run shape of this layer: what one element of the list is.
 _RUN_DRAFT = 3  # DraftRecord
-_RUN_COMMIT = 4  # DraftCommitted
 
 # --------------------------------------------------------------------- #
 # Message-type registry and the deterministic type table derived from it
@@ -127,7 +123,6 @@ _MESSAGE_TYPES: Tuple[Type[Any], ...] = (
     cmsg.AdmittedBatch,
     cmsg.Token,
     cmsg.TokenPass,
-    cmsg.DraftCommitted,
     cmsg.DraftCommitBatch,
     cmsg.FrontierUpdate,
     cmsg.ReplicationShipment,
@@ -144,7 +139,9 @@ _MESSAGE_TYPES: Tuple[Type[Any], ...] = (
 )
 
 #: Types with bespoke binary layouts; they never take the generic path.
-_SPECIAL_CLASSES = (Record, RecordId, LogEntry, AppendResult, DraftRecord, RecordBatch)
+_SPECIAL_CLASSES = (
+    Record, RecordId, RecordRun, LogEntry, AppendResult, DraftRecord, RecordBatch
+)
 
 #: Everything else gets a type index: its position in name order, so the
 #: table does not depend on the order of the registry above.
@@ -363,11 +360,8 @@ def _dec_message(buf: Any, pos: int) -> Tuple[Any, int]:
 
 
 # --------------------------------------------------------------------- #
-# The draft and commit run shapes
+# The draft run shape
 # --------------------------------------------------------------------- #
-
-_commit_columns = attrgetter("client", "seq", "rid", "lid")
-
 
 def _enc_draft_run(items: List[Any], out: bytearray) -> None:
     _all_of(DraftRecord, items)
@@ -385,41 +379,6 @@ def _dec_draft_run(buf: bytes, pos: int, n: int) -> Tuple[List[Any], int]:
     return list(map(_tuple_new, repeat(DraftRecord, n), fields)), pos
 
 
-def _enc_commit_run(items: List[Any], out: bytearray) -> None:
-    """The five columns of a ``DraftCommitted`` run (it has no payload)."""
-    _all_of(DraftCommitted, items)
-    i64s = ">%dq" % len(items)
-    clients, seqs, rids, lids = zip(*map(_commit_columns, items))
-    _all_of(RecordId, rids)
-    hosts = [rid.host for rid in rids]
-    toids = [rid.toid for rid in rids]
-    _enc_str_column(clients, out)
-    out += struct.pack(i64s, *seqs)
-    _enc_str_column(hosts, out)
-    out += struct.pack(i64s, *toids)
-    out += struct.pack(i64s, *lids)
-
-
-def _dec_commit_run(buf: bytes, pos: int, n: int) -> Tuple[List[Any], int]:
-    i64s = ">%dq" % n
-    clients, pos = _dec_str_column(buf, pos, n, False)
-    seqs = struct.unpack_from(i64s, buf, pos)
-    hosts, pos = _dec_str_column(buf, pos + 8 * n, n, True)
-    toids = struct.unpack_from(i64s, buf, pos)
-    lids = struct.unpack_from(i64s, buf, pos + 8 * n)
-    if n and min(toids) < 1:
-        raise NetworkProtocolError(f"TOIds start at 1, got {min(toids)}")
-    commits = []
-    for client, seq, host, toid, lid in zip(clients, seqs, hosts, toids, lids):
-        commit = _new(DraftCommitted)
-        commit.client = client
-        commit.seq = seq
-        commit.rid = _tuple_new(RecordId, (host, toid))
-        commit.lid = lid
-        commits.append(commit)
-    return commits, pos + 16 * n
-
-
 # --------------------------------------------------------------------- #
 # Installing this layer's types in the value layer
 # --------------------------------------------------------------------- #
@@ -430,11 +389,9 @@ _TYPE_ENCODERS.update(dict.fromkeys(_MSG_ENCODERS, _enc_message))
 _TAG_DECODERS[_T_DRAFT] = _dec_draft
 _TAG_DECODERS[_T_BATCH] = _dec_batch
 _TAG_DECODERS[_T_MESSAGE] = _dec_message
-# Byte floors: a draft's seq + body length, a commit's seq + toid + lid.
+# Byte floor: a draft's seq + body length.
 _RUN_SHAPES[_RUN_DRAFT] = (12, _enc_draft_run, _dec_draft_run)
-_RUN_SHAPES[_RUN_COMMIT] = (24, _enc_commit_run, _dec_commit_run)
 _RUN_OF[DraftRecord] = _RUN_DRAFT
-_RUN_OF[DraftCommitted] = _RUN_COMMIT
 
 
 def encode_message_binary(message: Any) -> bytes:

@@ -106,6 +106,8 @@ class BaseRuntime:
     def __init__(self, chaos: Optional["FaultPlan"] = None) -> None:
         self._actors: Dict[str, Actor] = {}
         self._started = False
+        #: Set by :meth:`stop`, for good: a stopped runtime does not run.
+        self._stopped = False
         #: Whether this runtime holds the collector policy: taken once, at
         #: the first :meth:`start`, and given back once, at :meth:`stop`.
         self._holds_gc = False
@@ -261,10 +263,16 @@ class BaseRuntime:
 
     def stop(self) -> None:
         """Give back the collector policy (idempotent); subclasses release
-        their sockets and processes first."""
+        their sockets and processes first.  Stopping is terminal: running a
+        stopped runtime raises (:meth:`_refuse_stopped`)."""
+        self._stopped = True
         if self._holds_gc:
             self._holds_gc = False
             release_gc_policy()
+
+    def _refuse_stopped(self) -> None:
+        if self._stopped:
+            raise ConfigurationError(f"{type(self).__name__} stopped")
 
     # -- messaging ------------------------------------------------------- #
 
@@ -348,14 +356,17 @@ class LocalRuntime(BaseRuntime):
 
     def run(self, until_time: Optional[float] = None) -> float:
         """Start (if needed) and drain the event loop."""
+        self._refuse_stopped()
         self.start()
         return self.loop.run(until_time=until_time)
 
     def run_for(self, duration: float) -> float:
         """Advance virtual time by ``duration`` seconds."""
+        self._refuse_stopped()
         self.start()
         return self.loop.run(until_time=self.loop.now + duration)
 
     def run_until(self, predicate: Callable[[], bool], timeout: float = 60.0) -> float:
+        self._refuse_stopped()
         self.start()
         return self.loop.run_until(predicate, timeout)

@@ -144,7 +144,6 @@ class MultiprocRuntime(BaseRuntime):
         #: until then the pump runs no parent-side timer or delivery, so
         #: nothing reaches a worker ahead of its actors.
         self._serving = False
-        self._stopped = False
         self._procs: List[Any] = []
         self._conns: List[_FrameConn] = []
         self._selector: Optional[selectors.DefaultSelector] = None
@@ -510,6 +509,7 @@ class MultiprocRuntime(BaseRuntime):
 
     def run_for(self, duration: float) -> float:
         """Pump routing, timers, and local deliveries for ``duration`` s."""
+        self._refuse_stopped()
         self.start()
         deadline = _wall_clock() + duration
         while True:
@@ -521,6 +521,7 @@ class MultiprocRuntime(BaseRuntime):
 
     def run_until(self, predicate: Callable[[], bool], timeout: float = 60.0) -> float:
         """Pump until ``predicate()`` holds (checked between pump slices)."""
+        self._refuse_stopped()
         self.start()
         deadline = _wall_clock() + timeout
         while not predicate():

@@ -45,7 +45,7 @@ def _codec_samples():
 
 def _codec_message_samples(record, nested, entry, cmsg, fmsg):
     from repro.core import ReadRules
-    from repro.core.record import AppendResult
+    from repro.core.record import AppendResult, RecordRun
 
     return [
         fmsg.AppendRequest(1, [record, nested], min_lid=3, want_results=False),
@@ -73,8 +73,8 @@ def _codec_message_samples(record, nested, entry, cmsg, fmsg):
         cmsg.FilterBatch(drafts=[cmsg.DraftRecord("c", 1, 1)], externals=[record]),
         cmsg.AdmittedBatch(externals=[record]),
         cmsg.TokenPass(cmsg.Token({"A": 1}, 2, [record])),
-        cmsg.DraftCommitted("c", 1, record.rid, 0),
-        cmsg.DraftCommitBatch([cmsg.DraftCommitted("c", 1, record.rid, 0)]),
+        cmsg.DraftCommitBatch("A", 0, [[1, 1, 1]]),
+        RecordRun("A", 1, (("B", 2),), [b"x", "y"], [(), (("t", 1),)]),
         cmsg.FrontierUpdate({"A": 1}),
         cmsg.ReplicationShipment("A", "s", "m", 1, [record], 0),
         cmsg.ShipmentAck("m", 1, 0, "B"),

@@ -39,7 +39,7 @@ from repro.core import (
     causal_order_respected,
 )
 from repro.core.errors import ChariotsError, DuplicateRecordError
-from repro.core.record import LogEntry, Record
+from repro.core.record import LogEntry, Record, RecordRun, split_placements
 from repro.flstore import MaintainerCore, OwnershipPlan
 from repro.flstore.journal import FileJournal, MemoryJournal
 from repro.flstore.messages import ReadNewReply, ReadNewRequest
@@ -289,7 +289,8 @@ def test_causal_tests_read_deps_without_building_a_vector():
 
 def core_state(core: MaintainerCore) -> Dict[str, Any]:
     return {
-        "storage": dict(core._storage),
+        "storage": core.stored_entries(),
+        "count": core.stored_count(),
         "cursor": core.next_unassigned,
         "round_end": core._round_end,
         "newest": core.max_stored_lid,
@@ -303,7 +304,7 @@ def core_state(core: MaintainerCore) -> Dict[str, Any]:
 
 def place_each(core: MaintainerCore, placements) -> Optional[BaseException]:
     try:
-        for lid, record in placements:
+        for lid, record in split_placements(placements):
             core.place(lid, record)
     except ChariotsError as exc:
         return exc
@@ -352,6 +353,23 @@ def placement_batches(draw):
             kind = draw(st.integers(0, 9))
             if kind == 0:
                 lid = draw(any_lid)  # jump: out of order / not owned
+            if kind >= 7:  # a run: it may cross rounds and owners, fill holes
+                host = draw(st.sampled_from(HOSTS))
+                count = draw(st.integers(1, 2 * batch_size + 1))
+                first = toids[host] + 1
+                toids[host] += count
+                run = RecordRun(
+                    host, first, (("Z", kind),),
+                    [f"{host}:{first + i}" for i in range(count)],
+                    [(("k", (lid + i) % 3),) if draw(st.booleans()) else () for i in range(count)],
+                )
+                placements.append((lid, run))
+                if kind == 8:
+                    placements.append((lid, run))  # retransmitted run
+                elif kind == 9 and count > 1:
+                    placements.append((lid + 1, run.slice(1, count)))  # its tail again
+                lid += count
+                continue
             host = draw(st.sampled_from(HOSTS))
             toids[host] += 1
             tags = {"k": lid % 3} if draw(st.booleans()) else None

@@ -18,7 +18,8 @@ from repro.chariots.messages import (
 from repro.chariots.queues import QueueStage
 from repro.chariots.receiver import Receiver
 from repro.chariots.sender import Sender
-from repro.core import LogEntry, PipelineConfig, RecordId
+from repro.core import LogEntry, PipelineConfig, RecordId, RecordRun
+from repro.core.record import split_placements
 from repro.flstore.maintainer import LogMaintainer
 from repro.flstore.messages import PlaceRecords, ReadNewReply, ReadNewRequest
 from repro.flstore.range_map import OwnershipPlan
@@ -225,19 +226,23 @@ class TestQueueStage:
         placed = {}
         for dst, message in sent[:2]:
             assert isinstance(message, PlaceRecords)
-            for lid, record in message.placements:
+            for lid, record in split_placements(message.placements):
                 assert plan.owner(lid) == dst
                 placed[record.rid] = lid
         assert sorted(placed.values()) == list(range(2, 9))
         assert placed[RecordId("B", 1)] == 2 and placed[RecordId("B", 2)] == 3
+        # The drafts are one run, split only where ownership changes.
+        [(lid, run)] = sent[1][1].placements
+        assert (lid, type(run), run.first_toid, len(run)) == (4, RecordRun, 1, 4)
 
         commits = {}
         for client, batch in sent[2:]:
-            assert isinstance(batch, DraftCommitBatch)
-            for commit in batch.commits:
-                assert commit.client == client
-                assert commit.lid == placed[commit.rid]
-                commits[(client, commit.seq)] = commit.lid
+            assert isinstance(batch, DraftCommitBatch) and batch.host == "A"
+            for first_seq, first_toid, count in batch.runs:
+                for k in range(count):
+                    lid = first_toid + k + batch.lid_offset
+                    assert placed[RecordId("A", first_toid + k)] == lid
+                    commits[(client, first_seq + k)] = lid
         assert commits == {("c2", 1): 4, ("c1", 1): 5, ("c2", 2): 6, ("c1", 2): 7, ("c2", 3): 8}
         assert queue._token.next_lid == 9
 

@@ -3,9 +3,10 @@
 One rule picks them, in the value layer's list encoder: a list of at least
 ``_RUN_MIN`` elements travels as one packed column per field of the run
 shape its first element names — ``Record``, ``(lid, Record)``,
-``LogEntry``, ``DraftRecord``, ``DraftCommitted``, ``AppendResult`` or a
-``(key, value, lid)`` posting — wherever the list sits (a message field, a
-TCP frame's dict, a journal block).  Four things are pinned here:
+``LogEntry``, ``DraftRecord``, ``AppendResult`` or a ``(key, value, lid)``
+posting — wherever the list sits (a message field, a TCP frame's dict, a
+journal block).  A ``RecordRun`` (value tag ``0x17``) is one value of
+scalars plus two columns, wherever it sits.  Four things are pinned here:
 
 * (a) round trips over seeded shapes, with exact decoded types;
 * (b) golden bytes: what is *not* such a run is byte-identical to the commit
@@ -31,14 +32,13 @@ from repro.chariots.messages import (
     AdmittedBatch,
     DraftBatch,
     DraftCommitBatch,
-    DraftCommitted,
     DraftRecord,
     FilterBatch,
     ReplicationShipment,
 )
 from repro.core.errors import NetworkProtocolError
 from repro.core import value_codec
-from repro.core.record import AppendResult, LogEntry, Record, RecordId
+from repro.core.record import AppendResult, LogEntry, Record, RecordId, RecordRun
 from repro.flstore.messages import (
     AppendReply,
     AppendRequest,
@@ -116,11 +116,45 @@ def five_messages(records: List[Record], clients: int = 1) -> List[Any]:
         PlaceRecords([(1000 + i, r) for i, r in enumerate(records)]),
         ReadNewReply(7, [LogEntry(1000 + i, r) for i, r in enumerate(records)], 1000 + n),
         DraftBatch(drafts),
-        DraftCommitBatch(
-            [DraftCommitted(d.client, d.seq, r.rid, 1000 + i)
-             for i, (d, r) in enumerate(zip(drafts, records))]
-        ),
+        DraftCommitBatch("dc-0", 999, [[d.seq, i + 1, 1] for i, d in enumerate(drafts)]),
         ReplicationShipment("dc-0", "dc-0/send", "dc-0/store", 3, records, n),
+    ]
+
+
+#: The list shapes ``five_messages`` packs as columnar runs, from the
+#: crossover on: every message but the commits, whose runs are ``[first_seq,
+#: first_toid, count]`` lists.
+FIVE_SHAPES = [0, 1, 2, 3]
+
+
+def as_runs(records: List[Record]) -> List[RecordRun]:
+    """``records`` as record runs: a new run wherever host, deps or TOId
+    continuity changes, as a maintainer cuts its columns.  Internal records
+    have no run form and are left out."""
+    runs: List[RecordRun] = []
+    for r in records:
+        if r.internal:
+            continue
+        last = runs[-1] if runs else None
+        if last and (last.host, last.end_toid, last.deps) == (r.host, r.toid, r.deps):
+            last.bodies.append(r.body)
+            last.tags.append(r.tags)
+        else:
+            runs.append(RecordRun(r.host, r.toid, r.deps, [r.body], [r.tags]))
+    return runs
+
+
+def run_messages(records: List[Record]) -> List[Any]:
+    """The run-shaped forms of the record-bearing messages."""
+    runs = as_runs(records)
+    lids = [1000]
+    for run in runs:
+        lids.append(lids[-1] + len(run))
+    return [
+        PlaceRecords(list(zip(lids, runs))),
+        ReadNewReply(7, list(zip(lids, runs)), lids[-1] - 1),
+        ReplicationShipment("dc-0", "dc-0/send", "dc-0/store", 3, runs, lids[-1] - 1),
+        FilterBatch(externals=runs),
     ]
 
 
@@ -128,7 +162,7 @@ RUN_FIELD = {
     PlaceRecords: ("placements", tuple),
     ReadNewReply: ("entries", LogEntry),
     DraftBatch: ("drafts", DraftRecord),
-    DraftCommitBatch: ("commits", DraftCommitted),
+    DraftCommitBatch: ("runs", list),
     ReplicationShipment: ("records", Record),
 }
 
@@ -178,7 +212,7 @@ class TestRoundTrip:
         for message in five_messages(records, clients=hosts):
             round_trip(message)
         # One run per message from the crossover on, none below it.
-        assert sorted(runs_decoded) == ([0, 1, 2, 3, 4] if n >= CROSSOVER else [])
+        assert sorted(runs_decoded) == (FIVE_SHAPES if n >= CROSSOVER else [])
 
     @pytest.mark.parametrize("body", sorted(BODIES))
     @pytest.mark.parametrize("n", [CROSSOVER, 64])
@@ -186,13 +220,23 @@ class TestRoundTrip:
         records = make_records(n, hosts=2, tagged=0.2, body=body)
         for message in five_messages(records):
             round_trip(message)
-        assert sorted(runs_decoded) == [0, 1, 2, 3, 4]
+        assert sorted(runs_decoded) == FIVE_SHAPES
 
     def test_a_large_run(self, runs_decoded):
         records = make_records(4096, hosts=2, deps="shared", tagged=0.2, body="mixed")
         for message in five_messages(records, clients=3):
             round_trip(message)
-        assert sorted(runs_decoded) == [0, 1, 2, 3, 4]
+        assert sorted(runs_decoded) == FIVE_SHAPES
+
+    @pytest.mark.parametrize("n", SIZES[1:])
+    @pytest.mark.parametrize("body", ["bytes", "mixed"])
+    def test_run_shaped_messages(self, n, body, runs_decoded):
+        records = make_records(n, hosts=2, deps="shared", tagged=0.2, body=body, internal=True)
+        for message in run_messages(records):
+            back = decode_value_binary(encode_value_binary(message))
+            assert type(back) is type(message) and back == message
+            assert pickle.loads(pickle.dumps(back)) == message
+        assert runs_decoded == []  # a list of runs is a list of values
 
     def test_decoded_objects_are_the_real_frozen_types(self):
         records = make_records(RUN_N, hosts=2, tagged=1.0, internal=True)
@@ -223,11 +267,7 @@ class TestRoundTrip:
         lids = list(range(RUN_N))
         for odd in (2**63, -(2**70)):
             round_trip(PlaceRecords(list(zip(lids[:3] + [odd] + lids[4:], records))))
-        round_trip(
-            DraftCommitBatch(
-                [DraftCommitted("c", i + 1, r.rid, 2**64 + i) for i, r in enumerate(records)]
-            )
-        )
+        round_trip(DraftCommitBatch("c", 2**64, [[1, 1, RUN_N]]))
         assert runs_decoded == []
         # Placement LIds are plain ints to the codec: negative ones fit the column.
         round_trip(PlaceRecords(list(zip([lid - 3 for lid in lids], records))))
@@ -243,13 +283,9 @@ class TestRoundTrip:
             PlaceRecords(placements + [(RUN_N, LogEntry(RUN_N, last))]),
             ReadNewReply(1, [LogEntry(i, r) for i, r in placements] + [last], RUN_N),
             DraftBatch([DraftRecord("c", i, b"") for i in range(RUN_N)] + [last]),
-            DraftCommitBatch(
-                [DraftCommitted("c", i, r.rid, i) for i, r in placements]
-                + [DraftCommitted("c", 9, None, 9)]
-            ),
-            DraftCommitBatch([DraftCommitted(None, i, r.rid, i) for i, r in placements]),
-            DraftCommitBatch([DraftCommitted("c", i, r.rid, 1.5) for i, r in placements]),
+            PlaceRecords(placements + [(RUN_N, as_runs([last])[0])]),
             ReplicationShipment("A", "s", "m", 1, records + [LogEntry(0, last)]),
+            ReplicationShipment("A", "s", "m", 1, records + as_runs([last])),
         ]
         for message in odd_lists:
             assert decode_value_binary(encode_value_binary(message)) == message
@@ -374,12 +410,13 @@ def _golden_record(i: int) -> Record:
 #: (byte 4) is the class's index in the name-sorted registry, so removing a
 #: message type re-recorded the four cases whose class sorts after it
 #: (``read_reply_*``, ``read_new_reply_3``, ``place_records_3``): only that
-#: byte moved, by one.
+#: byte moved, by one.  That happened twice, the second time when
+#: ``DraftCommitted`` went (commits travel as runs).
 GOLDEN = {
     "tcp_append_request": (523, "ca2e7ec9af1cbc494833c0e5ce64015f71ea5f4078ca06e32ec4209c637ec1d9"),
     "append_reply": (92, "1429cb7a0bd61ddc7695ea46ce36e6e1604530d27a332a319968862193fd67db"),
-    "read_reply_1": (74, "8101599acde7655a145d20bfbd45d4786774c91282f27f1a6569a2c51d006732"),
-    "read_reply_10": (575, "55c1f44eaf0791d9e9b1f73082626356d146bd9dbe226ccef44239ac15949a1c"),
+    "read_reply_1": (74, "85be39a124aa917623bdd48f1353db09045e99e2f795da96688e1f2d3fa0a6ab"),
+    "read_reply_10": (575, "d740f65692cff10bc087867c53539c48af7c132b5538c1efd596401bb504b955"),
     "tcp_append_reply": (107, "22ee35e26df565628e5356da3013611a1c8e27dad14dabc02e60786cb9fbb9ca"),
     "tcp_read_reply_1": (96, "b6fe0281436c8876f556ab31efc29278455b62d5d91925740f496f323e8b5c6a"),
     "tcp_read_reply_10": (597, "cf7c7a2b0616c0c1c250108dda8f5f0265aef8f4eda59197b49478c42a038d1a"),
@@ -391,8 +428,8 @@ GOLDEN = {
     # Pipeline messages below the crossover keep the per-element form too.
     "draft": (64, "d52845c1ec1ffba110bd84085dea052ef4a0f2e280f1d5963afc33af53dd7fc4"),
     "draft_batch_3": (138, "96182a8801c54bd9fffb546cc417725c9fd00af274b22c1cb7fea8216ff97ee2"),
-    "read_new_reply_3": (162, "5dff6c3428667dda233eddaa3ac244f78095a3051f3740cde09e1de45b1d6433"),
-    "place_records_3": (162, "e2e94254962242d6bd70d6de56e11483b6d4c83cd5d111aa433d834c7205f365"),
+    "read_new_reply_3": (162, "da478e5d5544adbf848a2bf29068161544f1adc793de0b231d4b54200fe399a9"),
+    "place_records_3": (162, "cf11ace9a4e1bd3e5fd6cadc0141d21d6898700c861edfaa3cb5923ad61cd24e"),
 }
 
 
@@ -511,7 +548,12 @@ class TestNamedHostileFrames:
 
 
 def run_frames(**shape: Any) -> List[bytes]:
-    return [encode_value_binary(m) for m in five_messages(make_records(RUN_N, **shape))]
+    """The ``five_messages`` that hold a columnar run."""
+    return [
+        encode_value_binary(m)
+        for m in five_messages(make_records(RUN_N, **shape))
+        if not isinstance(m, DraftCommitBatch)
+    ]
 
 
 def result_and_posting_runs() -> List[bytes]:
@@ -546,6 +588,20 @@ class TestMalformedRuns:
                 tracemalloc.stop()
             assert peak < 256 * 1024
 
+    def test_a_record_run_count_is_checked_before_anything_is_sized_by_it(self):
+        run = as_runs(make_records(RUN_N, tagged=0.5))[0]
+        wire = encode_value_binary(run)
+        at = wire.index(struct.pack(">I", RUN_N))
+        tracemalloc.start()
+        try:
+            for count in (2**32 - 1, 2**31, 10**6, RUN_N + 1):
+                with pytest.raises(NetworkProtocolError):
+                    decode_value_binary(set_u32(wire, at, count))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
     def test_unknown_shape_is_refused(self):
         wire = run_frames()[0]
         at = wire.index(bytes([T_RUN])) + 1
@@ -574,10 +630,10 @@ class TestMalformedRuns:
         toid_column = shipment.index(struct.pack(">%dq" % RUN_N, *range(1, RUN_N + 1)))
         with pytest.raises(NetworkProtocolError, match="TOIds start at 1"):
             decode_value_binary(set_i64(shipment, toid_column + 16, 0))
-        commits = encode_value_binary(five_messages(records)[3])
-        toid_column = commits.rindex(struct.pack(">%dq" % RUN_N, *range(1, RUN_N + 1)))
+        run = encode_value_binary(as_runs(records)[0])
+        first_toid = run.index(struct.pack(">q", 1))
         with pytest.raises(NetworkProtocolError, match="TOIds start at 1"):
-            decode_value_binary(set_i64(commits, toid_column, -5))
+            decode_value_binary(set_i64(run, first_toid, -5))
         placements = encode_value_binary(five_messages(records)[0])
         toid_column = placements.index(struct.pack(">%dq" % RUN_N, *range(1, RUN_N + 1)))
         with pytest.raises(NetworkProtocolError, match="TOIds start at 1"):
@@ -616,6 +672,7 @@ def fuzz_seeds() -> List[bytes]:
         RUN_N, hosts=2, deps="distinct", tagged=0.4, body="mixed", internal=True
     )
     seeds = [encode_value_binary(m) for m in five_messages(records, clients=2)]
+    seeds += [encode_value_binary(m) for m in run_messages(records)]
     seeds += run_frames(hosts=1, deps="shared", tagged=0.0)
     seeds += result_and_posting_runs()
     seeds.append(encode_value_binary(RecordBatch(records)))
@@ -716,9 +773,21 @@ def ledger_shaped(n: int) -> Dict[str, Any]:
         "DraftBatch": DraftBatch(
             [DraftRecord("A/client/0", i + 1, r.body, r.tags, ()) for i, r in enumerate(records)]
         ),
-        "DraftCommitBatch": DraftCommitBatch(
-            [DraftCommitted("A/client/0", i + 1, r.rid, 100 + i) for i, r in enumerate(records)]
-        ),
+        "DraftCommitBatch": DraftCommitBatch("A", 99, [[1, 1, n]]),
+    }
+
+
+def ledger_shaped_runs(n: int) -> Dict[str, Any]:
+    """The record-bearing messages as the pipeline sends them: one queue
+    round's run, placed, read back, shipped, and its commits."""
+    plain = ledger_shaped(n)
+    records = [record for _lid, record in plain["PlaceRecords"].placements]
+    (run,) = as_runs(records)
+    return {
+        "PlaceRecords": PlaceRecords([(100, run)]),
+        "ReadNewReply": ReadNewReply(7, [(100, run)], 100 + n - 1),
+        "ReplicationShipment": ReplicationShipment("A", "A/send", "A/store", 3, [run], 100 + n - 1),
+        "DraftCommitBatch": plain["DraftCommitBatch"],
     }
 
 
@@ -765,6 +834,23 @@ class TestCallsPerRecord:
         assert decode_value_binary(wire) == message
         assert python_calls(encode_value_binary, message) / 256 <= 1.0
         assert python_calls(decode_value_binary, wire) / 256 <= 1.0
+
+    @pytest.mark.parametrize(
+        "name", ["PlaceRecords", "ReadNewReply", "ReplicationShipment", "DraftCommitBatch"]
+    )
+    def test_a_run_shaped_message_costs_the_same_calls_at_any_length(self, name):
+        # A run is scalars plus columns: 256 records cost what 8 do.
+        calls = {}
+        for n in (CROSSOVER, 256):
+            message = ledger_shaped_runs(n)[name]
+            wire = encode_value_binary(message)
+            assert decode_value_binary(wire) == message
+            calls[n] = (
+                python_calls(encode_value_binary, message),
+                python_calls(decode_value_binary, wire),
+            )
+        assert calls[256] == calls[CROSSOVER]
+        assert max(calls[256]) <= 32
 
     @pytest.mark.parametrize(
         "name, n", [("append", 20), ("append_reply", 20), ("index_update", 650)]

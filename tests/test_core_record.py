@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.chariots.messages import DraftCommitted, DraftRecord
+from repro.chariots.messages import DraftRecord
 from repro.core import (
     AppendResult,
     ConfigurationError,
@@ -12,6 +12,7 @@ from repro.core import (
     ReadRules,
     Record,
     RecordId,
+    RecordRun,
     freeze_tags,
     value_codec,
 )
@@ -230,9 +231,6 @@ RUNS = {
     "entries": lambda: [LogEntry(10 + i, r) for i, r in enumerate(records())],
     "results": lambda: [AppendResult(r.rid, 10 + i) for i, r in enumerate(records())],
     "drafts": lambda: drafts(),
-    "commits": lambda: [
-        DraftCommitted("A/client", i + 1, r.rid, 10 + i) for i, r in enumerate(records())
-    ],
 }
 
 
@@ -242,8 +240,9 @@ def assert_same_types(got, want):
     if isinstance(want, (tuple, list)):
         for g, w in zip(got, want):
             assert_same_types(g, w)
-    elif isinstance(want, DraftCommitted):
-        assert_same_types(got.rid, want.rid)
+    elif isinstance(want, RecordRun):
+        for name in ("host", "first_toid", "deps", "bodies", "tags"):
+            assert_same_types(getattr(got, name), getattr(want, name))
 
 
 @pytest.mark.parametrize("kind", list(SINGLES), ids=lambda k: k.__name__)
@@ -280,3 +279,36 @@ def test_runs_keep_the_exact_types(shape):
     assert wire[0] == T_RUN  # the columnar form, not the per-element one
     assert_same_types(decode_value_binary(wire), items)
     assert_same_types(pickle.loads(pickle.dumps(items)), items)
+
+
+class TestRecordRun:
+    def run(self, n=RUN_N):
+        rs = records(n)
+        return RecordRun("A", 1, rs[0].deps, [r.body for r in rs], [r.tags for r in rs])
+
+    def test_records_are_the_run_split(self):
+        assert self.run().records() == records()
+        assert len(self.run()) == RUN_N and self.run().end_toid == RUN_N + 1
+
+    def test_a_slice_is_a_run_of_the_same_records(self):
+        assert self.run().slice(2, 5).records() == records()[2:5]
+
+    def test_size_is_the_sum_of_its_records(self):
+        for body_size in (512, 100):
+            assert self.run().size_bytes(body_size) == sum(
+                r.size_bytes(body_size) for r in records()
+            )
+
+    def test_toids_start_at_one_and_a_run_is_not_empty(self):
+        with pytest.raises(ConfigurationError):
+            RecordRun("A", 0, (), [b"x"], [()])
+        with pytest.raises(ConfigurationError):
+            RecordRun("A", 1, (), [], [])
+
+    @pytest.mark.parametrize("n", [1, 2, RUN_N, 64])
+    def test_codec_and_pickle_keep_the_exact_types(self, n):
+        run = self.run(n)
+        assert_same_types(decode_value_binary(encode_value_binary(run)), run)
+        assert_same_types(pickle.loads(pickle.dumps(run)), run)
+        placements = [(10, run), (10 + n, records(1)[0])]
+        assert_same_types(decode_value_binary(encode_value_binary(placements)), placements)

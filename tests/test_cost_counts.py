@@ -1,0 +1,104 @@
+"""Count, don't time: exact, host-independent costs of the append path.
+
+On ``LocalRuntime`` the work a run does is a pure function of its inputs,
+so a count can gate in tier-1 where a wall-clock time cannot:
+
+* the messages a two-datacenter run delivers, by type — records travel as
+  runs, which changes payloads, never how many messages carry them;
+* the objects the cyclic collector tracks for a stored log — a
+  maintainer's segments keep the log out of its sight.
+"""
+
+from __future__ import annotations
+
+import gc
+from collections import Counter
+
+from repro.chariots import ChariotsDeployment
+from repro.core.record import RecordRun
+from repro.flstore import MaintainerCore, OwnershipPlan
+from repro.runtime import LocalRuntime
+
+
+class CountingRuntime(LocalRuntime):
+    """Counts every delivery by message type, at the one delivery point."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.delivered: Counter = Counter()
+
+    def _on_deliver(self, src, dst, message):
+        self.delivered[type(message).__name__] += 1
+        super()._on_deliver(src, dst, message)
+
+
+#: Deliveries of the run below, by message type.
+MESSAGE_COUNTS = {
+    "FilterBatch": 220,
+    "AdmittedBatch": 210,
+    "PlaceRecords": 210,
+    "FrontierUpdate": 210,
+    "DraftBatch": 200,
+    "DraftCommitBatch": 200,
+    "IndexUpdate": 40,
+    "AtableSnapshot": 10,
+    "ReadNewRequest": 10,
+    "ReadNewReply": 10,
+    "ReplicationShipment": 10,
+    "ShipmentAck": 10,
+    "SessionRequest": 2,
+    "SessionInfo": 2,
+}
+
+
+def test_a_two_datacenter_run_delivers_the_pinned_messages():
+    # 20 000 appends in bursts of 200, alternating A and B, every fifth
+    # tagged; each burst gets a millisecond, then the run goes on until
+    # every append is acked and stored in both datacenters.
+    runtime = CountingRuntime()
+    deployment = ChariotsDeployment(runtime, ["A", "B"], batch_size=1000)
+    clients = {dc: deployment.client(dc) for dc in ("A", "B")}
+    total, burst = 20_000, 200
+    acked = []
+    for start in range(0, total, burst):
+        for i in range(start, start + burst):
+            client = clients["AB"[i % 2]]
+            client.append(b"x" * 64, tags={"k": i % 7} if i % 5 == 0 else None,
+                          on_done=acked.append)
+        runtime.run_for(0.001)
+    runtime.run_until(
+        lambda: len(acked) == total
+        and all(deployment[dc].total_records() == total for dc in ("A", "B")),
+        timeout=60,
+    )
+    assert dict(runtime.delivered) == MESSAGE_COUNTS
+    assert sum(runtime.delivered.values()) == 1344
+
+
+def test_a_stored_log_is_out_of_the_collectors_sight():
+    # 100 000 ledger-shaped records (512-byte bodies, one shared deps
+    # tuple, 20 % tagged) placed as runs of 64: the collector's census may
+    # grow by at most one object per 100 records.
+    deps = (("B", 41),)
+    runs = []
+    lid = toid = 0
+    for _ in range(100_000 // 64 + 1):
+        n = min(64, 100_000 - lid)
+        if n <= 0:
+            break
+        runs.append((lid, RecordRun(
+            "A", toid + 1, deps,
+            [bytes([(toid + i) % 251]) * 512 for i in range(n)],
+            [(("k", (toid + i) % 50),) if (toid + i) % 5 == 0 else () for i in range(n)],
+        )))
+        lid += n
+        toid += n
+    core = MaintainerCore("m0", OwnershipPlan(["m0"], batch_size=1000))
+    gc.collect()
+    before = len(gc.get_objects())
+    for placement in runs:
+        core.place_run([placement])
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert core.stored_count() == 100_000
+    assert grown <= 100_000 / 100, grown

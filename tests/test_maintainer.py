@@ -13,6 +13,7 @@ from repro.core import (
     NotOwnerError,
     ReadRules,
 )
+from repro.core.record import Record, RecordRun, split_placements
 from repro.flstore import LogMaintainer, MaintainerCore, OwnershipPlan
 from repro.flstore.messages import GossipHL, ReadNewReply, ReadNewRequest
 from repro.runtime import LocalRuntime
@@ -138,6 +139,47 @@ class TestReads:
         assert upto == 1
 
 
+class TestRunsAfter:
+    """The replication read cuts runs from the columns: a new run wherever
+    the host, the deps, or TOId or LId continuity changes."""
+
+    def core(self):
+        core = MaintainerCore("m0", OwnershipPlan(["m0", "m1"], batch_size=10))
+        d1, d2 = (("B", 1),), (("B", 2),)
+        core.place_run([
+            (0, RecordRun("A", 1, d1, ["a1", "a2", "a3"], [(), (("k", 1),), ()])),
+            (3, RecordRun("A", 4, d1, ["a4", "a5"], [(), ()])),  # continues the run
+            (5, rec("B", 1)),
+            (6, RecordRun("A", 6, d2, ["a6", "a7"], [(), ()])),  # new deps
+            (8, Record.make("__noop__/m0", 1, None, internal=True)),
+        ])
+        return core, d1, d2
+
+    def test_runs_are_cut_where_host_deps_or_continuity_change(self):
+        core, d1, d2 = self.core()
+        items, upto = core.runs_after(-1)
+        assert upto == 8
+        assert [lid for lid, _ in items] == [0, 5, 6, 8]
+        assert items[0][1] == RecordRun(
+            "A", 1, d1, ["a1", "a2", "a3", "a4", "a5"], [(), (("k", 1),), (), (), ()]
+        )
+        assert items[1][1] == RecordRun("B", 1, (), ["B:1"], [()])
+        assert items[2][1] == RecordRun("A", 6, d2, ["a6", "a7"], [(), ()])
+        assert items[3][1].internal
+        # The same walk as one entry per record.
+        assert core.entries_after(-1) == (core.stored_entries(), 8)
+
+    def test_host_filter_and_limit_count_records(self):
+        core, d1, d2 = self.core()
+        items, upto = core.runs_after(-1, host="A")
+        assert [(lid, len(run)) for lid, run in items] == [(0, 5), (6, 2)] and upto == 8
+        items, upto = core.runs_after(-1, limit=4)
+        assert [(lid, len(run)) for lid, run in items] == [(0, 4)] and upto == 3
+        items, upto = core.runs_after(3, limit=2, host="A")
+        assert [(lid, run.first_toid, len(run)) for lid, run in items] == [(4, 5, 1), (6, 6, 1)]
+        assert upto == 6
+
+
 def drain(core, limit, host, sender_host):
     """A sender's fetch loop against ``core``: what it buffers, where its
     cursor ends, and every reply it was sent."""
@@ -215,8 +257,10 @@ class TestHostFilteredEntriesAfter:
         store.on_message("sender", ReadNewRequest(2, after_lid=-1))
         runtime.run_for(0.01)
         first, second = [m for m in sink.messages if isinstance(m, ReadNewReply)]
-        assert [e.lid for e in first.entries] == [1] and first.upto == 2
-        assert [e.lid for e in second.entries] == [0, 1, 2] and second.upto == 2
+        # A reply's entries are (lid, record or run) placements.
+        assert [lid for lid, _ in split_placements(first.entries)] == [1] and first.upto == 2
+        assert [lid for lid, _ in split_placements(second.entries)] == [0, 1, 2]
+        assert second.upto == 2
 
 
 class TestHeadOfLogGossip:

@@ -185,6 +185,20 @@ def test_stop_is_idempotent(rt):
     rt.stop()
 
 
+@pytest.mark.parametrize("substrate", ["local", "sim", "aio", "multiproc-2"])
+def test_a_stopped_runtime_refuses_to_run(make, substrate):
+    rt = make(substrate)
+    recorder = rt.register(Recorder("a"))
+    rt.start()
+    rt.stop()
+    name = type(rt).__name__
+    with pytest.raises(ConfigurationError, match=f"^{name} stopped$"):
+        rt.run_for(0.01)
+    with pytest.raises(ConfigurationError, match=f"^{name} stopped$"):
+        rt.run_until(lambda: False, timeout=0.01)
+    assert seen_count(recorder) == 0
+
+
 #: CPython's own collector thresholds, which differ from ``GC_POLICY``.
 CPYTHON_THRESHOLDS = (700, 10, 10)
 

@@ -130,7 +130,6 @@ class AbstractChariots:
 
     def receive(
         self,
-        sender: DatacenterId,
         records: Sequence[Record],
         matrix: Optional[Dict[DatacenterId, Dict[DatacenterId, int]]] = None,
     ) -> List[Record]:
@@ -221,7 +220,7 @@ class AbstractDeployment:
     def exchange(self, src: DatacenterId, dst: DatacenterId) -> int:
         """One propagation from ``src`` to ``dst``; returns records learned."""
         records, matrix = self.dcs[src].snapshot_for(dst)
-        incorporated = self.dcs[dst].receive(src, records, matrix)
+        incorporated = self.dcs[dst].receive(records, matrix)
         return len(incorporated)
 
     def sync(self, max_rounds: int = 64) -> None:

@@ -2,9 +2,10 @@
 
 Batchers buffer records received from local application clients and from
 the receivers, grouped per destination filter, and flush a buffer when it
-reaches the configured threshold (or on a timer, so light traffic is not
-stranded).  Batchers are completely independent of one another — adding one
-requires no coordination (§6.3).
+reaches the configured threshold.  Whatever is still buffered when the
+batcher's turn ends leaves then, so light traffic waits on no clock while
+the drafts of one busy turn still leave together.  Batchers are completely
+independent of one another — adding one requires no coordination (§6.3).
 
 Routing must agree with the filters' championing scheme, so both sides use
 the shared :class:`~repro.chariots.filters.FilterMap`.
@@ -36,10 +37,16 @@ class Batcher(Actor):
         self._buffers: Dict[str, FilterBatch] = {}
         #: Records currently buffered across every filter.
         self._pending_records = 0
+        #: True while the end-of-turn flush timer is set.  A snapshot or a
+        #: restart carries the flag but not the timer, so ``on_start``
+        #: re-arms from what is buffered.
+        self._armed = False
         self.records_batched = 0
 
     def on_start(self) -> None:
-        self.set_timer(self.config.batcher_flush_interval, self._flush_all, periodic=True)
+        self._armed = False
+        if self._pending_records:
+            self._arm()
 
     def on_message(self, sender: str, message: Any) -> None:
         if isinstance(message, DraftBatch):
@@ -61,6 +68,18 @@ class Batcher(Actor):
         # threshold while the total grows; force a full flush at the cap.
         if self._pending_records >= self.config.batcher_buffer_limit:
             self._flush_all()
+        if self._pending_records and not self._armed:
+            self._arm()
+
+    def _arm(self) -> None:
+        """Flush what is left once the runtime has delivered what is
+        already queued for this instant: the end of the batcher's turn."""
+        self._armed = True
+        self.set_timer(0.0, self._end_turn)
+
+    def _end_turn(self) -> None:
+        self._armed = False
+        self._flush_all()
 
     def _buffer_drafts(self, drafts: List[DraftRecord]) -> None:
         # Client champions are sticky, so a run of drafts from one client

@@ -37,8 +37,6 @@ class PipelineConfig:
 
     #: Records buffered per (batcher, filter) before a flush.
     batcher_flush_threshold: int = 64
-    #: Seconds after which a non-empty batcher buffer flushes regardless.
-    batcher_flush_interval: float = 0.002
     #: High-water mark on the *total* records buffered across a batcher's
     #: per-filter buffers: reaching it forces a full flush (backpressure for
     #: many-filter deployments where no single buffer hits the threshold).

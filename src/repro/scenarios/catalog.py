@@ -240,7 +240,6 @@ def _overload() -> ScenarioSpec:
         # must shed load at the batcher, not buffer without bound.
         pipeline={
             "batcher_flush_threshold": 500,
-            "batcher_flush_interval": 0.002,
             "batcher_buffer_limit": 2000,
             "queue_buffer_limit": 4096,
         },

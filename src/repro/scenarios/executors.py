@@ -259,10 +259,7 @@ def run_pipeline(point: ScenarioSpec, plan: Optional[FaultPlan]) -> Metrics:
         batch_size=work.lid_batch,
         pipeline_config=point.pipeline_config()
         if point.pipeline
-        else PipelineConfig(
-            batcher_flush_threshold=work.client_batch,
-            batcher_flush_interval=0.002,
-        ),
+        else PipelineConfig(batcher_flush_threshold=work.client_batch),
         flstore_config=point.flstore_config(),
         n_indexers=0,
         placer=place,

@@ -133,6 +133,18 @@ def _defaults_of(cls: Type[Any]) -> Dict[str, Any]:
     return out
 
 
+def _config_from(cls: Type[Any], section: str, overrides: Mapping[str, Any]) -> Any:
+    """``cls(**overrides)``, refusing a key ``cls`` has no field for by name
+    (an old ``spec.json`` may name a setting since removed)."""
+    known = sorted(f.name for f in dataclasses.fields(cls))
+    unknown = sorted(set(overrides) - set(known))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {section} setting(s) {unknown} (known: {known})"
+        )
+    return cls(**overrides)
+
+
 # ===================================================================== #
 # Topology and workload
 # ===================================================================== #
@@ -421,10 +433,10 @@ class ScenarioSpec:
         return self.runtime in ("sim", "local")
 
     def pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(**self.pipeline)
+        return _config_from(PipelineConfig, "pipeline", self.pipeline)
 
     def flstore_config(self) -> FLStoreConfig:
-        return FLStoreConfig(**self.flstore)
+        return _config_from(FLStoreConfig, "flstore", self.flstore)
 
     def points(self) -> List[Tuple[str, "ScenarioSpec"]]:
         """The resolved sweep: (label, effective spec) per point.

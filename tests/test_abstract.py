@@ -92,10 +92,10 @@ class TestReception:
         r2 = a.append("second")
         second = a.read(r2.lid).record
         first = a.read(r1.lid).record
-        incorporated = b.receive("A", [second])  # arrives before its predecessor
+        incorporated = b.receive([second])  # arrives before its predecessor
         assert incorporated == []
         assert len(b.deferred) == 1
-        incorporated = b.receive("A", [first])
+        incorporated = b.receive([first])
         assert [r.toid for r in incorporated] == [1, 2]
 
     def test_cross_host_dependency_deferred(self):
@@ -105,7 +105,7 @@ class TestReception:
         deployment["B"].append("depends-on-a")  # deps: {A: 1}
         b_record = deployment["B"].read(1).record
         # C receives B's record before A's.
-        incorporated = deployment["C"].receive("B", [b_record])
+        incorporated = deployment["C"].receive([b_record])
         assert incorporated == []
         deployment.exchange("A", "C")
         drained = deployment["C"].deferred.drain(deployment["C"].frontier)

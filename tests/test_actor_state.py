@@ -15,6 +15,9 @@ from repro.baseline import CorfuLog
 from repro.baseline.corfu import CorfuLoadClient
 from repro.chaos import FaultPlan
 from repro.chariots import ChariotsDeployment
+from repro.chariots.batcher import Batcher
+from repro.chariots.filters import FilterMap
+from repro.chariots.messages import DraftBatch, DraftRecord
 from repro.chariots.receiver import Receiver
 from repro.chariots.sender import Sender
 from repro.core import PipelineConfig
@@ -142,3 +145,23 @@ def test_a_sender_snapshot_does_not_grow_with_the_log():
     assert sizes[1] <= sizes[0] + 64
     assert sender.breaker("B").opens >= 1
     assert receiver.records_received >= 5100  # every record was shipped
+
+
+def test_a_restored_batcher_sends_on_the_drafts_its_snapshot_held():
+    # A snapshot taken mid-turn carries the buffered drafts and the armed
+    # flag, but not the timer that would have flushed them: the restored
+    # batcher's start must hand them on by itself.
+    batcher = Batcher("batcher", FilterMap(["filter"]), PipelineConfig(batcher_flush_threshold=64))
+    LocalRuntime().register(batcher)
+    drafts = [DraftRecord("c", seq, b"d%d" % seq) for seq in (1, 2, 3)]
+    batcher.on_message("client", DraftBatch(drafts))
+    assert batcher._armed and batcher._pending_records == 3
+    batcher.runtime = None  # detached, as a worker's snapshot pickles it
+    restored = pickle.loads(pickle.dumps(batcher))
+    runtime = LocalRuntime()
+    sink = runtime.register(SinkActor("filter"))
+    runtime.register(restored)
+    runtime.run_for(0.01)
+    assert [d for m in sink.messages for d in m.drafts] == drafts
+    assert restored._pending_records == 0 and not restored._armed
+

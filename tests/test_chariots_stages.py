@@ -34,17 +34,13 @@ def draft(client, seq, body=None):
 
 
 class TestBatcher:
-    def make(self, threshold=3, interval=0.01):
+    def make(self, threshold=3):
         runtime = LocalRuntime()
         fmap = FilterMap(["filter"])
         sink = SinkActor("filter")
         runtime.register(sink)
         batcher = Batcher(
-            "batcher",
-            fmap,
-            config=PipelineConfig(
-                batcher_flush_threshold=threshold, batcher_flush_interval=interval
-            ),
+            "batcher", fmap, config=PipelineConfig(batcher_flush_threshold=threshold)
         )
         runtime.register(batcher)
         runtime.start()
@@ -57,17 +53,34 @@ class TestBatcher:
         assert len(sink.messages) == 1
         assert sink.records_received == 3
 
-    def test_buffers_below_threshold(self):
-        runtime, batcher, sink = self.make(threshold=10, interval=60.0)
+    def test_a_below_threshold_draft_leaves_at_the_end_of_its_turn(self):
+        runtime, batcher, sink = self.make(threshold=10)
         batcher.on_message("client", DraftBatch([draft("c", 1)]))
-        runtime.loop.run(until_time=0.5)
-        assert sink.messages == []
+        assert runtime.messages_sent == 0  # held for the rest of the turn
+        runtime.loop.run(max_events=10)
+        assert sink.records_received == 1
+        assert runtime.now == 0.0  # no clock was waited on
 
-    def test_timer_flushes_partial_buffers(self):
-        runtime, batcher, sink = self.make(threshold=100, interval=0.01)
+    def test_drafts_of_one_turn_leave_as_one_filter_batch(self):
+        runtime, batcher, sink = self.make(threshold=10)
+        runtime.send("client", "batcher", DraftBatch([draft("c", 1)]))
+        runtime.send("client", "batcher", DraftBatch([draft("c", 2), draft("c", 3)]))
+        runtime.loop.run(max_events=2)  # both deliveries, nothing else
+        assert batcher.records_batched == 3
+        assert runtime.messages_sent == 2  # the two DraftBatches only
+        runtime.loop.run(max_events=10)
+        assert len(sink.messages) == 1
+        assert type(sink.messages[0]) is FilterBatch
+        assert [d.seq for d in sink.messages[0].drafts] == [1, 2, 3]
+        assert runtime.now == 0.0
+
+    def test_a_partial_buffer_leaves_and_the_batcher_falls_silent(self):
+        runtime, batcher, sink = self.make(threshold=100)
         batcher.on_message("client", DraftBatch([draft("c", 1)]))
         runtime.run_for(0.05)
         assert sink.records_received == 1
+        assert batcher._pending_records == 0 and not batcher._armed
+        assert not runtime.loop._heap  # no timer left behind while idle
 
     def test_external_records_route_by_champion(self):
         runtime = LocalRuntime()
@@ -92,6 +105,7 @@ class TestBatcher:
         fmap.assign_host("A", ["f0"])
         fmap.reassign_host("A", ["f1", "f2"], from_toid=5)  # split by residue
         batcher = Batcher("batcher", fmap, config=PipelineConfig(batcher_flush_threshold=1000))
+        LocalRuntime().register(batcher)  # buffering arms the end-of-turn flush
         externals = [rec("A", t) for t in range(1, 11)] + [rec("B", 1)]  # B: all three
         batcher.on_message("recv", FilterBatch(externals=externals))
         for record in externals:

@@ -6,7 +6,9 @@ so a count can gate in tier-1 where a wall-clock time cannot:
 * the messages a two-datacenter run delivers, by type — records travel as
   runs, which changes payloads, never how many messages carry them;
 * the objects the cyclic collector tracks for a stored log — a
-  maintainer's segments keep the log out of its sight.
+  maintainer's segments keep the log out of its sight;
+* the virtual time a lone append waits for its ack — none, since no stage
+  holds a record for a clock — and the timers an idle deployment fires.
 """
 
 from __future__ import annotations
@@ -73,6 +75,36 @@ def test_a_two_datacenter_run_delivers_the_pinned_messages():
     )
     assert dict(runtime.delivered) == MESSAGE_COUNTS
     assert sum(runtime.delivered.values()) == 1344
+
+
+def test_a_lone_append_is_acked_without_the_clock_moving():
+    # Every stage hands a record on when its turn ends, so on the virtual
+    # clock the whole append path (client, batcher, filter, queue,
+    # maintainer, ack) takes no time at all.
+    runtime = LocalRuntime()
+    deployment = ChariotsDeployment(runtime, ["A", "B"])
+    client = deployment.client("A")
+    runtime.start()
+    before = runtime.now
+    acked = []
+    client.append(b"lone", on_done=acked.append)
+    runtime.run_until(lambda: bool(acked), timeout=1)
+    assert acked[0].lid == 0
+    assert runtime.now == before
+
+
+def test_an_idle_two_datacenter_deployment_fires_only_its_tick_timers():
+    # A virtual second with nothing appended: 402 maintainer gossip ticks,
+    # 100 GC gossips and 100 sender ticks fire, and their 300 messages are
+    # delivered.  No batcher keeps a timer while it holds nothing.
+    runtime = CountingRuntime()
+    ChariotsDeployment(runtime, ["A", "B"])
+    runtime.run_for(1.0)
+    events, delivered = runtime.loop._events_processed, sum(runtime.delivered.values())
+    runtime.run_for(1.0)
+    deliveries = sum(runtime.delivered.values()) - delivered
+    assert deliveries == 300
+    assert runtime.loop._events_processed - events - deliveries == 602
 
 
 def test_a_stored_log_is_out_of_the_collectors_sight():

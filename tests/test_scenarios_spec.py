@@ -97,8 +97,19 @@ def test_topology_rejects_negative_workers_and_expansion():
 
 
 def test_bad_pipeline_override_fails_eagerly():
-    with pytest.raises(TypeError):
+    with pytest.raises(ConfigurationError, match="no_such_field"):
         ScenarioSpec(name="bad", title="t", pipeline={"no_such_field": 1})
+
+
+def test_an_unknown_setting_is_named_with_the_known_fields():
+    # An old spec.json may name a setting that has since been removed.
+    with pytest.raises(ConfigurationError, match="retired_setting") as excinfo:
+        ScenarioSpec.from_dict(
+            {"name": "old", "title": "t", "pipeline": {"retired_setting": 0.002}}
+        )
+    assert "batcher_flush_threshold" in str(excinfo.value)
+    with pytest.raises(ConfigurationError, match="no_such_field"):
+        ScenarioSpec(name="bad", title="t", flstore={"no_such_field": 1})
 
 
 def test_topology_rejects_zero_stage_counts():

@@ -263,6 +263,3 @@ class MessageFuturesManager:
 
     def pending_count(self) -> int:
         return sum(1 for d in self._decisions.values() if d is None)
-
-    def peer_knowledge(self, peer: DatacenterId) -> Dict[DatacenterId, int]:
-        return dict(self._peer_knowledge.get(peer, {}))

@@ -127,10 +127,6 @@ class Checkpointer:
         self._checkpoints.append(checkpoint)
         return checkpoint
 
-    @property
-    def checkpoints(self) -> List[Checkpoint]:
-        return list(self._checkpoints)
-
     def latest_before(self, lid: int) -> Optional[Checkpoint]:
         candidates = [c for c in self._checkpoints if c.upto_lid <= lid]
         return candidates[-1] if candidates else None

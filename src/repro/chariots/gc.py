@@ -2,8 +2,9 @@
 
 A record may be collected at a datacenter only once *every* datacenter is
 known to have it.  The coordinator keeps the datacenter's Awareness Table:
-its own row comes from the queues' ``FrontierUpdate`` messages, every other
-row from the tables its peers' coordinators gossip.  Every
+its own row comes from the queues' ``FrontierUpdate`` messages, at most
+once per ``replication_interval`` from each queue; every other row from
+the tables its peers' coordinators gossip.  Every
 ``replication_interval`` it sends its whole table to each peer coordinator,
 along the replication topology, and merges what it receives (element-wise
 max: a cell only grows).  Like the maintainers' ``GossipHL`` it sends even

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ..core.causality import CausalFrontier
 from ..core.config import DeploymentSpec, FLStoreConfig, PipelineConfig
 from ..core.record import DatacenterId, KnowledgeVector, LogEntry
 from ..flstore.store import FLStore, Placer
@@ -210,8 +211,15 @@ class DatacenterPipeline(FLStore):
     # ------------------------------------------------------------------ #
 
     def frontier(self) -> KnowledgeVector:
-        """The datacenter's incorporation frontier (from the GC coordinator)."""
-        return self.gc.atable.self_row()
+        """The incorporation frontier: the element-wise max of the GC
+        coordinator's own row, at most one ``replication_interval`` old, and
+        the queues' ``frontier``.  Exact in-process; on multiproc the queues
+        are the parent's shadows until ``settle`` refreshes them."""
+        frontier = CausalFrontier(self.gc.atable.self_row())
+        for queue in self.queues:
+            for host, toid in queue.frontier.items():
+                frontier.advance_host(host, toid)
+        return frontier.snapshot()
 
 
 class ChariotsDeployment:
@@ -315,6 +323,8 @@ class ChariotsDeployment:
         Compares incorporation frontiers (max contiguous TOId per host),
         which stays correct when garbage collection has already truncated
         old records — record *sets* would diverge transiently under GC.
+        Read through :meth:`DatacenterPipeline.frontier`: exact in-process,
+        at most one ``replication_interval`` old on multiproc.
         """
         fronts = list(self.frontiers().values())
         return all(f == fronts[0] for f in fronts[1:])

@@ -65,7 +65,8 @@ class QueueStage(Actor):
         self.dc_id = dc_id
         self.plan = plan
         self.next_queue = next_queue  # None = solo queue, token never leaves
-        #: The GC coordinator, told the frontier whenever it moves.
+        #: The GC coordinator, told the frontier at most once per
+        #: ``replication_interval`` (its own gossip cadence) after it moves.
         self.gc = gc
         self.config = config or PipelineConfig()
         self._token: Optional[Token] = Token() if holds_initial_token else None
@@ -78,6 +79,11 @@ class QueueStage(Actor):
         # the ones whose dependencies arrived.
         self._local_deferred: List[Record] = []  # chariots: bounded-by=token-circulation
         self.records_sequenced = 0
+        #: The newest frontier this queue produced.
+        self.frontier: Dict[DatacenterId, int] = {}
+        #: True while the report timer is set.  A snapshot or a restart
+        #: carries the flag but not the timer, so ``on_start`` re-arms.
+        self._report_armed = False
 
     # ------------------------------------------------------------------ #
 
@@ -88,6 +94,9 @@ class QueueStage(Actor):
     def on_start(self) -> None:
         if self._token is not None and self.next_queue is not None:
             self.set_timer(self.config.token_hold_interval, self._pass_token)
+        self._report_armed = False
+        if self.frontier:
+            self._arm_report()
 
     def on_message(self, sender: str, message: Any) -> None:
         if isinstance(message, AdmittedBatch):
@@ -225,9 +234,20 @@ class QueueStage(Actor):
         # 4. Update the token; keep deferred overflow local.
         token.frontier = frontier.snapshot()
         self._local_deferred = still_deferred
+        if ordered:
+            self.frontier = token.frontier
+            if not self._report_armed:
+                self._arm_report()
 
-        if ordered and self.gc is not None:
-            self.send(self.gc, FrontierUpdate(token.frontier))
+    def _arm_report(self) -> None:
+        if self.gc is not None:
+            self._report_armed = True
+            self.set_timer(self.config.replication_interval, self._report)
+
+    def _report(self) -> None:
+        self._report_armed = False
+        assert self.gc is not None
+        self.send(self.gc, FrontierUpdate(self.frontier))
 
     def _pass_token(self) -> None:
         token = self._token

@@ -49,9 +49,6 @@ class AwarenessTable:
         """This datacenter's own knowledge vector ``T[self, *]``."""
         return dict(self._table[self.self_id])
 
-    def row(self, knower: DatacenterId) -> KnowledgeVector:
-        return dict(self._table[knower])
-
     def as_matrix(self) -> Dict[DatacenterId, Dict[DatacenterId, int]]:
         """Deep copy of the whole table (for snapshots sent over the wire)."""
         return {row: dict(cols) for row, cols in self._table.items()}

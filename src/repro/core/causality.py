@@ -101,21 +101,15 @@ class CausalFrontier:
         self._max_toid[rid.host] = rid.toid
 
     def advance_host(self, host: DatacenterId, toid: int) -> None:
-        """Bulk advance: every record from ``host`` up to ``toid`` is now
-        incorporated.  Caller must guarantee the records exist and were
+        """Bulk advance (never back): every record from ``host`` up to ``toid``
+        is now incorporated.  Caller must guarantee the records exist and were
         admitted in order (the queue stage's draft batch does)."""
-        self._max_toid[host] = toid
+        if toid > self._max_toid.get(host, 0):
+            self._max_toid[host] = toid
 
     def snapshot(self) -> KnowledgeVector:
         """An immutable copy of the vector, for tokens and ATable updates."""
         return dict(self._max_toid)
-
-    def dominates(self, other: "CausalFrontier") -> bool:
-        """Whether this frontier knows at least everything ``other`` does."""
-        for host, toid in other._max_toid.items():
-            if self._max_toid.get(host, 0) < toid:
-                return False
-        return True
 
     def copy(self) -> "CausalFrontier":
         return CausalFrontier(self._max_toid)

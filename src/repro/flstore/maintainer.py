@@ -49,7 +49,6 @@ from ..core.record import (
     RecordId,
     RecordItem,
     RecordRun,
-    split_placements,
 )
 from ..runtime.actor import Actor
 from ..runtime.messages import RecordBatch
@@ -706,13 +705,6 @@ class MaintainerCore:
             else:
                 lid = plan.next_owned_lid(name, segment.end - 1)
         return items, upto
-
-    def entries_after(
-        self, after_lid: int, limit: int = 4096, host: Optional[DatacenterId] = None
-    ) -> Tuple[List[LogEntry], int]:
-        """:meth:`runs_after`, as one ``LogEntry`` per record."""
-        items, upto = self.runs_after(after_lid, limit, host)
-        return [_tuple_new(LogEntry, pair) for pair in split_placements(items)], upto
 
     # ------------------------------------------------------------------ #
     # Head-of-log gossip (§5.4)

@@ -125,12 +125,6 @@ class Machine:
     # Introspection
     # ------------------------------------------------------------------ #
 
-    def utilisation(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` the CPU spent busy."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.cpu_busy_seconds / elapsed)
-
     def peak_rate(self) -> float:
         """Nominal records/second this machine can sustain un-overloaded."""
         return 1.0 / self.profile.per_record_cost

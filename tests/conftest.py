@@ -11,6 +11,7 @@ import pytest
 from repro.analysis import ProjectInfo, scan
 from repro.chariots import AbstractDeployment, ChariotsDeployment
 from repro.core import DeploymentSpec, LogEntry, Record
+from repro.core.record import split_placements
 from repro.runtime import LocalRuntime
 
 
@@ -82,11 +83,20 @@ def python_calls(fn: Callable[[Any], Any], arg: Any) -> int:
     return calls
 
 
+def entries_after(
+    core: Any, after_lid: int, limit: int = 4096, host: Optional[str] = None
+) -> Tuple[List[LogEntry], int]:
+    """``core.runs_after(...)`` as one ``LogEntry`` per record, with the
+    cursor it reached."""
+    items, upto = core.runs_after(after_lid, limit, host)
+    return [LogEntry(*pair) for pair in split_placements(items)], upto
+
+
 def streams_caught_up(sender: Any, maintainers: List[Any]) -> bool:
     """Whether every replication stream of ``sender`` has no shipment
     outstanding and its cursor at the last LId of its maintainer's log
     (``maintainers`` are the ``LogMaintainer`` actors it reads)."""
-    last = {m.name: m.core.entries_after(-1, 1 << 30)[1] for m in maintainers}
+    last = {m.name: m.core.runs_after(-1, 1 << 30)[1] for m in maintainers}
     return all(
         not (stream.shipping and stream.seq is not None)
         and stream.acked_upto == last[maintainer]

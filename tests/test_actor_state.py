@@ -17,7 +17,8 @@ from repro.chaos import FaultPlan
 from repro.chariots import ChariotsDeployment
 from repro.chariots.batcher import Batcher
 from repro.chariots.filters import FilterMap
-from repro.chariots.messages import DraftBatch, DraftRecord
+from repro.chariots.messages import AdmittedBatch, DraftBatch, DraftRecord, FrontierUpdate
+from repro.chariots.queues import QueueStage
 from repro.chariots.receiver import Receiver
 from repro.chariots.sender import Sender
 from repro.core import PipelineConfig
@@ -165,3 +166,22 @@ def test_a_restored_batcher_sends_on_the_drafts_its_snapshot_held():
     assert [d for m in sink.messages for d in m.drafts] == drafts
     assert restored._pending_records == 0 and not restored._armed
 
+
+def test_a_restored_queue_reports_the_frontier_its_snapshot_held():
+    # A snapshot taken between a round and its report carries the frontier
+    # and the armed report flag, not the timer: the queue's start must set
+    # the report again by itself.
+    plan = OwnershipPlan(["store"], batch_size=10)
+    queue = QueueStage("queue", "A", plan, gc="gc", holds_initial_token=True)
+    runtime = LocalRuntime()
+    runtime.register_all([SinkActor("store"), SinkActor("client"), queue])
+    queue.on_message("filter", AdmittedBatch(drafts=[DraftRecord("client", 1, b"d")]))
+    assert queue._report_armed and queue.frontier == {"A": 1}
+    queue.runtime = None  # detached, as a worker's snapshot pickles it
+    restored = pickle.loads(pickle.dumps(queue))
+    runtime = LocalRuntime()
+    gc = runtime.register(SinkActor("gc"))
+    runtime.register(restored)
+    runtime.run_for(PipelineConfig().replication_interval)
+    assert [m.vector for m in gc.messages if type(m) is FrontierUpdate] == [{"A": 1}]
+    assert not restored._report_armed

@@ -29,6 +29,18 @@ from repro.sim.workload import SinkActor
 from conftest import rec, streams_caught_up
 
 
+class ClockedSink(SinkActor):
+    """A sink that also notes the virtual time each message arrived."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.arrivals = []
+
+    def on_message(self, sender, message):
+        super().on_message(sender, message)
+        self.arrivals.append((self.now, message))
+
+
 def draft(client, seq, body=None):
     return DraftRecord(client=client, seq=seq, body=body or f"{client}:{seq}")
 
@@ -166,6 +178,35 @@ class TestQueueStage:
         runtime.loop.run(max_events=20)
         updates = [m for m in listener.messages if isinstance(m, FrontierUpdate)]
         assert updates and updates[-1].vector == {"A": 1}
+
+    def test_rounds_within_one_interval_give_one_report(self):
+        # Three sequencing rounds 5 ms apart: one FrontierUpdate, carrying
+        # the third round's frontier, one replication_interval after the
+        # first round.
+        runtime, queue, store, _ = self.make_solo()
+        listener = ClockedSink("gc")
+        runtime.register_all([listener, SinkActor("client")])
+        queue.gc = "gc"
+        interval = queue.config.replication_interval
+        first = runtime.now
+        for seq in (1, 2, 3):
+            queue.on_message("f", AdmittedBatch(drafts=[draft("client", seq)]))
+            runtime.run_for(interval / 4)
+        runtime.run_for(interval)
+        reports = [(at, m) for at, m in listener.arrivals if isinstance(m, FrontierUpdate)]
+        assert [(at, m.vector) for at, m in reports] == [(first + interval, {"A": 3})]
+        assert store.core.stored_count() == 3
+
+    def test_a_queue_that_sequenced_nothing_sets_no_report_timer(self):
+        runtime, queue, _, listener = self.make_solo()
+        armed = []
+        set_timer = queue.set_timer
+        queue.set_timer = lambda *args, **kw: armed.append(args) or set_timer(*args, **kw)
+        queue.on_message("f", AdmittedBatch(externals=[rec("B", 2)]))  # waits on B:1
+        runtime.run_for(1.0)
+        assert queue.deferred_count == 1 and queue.frontier == {}
+        assert armed == []
+        assert not any(isinstance(m, FrontierUpdate) for m in listener.messages)
 
     def test_duplicate_externals_dropped(self):
         runtime, queue, store, _ = self.make_solo()

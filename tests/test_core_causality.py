@@ -53,11 +53,11 @@ class TestCausalFrontier:
         frontier.advance(rec("A", 2))
         assert snap == {"A": 1}
 
-    def test_dominates(self):
-        low = CausalFrontier({"A": 1})
-        high = CausalFrontier({"A": 2, "B": 1})
-        assert high.dominates(low)
-        assert not low.dominates(high)
+    def test_advance_host_never_goes_back(self):
+        frontier = CausalFrontier({"A": 3})
+        frontier.advance_host("A", 2)
+        frontier.advance_host("B", 4)
+        assert frontier.snapshot() == {"A": 3, "B": 4}
 
     def test_equality_ignores_zero_entries(self):
         assert CausalFrontier({"A": 1, "B": 0}) == CausalFrontier({"A": 1})

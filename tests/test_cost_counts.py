@@ -4,7 +4,8 @@ On ``LocalRuntime`` the work a run does is a pure function of its inputs,
 so a count can gate in tier-1 where a wall-clock time cannot:
 
 * the messages a two-datacenter run delivers, by type — records travel as
-  runs, which changes payloads, never how many messages carry them;
+  runs, which changes payloads, never how many messages carry them — and
+  how the queues' frontier reports scale with queues and datacenters;
 * the objects the cyclic collector tracks for a stored log — a
   maintainer's segments keep the log out of its sight;
 * the virtual time a lone append waits for its ack — none, since no stage
@@ -16,7 +17,10 @@ from __future__ import annotations
 import gc
 from collections import Counter
 
+import pytest
+
 from repro.chariots import ChariotsDeployment
+from repro.core import DeploymentSpec
 from repro.core.record import RecordRun
 from repro.flstore import MaintainerCore, OwnershipPlan
 from repro.runtime import LocalRuntime
@@ -39,7 +43,7 @@ MESSAGE_COUNTS = {
     "FilterBatch": 220,
     "AdmittedBatch": 210,
     "PlaceRecords": 210,
-    "FrontierUpdate": 210,
+    "FrontierUpdate": 10,
     "DraftBatch": 200,
     "DraftCommitBatch": 200,
     "IndexUpdate": 40,
@@ -74,7 +78,35 @@ def test_a_two_datacenter_run_delivers_the_pinned_messages():
         timeout=60,
     )
     assert dict(runtime.delivered) == MESSAGE_COUNTS
-    assert sum(runtime.delivered.values()) == 1344
+    assert sum(runtime.delivered.values()) == 1144
+
+
+@pytest.mark.parametrize(
+    "datacenters, queues, rounds, reports, messages",
+    [
+        ("AB", 2, 42, 6, 500),  # a token ring of two queues per datacenter
+        ("ABCDEFGH", 1, 864, 40, 6224),  # 0.389 messages per record
+    ],
+)
+def test_each_queue_reports_its_frontier_at_most_once_per_tick(
+    datacenters, queues, rounds, reports, messages
+):
+    # 2 000 appends per datacenter in bursts of 200, alternating the
+    # datacenters, each burst given a millisecond, then settle.  Every
+    # sequencing round moves a queue's frontier, but the queue reports it
+    # at most once per replication_interval.
+    runtime = CountingRuntime()
+    deployment = ChariotsDeployment(runtime, list(datacenters), spec=DeploymentSpec(queues=queues))
+    clients = [deployment.client(dc) for dc in datacenters]
+    burst = 200
+    for start in range(0, 2_000 * len(clients), burst):
+        for i in range(start, start + burst):
+            clients[i % len(clients)].append(b"x" * 64)
+        runtime.run_for(0.001)
+    assert deployment.settle()
+    assert runtime.delivered["AdmittedBatch"] == rounds
+    assert runtime.delivered["FrontierUpdate"] == reports
+    assert sum(runtime.delivered.values()) == messages
 
 
 def test_a_lone_append_is_acked_without_the_clock_moving():
@@ -91,6 +123,11 @@ def test_a_lone_append_is_acked_without_the_clock_moving():
     runtime.run_until(lambda: bool(acked), timeout=1)
     assert acked[0].lid == 0
     assert runtime.now == before
+    # The queue reports the frontier to the GC coordinator a
+    # replication_interval later, yet frontier() reads the queues too, so
+    # the append counts at once.
+    assert deployment["A"].frontier() == {"A": 1, "B": 0}
+    assert deployment["A"].gc.atable.self_row() == {"A": 0, "B": 0}
 
 
 def test_an_idle_two_datacenter_deployment_fires_only_its_tick_timers():

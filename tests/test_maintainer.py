@@ -19,7 +19,7 @@ from repro.flstore.messages import GossipHL, ReadNewReply, ReadNewRequest
 from repro.runtime import LocalRuntime
 from repro.sim.workload import SinkActor
 
-from conftest import chain, rec
+from conftest import chain, entries_after, rec
 
 
 def make_cluster(n=3, batch=5):
@@ -127,14 +127,14 @@ class TestReads:
         _, (m0, *_) = make_cluster()
         m0.append(chain("c", 3))
         m0.place(16, rec("X", 1))  # ahead of the contiguous frontier
-        entries, upto = m0.entries_after(-1)
+        entries, upto = entries_after(m0, -1)
         assert [e.lid for e in entries] == [0, 1, 2]
         assert upto == 2
 
     def test_entries_after_respects_limit(self):
         _, (m0, *_) = make_cluster()
         m0.append(chain("c", 5))
-        entries, upto = m0.entries_after(-1, limit=2)
+        entries, upto = entries_after(m0, -1, limit=2)
         assert [e.lid for e in entries] == [0, 1]
         assert upto == 1
 
@@ -167,7 +167,7 @@ class TestRunsAfter:
         assert items[2][1] == RecordRun("A", 6, d2, ["a6", "a7"], [(), ()])
         assert items[3][1].internal
         # The same walk as one entry per record.
-        assert core.entries_after(-1) == (core.stored_entries(), 8)
+        assert entries_after(core, -1) == (core.stored_entries(), 8)
 
     def test_host_filter_and_limit_count_records(self):
         core, d1, d2 = self.core()
@@ -185,7 +185,7 @@ def drain(core, limit, host, sender_host):
     cursor ends, and every reply it was sent."""
     cursor, buffered, replies = -1, [], []
     while True:
-        entries, upto = core.entries_after(cursor, limit, host)
+        entries, upto = entries_after(core, cursor, limit, host)
         replies.append(entries)
         buffered += [(e.lid, e.rid) for e in entries if e.record.host == sender_host]
         if upto <= cursor:
@@ -226,15 +226,15 @@ class TestHostFilteredEntriesAfter:
     def test_all_external_tail_is_walked_over(self):
         _, (m0, *_) = make_cluster(batch=5)
         m0.append(chain("A", 2) + chain("B", 3))
-        entries, upto = m0.entries_after(-1, host="A")
+        entries, upto = entries_after(m0, -1, host="A")
         assert [e.lid for e in entries] == [0, 1] and upto == 4
-        assert m0.entries_after(1, host="A") == ([], 4)
-        assert m0.entries_after(4, host="A") == ([], 4)
+        assert entries_after(m0, 1, host="A") == ([], 4)
+        assert entries_after(m0, 4, host="A") == ([], 4)
 
     def test_limit_counts_returned_entries(self):
         _, (m0, *_) = make_cluster(batch=5)
         m0.append([rec("B", 1), rec("A", 1), rec("B", 2), rec("A", 2), rec("A", 3)])
-        entries, upto = m0.entries_after(-1, limit=2, host="A")
+        entries, upto = entries_after(m0, -1, limit=2, host="A")
         assert [e.lid for e in entries] == [1, 3] and upto == 3
 
     def test_filter_stops_at_a_hole_and_skips_a_collected_prefix(self):
@@ -242,7 +242,7 @@ class TestHostFilteredEntriesAfter:
         m0.append([rec("A", 1), rec("B", 1), rec("A", 2)])
         m0.place(4, rec("A", 3))  # LId 3 is a hole
         m0.truncate({"A": 1})
-        entries, upto = m0.entries_after(-1, host="A")
+        entries, upto = entries_after(m0, -1, host="A")
         assert [e.lid for e in entries] == [2] and upto == 2
 
     def test_actor_passes_the_requested_host(self):
@@ -384,7 +384,7 @@ class TestGarbageCollection:
         _, (m0, *_) = make_cluster(batch=5)
         m0.append([rec("A", t) for t in range(1, 4)])
         m0.truncate({"A": 2})
-        entries, upto = m0.entries_after(-1)
+        entries, upto = entries_after(m0, -1)
         assert [e.record.toid for e in entries] == [3]
 
 

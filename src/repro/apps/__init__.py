@@ -23,7 +23,7 @@ from .streams import (
     StreamReader,
     WindowedAggregator,
 )
-from .timetravel import Checkpoint, Checkpointer, LogAuditor, Version
+from .timetravel import Checkpoint, Checkpointer, LogAuditor
 
 __all__ = [
     "Checkpoint",
@@ -45,7 +45,6 @@ __all__ = [
     "StreamReader",
     "Transaction",
     "TxnRecord",
-    "Version",
     "VersionedValue",
     "WindowedAggregator",
     "key_tag",

@@ -242,8 +242,3 @@ class HeliosManager:
                 self._committed.update(txn.writes)
         else:
             self.aborts += 1
-
-    # ------------------------------------------------------------------ #
-
-    def pending_count(self) -> int:
-        return sum(1 for d in self._decisions.values() if d is None)

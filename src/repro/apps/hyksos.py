@@ -130,49 +130,6 @@ class Hyksos:
         return VersionedValue(key, value, entry.lid, entry.record.host, entry.record.toid)
 
     # ------------------------------------------------------------------ #
-    # Convergent reads (causal+, COPS-style)
-    # ------------------------------------------------------------------ #
-
-    def get_convergent(self, key: str) -> Optional[Any]:
-        """A read that returns the same value at every datacenter.
-
-        §2.2 discusses COPS's *causal+* consistency: causality plus
-        convergence.  Plain gets return the put latest in the *local* log,
-        which may differ between datacenters for concurrent puts
-        (Figure 2).  This read instead resolves conflicts with a
-        deterministic rule — among the puts not causally dominated by
-        another put to the key, the highest ``(TOId, host)`` pair wins —
-        so once replication has delivered the same records everywhere,
-        every datacenter answers identically.
-        """
-        entries: List[LogEntry] = self.log.read(
-            ReadRules(tag_key=key_tag(key), most_recent=False)
-        )
-        if not entries:
-            return None
-        # Keep only puts not causally dominated by a later put to this key.
-        frontier_puts: List[LogEntry] = []
-        for candidate in entries:
-            record = candidate.record
-            dominated = any(
-                other.record.depends_on(record.rid)
-                or (
-                    other.record.host == record.host
-                    and other.record.toid > record.toid
-                )
-                for other in entries
-                if other is not candidate
-            )
-            if not dominated:
-                frontier_puts.append(candidate)
-        winner = max(
-            frontier_puts, key=lambda e: (e.record.toid, e.record.host)
-        )
-        self._observe(winner.record.host, winner.record.toid)
-        value = winner.record.tag_dict()[key_tag(key)]
-        return None if value == TOMBSTONE else value
-
-    # ------------------------------------------------------------------ #
     # Get transactions (Algorithm 1)
     # ------------------------------------------------------------------ #
 

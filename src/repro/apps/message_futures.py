@@ -68,10 +68,6 @@ class PendingCommit:
     manager: "MessageFuturesManager"
 
     @property
-    def decided(self) -> bool:
-        return self.manager.decision(self.txn_id) is not None
-
-    @property
     def committed(self) -> bool:
         return self.manager.decision(self.txn_id) is True
 
@@ -256,10 +252,3 @@ class MessageFuturesManager:
             return
         self._applied.add(txn.txn_id)
         self._committed.update(txn.writes)
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
-    def pending_count(self) -> int:
-        return sum(1 for d in self._decisions.values() if d is None)

@@ -76,9 +76,6 @@ class ReplicatedCounter(ReplicatedObject):
     def increment(self, by: int = 1) -> None:
         self._append_mutation("add", delta=by)
 
-    def decrement(self, by: int = 1) -> None:
-        self._append_mutation("add", delta=-by)
-
     @property
     def value(self) -> int:
         return self._value
@@ -201,9 +198,6 @@ class ReplicatedQueue(ReplicatedObject):
     def owner_of(self, item_id: str) -> Optional[str]:
         claim = self._claims.get(item_id)
         return None if claim is None else claim[1]
-
-    def pending_items(self) -> List[Tuple[str, Any]]:
-        return [(i, p) for i, p in self._pending if i not in self._claims]
 
     def _apply(self, body: Dict[str, Any], record: Record) -> None:
         if body["op"] == "enqueue":

@@ -6,8 +6,7 @@ travel."  This module delivers those tasks for any state machine driven by
 tagged records — demonstrated on Hyksos's put records:
 
 * :class:`LogAuditor` — reconstruct the key-value state *as of any log
-  position*, list a key's full version history, and diff two points in
-  time;
+  position*;
 * :class:`Checkpointer` — periodic materialised snapshots so long logs can
   be replayed from the nearest checkpoint instead of position zero.
 """
@@ -21,32 +20,13 @@ from ..core.record import LogEntry, ReadRules
 from .hyksos import KEY_TAG_PREFIX
 
 
-@dataclass(frozen=True)
-class Version:
-    """One historical value of a key."""
-
-    key: str
-    value: Any
-    lid: int
-    host: str
-    toid: int
-
-
-def _puts_in(entry: LogEntry) -> List[Version]:
-    """Extract the put operations a record carries (possibly several)."""
-    versions = []
-    for tag_key, value in entry.record.tags:
-        if tag_key.startswith(KEY_TAG_PREFIX):
-            versions.append(
-                Version(
-                    key=tag_key[len(KEY_TAG_PREFIX):],
-                    value=value,
-                    lid=entry.lid,
-                    host=entry.record.host,
-                    toid=entry.record.toid,
-                )
-            )
-    return versions
+def _puts_in(entry: LogEntry) -> List[Tuple[str, Any]]:
+    """The ``(key, value)`` puts a record carries (possibly several)."""
+    return [
+        (tag_key[len(KEY_TAG_PREFIX):], value)
+        for tag_key, value in entry.record.tags
+        if tag_key.startswith(KEY_TAG_PREFIX)
+    ]
 
 
 class LogAuditor:
@@ -68,40 +48,9 @@ class LogAuditor:
         """The key-value state as of log position ``lid`` (default: now)."""
         state: Dict[str, Any] = {}
         for entry in self._entries_upto(lid):
-            for version in _puts_in(entry):
-                state[version.key] = version.value
+            for key, value in _puts_in(entry):
+                state[key] = value
         return state
-
-    def history(self, key: str, upto_lid: Optional[int] = None) -> List[Version]:
-        """Every version of ``key`` in log order (the audit trail)."""
-        entries = self.log.read(
-            ReadRules(tag_key=KEY_TAG_PREFIX + key, max_lid=upto_lid, most_recent=False)
-        )
-        versions: List[Version] = []
-        for entry in entries:
-            versions.extend(v for v in _puts_in(entry) if v.key == key)
-        return versions
-
-    def diff(
-        self, earlier_lid: int, later_lid: Optional[int] = None
-    ) -> Dict[str, Tuple[Any, Any]]:
-        """Keys whose value changed between two log positions.
-
-        Returns ``{key: (value before, value after)}``; keys created later
-        map from ``None``.
-        """
-        before = self.state_at(earlier_lid)
-        after = self.state_at(later_lid)
-        changed: Dict[str, Tuple[Any, Any]] = {}
-        for key in set(before) | set(after):
-            if before.get(key) != after.get(key):
-                changed[key] = (before.get(key), after.get(key))
-        return changed
-
-    def blame(self, key: str) -> Optional[Version]:
-        """Who wrote the current value of ``key`` (host datacenter + TOId)."""
-        versions = self.history(key)
-        return versions[-1] if versions else None
 
 
 @dataclass
@@ -140,6 +89,6 @@ class Checkpointer:
             ReadRules(min_lid=start, max_lid=lid, most_recent=False)
         )
         for entry in entries:
-            for version in _puts_in(entry):
-                state[version.key] = version.value
+            for key, value in _puts_in(entry):
+                state[key] = value
         return state

@@ -46,10 +46,6 @@ class Sequencer(Actor):
         #: machine profile's control-message cost under the simulator).
         self._grant_cost = grant_cost
 
-    @property
-    def next_position(self) -> int:
-        return self._next
-
     def service_cost(self, message: Any) -> Optional[float]:
         if self._grant_cost is not None and isinstance(message, SequencerRequest):
             return self._grant_cost

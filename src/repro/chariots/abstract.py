@@ -18,7 +18,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequ
 
 from ..core.atable import AwarenessTable
 from ..core.causality import CausalFrontier, DeferredQueue, first_violation
-from ..core.errors import GarbageCollectedError, LidOutOfRangeError
+from ..core.errors import LidOutOfRangeError
 from ..core.record import (
     AppendResult,
     DatacenterId,
@@ -39,7 +39,6 @@ class AbstractChariots:
         self.frontier = CausalFrontier()
         self.deferred = DeferredQueue()
         self._log: List[Record] = []
-        self._base_lid = 0  # first LId still present (advances under GC)
 
     # ------------------------------------------------------------------ #
     # Event 2: Append (§6.1)
@@ -75,19 +74,16 @@ class AbstractChariots:
     # ------------------------------------------------------------------ #
 
     def read(self, lid: int) -> LogEntry:
-        if lid < self._base_lid:
-            raise GarbageCollectedError(lid, self._base_lid)
-        index = lid - self._base_lid
-        if index >= len(self._log):
+        if not 0 <= lid < len(self._log):
             raise LidOutOfRangeError(lid, self.head_lid())
-        return LogEntry(lid, self._log[index])
+        return LogEntry(lid, self._log[lid])
 
     def read_rules(self, rules: ReadRules) -> List[LogEntry]:
         span = range(len(self._log))
         order = reversed(span) if rules.most_recent else iter(span)
         matches: List[LogEntry] = []
         for index in order:
-            entry = LogEntry(self._base_lid + index, self._log[index])
+            entry = LogEntry(index, self._log[index])
             if rules.matches(entry):
                 matches.append(entry)
                 if rules.limit is not None and len(matches) >= rules.limit:
@@ -96,10 +92,10 @@ class AbstractChariots:
 
     def head_lid(self) -> int:
         """LId of the newest record (-1 when the log is empty)."""
-        return self._base_lid + len(self._log) - 1
+        return len(self._log) - 1
 
     def entries(self) -> List[LogEntry]:
-        return [LogEntry(self._base_lid + i, r) for i, r in enumerate(self._log)]
+        return [LogEntry(i, r) for i, r in enumerate(self._log)]
 
     def __len__(self) -> int:
         return len(self._log)
@@ -161,35 +157,8 @@ class AbstractChariots:
         self.atable.record_incorporated(record.rid)
 
     # ------------------------------------------------------------------ #
-    # Garbage collection (§6.1)
-    # ------------------------------------------------------------------ #
-
-    def collect_garbage(self, keep_records: int = 0) -> int:
-        """Drop the longest prefix in which every record is known everywhere.
-
-        ``keep_records`` retains at least that many newest records
-        regardless.  Returns the number of records collected.
-        """
-        gc_vector = self.atable.gc_vector()
-        limit = len(self._log) - keep_records
-        dropped = 0
-        while dropped < limit:
-            record = self._log[dropped]
-            if gc_vector.get(record.host, 0) < record.toid:
-                break
-            dropped += 1
-        if dropped:
-            del self._log[:dropped]
-            self._base_lid += dropped
-        return dropped
-
-    # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-
-    @property
-    def base_lid(self) -> int:
-        return self._base_lid
 
     def knowledge(self) -> KnowledgeVector:
         return self.frontier.snapshot()

@@ -157,13 +157,6 @@ class FilterMap:
                 )
         return routed
 
-    def next_toid_for(
-        self, host: DatacenterId, after_toid: int, filter_name: str
-    ) -> Optional[int]:
-        """Smallest TOId > ``after_toid`` of ``host`` championed by
-        ``filter_name``, or ``None`` once no later epoch names it."""
-        return self.plan(host).next_owned_lid(filter_name, after_toid)
-
     def filter_for_draft(self, draft: DraftRecord) -> str:
         chosen = self._client_champion.get(draft.client)
         if chosen is None:
@@ -229,9 +222,6 @@ class FilterCore:
         out, self.misrouted = self.misrouted, []
         return out
 
-    def offer_external(self, record: Record) -> List[Record]:
-        return self._walk_records([record])
-
     def offer_externals(self, items: List[RecordItem]) -> List[RecordItem]:
         """Admit each record next in its host's championed slice, with any
         buffered successors it unblocks; records this filter does not
@@ -269,9 +259,6 @@ class FilterCore:
         return self._walk(
             records, map(_rid_of, records), self._host_floor, self._reorder, self.filter_map
         )
-
-    def offer_draft(self, draft: DraftRecord) -> List[DraftRecord]:
-        return self.offer_drafts([draft])
 
     def offer_drafts(self, drafts: List[DraftRecord]) -> List[DraftRecord]:
         """Admit local drafts exactly once, in client-sequence order."""

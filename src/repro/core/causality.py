@@ -35,10 +35,6 @@ class CausalFrontier:
     def __init__(self, initial: Optional[KnowledgeVector] = None) -> None:
         self._max_toid: Dict[DatacenterId, int] = dict(initial or {})
 
-    def known(self, rid: RecordId) -> bool:
-        """Whether the record identified by ``rid`` has been incorporated."""
-        return self._max_toid.get(rid.host, 0) >= rid.toid
-
     def max_toid(self, host: DatacenterId) -> int:
         """Highest TOId incorporated from ``host`` (0 if none)."""
         return self._max_toid.get(host, 0)
@@ -110,9 +106,6 @@ class CausalFrontier:
     def snapshot(self) -> KnowledgeVector:
         """An immutable copy of the vector, for tokens and ATable updates."""
         return dict(self._max_toid)
-
-    def copy(self) -> "CausalFrontier":
-        return CausalFrontier(self._max_toid)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CausalFrontier):

@@ -61,10 +61,6 @@ class PipelineConfig:
     retransmit_base: float = 0.5
     #: Cap on the retransmission backoff.
     retransmit_max: float = 4.0
-    #: Backoff multiplier between consecutive retransmissions.
-    retransmit_multiplier: float = 2.0
-    #: ±fraction of seeded jitter on each retransmission delay.
-    retransmit_jitter: float = 0.1
     #: Consecutive retransmission failures before a peer datacenter's
     #: circuit breaker opens (senders stop shipping until a probe succeeds).
     breaker_failure_threshold: int = 8
@@ -88,12 +84,13 @@ class PipelineConfig:
             raise ConfigurationError("retransmit_max must be >= retransmit_base")
 
     def retransmit_policy(self) -> "RetryPolicy":
-        """The replication retransmission schedule as a shared RetryPolicy."""
+        """The replication retransmission schedule as a shared RetryPolicy:
+        the delay doubles per retransmission, with ±10 % seeded jitter."""
         return RetryPolicy(
             base_delay=self.retransmit_base,
             max_delay=self.retransmit_max,
-            multiplier=self.retransmit_multiplier,
-            jitter=self.retransmit_jitter,
+            multiplier=2.0,
+            jitter=0.1,
             max_attempts=1_000_000,  # senders retransmit until acked
         )
 
@@ -156,8 +153,6 @@ class NetworkProfile:
     lan_rtt: float = 0.00015
     #: Cross-datacenter RTT (representative US-East <-> US-West).
     wan_rtt: float = 0.060
-    #: Fixed per-message framing overhead in bytes.
-    message_overhead_bytes: int = 64
 
     @property
     def lan_latency(self) -> float:

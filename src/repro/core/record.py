@@ -73,12 +73,6 @@ class RecordId(_RecordIdFields):
             raise ConfigurationError(f"TOIds start at 1, got {toid}")
         return _tuple_new(cls, (host, toid))
 
-    def predecessor(self) -> Optional["RecordId"]:
-        """The record that precedes this one in its host's total order."""
-        if self.toid == 1:
-            return None
-        return RecordId(self.host, self.toid - 1)
-
     def __str__(self) -> str:  # pragma: no cover - repr convenience
         return f"<{self.host},{self.toid}>"
 

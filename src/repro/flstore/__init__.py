@@ -1,6 +1,6 @@
 """FLStore: the sequencer-free distributed shared log within a datacenter (§5)."""
 
-from .archive import ArchiveStore, TieredReader
+from .archive import ArchiveStore
 from .client import BlockingFLStoreClient, FLStoreClient
 from .controller import Controller, ControllerCore
 from .indexer import Indexer, IndexerCore
@@ -24,6 +24,5 @@ __all__ = [
     "MemoryJournal",
     "OwnershipPlan",
     "RangeEpoch",
-    "TieredReader",
     "recover_maintainer_core",
 ]

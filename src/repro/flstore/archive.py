@@ -5,7 +5,8 @@ a cold storage solution to archive older records."  This module is that
 solution: an :class:`ArchiveStore` receives every record the maintainers
 evict (each truncation's as one run) and keeps it readable — so the
 *combined* view of archive plus live log still covers the entire history,
-which is what auditing and time-travel reads (§1) need.
+which is what auditing and time-travel reads (§1) need: read the live log,
+then the archive.
 
 On disk an archive is a journal file (:mod:`repro.flstore.journal`) of one
 block, so ``inspect-journal`` and ``FileJournal.replay_runs`` read a dump.
@@ -13,14 +14,12 @@ block, so ``inspect-journal`` and ``FileJournal.replay_runs`` read a dump.
 
 from __future__ import annotations
 
-import dataclasses
-import os
 from bisect import insort
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.errors import LidOutOfRangeError
 from ..core.record import LogEntry, ReadRules, Record
-from .journal import _pack_block, _read_runs
+from .journal import _pack_block
 from .maintainer import Placements
 
 
@@ -75,11 +74,6 @@ class ArchiveStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    def lid_range(self) -> Optional[Tuple[int, int]]:
-        if not self._lids:
-            return None
-        return (self._lids[0], self._lids[-1])
-
     # -- persistence ---------------------------------------------------------- #
 
     def dump(self, path: str) -> int:
@@ -91,41 +85,3 @@ class ArchiveStore:
             handle.write(block)
         return len(self._lids)
 
-    @classmethod
-    def load(cls, path: str) -> "ArchiveStore":
-        """Read back a :meth:`dump` (or any journal file) without changing it."""
-        if not os.path.isfile(path):
-            raise FileNotFoundError(path)
-        store = cls()
-        for run in _read_runs(path):
-            store.append_run(run)
-        return store
-
-
-class TieredReader:
-    """Reads that fall back from the live log to the archive.
-
-    Gives applications the paper's "keep the log forever" semantics even
-    when the maintainers garbage-collect aggressively: recent positions are
-    served by a live client, collected ones by the archive.
-    """
-
-    def __init__(self, live_client: Any, archive: ArchiveStore) -> None:
-        self.live = live_client
-        self.archive = archive
-
-    def read_lid(self, lid: int) -> Optional[LogEntry]:
-        reply = self.live.read_lid(lid)
-        entries = getattr(reply, "entries", None)
-        if entries:
-            return entries[0]
-        return self.archive.try_get(lid)
-
-    def read(self, rules: ReadRules) -> List[LogEntry]:
-        entries = list(self.live.read(rules))
-        remaining = None if rules.limit is None else rules.limit - len(entries)
-        if remaining is None or remaining > 0:
-            archived = self.archive.read(dataclasses.replace(rules, limit=remaining))
-            seen = {entry.lid for entry in entries}
-            entries.extend(e for e in archived if e.lid not in seen)
-        return rules.merge_scan(entries)

@@ -84,10 +84,6 @@ class FLStoreClient(Actor):
         self._request_id += 1
         return self._request_id
 
-    @property
-    def session_ready(self) -> bool:
-        return self._session is not None
-
     def _when_ready(self, op: Callable[[], None]) -> None:
         if self._session is None:
             self._queued_ops.append(op)
@@ -299,26 +295,3 @@ class BlockingFLStoreClient:
 
     def head(self) -> int:
         return self._await(lambda cb: self.client.head(cb))
-
-    def wait_until_visible(self, host: str, toid: int, max_seconds: float = 30.0) -> LogEntry:
-        """Block until record ``<host, toid>`` is readable locally.
-
-        The session guarantee applications need after telling someone
-        "record X exists": pump the runtime until replication has delivered
-        it.  Returns the local log entry; raises
-        :class:`~repro.core.errors.RuntimeExhaustedError` on timeout.
-        """
-        from ..core.errors import RuntimeExhaustedError
-
-        deadline = self.runtime.now + max_seconds
-        while True:
-            entries = self.read(
-                ReadRules(host=host, min_toid=toid, max_toid=toid, limit=1)
-            )
-            if entries:
-                return entries[0]
-            if self.runtime.now >= deadline:
-                raise RuntimeExhaustedError(
-                    f"record <{host},{toid}> not visible after {max_seconds}s"
-                )
-            self.runtime.run_for(min(0.05, max(1e-6, deadline - self.runtime.now)))

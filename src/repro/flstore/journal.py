@@ -11,8 +11,8 @@ the journal alone.
 Two journal flavours, both taking a whole run of placements at a time
 (``append_run``) or one (``journal(lid, record)``).  A placement is a
 record at its LId or a :class:`~repro.core.record.RecordRun` from its first
-LId on, as the ``PlaceRecords`` message carried it; ``replay()`` splits the
-runs back into records:
+LId on, as the ``PlaceRecords`` message carried it; ``replay_runs()`` hands
+the placements back a block at a time:
 
 * :class:`MemoryJournal` — in-process, used by tests and failure drills;
 * :class:`FileJournal` — a block journal on disk: one CRC-framed binary
@@ -28,12 +28,11 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from itertools import chain
 from typing import BinaryIO, Dict, Iterable, Iterator, Optional, Tuple
 
 from ..core.config import FLStoreConfig
 from ..core.errors import LogError, NetworkProtocolError
-from ..core.record import Record, count_records, split_placements
+from ..core.record import Record, count_records
 from ..core.value_codec import _encode_value, decode_value_binary
 from .maintainer import MaintainerCore, Placements
 from .range_map import OwnershipPlan
@@ -164,19 +163,8 @@ class MemoryJournal:
     def __len__(self) -> int:
         return count_records(item for _lid, item in self._entries)
 
-    def replay(self) -> Iterator[Tuple[int, Record]]:
-        """Every journaled record as a ``(lid, record)`` pair, runs split."""
-        return split_placements(list(self._entries))
-
     def replay_runs(self) -> Iterator[Placements]:
         return iter([list(self._entries)] if self._entries else [])
-
-    def truncate_below(self, lid: int) -> int:
-        """Compact the journal after garbage collection: drop the records
-        below ``lid``; returns how many were dropped."""
-        before = list(split_placements(self._entries))
-        self._entries = [(l, r) for l, r in before if l >= lid]
-        return len(before) - len(self._entries)
 
 
 class FileJournal:
@@ -222,10 +210,6 @@ class FileJournal:
         """The journaled runs, a block at a time (read lazily)."""
         self._file.flush()
         return _read_runs(self.path)
-
-    def replay(self) -> Iterator[Tuple[int, Record]]:
-        """Every journaled record as a ``(lid, record)`` pair, runs split."""
-        return split_placements(chain.from_iterable(self.replay_runs()))
 
 
 def recover_maintainer_core(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.errors import ConfigurationError
 
@@ -193,10 +193,3 @@ class OwnershipPlan:
 
     def first_owned_lid(self, name: str) -> Optional[int]:
         return self.next_owned_lid(name, -1)
-
-    def owned_lids(self, name: str, upto: int) -> Iterator[int]:
-        """Every LId in ``[0, upto]`` owned by ``name``, ascending."""
-        lid = self.first_owned_lid(name)
-        while lid is not None and lid <= upto:
-            yield lid
-            lid = self.next_owned_lid(name, lid)

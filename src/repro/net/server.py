@@ -117,10 +117,6 @@ class _BaseServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._start_lock = asyncio.Lock()
 
-    def set_chaos(self, chaos: Optional["NetChaos"]) -> None:
-        """Install (or clear) request-level fault injection."""
-        self.chaos = chaos
-
     async def start(self) -> Tuple[str, int]:
         # Two concurrent start() calls would both bind (port 0 picks two
         # different sockets) and one listener would leak; the lock also

@@ -207,9 +207,6 @@ class BaseRuntime:
                     0.0, lambda s=src, m=message: self._on_deliver(s, name, m)
                 )
 
-    def is_crashed(self, name: str) -> bool:
-        return name in self._crashed
-
     def crashed_actors(self) -> List[str]:
         return sorted(self._crashed)
 

@@ -13,7 +13,7 @@ soak/overload/chaos scenarios.
 Command line: ``python -m repro.scenarios {list,show,run}``.
 """
 
-from .catalog import CATALOG, get, names, select, tags_in_use
+from .catalog import CATALOG, get, names, select
 from .executors import EXECUTORS
 from .runner import (
     PhaseStatus,
@@ -60,5 +60,4 @@ __all__ = [
     "resolve_profile",
     "run_scenario",
     "select",
-    "tags_in_use",
 ]

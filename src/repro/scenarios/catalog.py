@@ -20,12 +20,12 @@ Tags:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ConfigurationError
 from .spec import Invariant, ScenarioSpec, TopologySpec, WorkloadSpec
 
-__all__ = ["CATALOG", "get", "names", "select", "tags_in_use"]
+__all__ = ["CATALOG", "get", "names", "select"]
 
 
 def _fig7() -> ScenarioSpec:
@@ -705,10 +705,3 @@ def select(
             continue
         out.append(spec)
     return out
-
-
-def tags_in_use() -> List[str]:
-    out: Set[str] = set()
-    for spec in CATALOG:
-        out.update(spec.tags)
-    return sorted(out)

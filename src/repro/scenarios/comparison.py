@@ -3,7 +3,8 @@
 The paper positions Chariots as the only shared log offering causal
 consistency together with both per-replica partitioning and replication.
 This module encodes the table as data so the claim is testable and
-``python -m repro.cli table1`` can reprint it.
+``python -m repro.cli table1`` can reprint it, with ``yes`` / ``no`` where
+the paper prints check and cross marks.
 """
 
 from __future__ import annotations
@@ -57,28 +58,9 @@ def groups() -> List[Tuple[str, bool, bool, List[str]]]:
     return out
 
 
-def systems_with(
-    consistency: str, partitioned: bool, replicated: bool
-) -> List[SystemEntry]:
-    return [
-        e
-        for e in TABLE1
-        if e.consistency == consistency
-        and e.partitioned == partitioned
-        and e.replicated == replicated
-    ]
-
-
-def chariots_fills_the_void() -> bool:
-    """The paper's positioning claim: causal + partitioned + replicated is
-    occupied by Chariots alone."""
-    matches = systems_with("causal", True, True)
-    return len(matches) == 1 and matches[0].name == "Chariots"
-
-
 def render() -> str:
     """Pretty-print Table 1 in the paper's grouping."""
-    mark = {True: "3", False: "7"}  # the paper's check/cross glyphs
+    mark = {True: "yes", False: "no"}
     lines = [
         "Consistency  Partitioned  Replicated  Systems",
         "-" * 72,

@@ -526,10 +526,6 @@ class ScenarioSpec:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
-
 
 def check_invariants(spec: ScenarioSpec, aggregates: Any) -> List[str]:
     """Every invariant failure message (empty = all claims hold)."""

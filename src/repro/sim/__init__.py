@@ -3,12 +3,11 @@
 from .kernel import SimRuntime
 from .machine import Machine
 from .metrics import MetricsRegistry
-from .workload import LoadClient, SinkActor
+from .workload import LoadClient
 
 __all__ = [
     "LoadClient",
     "Machine",
     "MetricsRegistry",
     "SimRuntime",
-    "SinkActor",
 ]

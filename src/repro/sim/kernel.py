@@ -20,7 +20,7 @@ records/second the paper's Tables 2–5 report.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Optional, Sequence, TYPE_CHECKING
 
 from ..core.config import MachineProfile, NetworkProfile, PRIVATE_CLOUD
 from ..core.errors import ConfigurationError
@@ -29,6 +29,10 @@ from ..runtime.local import LocalRuntime
 from ..runtime.messages import record_count_of, wire_size_of
 from .machine import Machine
 from .metrics import MetricsRegistry
+
+#: Fixed per-message framing overhead in bytes, added to every message a
+#: NIC sends or receives.
+MESSAGE_OVERHEAD_BYTES = 64
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chaos.plan import FaultPlan
@@ -52,7 +56,6 @@ class SimRuntime(LocalRuntime):
         self.metrics = metrics or MetricsRegistry()
         self._machines: Dict[str, Machine] = {}
         self._placement: Dict[str, Machine] = {}
-        self._latency_overrides: Dict[Tuple[str, str], float] = {}
 
     # ------------------------------------------------------------------ #
     # Topology
@@ -73,9 +76,6 @@ class SimRuntime(LocalRuntime):
 
     def machine(self, name: str) -> Machine:
         return self._machines[name]
-
-    def machines(self) -> Dict[str, Machine]:
-        return dict(self._machines)
 
     def place(self, actor: Actor, machine_name: str) -> Actor:
         """Register ``actor`` and pin it to a machine."""
@@ -98,17 +98,9 @@ class SimRuntime(LocalRuntime):
         )
         return self.place(actor, machine.name)
 
-    def set_latency(self, dc_a: str, dc_b: str, one_way_seconds: float) -> None:
-        """Override the one-way latency between two datacenters."""
-        self._latency_overrides[(dc_a, dc_b)] = one_way_seconds
-        self._latency_overrides[(dc_b, dc_a)] = one_way_seconds
-
     def latency_between(self, src: Machine, dst: Machine) -> float:
         if src.datacenter == dst.datacenter:
             return self.network.lan_latency
-        override = self._latency_overrides.get((src.datacenter, dst.datacenter))
-        if override is not None:
-            return override
         return self.network.wan_latency
 
     # ------------------------------------------------------------------ #
@@ -149,7 +141,7 @@ class SimRuntime(LocalRuntime):
             self._enqueue_cpu(src, target, dst_machine, message, n_records, self.now)
             return
 
-        size = wire_size_of(message, self.record_size) + self.network.message_overhead_bytes
+        size = wire_size_of(message, self.record_size) + MESSAGE_OVERHEAD_BYTES
         tx_done = src_machine.transmit(self.now, size)
         arrival = tx_done + self.latency_between(src_machine, dst_machine)
 

@@ -50,11 +50,6 @@ class Machine:
     # CPU
     # ------------------------------------------------------------------ #
 
-    @property
-    def cpu_pending(self) -> int:
-        """Jobs submitted to the CPU but not yet completed."""
-        return self._cpu_pending
-
     def overload_factor(self) -> float:
         """Current service-time multiplier given the backlog."""
         profile = self.profile
@@ -120,14 +115,6 @@ class Machine:
             self._tx_free_at = max(self._tx_free_at, done)
         self.bytes_received += size_bytes
         return done
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
-    def peak_rate(self) -> float:
-        """Nominal records/second this machine can sustain un-overloaded."""
-        return 1.0 / self.profile.per_record_cost
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Machine {self.name!r} dc={self.datacenter!r} {self.profile.name}>"

@@ -109,7 +109,3 @@ class MetricsRegistry:
         return [
             (b * width, coarse[b] / width) for b in sorted(coarse)
         ]
-
-    def reset(self) -> None:
-        self._bins.clear()
-        self._totals.clear()

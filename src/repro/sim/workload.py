@@ -15,7 +15,7 @@ capacity instead of accumulating an unbounded self-queue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..core.errors import ConfigurationError
 from ..runtime.actor import Actor
@@ -139,17 +139,3 @@ class LoadClient(Actor):
     def _finished(self) -> bool:
         return self.total_records is not None and self.records_generated >= self.total_records
 
-
-class SinkActor(Actor):
-    """Counts whatever arrives; used to terminate flows in micro-benchmarks."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self.messages: List[Any] = []
-        self.records_received = 0
-
-    def on_message(self, sender: str, message: Any) -> None:
-        self.messages.append(message)
-        counter = getattr(message, "record_count", None)
-        if callable(counter):
-            self.records_received += counter()

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import sys
+from itertools import chain as chained
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import pytest
 
 from repro.analysis import ProjectInfo, scan
+from repro.apps.hyksos import TOMBSTONE, key_tag
 from repro.chariots import AbstractDeployment, ChariotsDeployment
-from repro.core import DeploymentSpec, LogEntry, Record
+from repro.core import DeploymentSpec, LogEntry, ReadRules, Record
 from repro.core.record import split_placements
-from repro.runtime import LocalRuntime
+from repro.runtime import Actor, LocalRuntime
 
 
 @pytest.fixture(scope="session")
@@ -90,6 +92,61 @@ def entries_after(
     cursor it reached."""
     items, upto = core.runs_after(after_lid, limit, host)
     return [LogEntry(*pair) for pair in split_placements(items)], upto
+
+
+def convergent_get(log: Any, key: str) -> Any:
+    """A causal+ (COPS-style) read of a Hyksos key over ``log``: among the
+    puts to ``key`` that no other put causally dominates, the highest
+    ``(TOId, host)`` wins.  Every datacenter holding the same puts answers
+    alike, which is what the convergence tests check."""
+    puts = [e.record for e in log.read(ReadRules(tag_key=key_tag(key), most_recent=False))]
+    undominated = [
+        record
+        for record in puts
+        if not any(other is not record and other.depends_on(record.rid) for other in puts)
+    ]
+    if not undominated:
+        return None
+    winner = max(undominated, key=lambda record: (record.toid, record.host))
+    value = winner.tag_dict()[key_tag(key)]
+    return None if value == TOMBSTONE else value
+
+
+def decided(pending: Any) -> bool:
+    """Whether the manager of a ``PendingCommit`` has decided it."""
+    return pending.manager.decision(pending.txn_id) is not None
+
+
+def replayed(journal: Any) -> Iterator[Tuple[int, Record]]:
+    """Every record ``journal.replay_runs()`` yields, as ``(lid, record)``
+    pairs in order, runs split."""
+    return split_placements(chained.from_iterable(journal.replay_runs()))
+
+
+def owned_lids(plan: Any, name: str, upto: int) -> List[int]:
+    """Every LId in ``[0, upto]`` that ``plan`` gives ``name``, ascending,
+    stepped the way the maintainers step: ``next_owned_lid`` from -1."""
+    lids: List[int] = []
+    lid = plan.next_owned_lid(name, -1)
+    while lid is not None and lid <= upto:
+        lids.append(lid)
+        lid = plan.next_owned_lid(name, lid)
+    return lids
+
+
+class SinkActor(Actor):
+    """Keeps whatever arrives; stands in for a stage a test does not run."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
+        self.messages: List[Any] = []
+        self.records_received = 0
+
+    def on_message(self, sender: str, message: Any) -> None:
+        self.messages.append(message)
+        counter = getattr(message, "record_count", None)
+        if callable(counter):
+            self.records_received += counter()
 
 
 def streams_caught_up(sender: Any, maintainers: List[Any]) -> bool:

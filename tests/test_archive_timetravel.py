@@ -7,11 +7,21 @@ import pytest
 from repro.apps import Checkpointer, Hyksos, LogAuditor
 from repro.cli import main
 from repro.core import LidOutOfRangeError, LogError, ReadRules, Record
-from repro.flstore import ArchiveStore, FileJournal, MaintainerCore, OwnershipPlan, TieredReader
+from repro.flstore import ArchiveStore, FileJournal, MaintainerCore, OwnershipPlan
 from repro.flstore.store import FLStore
 from repro.runtime import LocalRuntime
 
 from conftest import rec
+
+
+def reload(path):
+    """An archive rebuilt from a dump by the journal's block reader."""
+    journal = FileJournal(path)
+    restored = ArchiveStore()
+    for run in journal.replay_runs():
+        restored.append_run(run)
+    journal.close()
+    return restored
 
 
 class TestArchiveStore:
@@ -61,10 +71,10 @@ class TestArchiveStore:
 
     def test_lid_range(self):
         archive = ArchiveStore()
-        assert archive.lid_range() is None
-        archive.append_run([(3, rec("A", 1))])
+        assert archive.read(ReadRules()) == []
         archive.append_run([(7, rec("A", 2))])
-        assert archive.lid_range() == (3, 7)
+        archive.append_run([(3, rec("A", 1))])
+        assert [e.lid for e in archive.read(ReadRules(most_recent=False))] == [3, 7]
 
     def test_dump_and_load(self, tmp_path):
         archive = ArchiveStore()
@@ -72,11 +82,9 @@ class TestArchiveStore:
             archive.append_run([(i, rec("A", i + 1, tags={"k": i}))])
         path = os.path.join(tmp_path, "archive.dump")
         assert archive.dump(path) == 4
-        restored = ArchiveStore.load(path)
+        restored = reload(path)
         assert len(restored) == 4
         assert restored.get(2).record.tag_dict() == {"k": 2}
-        with pytest.raises(FileNotFoundError):
-            ArchiveStore.load(os.path.join(tmp_path, "missing.dump"))
 
 
 #: Records that stress the record serialiser: a scalar body with tags and
@@ -102,8 +110,8 @@ class TestDumpFormat:
         archive.append_run(list(zip((10, 11, 12), GOLDEN_RECORDS)))
         path = os.path.join(tmp_path, "golden.archive")
         assert archive.dump(path) == 3
-        restored = ArchiveStore.load(path)
-        assert restored.lid_range() == (10, 12) and len(restored) == 3
+        restored = reload(path)
+        assert len(restored) == 3
         records = [restored.get(lid).record for lid in (10, 11, 12)]
         assert records == GOLDEN_RECORDS
         assert [repr(r) for r in records] == [repr(r) for r in GOLDEN_RECORDS]
@@ -129,6 +137,8 @@ class TestDumpFormat:
 
 
 class TestTieredReader:
+    """Reads by hand across the tiers: the live log, then the archive."""
+
     def make_world(self):
         runtime = LocalRuntime()
         store = FLStore(runtime, n_maintainers=1, n_indexers=0, batch_size=100)
@@ -143,18 +153,18 @@ class TestTieredReader:
         # GC the first three records (everything from the client stream).
         host = results[0].rid.host
         store.maintainers[0].core.truncate({host: 3})
-        reader = TieredReader(client, archive)
-        assert reader.read_lid(results[0].lid).record.body == "b0"  # archived
-        assert reader.read_lid(results[5].lid).record.body == "b5"  # live
+        assert client.read_lid(results[0].lid).entries == []  # collected
+        assert archive.try_get(results[0].lid).record.body == "b0"
+        assert client.read_lid(results[5].lid).entries[0].record.body == "b5"
 
     def test_combined_rule_reads_cover_history(self):
         runtime, store, archive, client = self.make_world()
         results = [client.append(f"b{i}", tags={"t": 1}) for i in range(6)]
         host = results[0].rid.host
         store.maintainers[0].core.truncate({host: 3})
-        reader = TieredReader(client, archive)
         runtime.run_for(0.1)
-        entries = reader.read(ReadRules(tag_key="t", most_recent=False))
+        rules = ReadRules(tag_key="t", most_recent=False)
+        entries = rules.merge_scan(client.read(rules) + archive.read(rules))
         assert [e.record.body for e in entries] == [f"b{i}" for i in range(6)]
 
 
@@ -183,7 +193,7 @@ class TestLogAuditor:
             kv.put("k", value)
         runtime.run_for(0.1)
         auditor = LogAuditor(client)
-        assert [v.value for v in auditor.history("k")] == [1, 2, 3]
+        assert [auditor.state_at(lid)["k"] for lid in (0, 1, 2)] == [1, 2, 3]
 
     def test_diff_between_positions(self):
         runtime, client, kv = self.make_kv()
@@ -192,20 +202,21 @@ class TestLogAuditor:
         kv.put("a", 9)          # lid 2
         runtime.run_for(0.1)
         auditor = LogAuditor(client)
-        assert auditor.diff(0) == {"a": (1, 9), "b": (None, 2)}
+        assert auditor.state_at(0) == {"a": 1}
+        assert auditor.state_at() == {"a": 9, "b": 2}
 
     def test_blame_reports_provenance(self):
         runtime, client, kv = self.make_kv()
         kv.put("k", "v")
         runtime.run_for(0.1)
-        version = LogAuditor(client).blame("k")
-        assert version is not None
+        version = kv.get_version("k")
         assert version.value == "v"
-        assert version.toid >= 1
+        assert (version.lid, version.toid) == (0, 1)
 
     def test_blame_unknown_key(self):
         runtime, client, kv = self.make_kv()
-        assert LogAuditor(client).blame("ghost") is None
+        assert kv.get_version("ghost") is None
+        assert "ghost" not in LogAuditor(client).state_at()
 
     def test_multi_key_record_audits_every_key(self):
         runtime, client, kv = self.make_kv()

@@ -14,7 +14,7 @@ class TestSequencer:
         rt = LocalRuntime()
         seq = Sequencer("seq")
         rt.register(seq)
-        from repro.sim.workload import SinkActor
+        from conftest import SinkActor
 
         sink = SinkActor("sink")
         rt.register(sink)
@@ -40,7 +40,9 @@ class TestSequencer:
         sink.send("seq", SequencerRequest(1, count=2))
         rt.run()
         assert seq.grants_issued == 1
-        assert seq.next_position == 2
+        sink.send("seq", SequencerRequest(2, count=1))
+        rt.run()
+        assert sink.messages[-1].start == 2  # the next grant starts past it
 
 
 class TestCorfuLog:

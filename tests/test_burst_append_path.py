@@ -46,9 +46,8 @@ from repro.flstore.messages import ReadNewReply, ReadNewRequest
 from repro.net.aio_runtime import AioRuntime
 from repro.net.binary_codec import encode_value_binary
 from repro.runtime import LocalRuntime
-from repro.sim.workload import SinkActor
 
-from conftest import rec
+from conftest import SinkActor, rec, replayed
 
 # --------------------------------------------------------------------------- #
 # (a) Client: one DraftBatch per burst
@@ -388,14 +387,14 @@ def test_place_run_matches_per_record_place(case):
     plan_args, batches, truncate_after = case
     journals = (MemoryJournal(), MemoryJournal())
     assert_same_outcome(plan_args, batches, truncate_after, journals)
-    assert list(journals[0].replay()) == list(journals[1].replay())
+    assert list(replayed(journals[0])) == list(replayed(journals[1]))
     # And with a block per run on disk against a call per record in memory:
     # same entries, same order, also around a pair that raises.
     with tempfile.TemporaryDirectory() as directory:
         journals = (FileJournal(os.path.join(directory, "run")), MemoryJournal())
         try:
             assert_same_outcome(plan_args, batches, truncate_after, journals)
-            assert list(journals[0].replay()) == list(journals[1].replay())
+            assert list(replayed(journals[0])) == list(replayed(journals[1]))
         finally:
             journals[0].close()
 
@@ -454,7 +453,7 @@ class TestPlaceRun:
         try:
             assert_same_outcome(self.PLAN, batches, journals=journals)
             runs = list(journals[0].replay_runs())
-            entries = list(journals[1].replay())
+            entries = list(replayed(journals[1]))
         finally:
             journals[0].close()
         assert [len(run) for run in runs] == [5, 1, 1, 1, 10]

@@ -24,9 +24,9 @@ from repro.chariots import ChariotsDeployment, check_logs
 from repro.core import PipelineConfig
 from repro.core.errors import ConfigurationError
 from repro.runtime import Actor, LocalRuntime
-from repro.sim import SimRuntime, SinkActor
+from repro.sim import SimRuntime
 
-from conftest import run_abstract
+from conftest import SinkActor, run_abstract
 from test_sim import SIMPLE
 
 DCS = ["A", "B", "C"]

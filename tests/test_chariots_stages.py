@@ -24,9 +24,8 @@ from repro.flstore.maintainer import LogMaintainer
 from repro.flstore.messages import PlaceRecords, ReadNewReply, ReadNewRequest
 from repro.flstore.range_map import OwnershipPlan
 from repro.runtime import LocalRuntime
-from repro.sim.workload import SinkActor
 
-from conftest import rec, streams_caught_up
+from conftest import SinkActor, rec, streams_caught_up
 
 
 class ClockedSink(SinkActor):

@@ -18,12 +18,12 @@ class TestCausalFrontier:
     def test_empty_frontier_knows_nothing(self):
         frontier = CausalFrontier()
         assert frontier.max_toid("A") == 0
-        assert not frontier.known(RecordId("A", 1))
+        assert not frontier.is_duplicate(rec("A", 1))
 
     def test_advance_marks_known(self):
         frontier = CausalFrontier()
         frontier.advance(rec("A", 1))
-        assert frontier.known(RecordId("A", 1))
+        assert frontier.is_duplicate(rec("A", 1))
         assert frontier.max_toid("A") == 1
 
     def test_first_record_admissible(self):
@@ -63,10 +63,10 @@ class TestCausalFrontier:
         assert CausalFrontier({"A": 1, "B": 0}) == CausalFrontier({"A": 1})
 
     def test_copy_is_detached(self):
-        frontier = CausalFrontier({"A": 1})
-        clone = frontier.copy()
+        initial = {"A": 1}
+        frontier = CausalFrontier(initial)
         frontier.advance(rec("A", 2))
-        assert clone.max_toid("A") == 1
+        assert initial == {"A": 1} and frontier.max_toid("A") == 2
 
 
 class TestDeferredQueue:

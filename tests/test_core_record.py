@@ -56,10 +56,13 @@ class TestRecordId:
         assert RecordId("A", 1) < RecordId("A", 2)
 
     def test_predecessor(self):
-        assert RecordId("A", 2).predecessor() == RecordId("A", 1)
+        # <A,2> depends on its host predecessor <A,1> without naming it.
+        assert rec("A", 2).depends_on(RecordId("A", 1))
+        assert not rec("A", 2).depends_on(RecordId("A", 2))
 
     def test_first_record_has_no_predecessor(self):
-        assert RecordId("A", 1).predecessor() is None
+        assert not rec("A", 1).depends_on(RecordId("A", 1))
+        assert not rec("A", 1).depends_on(RecordId("B", 1))
 
     def test_str_matches_paper_notation(self):
         assert str(RecordId("A", 7)) == "<A,7>"

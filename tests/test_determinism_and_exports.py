@@ -21,6 +21,81 @@ def run_deployment(seed):
     return deployment.logs()
 
 
+#: Public definitions in ``src/repro`` (outside ``analysis/``) that nothing
+#: in ``src/`` or ``examples/`` uses, each kept on purpose, keyed
+#: ``path::Qualname`` under ``src/repro``.  An entry whose definition is gone,
+#: or that has gained a use, fails the check below: delete it from here too.
+KEPT_WITHOUT_A_CALLER = {
+    "net/protocol.py::FrameProtocol.get_buffer": "asyncio BufferedProtocol callback",
+    "net/protocol.py::FrameProtocol.buffer_updated": "asyncio BufferedProtocol callback",
+    "net/protocol.py::_Link.pause_writing": "asyncio flow-control callback",
+    "net/protocol.py::_Link.resume_writing": "asyncio flow-control callback",
+    "net/server.py::_ServerConnection.pause_writing": "asyncio flow-control callback",
+    "net/server.py::_ServerConnection.resume_writing": "asyncio flow-control callback",
+    "runtime/actor.py::Runtime.has_actor": "member of the Runtime protocol",
+    "runtime/local.py::BaseRuntime.has_actor": "implements Runtime.has_actor",
+    "scenarios/runner.py::run_scenario": "drives one spec by hand (docs/API.md, docs/FAULTS.md)",
+    "net/binary_codec.py::encode_message_binary": "a message's wire bytes (docs/API.md)",
+    "apps/objects.py::ReplicatedSet": "§4 case study, judged by ROADMAP item 2",
+    "apps/streams.py::WindowedAggregator": "§4 case study, judged by ROADMAP item 2",
+    "apps/timetravel.py::Checkpointer": "§1 checkpointing case study, judged by ROADMAP item 2",
+    "core/causality.py::topological_causal_sort": "reference order that tests build logs from",
+    "core/causality.py::happened_before": "reference relation that tests check the walk against",
+    "flstore/archive.py::ArchiveStore": "§6.1 cold storage; users pass it as a maintainer's archive",
+    "flstore/archive.py::ArchiveStore.dump": "writes the file `repro.cli inspect-journal` reads",
+    "chaos/procchaos.py::ProcChaos": "ledger-only vestige (ledger/geo.py), ROADMAP item 14",
+    "chaos/procchaos.py::ProcChaos.from_plan": "ledger-only vestige (ledger/geo.py), ROADMAP item 14",
+    "core/causality.py::causal_order_respected": "ledger-only (ledger/probes.py), ROADMAP item 14",
+    "runtime/multiproc/__init__.py::MultiprocRuntime.prepare_encoded": (
+        "ledger-only vestige (ledger/calibrate.py), ROADMAP item 14"
+    ),
+}
+
+
+def public_definitions(body, prefix=""):
+    """``(qualname, node)`` of every public function, method and class in
+    ``body``, methods of private classes included (dunders are private)."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = prefix + node.name
+            if not node.name.startswith("_"):
+                yield qualname, node
+            if isinstance(node, ast.ClassDef):
+                yield from public_definitions(node.body, qualname + ".")
+
+
+def dead_definitions(root, examples):
+    """``{path::qualname: line}`` of the public definitions under ``root``
+    (``analysis/`` excepted) whose name no code under ``root`` or
+    ``examples`` uses.  A use is a name, an attribute, or a string constant
+    spelling the name (``getattr`` by name); a definition, a re-export and
+    an ``__all__`` entry are not uses."""
+    uses = set()
+    defined = {}
+    for path in sorted(root.rglob("*.py")) + sorted(examples.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exports = {
+            id(node)
+            for statement in tree.body
+            if isinstance(statement, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__" for target in statement.targets)
+            for node in ast.walk(statement.value)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                uses.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier() and id(node) not in exports:
+                    uses.add(node.value)
+        if root in path.parents and root / "analysis" not in path.parents:
+            module = path.relative_to(root).as_posix()
+            for qualname, node in public_definitions(tree.body):
+                defined[f"{module}::{qualname}", node.name] = node.lineno
+    return {key: line for (key, name), line in defined.items() if name not in uses}
+
+
 class TestDeterministicReplay:
     def test_same_seed_same_logs(self):
         first = run_deployment(seed=11)
@@ -109,6 +184,26 @@ class TestPublicApi:
                 if hit:
                     offenders.append(f"{path.relative_to(root)}:{node.lineno}")
         assert offenders == []
+
+    def test_every_public_definition_has_a_production_use(self):
+        """Dead surface stays out: a public function, method or class that
+        only tests call is deleted, used, or kept here with a reason."""
+        root = Path(repro.__file__).parent
+        dead = dead_definitions(root, Path(__file__).resolve().parents[1] / "examples")
+        unexplained = [
+            f"src/repro/{key.split('::')[0]}:{line} {key.split('::')[1]}"
+            for key, line in sorted(dead.items())
+            if key not in KEPT_WITHOUT_A_CALLER
+        ]
+        assert not unexplained, (
+            "public definitions that nothing in src/ or examples/ uses; delete each, "
+            "use it, or add it to KEPT_WITHOUT_A_CALLER with a reason:\n  "
+            + "\n  ".join(unexplained)
+        )
+        stale = sorted(set(KEPT_WITHOUT_A_CALLER) - set(dead))
+        assert not stale, (
+            f"KEPT_WITHOUT_A_CALLER entries no longer defined, or now used: {stale}"
+        )
 
     def test_tests_judge_logs_through_check_logs(self):
         """Only the causal walk's own tests (and ``DeferredQueue.admit``'s)

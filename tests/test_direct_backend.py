@@ -17,6 +17,8 @@ from repro.apps import (
 from repro.chariots import check_logs
 from repro.chariots.direct import DirectDeployment
 
+from conftest import convergent_get, decided
+
 
 @pytest.fixture
 def direct():
@@ -61,7 +63,7 @@ class TestAppsOnDirectBackend:
         kv_a.put("x", 10)
         kv_b.put("x", 30)
         direct.replicate()
-        assert kv_a.get_convergent("x") == kv_b.get_convergent("x")
+        assert convergent_get(kv_a.log, "x") == convergent_get(kv_b.log, "x")
         values, _ = kv_a.get_transaction(["x"])
         assert values["x"] in (10, 30)
 
@@ -104,9 +106,9 @@ class TestAppsOnDirectBackend:
             direct.replicate()
             ma.pump()
             mb.pump()
-            if pa.decided and pb.decided:
+            if decided(pa) and decided(pb):
                 break
-        assert pa.decided and pb.decided
+        assert decided(pa) and decided(pb)
         assert [pa.committed, pb.committed].count(True) == 1
         assert ma.committed_state() == mb.committed_state()
 
@@ -116,5 +118,5 @@ class TestAppsOnDirectBackend:
         kv.put("x", 1)
         kv.put("x", 2)
         auditor = LogAuditor(client)
-        assert [v.value for v in auditor.history("x")] == [1, 2]
+        assert [auditor.state_at(lid)["x"] for lid in (0, 1)] == [1, 2]
         assert auditor.state_at(0) == {"x": 1}

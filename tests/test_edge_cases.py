@@ -7,9 +7,9 @@ from repro.chariots.elasticity import expand_maintainers
 from repro.chariots.messages import AdmittedBatch, ReplicationShipment, ShipmentAck
 from repro.core import MachineProfile, PipelineConfig
 from repro.runtime import LocalRuntime
-from repro.sim import SimRuntime, SinkActor
+from repro.sim import SimRuntime
 
-from conftest import rec
+from conftest import SinkActor, rec
 
 
 class TestTokenDeferredOverflow:
@@ -77,7 +77,7 @@ class TestControlPlaneAfterElasticity:
             client.append(f"pre{i}")
         expand_maintainers(deployment["A"], 1)
         late = deployment.client("A")
-        runtime.run_until(lambda: late.session_ready)
+        runtime.run_until(lambda: late._session is not None)
         assert len(late._session.epochs) == 2
         # The late client's routing plan resolves owners in both epochs.
         assert late._plan.owner(0) == deployment["A"].plan.owner(0)

@@ -46,7 +46,7 @@ class TestMaintainerCrashRecovery:
     def test_in_flight_appends_reach_the_replacement(self):
         runtime, store = self.build()
         client = store.client()
-        runtime.run_until(lambda: client.session_ready)
+        runtime.run_until(lambda: client._session is not None)
         done = []
         client.append("in-flight", on_done=done.append)
         # Crash before the append is processed.
@@ -77,7 +77,7 @@ class TestMaintainerCrashRecovery:
         store.supervise(supervisor)
         client = store.blocking_client()
         acks = [client.append(f"pre{i}") for i in range(6)]
-        runtime.run_until(lambda: runtime.is_crashed("store/0"), timeout=1.0)
+        runtime.run_until(lambda: "store/0" in runtime.crashed_actors(), timeout=1.0)
         acks += [client.append(f"post{i}") for i in range(6)]
         assert supervisor.restarts["store/0"] == 1
         assert store.total_records() == 12

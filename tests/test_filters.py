@@ -60,23 +60,23 @@ class TestFilterMap:
         fmap = FilterMap(["x", "y"])
         fmap.assign_host("A", ["x", "y"])
         # x champions even TOIds (toid % 2 == 0 -> index 0).
-        assert fmap.next_toid_for("A", 0, "x") == 2
-        assert fmap.next_toid_for("A", 2, "x") == 4
-        assert fmap.next_toid_for("A", 0, "y") == 1
+        assert fmap.plan("A").next_owned_lid("x", 0) == 2
+        assert fmap.plan("A").next_owned_lid("x", 2) == 4
+        assert fmap.plan("A").next_owned_lid("y", 0) == 1
 
     def test_next_toid_for_crosses_epochs(self):
         fmap = FilterMap(["f0"])
         fmap.assign_host("A", ["f0"])
         fmap.reassign_host("A", ["f1"], from_toid=5)
-        assert fmap.next_toid_for("A", 3, "f0") == 4
-        assert fmap.next_toid_for("A", 4, "f1") == 5
+        assert fmap.plan("A").next_owned_lid("f0", 3) == 4
+        assert fmap.plan("A").next_owned_lid("f1", 4) == 5
 
     def test_next_toid_for_is_none_once_no_epoch_names_the_filter(self):
         fmap = FilterMap(["f0"])
         fmap.assign_host("A", ["f0"])
         fmap.reassign_host("A", ["f1"], from_toid=5)
-        assert fmap.next_toid_for("A", 3, "f0") == 4
-        assert fmap.next_toid_for("A", 4, "f0") is None
+        assert fmap.plan("A").next_owned_lid("f0", 3) == 4
+        assert fmap.plan("A").next_owned_lid("f0", 4) is None
 
     def test_reassignment_keeps_absolute_residues(self):
         fmap = FilterMap(["x"])
@@ -110,43 +110,43 @@ class TestExternalAdmission:
 
     def test_in_order_admission(self):
         core = self.make()
-        assert [r.toid for r in core.offer_external(rec("A", 1))] == [1]
-        assert [r.toid for r in core.offer_external(rec("A", 2))] == [2]
+        assert [r.toid for r in core.offer_externals([rec("A", 1)])] == [1]
+        assert [r.toid for r in core.offer_externals([rec("A", 2)])] == [2]
 
     def test_duplicate_dropped(self):
         core = self.make()
-        core.offer_external(rec("A", 1))
-        assert core.offer_external(rec("A", 1)) == []
+        core.offer_externals([rec("A", 1)])
+        assert core.offer_externals([rec("A", 1)]) == []
         assert core.duplicates_dropped == 1
 
     def test_out_of_order_buffered_then_released(self):
         core = self.make()
-        assert core.offer_external(rec("A", 3)) == []
-        assert core.offer_external(rec("A", 2)) == []
-        released = core.offer_external(rec("A", 1))
+        assert core.offer_externals([rec("A", 3)]) == []
+        assert core.offer_externals([rec("A", 2)]) == []
+        released = core.offer_externals([rec("A", 1)])
         assert [r.toid for r in released] == [1, 2, 3]
         assert core.buffered_count() == 0
 
     def test_duplicate_of_buffered_record_dropped(self):
         core = self.make()
-        core.offer_external(rec("A", 2))
-        core.offer_external(rec("A", 2))
+        core.offer_externals([rec("A", 2)])
+        core.offer_externals([rec("A", 2)])
         assert core.duplicates_dropped == 1
 
     def test_hosts_are_independent(self):
         core = self.make()
-        assert core.offer_external(rec("A", 1)) != []
-        assert core.offer_external(rec("B", 1)) != []
-        assert core.offer_external(rec("B", 3)) == []  # B:2 missing
+        assert core.offer_externals([rec("A", 1)]) != []
+        assert core.offer_externals([rec("B", 1)]) != []
+        assert core.offer_externals([rec("B", 3)]) == []  # B:2 missing
 
     def test_sliced_filter_expects_only_its_residues(self):
         fmap = FilterMap(["x", "y"])
         fmap.assign_host("A", ["x", "y"])
         x = FilterCore("x", fmap)
         # x champions evens: 2, 4, 6...
-        assert [r.toid for r in x.offer_external(rec("A", 2))] == [2]
-        assert x.offer_external(rec("A", 6)) == []  # 4 missing
-        assert [r.toid for r in x.offer_external(rec("A", 4))] == [4, 6]
+        assert [r.toid for r in x.offer_externals([rec("A", 2)])] == [2]
+        assert x.offer_externals([rec("A", 6)]) == []  # 4 missing
+        assert [r.toid for r in x.offer_externals([rec("A", 4)])] == [4, 6]
 
 
 class TestReassignedAdmission:
@@ -157,10 +157,10 @@ class TestReassignedAdmission:
         f0 = FilterCore("f0", fmap)
         released = []
         for toid in (1, 2, 3, 4):
-            released += f0.offer_external(rec("A", toid))
+            released += f0.offer_externals([rec("A", toid)])
         assert [r.toid for r in released] == [1, 2, 3, 4]
         # Past its last TOId it expects nothing more: TOId 5 is forwarded.
-        assert f0.offer_external(rec("A", 5)) == []
+        assert f0.offer_externals([rec("A", 5)]) == []
         assert [r.toid for r in f0.take_misrouted()] == [5]
 
     def test_record_of_a_host_championed_elsewhere_is_forwarded(self):
@@ -177,7 +177,7 @@ class TestReassignedAdmission:
         f0 = FilterCore("f0", fmap)
         f0.offer_externals([rec("A", 1), rec("A", 3), rec("A", 6)])
         fmap.reassign_host("A", ["f1"], from_toid=5)
-        assert [r.toid for r in f0.offer_external(rec("A", 2))] == [2, 3]
+        assert [r.toid for r in f0.offer_externals([rec("A", 2)])] == [2, 3]
         assert [r.toid for r in f0.take_misrouted()] == [6]
         assert f0.buffered_count() == 0
 
@@ -187,19 +187,19 @@ class TestReassignedAdmission:
         fmap = FilterMap(["f0", "f1"])
         fmap.assign_host("A", ["f0"])
         f0, f1 = FilterCore("f0", fmap), FilterCore("f1", fmap)
-        assert f0.offer_external(rec("A", 6)) == []
+        assert f0.offer_externals([rec("A", 6)]) == []
         assert f0.buffered_count() == 1
         fmap.reassign_host("A", ["f1"], from_toid=5)
         assert f0.buffered_count() == 0
         assert f1.offer_externals(f0.take_misrouted()) == []  # waits for TOId 5
-        assert [r.toid for r in f1.offer_external(rec("A", 5))] == [5, 6]
-        assert f1.offer_external(rec("A", 6)) == []
+        assert [r.toid for r in f1.offer_externals([rec("A", 5)])] == [5, 6]
+        assert f1.offer_externals([rec("A", 6)]) == []
         assert (f1.records_admitted, f1.duplicates_dropped, f1.buffered_count()) == (2, 1, 0)
 
     def test_an_unpickled_core_rejoins_its_map(self):
         fmap = FilterMap(["f0", "f1"])
         fmap.assign_host("A", ["f0"])
-        FilterCore("f0", fmap).offer_external(rec("A", 6))
+        FilterCore("f0", fmap).offer_externals([rec("A", 6)])
         f0 = pickle.loads(pickle.dumps(fmap._cores["f0"]))
         f0.filter_map.reassign_host("A", ["f1"], from_toid=5)
         assert [r.toid for r in f0.take_misrouted()] == [6]
@@ -211,23 +211,23 @@ class TestDraftAdmission:
 
     def test_exactly_once_per_client(self):
         core = self.make()
-        assert core.offer_draft(draft("c", 1)) != []
-        assert core.offer_draft(draft("c", 1)) == []
+        assert core.offer_drafts([draft("c", 1)]) != []
+        assert core.offer_drafts([draft("c", 1)]) == []
         assert core.duplicates_dropped == 1
 
     def test_client_fifo_restored(self):
         core = self.make()
-        assert core.offer_draft(draft("c", 2)) == []
-        released = core.offer_draft(draft("c", 1))
+        assert core.offer_drafts([draft("c", 2)]) == []
+        released = core.offer_drafts([draft("c", 1)])
         assert [d.seq for d in released] == [1, 2]
 
     def test_clients_are_independent(self):
         core = self.make()
-        assert core.offer_draft(draft("c1", 1)) != []
-        assert core.offer_draft(draft("c2", 1)) != []
+        assert core.offer_drafts([draft("c1", 1)]) != []
+        assert core.offer_drafts([draft("c2", 1)]) != []
 
     def test_records_admitted_counter(self):
         core = self.make()
-        core.offer_draft(draft("c", 1))
-        core.offer_external(rec("A", 1))
+        core.offer_drafts([draft("c", 1)])
+        core.offer_externals([rec("A", 1)])
         assert core.records_admitted == 2

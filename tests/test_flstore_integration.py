@@ -101,7 +101,7 @@ class TestControllerSession:
     def test_session_reports_topology(self, deployment):
         runtime, store = deployment
         client = store.client()
-        runtime.run_until(lambda: client.session_ready)
+        runtime.run_until(lambda: client._session is not None)
         assert len(client._session.maintainers) == 3
         assert len(client._session.indexers) == 2
         assert client._session.batch_size == 10
@@ -155,7 +155,7 @@ class TestFLStoreElasticity:
             runtime, n_maintainers=2, n_indexers=0, placer=runtime.place_on_new_machine
         )
         (added,) = expand_maintainers(store, 1)
-        assert f"m/{added.name}" in runtime.machines()
+        assert runtime.machine(f"m/{added.name}").name == f"m/{added.name}"
         assert added.name == "store/2"
 
 
@@ -181,7 +181,7 @@ class TestCallbackClientApi:
         results = []
         # Issued before the session reply has been processed.
         client.append("early", on_done=results.append)
-        assert not client.session_ready
+        assert client._session is None
         runtime.run_until(lambda: bool(results))
         assert results[0].lid >= 0
 

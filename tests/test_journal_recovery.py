@@ -23,7 +23,7 @@ from repro.flstore.messages import PlaceRecords
 from repro.net.binary_codec import encode_value_binary
 from repro.runtime.local import LocalRuntime
 
-from conftest import chain, python_calls, rec
+from conftest import chain, python_calls, rec, replayed
 
 
 def make_plan(n=2, batch=5):
@@ -43,16 +43,8 @@ class TestMemoryJournal:
         journal = MemoryJournal()
         core = MaintainerCore("m0", plan, journal=journal)
         core.append(chain("c", 3))
-        lids = [lid for lid, _ in journal.replay()]
+        lids = [lid for lid, _ in replayed(journal)]
         assert lids == [0, 1, 2]
-
-    def test_truncate_compacts(self):
-        plan = make_plan()
-        journal = MemoryJournal()
-        core = MaintainerCore("m0", plan, journal=journal)
-        core.append(chain("c", 4))
-        assert journal.truncate_below(2) == 2
-        assert [lid for lid, _ in journal.replay()] == [2, 3]
 
 
 class TestCrashRecovery:
@@ -180,7 +172,7 @@ class TestFileJournal:
         worker_core.append(chain("d", 3))
 
         parent_view = FileJournal(path)
-        lids = [lid for lid, _ in parent_view.replay()]
+        lids = [lid for lid, _ in replayed(parent_view)]
         parent_view.close()
         shipped.close()
         journal.close()
@@ -225,7 +217,7 @@ class TestFileJournal:
         recovered = recover_maintainer_core("m0", plan, journal.replay_runs())
         recovered.set_journal(journal)
         recovered.append(chain("d", 2))
-        lids = [lid for lid, _ in journal.replay()]
+        lids = [lid for lid, _ in replayed(journal)]
         journal.close()
         assert lids == [0, 1, 2, 3, 4, 5]
         assert len(lids) == len(set(lids))
@@ -308,10 +300,10 @@ class TestTornTail:
                 assert os.path.getsize(path) == last_block, (last, size)  # cut at open
                 reopened(3, later[0])
                 reopened.append_run([(4, later[1])])
-                replayed = list(reopened.replay())
+                pairs = list(replayed(reopened))
                 reopened.close()
-                assert [lid for lid, _ in replayed] == [0, 1, 2, 3, 4], (last, size)
-                assert [record for _, record in replayed[3:]] == later, (last, size)
+                assert [lid for lid, _ in pairs] == [0, 1, 2, 3, 4], (last, size)
+                assert [record for _, record in pairs[3:]] == later, (last, size)
 
     def test_last_block_with_a_flipped_bit_is_a_torn_tail(self, tmp_path, reopen):
         path = os.path.join(tmp_path, "flipped.journal")
@@ -320,12 +312,12 @@ class TestTornTail:
         journal.append_run([(1, rec("c", 2)), (2, rec("c", 3))])
         blob = pickle.dumps(journal)
         damage(path, os.path.getsize(path) - 3)
-        assert [lid for lid, _ in journal.replay()] == [0]  # replay skips it
+        assert [lid for lid, _ in replayed(journal)] == [0]  # replay skips it
         journal.close()
 
         reopened = reopen(path, blob)  # opening cuts it
         reopened(1, rec("c", 2, body="retried"))
-        assert [(lid, r.body) for lid, r in reopened.replay()] == [(0, "c:1"), (1, "retried")]
+        assert [(lid, r.body) for lid, r in replayed(reopened)] == [(0, "c:1"), (1, "retried")]
         reopened.close()
 
     def test_large_torn_block_is_cut(self, tmp_path, reopen):
@@ -339,9 +331,9 @@ class TestTornTail:
 
         reopened = reopen(path, blob)
         reopened(1, rec("c", 2, body="retried"))
-        replayed = list(reopened.replay())
+        pairs = list(replayed(reopened))
         reopened.close()
-        assert [(lid, r.body) for lid, r in replayed] == [(0, "c:1"), (1, "retried")]
+        assert [(lid, r.body) for lid, r in pairs] == [(0, "c:1"), (1, "retried")]
 
     def test_file_that_is_one_torn_block_becomes_empty(self, tmp_path, reopen):
         path = os.path.join(tmp_path, "only.journal")
@@ -353,9 +345,9 @@ class TestTornTail:
 
         reopened = reopen(path, blob)
         assert os.path.getsize(path) == 0
-        assert list(reopened.replay()) == []
+        assert list(replayed(reopened)) == []
         reopened(0, rec("c", 1))
-        assert [lid for lid, _ in reopened.replay()] == [0]
+        assert [lid for lid, _ in replayed(reopened)] == [0]
         reopened.close()
 
     def test_intact_file_is_left_alone(self, tmp_path, reopen):
@@ -389,7 +381,7 @@ class TestMidFileDamage:
         before = read_bytes(path)
 
         journal = FileJournal(path)  # opening checks the last block only
-        replay = journal.replay()
+        replay = replayed(journal)
         assert next(replay)[0] == 0  # what precedes the damage still replays
         with pytest.raises(LogError, match=rf"damaged\.journal.*offset {second}\b"):
             list(replay)
@@ -469,7 +461,7 @@ class TestDiskFormat:
         path = os.path.join(tmp_path, "types.journal")
         journal = FileJournal(path)
         journal(0, rec("c", 1, body=body, tags={"t": (1, b"\x00")}))
-        [(lid, restored)] = list(journal.replay())
+        [(lid, restored)] = list(replayed(journal))
         journal.close()
         assert (lid, restored.body, restored.tag_dict()) == (0, body, {"t": (1, b"\x00")})
         assert repr(restored.body) == repr(body)  # tuple/list/bytes, not lookalikes
@@ -482,7 +474,7 @@ class TestDiskFormat:
             journal(1, rec("c", 2, body=object()))
         with pytest.raises(LogError):
             journal.append_run([(i, rec("c", i + 1, body=object())) for i in range(1, 12)])
-        assert [lid for lid, _ in journal.replay()] == [0]
+        assert [lid for lid, _ in replayed(journal)] == [0]
         journal.close()
 
     def test_unknown_value_tag_is_rejected(self, tmp_path):
@@ -496,7 +488,7 @@ class TestDiskFormat:
                 handle.write(image)
             journal = FileJournal(path)
             with pytest.raises(LogError, match="does not decode"):
-                list(journal.replay())
+                list(replayed(journal))
             journal.close()
             assert read_bytes(path) == image
 
@@ -534,14 +526,14 @@ def test_random_placement_sequences_replay_in_order(tmp_path, seed):
             journal.append_run(run)
         runs.append(run)
         written.extend(run)
-    assert list(journal.replay()) == written
+    assert list(replayed(journal)) == written
     assert list(journal.replay_runs()) == runs
     journal.close()
     reopened = pickle.loads(pickle.dumps(journal))
-    replayed = list(reopened.replay())
+    pairs = list(replayed(reopened))
     reopened.close()
-    assert replayed == written
-    assert [type(r.body) for _, r in replayed] == [type(r.body) for _, r in written]
+    assert pairs == written
+    assert [type(r.body) for _, r in pairs] == [type(r.body) for _, r in written]
 
 
 class CountingFile:
@@ -584,7 +576,7 @@ class TestBlockCost:
         assert (counter.writes, counter.flushes) == (2, 2)
         core.place_run(self.ledger_shaped(200))  # retransmitted: nothing new
         assert (counter.writes, counter.flushes) == (2, 2)
-        assert len(list(journal.replay())) == 250
+        assert len(list(replayed(journal))) == 250
         journal.close()
 
     def test_a_block_costs_at_most_one_call_per_record(self, tmp_path):

@@ -17,9 +17,8 @@ from repro.core.record import Record, RecordRun, split_placements
 from repro.flstore import LogMaintainer, MaintainerCore, OwnershipPlan
 from repro.flstore.messages import GossipHL, ReadNewReply, ReadNewRequest
 from repro.runtime import LocalRuntime
-from repro.sim.workload import SinkActor
 
-from conftest import chain, entries_after, rec
+from conftest import SinkActor, chain, entries_after, rec
 
 
 def make_cluster(n=3, batch=5):

@@ -141,5 +141,5 @@ class TestLoadBalancingFeedback:
             first.append(f"b{i}")
         runtime.run_for(0.1)
         late = store.client()
-        runtime.run_until(lambda: late.session_ready)
+        runtime.run_until(lambda: late._session is not None)
         assert late._session.suggested_maintainer is not None

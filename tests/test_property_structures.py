@@ -8,7 +8,7 @@ from repro.core.errors import DuplicateRecordError
 from repro.chariots.filters import FilterCore, FilterMap
 from repro.flstore import MaintainerCore, OwnershipPlan
 
-from conftest import rec
+from conftest import owned_lids, rec
 
 # --------------------------------------------------------------------- #
 # OwnershipPlan: the deterministic assignment is a partition
@@ -27,7 +27,7 @@ def test_ownership_plan_partitions_lid_space(params):
     n, batch, upto = params
     names = [f"m{i}" for i in range(n)]
     plan = OwnershipPlan(names, batch_size=batch)
-    owned = {name: set(plan.owned_lids(name, upto)) for name in names}
+    owned = {name: set(owned_lids(plan, name, upto)) for name in names}
     union = set()
     for lids in owned.values():
         assert not (union & lids)  # disjoint
@@ -64,7 +64,7 @@ def test_epoch_journal_keeps_partitioning(n1, batch, extra, rounds_later):
     plan.add_epoch(boundary, names + [f"x{i}" for i in range(extra)])
     everyone = plan.maintainers()
     upto = boundary + batch * len(everyone) * 2
-    owned = {name: set(plan.owned_lids(name, upto)) for name in everyone}
+    owned = {name: set(owned_lids(plan, name, upto)) for name in everyone}
     union = set()
     for lids in owned.values():
         assert not (union & lids)
@@ -153,7 +153,7 @@ def test_filter_admits_each_record_exactly_once(n, rng, dups):
     rng.shuffle(stream)
     released = []
     for record in stream:
-        released.extend(core.offer_external(record))
+        released.extend(core.offer_externals([record]))
     assert [r.toid for r in released] == list(range(1, n + 1))
     assert core.buffered_count() == 0
 
@@ -169,7 +169,7 @@ def test_sliced_filters_jointly_admit_exactly_once(n, rng):
     released = []
     for record in stream:
         champion = fmap.filter_for_record(record)
-        released.extend(cores[champion].offer_external(record))
+        released.extend(cores[champion].offer_externals([record]))
     assert sorted(r.toid for r in released) == list(range(1, n + 1))
 
 
@@ -203,7 +203,7 @@ def test_reassigned_filters_jointly_admit_exactly_once(first, reassignments, n, 
     def deliver(index):
         champion, record = in_flight.pop(index)
         core = cores[champion]
-        admitted[champion].extend(r.toid for r in core.offer_external(record))
+        admitted[champion].extend(r.toid for r in core.offer_externals([record]))
         in_flight.extend((fmap.filter_for_record(r), r) for r in core.take_misrouted())
 
     for step, record in enumerate(stream):

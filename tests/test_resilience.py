@@ -85,13 +85,11 @@ class TestRetryPolicy:
             RetryPolicy(**kwargs)
 
     def test_config_derives_retransmit_policy(self):
-        config = PipelineConfig(
-            retransmit_base=0.2, retransmit_max=1.6, retransmit_multiplier=3.0
-        )
+        config = PipelineConfig(retransmit_base=0.2, retransmit_max=1.6)
         policy = config.retransmit_policy()
         assert policy.base_delay == 0.2
         assert policy.max_delay == 1.6
-        assert policy.multiplier == 3.0
+        assert (policy.multiplier, policy.jitter) == (2.0, 0.1)
         assert policy.max_attempts > 1000  # senders retransmit until acked
 
 
@@ -265,7 +263,7 @@ class TestSupervisedRecovery:
             client.append(f"r{round_no}")
             runtime.crash("A/store/0")
             runtime.run_for(0.1)  # supervisor sweep restarts it
-            assert not runtime.is_crashed("A/store/0")
+            assert not "A/store/0" in runtime.crashed_actors()
         assert supervisor.restarts["A/store/0"] == 3
         assert deployment.settle(max_seconds=30)
         assert deployment["A"].total_records() == 3
@@ -283,7 +281,7 @@ class TestSupervisedRecovery:
         runtime.start()
         runtime.crash("loner")
         runtime.run_for(0.1)
-        assert runtime.is_crashed("loner")  # no factory registered
+        assert "loner" in runtime.crashed_actors()  # no factory registered
         assert not supervisor.restarts
 
     def test_partition_heal_atable_catch_up(self):
@@ -368,7 +366,7 @@ class TestNetResilience:
                     seed=2, drop_probability=1.0, max_faults=2,
                     request_types=["read_lid"],
                 )
-                deployment.maintainers[0].set_chaos(chaos)
+                deployment.maintainers[0].chaos = chaos
                 entry = await client.read_lid(result.lid)  # 2 timeouts, then ok
                 assert entry.record.body == "v0"
                 assert chaos.stats["drop"] == 2
@@ -394,7 +392,7 @@ class TestNetResilience:
                     seed=3, disconnect_probability=1.0, max_faults=1,
                     request_types=["read_lid"],
                 )
-                deployment.maintainers[0].set_chaos(chaos)
+                deployment.maintainers[0].chaos = chaos
                 entry = await client.read_lid(result.lid)
                 assert entry.record.body == "v0"
                 assert chaos.stats["disconnect"] == 1
@@ -442,9 +440,8 @@ class TestNetResilience:
                 )
                 result = await client.append("v0")
                 address = deployment.maintainers[0].address
-                deployment.maintainers[0].set_chaos(
-                    NetChaos(seed=4, drop_probability=1.0, max_faults=1,
-                             request_types=["read_lid"])
+                deployment.maintainers[0].chaos = NetChaos(
+                    seed=4, drop_probability=1.0, max_faults=1, request_types=["read_lid"]
                 )
                 # First attempt times out and trips the breaker; the retry is
                 # then refused outright instead of hammering the dead peer.

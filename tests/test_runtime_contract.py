@@ -390,7 +390,7 @@ def test_workload_converges_under_drops_duplicates_and_reorders(make, substrate)
 def test_crash_parks_mail_until_a_supervisor_restart_delivers_it(make, substrate):
     rt = make(substrate, chaos=FaultPlan().crash("b", at=0.0))
     a, b = rt.register_all([Recorder("a"), Recorder("b")])
-    rt.run_until(lambda: rt.is_crashed("b"), timeout=5)
+    rt.run_until(lambda: "b" in rt.crashed_actors(), timeout=5)
     a.send("b", "hello")
     rt.run_until(lambda: rt.messages_parked == 1, timeout=5)
     replacement = Recorder("b")
@@ -399,7 +399,7 @@ def test_crash_parks_mail_until_a_supervisor_restart_delivers_it(make, substrate
     rt.register(supervisor)
     rt.run_until(lambda: replacement.seen == [("a", "hello")], timeout=5)
     assert b.seen == []
-    assert supervisor.restarts["b"] == 1 and not rt.is_crashed("b")
+    assert supervisor.restarts["b"] == 1 and not "b" in rt.crashed_actors()
     assert rt.loss_accounting == {}
 
 
@@ -407,7 +407,7 @@ def test_crash_parks_mail_until_a_supervisor_restart_delivers_it(make, substrate
 def test_mail_parked_for_an_actor_nobody_revives_is_a_loss(make, substrate):
     rt = make(substrate, chaos=FaultPlan().crash("b", at=0.0))
     a, _b = rt.register_all([Recorder("a"), Recorder("b")])
-    rt.run_until(lambda: rt.is_crashed("b"), timeout=5)
+    rt.run_until(lambda: "b" in rt.crashed_actors(), timeout=5)
     assert rt.loss_accounting == {}
     a.send("b", "hello")
     a.send("b", "again")

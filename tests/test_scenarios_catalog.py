@@ -10,7 +10,6 @@ from repro.scenarios import (
     get,
     run_scenario,
     select,
-    tags_in_use,
 )
 from repro.scenarios.__main__ import main as cli_main
 from repro.core.errors import ConfigurationError
@@ -79,7 +78,8 @@ def test_every_entry_is_tagged_and_checked():
 
 
 def test_required_tags_present():
-    assert {"paper-figure", "soak", "overload", "geo", "chaos"} <= set(tags_in_use())
+    tags_in_use = {tag for spec in CATALOG for tag in spec.tags}
+    assert {"paper-figure", "soak", "overload", "geo", "chaos"} <= tags_in_use
 
 
 def test_deterministic_selection_excludes_aio():

@@ -41,7 +41,7 @@ def test_lifecycle_phases_and_artifacts(tmp_path):
     names = {p.name for p in run_dir.iterdir()}
     assert {"spec.json", "aggregates.json", "run.json"} <= names
     # The persisted spec round-trips to the exact spec that ran.
-    persisted = ScenarioSpec.from_json((run_dir / "spec.json").read_text())
+    persisted = ScenarioSpec.from_dict(json.loads((run_dir / "spec.json").read_text()))
     assert persisted == result.spec
     run_doc = json.loads((run_dir / "run.json").read_text())
     assert run_doc["status"] == "passed"

@@ -1,5 +1,7 @@
 """ScenarioSpec round-trip, tag filtering, invariants, and path resolution."""
 
+import json
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -23,7 +25,7 @@ from repro.scenarios import (
 
 @pytest.mark.parametrize("spec", CATALOG, ids=[s.name for s in CATALOG])
 def test_every_catalog_entry_roundtrips_through_json(spec):
-    assert ScenarioSpec.from_json(spec.to_json()) == spec
+    assert ScenarioSpec.from_dict(json.loads(spec.to_json())) == spec
 
 
 def test_roundtrip_preserves_faults_and_sweep():

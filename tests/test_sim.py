@@ -5,8 +5,10 @@ import pytest
 from repro.core import MachineProfile, NetworkProfile
 from repro.core.errors import ConfigurationError
 from repro.runtime import Actor, RecordBatch
-from repro.sim import LoadClient, MetricsRegistry, SimRuntime, SinkActor
+from repro.sim import LoadClient, MetricsRegistry, SimRuntime
 from repro.sim.machine import Machine
+
+from conftest import SinkActor
 
 
 SIMPLE = MachineProfile(
@@ -49,10 +51,11 @@ class TestMachine:
 
     def test_complete_cpu_reduces_backlog(self):
         machine = Machine("m", SIMPLE)
-        machine.submit_cpu(0.0, 0.1)
-        assert machine.cpu_pending == 1
+        for _ in range(SIMPLE.saturation_queue + 1):
+            machine.submit_cpu(0.0, 0.01)
+        assert machine.overload_factor() > 1.0
         machine.complete_cpu()
-        assert machine.cpu_pending == 0
+        assert machine.overload_factor() == 1.0
 
     def test_negative_cost_rejected(self):
         machine = Machine("m", SIMPLE)
@@ -83,7 +86,7 @@ class TestMachine:
         assert rx_done == pytest.approx(2.0)  # rx waits for tx
 
     def test_peak_rate(self):
-        assert Machine("m", SIMPLE).peak_rate() == pytest.approx(1000.0)
+        assert 1.0 / Machine("m", SIMPLE).record_cost(1) == pytest.approx(1000.0)
 
     def test_record_cost_control_message_minimum(self):
         machine = Machine("m", SIMPLE)
@@ -223,10 +226,9 @@ class TestSimRuntime:
         assert runtime.now >= 0.1  # one-way WAN latency
 
     def test_latency_override(self):
-        runtime = SimRuntime()
+        runtime = SimRuntime(network=NetworkProfile(wan_rtt=1.0))
         m1 = runtime.add_machine("m1", SIMPLE, datacenter="A")
         m2 = runtime.add_machine("m2", SIMPLE, datacenter="B")
-        runtime.set_latency("A", "B", 0.5)
         assert runtime.latency_between(m1, m2) == 0.5
 
     def test_unplaced_actors_communicate_instantly(self):

@@ -4,8 +4,21 @@ Every other runtime in this repo hosts all actors inside one Python
 process, so the GIL caps pipeline throughput no matter how many stages a
 deployment declares.  :class:`MultiprocRuntime` places actors in worker
 processes (``multiprocessing`` spawn) connected to the parent by localhost
-TCP sockets; the parent is the message **router** and the home of
-control-plane actors (clients, controllers, GC, load generators).
+TCP sockets; the parent is the home of control-plane actors (clients,
+controllers, GC, load generators) and the message **router** for frames
+to and from them.
+
+Workers send to each other directly, as the paper's stage machines and
+maintainers do (§6.2–6.3): at :meth:`MultiprocRuntime.start` each worker
+dials every other one (one socket per ordered pair, written only by the
+side that dialed it, so delivery stays FIFO per pair of workers) and
+learns which worker hosts each actor.  The links are off — every
+worker→worker frame crosses the router, as it must for the parent to see
+it — in two cases: under supervision, where the parent parks each output
+until a snapshot covers it, and under a fault plan with rules or
+partitions, which the parent applies.  Moving that hold and those rules
+into the sending worker, so the router's worker→worker branch can go, is
+ROADMAP item 24's second step.
 
 The package is four modules:
 
@@ -38,9 +51,10 @@ processes at the scheduled times (counted in ``plan.stats
 ["workers_killed"]``), which supervision recovers from.  Its
 drop / delay / duplicate / reorder rules and partitions apply once per
 message that crosses the parent router — in :meth:`MultiprocRuntime.send`
-and where a worker's frame is forwarded — keyed by the envelope's source
-and destination; a message between two actors of one worker never reaches
-the router and is not faulted.  Crash events and ``message_type`` rules are
+and where a worker's frame is forwarded (such a plan keeps worker→worker
+frames on the router) — keyed by the envelope's source and destination; a
+message between two actors of one worker never reaches the router and is
+not faulted.  Crash events and ``message_type`` rules are
 refused at :meth:`MultiprocRuntime.start`: a whole worker dies, not one
 actor, and worker frames are routed without being decoded.
 """
@@ -105,7 +119,10 @@ def default_placement(name: str, workers: int) -> Optional[int]:
 
 
 class MultiprocRuntime(BaseRuntime):
-    """Actor runtime spanning OS processes; the parent routes messages.
+    """Actor runtime spanning OS processes: workers send to each other
+    over direct links, and the parent routes what its own actors send and
+    receive (and every worker→worker frame under supervision or a plan
+    with rules or partitions).
 
     ``workers=0`` is the inline mode: every actor lives in the parent and a
     message is queued as the object itself, never encoded — the real-time
@@ -140,6 +157,8 @@ class MultiprocRuntime(BaseRuntime):
         self._placement_fn = placement or default_placement
         self._host = host
         self._location: Dict[str, Optional[int]] = {}
+        #: Each worker's link listener address, from its hello.
+        self._link_addrs: Dict[int, Tuple[str, int]] = {}
         #: False until :meth:`start` has loaded and started every worker:
         #: until then the pump runs no parent-side timer or delivery, so
         #: nothing reaches a worker ahead of its actors.
@@ -153,6 +172,8 @@ class MultiprocRuntime(BaseRuntime):
         self._worker_error: Optional[str] = None
         #: Set at :meth:`start` when a Supervisor is registered.
         self._supervision: Optional[Supervision] = None
+        #: Frames the parent queued to a worker, and their bytes; frames
+        #: that go worker to worker over a direct link are not counted.
         self.messages_routed = 0
         self.bytes_routed = 0
         #: Supervision counters (stay zero unsupervised): snapshot frames
@@ -184,6 +205,8 @@ class MultiprocRuntime(BaseRuntime):
                 self._supervision = Supervision(self, supervisor)
             self._spawn_workers()
             self._ship_actors()
+            if self._links_on():
+                self._link_workers()
         super().start()
         for wid in range(self.workers):
             self._control(wid, {"op": "start"})
@@ -191,6 +214,25 @@ class MultiprocRuntime(BaseRuntime):
             self.loop.schedule(at, lambda w=wid: self._chaos_kill(w))
         self._serving = True
         return self
+
+    def _links_on(self) -> bool:
+        """Whether workers send to each other directly: yes unless a
+        supervisor must park their outputs or a plan's rules or partitions
+        must see them, both of which happen at the router."""
+        plan = self.chaos
+        return (
+            self.workers > 1
+            and self._supervision is None
+            and (plan is None or not (plan.rules or plan.partitions))
+        )
+
+    def _link_workers(self) -> None:
+        """Have every worker dial every other and learn where each
+        worker-hosted actor lives."""
+        homes = {name: wid for name, wid in self._location.items() if wid is not None}
+        for wid in range(self.workers):
+            peers = {peer: addr for peer, addr in self._link_addrs.items() if peer != wid}
+            self._control(wid, {"op": "links", "peers": peers, "homes": homes})
 
     def _hosted_actors(self) -> List[Actor]:
         """The actors that live in the parent (workers start their own)."""
@@ -271,11 +313,13 @@ class MultiprocRuntime(BaseRuntime):
                 sock, _addr = listener.accept()
                 hello = _read_one_frame_blocking(sock, timeout=timeout)
                 kind, _seq, _src, _dst, payload = _parse_envelope(memoryview(hello)[4:])
-                hello_wid = pickle.loads(bytes(payload)).get("hello") if kind == _K_REPLY else None
+                greeting = pickle.loads(bytes(payload)) if kind == _K_REPLY else {}
+                hello_wid = greeting.get("hello")
                 if hello_wid not in procs or hello_wid in conns:
                     sock.close()
                     raise SessionError(f"bad worker handshake (hello {hello_wid!r})")
                 conns[hello_wid] = _FrameConn(sock, wid=hello_wid)
+                self._link_addrs[hello_wid] = greeting["link"]
         except (OSError, SessionError) as exc:
             for proc in procs.values():
                 proc.kill()

@@ -2,14 +2,16 @@
 the real-time timer loop.  The multiproc parent, its workers and
 :class:`~repro.net.aio_runtime.AioRuntime` all run on it.
 
-Every frame between the parent and a worker is a length-prefixed envelope
-the router can parse *without touching the payload*::
+Every frame between two processes (the parent and a worker, or two
+workers over a direct link) is a length-prefixed envelope the router can
+parse *without touching the payload*::
 
     u32 total_len || 0xC6 || kind || u32 seq || u16 dst_len || dst ||
     u16 src_len || src || payload
 
-so a worker→worker message is forwarded as raw bytes — the only processes
-that ever decode a payload are the sender and the final receiver.  ``seq``
+so a worker→worker message the router relays is forwarded as raw bytes,
+and a link carries the same envelope unchanged — the only processes that
+ever decode a payload are the sender and the final receiver.  ``seq``
 is zero on unsupervised traffic; under supervision it carries the parent's
 per-worker delivery number (parent→worker) or the worker's emission id
 (worker→parent), see :mod:`.supervision`.
@@ -103,12 +105,15 @@ def _envelope(kind: int, src: str, dst: str, payload: bytes, seq: int = 0) -> by
     body_len = 2 + 4 + 2 + len(dst_b) + 2 + len(src_b) + len(payload)
     if body_len > MAX_FRAME_BYTES:
         raise SessionError(f"frame of {body_len} bytes exceeds MAX_FRAME_BYTES")
-    out = bytearray(_HDR.pack(body_len, ENVELOPE_MAGIC, kind, seq, len(dst_b)))
-    out += dst_b
-    out += len(src_b).to_bytes(2, "big")
-    out += src_b
-    out += payload
-    return bytes(out)
+    return b"".join(
+        (
+            _HDR.pack(body_len, ENVELOPE_MAGIC, kind, seq, len(dst_b)),
+            dst_b,
+            len(src_b).to_bytes(2, "big"),
+            src_b,
+            payload,
+        )
+    )
 
 
 def _parse_envelope(body: memoryview) -> Tuple[int, int, str, str, memoryview]:
@@ -208,14 +213,17 @@ class _FrameConn:
         frames: List[bytes] = []
         buf = self.rbuf
         pos = 0
-        while len(buf) - pos >= 4:
-            (n,) = _U32.unpack_from(buf, pos)
-            if n > MAX_FRAME_BYTES:
-                raise SessionError(f"oversized frame announced ({n} bytes)")
-            if len(buf) - pos < 4 + n:
-                break
-            frames.append(bytes(buf[pos : pos + 4 + n]))
-            pos += 4 + n
+        # One copy per frame: slice a view of the buffer, and release the
+        # view before the consumed prefix is cut off.
+        with memoryview(buf) as view:
+            while len(buf) - pos >= 4:
+                (n,) = _U32.unpack_from(buf, pos)
+                if n > MAX_FRAME_BYTES:
+                    raise SessionError(f"oversized frame announced ({n} bytes)")
+                if len(buf) - pos < 4 + n:
+                    break
+                frames.append(bytes(view[pos : pos + 4 + n]))
+                pos += 4 + n
         if pos:
             del buf[:pos]
         return frames

@@ -1,10 +1,11 @@
 """The worker process and the node that hosts its actors.
 
-:func:`_worker_main` is the spawned process's entry point: it connects
-back to the parent, says hello, and runs a :class:`_WorkerNode` until the
-parent stops it or the socket closes.  The parent drives the node with
-control frames (``restore``, ``configure``, ``start``, ``fetch_many``,
-``peek``, ``drain``, ``stop``).
+:func:`_worker_main` is the spawned process's entry point: it opens the
+listener its peers dial for direct links, connects back to the parent,
+says hello (with the listener's address), and runs a :class:`_WorkerNode`
+until the parent stops it or the socket closes.  The parent drives the
+node with control frames (``restore``, ``configure``, ``links``,
+``start``, ``fetch_many``, ``peek``, ``drain``, ``stop``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import socket
 import sys
 import traceback
 from collections import deque
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ...net.binary_codec import decode_value_binary, encode_value_binary
 from ..actor import Actor
@@ -47,7 +48,13 @@ class _WorkerNode(BaseRuntime):
     ``run_for`` / ``run_until``.
 
     Local destinations deliver in-process (same semantics as the parent's
-    pending queue); everything else is encoded once and sent to the router.
+    pending queue); everything else is encoded once and sent down a direct
+    link to the worker hosting the destination, or to the router when no
+    link leads there (parent actors, and every destination while links are
+    off).  Links follow one rule: a node sends only on the sockets it
+    dialed and reads only on the sockets it accepted, so each ordered pair
+    of workers has one FIFO stream.  An inbound link that closes is dropped
+    and the node carries on; only the parent connection closing ends it.
 
     Under supervision the node is the worker half of the group commit
     described in :mod:`.supervision`: a remote send is stamped with the
@@ -65,13 +72,28 @@ class _WorkerNode(BaseRuntime):
 
     loop: _RealtimeLoop
 
-    def __init__(self, worker_id: int, sock: socket.socket) -> None:
+    def __init__(
+        self,
+        worker_id: int,
+        sock: socket.socket,
+        listener: Optional[socket.socket] = None,
+    ) -> None:
         super().__init__()
         self.worker_id = worker_id
         self.loop = _RealtimeLoop()
         self.conn = _FrameConn(sock)
         self._pending: "deque[Tuple[str, str, Any]]" = deque()
         self._stopping = False
+        # -- direct links (set by the "links" control op) ------------------
+        #: The socket peers dial; accepted from the run loop, never inside
+        #: a control op (the parent sends those one worker at a time).
+        self._listener = listener
+        #: Destination actor -> the link this node dialed to its worker.
+        self._link_of: Dict[str, _FrameConn] = {}
+        #: Every open connection: the parent's, then dialed and accepted
+        #: links.
+        self._conns: List[_FrameConn] = [self.conn]
+        self._selector: Optional[selectors.BaseSelector] = None
         # -- supervision state (set by the "configure" control op) ---------
         self._supervised = False
         self._journaled: Set[str] = set()
@@ -96,7 +118,7 @@ class _WorkerNode(BaseRuntime):
             self._emission += 1
             self.conn.queue(_envelope(_K_MSG, src, dst, payload, seq=self._emission))
         else:
-            self.conn.queue(_envelope(_K_MSG, src, dst, payload))
+            self._link_of.get(dst, self.conn).queue(_envelope(_K_MSG, src, dst, payload))
 
     def _reply(self, payload: Dict[str, Any]) -> None:
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
@@ -124,6 +146,18 @@ class _WorkerNode(BaseRuntime):
                 self._delivered_seq = int(ctrl["delivered"])
                 self._emission = int(ctrl["emission"])
                 self._last_snap = (self._delivered_seq, self._emission)
+            elif op == "links":
+                # A dial completes in the peer's listen backlog, so it cannot
+                # wait on the peer; the peer accepts from its run loop.
+                dialed = {
+                    peer: self._add_conn(socket.create_connection(addr, timeout=30.0))
+                    for peer, addr in ctrl["peers"].items()
+                }
+                self._link_of = {
+                    name: dialed[home]
+                    for name, home in ctrl["homes"].items()
+                    if home in dialed
+                }
             elif op == "start":
                 if not self._started:
                     self.start()
@@ -210,10 +244,32 @@ class _WorkerNode(BaseRuntime):
             for name, actor in actors.items():
                 actor.runtime = saved[name]
 
+    def _add_conn(self, sock: socket.socket) -> _FrameConn:
+        """Open a link on ``sock`` and watch it from the run loop."""
+        conn = _FrameConn(sock)
+        self._conns.append(conn)
+        assert self._selector is not None
+        self._selector.register(conn.sock, selectors.EVENT_READ, conn)
+        return conn
+
+    def _drop_link(self, conn: _FrameConn) -> None:
+        """Forget a link its peer closed: stop watching it, and send what
+        was bound down it to the router instead."""
+        assert self._selector is not None
+        self._selector.unregister(conn.sock)
+        conn.close()
+        self._conns.remove(conn)
+        self._link_of = {
+            name: link for name, link in self._link_of.items() if link is not conn
+        }
+
     def run(self) -> None:
-        selector = selectors.DefaultSelector()
+        selector = self._selector = selectors.DefaultSelector()
         selector.register(self.conn.sock, selectors.EVENT_READ, self.conn)
-        conns = [self.conn]
+        if self._listener is not None:
+            acceptor = _Acceptor(self._listener, self._add_conn)
+            selector.register(self._listener, selectors.EVENT_READ, acceptor)
+        conns = self._conns
         try:
             while not self._stopping:
                 while self._pending:
@@ -235,11 +291,16 @@ class _WorkerNode(BaseRuntime):
                 self.conn.flush()
         finally:
             selector.close()
-            self.conn.close()
+            for conn in conns:
+                conn.close()
+            if self._listener is not None:
+                self._listener.close()
 
-    def _on_ready(self, _conn: _FrameConn, frames: List[bytes]) -> None:
+    def _on_ready(self, conn: "_FrameConn | _Acceptor", frames: List[bytes]) -> None:
         for frame in frames:
             self._on_frame(frame)
+        if conn is not self.conn and isinstance(conn, _FrameConn) and conn.closed:
+            self._drop_link(conn)
 
     def _on_frame(self, frame: bytes) -> None:
         kind, seq, src, dst, payload = _parse_envelope(memoryview(frame)[4:])
@@ -272,12 +333,37 @@ class _WorkerNode(BaseRuntime):
             )
 
 
+class _Acceptor:
+    """A node's link listener as its run loop's selector sees it: a turn
+    that finds it readable "reads" it by accepting every dial waiting in
+    the backlog (never blocking); each accepted socket becomes a link."""
+
+    def __init__(
+        self, listener: socket.socket, on_accept: Callable[[socket.socket], Any]
+    ) -> None:
+        listener.setblocking(False)
+        self.listener = listener
+        self.on_accept = on_accept
+
+    def read_frames(self) -> List[bytes]:
+        while True:
+            try:
+                sock, _addr = self.listener.accept()
+            except BlockingIOError:  # the backlog is empty
+                return []
+            self.on_accept(sock)
+
+
 def _worker_main(worker_id: int, host: str, port: int) -> None:
     hold_gc_policy()  # for the process's life, before the actors unpickle
+    listener = socket.create_server((host, 0))
     sock = socket.create_connection((host, port), timeout=30.0)
-    hello = pickle.dumps({"hello": worker_id}, protocol=pickle.HIGHEST_PROTOCOL)
+    hello = pickle.dumps(
+        {"hello": worker_id, "link": listener.getsockname()[:2]},
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
     sock.sendall(_envelope(_K_REPLY, "", "", hello))
-    node = _WorkerNode(worker_id, sock)
+    node = _WorkerNode(worker_id, sock, listener)
     try:
         node.run()
     except Exception:  # noqa: BLE001 - last-ditch crash report

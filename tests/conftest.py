@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import sys
+import tempfile
 from itertools import chain as chained
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
@@ -14,6 +16,7 @@ from repro.apps.hyksos import TOMBSTONE, key_tag
 from repro.chariots import AbstractDeployment, ChariotsDeployment
 from repro.core import DeploymentSpec, LogEntry, ReadRules, Record
 from repro.core.record import split_placements
+from repro.flstore import FileJournal
 from repro.runtime import Actor, LocalRuntime
 
 
@@ -121,6 +124,27 @@ def replayed(journal: Any) -> Iterator[Tuple[int, Record]]:
     """Every record ``journal.replay_runs()`` yields, as ``(lid, record)``
     pairs in order, runs split."""
     return split_placements(chained.from_iterable(journal.replay_runs()))
+
+
+def archived(archive: Any) -> Dict[int, Record]:
+    """Every record an ``ArchiveStore`` holds, by LId, read back from a
+    dump by the journal's block reader: the archive keeps evictions for
+    cold storage and serves no reads of its own."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "archive.dump")
+        archive.dump(path)
+        journal = FileJournal(path)
+        try:
+            return dict(replayed(journal))
+        finally:
+            journal.close()
+
+
+def archive_read(archive: Any, rules: ReadRules) -> List[LogEntry]:
+    """A read of an ``ArchiveStore`` by ``rules``, answered as a scan is:
+    the matching entries in the rules' LId direction, up to their limit."""
+    entries = [LogEntry(lid, record) for lid, record in archived(archive).items()]
+    return rules.merge_scan(entry for entry in entries if rules.matches(entry))
 
 
 def owned_lids(plan: Any, name: str, upto: int) -> List[int]:

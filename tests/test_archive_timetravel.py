@@ -6,12 +6,12 @@ import pytest
 
 from repro.apps import Checkpointer, Hyksos, LogAuditor
 from repro.cli import main
-from repro.core import LidOutOfRangeError, LogError, ReadRules, Record
+from repro.core import LogError, ReadRules, Record
 from repro.flstore import ArchiveStore, FileJournal, MaintainerCore, OwnershipPlan
 from repro.flstore.store import FLStore
 from repro.runtime import LocalRuntime
 
-from conftest import rec
+from conftest import archive_read, archived, rec
 
 
 def reload(path):
@@ -32,7 +32,7 @@ class TestArchiveStore:
         core.append([rec("A", t) for t in range(1, 6)])
         core.truncate({"A": 3})
         assert len(archive) == 3
-        assert archive.get(0).record.toid == 1
+        assert archived(archive)[0].toid == 1
 
     def test_one_truncation_hands_the_archive_one_run(self):
         class CountingSink:
@@ -62,19 +62,19 @@ class TestArchiveStore:
         archive = ArchiveStore()
         for i in range(6):
             archive.append_run([(i, rec("A", i + 1, tags={"p": i % 2}))])
-        entries = archive.read(ReadRules(tag_key="p", tag_value=0, limit=2))
+        entries = archive_read(archive, ReadRules(tag_key="p", tag_value=0, limit=2))
         assert [e.lid for e in entries] == [4, 2]
 
     def test_missing_lid_raises(self):
-        with pytest.raises(LidOutOfRangeError):
-            ArchiveStore().get(0)
+        with pytest.raises(KeyError):
+            archived(ArchiveStore())[0]
 
     def test_lid_range(self):
         archive = ArchiveStore()
-        assert archive.read(ReadRules()) == []
+        assert archive_read(archive, ReadRules()) == []
         archive.append_run([(7, rec("A", 2))])
         archive.append_run([(3, rec("A", 1))])
-        assert [e.lid for e in archive.read(ReadRules(most_recent=False))] == [3, 7]
+        assert [e.lid for e in archive_read(archive, ReadRules(most_recent=False))] == [3, 7]
 
     def test_dump_and_load(self, tmp_path):
         archive = ArchiveStore()
@@ -84,7 +84,7 @@ class TestArchiveStore:
         assert archive.dump(path) == 4
         restored = reload(path)
         assert len(restored) == 4
-        assert restored.get(2).record.tag_dict() == {"k": 2}
+        assert archived(restored)[2].tag_dict() == {"k": 2}
 
 
 #: Records that stress the record serialiser: a scalar body with tags and
@@ -112,7 +112,7 @@ class TestDumpFormat:
         assert archive.dump(path) == 3
         restored = reload(path)
         assert len(restored) == 3
-        records = [restored.get(lid).record for lid in (10, 11, 12)]
+        records = [archived(restored)[lid] for lid in (10, 11, 12)]
         assert records == GOLDEN_RECORDS
         assert [repr(r) for r in records] == [repr(r) for r in GOLDEN_RECORDS]
 
@@ -154,7 +154,7 @@ class TestTieredReader:
         host = results[0].rid.host
         store.maintainers[0].core.truncate({host: 3})
         assert client.read_lid(results[0].lid).entries == []  # collected
-        assert archive.try_get(results[0].lid).record.body == "b0"
+        assert archived(archive)[results[0].lid].body == "b0"
         assert client.read_lid(results[5].lid).entries[0].record.body == "b5"
 
     def test_combined_rule_reads_cover_history(self):
@@ -164,7 +164,7 @@ class TestTieredReader:
         store.maintainers[0].core.truncate({host: 3})
         runtime.run_for(0.1)
         rules = ReadRules(tag_key="t", most_recent=False)
-        entries = rules.merge_scan(client.read(rules) + archive.read(rules))
+        entries = rules.merge_scan(client.read(rules) + archive_read(archive, rules))
         assert [e.record.body for e in entries] == [f"b{i}" for i in range(6)]
 
 

@@ -5,14 +5,19 @@ The multiproc runtime trades determinism for parallelism, so its anchor is
 processes and inline by ``tests/test_runtime_contract.py``.  These unit
 tests cover the default placement policy, routing to worker-hosted
 maintainers, shadow refresh, ``peek``, worker errors, the one delivery
-point, the refusal of live elasticity on worker processes and garbage
-collection with the maintainers on workers; registration, unknown
-destinations and the fault plan are the contract suite's.
+point, the refusal of live elasticity on worker processes, garbage
+collection with the maintainers on workers and the direct links between
+workers; registration, unknown destinations and the fault plan are the
+contract suite's.
 """
+
+import socket
+import time
 
 import pytest
 
-from repro.chariots import ChariotsDeployment
+from repro.chaos import FaultPlan
+from repro.chariots import ChariotsDeployment, check_logs
 from repro.chariots.elasticity import (
     expand_batchers,
     expand_filters,
@@ -29,10 +34,13 @@ from repro.runtime.multiproc import (
     MultiprocRuntime,
     default_placement,
 )
+from repro.net.binary_codec import encode_value_binary
+from repro.runtime.multiproc.wire import _K_MSG, _envelope
 from repro.runtime.multiproc.worker import _WorkerNode
 from repro.scenarios.executors import pipeline_placement
 
-from test_supervision_commit import Fan, Quiet, RawParent
+from conftest import run_abstract
+from test_supervision_commit import Fan, Quiet, RawParent, ThreadProc, _state
 
 
 class TestPlacement:
@@ -254,3 +262,112 @@ class TestGcOnWorkers:
             assert tables_agree()
         finally:
             runtime.stop()
+
+
+def geo_placement(name, workers):
+    """Both datacenters' stages on worker 0, their stores and indexers on
+    worker 1, the control plane in the parent: every record goes from
+    worker 0 to worker 1 and, replicated, back."""
+    kind = name.split("/")[1] if "/" in name else ""
+    if kind in ("batcher", "filter", "queue", "sender", "receiver"):
+        return 0
+    if kind in ("store", "indexer"):
+        return 1
+    return None
+
+
+class ForwardCountingRuntime(MultiprocRuntime):
+    """Counts the worker→worker frames the parent router forwards."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.forwarded = 0
+
+    def _forward(self, src, dst, payload, frame):
+        if self._location.get(dst) is not None:
+            self.forwarded += 1
+        super()._forward(src, dst, payload, frame)
+
+
+GEO_DCS = ["A", "B"]
+GEO_APPENDS = [(GEO_DCS[i % 2], f"g{i}") for i in range(2000)]
+
+
+def append_all(runtime, deployment):
+    """Send every append of :data:`GEO_APPENDS`; returns the ack list."""
+    clients = {dc: deployment.client(dc) for dc in GEO_DCS}
+    acks = []
+    for dc, body in GEO_APPENDS:
+        clients[dc].append(body, on_done=acks.append)
+    return acks
+
+
+class TestDirectLinks:
+    """Unsupervised, unfaulted workers send to each other directly; a plan
+    with rules keeps their frames on the router, where it applies."""
+
+    def run_geo(self, chaos=None):
+        runtime = ForwardCountingRuntime(workers=2, placement=geo_placement, chaos=chaos)
+        deployment = ChariotsDeployment(runtime, GEO_DCS, batch_size=100)
+        try:
+            runtime.start()
+            acks = append_all(runtime, deployment)
+            runtime.run_until(lambda: len(acks) == len(GEO_APPENDS), timeout=60)
+            assert deployment.settle(max_seconds=60)
+            verdict = check_logs(
+                deployment.logs(), reference=run_abstract(GEO_DCS, GEO_APPENDS), acks=acks
+            )
+            assert verdict.ok, verdict
+            return runtime.forwarded
+        finally:
+            runtime.stop()
+
+    def test_worker_frames_skip_the_router(self):
+        assert self.run_geo() == 0
+
+    def test_a_plan_with_rules_keeps_them_on_the_router(self):
+        plan = FaultPlan(5).delay(dst="B/", delay=0.001)
+        assert self.run_geo(chaos=plan) > 0
+        assert plan.stats["delayed"] > 0
+
+    def test_stop_with_link_frames_in_flight(self):
+        runtime = MultiprocRuntime(workers=2, placement=geo_placement)
+        deployment = ChariotsDeployment(runtime, GEO_DCS, batch_size=100)
+        runtime.start()
+        procs = list(runtime._procs)
+        acks = append_all(runtime, deployment)
+        runtime.run_until(lambda: acks, timeout=60)
+        # B's records are still on their way to A's store, over the links.
+        assert runtime.peek("A/store/0", _stored_count) < len(GEO_APPENDS)
+        began = time.monotonic()
+        runtime.stop()
+        assert time.monotonic() - began < 10.0
+        assert all(proc.exitcode is not None for proc in procs)
+
+    def test_a_closed_inbound_link_is_dropped_and_the_worker_carries_on(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        parent = RawParent([], node_cls=lambda wid, sock: _WorkerNode(wid, sock, listener))
+        node = parent.node
+        parent.proc = ThreadProc(node)
+        try:
+            parent.control({"op": "restore", "state": _state([Quiet("quiet")])})
+            parent.control({"op": "start"})
+            peer = socket.create_connection(listener.getsockname()[:2], timeout=5.0)
+            peer.sendall(_envelope(_K_MSG, "peer", "quiet", encode_value_binary(1)))
+            deadline = time.monotonic() + 5.0
+            while node.actor("quiet").seen < 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert node.actor("quiet").seen == 1
+            assert len(node._conns) == 2  # the parent's and the accepted link
+            peer.close()
+            while len(node._conns) > 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert len(node._conns) == 1
+            parent.control({"op": "peek", "name": "quiet", "fn": _seen})
+            assert parent.proc.is_alive()
+        finally:
+            parent.close()
+
+
+def _seen(actor):
+    return actor.seen

@@ -33,7 +33,9 @@ WORKLOAD = [(DCS[i % 2], f"p{i}") for i in range(30)]
 
 def by_datacenter(name, workers):
     """Each datacenter's data plane on a worker of its own, so every
-    cross-datacenter message crosses the parent router."""
+    cross-datacenter message crosses processes: a direct link between the
+    workers, or the parent router under a fault plan with rules or
+    partitions."""
     home = default_placement(name, workers)
     prefix = name.split("/", 1)[0]
     if home is None or prefix not in DCS:

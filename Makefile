@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test chaos chaos-multiproc scenarios aggregates-diff ledger-smoke lint analysis ruff mypy baseline graph
+.PHONY: check test chaos chaos-multiproc scenarios aggregates-diff ledger-smoke lint analysis ruff mypy graph
 
 ## Tier-1 gate: the full test suite.
 check: test
@@ -12,13 +12,9 @@ lint: analysis ruff mypy
 
 ## Project-specific AST linter: protocol exhaustiveness, determinism,
 ## async safety, hot-path slots, typed-API completeness (docs/ANALYSIS.md).
+## Any finding fails it: fix the finding, or noqa it with a reason.
 analysis:
-	$(PYTHON) -m repro.analysis src --baseline analysis-baseline.json
-
-## Regenerate the curated baseline (only for intentionally accepted debt —
-## fix findings instead where possible; tests assert the file is fresh).
-baseline:
-	$(PYTHON) -m repro.analysis src --baseline analysis-baseline.json --write-baseline
+	$(PYTHON) -m repro.analysis src
 
 ## Dump the message-flow graph extracted by the project model (JSON on
 ## stdout; `--graph dot` renders for GraphViz — see docs/ANALYSIS.md).

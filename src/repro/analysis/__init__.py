@@ -61,9 +61,8 @@ Suppression: ``# chariots: noqa=CHR003`` on the offending line (comma list
 or bare ``noqa`` for all codes); CHR009 additionally accepts a structured
 ``# chariots: bounded-by=<invariant>`` declaration.  Directives only count
 inside real comments (tokenized, not regex-over-lines), and CHR017 flags any
-directive that no longer suppresses a finding.  Legacy debt lives in a
-committed baseline file (``--baseline``) — currently empty, and CI fails if
-it grows; see docs/ANALYSIS.md for the workflow.
+directive that no longer suppresses a finding.  Any other finding fails
+the run (exit 1).
 
 The package is pure stdlib and never imports the code it scans, so it runs
 identically on the real tree and on synthetic fixtures in the tests.
@@ -71,7 +70,6 @@ identically on the real tree and on synthetic fixtures in the tests.
 
 from __future__ import annotations
 
-from .baseline import apply_baseline, dump_baseline, load_baseline, write_baseline
 from .cli import main, run_rules
 from .findings import Finding
 from .model import ProjectModel, build_model
@@ -85,13 +83,9 @@ __all__ = [
     "ProjectInfo",
     "ProjectModel",
     "Rule",
-    "apply_baseline",
     "build_model",
-    "dump_baseline",
-    "load_baseline",
     "main",
     "run_rules",
     "rules_by_code",
     "scan",
-    "write_baseline",
 ]

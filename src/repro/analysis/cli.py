@@ -1,8 +1,7 @@
 """Command-line driver: ``python -m repro.analysis [paths...]``.
 
-Pipeline: scan → run rules → drop noqa-suppressed findings → subtract the
-baseline → report.  Exit codes: 0 clean (or everything baselined), 1 new
-findings, 2 usage error.
+Pipeline: scan → run rules → drop noqa-suppressed findings → report.
+Exit codes: 0 clean, 1 any finding, 2 usage error.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set
 
 from .actors import actor_graph_dict, build_actor_graph
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .findings import Finding
 from .model import build_model
 from .noqa import is_suppressed
@@ -58,22 +56,15 @@ def run_rules(
     return findings
 
 
-def _render_text(findings: List[Finding], suppressed: int) -> str:
+def _render_text(findings: List[Finding]) -> str:
     lines = [f.render() for f in findings]
-    summary = f"{len(findings)} finding(s)"
-    if suppressed:
-        summary += f", {suppressed} baselined"
-    lines.append(summary)
+    lines.append(f"{len(findings)} finding(s)")
     return "\n".join(lines)
 
 
-def _render_json(findings: List[Finding], suppressed: int) -> str:
+def _render_json(findings: List[Finding]) -> str:
     return json.dumps(
-        {
-            "findings": [f.to_dict() for f in findings],
-            "count": len(findings),
-            "baselined": suppressed,
-        },
+        {"findings": [f.to_dict() for f in findings], "count": len(findings)},
         indent=2,
     )
 
@@ -114,17 +105,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="comma-separated rule codes to run (default: all)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        type=Path,
-        help="baseline file to subtract from (and target of --write-baseline)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to --baseline and exit 0",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="describe every rule and exit"
     )
     parser.add_argument(
@@ -140,8 +120,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         print(_list_rules())
         return 0
-    if args.write_baseline and args.baseline is None:
-        parser.error("--write-baseline requires --baseline PATH")
 
     select = None
     if args.select:
@@ -173,26 +151,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        write_baseline(args.baseline, findings)
-        print(f"baseline written: {args.baseline} ({len(findings)} finding(s))")
-        return 0
-
-    suppressed = 0
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        findings, suppressed = apply_baseline(findings, baseline)
-
     if args.format == "json":
-        output = _render_json(findings, suppressed)
+        output = _render_json(findings)
     elif args.format == "sarif":
         output = render_sarif(findings, root=project.root)
     else:
-        output = _render_text(findings, suppressed)
+        output = _render_text(findings)
     print(output)
     return 1 if findings else 0
 

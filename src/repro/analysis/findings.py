@@ -1,10 +1,9 @@
 """Finding model for the project linter.
 
 A finding pins one rule violation to one source location.  Its *fingerprint*
-deliberately excludes the line number: baselines must survive unrelated edits
-that shift code up or down, so two findings with the same rule code, file,
-and message are the same finding for baseline accounting (multiplicity is
-tracked by counting).
+deliberately excludes the line number: a code-scanning service that dedups
+alerts by it (SARIF ``partialFingerprints``) must see the same finding after
+an unrelated edit shifts code up or down.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ class Finding:
     message: str  #: human-readable description of the violation
 
     def fingerprint(self) -> str:
-        """Line-independent identity used for baseline matching."""
+        """Line-independent identity (SARIF ``partialFingerprints``)."""
         return f"{self.code}::{self.path}::{self.message}"
 
     def to_dict(self) -> Dict[str, Any]:

@@ -2,7 +2,7 @@
 
 A finding on a line carrying ``# chariots: noqa=CHR003`` (or a comma list of
 codes, or a bare ``# chariots: noqa`` to suppress every rule) is dropped
-before baseline filtering.  The directive is project-specific on purpose —
+before it is reported.  The directive is project-specific on purpose —
 plain ``# noqa`` keeps its usual meaning for ruff/flake8 and never silences
 these rules, so suppressions of protocol/determinism invariants stay
 greppable and auditable.

@@ -3,8 +3,8 @@
 Rules self-describe (code, name, description) and are discovered from this
 registry; adding a rule is: write a :class:`~repro.analysis.rules.base.Rule`
 subclass in a module here, then list it in :data:`ALL_RULES`.  Codes must be
-unique and are never reused once retired (suppression comments and baselines
-reference them).
+unique and are never reused once retired (suppression comments reference
+them).
 """
 
 from __future__ import annotations

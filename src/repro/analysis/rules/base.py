@@ -4,8 +4,8 @@ A rule is a class with a stable ``code`` (``CHR001``…), a short ``name``,
 and a ``check(project)`` generator yielding :class:`Finding` objects.  Rules
 that only need one module at a time override :meth:`check_module`; rules
 needing a whole-project view (the protocol-exhaustiveness cross-check)
-override :meth:`check` directly.  noqa and baseline filtering happen in the
-driver, so rules always report everything they see.
+override :meth:`check` directly.  noqa filtering happens in the driver, so
+rules always report everything they see.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ class Rule(ABC):
     """Base class for pluggable lint rules."""
 
     #: Stable, unique rule code (``CHR`` + three digits).  Codes are part of
-    #: the suppression/baseline contract: never reuse a retired code.
+    #: the suppression contract: never reuse a retired code.
     code: ClassVar[str]
     #: Short kebab-case name shown in ``--list-rules``.
     name: ClassVar[str]
@@ -29,7 +29,7 @@ class Rule(ABC):
     description: ClassVar[str]
 
     def check(self, project: ProjectInfo) -> Iterator[Finding]:
-        """Yield every violation in the project (pre-noqa, pre-baseline)."""
+        """Yield every violation in the project (pre-noqa)."""
         for module in project:
             yield from self.check_module(module)
 

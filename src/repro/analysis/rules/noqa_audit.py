@@ -8,7 +8,7 @@ directive that matched no pre-noqa finding during a full run.
 This rule is driver-implemented: deciding whether a directive is dead
 requires the findings of *every other rule* before noqa filtering, which a
 rule's ``check()`` cannot see.  The class exists so the code participates in
-``--list-rules``, ``--select`` validation, and baselines; its own
+``--list-rules`` and ``--select`` validation; its own
 ``check()`` yields nothing, and the check only runs on full (unselected)
 runs — under ``--select`` a directive for an unselected rule would look
 dead.  A directive that explicitly lists ``CHR017`` is never reported

@@ -18,13 +18,12 @@ system cannot see, mined from ``runtime/multiproc/supervision.py``:
 * **Detected deaths must reach a respawn-or-park terminal.**  A method that
   reads ``proc.exitcode`` is a SIGKILL-detection branch.  Within
   :data:`~repro.analysis.dataflow.EXPAND_DEPTH` hops of the intra-class
-  call graph it must reach a terminal: one of the supervision API's own
-  recovery entry points (:data:`TERMINAL_METHODS` — ``drain_worker``,
-  ``restart_worker``, matched by exact name), a call whose name says
-  respawn/restart/replace/spawn/park (``_mark_worker_down`` counts), or a
-  write to a ``*failed*``/``*parked*`` flag.  A detection branch that reaches
-  neither observes the corpse and does nothing — the worker is dead, its
-  frames buffer forever, and no supervisor sweep will ever revive it.
+  call graph it must reach a terminal: a call whose name says
+  respawn/restart/replace/spawn/park/mark-down (``_mark_worker_down``
+  counts), or a write to a ``*failed*``/``*parked*`` flag.  A detection
+  branch that reaches neither observes the corpse and does nothing — the
+  worker is dead, its frames buffer forever, and no supervisor sweep will
+  ever revive it.
 
 Scope is ``runtime/`` only: the invariants are properties of the supervised
 process runtime, not of the in-process substrates.
@@ -49,13 +48,6 @@ _SEQ_RE = re.compile(r"seq|emission")
 _TERMINAL_CALL_RE = re.compile(r"respawn|restart|replace|spawn|park|mark\w*down")
 _TERMINAL_FLAG_RE = re.compile(r"failed|parked")
 _TRIM_CALLS = frozenset({"popleft", "pop", "remove", "clear"})
-
-#: The supervision API's own recovery entry points, recognised as terminals
-#: by exact name rather than via :data:`_TERMINAL_CALL_RE`.  These are the
-#: drain/restart operations of ``runtime/multiproc/supervision.py``; pinning them
-#: here means renaming one surfaces as a lint-fixture failure instead of the
-#: heuristic silently ceasing to recognise the call.
-TERMINAL_METHODS = frozenset({"drain_worker", "restart_worker"})
 
 
 def _assign_target_names(stmt: ast.stmt) -> List[str]:
@@ -153,10 +145,7 @@ def _has_terminal(func: AnyFunc) -> bool:
     for node in ast.walk(func):
         if isinstance(node, ast.Call):
             name = terminal_name(node.func)
-            if name is not None and (
-                name in TERMINAL_METHODS
-                or _TERMINAL_CALL_RE.search(name.lower())
-            ):
+            if name is not None and _TERMINAL_CALL_RE.search(name.lower()):
                 return True
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
             if _TERMINAL_FLAG_RE.search(node.attr):

@@ -5,9 +5,10 @@ lint run to code-scanning dashboards (GitHub annotates PR diffs from it).
 The emitted document is deliberately minimal but complete: one run, the
 full rule table as ``tool.driver.rules`` (so dashboards can describe a
 rule even when it produced no results this run), and one ``result`` per
-finding carrying the same line-independent fingerprint the baseline uses,
-under ``partialFingerprints`` — scanning services dedup alerts across
-pushes by it, exactly as the baseline does.
+finding carrying its line-independent fingerprint
+(:meth:`~repro.analysis.findings.Finding.fingerprint`) under
+``partialFingerprints`` — scanning services dedup alerts across pushes by
+it.
 
 Columns are converted from the linter's 0-based convention to SARIF's
 1-based one.  File URIs are emitted relative to the invocation's working

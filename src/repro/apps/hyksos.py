@@ -25,9 +25,6 @@ from ..core.record import KnowledgeVector, LogEntry, ReadRules
 #: Tag-key prefix for puts; the tag value is the written value.
 KEY_TAG_PREFIX = "kv:"
 
-#: Sentinel tag value marking a delete (a put of "nothing").
-TOMBSTONE = "__hyksos_tombstone__"
-
 
 def key_tag(key: str) -> str:
     return KEY_TAG_PREFIX + key
@@ -65,20 +62,6 @@ class Hyksos:
     def put(self, key: str, value: Any) -> VersionedValue:
         """Write one key.  Returns the new version."""
         return self.put_many({key: value})[key]
-
-    def delete(self, key: str) -> VersionedValue:
-        """Delete a key by appending a tombstone record.
-
-        Immutability means nothing is ever removed from the log — a delete
-        is just a put whose value is the tombstone sentinel; reads translate
-        it to "absent".  (Garbage collection eventually reclaims the dead
-        versions, §6.1.)
-        """
-        tags = {key_tag(key): TOMBSTONE}
-        body = {"op": "delete", "keys": [key]}
-        result = self._append(body, tags)
-        self._observe(result.rid.host, result.rid.toid)
-        return VersionedValue(key, None, result.lid, result.rid.host, result.rid.toid)
 
     def put_many(self, items: Mapping[str, Any]) -> Dict[str, VersionedValue]:
         """Write several keys atomically in one record (§4.1: "a record
@@ -125,8 +108,6 @@ class Hyksos:
         entry = entries[0]
         value = entry.record.tag_dict()[key_tag(key)]
         self._observe(entry.record.host, entry.record.toid)
-        if value == TOMBSTONE:
-            return None  # deleted at this point in the log
         return VersionedValue(key, value, entry.lid, entry.record.host, entry.record.toid)
 
     # ------------------------------------------------------------------ #

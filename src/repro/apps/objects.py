@@ -130,9 +130,6 @@ class ReplicatedDict(ReplicatedObject):
     def set(self, key: Any, value: Any) -> None:
         self._append_mutation("set", key=key, value=value)
 
-    def delete(self, key: Any) -> None:
-        self._append_mutation("delete", key=key)
-
     def get(self, key: Any, default: Any = None) -> Any:
         return self._items.get(key, default)
 
@@ -148,10 +145,7 @@ class ReplicatedDict(ReplicatedObject):
         if winner is not None and not self._beats(record, winner):
             return
         self._winners[key] = record
-        if body["op"] == "set":
-            self._items[key] = body["value"]
-        else:
-            self._items.pop(key, None)
+        self._items[key] = body["value"]
 
     @staticmethod
     def _beats(challenger: Record, incumbent: Record) -> bool:

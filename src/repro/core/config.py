@@ -9,7 +9,6 @@ maintainer round, Figure 4) is the ``batch_size`` of the ownership plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import ConfigurationError
 from .retry import RetryPolicy
@@ -182,19 +181,3 @@ class DeploymentSpec:
         for stage in ("clients", "batchers", "filters", "queues", "maintainers", "senders", "receivers"):
             if getattr(self, stage) < 1:
                 raise ConfigurationError(f"{stage} must be >= 1")
-
-    @classmethod
-    def uniform(
-        cls, machines_per_stage: int, clients: Optional[int] = None
-    ) -> "DeploymentSpec":
-        """A deployment with the same machine count at every stage."""
-        n = machines_per_stage
-        return cls(
-            clients=clients if clients is not None else n,
-            batchers=n,
-            filters=n,
-            queues=n,
-            maintainers=n,
-            senders=n,
-            receivers=n,
-        )

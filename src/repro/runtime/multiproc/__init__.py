@@ -532,23 +532,6 @@ class MultiprocRuntime(BaseRuntime):
             return 0
         return self._supervision.check_workers()
 
-    def drain_worker(self, wid: int, timeout: float = 5.0) -> bool:
-        """Quiesce worker ``wid`` into a snapshot covering every frame
-        delivered to it (:meth:`Supervision.drain_worker`)."""
-        return self._supervised("drain_worker").drain_worker(wid, timeout)
-
-    def restart_worker(
-        self, wid: int, drain: bool = True, drain_timeout: float = 5.0
-    ) -> bool:
-        """Planned restart: drain, then respawn
-        (:meth:`Supervision.restart_worker`)."""
-        return self._supervised("restart_worker").restart_worker(wid, drain, drain_timeout)
-
-    def _supervised(self, what: str) -> Supervision:
-        if self._supervision is None:
-            raise ConfigurationError(f"{what} requires a Supervisor")
-        return self._supervision
-
     # -- execution ---------------------------------------------------------- #
 
     def run_for(self, duration: float) -> float:

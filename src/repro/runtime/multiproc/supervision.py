@@ -23,9 +23,9 @@ parent:
   rebuilt parent-side from their :class:`~repro.flstore.journal.FileJournal`
   through the supervisor's recovery factories.
 
-Detection is socket EOF, exit codes and heartbeat staleness; a planned
-restart (:meth:`Supervision.restart_worker`) drains the worker to a clean
-snapshot first.  What cannot be protected is counted in the runtime's
+Detection is socket EOF, exit codes and heartbeat staleness; recovery is
+always a respawn from the last snapshot.  What cannot be protected
+(retransmit overflow, replay gaps) is counted in the runtime's
 ``loss_accounting``.  Unsupervised traffic leaves ``seq`` zero and is
 forwarded byte-identical, without a copy.
 """
@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from ...core.errors import ConfigurationError, SessionError
+from ...core.errors import SessionError
 from ...core.retry import CircuitBreaker, RetryPolicy
 from ..actor import Actor
 from ..supervisor import Supervisor
@@ -110,8 +110,8 @@ class _WorkerSlot:
 class Supervision:
     """The parent half of the supervised protocol for every worker of one
     :class:`~repro.runtime.multiproc.MultiprocRuntime`: sequencing and
-    keeping inputs, parking and committing outputs, failure detection,
-    respawn, drain and planned restart."""
+    keeping inputs, parking and committing outputs, failure detection and
+    respawn."""
 
     def __init__(self, runtime: "MultiprocRuntime", supervisor: Supervisor) -> None:
         self.runtime = runtime
@@ -203,7 +203,7 @@ class Supervision:
             slot.uncommitted_bytes -= len(frame)
             self.runtime._forward(src, dst, payload, frame)
 
-    # -- detection, respawn, drain ------------------------------------------ #
+    # -- detection and respawn --------------------------------------------- #
 
     def check_workers(self) -> int:
         """Detect dead/hung workers and respawn them; returns respawns."""
@@ -350,51 +350,3 @@ class Supervision:
         for _d, frame in slot.unacked:
             conn.queue(frame)
         slot.buffering = False
-
-    def drain_worker(self, wid: int, timeout: float = 5.0) -> bool:
-        """Quiesce worker ``wid``: repeatedly flush its queues into a
-        snapshot until the snapshot acknowledges every delivered frame (or
-        ``timeout`` expires).  Returns True when fully drained."""
-        slot = self.slots[wid]
-        deadline = _wall_clock() + timeout
-        while _wall_clock() < deadline:
-            if slot.failed or self.runtime._conns[wid].closed:
-                return False
-            try:
-                self.runtime._control(
-                    wid,
-                    {"op": "drain"},
-                    timeout=max(0.1, deadline - _wall_clock()),
-                )
-            except SessionError:
-                return False
-            # FIFO: the drain reply follows the snapshot it forced, so the
-            # slot's ack is current by the time _control returns.
-            if slot.acked >= slot.delivery_seq:
-                return True
-        return False
-
-    def restart_worker(
-        self, wid: int, drain: bool = True, drain_timeout: float = 5.0
-    ) -> bool:
-        """Planned restart (the elasticity path): drain, then respawn.
-
-        With ``drain`` the worker's queues are quiesced into a final
-        snapshot first, so the restart loses nothing; when the drain cannot
-        complete in time the restart proceeds anyway — unsnapshotted inputs
-        are replayed from the parent's buffer, and any genuinely
-        unprotectable frames are counted in ``loss_accounting``.
-        Returns True when the pre-restart drain completed.
-        """
-        if not 0 <= wid < len(self.slots):
-            raise ConfigurationError(f"worker {wid} out of range")
-        drained = self.drain_worker(wid, timeout=drain_timeout) if drain else False
-        if drain and not drained:
-            self.runtime._losses["drain_timeouts"] += 1
-        self._mark_worker_down(wid, "planned restart")
-        self._recovering = True
-        try:
-            self._respawn_worker(wid)
-        finally:
-            self._recovering = False
-        return drained

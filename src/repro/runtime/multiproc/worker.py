@@ -5,7 +5,7 @@ listener its peers dial for direct links, connects back to the parent,
 says hello (with the listener's address), and runs a :class:`_WorkerNode`
 until the parent stops it or the socket closes.  The parent drives the
 node with control frames (``restore``, ``configure``, ``links``,
-``start``, ``fetch_many``, ``peek``, ``drain``, ``stop``).
+``start``, ``fetch_many``, ``peek``, ``stop``).
 """
 
 from __future__ import annotations
@@ -167,11 +167,6 @@ class _WorkerNode(BaseRuntime):
                 value = self._pickle_detached(list(ctrl["names"]))
             elif op == "peek":
                 value = ctrl["fn"](self._actors[ctrl["name"]])
-            elif op == "drain":
-                # Force a snapshot (which first drains local pending work);
-                # the reply rides behind it in FIFO order, so the parent's
-                # ack is current when it arrives.
-                self._snapshot()
             elif op == "stop":
                 if self._supervised:
                     self._snapshot()

@@ -7,7 +7,7 @@ assembles the aggregates document.  Every run persists a self-describing
 artifact directory::
 
     runs/<scenario>/<run-id>/
-        spec.json          the exact spec that ran (round-trips losslessly)
+        spec.json          the exact spec that ran (``ScenarioSpec.to_dict``)
         aggregates.json    deterministic simulated metrics (sorted keys)
         timeseries.json    per-point throughput timeseries, when captured
         run.json           phase statuses, invariant failures, verdict

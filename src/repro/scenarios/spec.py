@@ -12,10 +12,10 @@ A :class:`ScenarioSpec` is everything one experiment needs, as data:
 * declarative **invariants** over the run's aggregate metrics (the paper's
   qualitative claims — "peaks at 150K", "the filter is the bottleneck").
 
-Specs round-trip losslessly through :meth:`ScenarioSpec.to_dict` /
-:meth:`ScenarioSpec.from_dict` (and the JSON convenience wrappers), so a
-catalog entry, a run artifact's ``spec.json``, and a hand-written JSON file
-are the same object.  See ``docs/SCENARIOS.md`` for the schema.
+Specs are built in Python (the catalog, or a script calling the
+constructors); :meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.to_json`
+write them out, as a run's ``spec.json`` records what ran.  Nothing reads a
+spec file back.  See ``docs/SCENARIOS.md`` for the schema.
 """
 
 from __future__ import annotations
@@ -205,13 +205,6 @@ class TopologySpec:
         defaults["datacenters"] = ["A"]
         return _prune(data, defaults)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TopologySpec":
-        kwargs = dict(data)
-        if "datacenters" in kwargs:
-            kwargs["datacenters"] = tuple(kwargs["datacenters"])
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -260,15 +253,6 @@ class WorkloadSpec:
         defaults = _defaults_of(type(self))
         defaults["timeseries_sources"] = []
         return _prune(data, defaults)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
-        kwargs = dict(data)
-        if "timeseries_sources" in kwargs:
-            kwargs["timeseries_sources"] = tuple(kwargs["timeseries_sources"])
-        if kwargs.get("drain_probe") is not None:
-            kwargs["drain_probe"] = tuple(kwargs["drain_probe"])
-        return cls(**kwargs)
 
 
 # ===================================================================== #
@@ -369,13 +353,6 @@ class Invariant:
         if self.band is not None:
             data["band"] = list(self.band)
         return _prune(data, _defaults_of(type(self)))
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Invariant":
-        kwargs = dict(data)
-        if kwargs.get("band") is not None:
-            kwargs["band"] = tuple(kwargs["band"])
-        return cls(**kwargs)
 
 
 # ===================================================================== #
@@ -501,27 +478,6 @@ class ScenarioSpec:
         if self.notes:
             data["notes"] = self.notes
         return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        return cls(
-            name=data["name"],
-            title=data.get("title", data["name"]),
-            kind=data.get("kind", "pipeline"),
-            runtime=data.get("runtime", "sim"),
-            tags=tuple(data.get("tags", ())),
-            topology=TopologySpec.from_dict(data.get("topology", {})),
-            workload=WorkloadSpec.from_dict(data.get("workload", {})),
-            pipeline=dict(data.get("pipeline", {})),
-            flstore=dict(data.get("flstore", {})),
-            faults=data.get("faults"),
-            sweep=tuple(dict(point) for point in data.get("sweep", ())),
-            invariants=tuple(
-                Invariant.from_dict(inv) for inv in data.get("invariants", ())
-            ),
-            seed=data.get("seed", 0),
-            notes=data.get("notes", ""),
-        )
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"

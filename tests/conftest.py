@@ -12,7 +12,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 import pytest
 
 from repro.analysis import ProjectInfo, scan
-from repro.apps.hyksos import TOMBSTONE, key_tag
+from repro.apps.hyksos import key_tag
 from repro.chariots import AbstractDeployment, ChariotsDeployment
 from repro.core import DeploymentSpec, LogEntry, ReadRules, Record
 from repro.core.record import split_placements
@@ -111,8 +111,7 @@ def convergent_get(log: Any, key: str) -> Any:
     if not undominated:
         return None
     winner = max(undominated, key=lambda record: (record.toid, record.host))
-    value = winner.tag_dict()[key_tag(key)]
-    return None if value == TOMBSTONE else value
+    return winner.tag_dict()[key_tag(key)]
 
 
 def decided(pending: Any) -> bool:

@@ -81,7 +81,6 @@ class TestReplicatedSetAndDict:
         d = ReplicatedDict(ca)
         d.set("k", 1)
         d.set("k", 2)
-        d.delete("k")
         d.set("k", 3)
         runtime.run_for(0.2)
         d.sync()

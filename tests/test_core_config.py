@@ -85,13 +85,3 @@ class TestDeploymentSpec:
     def test_every_stage_needs_a_machine(self):
         with pytest.raises(ConfigurationError):
             DeploymentSpec(filters=0)
-
-    def test_uniform(self):
-        spec = DeploymentSpec.uniform(3)
-        assert spec.batchers == spec.filters == spec.queues == spec.maintainers == 3
-        assert spec.clients == 3
-
-    def test_uniform_with_client_override(self):
-        spec = DeploymentSpec.uniform(2, clients=5)
-        assert spec.clients == 5
-        assert spec.senders == 2

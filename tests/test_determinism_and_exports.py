@@ -32,6 +32,11 @@ KEPT_WITHOUT_A_CALLER = {
     "net/protocol.py::_Link.resume_writing": "asyncio flow-control callback",
     "net/server.py::_ServerConnection.pause_writing": "asyncio flow-control callback",
     "net/server.py::_ServerConnection.resume_writing": "asyncio flow-control callback",
+    "net/protocol.py::FrameProtocol.connection_made": "asyncio callback, ROADMAP item 11",
+    "net/protocol.py::FrameProtocol.connection_lost": "asyncio callback, ROADMAP item 11",
+    "net/protocol.py::_Link.connection_lost": "asyncio callback, ROADMAP item 11",
+    "net/server.py::_ServerConnection.connection_made": "asyncio callback, ROADMAP item 11",
+    "net/server.py::_ServerConnection.connection_lost": "asyncio callback, ROADMAP item 11",
     "runtime/actor.py::Runtime.has_actor": "member of the Runtime protocol",
     "runtime/local.py::BaseRuntime.has_actor": "implements Runtime.has_actor",
     "scenarios/runner.py::run_scenario": "drives one spec by hand (docs/API.md, docs/FAULTS.md)",
@@ -68,12 +73,45 @@ def dead_definitions(root, examples):
     """``{path::qualname: line}`` of the public definitions under ``root``
     (``analysis/`` excepted) whose name no code under ``root`` or
     ``examples`` uses.  A use is a name, an attribute, or a string constant
-    spelling the name (``getattr`` by name); a definition, a re-export and
-    an ``__all__`` entry are not uses."""
-    uses = set()
-    defined = {}
-    for path in sorted(root.rglob("*.py")) + sorted(examples.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    spelling the name (``getattr`` by name), except that:
+
+    - a definition, a re-export and an ``__all__`` entry are not uses;
+    - nothing under ``analysis/`` is a use: the analyzer names production
+      code in its rule tables and never calls it;
+    - a reference to ``m`` inside a function named ``m`` is not a use, so a
+      delegating wrapper needs a caller of its own;
+    - ``K.m``, where ``K`` names a class defined here, uses only the ``m``
+      of a class named ``K``, not another class's namesake."""
+    sources = [
+        (path, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(root.rglob("*.py")) + sorted(examples.glob("*.py"))
+        if root / "analysis" not in path.parents
+    ]
+    classes = {
+        node.name
+        for _, tree in sources
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    uses, qualified_uses, defined = set(), set(), {}
+
+    def visit(node, function, exports):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Name) and node.id != function:
+            uses.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr != function:
+            if isinstance(node.value, ast.Name) and node.value.id in classes:
+                qualified_uses.add((node.value.id, node.attr))
+            else:
+                uses.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier() and node.value != function and id(node) not in exports:
+                uses.add(node.value)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, exports)
+
+    for path, tree in sources:
         exports = {
             id(node)
             for statement in tree.body
@@ -81,19 +119,17 @@ def dead_definitions(root, examples):
             and any(getattr(target, "id", None) == "__all__" for target in statement.targets)
             for node in ast.walk(statement.value)
         }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                uses.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                uses.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if node.value.isidentifier() and id(node) not in exports:
-                    uses.add(node.value)
-        if root in path.parents and root / "analysis" not in path.parents:
+        visit(tree, None, exports)
+        if root in path.parents:
             module = path.relative_to(root).as_posix()
             for qualname, node in public_definitions(tree.body):
-                defined[f"{module}::{qualname}", node.name] = node.lineno
-    return {key: line for (key, name), line in defined.items() if name not in uses}
+                owner = qualname.split(".")[-2] if "." in qualname else None
+                defined[f"{module}::{qualname}"] = owner, node.name, node.lineno
+    return {
+        key: line
+        for key, (owner, name, line) in defined.items()
+        if name not in uses and (owner, name) not in qualified_uses
+    }
 
 
 class TestDeterministicReplay:

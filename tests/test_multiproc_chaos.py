@@ -184,34 +184,3 @@ class TestCrashRecoveryEquivalence:
         assert out["recoveries"] >= 2
         assert out["restarts"] >= out["recoveries"]
         assert out["loss_accounting"] == {}
-
-
-@pytest.mark.slow
-class TestPlannedRestart:
-    def test_drain_then_restart_loses_nothing(self):
-        """The elasticity path: a planned, drained restart of the maintainer
-        worker mid-workload neither loses records nor times out the drain."""
-        runtime = MultiprocRuntime(
-            workers=4, placement=pipeline_placement(DCS, 4)
-        )
-        with tempfile.TemporaryDirectory() as journal_dir:
-            try:
-                deployment = ChariotsDeployment(runtime, DCS, batch_size=8)
-                supervisor = deployment.supervise(journal_dir=journal_dir)
-                runtime.start()
-                clients = {dc: deployment.client(dc) for dc in DCS}
-                acks = []
-                for dc, payload in WORKLOAD:
-                    clients[dc].append(payload, on_done=acks.append)
-                runtime.run_until(
-                    lambda: len(acks) == len(WORKLOAD), timeout=120
-                )
-                drained = runtime.restart_worker(1, drain=True)
-                assert drained
-                assert deployment.settle(max_seconds=120)
-                assert check_logs(deployment.logs(), reference=run_abstract(DCS, WORKLOAD)).ok
-                assert supervisor.recoveries
-                assert supervisor.recoveries[-1]["reason"] == "planned restart"
-                assert runtime.loss_accounting.get("drain_timeouts", 0) == 0
-            finally:
-                runtime.stop()

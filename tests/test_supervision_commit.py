@@ -6,7 +6,7 @@ real loop on a *thread*, joined to the other side by a loopback TCP pair
 not do).  The other side is either this file speaking raw frames, or a real
 :class:`MultiprocRuntime` whose spawn hook hands it such thread-backed
 workers instead of OS processes — everything else (``start``, routing,
-supervision sweep, respawn, drain, stop) is the production code.  A killed
+supervision sweep, respawn, stop) is the production code.  A killed
 "process" is a node whose loop exits without a final snapshot and whose
 socket closes; a node that *withholds* its commit markers is a worker frozen
 in the window between emission and marker.
@@ -358,11 +358,10 @@ class TestWorkerWire:
     def test_drain_and_stop_end_on_a_forced_marker(self):
         parent = RawParent([Quiet("quiet")]).run_node()
         try:
-            for op in ("drain", "stop"):
-                before = len(parent.frames)
-                parent.control({"op": op})  # nothing changed since the last one
-                kinds = [f[0] for f in parent.frames[before:]]
-                assert kinds == ["S", "R"], op
+            before = len(parent.frames)
+            parent.control({"op": "stop"})  # nothing changed since the last one
+            kinds = [f[0] for f in parent.frames[before:]]
+            assert kinds == ["S", "R"]
             parent.proc.join(5.0)
             assert not parent.proc.is_alive()
         finally:
@@ -532,27 +531,6 @@ class TestParentCommit:
         # Unsequenced (unsupervised-style) frames are routed, never parked.
         rt._route_frame(0, emission(0))
         assert len(rt._pending_local) == 1
-
-    def test_drain_and_planned_restart_end_on_a_forced_marker(self):
-        with _two_stage_rig() as rig:
-            rt, sink, sup = rig.rt, rig.sink, rig.supervisor
-            rt.send("test", "fan", 1)
-            rig.pump_until(lambda: len(sink.got) == 4)
-            received = rt.snapshots_received
-            assert rt.drain_worker(0)
-            assert rt.snapshots_received > received  # forced: nothing had changed
-            assert rig.slot(0).acked == rig.slot(0).delivery_seq == 1
-
-            first = rig.node(0)
-            assert rt.restart_worker(0, drain=True)
-            assert rig.node(0) is not first
-            assert sup.recoveries[-1]["reason"] == "planned restart"
-            assert sup.recoveries[-1]["replayed"] == 0
-            rt.send("test", "fan", 2)
-            rig.pump_until(lambda: len(sink.got) == 8)
-            rt.run_for(0.05)
-            assert len(sink.got) == 8
-            assert rt.loss_accounting == {}
 
     def test_stop_commits_what_the_last_turn_emitted(self):
         rig = _two_stage_rig()
